@@ -329,6 +329,15 @@ func TestVerboseTracing(t *testing.T) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
+	// A session run is the same executor, so it traces its levels too.
+	buf.Reset()
+	q := NewQuery(ds).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price")).Verbose(&buf)
+	if _, err := NewSession(ds).Run(q); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "S level 1") || !strings.Contains(out, "T level 1") {
+		t.Errorf("session trace missing level lines:\n%s", out)
+	}
 	// Workers plumb-through smoke test: identical answer with parallelism.
 	par, err := NewQuery(ds).MinSupport(2).
 		Where2(Join(Max, "Price", LE, Min, "Price")).

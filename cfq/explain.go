@@ -2,7 +2,6 @@ package cfq
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -51,20 +50,12 @@ func PruningFromContext(ctx context.Context) *PruneSet {
 
 // ExplainQuery renders the optimizer's plan for the query under the given
 // strategy without running it.
-func (q *Query) ExplainQuery(strat Strategy) (rep *ExplainReport, err error) {
-	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.Prepare(Auto)
-		if err != nil {
-			return nil, err
-		}
-		return p.Explain()
-	}
-	icfq, err := q.compile()
+func (q *Query) ExplainQuery(strat Strategy) (*ExplainReport, error) {
+	p, err := q.Prepare(strat)
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildExplain(icfq, strat.internal())
+	return p.Explain()
 }
 
 // QueryFeatures is the strategy-independent feature vector of a query —
@@ -98,74 +89,22 @@ func (q *Query) ExplainAnalyze(strat Strategy) (*Result, *ExplainReport, error) 
 
 // ExplainAnalyzeContext evaluates the query like RunContext and returns,
 // alongside the result, the plan report annotated with the run's actual
-// per-constraint pruning. If ctx does not already carry a PruneSet, one is
-// installed for the duration of the run. Cancellation, budgets, and
-// tracing behave exactly as in RunContext.
-func (q *Query) ExplainAnalyzeContext(ctx context.Context, strat Strategy) (res *Result, rep *ExplainReport, err error) {
-	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.ExplainAnalyzeContext(ctx)
-	}
-	icfq, err := q.compile()
+// per-constraint pruning (see Prepared.ExplainAnalyzeContext).
+func (q *Query) ExplainAnalyzeContext(ctx context.Context, strat Strategy) (*Result, *ExplainReport, error) {
+	p, err := q.PrepareContext(ctx, strat)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err = core.BuildExplain(icfq, strat.internal())
-	if err != nil {
-		return nil, nil, err
-	}
-	prune := obs.PruningFromContext(ctx)
-	if prune == nil {
-		prune = obs.NewPruneSet()
-		ctx = obs.WithPruning(ctx, prune)
-	}
-	start := time.Now()
-	icfq.Budget = q.budget.internal(start)
-	ires, err := core.Run(ctx, icfq, strat.internal())
-	if err != nil {
-		publishRun(time.Since(start), nil, err)
-		return nil, nil, convertErr(err)
-	}
-	publishRun(time.Since(start), &ires.Stats, nil)
-	core.AnalyzeExplain(rep, ires, prune)
-	res = convertResult(ires)
-	res.Report = obs.FromContext(ctx).Report()
-	return res, rep, nil
+	return p.ExplainAnalyzeContext(ctx)
 }
 
-// AnalyzeCapture builds the plan report for an already-finished run from
-// its attributed pruning counters: the plan is rendered fresh (one database
-// scan for selectivity estimates) and annotated with the given PruneSet and
-// pruned total. It is the slow-query capture path — the run went through
-// the normal RunContext (possibly via a session cache), so no Result or
-// plan internals survive, yet the report's sum contract still holds:
-// SumPruned() == pruned, with sites that only a live plan could claim
-// landing in OtherPruned.
-func (q *Query) AnalyzeCapture(strat Strategy, prune *PruneSet, pruned int64) (rep *ExplainReport, err error) {
-	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.Prepare(Auto)
-		if err != nil {
-			return nil, err
-		}
-		if rep, err = p.Explain(); err != nil {
-			return nil, err
-		}
-		core.AnalyzeCapture(rep, pruned, prune)
-		return rep, nil
-	}
-	icfq, err := q.compile()
+// AnalyzeCapture builds the plan report for an already-finished run of the
+// query under strat from its attributed pruning counters (see
+// Prepared.AnalyzeCapture).
+func (q *Query) AnalyzeCapture(strat Strategy, prune *PruneSet, pruned int64) (*ExplainReport, error) {
+	p, err := q.Prepare(strat)
 	if err != nil {
 		return nil, err
 	}
-	rep, err = core.BuildExplain(icfq, strat.internal())
-	if err != nil {
-		return nil, err
-	}
-	core.AnalyzeCapture(rep, pruned, prune)
-	return rep, nil
+	return p.AnalyzeCapture(prune, pruned)
 }

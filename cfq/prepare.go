@@ -2,7 +2,6 @@ package cfq
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/workload"
 	"repro/internal/plan"
+	"repro/internal/rules"
 )
 
 // defaultPlanner serves Prepare and every strategy-auto entry point that
@@ -23,8 +23,10 @@ var defaultPlanner = plan.New(plan.Options{})
 func DefaultPlanner() *plan.Planner { return defaultPlanner }
 
 // Prepared is a compiled, planned query — the Prepare half of the
-// Parse → Prepare → Execute split. It captures the dataset snapshot and the
-// planner's decision once; each Run replays the executable plan without
+// Parse → Prepare → Execute split, and the only thing that executes a CFQ:
+// every Query.Run*/Explain* entry point and Session.Run prepare first and
+// run through here. It captures the dataset snapshot and the planner's
+// decision once; each Run replays the executable plan without
 // re-classifying constraints or re-costing strategies, which is what makes
 // prepared handles (and the server's plan cache) cheap to re-execute.
 //
@@ -33,9 +35,8 @@ func DefaultPlanner() *plan.Planner { return defaultPlanner }
 // never serve stale answers (the server's prepared-handle path) detect the
 // generation change themselves and re-prepare.
 type Prepared struct {
-	q        *Query
-	sess     *Session
 	icfq     core.CFQ
+	budget   *Budget
 	strat    Strategy
 	decision *plan.Decision
 }
@@ -65,7 +66,7 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 	if err != nil {
 		return nil, err
 	}
-	p = &Prepared{q: q, icfq: icfq, strat: strat}
+	p = &Prepared{icfq: icfq, budget: q.budget, strat: strat}
 	if strat != Auto {
 		return p, nil
 	}
@@ -105,26 +106,28 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 	return p, nil
 }
 
-// Prepare binds the query to the session's cached-lattice execution path.
-// Session plans carry no planner decision: results are identical to any
-// engine strategy, only the work differs (see Session).
-func (s *Session) Prepare(q *Query) (*Prepared, error) {
-	if q == nil || q.ds != s.ds {
-		return nil, fmt.Errorf("cfq: session and query use different datasets")
-	}
-	icfq, err := q.compile()
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{q: q, sess: s, icfq: icfq, strat: Optimized}, nil
-}
-
-// Strategy returns the concrete strategy the plan executes (never Auto).
+// Strategy returns the concrete strategy the plan executes (never Auto;
+// AprioriPlus for session plans).
 func (p *Prepared) Strategy() Strategy { return p.strat }
 
 // Decision returns the planner's decision, or nil when the strategy was
 // fixed by the caller or the plan runs through a Session.
 func (p *Prepared) Decision() *plan.Decision { return p.decision }
+
+// execute is the one place a CFQ is evaluated: a fresh Budget pool, the
+// engine run, the process-wide metrics, and the error translation.
+func (p *Prepared) execute(ctx context.Context) (*core.Result, error) {
+	icfq := p.icfq
+	start := time.Now()
+	icfq.Budget = p.budget.internal(start)
+	ires, err := core.Run(ctx, icfq, p.strat.internal())
+	if err != nil {
+		publishRun(time.Since(start), nil, err)
+		return nil, convertErr(err)
+	}
+	publishRun(time.Since(start), &ires.Stats, nil)
+	return ires, nil
+}
 
 // Run executes the prepared plan. It is RunContext(context.Background()).
 func (p *Prepared) Run() (*Result, error) {
@@ -132,29 +135,55 @@ func (p *Prepared) Run() (*Result, error) {
 }
 
 // RunContext executes the prepared plan under ctx. Each call starts a
-// fresh Budget pool; cancellation, budget, and tracing semantics match
-// Query.RunContext. No classification or planning happens here — the plan
-// was fixed at Prepare time.
+// fresh Budget pool. A cancelled or expired context aborts mining at the
+// next checkpoint and returns an error wrapping ctx.Err(); an exhausted
+// Budget returns a *BudgetError with the partial stats; internal panics
+// (malformed data reaching engine invariants) are converted to errors at
+// this boundary. No classification or planning happens here — the plan was
+// fixed at Prepare time.
 func (p *Prepared) RunContext(ctx context.Context) (res *Result, err error) {
 	defer recoverToError(&err)
-	if p.sess != nil {
-		return p.sess.RunContext(ctx, p.q)
-	}
-	icfq := p.icfq
-	start := time.Now()
-	icfq.Budget = p.q.budget.internal(start)
-	ires, err := core.Run(ctx, icfq, p.strat.internal())
+	ires, err := p.execute(ctx)
 	if err != nil {
-		publishRun(time.Since(start), nil, err)
-		return nil, convertErr(err)
+		return nil, err
 	}
-	publishRun(time.Since(start), &ires.Stats, nil)
-	res = convertResult(ires)
-	res.Report = obs.FromContext(ctx).Report()
-	return res, nil
+	return convertResult(ctx, ires), nil
 }
 
-// Explain renders the prepared plan's EXPLAIN report; plans chosen by the
+// RunRulesContext executes the prepared plan and derives rules S ⇒ T from
+// the valid pairs, sorted by descending confidence.
+func (p *Prepared) RunRulesContext(ctx context.Context, params RuleParams) (out []Rule, err error) {
+	defer recoverToError(&err)
+	ires, err := p.execute(ctx)
+	if err != nil {
+		return nil, err
+	}
+	irules, err := rules.FromPairs(p.icfq.DB, ires.Pairs, rules.Params{
+		MinConfidence:   params.MinConfidence,
+		MinLift:         params.MinLift,
+		MinJointSupport: params.MinJointSupport,
+		SkipOverlapping: params.SkipOverlapping,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out = make([]Rule, len(irules))
+	for i, r := range irules {
+		out[i] = Rule{
+			S:            itemsOf(r.S),
+			T:            itemsOf(r.T),
+			SupportS:     r.SupportS,
+			SupportT:     r.SupportT,
+			SupportUnion: r.SupportUnion,
+			Confidence:   r.Confidence,
+			Lift:         r.Lift,
+		}
+	}
+	return out, nil
+}
+
+// Explain renders the prepared plan's EXPLAIN report without running it
+// (one database scan for the selectivity estimates); plans chosen by the
 // planner carry the decision (chosen strategy, costed alternatives) in the
 // report's planner node.
 func (p *Prepared) Explain() (rep *ExplainReport, err error) {
@@ -163,20 +192,19 @@ func (p *Prepared) Explain() (rep *ExplainReport, err error) {
 	if err != nil {
 		return nil, err
 	}
-	p.attachChoice(rep)
+	if p.decision != nil {
+		rep.Planner = p.decision.Choice()
+	}
 	return rep, nil
 }
 
-// ExplainAnalyzeContext executes the prepared plan and annotates the
-// report with the run's attributed pruning, exactly as
-// Query.ExplainAnalyzeContext does for a fixed strategy.
+// ExplainAnalyzeContext executes the prepared plan like RunContext and
+// returns, alongside the result, the plan report annotated with the run's
+// actual per-constraint pruning. If ctx does not already carry a PruneSet,
+// one is installed for the duration of the run.
 func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (res *Result, rep *ExplainReport, err error) {
 	defer recoverToError(&err)
-	if p.sess != nil {
-		return nil, nil, fmt.Errorf("cfq: session-prepared queries do not support EXPLAIN ANALYZE")
-	}
-	rep, err = core.BuildExplain(p.icfq, p.strat.internal())
-	if err != nil {
+	if rep, err = p.Explain(); err != nil {
 		return nil, nil, err
 	}
 	prune := obs.PruningFromContext(ctx)
@@ -184,24 +212,26 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (res *Result, rep 
 		prune = obs.NewPruneSet()
 		ctx = obs.WithPruning(ctx, prune)
 	}
-	icfq := p.icfq
-	start := time.Now()
-	icfq.Budget = p.q.budget.internal(start)
-	ires, err := core.Run(ctx, icfq, p.strat.internal())
+	ires, err := p.execute(ctx)
 	if err != nil {
-		publishRun(time.Since(start), nil, err)
-		return nil, nil, convertErr(err)
+		return nil, nil, err
 	}
-	publishRun(time.Since(start), &ires.Stats, nil)
 	core.AnalyzeExplain(rep, ires, prune)
-	p.attachChoice(rep)
-	res = convertResult(ires)
-	res.Report = obs.FromContext(ctx).Report()
-	return res, rep, nil
+	return convertResult(ctx, ires), rep, nil
 }
 
-func (p *Prepared) attachChoice(rep *ExplainReport) {
-	if p.decision != nil && rep.Planner == nil {
-		rep.Planner = p.decision.Choice()
+// AnalyzeCapture builds the plan report for an already-finished run from
+// its attributed pruning counters: the plan is rendered fresh (one database
+// scan for selectivity estimates) and annotated with the given PruneSet and
+// pruned total. It is the slow-query capture path — no Result or plan
+// internals of the run survive, yet the report's sum contract still holds:
+// SumPruned() == pruned, with sites that only a live plan could claim
+// landing in OtherPruned.
+func (p *Prepared) AnalyzeCapture(prune *PruneSet, pruned int64) (*ExplainReport, error) {
+	rep, err := p.Explain()
+	if err != nil {
+		return nil, err
 	}
+	core.AnalyzeCapture(rep, pruned, prune)
+	return rep, nil
 }

@@ -6,13 +6,11 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/itemset"
 	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/rules"
 )
 
 // Query is a CFQ under construction. Build one with NewQuery, chain the
@@ -175,10 +173,8 @@ type Result struct {
 	// Plan describes the optimizer's decisions (empty for baselines).
 	Plan string
 	// Report is the per-phase trace of the evaluation, present when the
-	// run's context carried a Tracer (see WithTracer). For engine-driven
-	// runs its Totals equal Stats; session runs may report more (the
-	// report covers cache-building work that session Stats, which
-	// describe only the query's own cost, exclude).
+	// run's context carried a Tracer (see WithTracer). Its Totals equal
+	// Stats.
 	Report *RunReport `json:",omitempty"`
 }
 
@@ -298,35 +294,15 @@ func (q *Query) Run(strat Strategy) (*Result, error) {
 	return q.RunContext(context.Background(), strat)
 }
 
-// RunContext evaluates the query with the given strategy under ctx. A
-// cancelled or expired context aborts mining at the next checkpoint and
-// returns an error wrapping ctx.Err(); an exhausted Budget returns a
-// *BudgetError with the partial stats. Internal panics (malformed data
-// reaching engine invariants) are converted to errors at this boundary.
-func (q *Query) RunContext(ctx context.Context, strat Strategy) (res *Result, err error) {
-	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, err
-		}
-		return p.RunContext(ctx)
-	}
-	icfq, err := q.compile()
+// RunContext evaluates the query with the given strategy under ctx: it
+// prepares (planning only under Auto) and runs the prepared plan, with
+// Prepared.RunContext's cancellation, budget and panic-boundary semantics.
+func (q *Query) RunContext(ctx context.Context, strat Strategy) (*Result, error) {
+	p, err := q.PrepareContext(ctx, strat)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	icfq.Budget = q.budget.internal(start)
-	ires, err := core.Run(ctx, icfq, strat.internal())
-	if err != nil {
-		publishRun(time.Since(start), nil, err)
-		return nil, convertErr(err)
-	}
-	publishRun(time.Since(start), &ires.Stats, nil)
-	res = convertResult(ires)
-	res.Report = obs.FromContext(ctx).Report()
-	return res, nil
+	return p.RunContext(ctx)
 }
 
 // Explain returns a description of the optimizer's plan for the query.
@@ -373,49 +349,12 @@ func (q *Query) RunRules(strat Strategy, p RuleParams) ([]Rule, error) {
 
 // RunRulesContext is RunRules under a context and the query's Budget, with
 // the same cancellation and budget semantics as RunContext.
-func (q *Query) RunRulesContext(ctx context.Context, strat Strategy, p RuleParams) (out []Rule, err error) {
-	defer recoverToError(&err)
-	if strat == Auto {
-		prep, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, err
-		}
-		strat = prep.Strategy()
-	}
-	icfq, err := q.compile()
+func (q *Query) RunRulesContext(ctx context.Context, strat Strategy, p RuleParams) ([]Rule, error) {
+	prep, err := q.PrepareContext(ctx, strat)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	icfq.Budget = q.budget.internal(start)
-	ires, err := core.Run(ctx, icfq, strat.internal())
-	if err != nil {
-		publishRun(time.Since(start), nil, err)
-		return nil, convertErr(err)
-	}
-	publishRun(time.Since(start), &ires.Stats, nil)
-	irules, err := rules.FromPairs(icfq.DB, ires.Pairs, rules.Params{
-		MinConfidence:   p.MinConfidence,
-		MinLift:         p.MinLift,
-		MinJointSupport: p.MinJointSupport,
-		SkipOverlapping: p.SkipOverlapping,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = make([]Rule, len(irules))
-	for i, r := range irules {
-		out[i] = Rule{
-			S:            itemsOf(r.S),
-			T:            itemsOf(r.T),
-			SupportS:     r.SupportS,
-			SupportT:     r.SupportT,
-			SupportUnion: r.SupportUnion,
-			Confidence:   r.Confidence,
-			Lift:         r.Lift,
-		}
-	}
-	return out, nil
+	return prep.RunRulesContext(ctx, p)
 }
 
 func itemsOf(s itemset.Set) []int {
@@ -462,8 +401,10 @@ func convertStats(s mine.Stats) Stats {
 	}
 }
 
-func convertResult(ires *core.Result) *Result {
-	res := &Result{PairCount: ires.PairCount}
+// convertResult renders an engine result in its public form, attaching the
+// span report when ctx carries a Tracer.
+func convertResult(ctx context.Context, ires *core.Result) *Result {
+	res := &Result{PairCount: ires.PairCount, Report: obs.FromContext(ctx).Report()}
 	res.ValidS, res.LevelsS = convertLevels(ires.LevelsS)
 	res.ValidT, res.LevelsT = convertLevels(ires.LevelsT)
 	for _, p := range ires.Pairs {

@@ -16,12 +16,12 @@ import (
 func TestSessionCacheLimitEvicts(t *testing.T) {
 	ds := marketDataset(t)
 	sess := NewSession(ds)
-	// Fit roughly one lattice: the market dataset's full lattice is a few
-	// hundred estimated bytes, so a 1 KiB bound forces domain-vs-domain
-	// displacement without forbidding caching entirely.
+	// A 1 KiB bound holds two of the three-item domains' lattices (400-600
+	// estimated bytes each) but not three, and not the full-domain lattice
+	// (2400): the third small domain displaces the first.
 	sess.SetCacheLimit(1024)
 
-	domains := [][]int{nil, {0, 1, 2}, {3, 4, 5}, {0, 1, 3, 4}}
+	domains := [][]int{nil, {0, 1, 2}, {3, 4, 5}, {1, 2, 3}}
 	want := make([]int64, len(domains))
 	for i, dom := range domains {
 		q := NewQuery(ds).MinSupport(2)

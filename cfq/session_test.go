@@ -21,6 +21,11 @@ func TestSessionMatchesDirectRun(t *testing.T) {
 		NewQuery(ds).MinSupport(2).
 			WhereT(Cardinality(LE, 2)).
 			Where2(DomainJoin(DisjointFrom, "Type", "Type")),
+		// MaxLevel truncates the cached (complete) lattice like the engine's.
+		NewQuery(ds).MinSupport(2).MaxLevel(1).
+			Where2(Join(Max, "Price", LE, Min, "Price")),
+		NewQuery(ds).MinSupport(2).MaxLevel(2).
+			WhereS(Domain(SubsetOf, "Type", "snacks")),
 	}
 	for i, q := range queries {
 		fromSession, err := sess.Run(q)

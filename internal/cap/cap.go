@@ -69,6 +69,13 @@ type Query struct {
 	// engine freely. Prepare/Run ignore it: constraint pushdown (Required
 	// classes, candidate filters, preset L1) is levelwise by construction.
 	Miner mine.Miner
+	// Lattice, when non-nil, supplies AprioriPlus's unconstrained frequent
+	// lattice in place of mining — a session's cache. It is handed the
+	// configuration a miss must mine with (complete: no MaxLevel) and may
+	// return a lattice mined at a lower threshold than cfg.MinSupport;
+	// AprioriPlus tests the threshold along with the constraints. Prepare/Run
+	// ignore it, like Miner.
+	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
 	// Label, when non-empty, prefixes trace span names (the CFQ engine
 	// labels its two runners "S" and "T" so a dovetailed run's spans stay
 	// distinguishable).
@@ -83,6 +90,50 @@ func spanName(label, name string) string {
 	return label + ":" + name
 }
 
+// Check is one condition of a generate-and-test pass, with the pruning site
+// its rejections are charged to.
+type Check struct {
+	Cond constraint.Constraint
+	Site string
+}
+
+// passes is the generate-and-test step every post-mining filter shares
+// (Apriori⁺ over mined or cached lattices, CAP's final verification, the
+// engine's final dynamic bounds): s is kept when it satisfies every check.
+// Each evaluation is one set-level constraint check; a rejected set is one
+// pruned candidate, charged to the failing check's site.
+func passes(s itemset.Set, checks []Check, stats *mine.Stats, prune *obs.PruneSet) bool {
+	for _, ch := range checks {
+		stats.SetConstraintChecks++
+		if !ch.Cond.Satisfies(s) {
+			stats.CandidatesPruned++
+			prune.Charge(ch.Site, 1)
+			return false
+		}
+	}
+	return true
+}
+
+// Filter runs the generate-and-test step over sets, in place: the result
+// reuses sets' backing array, so callers pass slices they own.
+func Filter(sets []mine.Counted, checks []Check, stats *mine.Stats, prune *obs.PruneSet) []mine.Counted {
+	kept := sets[:0]
+	for _, c := range sets {
+		if passes(c.Set, checks, stats, prune) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// TrimLevels drops trailing empty levels.
+func TrimLevels(levels [][]mine.Counted) [][]mine.Counted {
+	for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {
+		levels = levels[:len(levels)-1]
+	}
+	return levels
+}
+
 // Result is the outcome of a constrained mining run.
 type Result struct {
 	// Levels holds the valid frequent sets per level (index 0 = size 1).
@@ -90,6 +141,7 @@ type Result struct {
 	// FrequentItems is L1: every frequent item of the (universally
 	// filtered) domain, whether or not the singleton is valid. Its
 	// attribute projections provide the quasi-succinct reduction constants.
+	// AprioriPlus over a Query.Lattice source leaves it nil.
 	FrequentItems itemset.Set
 	// Stats carries the ccc cost counters.
 	Stats mine.Stats
@@ -121,7 +173,7 @@ type Runner struct {
 	stats          *mine.Stats
 	tracer         *obs.Tracer
 	prune          *obs.PruneSet
-	finalChecks    []constraint.Constraint
+	finalChecks    []Check
 	hasExistential bool
 	unsat          bool
 	levels         [][]mine.Counted
@@ -152,23 +204,7 @@ func (r *Runner) Step() ([]mine.Counted, bool, error) {
 			fsp = r.tracer.Start(spanName(r.q.Label, fmt.Sprintf("finalcheck-%d", r.lw.Level()))).
 				WithStats(r.stats.Counters())
 		}
-		kept := sets[:0]
-		for _, c := range sets {
-			ok := true
-			for _, fc := range r.finalChecks {
-				r.stats.SetConstraintChecks++
-				if !fc.Satisfies(c.Set) {
-					ok = false
-					r.stats.CandidatesPruned++
-					r.prune.Charge(spanName(r.q.Label, "final-filter:"+fc.String()), 1)
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, c)
-			}
-		}
-		sets = kept
+		sets = Filter(sets, r.finalChecks, r.stats, r.prune)
 		if fsp != nil {
 			fsp.SetAttrs(obs.Int("kept", len(sets)))
 			fsp.End(r.stats.Counters())
@@ -216,10 +252,7 @@ func (r *Runner) Stats() mine.Stats { return *r.stats }
 
 // Result packages the levels mined so far.
 func (r *Runner) Result() *Result {
-	levels := r.levels
-	for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {
-		levels = levels[:len(levels)-1]
-	}
+	levels := TrimLevels(r.levels)
 	if r.unsat {
 		levels = nil
 	}
@@ -296,7 +329,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	var universals []itemPred
 	var existentials []itemPred
 	var amFilters []constraint.Constraint // anti-monotone, non-succinct
-	var finalChecks []constraint.Constraint
+	var finalChecks []Check
 	for _, a := range an {
 		snf := a.cl.Succinct
 		if snf == nil {
@@ -314,7 +347,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			amFilters = append(amFilters, a.c)
 		}
 		if !a.cl.FullyEnforced() {
-			finalChecks = append(finalChecks, a.c)
+			finalChecks = append(finalChecks, Check{a.c, spanName(q.Label, "final-filter:"+a.c.String())})
 		}
 	}
 
@@ -456,8 +489,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 // domain, then test each against every constraint (generate-and-test).
 // Because every constraint is enforced after mining, the frequent-set
 // engine is pluggable: q.Miner selects levelwise (default), FP-growth,
-// Eclat or partition mining. ctx cancellation and budget overruns abort
-// the run with the mining layer's wrapped error.
+// Eclat or partition mining, and q.Lattice replaces mining with a cached
+// lattice. ctx cancellation and budget overruns abort the run with the
+// mining layer's wrapped error.
 func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	if q.DB == nil {
 		return nil, fmt.Errorf("cap: Query.DB is nil")
@@ -465,31 +499,30 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	stats := &mine.Stats{}
 	tracer := obs.FromContext(ctx)
 	prune := obs.PruningFromContext(ctx)
+	checks := make([]Check, len(q.Constraints))
+	for i, con := range q.Constraints {
+		checks[i] = Check{con, spanName(q.Label, "filter:"+con.String())}
+	}
+	cfg := mine.Config{
+		DB:         q.DB,
+		MinSupport: q.MinSupport,
+		Domain:     q.Domain,
+		GenMode:    q.GenMode,
+		Workers:    q.Workers,
+		Budget:     q.Budget,
+		Stats:      stats,
+		Label:      q.Label,
+	}
 
 	// filterLevel is the generate-and-test pass Apriori⁺ burns set-level
 	// checks on; its per-level span makes that cost visible next to CAP's.
 	filterLevel := func(level int, sets []mine.Counted) []mine.Counted {
 		var fsp *obs.Span
-		if tracer != nil && len(q.Constraints) > 0 {
+		if tracer != nil && len(checks) > 0 {
 			fsp = tracer.Start(spanName(q.Label, fmt.Sprintf("filter-%d", level))).
 				WithStats(stats.Counters())
 		}
-		kept := make([]mine.Counted, 0, len(sets))
-		for _, c := range sets {
-			ok := true
-			for _, con := range q.Constraints {
-				stats.SetConstraintChecks++
-				if !con.Satisfies(c.Set) {
-					ok = false
-					stats.CandidatesPruned++
-					prune.Charge(spanName(q.Label, "filter:"+con.String()), 1)
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, c)
-			}
-		}
+		kept := Filter(sets, checks, stats, prune)
 		if fsp != nil {
 			fsp.SetAttrs(obs.Int("kept", len(kept)))
 			fsp.End(stats.Counters())
@@ -502,7 +535,48 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 
 	var levels [][]mine.Counted
 	var l1 itemset.Set
-	if q.Miner != mine.MinerLevelwise {
+	switch {
+	case q.Lattice != nil:
+		sets, err := q.Lattice(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// One pass (and one span, in place of the per-level ones) tests the
+		// whole cached lattice. The cache may hold a lower threshold's
+		// lattice, so the support test is part of the pass and its rejections
+		// are charged to the span's site; MaxLevel truncates after the fact.
+		site := spanName(q.Label, "filter")
+		var fsp *obs.Span
+		if tracer != nil {
+			fsp = tracer.Start(site, obs.Int("cached", len(sets))).WithStats(stats.Counters())
+		}
+		for _, c := range sets {
+			k := c.Set.Len()
+			if q.MaxLevel > 0 && k > q.MaxLevel {
+				continue
+			}
+			if c.Support < q.MinSupport {
+				stats.CandidatesPruned++
+				prune.Charge(site, 1)
+				continue
+			}
+			if !passes(c.Set, checks, stats, prune) {
+				continue
+			}
+			for len(levels) < k {
+				levels = append(levels, nil)
+			}
+			levels[k-1] = append(levels[k-1], c)
+		}
+		if fsp != nil {
+			fsp.End(stats.Counters())
+		}
+		if q.OnLevel != nil {
+			for i, kept := range levels {
+				q.OnLevel(i+1, kept)
+			}
+		}
+	case q.Miner != mine.MinerLevelwise:
 		// Alternate engines mine all levels up front (no resumable stepping);
 		// MaxLevel truncation happens after the fact.
 		mined, err := mine.FrequentLevels(ctx, q.Miner, q.DB, q.MinSupport, q.Domain, q.Budget, stats)
@@ -522,18 +596,9 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 		for i, sets := range mined {
 			levels = append(levels, filterLevel(i+1, sets))
 		}
-	} else {
-		lw, err := mine.New(ctx, mine.Config{
-			DB:         q.DB,
-			MinSupport: q.MinSupport,
-			Domain:     q.Domain,
-			GenMode:    q.GenMode,
-			MaxLevel:   q.MaxLevel,
-			Workers:    q.Workers,
-			Budget:     q.Budget,
-			Stats:      stats,
-			Label:      q.Label,
-		})
+	default:
+		cfg.MaxLevel = q.MaxLevel
+		lw, err := mine.New(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -551,8 +616,5 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 			}
 		}
 	}
-	for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {
-		levels = levels[:len(levels)-1]
-	}
-	return &Result{Levels: levels, FrequentItems: l1, Stats: *stats}, nil
+	return &Result{Levels: TrimLevels(levels), FrequentItems: l1, Stats: *stats}, nil
 }

@@ -138,6 +138,10 @@ type CFQ struct {
 	// without constraint pushdown (StrategyAprioriPlus). Constraint-pushing
 	// strategies are levelwise by construction and ignore it.
 	Miner mine.Miner
+	// Lattice, when non-nil, supplies StrategyAprioriPlus's unconstrained
+	// lattices in place of mining (see cap.Query.Lattice); a session plugs
+	// its cache in here. Constraint-pushing strategies ignore it.
+	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
 	// Trace, when non-nil, receives one progress line per completed level
 	// per variable and per optimizer phase (for -v style logging).
 	Trace func(msg string)
@@ -370,6 +374,7 @@ func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
 		Workers:  q.Workers,
 		Budget:   q.Budget,
 		Miner:    q.Miner,
+		Lattice:  q.Lattice,
 		Label:    side.String(),
 	}
 	if side == twovar.SideS {
@@ -743,46 +748,23 @@ func observeLevel(dyns []*dynState, pruneSide twovar.Side, from *cap.Runner) {
 // applyFinalDynamic re-filters the reported sets with each dynamic bound's
 // final value.
 func applyFinalDynamic(dyns []*dynState, side twovar.Side, levels [][]mine.Counted, stats *mine.Stats, prune *obs.PruneSet) [][]mine.Counted {
-	type finalCond struct {
-		cond constraint.Constraint
-		site string
-	}
-	var conds []finalCond
+	var checks []cap.Check
 	for _, ds := range dyns {
 		if ds.d.PruneSide != side {
 			continue
 		}
 		if b := ds.bound(); !math.IsInf(b, 1) {
-			conds = append(conds, finalCond{ds.d.Condition(b), side.String() + ":final-filter:" + ds.d.Label()})
+			checks = append(checks, cap.Check{Cond: ds.d.Condition(b), Site: side.String() + ":final-filter:" + ds.d.Label()})
 		}
 	}
-	if len(conds) == 0 {
+	if len(checks) == 0 {
 		return levels
 	}
 	out := make([][]mine.Counted, len(levels))
 	for i, lv := range levels {
-		kept := make([]mine.Counted, 0, len(lv))
-		for _, c := range lv {
-			ok := true
-			for _, fc := range conds {
-				stats.SetConstraintChecks++
-				if !fc.cond.Satisfies(c.Set) {
-					ok = false
-					stats.CandidatesPruned++
-					prune.Charge(fc.site, 1)
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, c)
-			}
-		}
-		out[i] = kept
+		out[i] = cap.Filter(lv, checks, stats, prune)
 	}
-	for len(out) > 0 && len(out[len(out)-1]) == 0 {
-		out = out[:len(out)-1]
-	}
-	return out
+	return cap.TrimLevels(out)
 }
 
 // pairCancelStride is how many pair iterations run between context checks
@@ -1139,10 +1121,7 @@ func runFM(ctx context.Context, q CFQ) (*Result, error) {
 			}
 			levels[s.Len()-1] = append(levels[s.Len()-1], mine.Counted{Set: s, Support: sup})
 		}
-		for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {
-			levels = levels[:len(levels)-1]
-		}
-		return levels, nil
+		return cap.TrimLevels(levels), nil
 	}
 	var err error
 	endS := span("fm-S")

@@ -176,7 +176,7 @@ func newAdmission(workers, queueDepth int, queueWait, target time.Duration) *adm
 		depth:     queueDepth,
 		target:    target,
 		base:      workers,
-		min:       maxInt(workers/4, 1),
+		min:       max(workers/4, 1),
 		limit:     workers,
 		shedFloor: numPriorities,
 	}
@@ -357,7 +357,7 @@ func (a *admission) maybeAdjustLocked() {
 	targetMS := float64(a.target) / float64(time.Millisecond)
 	switch {
 	case p95 > targetMS && a.limit > a.min:
-		a.limit -= maxInt(a.limit/4, 1)
+		a.limit -= max(a.limit/4, 1)
 		if a.limit < a.min {
 			a.limit = a.min
 		}
@@ -411,7 +411,7 @@ func (a *admission) projectedWaitLocked(prio priority) time.Duration {
 	for p := prioInteractive; p <= prio && p < numPriorities; p++ {
 		ahead += a.queues[p].Len()
 	}
-	return time.Duration(p95 * float64(ahead+1) / float64(maxInt(a.limit, 1)) * float64(time.Millisecond))
+	return time.Duration(p95 * float64(ahead+1) / float64(max(a.limit, 1)) * float64(time.Millisecond))
 }
 
 // retryAfterLocked is the load-derived Retry-After hint: the measured p95
@@ -426,7 +426,7 @@ func (a *admission) retryAfterLocked(prio priority) time.Duration {
 	if p95 <= 0 {
 		d = a.queueWait / 2
 	} else {
-		d = time.Duration(p95 * float64(a.queued+a.inflight+1) / float64(maxInt(a.limit, 1)) * float64(time.Millisecond))
+		d = time.Duration(p95 * float64(a.queued+a.inflight+1) / float64(max(a.limit, 1)) * float64(time.Millisecond))
 	}
 	if d < 100*time.Millisecond {
 		d = 100 * time.Millisecond

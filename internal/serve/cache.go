@@ -1,40 +1,25 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
+
+	"repro/internal/lru"
 )
 
-// resultCache is the daemon's second cache layer, above the per-dataset
-// session lattice cache: it maps a *normalized* query — canonical query
-// text × dataset generation × evaluation mode — to the marshaled result
-// bytes, so a repeated query is answered without touching the session (and
-// without re-marshaling). The canonical form is conjunct-order- and
-// whitespace-independent (cfq.Query.Canonical), so syntactically different
-// spellings of the same query share one entry.
+// The result cache is the daemon's second cache layer, above the
+// per-dataset session lattice cache: it maps a *normalized* query —
+// canonical query text × dataset generation × evaluation mode — to the
+// marshaled result bytes, so a repeated query is answered without touching
+// the session (and without re-marshaling). The canonical form is
+// conjunct-order- and whitespace-independent (cfq.Query.Canonical), so
+// syntactically different spellings of the same query share one entry.
 //
 // Generation is part of the key, so a dataset mutation implicitly misses;
-// Invalidate additionally drops the dead generations' entries eagerly so
-// mutations release memory immediately rather than waiting for LRU churn.
-type resultCache struct {
-	mu         sync.Mutex
-	entries    map[string]*list.Element
-	lru        *list.List // front = most recent
-	bytes      int64
-	maxBytes   int64
-	maxEntries int
-
-	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	key   string
-	size  int64
-	value cachedResult
-}
+// mutation and drop additionally delete the dead generations' entries
+// eagerly (resultsOf) so memory is released immediately rather than waiting
+// for LRU churn.
 
 // cachedResult is the cacheable portion of a QueryResponse: everything
 // except the per-request fields (request id, cached flag).
@@ -46,17 +31,19 @@ type cachedResult struct {
 }
 
 // newResultCache bounds the cache by entries and bytes (either 0 disables
-// that bound; both 0 disables caching entirely).
-func newResultCache(maxEntries int, maxBytes int64) *resultCache {
-	return &resultCache{
-		entries:    map[string]*list.Element{},
-		lru:        list.New(),
-		maxBytes:   maxBytes,
-		maxEntries: maxEntries,
+// that bound; both 0 disables caching entirely: a nil cache).
+func newResultCache(maxEntries int, maxBytes int64) *lru.Cache[cachedResult] {
+	if maxEntries <= 0 && maxBytes <= 0 {
+		return nil
 	}
+	return lru.New(maxEntries, maxBytes, func(_ string, _ cachedResult, cost int64, evicted bool) {
+		mResultEntries.Add(-1)
+		mResultBytes.Add(-cost)
+		if evicted {
+			mResultEvictions.Inc()
+		}
+	})
 }
-
-func (c *resultCache) enabled() bool { return c.maxEntries > 0 || c.maxBytes > 0 }
 
 // resultKey builds the cache key. kind distinguishes the three endpoints
 // (their payload shapes differ), mode the evaluation path (session vs a
@@ -66,114 +53,29 @@ func resultKey(dataset string, gen uint64, kind, mode, canonical string) string 
 	return fmt.Sprintf("%s\x00%d\x00%s\x00%s\x00%s", dataset, gen, kind, mode, canonical)
 }
 
-// get returns the cached result and bumps its recency.
-func (c *resultCache) get(key string) (cachedResult, bool) {
-	if !c.enabled() {
-		return cachedResult{}, false
+// putResult stores a result under its key.
+func (s *Server) putResult(key string, v cachedResult) {
+	cost := int64(len(key) + len(v.Result) + len(v.Explain) + 64)
+	if s.cache.Put(key, v, cost) {
+		mResultEntries.Add(1)
+		mResultBytes.Add(cost)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		mResultMisses.Inc()
-		return cachedResult{}, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	mResultHits.Inc()
-	return el.Value.(*cacheEntry).value, true
 }
 
-// put stores a result, evicting least-recently-used entries to fit the
-// bounds. An entry larger than the whole byte bound is not stored.
-func (c *resultCache) put(key string, v cachedResult) {
-	if !c.enabled() {
-		return
-	}
-	size := int64(len(key) + len(v.Result) + len(v.Explain) + 64)
-	if c.maxBytes > 0 && size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.bytes += size - old.size
-		old.size, old.value = size, v
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, size: size, value: v})
-		c.bytes += size
-	}
-	for (c.maxEntries > 0 && c.lru.Len() > c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		c.evictOldest()
-	}
-	c.publishLocked()
-}
-
-// invalidate drops every entry for the dataset (all generations). Called on
-// mutation and drop, under no other locks.
-func (c *resultCache) invalidate(dataset string) {
+// resultsOf matches every result-cache key of the dataset (all
+// generations): the invalidation predicate of mutation and drop.
+func resultsOf(dataset string) func(string, cachedResult) bool {
 	prefix := dataset + "\x00"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); strings.HasPrefix(e.key, prefix) {
-			c.removeLocked(el, e)
-		}
-		el = next
-	}
-	c.publishLocked()
+	return func(key string, _ cachedResult) bool { return strings.HasPrefix(key, prefix) }
 }
 
-// publishLocked mirrors the cache's occupancy into the registry gauges.
-// Callers hold c.mu.
-func (c *resultCache) publishLocked() {
-	mResultEntries.Set(int64(c.lru.Len()))
-	mResultBytes.Set(c.bytes)
-}
-
-func (c *resultCache) evictOldest() {
-	el := c.lru.Back()
-	if el == nil {
-		return
-	}
-	c.removeLocked(el, el.Value.(*cacheEntry))
-	c.evictions++
-	mResultEvictions.Inc()
-}
-
-func (c *resultCache) removeLocked(el *list.Element, e *cacheEntry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	c.bytes -= e.size
-}
-
-// setMaxBytes retunes the byte bound at runtime (the memory watchdog's
-// brownout shrinks it, recovery restores it), evicting immediately to fit.
-// A bound of 0 leaves bytes unbounded, matching the constructor.
-func (c *resultCache) setMaxBytes(maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = maxBytes
-	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 0 {
-		c.evictOldest()
-	}
-	c.publishLocked()
-}
-
-// stats snapshots the cache counters (the ops /statz surface).
-func (c *resultCache) stats() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// cacheStatz renders a cache's counters for /statz.
+func cacheStatz(st lru.Stats) map[string]int64 {
 	return map[string]int64{
-		"hits":      c.hits,
-		"misses":    c.misses,
-		"evictions": c.evictions,
-		"entries":   int64(c.lru.Len()),
-		"bytes":     c.bytes,
+		"hits":      st.Hits,
+		"misses":    st.Misses,
+		"evictions": st.Evictions,
+		"entries":   int64(st.Entries),
+		"bytes":     st.Bytes,
 	}
 }

@@ -1,14 +1,14 @@
 package serve
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/cfq"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -26,9 +26,10 @@ var (
 	mPlanBytes     = obs.NewGauge("plan_cache_bytes")
 )
 
-// planEntry is one cached prepared plan. The generation is part of the key
-// (a mutation implicitly misses) and also stored explicitly so the
-// prepared-handle path can tell "stale" apart from "unknown".
+// planEntry is one cached prepared plan, stored under its wire handle. The
+// generation is part of the key (a mutation implicitly misses) and also
+// stored explicitly so the prepared-handle path can tell "stale" apart from
+// "unknown".
 type planEntry struct {
 	key       string
 	handle    string
@@ -37,9 +38,7 @@ type planEntry struct {
 	canonical string
 	query     *cfq.Query
 	prepared  *cfq.Prepared
-	strategy  cfq.Strategy
 	timeout   time.Duration
-	size      int64
 }
 
 // planKey mirrors resultKey's shape for the plan cache.
@@ -47,181 +46,46 @@ func planKey(dataset string, gen uint64, canonical string) string {
 	return resultKey(dataset, gen, "plan", "", canonical)
 }
 
-// planHandle derives the deterministic wire handle for a cache key: same
+// planHandle derives the deterministic wire handle for a plan key: same
 // dataset, generation, and canonical query ⇒ same handle, so clients can
-// re-prepare idempotently.
+// re-prepare idempotently. The handle is also the plan cache's key, so the
+// inline-auto path (which knows the plan key) and the prepared-handle path
+// (which knows only the handle) find the same entry.
 func planHandle(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return "p" + hex.EncodeToString(sum[:8])
 }
 
-// planCache is the prepared-plan LRU: key → entry, plus a handle index for
-// the /v1/query prepared path. Bounded by entries and bytes like the result
-// cache; the byte estimate charges the canonical text and a fixed per-plan
-// overhead (the compiled CFQ holds pointers into the dataset snapshot,
-// which the registry keeps alive anyway).
-type planCache struct {
-	mu         sync.Mutex
-	entries    map[string]*list.Element
-	handles    map[string]*list.Element
-	lru        *list.List
-	bytes      int64
-	maxBytes   int64
-	maxEntries int
-
-	hits, misses, evictions int64
-}
-
+// planEntryOverhead is the fixed per-plan byte charge; the rest of the
+// estimate is the key and canonical text (the compiled CFQ holds pointers
+// into the dataset snapshot, which the registry keeps alive anyway).
 const planEntryOverhead = 1024
 
-func newPlanCache(maxEntries int, maxBytes int64) *planCache {
-	return &planCache{
-		entries:    map[string]*list.Element{},
-		handles:    map[string]*list.Element{},
-		lru:        list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
+// newPlanCache bounds the prepared-plan cache like the result cache (both
+// bounds 0 disables prepared handles: a nil cache).
+func newPlanCache(maxEntries int, maxBytes int64) *lru.Cache[*planEntry] {
+	if maxEntries <= 0 && maxBytes <= 0 {
+		return nil
 	}
+	return lru.New(maxEntries, maxBytes, func(_ string, _ *planEntry, cost int64, evicted bool) {
+		mPlanEntries.Add(-1)
+		mPlanBytes.Add(-cost)
+		if evicted {
+			mPlanEvictions.Inc()
+		}
+	})
 }
 
-func (c *planCache) enabled() bool { return c.maxEntries > 0 || c.maxBytes > 0 }
-
-// get returns the cached plan for a key and bumps its recency.
-func (c *planCache) get(key string) (*planEntry, bool) {
-	if !c.enabled() {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		mPlanMisses.Inc()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	mPlanHits.Inc()
-	return el.Value.(*planEntry), true
-}
-
-// byHandle returns the cached plan for a wire handle. It does not count as
-// a hit/miss — the handle path's staleness outcome is what matters there.
-func (c *planCache) byHandle(handle string) (*planEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.handles[handle]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*planEntry), true
-}
-
-// put stores a prepared plan, evicting LRU entries to fit the bounds.
-func (c *planCache) put(e *planEntry) {
-	if !c.enabled() {
-		return
-	}
-	e.size = int64(len(e.key)+len(e.canonical)) + planEntryOverhead
-	if c.maxBytes > 0 && e.size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		old := el.Value.(*planEntry)
-		c.bytes += e.size - old.size
-		delete(c.handles, old.handle)
-		el.Value = e
-		c.handles[e.handle] = el
-		c.lru.MoveToFront(el)
+// lookupPlan returns the cached plan stored under a handle, counting the
+// outcome and bumping the plan's recency.
+func (s *Server) lookupPlan(handle string) (*planEntry, bool) {
+	e, ok := s.plans.Get(handle)
+	if ok {
+		mPlanHits.Inc()
 	} else {
-		el := c.lru.PushFront(e)
-		c.entries[e.key] = el
-		c.handles[e.handle] = el
-		c.bytes += e.size
+		mPlanMisses.Inc()
 	}
-	for (c.maxEntries > 0 && c.lru.Len() > c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		el := c.lru.Back()
-		if el == nil {
-			break
-		}
-		c.removeLocked(el, el.Value.(*planEntry))
-		c.evictions++
-		mPlanEvictions.Inc()
-	}
-	c.publishLocked()
-}
-
-// invalidate drops every plan for the dataset (all generations). Called on
-// mutation and drop, right next to the result cache's invalidation, so one
-// generation bump retires both caches together.
-func (c *planCache) invalidate(dataset string) {
-	prefix := dataset + "\x00"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*planEntry); len(e.key) >= len(prefix) && e.key[:len(prefix)] == prefix {
-			c.removeLocked(el, e)
-		}
-		el = next
-	}
-	c.publishLocked()
-}
-
-// drop removes one entry (a handle observed stale evicts eagerly).
-func (c *planCache) drop(e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok && el.Value.(*planEntry) == e {
-		c.removeLocked(el, e)
-		c.publishLocked()
-	}
-}
-
-func (c *planCache) removeLocked(el *list.Element, e *planEntry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	delete(c.handles, e.handle)
-	c.bytes -= e.size
-}
-
-// setMaxBytes retunes the byte bound at runtime (memory watchdog brownout
-// and recovery), evicting immediately to fit.
-func (c *planCache) setMaxBytes(maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = maxBytes
-	for c.maxBytes > 0 && c.bytes > c.maxBytes {
-		el := c.lru.Back()
-		if el == nil {
-			break
-		}
-		c.removeLocked(el, el.Value.(*planEntry))
-		c.evictions++
-		mPlanEvictions.Inc()
-	}
-	c.publishLocked()
-}
-
-func (c *planCache) publishLocked() {
-	mPlanEntries.Set(int64(c.lru.Len()))
-	mPlanBytes.Set(c.bytes)
-}
-
-func (c *planCache) stats() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return map[string]int64{
-		"hits":      c.hits,
-		"misses":    c.misses,
-		"evictions": c.evictions,
-		"entries":   int64(c.lru.Len()),
-		"bytes":     c.bytes,
-	}
+	return e, ok
 }
 
 // plannerStatz is the /statz "planner" section: decision counts,
@@ -229,7 +93,7 @@ func (c *planCache) stats() map[string]int64 {
 func (s *Server) plannerStatz() map[string]any {
 	return map[string]any{
 		"state":      s.planner.State(),
-		"plan_cache": s.plans.stats(),
+		"plan_cache": cacheStatz(s.plans.Stats()),
 	}
 }
 
@@ -246,36 +110,39 @@ func (s *Server) foldFeedback() {
 	s.planner.Fold(wc.regret.Snapshot(), wc.journal.Rollups())
 }
 
-// preparePlan resolves a query to a prepared plan through the plan cache:
-// a hit replays the cached plan with no planning work at all (no plan:*
-// spans); a miss prepares through the server's planner — with strategy
-// auto that is profile + cost + decide — and stores the result keyed to
-// the dataset generation. The store is skipped when the generation moved
-// mid-prepare, exactly like the result cache's gen-unchanged check.
-func (s *Server) preparePlan(sc *reqScope, dataset string, gen uint64, canonical string,
-	q *cfq.Query, strat cfq.Strategy, timeout time.Duration, tracer *obs.Tracer) (*planEntry, bool, error) {
-	key := planKey(dataset, gen, canonical)
-	if e, ok := s.plans.get(key); ok {
+// preparePlan resolves the scope's query to a prepared plan through the
+// plan cache: a hit replays the cached plan with no planning work at all (no
+// plan:* spans); a miss prepares through the server's planner — with
+// strategy auto that is profile + cost + decide, traced when ctx carries a
+// tracer — and stores the result keyed to the dataset generation. The store
+// is skipped when the generation moved mid-prepare, exactly like the result
+// cache's gen-unchanged check.
+func (s *Server) preparePlan(ctx context.Context, sc *reqScope) (*planEntry, bool, error) {
+	key := planKey(sc.dataset, sc.gen, sc.canonical)
+	handle := planHandle(key)
+	if e, ok := s.lookupPlan(handle); ok && e.key == key {
 		return e, true, nil
 	}
-	ctx := obs.WithTracer(s.baseCtx, tracer)
-	p, err := q.PrepareWith(ctx, s.planner, strat)
+	p, err := sc.query.PrepareWith(ctx, s.planner, sc.strat)
 	if err != nil {
 		return nil, false, err
 	}
 	e := &planEntry{
 		key:       key,
-		handle:    planHandle(key),
-		dataset:   dataset,
-		gen:       gen,
-		canonical: canonical,
-		query:     q,
+		handle:    handle,
+		dataset:   sc.dataset,
+		gen:       sc.gen,
+		canonical: sc.canonical,
+		query:     sc.query,
 		prepared:  p,
-		strategy:  p.Strategy(),
-		timeout:   timeout,
+		timeout:   sc.timeout,
 	}
-	if cur, ok := s.reg.Generation(dataset); ok && cur == gen {
-		s.plans.put(e)
+	if cur, ok := s.reg.Generation(sc.dataset); ok && cur == sc.gen {
+		cost := int64(len(key)+len(sc.canonical)) + planEntryOverhead
+		if s.plans.Put(handle, e, cost) {
+			mPlanEntries.Add(1)
+			mPlanBytes.Add(cost)
+		}
 	}
 	return e, false, nil
 }
@@ -296,7 +163,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 			&ErrorBody{Code: CodeDraining, Message: "server is shutting down"})
 		return
 	}
-	if !s.plans.enabled() {
+	if s.plans == nil {
 		s.writeError(w, sc, http.StatusUnprocessableEntity,
 			&ErrorBody{Code: CodeBadRequest, Message: "plan cache disabled on this server"})
 		return
@@ -315,34 +182,22 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 			&ErrorBody{Code: CodeBadRequest, Message: "prepare does not accept a prepared handle"})
 		return
 	}
-	sc.dataset = req.Dataset
-	ds, _, gen, err := s.reg.Lookup(req.Dataset)
-	if err != nil {
-		s.writeError(w, sc, http.StatusNotFound,
-			&ErrorBody{Code: CodeUnknownDataset, Message: err.Error()})
+	if _, status, ebody := s.resolveInline(sc, &req); ebody != nil {
+		s.writeError(w, sc, status, ebody)
 		return
 	}
-	q, strat, timeout, err := s.buildQuery(ds, &req)
-	if err != nil {
-		s.writeError(w, sc, http.StatusBadRequest,
-			&ErrorBody{Code: CodeBadRequest, Message: err.Error()})
-		return
-	}
-	canonical := q.Canonical()
-	sc.gen, sc.canonical = gen, canonical
-
-	entry, cached, err := s.preparePlan(sc, req.Dataset, gen, canonical, q, strat, timeout, nil)
+	entry, cached, err := s.preparePlan(r.Context(), sc)
 	if err != nil {
 		s.writeEvalError(w, sc, err)
 		return
 	}
-	sc.strategy = entry.strategy.String()
+	sc.strategy = entry.prepared.Strategy().String()
 	resp := &PrepareResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-		Dataset:    req.Dataset,
-		Generation: gen,
+		Dataset:    sc.dataset,
+		Generation: sc.gen,
 		Handle:     entry.handle,
-		Strategy:   entry.strategy.String(),
+		Strategy:   sc.strategy,
 		Cached:     cached,
 	}
 	if d := entry.prepared.Decision(); d != nil {
@@ -351,13 +206,15 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// resolvePrepared looks a wire handle up for execution, enforcing the
-// staleness contract: a handle whose dataset generation has moved (or whose
-// dataset is gone) is a structured 409 stale_generation — the server never
-// silently serves a stale snapshot's answer — and the dead entry is evicted.
-// Returns the HTTP status to write on failure (0 on success).
-func (s *Server) resolvePrepared(sc *reqScope, req *QueryRequest) (*planEntry, int, *ErrorBody) {
-	e, ok := s.plans.byHandle(req.Prepared)
+// resolvePrepared fills the scope from a wire handle and returns its plan
+// for execution, enforcing the staleness contract: a handle whose dataset
+// generation has moved (or whose dataset is gone) is a structured 409
+// stale_generation — the server never silently serves a stale snapshot's
+// answer — and the dead entry is evicted. On failure it returns the error
+// to write.
+func (s *Server) resolvePrepared(sc *reqScope, req *QueryRequest) (*cfq.Prepared, int, *ErrorBody) {
+	sc.dataset = req.Dataset
+	e, ok := s.lookupPlan(req.Prepared)
 	if !ok {
 		return nil, http.StatusNotFound, &ErrorBody{
 			Code: CodeUnknownPrepared, Message: "unknown prepared handle (expired, evicted, or never issued here)"}
@@ -367,10 +224,12 @@ func (s *Server) resolvePrepared(sc *reqScope, req *QueryRequest) (*planEntry, i
 			Code: CodeBadRequest, Message: "prepared handle belongs to dataset " + e.dataset}
 	}
 	if cur, ok := s.reg.Generation(e.dataset); !ok || cur != e.gen {
-		s.plans.drop(e)
+		s.plans.Delete(e.handle)
 		return nil, http.StatusConflict, &ErrorBody{
 			Code:    CodeStaleGeneration,
 			Message: "prepared plan is stale: dataset " + e.dataset + " has a newer generation; re-prepare"}
 	}
-	return e, 0, nil
+	sc.dataset, sc.gen, sc.canonical = e.dataset, e.gen, e.canonical
+	sc.query, sc.strat, sc.timeout = e.query, e.prepared.Strategy(), e.timeout
+	return e.prepared, 0, nil
 }

@@ -268,7 +268,7 @@ func TestAutoPlanCacheSkipsPlanning(t *testing.T) {
 	if !runReportHasSpan(first.Report, "plan:decide") {
 		t.Fatal("first auto query did not record a plan:decide span")
 	}
-	hitsBefore := s.plans.stats()["hits"]
+	hitsBefore := s.plans.Stats().Hits
 
 	status, body = postJSON(t, ts.URL+"/v1/query", req)
 	if status != http.StatusOK {
@@ -281,7 +281,7 @@ func TestAutoPlanCacheSkipsPlanning(t *testing.T) {
 	if runReportHasSpan(second.Report, "plan:decide") {
 		t.Error("plan-cache hit still planned: found a plan:decide span")
 	}
-	if hits := s.plans.stats()["hits"]; hits != hitsBefore+1 {
+	if hits := s.plans.Stats().Hits; hits != hitsBefore+1 {
 		t.Errorf("plan cache hits %d -> %d, want +1", hitsBefore, hits)
 	}
 
@@ -339,8 +339,12 @@ func TestStatzPlanner(t *testing.T) {
 // TestAutoRegretResolvesInversion replays the TestFig8aRegretInversion
 // scenario with the planner in charge: live traffic runs strategy auto, the
 // shadow sampler measures auto against the fixed strategies, and auto's
-// measured regret lands at ≈1.0 — the planner picks a plan at (or within
-// noise of) the measured best, where the pinned CAP baseline pays ~12x.
+// planner's pick is a strategy that pushes the 2-var constraint, and its
+// measured wall — planning included — beats the pinned CAP baseline's by a
+// wide margin. Walls are each strategy's fastest of five runs and only
+// their order of magnitude is asserted: a "regret <= 1.5" bound on a ~10ms
+// query sat inside scheduling noise (1.52 seen under load; 1.53 on the
+// minimum of five with both cores busy), the planner's choice does not.
 func TestAutoRegretResolvesInversion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8a workload is seconds-scale; skipped under -short")
@@ -374,7 +378,7 @@ func TestAutoRegretResolvesInversion(t *testing.T) {
 	}
 
 	query := "{(S,T) | freq(S) >= 40 & freq(T) >= 40 & range(S.Price, 400, 1000) & range(T.Price, 0, 600) & max(S.Price) <= min(T.Price)}"
-	const live = 2
+	const live = 5
 	for i := 0; i < live; i++ {
 		status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{
 			Dataset: "fig8a", Query: query, Strategy: "auto", NoCache: true,
@@ -404,16 +408,25 @@ func TestAutoRegretResolvesInversion(t *testing.T) {
 		t.Fatalf("runs: auto=%d cap=%d, want %d each", auto.Runs, cap1.Runs, live)
 	}
 	// The planner's pick must resolve the inversion the pinned baseline
-	// carries: auto at ≈1.0 regret (1.5 allows scheduling noise around the
-	// measured best), the CAP baseline far above it.
-	if !auto.Best && auto.Regret > 1.5 {
-		t.Errorf("auto regret %.2f, want ≈1.0 (<= 1.5)", auto.Regret)
+	// carries. The choice itself is deterministic (the live queries left it
+	// in the plan cache); the measured gap it buys is ~4x, asserted at 2x.
+	status, body := postJSON(t, ts.URL+"/v1/prepare", &QueryRequest{Dataset: "fig8a", Query: query, Strategy: "auto"})
+	if status != http.StatusOK {
+		t.Fatalf("prepare: status %d: %s", status, body)
 	}
-	if cap1.Regret < 2 {
-		t.Errorf("cap regret %.2f, want >= 2 (the inversion auto is supposed to beat)", cap1.Regret)
+	var pr PrepareResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("fig8a-overlap-33 under auto: auto min %.2fms regret %.2f (best=%v), cap min %.2fms regret %.2f",
-		auto.MinMS, auto.Regret, auto.Best, cap1.MinMS, cap1.Regret)
+	if !pr.Cached || pr.Strategy == "cap" || pr.Strategy == "apriori" {
+		t.Errorf("planner chose %q (cached=%v), want a cached plan that pushes the 2-var constraint", pr.Strategy, pr.Cached)
+	}
+	if auto.MinMS*2 > cap1.MinMS {
+		t.Errorf("auto %.2fms vs cap %.2fms, want auto at least 2x faster (the inversion it is supposed to beat)",
+			auto.MinMS, cap1.MinMS)
+	}
+	t.Logf("fig8a-overlap-33 under auto: planner chose %s; fastest of %d: auto %.2fms, optimized %.2fms, cap %.2fms",
+		pr.Strategy, live, auto.MinMS, byName["optimized"].MinMS, cap1.MinMS)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

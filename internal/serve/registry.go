@@ -371,6 +371,7 @@ func (r *Registry) build(spec *DatasetSpec) (*cfq.Dataset, error) {
 			seed = 1
 		}
 		p := gen.Default(1)
+		p.Seed = seed
 		p.NumTransactions = g.Transactions
 		p.NumItems = items
 		p.NumPatterns = g.Patterns

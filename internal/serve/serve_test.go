@@ -527,32 +527,28 @@ func TestAdmission(t *testing.T) {
 	a.release(0)
 }
 
-// TestResultCacheBounds: LRU eviction under entry and byte bounds, and
-// dataset-wide invalidation.
-func TestResultCacheBounds(t *testing.T) {
-	c := newResultCache(2, 0)
-	put := func(key string) { c.put(key, cachedResult{Result: json.RawMessage(`{"x":1}`)}) }
-	put(resultKey("a", 1, "query", "session", "q1"))
-	put(resultKey("a", 1, "query", "session", "q2"))
-	put(resultKey("b", 1, "query", "session", "q3")) // evicts q1
-	if _, ok := c.get(resultKey("a", 1, "query", "session", "q1")); ok {
-		t.Error("q1 survived entry-bound eviction")
+// TestGenSpecSeed: the wire seed drives the generated transactions, not just
+// the synthesized attributes — seeds 1 and 2 differ, seed 1 is reproducible.
+func TestGenSpecSeed(t *testing.T) {
+	reg := NewRegistry(0, false)
+	txsOf := func(name string, seed int64) string {
+		t.Helper()
+		spec := &DatasetSpec{Name: name, Gen: &GenSpec{Transactions: 200, Items: 40, Seed: seed}}
+		if _, err := reg.Create(spec); err != nil {
+			t.Fatal(err)
+		}
+		ds, _, _, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs, _, _ := ds.ExportState()
+		return fmt.Sprint(txs)
 	}
-	if _, ok := c.get(resultKey("a", 1, "query", "session", "q2")); !ok {
-		t.Error("q2 evicted prematurely")
+	one, two, again := txsOf("one", 1), txsOf("two", 2), txsOf("again", 1)
+	if one == two {
+		t.Error("gen seeds 1 and 2 produced identical transactions")
 	}
-	c.invalidate("a")
-	if _, ok := c.get(resultKey("a", 1, "query", "session", "q2")); ok {
-		t.Error("q2 survived dataset invalidation")
-	}
-	if _, ok := c.get(resultKey("b", 1, "query", "session", "q3")); !ok {
-		t.Error("invalidate(a) dropped b's entry")
-	}
-
-	// Byte bound: an entry larger than the whole bound is not stored.
-	cb := newResultCache(0, 128)
-	cb.put("k", cachedResult{Result: json.RawMessage(strings.Repeat("x", 4096))})
-	if _, ok := cb.get("k"); ok {
-		t.Error("oversized entry cached")
+	if one != again {
+		t.Error("gen seed 1 is not reproducible")
 	}
 }

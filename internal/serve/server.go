@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/cfq"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
 	"repro/internal/plan"
@@ -107,10 +108,6 @@ type Config struct {
 	// memProbe overrides the watchdog's memory reading (tests drive the
 	// brownout ladder deterministically with a synthetic heap).
 	memProbe func() int64
-	// QueryWorkers is the per-query support-counting parallelism passed to
-	// Query.Workers (default: 0 = serial; evaluation concurrency comes from
-	// Workers).
-	QueryWorkers int
 	// Limits are the evaluation budget/deadline/pairs defaults and maxima.
 	Limits Limits
 	// DefaultMinSupportFrac is the support threshold applied when a request
@@ -219,14 +216,14 @@ type Server struct {
 	cfg      Config
 	reg      *Registry
 	adm      *admission
-	cache    *resultCache
+	cache    *lru.Cache[cachedResult] // nil = result caching disabled
 	log      *slog.Logger
 	mux      *http.ServeMux
 	red      *telemetry.RED
 	slow     *telemetry.SlowLog
 	workload *workloadCollector
 	planner  *plan.Planner
-	plans    *planCache
+	plans    *lru.Cache[*planEntry] // by wire handle; nil = prepared handles disabled
 	flights  *collapser
 	watchdog *watchdog // nil unless Config.MemSoftLimit > 0
 
@@ -249,16 +246,16 @@ func NewServer(cfg Config) *Server {
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:   cfg,
-		reg:   NewRegistry(max64(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
+		reg:   NewRegistry(max(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
 		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TargetLatency),
-		cache: newResultCache(maxInt(cfg.ResultCacheEntries, 0), max64(cfg.ResultCacheBytes, 0)),
+		cache: newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
 		log:   cfg.Logger,
 		red:   telemetry.NewRED(),
 		// The planner's fallback must be a concrete strategy: "auto" (or
 		// empty) as the server default leaves the planner's own default at
 		// optimized (plan.Options sanitizes unknown names).
 		planner:  plan.New(plan.Options{Default: cfg.DefaultStrategy}),
-		plans:    newPlanCache(maxInt(cfg.PlanCacheEntries, 0), max64(cfg.PlanCacheBytes, 0)),
+		plans:    newPlanCache(cfg.PlanCacheEntries, cfg.PlanCacheBytes),
 		flights:  newCollapser(),
 		baseCtx:  baseCtx,
 		cancel:   cancel,
@@ -338,20 +335,6 @@ func (s *Server) Recover() ([]store.Recovered, error) {
 	return recovered, nil
 }
 
-func max64(v, min int64) int64 {
-	if v < min {
-		return min
-	}
-	return v
-}
-
-func maxInt(v, min int) int {
-	if v < min {
-		return min
-	}
-	return v
-}
-
 // Registry exposes the dataset registry (preloading at startup).
 func (s *Server) Registry() *Registry { return s.reg }
 
@@ -383,7 +366,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"admission":                  s.adm.state(),
 		"degradation":                s.degradationStatz(),
 		"collapse":                   map[string]any{"inflight": s.flights.inflight()},
-		"result_cache":               s.cache.stats(),
+		"result_cache":               cacheStatz(s.cache.Stats()),
 		"endpoints":                  endpoints,
 		"datasets":                   datasets,
 		"server_request_duration_ms": requestDurationBuckets(),
@@ -801,78 +784,50 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 
 	// parse: registry lookup, query text, defaults, clamped limits — or,
 	// for a prepared handle, plan-cache resolution with the staleness check.
+	// Either way the scope now describes the query.
 	psp := tracer.Start("parse")
 	var (
-		sess      *cfq.Session
-		gen       uint64
-		q         *cfq.Query
-		strat     cfq.Strategy
-		timeout   time.Duration
-		prepared  *cfq.Prepared
-		mode      string
-		canonical string
-		dataset   string
+		sess     *cfq.Session
+		prepared *cfq.Prepared
+		status   int
+		ebody    *ErrorBody
 	)
-	if req.Prepared != "" {
-		if kind != kindQuery {
-			psp.End(nil)
-			return s.writeError(w, sc, http.StatusBadRequest,
-				&ErrorBody{Code: CodeBadRequest, Message: "prepared handles are only valid on /v1/query"}), false
-		}
-		entry, status, ebody := s.resolvePrepared(sc, req)
-		if ebody != nil {
-			psp.End(nil)
-			sc.dataset = req.Dataset
-			return s.writeError(w, sc, status, ebody), false
-		}
-		dataset, gen, canonical = entry.dataset, entry.gen, entry.canonical
-		q, strat, timeout, prepared = entry.query, entry.strategy, entry.timeout, entry.prepared
-		mode = strat.String()
-	} else {
-		dataset = req.Dataset
-		sc.dataset = dataset
-		ds, dsess, dgen, err := s.reg.Lookup(dataset)
-		if err != nil {
-			psp.End(nil)
-			return s.writeError(w, sc, http.StatusNotFound,
-				&ErrorBody{Code: CodeUnknownDataset, Message: err.Error()}), false
-		}
-		sess, gen = dsess, dgen
-		if q, strat, timeout, err = s.buildQuery(ds, req); err != nil {
-			psp.End(nil)
-			return s.writeError(w, sc, http.StatusBadRequest,
-				&ErrorBody{Code: CodeBadRequest, Message: err.Error()}), false
-		}
-		// Strategy auto always evaluates through the planner path ("auto"
-		// mode), never the session — the planner's choices are what the
-		// feedback loop measures.
-		mode = strat.String()
-		if strat != cfq.Auto && kind == kindQuery && !req.NoSession {
-			mode = "session"
-		}
-		canonical = q.Canonical()
+	switch {
+	case req.Prepared == "":
+		sess, status, ebody = s.resolveInline(sc, req)
+	case kind != kindQuery:
+		status, ebody = http.StatusBadRequest,
+			&ErrorBody{Code: CodeBadRequest, Message: "prepared handles are only valid on /v1/query"}
+	default:
+		prepared, status, ebody = s.resolvePrepared(sc, req)
 	}
-	sc.dataset = dataset
-	sc.strategy, sc.gen, sc.canonical = mode, gen, canonical
-	sc.query, sc.strat, sc.timeout = q, strat, timeout
-	mQueries.WithLabels(dsLabel(dataset), mode).Inc()
-	psp.SetAttrs(obs.String("dataset", dataset), obs.String("mode", mode))
+	if ebody != nil {
+		psp.End(nil)
+		return s.writeError(w, sc, status, ebody), false
+	}
+	// Inline queries evaluate through the dataset's shared session unless
+	// the request opts out or asks for strategy auto — the planner's choices
+	// are what the feedback loop measures, so auto always runs the engine.
+	sc.strategy = sc.strat.String()
+	useSession := prepared == nil && sc.strat != cfq.Auto && kind == kindQuery && !req.NoSession
+	if useSession {
+		sc.strategy = "session"
+	}
+	mQueries.WithLabels(dsLabel(sc.dataset), sc.strategy).Inc()
+	psp.SetAttrs(obs.String("dataset", sc.dataset), obs.String("mode", sc.strategy))
 	psp.End(nil)
 
 	// Result-cache lookup. Traced requests bypass the cache: the report
 	// must describe this run, not a previous one.
-	cacheable := !req.NoCache && !req.Trace && s.cache.enabled()
-	key := resultKey(dataset, gen, kind, mode, canonical)
+	cacheable := !req.NoCache && !req.Trace && s.cache != nil
+	key := resultKey(sc.dataset, sc.gen, kind, sc.strategy, sc.canonical)
 	if cacheable {
-		if hit, ok := s.cache.get(key); ok {
+		if hit, ok := s.cache.Get(key); ok {
+			mResultHits.Inc()
 			sc.cached = true
-			return s.writeJSON(w, http.StatusOK, &QueryResponse{
-				Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-				Dataset:    dataset,
-				Generation: hit.Generation, Strategy: hit.Strategy, Cached: true,
-				Result: hit.Result, Explain: hit.Explain,
-			}), true
+			return s.writeResult(w, sc, hit, nil), true
 		}
+		mResultMisses.Inc()
 	}
 
 	// Collapse concurrent identical cache misses: the first request through
@@ -892,12 +847,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 				if g.ok {
 					sc.collapsed = true
 					mCollapsed.Inc()
-					return s.writeJSON(w, http.StatusOK, &QueryResponse{
-						Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-						Dataset:    dataset,
-						Generation: g.res.Generation, Strategy: g.res.Strategy, Collapsed: true,
-						Result: g.res.Result, Explain: g.res.Explain,
-					}), false
+					return s.writeResult(w, sc, g.res, nil), false
 				}
 			case <-ctx.Done():
 				return s.writeEvalError(w, sc, ctx.Err()), false
@@ -911,7 +861,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	// along so a projected queue wait that would consume it sheds instantly.
 	asp := tracer.Start("admission")
 	admStart := time.Now()
-	err = s.adm.acquire(ctx, prio, timeout)
+	err = s.adm.acquire(ctx, prio, sc.timeout)
 	mQueueWait.WithLabels(kind).Observe(time.Since(admStart))
 	asp.End(nil)
 	if err != nil {
@@ -931,75 +881,60 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	// The soft budget deadline (timeout, partial stats) is the primary
 	// bound; a hard context deadline at 2× backstops evaluations stuck
 	// between checkpoints.
-	if timeout > 0 {
+	if sc.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, 2*timeout)
+		ctx, cancel = context.WithTimeout(ctx, 2*sc.timeout)
 		defer cancel()
 	}
 
-	// Strategy auto resolves through the plan cache before evaluation: a
-	// cache hit replays the stored decision with no planner work at all (no
-	// plan:decide span on the trace); a miss plans once under this request's
-	// tracer and caches the prepared plan for the dataset's generation.
-	if strat == cfq.Auto && prepared == nil {
-		entry, _, perr := s.preparePlan(sc, dataset, gen, canonical, q, strat, timeout, tracer)
-		if perr != nil {
-			return s.writeEvalError(w, sc, perr), false
+	// prepare: every path evaluates through a *cfq.Prepared. A handle
+	// brought its own; strategy auto resolves through the plan cache (a hit
+	// replays the stored decision with no planner work at all — no
+	// plan:decide span on the trace; a miss plans once under this request's
+	// tracer); session mode binds the query to the dataset's lattice cache;
+	// a fixed strategy compiles and skips planning.
+	switch {
+	case prepared != nil:
+	case sc.strat == cfq.Auto:
+		var entry *planEntry
+		if entry, _, err = s.preparePlan(ctx, sc); err == nil {
+			prepared = entry.prepared
+			sc.strat = prepared.Strategy()
 		}
-		prepared, strat = entry.prepared, entry.strategy
-		sc.strat = strat
+	case useSession:
+		prepared, err = sess.Prepare(sc.query)
+	default:
+		prepared, err = sc.query.PrepareWith(ctx, s.planner, sc.strat)
+	}
+	if err != nil {
+		return s.writeEvalError(w, sc, err), false
 	}
 
 	esp := tracer.Start("evaluate")
-	var result, explain json.RawMessage
-	var evalErr error
+	var res *cfq.Result
+	var rep *cfq.ExplainReport
 	switch kind {
 	case kindQuery:
-		var res *cfq.Result
-		switch {
-		case prepared != nil:
-			res, evalErr = prepared.RunContext(ctx)
-		case req.NoSession:
-			res, evalErr = q.RunContext(ctx, strat)
-		default:
-			res, evalErr = sess.RunContext(ctx, q)
-		}
-		if evalErr == nil {
-			// The span tree is delivered once, in the envelope's report
-			// field, not embedded in the result document too.
-			res.Report = nil
-			sc.pruned = res.Stats.CandidatesPruned
-			result, evalErr = json.Marshal(res)
-		}
+		res, err = prepared.RunContext(ctx)
 	case kindExplain:
-		var rep *cfq.ExplainReport
-		if prepared != nil {
-			rep, evalErr = prepared.Explain()
-		} else {
-			rep, evalErr = q.ExplainQuery(strat)
-		}
-		if evalErr == nil {
-			explain, evalErr = json.Marshal(rep)
-		}
+		rep, err = prepared.Explain()
 	case kindAnalyze:
-		var res *cfq.Result
-		var rep *cfq.ExplainReport
-		if prepared != nil {
-			res, rep, evalErr = prepared.ExplainAnalyzeContext(ctx)
-		} else {
-			res, rep, evalErr = q.ExplainAnalyzeContext(ctx, strat)
-		}
-		if evalErr == nil {
-			res.Report = nil
-			sc.pruned = res.Stats.CandidatesPruned
-			if result, evalErr = json.Marshal(res); evalErr == nil {
-				explain, evalErr = json.Marshal(rep)
-			}
-		}
+		res, rep, err = prepared.ExplainAnalyzeContext(ctx)
+	}
+	out := cachedResult{Generation: sc.gen, Strategy: sc.strategy}
+	if err == nil && res != nil {
+		// The span tree is delivered once, in the envelope's report field,
+		// not embedded in the result document too.
+		res.Report = nil
+		sc.pruned = res.Stats.CandidatesPruned
+		out.Result, err = json.Marshal(res)
+	}
+	if err == nil && rep != nil {
+		out.Explain, err = json.Marshal(rep)
 	}
 	esp.End(nil)
-	if evalErr != nil {
-		return s.writeEvalError(w, sc, evalErr), false
+	if err != nil {
+		return s.writeEvalError(w, sc, err), false
 	}
 
 	// Store only if the dataset generation we evaluated against is still
@@ -1009,43 +944,57 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	// unreachable anyway — this check keeps dead generations from occupying
 	// cache space at all.)
 	if cacheable {
-		if cur, ok := s.reg.Generation(dataset); ok && cur == gen {
-			s.cache.put(key, cachedResult{Generation: gen, Strategy: mode, Result: result, Explain: explain})
+		if cur, ok := s.reg.Generation(sc.dataset); ok && cur == sc.gen {
+			s.putResult(key, out)
 		}
 	}
 	// Release the flight's followers with the shared raw result. The key
 	// carries the generation, so a request that observed a later mutation is
 	// in a different flight and can never receive this snapshot's answer.
 	if flight != nil {
-		flight.res = cachedResult{Generation: gen, Strategy: mode, Result: result, Explain: explain}
+		flight.res = out
 		flight.ok = true
 	}
-
-	resp := &QueryResponse{
-		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-		Dataset:    dataset,
-		Generation: gen, Strategy: mode, Result: result, Explain: explain,
+	var report *obs.RunReport
+	if req.Trace {
+		report = tracer.Report()
 	}
-	if req.Trace && tracer != nil {
-		resp.Report = tracer.Report()
-	}
-	return s.writeJSON(w, http.StatusOK, resp), false
+	return s.writeResult(w, sc, out, report), false
 }
 
-// buildQuery parses the CFQ text and applies the server's defaults and
-// clamped limits.
-func (s *Server) buildQuery(ds *cfq.Dataset, req *QueryRequest) (*cfq.Query, cfq.Strategy, time.Duration, error) {
+// writeResult writes the query endpoints' success envelope: the request's
+// correlation ids and cache/collapse outcome around the (possibly shared)
+// raw result.
+func (s *Server) writeResult(w http.ResponseWriter, sc *reqScope, r cachedResult, report *obs.RunReport) int {
+	return s.writeJSON(w, http.StatusOK, &QueryResponse{
+		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
+		Dataset:    sc.dataset,
+		Generation: r.Generation, Strategy: r.Strategy,
+		Cached: sc.cached, Collapsed: sc.collapsed,
+		Result: r.Result, Explain: r.Explain, Report: report,
+	})
+}
+
+// resolveInline fills the scope from an inline request: registry lookup,
+// query text, the server's defaults and clamped limits. It returns the
+// dataset's shared session, or the error to write.
+func (s *Server) resolveInline(sc *reqScope, req *QueryRequest) (*cfq.Session, int, *ErrorBody) {
+	sc.dataset = req.Dataset
+	ds, sess, gen, err := s.reg.Lookup(req.Dataset)
+	if err != nil {
+		return nil, http.StatusNotFound, &ErrorBody{Code: CodeUnknownDataset, Message: err.Error()}
+	}
 	name := req.Strategy
 	if name == "" {
 		name = s.cfg.DefaultStrategy
 	}
 	strat, err := cfq.ParseStrategy(name)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, http.StatusBadRequest, &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
 	}
 	q, err := cfq.ParseQuery(ds, req.Query)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, http.StatusBadRequest, &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
 	}
 	// Defaults apply only to the sides the query text left implicit.
 	def := cfq.NewQuery(ds)
@@ -1060,10 +1009,11 @@ func (s *Server) buildQuery(ds *cfq.Dataset, req *QueryRequest) (*cfq.Query, cfq
 	}
 	q.ApplyDefaultSupports(def)
 	q.MaxPairs(s.cfg.Limits.ResolvePairs(req))
-	q.Workers(s.cfg.QueryWorkers)
 	budget, timeout := s.cfg.Limits.Resolve(req)
 	q.Budget(budget)
-	return q, strat, timeout, nil
+	sc.gen, sc.canonical = gen, q.Canonical()
+	sc.query, sc.strat, sc.timeout = q, strat, timeout
+	return sess, 0, nil
 }
 
 // writeEvalError maps evaluation failures onto the wire: budget exhaustion
@@ -1188,8 +1138,8 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.cache.invalidate(name)
-	s.plans.invalidate(name)
+	s.cache.DeleteFunc(resultsOf(name))
+	s.plans.DeleteFunc(func(_ string, e *planEntry) bool { return e.dataset == name })
 	s.writeJSON(w, http.StatusOK, &DatasetsResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID, Dropped: name,
 	})
@@ -1245,7 +1195,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// closed as a structured 409 stale_generation on its next use instead of
 	// a bare 404; the stale entry is evicted at that point (resolvePrepared),
 	// or by LRU pressure, whichever comes first.
-	s.cache.invalidate(name)
+	s.cache.DeleteFunc(resultsOf(name))
 	if s.log != nil {
 		s.log.Info("dataset mutated", slog.String("request_id", sc.reqID),
 			slog.String("trace_id", sc.tc.TraceID),

@@ -69,7 +69,7 @@ func newShadowSampler(s *Server, wc *workloadCollector, cfg Config) *shadowSampl
 	ss := &shadowSampler{
 		s:      s,
 		wc:     wc,
-		sample: minFloat(cfg.ShadowSample, 1),
+		sample: min(cfg.ShadowSample, 1),
 		jobs:   make(chan *shadowJob, shadowQueueDepth),
 		done:   make(chan struct{}),
 	}
@@ -86,13 +86,6 @@ func newShadowSampler(s *Server, wc *workloadCollector, cfg Config) *shadowSampl
 	}
 	go ss.loop()
 	return ss
-}
-
-func minFloat(v, max float64) float64 {
-	if v > max {
-		return max
-	}
-	return v
 }
 
 // offer samples one completed query into the shadow queue. Called from
@@ -263,18 +256,13 @@ func (ss *shadowSampler) runOne(job *shadowJob, strat cfq.Strategy) (float64, er
 		ctx, cancel = context.WithTimeout(ctx, 2*job.timeout)
 		defer cancel()
 	}
+	// Every strategy prepares through the server's planner (not the package
+	// default): a fixed strategy skips planning, and "auto"'s wall includes
+	// it, reflecting exactly the decisions the feedback loop is adjusting.
 	start := time.Now()
-	var err error
-	if strat == cfq.Auto {
-		// Shadow "auto" through the server's planner (not the package
-		// default) so its wall includes planning and reflects exactly the
-		// decisions the feedback loop is adjusting.
-		var p *cfq.Prepared
-		if p, err = job.query.PrepareWith(ctx, ss.s.planner, cfq.Auto); err == nil {
-			_, err = p.RunContext(ctx)
-		}
-	} else {
-		_, err = job.query.RunContext(ctx, strat)
+	p, err := job.query.PrepareWith(ctx, ss.s.planner, strat)
+	if err == nil {
+		_, err = p.RunContext(ctx)
 	}
 	return float64(time.Since(start)) / float64(time.Millisecond), err
 }

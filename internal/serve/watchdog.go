@@ -153,17 +153,17 @@ func (wd *watchdog) setLevel(level int) {
 	s := wd.s
 	if level >= 2 && !wd.shrunk {
 		wd.shrunk = true
-		s.cache.setMaxBytes(s.cfg.ResultCacheBytes / wdShrinkDiv)
-		s.plans.setMaxBytes(s.cfg.PlanCacheBytes / wdShrinkDiv)
+		s.cache.SetMaxBytes(s.cfg.ResultCacheBytes / wdShrinkDiv)
+		s.plans.SetMaxBytes(s.cfg.PlanCacheBytes / wdShrinkDiv)
 		if s.cfg.SessionCacheBytes > 0 {
-			s.reg.SetSessionCacheLimit(maxInt64(s.cfg.SessionCacheBytes/wdShrinkDiv, 1))
+			s.reg.SetSessionCacheLimit(max(s.cfg.SessionCacheBytes/wdShrinkDiv, 1))
 		}
 		// The evictions above only help once the GC returns the space.
 		runtime.GC()
 	} else if level < 2 && wd.shrunk {
 		wd.shrunk = false
-		s.cache.setMaxBytes(s.cfg.ResultCacheBytes)
-		s.plans.setMaxBytes(s.cfg.PlanCacheBytes)
+		s.cache.SetMaxBytes(s.cfg.ResultCacheBytes)
+		s.plans.SetMaxBytes(s.cfg.PlanCacheBytes)
 		if s.cfg.SessionCacheBytes > 0 {
 			s.reg.SetSessionCacheLimit(s.cfg.SessionCacheBytes)
 		}
@@ -178,13 +178,6 @@ func (wd *watchdog) setLevel(level int) {
 			slog.Int("level", level), slog.Int("previous", prev),
 			slog.Int64("heap_bytes", wd.heap.Load()), slog.Int64("soft_limit_bytes", wd.soft))
 	}
-}
-
-func maxInt64(v, min int64) int64 {
-	if v < min {
-		return min
-	}
-	return v
 }
 
 // degradeLevel is the server's current brownout level (0 = none). Checked

@@ -19,11 +19,7 @@ func waitLevel(t *testing.T, s *Server, want int) {
 	}
 }
 
-func resultCacheMax(s *Server) int64 {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	return s.cache.maxBytes
-}
+func resultCacheMax(s *Server) int64 { return s.cache.Stats().MaxBytes }
 
 // TestWatchdogBrownoutLadder drives the memory watchdog with a synthetic
 // probe through the full brownout ladder and back: pause diagnostics at

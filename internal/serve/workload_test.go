@@ -268,7 +268,7 @@ func TestShadowSamplerRegretAndIsolation(t *testing.T) {
 	if n := s.slow.Len(); n != 0 {
 		t.Errorf("slowlog captured %d records from shadow traffic", n)
 	}
-	if entries := s.cache.stats()["entries"]; entries != 0 {
+	if entries := s.cache.Stats().Entries; entries != 0 {
 		t.Errorf("result cache entries = %d, want 0 (shadow stored a result)", entries)
 	}
 

@@ -65,6 +65,28 @@ if grep -rnE '^[[:space:]]*(defer[[:space:]]+)?[A-Za-z_][A-Za-z0-9_.()]*\.(Close
   exit 1
 fi
 
+echo "== execution-path hygiene =="
+# One evaluation pipeline: cfq.Prepared.execute is the only caller of the
+# engine in the public package (every Query.Run*/Explain* entry point and
+# Session.Run prepare and go through it), package cfq tests no constraint
+# itself (generate-and-test and pair formation live in internal/cap and
+# internal/core, for engine and session runs alike), and recency
+# bookkeeping exists once, in internal/lru (internal/serve/admission.go's
+# container/list is a FIFO wait queue, not an LRU).
+runs="$(grep -rnE 'core\.Run\(' cfq --include='*.go' | grep -v '_test.go' | grep -cvE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [[ "$runs" -ne 1 ]]; then
+  echo "check.sh: $runs core.Run( call sites under cfq/ (want exactly 1: Prepared.execute)" >&2
+  exit 1
+fi
+if grep -rnE '\.Satisfies\(' cfq --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: constraint evaluation under cfq/ (filtering and pair formation belong to internal/cap and internal/core)" >&2
+  exit 1
+fi
+if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru/' | grep -v '_test.go'; then
+  echo "check.sh: LRU recency bookkeeping outside internal/lru (use lru.Cache)" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -81,6 +103,13 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== benchmark module (vet + build) =="
+# benchmark/ is its own module (repro/benchmark, replace repro => ../), so
+# the root ./... patterns never compile it: without this step an API drift
+# under it surfaces only as a failed benchmark run.
+go -C benchmark vet ./...
+go -C benchmark build -o /dev/null ./...
 
 echo "== go test -race -short =="
 go test -race -short ./...
@@ -376,7 +405,8 @@ for fam in plan_decisions_total plan_cache_hits_total plan_cache_misses_total; d
     exit 1
   fi
 done
-if ! curl -fsS "http://$ops_addr/statz" | grep -q '"planner"'; then
+# (grep reads to EOF, not -q: an early exit fails curl's write under pipefail.)
+if ! curl -fsS "http://$ops_addr/statz" | grep '"planner"' > /dev/null; then
   echo "check.sh: /statz exposes no planner block" >&2
   exit 1
 fi
@@ -467,7 +497,7 @@ if ! grep -q 'compare: answers byte-identical' "$check_tmp/overload.out"; then
   exit 1
 fi
 # "level" appears only in the degradation block of /statz (pretty-printed).
-if ! curl -fsS "http://$ops_addr/statz" | grep -qE '"level": *0'; then
+if ! curl -fsS "http://$ops_addr/statz" | grep -E '"level": *0' > /dev/null; then
   echo "check.sh: degradation level not back at 0 after the storm" >&2
   curl -fsS "http://$ops_addr/statz" >&2 || true
   exit 1
