@@ -124,7 +124,8 @@ type FrequentSet struct {
 	Support int
 }
 
-// Pair is one CFQ answer: a valid (S, T) pair of frequent sets.
+// Pair is one CFQ answer: a valid (S, T) pair of frequent sets. In a
+// Result its sets share their Items with the ValidS/ValidT entries they are.
 type Pair struct {
 	S, T FrequentSet
 }
@@ -139,7 +140,10 @@ type Stats struct {
 	// former during set computation.
 	ItemConstraintChecks int64
 	SetConstraintChecks  int64
-	// PairChecks counts 2-var evaluations during final pair formation.
+	// PairChecks counts the key comparisons final pair formation made:
+	// binary-search probes for the leading 2-var constraint's partner
+	// ranges plus one per constraint tested on a pair. Each set's aggregate
+	// is evaluated once, so this is far below |S|·|T| per constraint.
 	PairChecks int64
 	// CandidatesPruned counts candidates generated or materialized and then
 	// discarded — by a constraint, a frequency test, or pair rejection.
@@ -407,8 +411,12 @@ func convertResult(ctx context.Context, ires *core.Result) *Result {
 	res := &Result{PairCount: ires.PairCount, Report: obs.FromContext(ctx).Report()}
 	res.ValidS, res.LevelsS = convertLevels(ires.LevelsS)
 	res.ValidT, res.LevelsT = convertLevels(ires.LevelsT)
-	for _, p := range ires.Pairs {
-		res.Pairs = append(res.Pairs, Pair{S: convertSet(p.S), T: convertSet(p.T)})
+	if len(ires.Pairs) > 0 {
+		// A pair's sets are the already-converted valid sets it indexes.
+		res.Pairs = make([]Pair, len(ires.Pairs))
+		for i, p := range ires.Pairs {
+			res.Pairs[i] = Pair{S: res.ValidS[p.SI], T: res.ValidT[p.TI]}
+		}
 	}
 	res.Stats = convertStats(ires.Stats)
 	if ires.Plan != nil {

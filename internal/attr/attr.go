@@ -8,6 +8,7 @@ package attr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/itemset"
@@ -173,7 +174,7 @@ type ValueSet []int32
 func NewValueSet(vals ...int32) ValueSet {
 	v := make(ValueSet, len(vals))
 	copy(v, vals)
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	out := v[:0]
 	for i, x := range v {
 		if i == 0 || x != v[i-1] {

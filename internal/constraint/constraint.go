@@ -395,6 +395,25 @@ func (r DomainRel) String() string {
 	return fmt.Sprintf("DomainRel(%d)", int(r))
 }
 
+// Holds applies the relation to a pair of value sets: a r v.
+func (r DomainRel) Holds(a, v attr.ValueSet) bool {
+	switch r {
+	case SubsetOf:
+		return v.ContainsAll(a)
+	case SupersetOf:
+		return a.ContainsAll(v)
+	case EqualTo:
+		return a.Equal(v)
+	case DisjointFrom:
+		return !a.Intersects(v)
+	case Intersects:
+		return a.Intersects(v)
+	case NotSubsetOf:
+		return !v.ContainsAll(a)
+	}
+	panic(fmt.Sprintf("constraint: unknown domain relation %d", int(r)))
+}
+
 type domainConstraint struct {
 	rel  DomainRel
 	cat  *attr.Categorical
@@ -417,22 +436,7 @@ func (k *domainConstraint) String() string {
 }
 
 func (k *domainConstraint) Satisfies(s itemset.Set) bool {
-	sa := k.cat.SetOf(s)
-	switch k.rel {
-	case SubsetOf:
-		return k.v.ContainsAll(sa)
-	case SupersetOf:
-		return sa.ContainsAll(k.v)
-	case EqualTo:
-		return sa.Equal(k.v)
-	case DisjointFrom:
-		return !sa.Intersects(k.v)
-	case Intersects:
-		return sa.Intersects(k.v)
-	case NotSubsetOf:
-		return !k.v.ContainsAll(sa)
-	}
-	panic(fmt.Sprintf("constraint: unknown domain relation %d", int(k.rel)))
+	return k.rel.Holds(k.cat.SetOf(s), k.v)
 }
 
 func (k *domainConstraint) Classify(itemset.Set) Class {

@@ -184,6 +184,8 @@ func (q *CFQ) normalize() error {
 // Pair is one element of a CFQ answer: a frequent valid (S, T) pair.
 type Pair struct {
 	S, T mine.Counted
+	// SI/TI are the positions of S and T in Result.ValidS() / ValidT().
+	SI, TI int32
 }
 
 // Result is the outcome of evaluating a CFQ.
@@ -765,76 +767,6 @@ func applyFinalDynamic(dyns []*dynState, side twovar.Side, levels [][]mine.Count
 		out[i] = cap.Filter(lv, checks, stats, prune)
 	}
 	return cap.TrimLevels(out)
-}
-
-// pairCancelStride is how many pair iterations run between context checks
-// in formPairs. On dense queries the S×T cross product can dwarf the mining
-// work, and a drain or query deadline must be able to abort mid-answer.
-const pairCancelStride = 8192
-
-// formPairs materializes the answer: every (valid S, valid T) pair
-// satisfying all 2-var constraints. With no 2-var constraints the answer is
-// the cross product and no checks are spent. A cancelled ctx aborts the
-// enumeration within pairCancelStride iterations, leaving res partial.
-func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) error {
-	validS, validT := res.ValidS(), res.ValidT()
-	if len(q.Constraints2) == 0 {
-		res.PairCount = int64(len(validS)) * int64(len(validT))
-		if res.PairCount == 0 {
-			return nil
-		}
-		limit := res.PairCount
-		if q.MaxPairs > 0 && int64(q.MaxPairs) < limit {
-			limit = int64(q.MaxPairs)
-		}
-		for i := int64(0); i < limit; i++ {
-			if i%pairCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: forming pairs: %w", err)
-				}
-			}
-			res.Pairs = append(res.Pairs, Pair{S: validS[i/int64(len(validT))], T: validT[i%int64(len(validT))]})
-		}
-		return nil
-	}
-	// Site labels are hoisted out of the loops: formatting one per rejected
-	// pair turns a dense answer space into minutes of fmt work.
-	sites := make([]string, len(q.Constraints2))
-	for i, c2 := range q.Constraints2 {
-		sites[i] = fmt.Sprintf("pairs:%v", c2)
-	}
-	var iter int64
-	for _, s := range validS {
-		for _, t := range validT {
-			if iter%pairCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: forming pairs: %w", err)
-				}
-			}
-			iter++
-			ok := true
-			for i, c2 := range q.Constraints2 {
-				res.Stats.PairChecks++
-				if !c2.Satisfies(s.Set, t.Set) {
-					ok = false
-					// A rejected pair is one pruned answer candidate: the
-					// cost a plan pays for 2-var constraints it could not
-					// push into the lattices.
-					res.Stats.CandidatesPruned++
-					prune.Charge(sites[i], 1)
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			res.PairCount++
-			if q.MaxPairs == 0 || len(res.Pairs) < q.MaxPairs {
-				res.Pairs = append(res.Pairs, Pair{S: s, T: t})
-			}
-		}
-	}
-	return nil
 }
 
 // runSequential is the non-dovetailed alternative of Section 5.2: the T

@@ -1,0 +1,312 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
+	"repro/internal/attr"
+	"repro/internal/constraint"
+	"repro/internal/itemset"
+	"repro/internal/mine"
+	"repro/internal/obs"
+	"repro/internal/twovar"
+)
+
+// pairCancelStride is how many units of join work (rows visited plus pairs
+// tested) run between context checks in formPairs. On dense queries the
+// answer space can dwarf the mining work, and a drain or query deadline
+// must be able to abort mid-answer; a check is at most one row late.
+const pairCancelStride = 8192
+
+// formPairs materializes the answer: every (valid S, valid T) pair
+// satisfying all 2-var constraints, S in lattice order, then T in lattice
+// order. With no 2-var constraints the answer is the cross product and no
+// checks are spent. Otherwise it is a join on per-set keys: each
+// constraint's two terms are evaluated once per set, the pairs are counted
+// (by binary search where the leading constraint is ordered), each
+// rejection is attributed to the first constraint in query order that
+// fails and charged to its "pairs:<constraint>" site once per constraint,
+// and only then are the first MaxPairs pairs materialized. A cancelled ctx
+// aborts the join, leaving res partial.
+func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) error {
+	validS, validT := res.ValidS(), res.ValidT()
+	if len(q.Constraints2) == 0 {
+		res.PairCount = int64(len(validS)) * int64(len(validT))
+		limit := pairLimit(q.MaxPairs, res.PairCount)
+		if limit == 0 {
+			return nil
+		}
+		res.Pairs = make([]Pair, 0, limit)
+		nT := int64(len(validT))
+		for i := int64(0); i < limit; i++ {
+			if i%pairCancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("core: forming pairs: %w", err)
+				}
+			}
+			si, ti := i/nT, i%nT
+			res.Pairs = append(res.Pairs, Pair{S: validS[si], T: validT[ti], SI: int32(si), TI: int32(ti)})
+		}
+		return nil
+	}
+
+	j := pairJoin{ctx: ctx, nT: len(validT), checks: &res.Stats.PairChecks}
+	for _, c2 := range q.Constraints2 {
+		j.terms = append(j.terms, newPairTerm(c2, validS, validT))
+	}
+	if lead := j.terms[0]; lead.ordered() {
+		j.index = newKeyIndex(lead.keyT, lead.okT)
+	}
+	rowCount, err := j.count(len(validS))
+	for _, t := range j.terms {
+		// A rejected pair is one pruned answer candidate: the cost a plan
+		// pays for 2-var constraints it could not push into the lattices.
+		res.Stats.CandidatesPruned += t.rejected
+		prune.Charge(t.site, t.rejected)
+	}
+	for _, n := range rowCount {
+		res.PairCount += int64(n)
+	}
+	if err != nil {
+		return err
+	}
+
+	limit := pairLimit(q.MaxPairs, res.PairCount)
+	if limit == 0 {
+		return nil
+	}
+	res.Pairs = make([]Pair, 0, limit)
+	for i, s := range validS {
+		left := rowCount[i]
+		if left == 0 {
+			continue
+		}
+		if err := j.tick(j.nT); err != nil {
+			return err
+		}
+		// The row's partners in lattice order; it holds `left` of them, so
+		// the scan ends at the last one.
+		for ti := 0; left > 0; ti++ {
+			if j.firstFailing(0, i, ti) >= 0 {
+				continue
+			}
+			res.Pairs = append(res.Pairs, Pair{S: s, T: validT[ti], SI: int32(i), TI: int32(ti)})
+			if int64(len(res.Pairs)) == limit {
+				return nil
+			}
+			left--
+		}
+	}
+	return nil
+}
+
+// pairLimit is how many of count pairs are materialized under maxPairs
+// (0 = all of them).
+func pairLimit(maxPairs int, count int64) int64 {
+	if maxPairs > 0 && int64(maxPairs) < count {
+		return int64(maxPairs)
+	}
+	return count
+}
+
+// pairTerm is one 2-var constraint prepared for the join: both sides' terms
+// evaluated once per valid set, by the functions Satisfies itself uses.
+type pairTerm struct {
+	sides twovar.Sides
+	site  string
+	// Aggregate form: each set's key, and whether its aggregate is defined.
+	keyS, keyT []float64
+	okS, okT   []bool
+	// Domain form: each set's projected value set.
+	setS, setT []attr.ValueSet
+	// rejected counts the pairs this term was the first to fail.
+	rejected int64
+}
+
+func newPairTerm(c2 twovar.Constraint2, validS, validT []mine.Counted) *pairTerm {
+	t := &pairTerm{sides: c2.Sides(), site: "pairs:" + c2.String()}
+	if t.sides.AggS == nil {
+		t.setS = projections(t.sides.ProjS, validS)
+		t.setT = projections(t.sides.ProjT, validT)
+		return t
+	}
+	t.keyS, t.okS = aggKeys(t.sides.AggS, validS)
+	t.keyT, t.okT = aggKeys(t.sides.AggT, validT)
+	return t
+}
+
+func aggKeys(agg func(itemset.Set) (float64, bool), sets []mine.Counted) ([]float64, []bool) {
+	keys, ok := make([]float64, len(sets)), make([]bool, len(sets))
+	for i, c := range sets {
+		keys[i], ok[i] = agg(c.Set)
+	}
+	return keys, ok
+}
+
+func projections(proj func(itemset.Set) attr.ValueSet, sets []mine.Counted) []attr.ValueSet {
+	out := make([]attr.ValueSet, len(sets))
+	for i, c := range sets {
+		out[i] = proj(c.Set)
+	}
+	return out
+}
+
+// holds is Satisfies(validS[si], validT[ti]) on the precomputed terms.
+func (t *pairTerm) holds(si, ti int) bool {
+	if t.keyS == nil {
+		return t.sides.Rel.Holds(t.setS[si], t.setT[ti])
+	}
+	return t.okS[si] && t.okT[ti] && t.sides.Op.Cmp(t.keyS[si], t.keyT[ti])
+}
+
+// ordered reports whether the term's partners of one S-set are a contiguous
+// range of the T-sets sorted by key: every aggregate comparison but "!=".
+func (t *pairTerm) ordered() bool {
+	return t.keyS != nil && t.sides.Op != constraint.NE
+}
+
+// keyIndex is the T side of an ordered term sorted by key. Undefined and
+// NaN keys are left out: no ordered comparison holds for them.
+type keyIndex struct {
+	keys  []float64 // ascending
+	order []int32   // keys[p] is the key of validT[order[p]]
+}
+
+func newKeyIndex(keyT []float64, okT []bool) *keyIndex {
+	x := &keyIndex{order: make([]int32, 0, len(keyT))}
+	for ti, v := range keyT {
+		if okT[ti] && !math.IsNaN(v) {
+			x.order = append(x.order, int32(ti))
+		}
+	}
+	slices.SortFunc(x.order, func(a, b int32) int { return cmp.Compare(keyT[a], keyT[b]) })
+	x.keys = make([]float64, len(x.order))
+	for p, ti := range x.order {
+		x.keys[p] = keyT[ti]
+	}
+	return x
+}
+
+// search returns the first position whose key is >= v (> v when strict),
+// adding the comparisons it made to *checks.
+func (x *keyIndex) search(v float64, strict bool, checks *int64) int {
+	return sort.Search(len(x.keys), func(p int) bool {
+		*checks++
+		k := x.keys[p]
+		return k > v || (!strict && k == v)
+	})
+}
+
+// partners returns the range [lo, hi) of positions whose keys satisfy
+// "v op key".
+func (x *keyIndex) partners(op constraint.Op, v float64, checks *int64) (lo, hi int) {
+	switch op {
+	case constraint.LE:
+		return x.search(v, false, checks), len(x.keys)
+	case constraint.LT:
+		return x.search(v, true, checks), len(x.keys)
+	case constraint.GE:
+		return 0, x.search(v, true, checks)
+	case constraint.GT:
+		return 0, x.search(v, false, checks)
+	case constraint.EQ:
+		return x.search(v, false, checks), x.search(v, true, checks)
+	}
+	panic(fmt.Sprintf("core: no key range for operator %v", op))
+}
+
+// pairJoin is the state of one formPairs call over its prepared terms.
+type pairJoin struct {
+	ctx   context.Context
+	terms []*pairTerm
+	// index is the sorted T side of terms[0] when that term is ordered.
+	index *keyIndex
+	nT    int
+	// checks is Stats.PairChecks: one per key comparison the join makes.
+	checks          *int64
+	work, nextCheck int64
+}
+
+// tick accounts n units of work about to be done and polls ctx once per
+// pairCancelStride units.
+func (j *pairJoin) tick(n int) error {
+	due := j.work >= j.nextCheck
+	j.work += int64(n)
+	if !due {
+		return nil
+	}
+	j.nextCheck = j.work + pairCancelStride
+	if err := j.ctx.Err(); err != nil {
+		return fmt.Errorf("core: forming pairs: %w", err)
+	}
+	return nil
+}
+
+// firstFailing returns the first of terms[from:] the pair fails, in query
+// order, or -1 when it satisfies them all.
+func (j *pairJoin) firstFailing(from, si, ti int) int {
+	for k := from; k < len(j.terms); k++ {
+		*j.checks++
+		if !j.terms[k].holds(si, ti) {
+			return k
+		}
+	}
+	return -1
+}
+
+// count returns how many partners each of the nS S-sets has and books every
+// rejected pair on the first term it fails. With an index the leading term
+// costs one range lookup per row — the T-sets outside the range are its
+// rejections — and only the pairs inside the range meet the later terms;
+// without one every pair meets every term.
+func (j *pairJoin) count(nS int) ([]int32, error) {
+	rowCount := make([]int32, nS)
+	from := 0 // the first term met pair by pair
+	if j.index != nil {
+		from = 1
+	}
+	for si := range rowCount {
+		lo, hi := 0, j.nT
+		if j.index != nil {
+			lo, hi = j.leadRange(si)
+			j.terms[0].rejected += int64(j.nT - (hi - lo))
+		}
+		if from == len(j.terms) {
+			// The range is the row's answer; no pair is visited.
+			if err := j.tick(1); err != nil {
+				return rowCount, err
+			}
+			rowCount[si] = int32(hi - lo)
+			continue
+		}
+		if err := j.tick(1 + hi - lo); err != nil {
+			return rowCount, err
+		}
+		for p := lo; p < hi; p++ {
+			ti := p
+			if j.index != nil {
+				ti = int(j.index.order[p])
+			}
+			if k := j.firstFailing(from, si, ti); k >= 0 {
+				j.terms[k].rejected++
+			} else {
+				rowCount[si]++
+			}
+		}
+	}
+	return rowCount, nil
+}
+
+// leadRange returns the positions in j.index of S-set si's partners under
+// the leading term: none when its key is undefined or NaN.
+func (j *pairJoin) leadRange(si int) (lo, hi int) {
+	lead := j.terms[0]
+	if v := lead.keyS[si]; lead.okS[si] && !math.IsNaN(v) {
+		return j.index.partners(lead.sides.Op, v, j.checks)
+	}
+	return 0, 0
+}

@@ -29,9 +29,11 @@ type Stats struct {
 	// SetConstraintChecks counts constraint-checking invocations on sets of
 	// size ≥ 2. A ccc-optimal strategy performs none during set computation.
 	SetConstraintChecks int64
-	// PairChecks counts 2-var constraint evaluations during final pair
-	// formation (outside the scope of ccc-optimality, reported for
-	// completeness).
+	// PairChecks counts the key comparisons final pair formation made
+	// (core.formPairs: binary-search probes for the leading 2-var
+	// constraint's partner ranges plus one per constraint tested on a
+	// pair; each set's aggregate is evaluated once and is not counted).
+	// Outside the scope of ccc-optimality, reported for completeness.
 	PairChecks int64
 	// FrequentSets and ValidSets count discovered frequent sets and the
 	// subset of them that are valid.

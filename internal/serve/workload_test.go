@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/cfq"
 	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/obs/workload"
@@ -352,16 +354,19 @@ func TestShadowSamplerConcurrentStorm(t *testing.T) {
 	}
 }
 
-// TestFig8aRegretInversion reproduces the committed BENCH.json strategy gap
-// through the full service path: on the Figure 8(a) 33%-overlap point the
-// published CAP baseline (1-var pushdown only, "cap" on the wire,
-// "cap-1var" in BENCH.json) pays an order of magnitude over the optimized
-// 2-var plan — 654ms vs 54ms in the committed run. A planner pinned to the
-// baseline therefore carries large measured regret, exactly what the shadow
-// sampler exists to surface. (BENCH.json also records a nojmax-vs-optimized
-// micro-inversion at this point; on current builds those two strategies are
-// within scheduling noise of each other, so the assertion pins the robust
-// cap gap instead — see EXPERIMENTS.md.)
+// TestFig8aRegretInversion reproduces the paper's Figure 8(a) claim through
+// the full service path: on the 33%-overlap point the published CAP
+// baseline (1-var pushdown only, "cap" on the wire, "cap-1var" in
+// BENCH.json) counts several times the candidates of the optimized 2-var
+// plan and is slower for it. A planner pinned to the baseline therefore
+// carries measured regret, exactly what the shadow sampler exists to
+// surface. The counts are exact and carry the claim; the wall gap is what
+// the extra counting costs (2-3x measured) now that pair formation no
+// longer adds |S|·|T| Satisfies calls to the baseline, and only its
+// direction with a small margin is asserted — see EXPERIMENTS.md E12.
+// (BENCH.json also records a nojmax-vs-optimized micro-inversion at this
+// point; on current builds those two strategies are within scheduling noise
+// of each other, so the assertion pins the cap gap instead.)
 func TestFig8aRegretInversion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8a workload is seconds-scale; skipped under -short")
@@ -401,15 +406,29 @@ func TestFig8aRegretInversion(t *testing.T) {
 	// requests deliberately pin the CAP baseline — the "wrong" plan whose
 	// regret the sampler should expose.
 	query := "{(S,T) | freq(S) >= 40 & freq(T) >= 40 & range(S.Price, 400, 1000) & range(T.Price, 0, 600) & max(S.Price) <= min(T.Price)}"
-	const live = 2
-	for i := 0; i < live; i++ {
+	// The last request runs the optimized plan live so its work counters
+	// come back over the wire beside the baseline's.
+	strategies := []string{"cap", "cap", "cap", "optimized"}
+	const live = 4
+	counted := map[string]int64{}
+	for i, strat := range strategies {
 		status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{
-			Dataset: "fig8a", Query: query, Strategy: "cap",
+			Dataset: "fig8a", Query: query, Strategy: strat,
 			NoSession: true, NoCache: true,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("query %d: status %d: %s", i, status, body)
 		}
+		var res cfq.Result
+		if err := json.Unmarshal(queryResp(t, body).Result, &res); err != nil {
+			t.Fatalf("query %d: result payload: %v", i, err)
+		}
+		counted[strat] = res.Stats.CandidatesCounted
+	}
+	// The paper's claim, drift-free: 1-var pushdown alone counts several
+	// times the candidates of the plan that also pushes the 2-var constraint.
+	if counted["cap"] < 3*counted["optimized"] {
+		t.Errorf("cap counted %d candidates, optimized %d (want >= 3x)", counted["cap"], counted["optimized"])
 	}
 
 	rt := awaitShadowRuns(t, ts.URL, live*2, 2*time.Minute)
@@ -431,22 +450,20 @@ func TestFig8aRegretInversion(t *testing.T) {
 	if cap1.Runs != live || opt.Runs != live {
 		t.Fatalf("runs: cap=%d optimized=%d, want %d each", cap1.Runs, opt.Runs, live)
 	}
-	// The committed gap is ~12x; even on a loaded single-core box the
-	// ordering and a conservative 3x margin are far outside scheduling
-	// noise. Min-of-k wall is the noise-robust estimate (delays only ever
-	// inflate a run).
-	if cap1.MinMS < 3*opt.MinMS {
-		t.Errorf("BENCH.json gap not reproduced: cap min %.3fms vs optimized min %.3fms (want >= 3x)",
+	// Min-of-k wall is the noise-robust estimate (delays only ever inflate
+	// a run): 2-3x measured idle and with both cores busy, asserted at 1.3x.
+	if cap1.MinMS < 1.3*opt.MinMS {
+		t.Errorf("cap is not slower than optimized: cap min %.3fms vs optimized min %.3fms (want >= 1.3x)",
 			cap1.MinMS, opt.MinMS)
 	}
-	if cap1.Best || cap1.Regret < 2 {
-		t.Errorf("regret table misses the gap: cap best=%v regret=%.2f, want regret >= 2", cap1.Best, cap1.Regret)
+	if cap1.Best || cap1.Regret <= 1 {
+		t.Errorf("regret table misses the gap: cap best=%v regret=%.2f, want regret > 1", cap1.Best, cap1.Regret)
 	}
 	if opt.Regret < 1 {
 		t.Errorf("optimized regret = %.2f, want >= 1 by construction", opt.Regret)
 	}
-	t.Logf("fig8a-overlap-33 regret: cap mean %.2fms min %.2fms (%.2fx), optimized mean %.2fms min %.2fms (best=%v)",
-		cap1.MeanMS, cap1.MinMS, cap1.Regret, opt.MeanMS, opt.MinMS, opt.Best)
+	t.Logf("fig8a-overlap-33: cap counted %d candidates, optimized %d; regret: cap mean %.2fms min %.2fms (%.2fx), optimized mean %.2fms min %.2fms (best=%v)",
+		counted["cap"], counted["optimized"], cap1.MeanMS, cap1.MinMS, cap1.Regret, opt.MeanMS, opt.MinMS, opt.Best)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

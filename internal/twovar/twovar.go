@@ -140,8 +140,26 @@ type Constraint2 interface {
 	// Reduce decouples the constraint given the frequent items of each
 	// side (L1ˢ, L1ᵀ) — Figures 2–4. The returned conditions are sound.
 	Reduce(l1S, l1T itemset.Set) Reduction
+	// Sides splits the constraint into one term per variable, so a caller
+	// holding many sets evaluates each term once per set instead of once per
+	// pair (core.formPairs).
+	Sides() Sides
 	// String renders the constraint in the paper's notation.
 	String() string
+}
+
+// Sides is a 2-var constraint as a relation between two per-set terms. For
+// every pair, Satisfies(s, t) equals the relation applied to the S-side
+// term of s and the T-side term of t, computed by the same functions
+// Satisfies uses. Exactly one of the two forms is set.
+type Sides struct {
+	// Aggregate form AggS(s) Op AggT(t); nil for a domain constraint. An
+	// aggregate undefined on its set (ok = false) satisfies nothing.
+	Op         constraint.Op
+	AggS, AggT func(itemset.Set) (v float64, ok bool)
+	// Domain form Rel.Holds(ProjS(s), ProjT(t)).
+	Rel          constraint.DomainRel
+	ProjS, ProjT func(itemset.Set) attr.ValueSet
 }
 
 // ---------------------------------------------------------------------------
@@ -181,23 +199,11 @@ func (d *dom2) String() string {
 }
 
 func (d *dom2) Satisfies(s, t itemset.Set) bool {
-	sa := d.catS.SetOf(s)
-	tb := d.catT.SetOf(t)
-	switch d.rel {
-	case constraint.DisjointFrom:
-		return !sa.Intersects(tb)
-	case constraint.Intersects:
-		return sa.Intersects(tb)
-	case constraint.SubsetOf:
-		return tb.ContainsAll(sa)
-	case constraint.NotSubsetOf:
-		return !tb.ContainsAll(sa)
-	case constraint.EqualTo:
-		return sa.Equal(tb)
-	case constraint.SupersetOf:
-		return sa.ContainsAll(tb)
-	}
-	panic(fmt.Sprintf("twovar: unknown domain relation %d", int(d.rel)))
+	return d.rel.Holds(d.catS.SetOf(s), d.catT.SetOf(t))
+}
+
+func (d *dom2) Sides() Sides {
+	return Sides{Rel: d.rel, ProjS: d.catS.SetOf, ProjT: d.catT.SetOf}
 }
 
 func (d *dom2) Classify(itemset.Set, itemset.Set) Class2 {
@@ -304,6 +310,14 @@ func (a *agg2) Satisfies(s, t itemset.Set) bool {
 		return false
 	}
 	return a.op.Cmp(v1, v2)
+}
+
+func (a *agg2) Sides() Sides {
+	return Sides{
+		Op:   a.op,
+		AggS: func(s itemset.Set) (float64, bool) { return a.numS.Eval(a.agg1, s) },
+		AggT: func(t itemset.Set) (float64, bool) { return a.numT.Eval(a.agg2, t) },
+	}
 }
 
 // nonDecreasing reports whether growing the set can only keep or raise the

@@ -82,6 +82,13 @@ if grep -rnE '\.Satisfies\(' cfq --include='*.go' | grep -v '_test.go'; then
   echo "check.sh: constraint evaluation under cfq/ (filtering and pair formation belong to internal/cap and internal/core)" >&2
   exit 1
 fi
+# Pair formation is a join on per-set keys (core.formPairs): a two-argument
+# Satisfies(s, t) in the engine would bring the |S|x|T| per-pair loop back.
+# The 1-var Condition(b).Satisfies(s) calls take one argument and stay.
+if grep -rnE '\.Satisfies\([^(),]+,[^()]*\)' internal/core internal/cap --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: per-pair 2-var Satisfies(s, t) under internal/core or internal/cap (evaluate twovar.Sides once per set)" >&2
+  exit 1
+fi
 if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru/' | grep -v '_test.go'; then
   echo "check.sh: LRU recency bookkeeping outside internal/lru (use lru.Cache)" >&2
   exit 1
