@@ -10,7 +10,8 @@ import (
 // EXPLAIN / EXPLAIN ANALYZE for the optimizer. ExplainQuery renders the
 // plan — each pushed constraint's classification, where it will be
 // enforced, and an item-frequency estimate of its selectivity — without
-// mining anything (it costs one database scan for the item supports).
+// mining anything (the item supports are the compiled database's own
+// statistics, computed once per generation: no scan).
 // ExplainAnalyze runs the query and joins the attributed pruning counters
 // onto the plan: per constraint, the candidates actually discarded at each
 // of its pruning sites. The report's pruning buckets partition the run's
@@ -64,13 +65,14 @@ type QueryFeatures = obs.QueryFeatures
 
 // ProfileQuery renders the plan together with the query's feature vector
 // (database shape, L1 stats, selectivity products, constraint mix) off the
-// same single support scan ExplainQuery pays. It is the workload journal's
-// profiling seam: one call per distinct canonical query per dataset
-// generation yields everything the journal records besides run actuals.
+// same per-generation item supports ExplainQuery reads. It is the workload
+// journal's profiling seam: one call per distinct canonical query per
+// dataset generation yields everything the journal records besides run
+// actuals.
 func (q *Query) ProfileQuery(strat Strategy) (rep *ExplainReport, feats *QueryFeatures, err error) {
 	defer recoverToError(&err)
 	// The profile is strategy-independent (class and features come from the
-	// constraint classification and the support scan), so auto profiles on
+	// constraint classification and the item supports), so auto profiles on
 	// the default strategy's plan without invoking the planner.
 	if strat == Auto {
 		strat = Optimized

@@ -78,9 +78,10 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 	if tracer != nil {
 		sp = tracer.Start("plan:decide")
 	}
-	// Profile off one support scan: the report yields the workload class,
-	// the feature vector feeds the cost model. A profiling failure is not
-	// fatal — Decide degrades to the fallback strategy, never an error.
+	// Profile off the database's item supports: the report yields the
+	// workload class, the feature vector feeds the cost model. A profiling
+	// failure is not fatal — Decide degrades to the fallback strategy, never
+	// an error.
 	var class string
 	rep, feats, ferr := core.BuildExplainFeatures(icfq, Optimized.internal())
 	if ferr != nil {
@@ -183,9 +184,9 @@ func (p *Prepared) RunRulesContext(ctx context.Context, params RuleParams) (out 
 }
 
 // Explain renders the prepared plan's EXPLAIN report without running it
-// (one database scan for the selectivity estimates); plans chosen by the
-// planner carry the decision (chosen strategy, costed alternatives) in the
-// report's planner node.
+// (and without a database pass: the selectivity estimates read
+// per-generation statistics); plans chosen by the planner carry the decision
+// (chosen strategy, costed alternatives) in the report's planner node.
 func (p *Prepared) Explain() (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
 	rep, err = core.BuildExplain(p.icfq, p.strat.internal())

@@ -252,3 +252,45 @@ func TestParseStrategyAuto(t *testing.T) {
 		t.Fatalf("Auto.String() = %q", Auto.String())
 	}
 }
+
+// TestProfileFollowsGeneration: EXPLAIN's features are read from statistics
+// the compiled database computes once — and an append compiles a new
+// database, so the next profile sees the appended transactions. Nothing is
+// carried across generations.
+func TestProfileFollowsGeneration(t *testing.T) {
+	ds := NewDataset(6)
+	if err := ds.SetNumeric("Price", []float64{2, 3, 4, 8, 12, 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AddTransactions([][]int{{0, 1}, {0, 1, 2}, {0, 2}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	profile := func() *QueryFeatures {
+		t.Helper()
+		rep, f, err := NewQuery(ds).MinSupport(2).
+			WhereS(Aggregate(Max, "Price", LE, 4)).ProfileQuery(Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Constraints[0].EstimatedSelectivity; got != f.SelectivityS {
+			t.Errorf("report selectivity %v, features %v", got, f.SelectivityS)
+		}
+		return f
+	}
+	// Supports 0:3 1:3 2:2, every item priced <= 4.
+	before := profile()
+	if before.Transactions != 4 || before.Items != 3 || before.FrequentItemsS != 3 || before.SelectivityS != 1 {
+		t.Fatalf("first generation: %+v", *before)
+	}
+	if again := profile(); *again != *before {
+		t.Errorf("same generation profiled twice: %+v then %+v", *before, *again)
+	}
+	// Adds 3:3 4:2 5:1 — 6 of the 14 item occurrences now fail the constraint.
+	if err := ds.AddTransactions([][]int{{3, 4}, {3, 4}, {3, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	after := profile()
+	if after.Transactions != 7 || after.Items != 6 || after.FrequentItemsS != 5 || after.SelectivityS != 8.0/14.0 {
+		t.Errorf("second generation: %+v, want 7 transactions, 6 items, 5 frequent, selectivity 8/14", *after)
+	}
+}

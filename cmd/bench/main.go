@@ -259,7 +259,7 @@ func printRegret(fresh, base *benchFile) {
 }
 
 // measureAuto runs one workload point the way a strategy-auto request runs:
-// profile the query (one support scan), cost every strategy, decide, then
+// profile the query (item supports), cost every strategy, decide, then
 // execute the chosen plan with its knobs (Jmax cutoff, miner) applied. The
 // planning time — profile included — is charged to the auto wall, so the
 // recorded regret is honest about overhead, not just the pick.

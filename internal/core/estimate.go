@@ -1,42 +1,37 @@
 // Selectivity estimation for EXPLAIN: a deliberately crude item-frequency
-// model. The planner has no histogram machinery; what it does have cheaply
-// is the support of every item (one database scan). A 1-var constraint's
-// estimated selectivity is the support-weighted fraction of domain items
-// whose *singleton* satisfies it — i.e. the expected level-1 pass rate,
-// treating the constraint as an item filter. For succinct constraints this
-// is exact at level 1; for aggregate constraints it is only an indicator of
-// how restrictive the constraint is on small sets. EXPLAIN ANALYZE exists
-// precisely because this estimate is rough: the actual pruned counts sit
-// next to it.
+// model. The planner has no histogram machinery; what it does have for free
+// is the support of every item (txdb computes it once per database, i.e.
+// once per dataset generation, so an estimate costs no pass). A 1-var
+// constraint's estimated selectivity is the support-weighted fraction of
+// domain items whose *singleton* satisfies it — i.e. the expected level-1
+// pass rate, treating the constraint as an item filter. For succinct
+// constraints this is exact at level 1; for aggregate constraints it is only
+// an indicator of how restrictive the constraint is on small sets. EXPLAIN
+// ANALYZE exists precisely because this estimate is rough: the actual pruned
+// counts sit next to it.
 package core
 
 import (
 	"repro/internal/constraint"
 	"repro/internal/itemset"
-	"repro/internal/txdb"
 )
 
-// itemSupports computes the support of every domain item in one database
-// scan (counted in the db's scan total, like any other pass).
-func itemSupports(db *txdb.DB, domain itemset.Set) map[itemset.Item]int64 {
-	sup := make(map[itemset.Item]int64, domain.Len())
-	db.Scan(func(_ int, t itemset.Set) {
-		for _, it := range t {
-			if domain.Contains(it) {
-				sup[it]++
-			}
-		}
-	})
-	return sup
+// itemSupport looks an item up in the database's per-item supports
+// (txdb.DB.ItemSupports); a domain item the database never saw has none.
+func itemSupport(sup []int, it itemset.Item) int64 {
+	if int(it) >= len(sup) {
+		return 0
+	}
+	return int64(sup[it])
 }
 
 // estimateSelectivity returns the estimated fraction of candidate mass the
 // constraint keeps, in [0, 1], or -1 when the domain carries no support
 // mass at all (no estimate possible).
-func estimateSelectivity(c constraint.Constraint, domain itemset.Set, sup map[itemset.Item]int64) float64 {
+func estimateSelectivity(c constraint.Constraint, domain itemset.Set, sup []int) float64 {
 	var kept, total int64
 	for _, it := range domain {
-		w := sup[it]
+		w := itemSupport(sup, it)
 		if w == 0 {
 			continue
 		}

@@ -82,32 +82,33 @@ func describeQuery(q CFQ) string {
 
 // BuildExplain renders the optimizer's plan for the query under the given
 // strategy as an ExplainReport, without running the query. The estimated
-// selectivities cost one database scan (item supports).
+// selectivities read the database's per-generation item supports: no scan.
 func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 	rep, _, err := BuildExplainFeatures(q, strat)
 	return rep, err
 }
 
 // BuildExplainFeatures renders the plan and the query's strategy-independent
-// feature vector (workload journal / cost-model input) off the same single
-// item-support scan BuildExplain pays.
+// feature vector (workload journal / cost-model input) off the same
+// per-generation item supports BuildExplain reads.
 func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.QueryFeatures, error) {
 	if err := q.normalize(); err != nil {
 		return nil, nil, err
 	}
+	active := q.DB.ActiveItems()
 	domS, domT := q.DomainS, q.DomainT
 	if domS == nil {
-		domS = q.DB.ActiveItems()
+		domS = active
 	}
 	if domT == nil {
-		domT = q.DB.ActiveItems()
+		domT = active
 	}
 	rep := &obs.ExplainReport{
 		Schema:   obs.ReportSchema,
 		Query:    describeQuery(q),
 		Strategy: strat.String(),
 	}
-	sup := itemSupports(q.DB, q.DB.ActiveItems())
+	sup := q.DB.ItemSupports()
 
 	side := func(v string, cons []constraint.Constraint, dom itemset.Set) {
 		// Apriori⁺ tests the original conjunction as-is; every other
@@ -187,15 +188,15 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 		}
 		rep.Constraints = append(rep.Constraints, ce)
 	}
-	return rep, buildFeatures(q, domS, domT, sup), nil
+	return rep, buildFeatures(q, active.Len(), domS, domT, sup), nil
 }
 
 // buildFeatures assembles the feature vector from the normalized query and
-// the already-computed item supports (no extra scan).
-func buildFeatures(q CFQ, domS, domT itemset.Set, sup map[itemset.Item]int64) *obs.QueryFeatures {
+// the database's item statistics.
+func buildFeatures(q CFQ, items int, domS, domT itemset.Set, sup []int) *obs.QueryFeatures {
 	f := &obs.QueryFeatures{
 		Transactions:  q.DB.Len(),
-		Items:         q.DB.ActiveItems().Len(),
+		Items:         items,
 		MinSupportS:   q.MinSupportS,
 		MinSupportT:   q.MinSupportT,
 		DomainS:       domS.Len(),
@@ -207,7 +208,7 @@ func buildFeatures(q CFQ, domS, domT itemset.Set, sup map[itemset.Item]int64) *o
 	l1 := func(dom itemset.Set, minsup int) int {
 		n := 0
 		for _, it := range dom {
-			if sup[it] >= int64(minsup) {
+			if itemSupport(sup, it) >= int64(minsup) {
 				n++
 			}
 		}

@@ -11,6 +11,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,7 +30,7 @@ type Set []Item
 func New(items ...Item) Set {
 	s := make(Set, len(items))
 	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	// Deduplicate in place.
 	out := s[:0]
 	for i, it := range s {

@@ -2,9 +2,11 @@ package mine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/obs"
 	"repro/internal/txdb"
@@ -141,4 +143,112 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// coldFixture is one of the served benchmark's two fixture databases
+// (benchmark/workloads.go: Quest T10.I4 over 1000 items, generator seed 1,
+// prices U[0,1000) with seed 2), mined at the server's default 1 % support.
+type coldFixture struct {
+	db     *txdb.DB
+	minSup int
+	prices []float64
+}
+
+func newColdFixture(b *testing.B, name string) coldFixture {
+	b.Helper()
+	p := gen.Default(1)
+	p.NumItems = 1000
+	switch name {
+	case "wide": // few frequent sets and long scans: mining dominates a query
+		p.NumTransactions, p.NumPatterns = 20000, 400
+	case "dense": // thousands of frequent sets at 1 %
+		p.NumTransactions, p.NumPatterns = 4000, 80
+	}
+	db, err := gen.Quest(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return coldFixture{db, db.Len() / 100, gen.UniformPrices(p.NumItems, 0, 1000, 2)}
+}
+
+// BenchmarkLevelwiseCold is one cold lattice — New plus RunAll, nothing
+// reused — on the served benchmark's fixtures: what explore-cold pays about
+// five times per query and append-requery once per append. The three shapes
+// are what the strategies hand the miner: the full domain (Apriori⁺), a
+// price-range half of it with a Required class (CAP with succinct
+// constraints pushed), and the same with an anti-monotone CandidateFilter
+// (CAP with a sum bound, or a Jmax bound, pushed too).
+func BenchmarkLevelwiseCold(b *testing.B) {
+	wide := newColdFixture(b, "wide")
+	var half, required itemset.Set
+	for it, price := range wide.prices {
+		if price >= 500 {
+			half = append(half, itemset.Item(it))
+		}
+		if price >= 900 {
+			required = append(required, itemset.Item(it))
+		}
+	}
+	sumAtMost := func(_ int, s itemset.Set) bool {
+		sum := 0.0
+		for _, it := range s {
+			sum += wide.prices[it]
+		}
+		return sum <= 2200
+	}
+	dense := newColdFixture(b, "dense")
+	shapes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"wide/full", Config{DB: wide.db, MinSupport: wide.minSup}},
+		{"wide/half-required", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required}},
+		{"wide/half-required-filter", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required, CandidateFilter: sumAtMost}},
+		{"dense/full", Config{DB: dense.db, MinSupport: dense.minSup}},
+	}
+	for _, sh := range shapes {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", sh.name, workers), func(b *testing.B) {
+				cfg := sh.cfg
+				cfg.Workers = workers
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					lw, err := New(context.Background(), cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := lw.RunAll(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAlternatesCold puts the two non-levelwise miners on the same
+// fixtures and threshold as BenchmarkLevelwiseCold's full-domain rows, so
+// "does FP-growth or Eclat beat levelwise anywhere the planner would pick
+// them" (ROADMAP) is read off one table.
+func BenchmarkAlternatesCold(b *testing.B) {
+	miners := []struct {
+		name string
+		run  func(ctx context.Context, db *txdb.DB, minSupport int, domain itemset.Set, budget *Budget, stats *Stats) ([][]Counted, error)
+	}{
+		{"fpgrowth", FPGrowth},
+		{"eclat", VerticalFrequent},
+	}
+	for _, name := range []string{"wide", "dense"} {
+		f := newColdFixture(b, name)
+		for _, m := range miners {
+			b.Run(m.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.run(context.Background(), f.db, f.minSup, nil, nil, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -23,6 +23,7 @@ package mine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -124,9 +125,9 @@ type Levelwise struct {
 	guard      *Guard
 	tracer     *obs.Tracer
 	prune      *obs.PruneSet
-	freqSite   string    // pruning site for infrequent candidates
-	reqSite    string    // pruning site for Required-excluded singletons
-	tx         [][]int32 // transactions projected to rank space
+	freqSite   string     // pruning site for infrequent candidates
+	reqSite    string     // pruning site for Required-excluded singletons
+	tx         projection // transactions projected to rank space
 	rankToItem []itemset.Item
 	nRequired  int // ranks < nRequired are Required items
 	level      int
@@ -143,6 +144,16 @@ type Levelwise struct {
 
 	lastFrequent []Counted // all frequent sets of the last completed level
 }
+
+// projection is the database projected onto a miner's domain in rank space,
+// stored flat: row i is items[off[i]:off[i+1]], strictly ascending.
+type projection struct {
+	items []int32
+	off   []int
+}
+
+func (p *projection) rows() int         { return len(p.off) - 1 }
+func (p *projection) row(i int) []int32 { return p.items[p.off[i]:p.off[i+1]] }
 
 // New validates cfg and prepares a miner. The database is projected onto the
 // domain once (one scan). ctx governs the whole run: New and every
@@ -185,7 +196,9 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 			maxItem = it
 		}
 	}
-	itemToRank := make([]int32, maxItem+1)
+	// Sized to cover every database item too, so projection needs no bounds
+	// check.
+	itemToRank := make([]int32, max(int(maxItem)+1, cfg.DB.NumItems()))
 	for i := range itemToRank {
 		itemToRank[i] = -1
 	}
@@ -204,22 +217,39 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 			obs.Int("domain", domain.Len())).WithStats(stats.Counters())
 	}
 
-	// Project the database (one accounted scan, checked per batch).
-	tx := make([][]int32, 0, cfg.DB.Len())
+	// Project the database (one accounted scan, checked per batch) into one
+	// arena. The domain items' supports add up to exactly the number of
+	// ranks the projection holds, so the arena never grows.
+	sup := cfg.DB.ItemSupports()
+	total := 0
+	for _, it := range domain {
+		if int(it) < len(sup) {
+			total += sup[it]
+		}
+	}
+	tx := projection{items: make([]int32, 0, total), off: make([]int, 1, cfg.DB.Len()+1)}
+	firstOther := int32(nRequired)
 	err := cfg.DB.ScanErr(func(tid int, t itemset.Set) error {
 		if tid%checkBatch == 0 {
 			if err := guard.Check("levelwise: database projection"); err != nil {
 				return err
 			}
 		}
-		var row []int32
-		for _, it := range t {
-			if int(it) < len(itemToRank) && itemToRank[it] >= 0 {
-				row = append(row, itemToRank[it])
+		// Items ascend, so the ranks of each class do too: writing the
+		// required class first leaves the row sorted without a sort.
+		if nRequired > 0 {
+			for _, it := range t {
+				if r := itemToRank[it]; r >= 0 && r < firstOther {
+					tx.items = append(tx.items, r)
+				}
 			}
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		tx = append(tx, row)
+		for _, it := range t {
+			if r := itemToRank[it]; r >= firstOther {
+				tx.items = append(tx.items, r)
+			}
+		}
+		tx.off = append(tx.off, len(tx.items))
 		return nil
 	})
 	if err != nil {
@@ -292,11 +322,15 @@ func (l *Levelwise) FrequentItemCounts() []Counted {
 
 // toOrig converts a rank-space set to a sorted original-space itemset.
 func (l *Levelwise) toOrig(rs []int32) itemset.Set {
-	items := make([]itemset.Item, len(rs))
+	items := make(itemset.Set, len(rs))
 	for i, r := range rs {
 		items[i] = l.rankToItem[r]
 	}
-	return itemset.New(items...)
+	// Without a Required class rank order is item order.
+	if l.nRequired > 0 {
+		slices.Sort(items)
+	}
+	return items
 }
 
 // rankKey builds a canonical key for a rank-space set.
@@ -336,9 +370,12 @@ func (l *Levelwise) Step() ([]Counted, bool, error) {
 	}
 	var out []Counted
 	var err error
-	if l.level == 0 {
+	switch l.level {
+	case 0:
 		out, err = l.stepOne()
-	} else {
+	case 1:
+		out, err = l.stepTwo()
+	default:
 		out, err = l.stepK()
 	}
 	if sp != nil {
@@ -410,19 +447,14 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 			counted[r] = true
 			l.stats.CandidatesCounted++
 		}
-		for start := 0; start < len(l.tx); start += checkBatch {
+		for start := 0; start < l.tx.rows(); start += checkBatch {
 			if err := l.guard.Check("level 1: counting"); err != nil {
 				return nil, err
 			}
-			end := start + checkBatch
-			if end > len(l.tx) {
-				end = len(l.tx)
-			}
-			for _, t := range l.tx[start:end] {
-				for _, r := range t {
-					if eligible[r] {
-						counts[r]++
-					}
+			end := min(start+checkBatch, l.tx.rows())
+			for _, r := range l.tx.items[l.tx.off[start]:l.tx.off[end]] {
+				if eligible[r] {
+					counts[r]++
 				}
 			}
 		}
@@ -475,7 +507,186 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 	return out, nil
 }
 
-// stepK generates, prunes and counts level k+1 candidates.
+// stepTwo counts level 2 without materialising it. The candidates are the
+// pairs of L1 positions (p, q), p < q, whose first element may lead a valid
+// set — every position, or with a Required class only those holding a
+// required rank, which are a prefix because required items hold the lowest
+// ranks. They are laid out row by row in one triangle of int32 cells, in the
+// lexicographic order level 3's prefix join expects; off[p]+q is the cell of
+// (p, q). At 4 bytes a candidate the triangle is smaller than any
+// alternative representation of the same pairs, so there is no size
+// fallback.
+func (l *Levelwise) stepTwo() ([]Counted, error) {
+	const genWhere = "level 2: candidate generation"
+	if err := l.guard.Check(genWhere); err != nil {
+		return nil, err
+	}
+	n1 := len(l.l1Ranks)
+	rows := n1
+	if l.nRequired > 0 {
+		rows = sort.Search(n1, func(p int) bool { return int(l.l1Ranks[p]) >= l.nRequired })
+	}
+	off := make([]int, rows)
+	cells := 0
+	for p := range off {
+		if err := l.guard.Check(genWhere); err != nil {
+			return nil, err
+		}
+		off[p] = cells - (p + 1)
+		cells += n1 - 1 - p
+	}
+
+	// Anti-monotone candidate filter: consulted once per cell in lex order
+	// (the closure charges its own prune site); rejected cells are masked.
+	kept := cells
+	var masked []bool
+	if l.cfg.CandidateFilter != nil {
+		masked = make([]bool, cells)
+		c := 0
+		for p := 0; p < rows; p++ {
+			for q := p + 1; q < n1; q++ {
+				if c%genCheckBatch == 0 {
+					if err := l.guard.Check("level 2: candidate filtering"); err != nil {
+						return nil, err
+					}
+				}
+				if !l.cfg.CandidateFilter(2, l.toOrig([]int32{l.l1Ranks[p], l.l1Ranks[q]})) {
+					masked[c] = true
+					kept--
+					l.stats.CandidatesPruned++ // site charged by the filter closure
+				}
+				c++
+			}
+		}
+	}
+
+	l.level = 2
+	if kept == 0 {
+		l.resetLevel(0)
+		return nil, nil
+	}
+
+	// Charged before counting, like every level (see stepK).
+	l.stats.CandidatesCounted += int64(kept)
+	tri, err := l.countTriangle(off, cells)
+	if err != nil {
+		return nil, err
+	}
+	l.stats.DBScans++
+
+	// Rejected cells were counted along with the rest; zeroed, they can
+	// never reach the threshold (MinSupport >= 1).
+	frequent := 0
+	for c, n := range tri {
+		if masked != nil && masked[c] {
+			tri[c] = 0
+		} else if int(n) >= l.cfg.MinSupport {
+			frequent++
+		}
+	}
+	l.stats.CandidatesPruned += int64(kept - frequent)
+	l.prune.Charge(l.freqSite, int64(kept-frequent))
+
+	var out []Counted
+	l.resetLevel(frequent)
+	pairs := make([]int32, 0, 2*frequent)
+	c := 0
+	for p := 0; p < rows; p++ {
+		for q := p + 1; q < n1; q++ {
+			if n := int(tri[c]); n >= l.cfg.MinSupport {
+				pairs = append(pairs, l.l1Ranks[p], l.l1Ranks[q])
+				out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], n, out)
+			}
+			c++
+		}
+	}
+	return out, nil
+}
+
+// countTriangle counts, in one pass over the projected transactions, every
+// pair of L1 positions a transaction contains whose first position is a
+// triangle row, into the cell off[p]+q.
+func (l *Levelwise) countTriangle(off []int, cells int) ([]int32, error) {
+	// pos maps a rank to its L1 position, -1 when the item is infrequent.
+	pos := make([]int32, len(l.rankToItem))
+	for r := range pos {
+		pos[r] = -1
+	}
+	for p, r := range l.l1Ranks {
+		pos[r] = int32(p)
+	}
+	per := make([][]int32, max(1, l.cfg.Workers))
+	per[0] = make([]int32, cells)
+	err := l.countPass("level 2: counting", func(ctx context.Context, lo, hi, acc int) {
+		if per[acc] == nil {
+			per[acc] = make([]int32, cells)
+		}
+		countPairs(ctx, &l.tx, lo, hi, pos, off, per[acc])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sumCounts(per), nil
+}
+
+// countPairs is countTriangle's inner loop over transactions [lo, hi). A
+// non-nil ctx is polled between transaction batches; on cancellation the
+// partial counts are abandoned by the caller.
+func countPairs(ctx context.Context, tx *projection, lo, hi int, pos []int32, off []int, tri []int32) {
+	rows := int32(len(off))
+	var buf []int32 // the transaction's L1 positions, ascending like its ranks
+	for i := lo; i < hi; i++ {
+		if ctx != nil && (i-lo)%checkBatch == 0 && ctx.Err() != nil {
+			return
+		}
+		buf = buf[:0]
+		for _, r := range tx.row(i) {
+			if p := pos[r]; p >= 0 {
+				buf = append(buf, p)
+			}
+		}
+		for a, p := range buf {
+			if p >= rows {
+				break // no later position is a row either
+			}
+			row := off[p]
+			for _, q := range buf[a+1:] {
+				tri[row+int(q)]++
+			}
+		}
+	}
+}
+
+// resetLevel empties the per-level state before a level's frequent sets are
+// added to it. Generation has finished by then, so the previous level's join
+// state is no longer read.
+func (l *Levelwise) resetLevel(capacity int) {
+	l.prevSets = make([][]int32, 0, capacity)
+	l.prevSup = make([]int, 0, capacity)
+	l.prevKeys = make(map[string]int, capacity)
+	l.lastFrequent = nil
+}
+
+// addFrequent records a frequent set of the level under construction — in
+// the next level's join state and in LastFrequent — and appends it to out
+// when it is valid.
+func (l *Levelwise) addFrequent(c []int32, sup int, out []Counted) []Counted {
+	l.stats.FrequentSets++
+	l.stats.LatticeBytes += setBytes(len(c))
+	l.prevKeys[rankKey(c)] = len(l.prevSets)
+	l.prevSets = append(l.prevSets, c)
+	l.prevSup = append(l.prevSup, sup)
+	orig := l.toOrig(c)
+	l.lastFrequent = append(l.lastFrequent, Counted{Set: orig, Support: sup})
+	if l.cfg.ReportValid == nil || l.cfg.ReportValid(orig) {
+		l.stats.ValidSets++
+		return append(out, Counted{Set: orig, Support: sup})
+	}
+	l.stats.CandidatesPruned++ // site charged by ReportValid
+	return out
+}
+
+// stepK generates, prunes and counts level k+1 candidates, k >= 2.
 func (l *Levelwise) stepK() ([]Counted, error) {
 	k := l.level
 	if err := l.guard.Check(fmt.Sprintf("level %d: candidate generation", k+1)); err != nil {
@@ -483,15 +694,11 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	}
 	var cands [][]int32
 	var err error
-	if k == 1 {
-		cands, err = l.genLevel2()
-	} else {
-		switch l.cfg.GenMode {
-		case GenExtension:
-			cands, err = l.genExtension(k)
-		default:
-			cands, err = l.genPrefixJoin(k)
-		}
+	switch l.cfg.GenMode {
+	case GenExtension:
+		cands, err = l.genExtension(k)
+	default:
+		cands, err = l.genPrefixJoin(k)
 	}
 	if err != nil {
 		return nil, err
@@ -517,8 +724,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 
 	l.level = k + 1
 	if len(cands) == 0 {
-		l.prevSets, l.prevSup, l.prevKeys = nil, nil, map[string]int{}
-		l.lastFrequent = nil
+		l.resetLevel(0)
 		return nil, nil
 	}
 
@@ -533,31 +739,15 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	l.stats.DBScans++
 
 	var out []Counted
-	newSets := make([][]int32, 0, len(cands))
-	newSup := make([]int, 0, len(cands))
-	newKeys := make(map[string]int, len(cands))
-	l.lastFrequent = nil
+	l.resetLevel(len(cands))
 	for i, c := range cands {
 		if counts[i] < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
 			l.prune.Charge(l.freqSite, 1)
 			continue
 		}
-		l.stats.FrequentSets++
-		l.stats.LatticeBytes += setBytes(len(c))
-		newKeys[rankKey(c)] = len(newSets)
-		newSets = append(newSets, c)
-		newSup = append(newSup, counts[i])
-		orig := l.toOrig(c)
-		l.lastFrequent = append(l.lastFrequent, Counted{Set: orig, Support: counts[i]})
-		if l.cfg.ReportValid == nil || l.cfg.ReportValid(orig) {
-			l.stats.ValidSets++
-			out = append(out, Counted{Set: orig, Support: counts[i]})
-		} else {
-			l.stats.CandidatesPruned++ // site charged by ReportValid
-		}
+		out = l.addFrequent(c, counts[i], out)
 	}
-	l.prevSets, l.prevSup, l.prevKeys = newSets, newSup, newKeys
 	return out, nil
 }
 
@@ -565,25 +755,6 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 // produces between checkpoints: prefix boundaries are too fine to check
 // individually, whole levels too coarse on wide lattices.
 const genCheckBatch = 8192
-
-// genLevel2 pairs frequent items; when a Required class exists the first
-// element must be required (required items hold the lowest ranks, so this
-// enumerates exactly the valid pairs).
-func (l *Levelwise) genLevel2() ([][]int32, error) {
-	var cands [][]int32
-	for i, a := range l.l1Ranks {
-		if l.nRequired > 0 && int(a) >= l.nRequired {
-			break // no required item can follow: ranks are sorted
-		}
-		if err := l.guard.Check("level 2: candidate generation"); err != nil {
-			return nil, err
-		}
-		for _, b := range l.l1Ranks[i+1:] {
-			cands = append(cands, []int32{a, b})
-		}
-	}
-	return cands, nil
-}
 
 // genPrefixJoin joins frequent valid k-sets sharing their first k-1 ranks
 // and applies the validity-aware subset prune. Checkpoints fall on prefix
@@ -647,20 +818,8 @@ func (l *Levelwise) genExtension(k int) ([][]int32, error) {
 	}
 	// The counting trie requires lexicographic candidate order; extension
 	// generation does not produce it naturally.
-	sort.Slice(cands, func(i, j int) bool { return lexLess(cands[i], cands[j]) })
+	slices.SortFunc(cands, slices.Compare[[]int32])
 	return cands, nil
-}
-
-func lexLess(a, b []int32) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // subsetPrune reports whether every *valid* k-subset of the (k+1)-candidate
@@ -701,11 +860,8 @@ type trieNode struct {
 }
 
 // countCandidates counts the supports of lexicographically sorted k-level
-// candidates in one pass over the projected transactions. Serial counting
-// checkpoints between transaction batches; parallel workers poll the
-// context between batches (so cancellation stops them promptly) and the
-// coordinator re-checks after they join, which keeps checkpoint numbering
-// deterministic regardless of Workers.
+// candidates in one pass over the projected transactions (countPass), by
+// matching each transaction against a trie of the candidates.
 func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 	root := &trieNode{}
 	for idx, c := range cands {
@@ -734,69 +890,77 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 		}
 	}
 
-	where := fmt.Sprintf("level %d: counting", k)
-	workers := l.cfg.Workers
-	if workers < 2 || len(l.tx) < 4*workers {
-		counts := make([]int, len(cands))
-		for start := 0; start < len(l.tx); start += checkBatch {
-			if err := l.guard.Check(where); err != nil {
-				return nil, err
-			}
-			end := start + checkBatch
-			if end > len(l.tx) {
-				end = len(l.tx)
-			}
-			countTrie(nil, root, k, l.tx[start:end], counts)
+	per := make([][]int, max(1, l.cfg.Workers))
+	per[0] = make([]int, len(cands))
+	err := l.countPass(fmt.Sprintf("level %d: counting", k), func(ctx context.Context, lo, hi, acc int) {
+		if per[acc] == nil {
+			per[acc] = make([]int, len(cands))
 		}
-		return counts, nil
-	}
-	// Parallel counting: partition the transactions, count into per-worker
-	// slices against the shared read-only trie, then sum. Workers always
-	// rejoin through wg.Wait — cancellation makes them return early, never
-	// leak.
-	if err := l.guard.Check(where); err != nil {
+		countTrie(ctx, root, k, &l.tx, lo, hi, per[acc])
+	})
+	if err != nil {
 		return nil, err
 	}
-	ctx := l.guard.Ctx()
-	per := make([][]int, workers)
-	var wg sync.WaitGroup
-	chunk := (len(l.tx) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(l.tx) {
-			hi = len(l.tx)
-		}
-		if lo >= hi {
-			continue
-		}
-		per[w] = make([]int, len(cands))
-		wg.Add(1)
-		go func(dst []int, txs [][]int32) {
-			defer wg.Done()
-			countTrie(ctx, root, k, txs, dst)
-		}(per[w], l.tx[lo:hi])
-	}
-	wg.Wait()
-	// A cancellation that stopped the workers early surfaces here, before
-	// the partial per-worker counts can be used.
-	if err := l.guard.Check(where); err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(cands))
-	for _, p := range per {
-		for i, v := range p {
-			counts[i] += v
-		}
-	}
-	return counts, nil
+	return sumCounts(per), nil
 }
 
-// countTrie counts the trie's candidates over the given transactions into
+// countPass runs one counting pass over the projected transactions under
+// the checkpoint protocol every level shares. Serial counting (Workers < 2,
+// or too few transactions to split) checkpoints between transaction batches
+// and counts each batch into accumulator 0. Parallel counting partitions the
+// transactions among Workers goroutines, worker w counting its share into
+// accumulator w against shared read-only state and polling the context
+// between batches, so cancellation stops it promptly; the coordinator
+// checkpoints before the workers start and again after they join, which
+// keeps checkpoint numbering deterministic regardless of Workers, and a
+// cancellation that stopped them early surfaces there, before the partial
+// counts can be used. Workers always rejoin through wg.Wait: they return
+// early, never leak. The caller sums the accumulators (sumCounts).
+func (l *Levelwise) countPass(where string, count func(ctx context.Context, lo, hi, acc int)) error {
+	nTx := l.tx.rows()
+	workers := l.cfg.Workers
+	if workers < 2 || nTx < 4*workers {
+		for start := 0; start < nTx; start += checkBatch {
+			if err := l.guard.Check(where); err != nil {
+				return err
+			}
+			count(nil, start, min(start+checkBatch, nTx), 0)
+		}
+		return nil
+	}
+	if err := l.guard.Check(where); err != nil {
+		return err
+	}
+	ctx := l.guard.Ctx()
+	var wg sync.WaitGroup
+	chunk := (nTx + workers - 1) / workers
+	for w := 0; w*chunk < nTx; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			count(ctx, w*chunk, min((w+1)*chunk, nTx), w)
+		}(w)
+	}
+	wg.Wait()
+	return l.guard.Check(where)
+}
+
+// sumCounts adds every later accumulator of a counting pass into the first
+// and returns it; accumulators no worker touched are nil.
+func sumCounts[T int | int32](per [][]T) []T {
+	for _, p := range per[1:] {
+		for i, n := range p {
+			per[0][i] += n
+		}
+	}
+	return per[0]
+}
+
+// countTrie counts the trie's candidates over transactions [lo, hi) into
 // counts. The trie is read-only during counting. A non-nil ctx is polled
 // between transaction batches; on cancellation the partial counts are
 // abandoned by the caller.
-func countTrie(ctx context.Context, root *trieNode, k int, txs [][]int32, counts []int) {
+func countTrie(ctx context.Context, root *trieNode, k int, tx *projection, lo, hi int, counts []int) {
 	var walk func(n *trieNode, depth int, t []int32)
 	walk = func(n *trieNode, depth int, t []int32) {
 		i, j := 0, 0
@@ -821,11 +985,11 @@ func countTrie(ctx context.Context, root *trieNode, k int, txs [][]int32, counts
 			}
 		}
 	}
-	for i, t := range txs {
-		if ctx != nil && i%checkBatch == 0 && ctx.Err() != nil {
+	for i := lo; i < hi; i++ {
+		if ctx != nil && (i-lo)%checkBatch == 0 && ctx.Err() != nil {
 			return
 		}
-		if len(t) >= k {
+		if t := tx.row(i); len(t) >= k {
 			walk(root, 0, t)
 		}
 	}

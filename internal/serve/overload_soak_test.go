@@ -162,6 +162,12 @@ func TestOverloadChaosSoak(t *testing.T) {
 	}
 	const clients = 16
 	var wg sync.WaitGroup
+	// A t.Fatalf below must not leave the storm running into the next test:
+	// its requests land in process-global metrics other tests count.
+	t.Cleanup(func() {
+		stop.Store(true)
+		wg.Wait()
+	})
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {

@@ -653,9 +653,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 
 // maybeCaptureSlow records the request in the slow-query log when it
 // crossed the latency threshold, exhausted its budget, or failed
-// server-side. The capture — including the ExplainReport rebuild, which
-// costs one database scan — happens after the response is written, so the
-// client never waits on it.
+// server-side. The capture — including the ExplainReport rebuild — happens
+// after the response is written, so the client never waits on it.
 func (s *Server) maybeCaptureSlow(sc *reqScope, endpoint string, status int, dur time.Duration) {
 	if s.slow == nil || sc.query == nil {
 		return

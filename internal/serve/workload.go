@@ -26,14 +26,15 @@ type workloadCollector struct {
 
 	// profiles caches the per-query profile (class key, enforcement sites,
 	// feature vector) by dataset × generation × canonical text: profiling
-	// costs one database scan (cfq.Query.ProfileQuery), so repeated queries
-	// — the workload a planner cares about — pay it once per generation.
+	// (cfq.Query.ProfileQuery) compiles and classifies the query, so
+	// repeated queries — the workload a planner cares about — pay it once
+	// per generation.
 	profMu   sync.Mutex
 	profiles map[string]*queryProfile
 }
 
 // maxProfileCache bounds the profile cache; on overflow the cache resets
-// (profiles are one scan to rebuild — simpler than LRU bookkeeping).
+// (profiles are cheap to rebuild — simpler than LRU bookkeeping).
 const maxProfileCache = 512
 
 type queryProfile struct {

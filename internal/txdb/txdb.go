@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/itemset"
@@ -21,11 +22,18 @@ import (
 )
 
 // DB is an immutable in-memory transaction database. The zero value is an
-// empty database. DB values are safe for concurrent readers.
+// empty database. DB values are safe for concurrent readers; a DB must not
+// be copied after first use.
 type DB struct {
 	tx       []itemset.Set
 	numItems int   // size of the item domain (max item id + 1)
 	scans    int64 // full-scan counter, for I/O accounting
+
+	// Per-item statistics. The database is immutable, so they are computed
+	// at most once per DB — once per dataset generation — on first use.
+	statsOnce sync.Once
+	supports  []int       // supports[it] = transactions containing it
+	active    itemset.Set // items with support > 0
 }
 
 // New builds a database from the given transactions. Each transaction must
@@ -87,9 +95,13 @@ func (db *DB) ScanErr(fn func(tid int, t itemset.Set) error) error {
 	return nil
 }
 
-// Scans returns the number of full scans performed so far (an I/O-cost
-// proxy: the paper's experiments count CPU + I/O time, and levelwise
-// algorithms differ chiefly in how many passes they make).
+// Scans returns the number of Scan/ScanErr passes performed so far (an
+// I/O-cost proxy: the paper's experiments count CPU + I/O time, and levelwise
+// algorithms differ chiefly in how many passes they make). The one-time
+// statistics pass behind ItemSupports and ActiveItems is not a scan in this
+// sense: like New's validation pass it belongs to building the database, and
+// charging it to whichever reader happened to come first would make every
+// miner's pass count depend on its callers.
 func (db *DB) Scans() int64 { return atomic.LoadInt64(&db.scans) }
 
 // ResetScans zeroes the scan counter (used between experiment runs).
@@ -120,22 +132,37 @@ func (db *DB) Restrict(domain itemset.Set) *DB {
 	return New(out)
 }
 
+// itemStats computes the per-item statistics on first use.
+func (db *DB) itemStats() {
+	db.statsOnce.Do(func() {
+		sup := make([]int, db.numItems)
+		for _, t := range db.tx {
+			for _, it := range t {
+				sup[it]++
+			}
+		}
+		var active itemset.Set
+		for it, c := range sup {
+			if c > 0 {
+				active = append(active, itemset.Item(it))
+			}
+		}
+		db.supports, db.active = sup, active
+	})
+}
+
+// ItemSupports returns the support of every item, indexed by item id (length
+// NumItems()). The slice is shared by every caller and must not be mutated.
+func (db *DB) ItemSupports() []int {
+	db.itemStats()
+	return db.supports
+}
+
 // ActiveItems returns the set of items occurring in at least one
-// transaction.
+// transaction. The result is the caller's own copy.
 func (db *DB) ActiveItems() itemset.Set {
-	seen := make([]bool, db.numItems)
-	for _, t := range db.tx {
-		for _, it := range t {
-			seen[it] = true
-		}
-	}
-	var items []itemset.Item
-	for i, ok := range seen {
-		if ok {
-			items = append(items, itemset.Item(i))
-		}
-	}
-	return itemset.FromSorted(items)
+	db.itemStats()
+	return db.active.Clone()
 }
 
 // WriteText writes the database in the one-transaction-per-line text format

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +277,84 @@ func TestQuickRoundTripAndRestrict(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestItemStatsOncePerDB: the per-item statistics are computed by whichever
+// reader comes first — here eight at once — and every reader then sees that
+// one result; the pass is not a Scan. Run with -race.
+func TestItemStatsOncePerDB(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	txs := make([]itemset.Set, 500)
+	want := make([]int, 40)
+	for i := range txs {
+		items := make([]itemset.Item, r.Intn(8))
+		for j := range items {
+			items[j] = itemset.Item(r.Intn(40))
+		}
+		txs[i] = itemset.New(items...)
+		for _, it := range txs[i] {
+			want[it]++
+		}
+	}
+	db := New(txs)
+	want = want[:db.NumItems()]
+
+	const readers = 8
+	sups := make([][]int, readers)
+	actives := make([]itemset.Set, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				sups[g], actives[g] = db.ItemSupports(), db.ActiveItems()
+			} else {
+				actives[g], sups[g] = db.ActiveItems(), db.ItemSupports()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range sups {
+		if !reflect.DeepEqual(sups[g], want) {
+			t.Fatalf("reader %d: ItemSupports = %v, want %v", g, sups[g], want)
+		}
+		if &sups[g][0] != &sups[0][0] {
+			t.Errorf("reader %d got its own supports: computed more than once", g)
+		}
+		for _, it := range actives[g] {
+			if want[it] == 0 {
+				t.Errorf("reader %d: inactive item %d in ActiveItems", g, it)
+			}
+		}
+		if !actives[g].Equal(actives[0]) {
+			t.Errorf("reader %d: ActiveItems = %v, reader 0 saw %v", g, actives[g], actives[0])
+		}
+	}
+	if db.Scans() != 0 {
+		t.Errorf("Scans = %d after statistics only, want 0", db.Scans())
+	}
+}
+
+// TestActiveItemsIsCallersCopy: callers keep and edit what ActiveItems
+// returns, so no two results — and not the database's own set — may share
+// storage.
+func TestActiveItemsIsCallersCopy(t *testing.T) {
+	db := sampleDB()
+	a, b := db.ActiveItems(), db.ActiveItems()
+	for i := range a {
+		a[i] = 99
+	}
+	want := itemset.New(1, 2, 3, 5)
+	if !b.Equal(want) {
+		t.Errorf("second result changed with the first: %v", b)
+	}
+	if got := db.ActiveItems(); !got.Equal(want) {
+		t.Errorf("ActiveItems after a caller's edit = %v, want %v", got, want)
+	}
+	var empty DB
+	if got := empty.ActiveItems(); !got.Empty() || len(empty.ItemSupports()) != 0 {
+		t.Errorf("zero DB: ActiveItems = %v, ItemSupports = %v", got, empty.ItemSupports())
 	}
 }

@@ -93,6 +93,19 @@ if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru
   echo "check.sh: LRU recency bookkeeping outside internal/lru (use lru.Cache)" >&2
   exit 1
 fi
+# Database passes belong to the miners: the engine reads per-item
+# statistics from txdb (computed once per database, i.e. per generation)
+# and never scans. And the levelwise hot path sorts with package slices —
+# reflection-based sort.Slice on a per-transaction or per-candidate path
+# was most of a cold query's projection cost.
+if grep -rnE '\.(Scan|ScanErr)\(' internal/core --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: database pass under internal/core (read txdb.DB.ItemSupports/ActiveItems; passes belong to internal/mine)" >&2
+  exit 1
+fi
+if grep -n 'sort\.Slice(' internal/mine/levelwise.go; then
+  echo "check.sh: sort.Slice in internal/mine/levelwise.go (use package slices)" >&2
+  exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
