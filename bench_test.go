@@ -237,75 +237,6 @@ func BenchmarkAprioriMining(b *testing.B) {
 	}
 }
 
-// BenchmarkMiningSubstrates compares the three frequent-set substrates
-// (levelwise Apriori, vertical Eclat, two-phase partition) on the Quest
-// database — the partition row shows the classic scans-vs-candidates
-// trade-off of [16].
-func BenchmarkMiningSubstrates(b *testing.B) {
-	db := getBenchDB(b)
-	minSup := db.Len() / 50
-	type miner struct {
-		name string
-		run  func(stats *mine.Stats) error
-	}
-	miners := []miner{
-		{"levelwise", func(s *mine.Stats) error {
-			_, err := mine.AllFrequent(context.Background(), db, minSup, nil, nil, s)
-			return err
-		}},
-		{"vertical", func(s *mine.Stats) error {
-			_, err := mine.VerticalFrequent(context.Background(), db, minSup, nil, nil, s)
-			return err
-		}},
-		{"fpgrowth", func(s *mine.Stats) error {
-			_, err := mine.FPGrowth(context.Background(), db, minSup, nil, nil, s)
-			return err
-		}},
-		{"partition8", func(s *mine.Stats) error {
-			_, err := mine.PartitionFrequent(context.Background(), db, minSup, nil, 8, nil, s)
-			return err
-		}},
-		{"sampling25", func(s *mine.Stats) error {
-			_, _, err := mine.SampleFrequent(context.Background(), db, minSup, nil, mine.SampleParams{Fraction: 0.25, Slack: 0.2, Seed: 1}, nil, s)
-			return err
-		}},
-	}
-	for _, m := range miners {
-		b.Run(m.name, func(b *testing.B) {
-			var last mine.Stats
-			for i := 0; i < b.N; i++ {
-				stats := &mine.Stats{}
-				if err := m.run(stats); err != nil {
-					b.Fatal(err)
-				}
-				last = *stats
-			}
-			b.ReportMetric(float64(last.CandidatesCounted), "counted")
-		})
-	}
-}
-
-// BenchmarkCandidateGenAblation compares prefix-join generation with the
-// extension-based fallback (the DESIGN.md candidate-generation ablation).
-func BenchmarkCandidateGenAblation(b *testing.B) {
-	db := getBenchDB(b)
-	minSup := db.Len() / 100
-	for _, mode := range []struct {
-		name string
-		gm   mine.GenMode
-	}{{"prefixjoin", mine.GenPrefixJoin}, {"extension", mine.GenExtension}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lw, err := mine.New(context.Background(), mine.Config{DB: db, MinSupport: minSup, GenMode: mode.gm})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lw.RunAll()
-			}
-		})
-	}
-}
-
 // BenchmarkStrategies times each CFQ strategy on the Figure 8(a) 16.6%-
 // overlap point, the head-to-head the paper's speedups are built from.
 func BenchmarkStrategies(b *testing.B) {

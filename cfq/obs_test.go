@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -139,7 +138,7 @@ func TestReportJSONOmitsEmpty(t *testing.T) {
 func TestMidRunMetricsScrape(t *testing.T) {
 	ds := marketDataset(t)
 	s := NewSession(ds)
-	handler := obs.MetricsHandler()
+	handler := obs.NewMetricsMux()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -153,15 +152,14 @@ func TestMidRunMetricsScrape(t *testing.T) {
 			default:
 			}
 			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			var snap map[string]any
-			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-				t.Errorf("scrape returned invalid JSON: %v", err)
+			handler.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+			var vars struct {
+				CFQ map[string]any `json:"cfq"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil || vars.CFQ == nil {
+				t.Errorf("scrape returned no cfq snapshot: %v", err)
 				return
 			}
-			rec = httptest.NewRecorder()
-			obs.NewMetricsMux().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-			_, _ = io.Copy(io.Discard, rec.Body)
 		}
 	}()
 

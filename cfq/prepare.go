@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mine"
 	"repro/internal/obs"
 	"repro/internal/obs/workload"
 	"repro/internal/plan"
@@ -56,7 +55,7 @@ func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (*Prepared, 
 // PrepareWith compiles and plans the query with an explicit planner (nil
 // uses DefaultPlanner). With strategy Auto the query is profiled (one
 // database scan for item supports), the planner costs every strategy, and
-// the decision — strategy, Jmax cutoff, miner — is baked into the prepared
+// the decision — strategy, Jmax cutoff — is baked into the prepared
 // plan; when ctx carries a Tracer a "plan:decide" span records the choice.
 // Any other strategy skips planning entirely and prepares that strategy
 // as-is, so Prepare never costs more than the caller asked for.
@@ -97,9 +96,6 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 	p.strat = resolved
 	p.decision = d
 	p.icfq.JmaxCutoff = d.JmaxCutoff
-	if m, merr := mine.ParseMiner(d.Miner); merr == nil {
-		p.icfq.Miner = m
-	}
 	if sp != nil {
 		sp.SetAttrs(obs.String("strategy", d.Strategy), obs.String("source", d.Source))
 		sp.End(nil)

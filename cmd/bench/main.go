@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/mine"
 	obsworkload "repro/internal/obs/workload"
 	"repro/internal/plan"
 )
@@ -260,7 +259,7 @@ func printRegret(fresh, base *benchFile) {
 
 // measureAuto runs one workload point the way a strategy-auto request runs:
 // profile the query (item supports), cost every strategy, decide, then
-// execute the chosen plan with its knobs (Jmax cutoff, miner) applied. The
+// execute the chosen plan with its Jmax cutoff applied. The
 // planning time — profile included — is charged to the auto wall, so the
 // recorded regret is honest about overhead, not just the pick.
 func measureAuto(name string, q core.CFQ, runs int) (entry, error) {
@@ -280,11 +279,6 @@ func measureAuto(name string, q core.CFQ, runs int) (entry, error) {
 		return entry{}, err
 	}
 	q.JmaxCutoff = d.JmaxCutoff
-	if d.Miner != "" {
-		if q.Miner, err = mine.ParseMiner(d.Miner); err != nil {
-			return entry{}, err
-		}
-	}
 	e, err := measure(name, q, chosen, runs)
 	if err != nil {
 		return e, err

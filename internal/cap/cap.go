@@ -49,8 +49,6 @@ type Query struct {
 	// OnLevel, when non-nil, is invoked after each level with the valid
 	// frequent sets found there (dovetailing hook).
 	OnLevel func(level int, sets []mine.Counted)
-	// GenMode selects the candidate generation algorithm.
-	GenMode mine.GenMode
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
 	// Workers sets the support-counting parallelism (see mine.Config).
@@ -64,17 +62,13 @@ type Query struct {
 	// mine.Budget). Shared by pointer so one budget can span several
 	// runners.
 	Budget *mine.Budget
-	// Miner selects the complete-mining algorithm for AprioriPlus, which
-	// enforces every constraint after mining and so can swap the frequent-set
-	// engine freely. Prepare/Run ignore it: constraint pushdown (Required
-	// classes, candidate filters, preset L1) is levelwise by construction.
-	Miner mine.Miner
 	// Lattice, when non-nil, supplies AprioriPlus's unconstrained frequent
 	// lattice in place of mining — a session's cache. It is handed the
 	// configuration a miss must mine with (complete: no MaxLevel) and may
 	// return a lattice mined at a lower threshold than cfg.MinSupport;
 	// AprioriPlus tests the threshold along with the constraints. Prepare/Run
-	// ignore it, like Miner.
+	// ignore it: constraint pushdown (Required classes, candidate filters,
+	// preset L1) needs the stepped miner.
 	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
 	// Label, when non-empty, prefixes trace span names (the CFQ engine
 	// labels its two runners "S" and "T" so a dovetailed run's spans stay
@@ -408,7 +402,6 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		DB:         q.DB,
 		MinSupport: q.MinSupport,
 		Domain:     fdomain,
-		GenMode:    q.GenMode,
 		MaxLevel:   q.MaxLevel,
 		Workers:    q.Workers,
 		PresetL1:   q.PresetL1,
@@ -487,11 +480,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 
 // AprioriPlus is the naive baseline: mine every frequent set over the
 // domain, then test each against every constraint (generate-and-test).
-// Because every constraint is enforced after mining, the frequent-set
-// engine is pluggable: q.Miner selects levelwise (default), FP-growth,
-// Eclat or partition mining, and q.Lattice replaces mining with a cached
-// lattice. ctx cancellation and budget overruns abort the run with the
-// mining layer's wrapped error.
+// The lattice is mined level-wise, or — because every constraint is enforced
+// after mining — taken from q.Lattice, a cached one. ctx cancellation and
+// budget overruns abort the run with the mining layer's wrapped error.
 func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	if q.DB == nil {
 		return nil, fmt.Errorf("cap: Query.DB is nil")
@@ -507,7 +498,6 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 		DB:         q.DB,
 		MinSupport: q.MinSupport,
 		Domain:     q.Domain,
-		GenMode:    q.GenMode,
 		Workers:    q.Workers,
 		Budget:     q.Budget,
 		Stats:      stats,
@@ -535,8 +525,7 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 
 	var levels [][]mine.Counted
 	var l1 itemset.Set
-	switch {
-	case q.Lattice != nil:
+	if q.Lattice != nil {
 		sets, err := q.Lattice(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -576,27 +565,7 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 				q.OnLevel(i+1, kept)
 			}
 		}
-	case q.Miner != mine.MinerLevelwise:
-		// Alternate engines mine all levels up front (no resumable stepping);
-		// MaxLevel truncation happens after the fact.
-		mined, err := mine.FrequentLevels(ctx, q.Miner, q.DB, q.MinSupport, q.Domain, q.Budget, stats)
-		if err != nil {
-			return nil, err
-		}
-		if q.MaxLevel > 0 && len(mined) > q.MaxLevel {
-			mined = mined[:q.MaxLevel]
-		}
-		if len(mined) > 0 {
-			items := make([]itemset.Item, 0, len(mined[0]))
-			for _, c := range mined[0] {
-				items = append(items, c.Set[0])
-			}
-			l1 = itemset.New(items...)
-		}
-		for i, sets := range mined {
-			levels = append(levels, filterLevel(i+1, sets))
-		}
-	default:
+	} else {
 		cfg.MaxLevel = q.MaxLevel
 		lw, err := mine.New(ctx, cfg)
 		if err != nil {

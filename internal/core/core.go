@@ -119,8 +119,6 @@ type CFQ struct {
 	MaxPairs int
 	// MaxLevel stops each lattice after this level (0 = unlimited).
 	MaxLevel int
-	// GenMode selects the candidate generation algorithm.
-	GenMode mine.GenMode
 	// Workers sets the support-counting parallelism (see mine.Config).
 	Workers int
 	// Budget, when non-nil, caps the resources the whole evaluation may
@@ -134,10 +132,6 @@ type CFQ struct {
 	// summarization cost is paid. Bounds only ever stay looser than the full
 	// iteration would make them, so the answer is unchanged. 0 = no cutoff.
 	JmaxCutoff int
-	// Miner selects the complete-mining algorithm for strategies that mine
-	// without constraint pushdown (StrategyAprioriPlus). Constraint-pushing
-	// strategies are levelwise by construction and ignore it.
-	Miner mine.Miner
 	// Lattice, when non-nil, supplies StrategyAprioriPlus's unconstrained
 	// lattices in place of mining (see cap.Query.Lattice); a session plugs
 	// its cache in here. Constraint-pushing strategies ignore it.
@@ -371,11 +365,9 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
 	cq := cap.Query{
 		DB:       q.DB,
-		GenMode:  q.GenMode,
 		MaxLevel: q.MaxLevel,
 		Workers:  q.Workers,
 		Budget:   q.Budget,
-		Miner:    q.Miner,
 		Lattice:  q.Lattice,
 		Label:    side.String(),
 	}

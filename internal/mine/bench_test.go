@@ -68,28 +68,6 @@ func BenchmarkTrieCounting(b *testing.B) {
 	}
 }
 
-func BenchmarkVerticalEndToEnd(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := VerticalFrequent(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMaxFrequent(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MaxFrequent(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParallelCounting(b *testing.B) {
 	db := benchDB(20000)
 	minSup := db.Len() / 50
@@ -103,19 +81,6 @@ func BenchmarkParallelCounting(b *testing.B) {
 				lw.RunAll()
 			}
 		})
-	}
-}
-
-// BenchmarkFPGrowth measures the pattern-growth miner end to end on the
-// same workload as the levelwise benchmark.
-func BenchmarkFPGrowth(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -218,33 +183,6 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 						b.Fatal(err)
 					}
 					if _, err := lw.RunAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAlternatesCold puts the two non-levelwise miners on the same
-// fixtures and threshold as BenchmarkLevelwiseCold's full-domain rows, so
-// "does FP-growth or Eclat beat levelwise anywhere the planner would pick
-// them" (ROADMAP) is read off one table.
-func BenchmarkAlternatesCold(b *testing.B) {
-	miners := []struct {
-		name string
-		run  func(ctx context.Context, db *txdb.DB, minSupport int, domain itemset.Set, budget *Budget, stats *Stats) ([][]Counted, error)
-	}{
-		{"fpgrowth", FPGrowth},
-		{"eclat", VerticalFrequent},
-	}
-	for _, name := range []string{"wide", "dense"} {
-		f := newColdFixture(b, name)
-		for _, m := range miners {
-			b.Run(m.name+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := m.run(context.Background(), f.db, f.minSup, nil, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -12,10 +12,9 @@ import (
 
 // Budget caps the resources one query evaluation may consume. A zero limit
 // disables that dimension. A Budget accumulates consumption across every
-// miner it is handed to (both lattices of a dovetailed CFQ, every partition
-// of a partitioned run), so it expresses a per-query limit, not a per-miner
-// one. Budgets are stateful: use a fresh Budget for each evaluation and
-// share it by pointer.
+// miner it is handed to (both lattices of a dovetailed CFQ), so it expresses
+// a per-query limit, not a per-miner one. Budgets are stateful: use a fresh
+// Budget for each evaluation and share it by pointer.
 type Budget struct {
 	// MaxCandidates caps the number of candidate sets whose support is
 	// counted (Stats.CandidatesCounted).
@@ -24,9 +23,9 @@ type Budget struct {
 	// (Stats.FrequentSets).
 	MaxFrequentSets int64
 	// MaxLatticeBytes caps the estimated memory allocated for lattice
-	// state (Stats.LatticeBytes) — candidate sets, per-level frequent
-	// sets, tid bitmaps, FP-tree nodes. The estimate is cumulative over
-	// the run, so it bounds allocation pressure rather than live heap.
+	// state (Stats.LatticeBytes) — candidate sets and per-level frequent
+	// sets. The estimate is cumulative over the run, so it bounds
+	// allocation pressure rather than live heap.
 	MaxLatticeBytes int64
 	// SoftDeadline, when non-zero, aborts mining at the first checkpoint
 	// past this instant with a *BudgetError (reason "deadline"). Unlike a
@@ -102,8 +101,8 @@ type Guard struct {
 	stats  *Stats
 
 	// Last published stats values, so a budget shared across sequential
-	// miners that also share a Stats (partitioned mining) is charged each
-	// increment exactly once.
+	// miners that also share a Stats (one Config.Stats reused) is charged
+	// each increment exactly once.
 	lastCand, lastFreq, lastBytes int64
 }
 

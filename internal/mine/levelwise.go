@@ -32,20 +32,6 @@ import (
 	"repro/internal/txdb"
 )
 
-// GenMode selects the candidate generation algorithm.
-type GenMode int
-
-const (
-	// GenPrefixJoin joins frequent k-sets sharing a (k-1)-prefix — the
-	// classic Apriori generation, kept complete under constraints by the
-	// required-first item order.
-	GenPrefixJoin GenMode = iota
-	// GenExtension extends each frequent k-set with every later frequent
-	// item. It generates a superset of the prefix-join candidates (pruned
-	// back by the subset test) and exists as an ablation baseline.
-	GenExtension
-)
-
 // Config configures a Levelwise run.
 type Config struct {
 	// DB is the transaction database. Required.
@@ -71,8 +57,6 @@ type Config struct {
 	CandidateFilter func(level int, s itemset.Set) bool
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
-	// GenMode selects the candidate generation algorithm.
-	GenMode GenMode
 	// Workers sets the number of goroutines used for support counting.
 	// Values below 2 keep counting serial; parallel counting partitions
 	// the transactions and sums per-worker counts, so results are
@@ -484,8 +468,9 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 		l.lastFrequent = append(l.lastFrequent,
 			Counted{Set: itemset.New(l.rankToItem[r]), Support: counts[r]})
 		// A singleton is valid iff it is required (when a Required class
-		// exists); invalid singletons still feed level-2 generation.
-		valid := l.nRequired == 0 || r < l.nRequired
+		// exists — one with no member in the domain validates nothing);
+		// invalid singletons still feed level-2 generation.
+		valid := l.cfg.Required == nil || r < l.nRequired
 		if valid {
 			rs := []int32{int32(r)}
 			l.prevKeys[rankKey(rs)] = len(l.prevSets)
@@ -692,14 +677,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	if err := l.guard.Check(fmt.Sprintf("level %d: candidate generation", k+1)); err != nil {
 		return nil, err
 	}
-	var cands [][]int32
-	var err error
-	switch l.cfg.GenMode {
-	case GenExtension:
-		cands, err = l.genExtension(k)
-	default:
-		cands, err = l.genPrefixJoin(k)
-	}
+	cands, err := l.genPrefixJoin(k)
 	if err != nil {
 		return nil, err
 	}
@@ -782,43 +760,6 @@ func (l *Levelwise) genPrefixJoin(k int) ([][]int32, error) {
 			}
 		}
 	}
-	return cands, nil
-}
-
-// genExtension extends each frequent valid k-set with every later frequent
-// item (ablation baseline; same output after pruning and counting).
-func (l *Levelwise) genExtension(k int) ([][]int32, error) {
-	var cands [][]int32
-	nextCheck := 0
-	seen := map[string]bool{}
-	for _, s := range l.prevSets {
-		if len(cands) >= nextCheck {
-			if err := l.guard.Check(fmt.Sprintf("level %d: extension generation", k+1)); err != nil {
-				return nil, err
-			}
-			nextCheck = len(cands) + genCheckBatch
-		}
-		last := s[len(s)-1]
-		for _, r := range l.l1Ranks {
-			if r <= last {
-				continue
-			}
-			c := make([]int32, k+1)
-			copy(c, s)
-			c[k] = r
-			key := rankKey(c)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if l.subsetPrune(c) {
-				cands = append(cands, c)
-			}
-		}
-	}
-	// The counting trie requires lexicographic candidate order; extension
-	// generation does not produce it naturally.
-	slices.SortFunc(cands, slices.Compare[[]int32])
 	return cands, nil
 }
 

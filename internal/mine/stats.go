@@ -42,9 +42,8 @@ type Stats struct {
 	// DBScans is the number of full transaction-database scans.
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state
-	// (candidates, per-level frequent sets, tid bitmaps, FP-tree nodes),
-	// cumulatively over the run. Budgets bound it via
-	// Budget.MaxLatticeBytes.
+	// (candidates and per-level frequent sets), cumulatively over the run.
+	// Budgets bound it via Budget.MaxLatticeBytes.
 	LatticeBytes int64
 	// Checkpoints counts cancellation/budget checkpoints passed — the
 	// granularity at which a run can be interrupted (and at which

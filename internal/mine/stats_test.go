@@ -79,10 +79,10 @@ func TestStatsStringEveryValue(t *testing.T) {
 	}
 }
 
-// TestSpanDeltasSumToTotals: the attribution contract across all four
-// miners — run each on the same small Quest database under a tracer and
-// require the sum of every span's counter delta (RunReport.Totals) to
-// reproduce the run's total Stats exactly.
+// TestSpanDeltasSumToTotals: the miner's attribution contract — run it on
+// a small Quest database under a tracer and require the sum of every span's
+// counter delta (RunReport.Totals) to reproduce the run's total Stats
+// exactly.
 func TestSpanDeltasSumToTotals(t *testing.T) {
 	p := gen.Default(200) // 500 transactions
 	p.Seed = 5
@@ -100,24 +100,9 @@ func TestSpanDeltasSumToTotals(t *testing.T) {
 			_, err := AllFrequent(ctx, db, minSup, nil, nil, stats)
 			return err
 		}},
-		{"fpgrowth", func(ctx context.Context, stats *Stats) error {
-			_, err := FPGrowth(ctx, db, minSup, nil, nil, stats)
-			return err
-		}},
-		{"eclat", func(ctx context.Context, stats *Stats) error {
-			_, err := VerticalFrequent(ctx, db, minSup, nil, nil, stats)
-			return err
-		}},
-		{"partition", func(ctx context.Context, stats *Stats) error {
-			_, err := PartitionFrequent(ctx, db, minSup, nil, 3, nil, stats)
-			return err
-		}},
 	}
 	wantSpans := map[string][]string{
 		"levelwise": {"project", "level-1", "level-2"},
-		"fpgrowth":  {"fpgrowth:frequency-pass", "fpgrowth:tree-construction", "fpgrowth:growth"},
-		"eclat":     {"eclat:vertical-projection", "eclat:dfs"},
-		"partition": {"partition-0", "partition-2", "partition-verify"},
 	}
 	for _, m := range miners {
 		t.Run(m.name, func(t *testing.T) {

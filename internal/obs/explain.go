@@ -94,7 +94,6 @@ type PlanChoice struct {
 	Strategy   string `json:"strategy"`
 	Jmax       bool   `json:"jmax"`
 	JmaxCutoff int    `json:"jmax_cutoff,omitempty"`
-	Miner      string `json:"miner,omitempty"`
 	// Source is "model", "feedback", or "fallback".
 	Source string  `json:"source"`
 	Cost   float64 `json:"cost"`
@@ -152,9 +151,6 @@ func (r *ExplainReport) Tree() string {
 			} else {
 				n.body = append(n.body, "jmax: on")
 			}
-		}
-		if p.Miner != "" && p.Miner != "levelwise" {
-			n.body = append(n.body, "miner: "+p.Miner)
 		}
 		for _, alt := range p.Rejected {
 			line := fmt.Sprintf("rejected %s: cost %.3g", alt.Strategy, alt.Cost)

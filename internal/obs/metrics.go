@@ -291,23 +291,12 @@ func init() {
 	expvar.Publish("cfq", expvar.Func(func() any { return Snapshot() }))
 }
 
-// MetricsHandler serves the registry snapshot as JSON.
-func MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(Snapshot())
-	})
-}
-
 // NewMetricsMux builds the HTTP mux behind cmd/cfq's -metrics-addr flag and
-// cfqd's ops port: /metrics (Prometheus text exposition), /metrics.json
-// (the registry snapshot as JSON) and /debug/vars (standard expvar).
+// cfqd's ops port: /metrics (Prometheus text exposition) and /debug/vars
+// (standard expvar; its "cfq" var is the registry snapshot as JSON).
 func NewMetricsMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PromHandler())
-	mux.Handle("/metrics.json", MetricsHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }

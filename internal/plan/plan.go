@@ -92,12 +92,6 @@ func WireName(core string) string {
 	return core
 }
 
-// Miner names (mine.Miner spellings).
-const (
-	MinerLevelwise = "levelwise"
-	MinerFPGrowth  = "fpgrowth"
-)
-
 // Decision sources.
 const (
 	SourceModel    = "model"    // static cost model
@@ -124,11 +118,9 @@ type Decision struct {
 	Jmax bool `json:"jmax"`
 	// JmaxCutoff, when > 0, freezes the dynamic bounds after that many
 	// dovetail iterations (core.CFQ.JmaxCutoff).
-	JmaxCutoff int `json:"jmax_cutoff,omitempty"`
-	// Miner selects the complete-mining engine (mine.ParseMiner name).
-	Miner  string `json:"miner"`
-	Source string `json:"source"`
-	Class  string `json:"class,omitempty"`
+	JmaxCutoff int    `json:"jmax_cutoff,omitempty"`
+	Source     string `json:"source"`
+	Class      string `json:"class,omitempty"`
 	// Cost is the chosen strategy's modeled cost (unitless; comparable only
 	// within one decision).
 	Cost float64 `json:"cost"`
@@ -145,7 +137,6 @@ func (d *Decision) Choice() *obs.PlanChoice {
 		Strategy:   d.Strategy,
 		Jmax:       d.Jmax,
 		JmaxCutoff: d.JmaxCutoff,
-		Miner:      d.Miner,
 		Source:     d.Source,
 		Cost:       d.Cost,
 	}
@@ -264,13 +255,9 @@ func (p *Planner) Decide(f *obs.QueryFeatures, class string) *Decision {
 	d := &Decision{
 		Schema:   SchemaVersion,
 		Strategy: chosen.name,
-		Miner:    chosen.miner,
 		Source:   source,
 		Class:    class,
 		Cost:     round3(chosen.cost),
-	}
-	if d.Miner == "" {
-		d.Miner = MinerLevelwise
 	}
 	if d.Strategy == Optimized && f.Constraints2 > 0 {
 		d.Jmax = true
@@ -304,7 +291,6 @@ func (p *Planner) fallback(class string) *Decision {
 		Schema:   SchemaVersion,
 		Strategy: p.opts.Default,
 		Jmax:     p.opts.Default == Optimized,
-		Miner:    MinerLevelwise,
 		Source:   SourceFallback,
 		Class:    class,
 	}
@@ -429,7 +415,6 @@ func (p *Planner) State() State {
 // costed is one strategy's modeled cost.
 type costed struct {
 	name   string
-	miner  string
 	cost   float64
 	reason string // non-empty for guard rejections (FM)
 }
@@ -482,15 +467,6 @@ func modelCosts(f *obs.QueryFeatures) []costed {
 		return float64(f.Constraints2) * (2 * a) * (2 * b) * pass * 1e-4
 	}
 
-	unconstrained := f.Constraints1S == 0 && f.Constraints1T == 0 && f.Constraints2 == 0
-	aprioriMiner := MinerLevelwise
-	aprioriCost := lat(rawS) + lat(rawT) + pairs(rawS, rawT)
-	if unconstrained {
-		// Pure frequent-set mining: FP-growth skips candidate generation.
-		aprioriMiner = MinerFPGrowth
-		aprioriCost *= 0.85
-	}
-
 	fmCost := math.Inf(1)
 	fmReason := fmt.Sprintf("full materialization guarded to %d-item domains", fmGuardItems)
 	if dom := maxInt(f.DomainS, f.DomainT); dom <= fmGuardItems && dom > 0 {
@@ -503,7 +479,7 @@ func modelCosts(f *obs.QueryFeatures) []costed {
 		{name: NoJmax, cost: replan + lat(bS*redQS) + lat(bT*redQS) + pairs(bS*redQS, bT*redQS)},
 		{name: Sequential, cost: replan + lat(bS*redQS*exact) + lat(bT*redQS) + pairs(bS*redQS*exact, bT*redQS)},
 		{name: CAP, cost: lat(bS) + lat(bT) + pairs(bS, bT)},
-		{name: Apriori, miner: aprioriMiner, cost: aprioriCost},
+		{name: Apriori, cost: lat(rawS) + lat(rawT) + pairs(rawS, rawT)},
 		{name: FM, cost: fmCost, reason: fmReason},
 	}
 }

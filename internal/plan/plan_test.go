@@ -49,7 +49,6 @@ func TestDecisionGolden(t *testing.T) {
   "schema": 1,
   "strategy": "sequential",
   "jmax": false,
-  "miner": "levelwise",
   "source": "model",
   "class": "S,T=quasi-succinct, anti-monotone",
   "cost": 446.512,
@@ -267,17 +266,41 @@ func TestNameMaps(t *testing.T) {
 	}
 }
 
-// TestUnconstrainedMiner: a query with no constraints at all plans the
-// generate-and-test baseline on the FP-growth engine.
-func TestUnconstrainedMiner(t *testing.T) {
-	p := New(Options{})
-	d := p.Decide(&obs.QueryFeatures{
+// TestUnconstrainedPlan: a query with no constraints at all has nothing to
+// reduce, so it must plan to a generate-and-test strategy (no replan term)
+// — the same one every time — and, there being one lattice engine, neither
+// the decision's JSON nor its EXPLAIN rendering names a miner.
+func TestUnconstrainedPlan(t *testing.T) {
+	f := &obs.QueryFeatures{
 		Transactions: 4000, Items: 168, MinSupportS: 40, MinSupportT: 40,
 		DomainS: 168, DomainT: 168, FrequentItemsS: 100, FrequentItemsT: 100,
 		SelectivityS: 1, SelectivityT: 1,
-	}, "")
-	if d.Strategy != Apriori || d.Miner != MinerFPGrowth {
-		t.Fatalf("unconstrained plan = %s/%s, want apriori/fpgrowth", d.Strategy, d.Miner)
+	}
+	p := New(Options{})
+	d := p.Decide(f, "")
+	if d.Strategy != CAP && d.Strategy != Apriori {
+		t.Fatalf("unconstrained plan = %s, want cap or apriori", d.Strategy)
+	}
+	first, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := json.Marshal(p.Decide(f, ""))
+	if string(first) != string(second) {
+		t.Fatalf("same planner, different decisions:\n%s\n%s", first, second)
+	}
+	choice, err := json.Marshal(d.Choice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{first, choice} {
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m["miner"]; ok {
+			t.Errorf("decision still names a miner: %s", b)
+		}
 	}
 }
 

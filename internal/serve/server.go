@@ -342,7 +342,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // OpsHandler returns the operations surface: /metrics (Prometheus text),
-// /metrics.json, /debug/vars, /debug/pprof (all confined to internal/obs),
+// /debug/vars, /debug/pprof (all confined to internal/obs),
 // /healthz, /readyz, and /statz — the RED/SLO rollup document. Serve it on
 // a separate, non-public port.
 func (s *Server) OpsHandler() http.Handler {
