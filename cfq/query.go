@@ -152,7 +152,9 @@ type Stats struct {
 	// FrequentSets / ValidSets count discovered sets.
 	FrequentSets int64
 	ValidSets    int64
-	// DBScans counts full passes over the transaction data.
+	// DBScans counts full passes over the transaction data: one per level
+	// a miner counted from level 2 on (level 1 reads the dataset's per-item
+	// supports and is not a pass).
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state,
 	// cumulatively over the run (what Budget.MaxLatticeBytes bounds).

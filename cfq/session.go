@@ -187,7 +187,7 @@ func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted,
 	obs.MCacheMisses.Inc()
 
 	// The cache-miss span is structural: the labeled miner below emits its
-	// own project/level delta spans as children.
+	// own level delta spans as children.
 	msp := tracer.Start(cfg.Label + ":cache-miss")
 	lw, err := mine.New(ctx, cfg)
 	var levels [][]mine.Counted

@@ -280,8 +280,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		domain = q.DB.ActiveItems()
 	}
 	// The classify span covers constraint classification and the universal/
-	// existential item-level filtering; it ends before mine.New so the
-	// engine's project span attributes the projection scan separately.
+	// existential item-level filtering; it ends before mine.New.
 	tracer := obs.FromContext(ctx)
 	var csp *obs.Span
 	if tracer != nil {
@@ -316,13 +315,19 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	prune := obs.PruningFromContext(ctx)
 
 	// 1. Universal item predicates filter the domain (item-level checks).
+	// Every prune site below is named once, here, not per rejection.
 	type itemPred struct {
 		pred constraint.ItemPredicate
 		src  constraint.Constraint
+		site string // charged when a universal predicate excludes an item
+	}
+	type siteFilter struct {
+		c    constraint.Constraint
+		site string
 	}
 	var universals []itemPred
 	var existentials []itemPred
-	var amFilters []constraint.Constraint // anti-monotone, non-succinct
+	var amFilters []siteFilter // anti-monotone, non-succinct
 	var finalChecks []Check
 	for _, a := range an {
 		snf := a.cl.Succinct
@@ -331,14 +336,15 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		}
 		if snf != nil {
 			if snf.Universal != nil {
-				universals = append(universals, itemPred{snf.Universal, a.c})
+				universals = append(universals, itemPred{snf.Universal, a.c,
+					spanName(q.Label, "domain-filter:"+a.c.String())})
 			}
 			for _, ex := range snf.Existential {
-				existentials = append(existentials, itemPred{ex, a.c})
+				existentials = append(existentials, itemPred{pred: ex, src: a.c})
 			}
 		}
 		if a.cl.AntiMonotone && a.cl.Succinct == nil {
-			amFilters = append(amFilters, a.c)
+			amFilters = append(amFilters, siteFilter{a.c, spanName(q.Label, "candidate-filter:"+a.c.String())})
 		}
 		if !a.cl.FullyEnforced() {
 			finalChecks = append(finalChecks, Check{a.c, spanName(q.Label, "final-filter:"+a.c.String())})
@@ -355,7 +361,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 				// One excluded item is one pruned singleton candidate: the
 				// MGF's selection step enforced at candidate generation.
 				stats.CandidatesPruned++
-				prune.Charge(spanName(q.Label, "domain-filter:"+u.src.String()), 1)
+				prune.Charge(u.site, 1)
 				break
 			}
 		}
@@ -368,8 +374,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	// 2. Existential predicates become item classes; the most selective
 	// one steers generation, the rest gate reporting.
 	type itemClass struct {
-		set itemset.Set
-		src constraint.Constraint
+		set  itemset.Set
+		src  constraint.Constraint
+		site string // charged when a reporting class rejects a set
 	}
 	classes := make([]itemClass, 0, len(existentials))
 	for _, ex := range existentials {
@@ -380,7 +387,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 				members = append(members, it)
 			}
 		}
-		classes = append(classes, itemClass{itemset.New(members...), ex.src})
+		classes = append(classes, itemClass{set: itemset.New(members...), src: ex.src})
 	}
 	sort.SliceStable(classes, func(i, j int) bool { return classes[i].set.Len() < classes[j].set.Len() })
 
@@ -394,6 +401,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		if i == 0 {
 			required = cl
 		} else {
+			cl.site = spanName(q.Label, "report-filter:"+cl.src.String())
 			reportClasses = append(reportClasses, cl)
 		}
 	}
@@ -420,7 +428,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			for _, cl := range reportClasses {
 				stats.SetConstraintChecks++
 				if !s.Intersects(cl.set) {
-					prune.Charge(spanName(q.Label, "report-filter:"+cl.src.String()), 1)
+					prune.Charge(cl.site, 1)
 					return false
 				}
 			}
@@ -429,10 +437,10 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	}
 	if len(amFilters) > 0 || q.ExtraFilter != nil {
 		cfg.CandidateFilter = func(level int, s itemset.Set) bool {
-			for _, c := range amFilters {
+			for _, f := range amFilters {
 				stats.SetConstraintChecks++
-				if !c.Satisfies(s) {
-					prune.Charge(spanName(q.Label, "candidate-filter:"+c.String()), 1)
+				if !f.c.Satisfies(s) {
+					prune.Charge(f.site, 1)
 					return false
 				}
 			}
@@ -449,8 +457,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		// L1 (one level, reporting nothing) so reduction constants exist.
 		cfg.Required = nil
 		cfg.RequiredSite = ""
+		site := spanName(q.Label, "report-filter:unsatisfiable")
 		cfg.ReportValid = func(itemset.Set) bool {
-			prune.Charge(spanName(q.Label, "report-filter:unsatisfiable"), 1)
+			prune.Charge(site, 1)
 			return false
 		}
 		cfg.MaxLevel = 1

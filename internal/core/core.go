@@ -450,8 +450,8 @@ func runOptimized(ctx context.Context, q CFQ, useJmax bool) (*Result, error) {
 	prune := obs.PruningFromContext(ctx)
 
 	// Phase 1: one counting iteration per side with 1-var pushdown only.
-	// The phase span is structural (no delta): the runners' classify/
-	// project/level spans nested under it carry the counter deltas.
+	// The phase span is structural (no delta): the runners' classify/level
+	// spans nested under it carry the counter deltas.
 	var p1 *obs.Span
 	if tracer != nil {
 		p1 = tracer.Start("phase1")

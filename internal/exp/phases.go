@@ -12,7 +12,7 @@ import (
 
 // PhaseProfile breaks one workload's evaluation cost down by phase, per
 // strategy: the same decomposition the paper argues from (Apriori⁺ pays
-// everything in mining levels; CAP moves work into the classify/project
+// everything in mining levels; CAP moves work into the classify
 // pushdown; the optimized strategy adds the Jmax iterations and dovetailed
 // pair formation). This is the machine-readable seed for BENCH_PHASES.json.
 type PhaseProfile struct {

@@ -138,11 +138,12 @@ func newColdFixture(b *testing.B, name string) coldFixture {
 
 // BenchmarkLevelwiseCold is one cold lattice — New plus RunAll, nothing
 // reused — on the served benchmark's fixtures: what explore-cold pays about
-// five times per query and append-requery once per append. The three shapes
-// are what the strategies hand the miner: the full domain (Apriori⁺), a
-// price-range half of it with a Required class (CAP with succinct
-// constraints pushed), and the same with an anti-monotone CandidateFilter
-// (CAP with a sum bound, or a Jmax bound, pushed too).
+// four times per query and append-requery once per append. The shapes are
+// what the strategies hand the miner: the full domain (Apriori⁺), the same
+// stopped after level 1 (phase 1 of optimized and sequential, twice per
+// query), a price-range half of it with a Required class (CAP with succinct
+// constraints pushed), and that with an anti-monotone CandidateFilter (CAP
+// with a sum bound, or a Jmax bound, pushed too).
 func BenchmarkLevelwiseCold(b *testing.B) {
 	wide := newColdFixture(b, "wide")
 	var half, required itemset.Set
@@ -167,6 +168,7 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 		cfg  Config
 	}{
 		{"wide/full", Config{DB: wide.db, MinSupport: wide.minSup}},
+		{"wide/phase1", Config{DB: wide.db, MinSupport: wide.minSup, MaxLevel: 1}},
 		{"wide/half-required", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required}},
 		{"wide/half-required-filter", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required, CandidateFilter: sumAtMost}},
 		{"dense/full", Config{DB: dense.db, MinSupport: dense.minSup}},

@@ -237,8 +237,8 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 func TestErrLatched(t *testing.T) {
 	r := rand.New(rand.NewSource(105))
 	db := randomDB(r, 80, 9, 5)
-	// New itself passes projection checkpoints; aim the fault at the first
-	// checkpoint after construction so it lands in Step.
+	// Aim the fault at the first checkpoint after construction (New passes
+	// none itself) so it lands in Step.
 	probe := faultinject.Count()
 	if _, err := New(context.Background(), Config{DB: db, MinSupport: 2, Budget: &Budget{Checkpoint: probe.Checkpoint}}); err != nil {
 		t.Fatal(err)

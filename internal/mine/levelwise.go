@@ -17,7 +17,10 @@
 //
 // The engine works internally in a dense "rank" space ordered
 // required-items-first and converts back to original item space at the API
-// boundary.
+// boundary. It keeps no copy of the database: level 1 reads the per-item
+// supports the database holds, and every later level counts off the
+// transactions where they are, each read through a table that trims it to
+// the items that can still matter at that level.
 package mine
 
 import (
@@ -63,10 +66,10 @@ type Config struct {
 	// identical either way.
 	Workers int
 	// PresetL1, when non-nil, supplies already-counted level-1 results
-	// (original item space). The first Step then performs no counting pass
-	// and charges no candidates: this is how the CFQ optimizer applies the
+	// (original item space). The first Step then charges no candidates and
+	// prunes none for frequency: this is how the CFQ optimizer applies the
 	// quasi-succinct reduction "immediately after the first iteration of
-	// counting" without paying for level 1 twice. Entries outside Domain
+	// counting" without charging level 1 twice. Entries outside Domain
 	// are ignored; entries failing CandidateFilter are dropped.
 	PresetL1 []Counted
 	// Budget, when non-nil, caps the resources the run may consume; an
@@ -109,11 +112,11 @@ type Levelwise struct {
 	guard      *Guard
 	tracer     *obs.Tracer
 	prune      *obs.PruneSet
-	freqSite   string     // pruning site for infrequent candidates
-	reqSite    string     // pruning site for Required-excluded singletons
-	tx         projection // transactions projected to rank space
+	freqSite   string // pruning site for infrequent candidates
+	reqSite    string // pruning site for Required-excluded singletons
 	rankToItem []itemset.Item
-	nRequired  int // ranks < nRequired are Required items
+	itemToRank []int32 // -1 outside the domain; covers every database item
+	nRequired  int     // ranks < nRequired are Required items
 	level      int
 	done       bool
 	err        error
@@ -129,19 +132,10 @@ type Levelwise struct {
 	lastFrequent []Counted // all frequent sets of the last completed level
 }
 
-// projection is the database projected onto a miner's domain in rank space,
-// stored flat: row i is items[off[i]:off[i+1]], strictly ascending.
-type projection struct {
-	items []int32
-	off   []int
-}
-
-func (p *projection) rows() int         { return len(p.off) - 1 }
-func (p *projection) row(i int) []int32 { return p.items[p.off[i]:p.off[i+1]] }
-
-// New validates cfg and prepares a miner. The database is projected onto the
-// domain once (one scan). ctx governs the whole run: New and every
-// subsequent Step observe its cancellation at checkpoint boundaries.
+// New validates cfg and prepares a miner. It reads no transaction: level 1
+// comes from the database's item statistics, and every later level counts
+// off the transactions where they are (countPass). ctx governs the whole
+// run: every Step observes its cancellation at checkpoint boundaries.
 func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("mine: Config.DB is nil")
@@ -180,8 +174,9 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 			maxItem = it
 		}
 	}
-	// Sized to cover every database item too, so projection needs no bounds
-	// check.
+	// Sized to cover every database item too, and so are the tables the
+	// counting passes derive from it: reading a transaction through one
+	// needs no bounds check.
 	itemToRank := make([]int32, max(int(maxItem)+1, cfg.DB.NumItems()))
 	for i := range itemToRank {
 		itemToRank[i] = -1
@@ -190,59 +185,6 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 		itemToRank[it] = int32(r)
 	}
 
-	guard := NewGuard(ctx, cfg.Budget, stats)
-	tracer := obs.FromContext(ctx)
-
-	// The projection span covers the setup scan; its stats delta isolates
-	// the projection cost from the per-level counting spans that follow.
-	var sp *obs.Span
-	if tracer != nil {
-		sp = tracer.Start(spanName(cfg.Label, "project"),
-			obs.Int("domain", domain.Len())).WithStats(stats.Counters())
-	}
-
-	// Project the database (one accounted scan, checked per batch) into one
-	// arena. The domain items' supports add up to exactly the number of
-	// ranks the projection holds, so the arena never grows.
-	sup := cfg.DB.ItemSupports()
-	total := 0
-	for _, it := range domain {
-		if int(it) < len(sup) {
-			total += sup[it]
-		}
-	}
-	tx := projection{items: make([]int32, 0, total), off: make([]int, 1, cfg.DB.Len()+1)}
-	firstOther := int32(nRequired)
-	err := cfg.DB.ScanErr(func(tid int, t itemset.Set) error {
-		if tid%checkBatch == 0 {
-			if err := guard.Check("levelwise: database projection"); err != nil {
-				return err
-			}
-		}
-		// Items ascend, so the ranks of each class do too: writing the
-		// required class first leaves the row sorted without a sort.
-		if nRequired > 0 {
-			for _, it := range t {
-				if r := itemToRank[it]; r >= 0 && r < firstOther {
-					tx.items = append(tx.items, r)
-				}
-			}
-		}
-		for _, it := range t {
-			if r := itemToRank[it]; r >= firstOther {
-				tx.items = append(tx.items, r)
-			}
-		}
-		tx.off = append(tx.off, len(tx.items))
-		return nil
-	})
-	if err != nil {
-		sp.End(stats.Counters())
-		return nil, err
-	}
-	stats.DBScans++
-	sp.End(stats.Counters())
-
 	reqSite := cfg.RequiredSite
 	if reqSite == "" {
 		reqSite = spanName(cfg.Label, "generate")
@@ -250,13 +192,13 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 	return &Levelwise{
 		cfg:        cfg,
 		stats:      stats,
-		guard:      guard,
-		tracer:     tracer,
+		guard:      NewGuard(ctx, cfg.Budget, stats),
+		tracer:     obs.FromContext(ctx),
 		prune:      obs.PruningFromContext(ctx),
 		freqSite:   spanName(cfg.Label, "frequency"),
 		reqSite:    reqSite,
-		tx:         tx,
 		rankToItem: rankToItem,
+		itemToRank: itemToRank,
 		nRequired:  nRequired,
 	}, nil
 }
@@ -387,31 +329,31 @@ func (l *Levelwise) finishLevelCheck() {
 	}
 }
 
-// stepOne establishes level 1: every domain item is counted (optionally
-// pre-filtered by the anti-monotone CandidateFilter), unless PresetL1
-// supplies the counts.
+// stepOne establishes level 1 without reading a transaction: every domain
+// item (optionally pre-filtered by the anti-monotone CandidateFilter) takes
+// its support from the database's per-generation item statistics, unless
+// PresetL1 supplies the counts.
 func (l *Levelwise) stepOne() ([]Counted, error) {
 	if err := l.guard.Check("level 1: candidate generation"); err != nil {
 		return nil, err
 	}
 	n := len(l.rankToItem)
+	// One backing array for every singleton this level hands out.
+	items := slices.Clone(l.rankToItem)
+	single := func(r int) itemset.Set { return itemset.Set(items[r : r+1 : r+1]) }
 	counts := make([]int, n)
 	// counted marks ranks that were candidates of *this* run: only they can
 	// be frequency-pruned below. Preset ranks were counted by an earlier
 	// run, which already charged their frequency pruning.
 	counted := make([]bool, n)
 	if l.cfg.PresetL1 != nil {
-		rankOf := make(map[itemset.Item]int, n)
-		for r, it := range l.rankToItem {
-			rankOf[it] = r
-		}
 		for _, c := range l.cfg.PresetL1 {
-			if c.Set.Len() != 1 {
+			if c.Set.Len() != 1 || int(c.Set[0]) >= len(l.itemToRank) {
 				continue
 			}
-			r, ok := rankOf[c.Set[0]]
-			if !ok {
-				continue
+			r := l.itemToRank[c.Set[0]]
+			if r < 0 {
+				continue // outside the domain
 			}
 			if l.cfg.CandidateFilter != nil && !l.cfg.CandidateFilter(1, c.Set) {
 				l.stats.CandidatesPruned++ // site charged by the filter closure
@@ -420,38 +362,42 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 			counts[r] = c.Support
 		}
 	} else {
-		eligible := make([]bool, n)
-		for r := 0; r < n; r++ {
-			if l.cfg.CandidateFilter != nil &&
-				!l.cfg.CandidateFilter(1, itemset.New(l.rankToItem[r])) {
+		sup := l.cfg.DB.ItemSupports()
+		for r, it := range l.rankToItem {
+			if l.cfg.CandidateFilter != nil && !l.cfg.CandidateFilter(1, single(r)) {
 				l.stats.CandidatesPruned++ // site charged by the filter closure
 				continue
 			}
-			eligible[r] = true
 			counted[r] = true
 			l.stats.CandidatesCounted++
-		}
-		for start := 0; start < l.tx.rows(); start += checkBatch {
-			if err := l.guard.Check("level 1: counting"); err != nil {
-				return nil, err
-			}
-			end := min(start+checkBatch, l.tx.rows())
-			for _, r := range l.tx.items[l.tx.off[start]:l.tx.off[end]] {
-				if eligible[r] {
-					counts[r]++
-				}
+			if int(it) < len(sup) {
+				counts[r] = sup[it]
 			}
 		}
-		l.stats.DBScans++
 	}
 
+	// A singleton is valid iff it is required (when a Required class exists
+	// — one with no member in the domain validates nothing); invalid
+	// singletons still feed level-2 generation.
+	isValid := func(r int) bool { return l.cfg.Required == nil || r < l.nRequired }
+	frequent, valid := 0, 0
+	for r, c := range counts {
+		if c >= l.cfg.MinSupport {
+			frequent++
+			if isValid(r) {
+				valid++
+			}
+		}
+	}
 	var out []Counted
-	l.prevSets = nil
-	l.prevSup = nil
-	l.prevKeys = map[string]int{}
-	l.l1Ranks = nil
-	l.l1Sup = nil
-	l.lastFrequent = nil
+	if valid > 0 {
+		out = make([]Counted, 0, valid)
+	}
+	l.resetLevel(valid)
+	l.l1Ranks = make([]int32, 0, frequent)
+	l.l1Sup = make([]int, 0, frequent)
+	l.lastFrequent = make([]Counted, 0, frequent)
+	ranks := make([]int32, 0, valid) // backs the level's rank-space sets
 	for r := 0; r < n; r++ {
 		// MinSupport >= 1, so ineligible ranks (count 0) are excluded here.
 		if counts[r] < l.cfg.MinSupport {
@@ -465,18 +411,14 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 		l.stats.LatticeBytes += setBytes(1)
 		l.l1Ranks = append(l.l1Ranks, int32(r))
 		l.l1Sup = append(l.l1Sup, counts[r])
-		l.lastFrequent = append(l.lastFrequent,
-			Counted{Set: itemset.New(l.rankToItem[r]), Support: counts[r]})
-		// A singleton is valid iff it is required (when a Required class
-		// exists — one with no member in the domain validates nothing);
-		// invalid singletons still feed level-2 generation.
-		valid := l.cfg.Required == nil || r < l.nRequired
-		if valid {
-			rs := []int32{int32(r)}
+		orig := single(r)
+		l.lastFrequent = append(l.lastFrequent, Counted{Set: orig, Support: counts[r]})
+		if isValid(r) {
+			ranks = append(ranks, int32(r))
+			rs := ranks[len(ranks)-1 : len(ranks) : len(ranks)]
 			l.prevKeys[rankKey(rs)] = len(l.prevSets)
 			l.prevSets = append(l.prevSets, rs)
 			l.prevSup = append(l.prevSup, counts[r])
-			orig := itemset.New(l.rankToItem[r])
 			if l.cfg.ReportValid == nil || l.cfg.ReportValid(orig) {
 				l.stats.ValidSets++
 				out = append(out, Counted{Set: orig, Support: counts[r]})
@@ -588,25 +530,29 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 	return out, nil
 }
 
-// countTriangle counts, in one pass over the projected transactions, every
-// pair of L1 positions a transaction contains whose first position is a
-// triangle row, into the cell off[p]+q.
+// countTriangle counts, in one pass over the transactions, every pair of L1
+// positions a transaction contains whose first position is a triangle row,
+// into the cell off[p]+q.
 func (l *Levelwise) countTriangle(off []int, cells int) ([]int32, error) {
-	// pos maps a rank to its L1 position, -1 when the item is infrequent.
-	pos := make([]int32, len(l.rankToItem))
-	for r := range pos {
-		pos[r] = -1
-	}
+	// pos maps an item to its L1 position, -1 when it is infrequent or
+	// outside the domain.
+	pos := l.itemTable()
 	for p, r := range l.l1Ranks {
-		pos[r] = int32(p)
+		pos[l.rankToItem[r]] = int32(p)
+	}
+	// With a Required class the triangle rows are exactly the positions of
+	// the required ranks, which a transaction's positions must lead with.
+	firstOther := int32(0)
+	if l.nRequired > 0 {
+		firstOther = int32(len(off))
 	}
 	per := make([][]int32, max(1, l.cfg.Workers))
 	per[0] = make([]int32, cells)
-	err := l.countPass("level 2: counting", func(ctx context.Context, lo, hi, acc int) {
+	err := l.countPass("level 2: counting", func(ctx context.Context, txs []itemset.Set, acc int) {
 		if per[acc] == nil {
 			per[acc] = make([]int32, cells)
 		}
-		countPairs(ctx, &l.tx, lo, hi, pos, off, per[acc])
+		countPairs(ctx, txs, pos, firstOther, off, per[acc])
 	})
 	if err != nil {
 		return nil, err
@@ -614,22 +560,62 @@ func (l *Levelwise) countTriangle(off []int, cells int) ([]int32, error) {
 	return sumCounts(per), nil
 }
 
-// countPairs is countTriangle's inner loop over transactions [lo, hi). A
-// non-nil ctx is polled between transaction batches; on cancellation the
-// partial counts are abandoned by the caller.
-func countPairs(ctx context.Context, tx *projection, lo, hi int, pos []int32, off []int, tri []int32) {
-	rows := int32(len(off))
-	var buf []int32 // the transaction's L1 positions, ascending like its ranks
-	for i := lo; i < hi; i++ {
-		if ctx != nil && (i-lo)%checkBatch == 0 && ctx.Err() != nil {
-			return
-		}
-		buf = buf[:0]
-		for _, r := range tx.row(i) {
-			if p := pos[r]; p >= 0 {
-				buf = append(buf, p)
+// itemTable returns a table with a slot for every item of the database and
+// the domain, all -1.
+func (l *Levelwise) itemTable() []int32 {
+	tab := make([]int32, len(l.itemToRank))
+	for it := range tab {
+		tab[it] = -1
+	}
+	return tab
+}
+
+// through reads a transaction through a table: it returns what tab holds for
+// the items of t, skipping the negative slots — the transaction trimmed to
+// the items that can still matter — in buf's storage when that is large
+// enough. Items ascend, so the values of each class of a table that is
+// monotone per class — below firstOther for required items, at or above it
+// for the others — do too: writing the required class first leaves the
+// result sorted without a sort. firstOther is 0 without a class.
+func through(buf []int32, t itemset.Set, tab []int32, firstOther int32) []int32 {
+	// Every value is stored and the length moves on only behind a wanted
+	// one: that compiles to a conditional move, where a guarded append is a
+	// branch the item data makes unpredictable. The second loop may store
+	// one slot past the values both loops keep.
+	if cap(buf) <= len(t) {
+		buf = make([]int32, 2*len(t)+1)
+	}
+	buf, n := buf[:len(t)+1], 0
+	if firstOther > 0 {
+		for _, it := range t {
+			v := tab[it]
+			buf[n] = v
+			if uint32(v) < uint32(firstOther) { // 0 <= v < firstOther
+				n++
 			}
 		}
+	}
+	for _, it := range t {
+		v := tab[it]
+		buf[n] = v
+		if v >= firstOther {
+			n++
+		}
+	}
+	return buf[:n]
+}
+
+// countPairs is countTriangle's inner loop over a run of transactions. A
+// non-nil ctx is polled between transaction batches; on cancellation the
+// partial counts are abandoned by the caller.
+func countPairs(ctx context.Context, txs []itemset.Set, pos []int32, firstOther int32, off []int, tri []int32) {
+	rows := int32(len(off))
+	var buf []int32 // the transaction's L1 positions, ascending
+	for i, t := range txs {
+		if ctx != nil && i%checkBatch == 0 && ctx.Err() != nil {
+			return
+		}
+		buf = through(buf, t, pos, firstOther)
 		for a, p := range buf {
 			if p >= rows {
 				break // no later position is a row either
@@ -801,8 +787,9 @@ type trieNode struct {
 }
 
 // countCandidates counts the supports of lexicographically sorted k-level
-// candidates in one pass over the projected transactions (countPass), by
-// matching each transaction against a trie of the candidates.
+// candidates in one pass over the transactions (countPass), by matching each
+// transaction, trimmed to the ranks some candidate holds, against a trie of
+// the candidates.
 func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 	root := &trieNode{}
 	for idx, c := range cands {
@@ -831,13 +818,20 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 		}
 	}
 
+	// Only the ranks of some candidate can still matter at this level.
+	tab := l.itemTable()
+	for _, c := range cands {
+		for _, r := range c {
+			tab[l.rankToItem[r]] = r
+		}
+	}
 	per := make([][]int, max(1, l.cfg.Workers))
 	per[0] = make([]int, len(cands))
-	err := l.countPass(fmt.Sprintf("level %d: counting", k), func(ctx context.Context, lo, hi, acc int) {
+	err := l.countPass(fmt.Sprintf("level %d: counting", k), func(ctx context.Context, txs []itemset.Set, acc int) {
 		if per[acc] == nil {
 			per[acc] = make([]int, len(cands))
 		}
-		countTrie(ctx, root, k, &l.tx, lo, hi, per[acc])
+		countTrie(ctx, root, k, txs, tab, int32(l.nRequired), per[acc])
 	})
 	if err != nil {
 		return nil, err
@@ -845,27 +839,29 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 	return sumCounts(per), nil
 }
 
-// countPass runs one counting pass over the projected transactions under
-// the checkpoint protocol every level shares. Serial counting (Workers < 2,
-// or too few transactions to split) checkpoints between transaction batches
-// and counts each batch into accumulator 0. Parallel counting partitions the
-// transactions among Workers goroutines, worker w counting its share into
-// accumulator w against shared read-only state and polling the context
-// between batches, so cancellation stops it promptly; the coordinator
-// checkpoints before the workers start and again after they join, which
-// keeps checkpoint numbering deterministic regardless of Workers, and a
-// cancellation that stopped them early surfaces there, before the partial
-// counts can be used. Workers always rejoin through wg.Wait: they return
-// early, never leak. The caller sums the accumulators (sumCounts).
-func (l *Levelwise) countPass(where string, count func(ctx context.Context, lo, hi, acc int)) error {
-	nTx := l.tx.rows()
+// countPass runs one counting pass over the transactions, where the database
+// keeps them, under the checkpoint protocol every level from 2 on shares.
+// Serial counting (Workers < 2, or too few transactions to split)
+// checkpoints between transaction batches and counts each batch into
+// accumulator 0. Parallel counting partitions the transactions among Workers
+// goroutines, worker w counting its share into accumulator w against shared
+// read-only state and polling the context between batches, so cancellation
+// stops it promptly; the coordinator checkpoints before the workers start
+// and again after they join, which keeps checkpoint numbering deterministic
+// regardless of Workers, and a cancellation that stopped them early surfaces
+// there, before the partial counts can be used. Workers always rejoin
+// through wg.Wait: they return early, never leak. The caller sums the
+// accumulators (sumCounts).
+func (l *Levelwise) countPass(where string, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
+	l.cfg.DB.RecordScan()
+	txs := l.cfg.DB.Transactions()
 	workers := l.cfg.Workers
-	if workers < 2 || nTx < 4*workers {
-		for start := 0; start < nTx; start += checkBatch {
+	if workers < 2 || len(txs) < 4*workers {
+		for start := 0; start < len(txs); start += checkBatch {
 			if err := l.guard.Check(where); err != nil {
 				return err
 			}
-			count(nil, start, min(start+checkBatch, nTx), 0)
+			count(nil, txs[start:min(start+checkBatch, len(txs))], 0)
 		}
 		return nil
 	}
@@ -874,13 +870,13 @@ func (l *Levelwise) countPass(where string, count func(ctx context.Context, lo, 
 	}
 	ctx := l.guard.Ctx()
 	var wg sync.WaitGroup
-	chunk := (nTx + workers - 1) / workers
-	for w := 0; w*chunk < nTx; w++ {
+	chunk := (len(txs) + workers - 1) / workers
+	for w := 0; w*chunk < len(txs); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			count(ctx, w*chunk, min((w+1)*chunk, nTx), w)
-		}(w)
+			count(ctx, txs[w*chunk:min((w+1)*chunk, len(txs))], w)
+		}()
 	}
 	wg.Wait()
 	return l.guard.Check(where)
@@ -897,11 +893,12 @@ func sumCounts[T int | int32](per [][]T) []T {
 	return per[0]
 }
 
-// countTrie counts the trie's candidates over transactions [lo, hi) into
+// countTrie counts the trie's candidates over a run of transactions, each
+// read through tab (item → rank when some candidate holds the rank), into
 // counts. The trie is read-only during counting. A non-nil ctx is polled
 // between transaction batches; on cancellation the partial counts are
 // abandoned by the caller.
-func countTrie(ctx context.Context, root *trieNode, k int, tx *projection, lo, hi int, counts []int) {
+func countTrie(ctx context.Context, root *trieNode, k int, txs []itemset.Set, tab []int32, nRequired int32, counts []int) {
 	var walk func(n *trieNode, depth int, t []int32)
 	walk = func(n *trieNode, depth int, t []int32) {
 		i, j := 0, 0
@@ -926,12 +923,15 @@ func countTrie(ctx context.Context, root *trieNode, k int, tx *projection, lo, h
 			}
 		}
 	}
-	for i := lo; i < hi; i++ {
-		if ctx != nil && (i-lo)%checkBatch == 0 && ctx.Err() != nil {
+	var buf []int32 // the transaction's ranks that can still matter, ascending
+	for i, t := range txs {
+		if ctx != nil && i%checkBatch == 0 && ctx.Err() != nil {
 			return
 		}
-		if t := tx.row(i); len(t) >= k {
-			walk(root, 0, t)
+		buf = through(buf, t, tab, nRequired)
+		// Under a Required class every candidate leads with a required rank.
+		if len(buf) >= k && (nRequired == 0 || buf[0] < nRequired) {
+			walk(root, 0, buf)
 		}
 	}
 }

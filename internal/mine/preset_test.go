@@ -34,7 +34,7 @@ func TestPresetL1SkipsCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scansBefore := stats.DBScans // projection scan only
+	scansBefore := stats.DBScans // New makes no pass
 	lw.Step()
 	if stats.DBScans != scansBefore {
 		t.Errorf("preset level 1 performed a counting scan")

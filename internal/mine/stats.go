@@ -39,7 +39,9 @@ type Stats struct {
 	// subset of them that are valid.
 	FrequentSets int64
 	ValidSets    int64
-	// DBScans is the number of full transaction-database scans.
+	// DBScans is the number of full passes over the transactions: one per
+	// counted level from level 2 on. Level 1 is not a pass — it reads the
+	// database's per-item supports.
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state
 	// (candidates and per-level frequent sets), cumulatively over the run.

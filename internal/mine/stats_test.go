@@ -102,7 +102,7 @@ func TestSpanDeltasSumToTotals(t *testing.T) {
 		}},
 	}
 	wantSpans := map[string][]string{
-		"levelwise": {"project", "level-1", "level-2"},
+		"levelwise": {"level-1", "level-2", "level-3"},
 	}
 	for _, m := range miners {
 		t.Run(m.name, func(t *testing.T) {

@@ -7,11 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/obs"
 	"repro/internal/txdb"
@@ -107,14 +104,11 @@ type triangleRun struct {
 	sites  obs.Counters
 }
 
-// runTriangleCase mines db under c with level 2 taken by step (the triangle
-// or the reference) and every other level by Step.
-func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
-	step func(*Levelwise) ([]Counted, error)) triangleRun {
+// config is the miner configuration of c over db: its closures record their
+// calls, and the checkpoints they fall between, in run.events and charge
+// prune.
+func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangleRun, prune *obs.PruneSet) Config {
 	t.Helper()
-	var run triangleRun
-	prune := obs.NewPruneSet()
-	ctx := obs.WithPruning(context.Background(), prune)
 	cfg := Config{
 		DB: db, MinSupport: minSup, Workers: c.workers, MaxLevel: c.maxLevel,
 		Stats: &Stats{},
@@ -195,8 +189,18 @@ func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 		}
 		cfg.PresetL1 = first.FrequentItemCounts()
 	}
+	return cfg
+}
 
-	lw, err := New(ctx, cfg)
+// runTriangleCase mines db under c with level 2 taken by step (the triangle
+// or the reference) and every other level by Step.
+func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
+	step func(*Levelwise) ([]Counted, error)) triangleRun {
+	t.Helper()
+	var run triangleRun
+	prune := obs.NewPruneSet()
+	cfg := c.config(t, db, minSup, &run, prune)
+	lw, err := New(obs.WithPruning(context.Background(), prune), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,34 +242,7 @@ func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 // on top of either.
 func TestTriangleMatchesTrieLevel2(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
-	type fixture struct {
-		name   string
-		db     *txdb.DB
-		minSup int
-	}
-	fixtures := []fixture{
-		// Wide enough for a second "candidate filtering" checkpoint
-		// (C(150, 2) > genCheckBatch) …
-		{"wide", randomDB(r, 300, 150, 24), 5},
-		// … and long enough for several counting checkpoints and a real
-		// Workers split.
-		{"long", randomDB(r, 2*checkBatch+77, 14, 7), 40},
-		{"empty", txdb.New(nil), 1},
-		{"tiny", randomDB(r, 3, 5, 4), 1}, // fewer than 4*Workers rows: serial fallback
-	}
-	for i := 0; i < 12; i++ {
-		numItems := 4 + r.Intn(20)
-		db := randomDB(r, 20+r.Intn(200), numItems, 2+r.Intn(8))
-		// A threshold around the median item support splits the items into
-		// frequent and rare ones.
-		sup := append([]int(nil), db.ItemSupports()...)
-		minSup := 1
-		if len(sup) > 0 {
-			minSup = max(1, sup[r.Intn(len(sup))])
-		}
-		fixtures = append(fixtures, fixture{fmt.Sprintf("random-%d", i), db, minSup})
-	}
-	for _, f := range fixtures {
+	for _, f := range triangleFixtures(r) {
 		for _, required := range []string{"none", "class", "disjoint"} {
 			for _, filter := range []string{"none", "sum", "reject-all"} {
 				for _, preset := range []bool{false, true} {
@@ -296,6 +273,39 @@ func TestTriangleMatchesTrieLevel2(t *testing.T) {
 	}
 }
 
+// triangleFixture is one database of the configuration-space properties.
+type triangleFixture struct {
+	name   string
+	db     *txdb.DB
+	minSup int
+}
+
+func triangleFixtures(r *rand.Rand) []triangleFixture {
+	fixtures := []triangleFixture{
+		// Wide enough for a second "candidate filtering" checkpoint
+		// (C(150, 2) > genCheckBatch) …
+		{"wide", randomDB(r, 300, 150, 24), 5},
+		// … and long enough for several counting checkpoints and a real
+		// Workers split.
+		{"long", randomDB(r, 2*checkBatch+77, 14, 7), 40},
+		{"empty", txdb.New(nil), 1},
+		{"tiny", randomDB(r, 3, 5, 4), 1}, // fewer than 4*Workers rows: serial fallback
+	}
+	for i := 0; i < 12; i++ {
+		numItems := 4 + r.Intn(20)
+		db := randomDB(r, 20+r.Intn(200), numItems, 2+r.Intn(8))
+		// A threshold around the median item support splits the items into
+		// frequent and rare ones.
+		sup := append([]int(nil), db.ItemSupports()...)
+		minSup := 1
+		if len(sup) > 0 {
+			minSup = max(1, sup[r.Intn(len(sup))])
+		}
+		fixtures = append(fixtures, triangleFixture{fmt.Sprintf("random-%d", i), db, minSup})
+	}
+	return fixtures
+}
+
 func countEvent(events []string, event string) int {
 	n := 0
 	for _, e := range events {
@@ -304,32 +314,6 @@ func countEvent(events []string, event string) int {
 		}
 	}
 	return n
-}
-
-// level2Checkpoints returns the indices (1-based, as faultinject counts) of
-// the "level 2:" checkpoints of a full run under cfg.
-func level2Checkpoints(t *testing.T, cfg Config) []int64 {
-	t.Helper()
-	var at []int64
-	var n int64
-	cfg.Budget = &Budget{Checkpoint: func(where string) error {
-		n++
-		if strings.HasPrefix(where, "level 2:") {
-			at = append(at, n)
-		}
-		return nil
-	}}
-	lw, err := New(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lw.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(at) < 3 {
-		t.Fatalf("only %d level-2 checkpoints; first/middle/last are not distinct", len(at))
-	}
-	return at
 }
 
 // TestLevel2BudgetTrip: a candidate budget just below the level-2 cell count
@@ -392,36 +376,13 @@ func TestLevel2CancelUnwinds(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
 		cfg := Config{DB: db, MinSupport: 30, Workers: workers, CandidateFilter: filter}
-		at := level2Checkpoints(t, cfg)
+		at := passCheckpoints(t, cfg, "level 2:")
+		if len(at) < 3 {
+			t.Fatalf("only %d level-2 checkpoints; first/middle/last are not distinct", len(at))
+		}
 		for _, n := range []int64{at[0], at[len(at)/2], at[len(at)-1]} {
-			ctx, cancel := context.WithCancel(context.Background())
-			inj := faultinject.Cancel(n, cancel)
-			cfg.Budget = &Budget{Checkpoint: inj.Checkpoint}
-			lw, err := New(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = lw.RunAll()
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d cancel at %d: err = %v, want context.Canceled", workers, n, err)
-			}
-			if fired, where := inj.Fired(); !fired || !strings.HasPrefix(where, "level 2:") {
-				t.Fatalf("workers=%d cancel at %d: fired=%v at %q, want a level-2 checkpoint", workers, n, fired, where)
-			}
-			if !strings.Contains(err.Error(), "level 2:") {
-				t.Errorf("workers=%d cancel at %d: error %q does not name the level-2 checkpoint", workers, n, err)
-			}
-			if sets, done, err2 := lw.Step(); sets != nil || !done || !errors.Is(err2, context.Canceled) {
-				t.Errorf("workers=%d cancel at %d: Step after abort = (%v, %v, %v)", workers, n, sets, done, err2)
-			}
+			cancelUnwinds(t, cfg, n, "level 2:")
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after cancelled runs", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	settleGoroutines(t, before)
 }

@@ -69,33 +69,26 @@ func (db *DB) Transaction(i int) itemset.Set { return db.tx[i] }
 // encode snapshots without copying the dataset).
 func (db *DB) Transactions() []itemset.Set { return db.tx }
 
-// Scan invokes fn once per transaction, in TID order, and records one full
-// database scan for I/O accounting (both on the DB and, live, in the global
-// metrics registry — so a mid-run scrape sees scan progress).
-func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
+// RecordScan records one full database scan for I/O accounting (both on the
+// DB and, live, in the global metrics registry — so a mid-run scrape sees
+// scan progress). Scan calls it; a reader that walks Transactions() itself
+// under its own checkpoints, as the miner's level-2 pass does, calls it once
+// per pass.
+func (db *DB) RecordScan() {
 	atomic.AddInt64(&db.scans, 1)
 	obs.MDBScans.Inc()
+}
+
+// Scan invokes fn once per transaction, in TID order, and records one full
+// database scan.
+func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
+	db.RecordScan()
 	for i, t := range db.tx {
 		fn(i, t)
 	}
 }
 
-// ScanErr invokes fn once per transaction, in TID order, recording one full
-// scan. It stops at the first non-nil error and returns it — the abortable
-// variant that cancellable miners use so a cancelled pass never runs to the
-// end of the database.
-func (db *DB) ScanErr(fn func(tid int, t itemset.Set) error) error {
-	atomic.AddInt64(&db.scans, 1)
-	obs.MDBScans.Inc()
-	for i, t := range db.tx {
-		if err := fn(i, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scans returns the number of Scan/ScanErr passes performed so far (an
+// Scans returns the number of recorded passes performed so far (an
 // I/O-cost proxy: the paper's experiments count CPU + I/O time, and levelwise
 // algorithms differ chiefly in how many passes they make). The one-time
 // statistics pass behind ItemSupports and ActiveItems is not a scan in this

@@ -95,11 +95,19 @@ if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru
 fi
 # Database passes belong to the miners: the engine reads per-item
 # statistics from txdb (computed once per database, i.e. per generation)
-# and never scans. And the levelwise hot path sorts with package slices —
-# reflection-based sort.Slice on a per-transaction or per-candidate path
-# was most of a cold query's projection cost.
+# and never scans. The miner itself makes no callback scan either: it has no
+# copy of the database, level 1 comes from the item statistics, and every
+# later level walks DB.Transactions() in place under its own checkpoints
+# (countPass, which records the pass with DB.RecordScan). And the levelwise
+# hot path sorts with package slices — reflection-based sort.Slice on a
+# per-transaction or per-candidate path was most of a cold query's
+# projection cost.
 if grep -rnE '\.(Scan|ScanErr)\(' internal/core --include='*.go' | grep -v '_test.go'; then
   echo "check.sh: database pass under internal/core (read txdb.DB.ItemSupports/ActiveItems; passes belong to internal/mine)" >&2
+  exit 1
+fi
+if grep -nE 'ScanErr\(|\.Scan\(' internal/mine/levelwise.go; then
+  echo "check.sh: callback scan in internal/mine/levelwise.go (miners read DB.Transactions() in place through countPass; a scan in New or level 1 brings the per-miner projection back)" >&2
   exit 1
 fi
 if grep -n 'sort\.Slice(' internal/mine/levelwise.go; then
@@ -146,6 +154,12 @@ go -C benchmark build -o /dev/null ./...
 
 echo "== go test -race -short =="
 go test -race -short ./...
+
+echo "== in-place mining properties (-race -count=3) =="
+# No pass before level 2, and counting through the trimming tables equals
+# counting over the full projection — under a real Workers split, repeated
+# so a scheduling-dependent miscount cannot hide behind one lucky run.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection' ./internal/mine
 
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
