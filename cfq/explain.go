@@ -99,14 +99,3 @@ func (q *Query) ExplainAnalyzeContext(ctx context.Context, strat Strategy) (*Res
 	}
 	return p.ExplainAnalyzeContext(ctx)
 }
-
-// AnalyzeCapture builds the plan report for an already-finished run of the
-// query under strat from its attributed pruning counters (see
-// Prepared.AnalyzeCapture).
-func (q *Query) AnalyzeCapture(strat Strategy, prune *PruneSet, pruned int64) (*ExplainReport, error) {
-	p, err := q.Prepare(strat)
-	if err != nil {
-		return nil, err
-	}
-	return p.AnalyzeCapture(prune, pruned)
-}

@@ -53,8 +53,9 @@ func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (*Prepared, 
 }
 
 // PrepareWith compiles and plans the query with an explicit planner (nil
-// uses DefaultPlanner). With strategy Auto the query is profiled (one
-// database scan for item supports), the planner costs every strategy, and
+// uses DefaultPlanner). With strategy Auto the query is profiled (off the
+// per-generation item supports, no database pass), the planner costs every
+// strategy, and
 // the decision — strategy, Jmax cutoff — is baked into the prepared
 // plan; when ctx carries a Tracer a "plan:decide" span records the choice.
 // Any other strategy skips planning entirely and prepares that strategy
@@ -217,13 +218,13 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (res *Result, rep 
 	return convertResult(ctx, ires), rep, nil
 }
 
-// AnalyzeCapture builds the plan report for an already-finished run from
-// its attributed pruning counters: the plan is rendered fresh (one database
-// scan for selectivity estimates) and annotated with the given PruneSet and
-// pruned total. It is the slow-query capture path — no Result or plan
-// internals of the run survive, yet the report's sum contract still holds:
-// SumPruned() == pruned, with sites that only a live plan could claim
-// landing in OtherPruned.
+// AnalyzeCapture builds the plan report for an already-finished run of this
+// plan from its attributed pruning counters: the plan is rendered fresh
+// (like Explain, without a database pass) and annotated with the given
+// PruneSet and pruned total. It is the slow-record capture path — no Result
+// or plan internals of the run survive, yet the report's sum contract still
+// holds: SumPruned() == pruned, with sites that only a live plan could
+// claim landing in OtherPruned.
 func (p *Prepared) AnalyzeCapture(prune *PruneSet, pruned int64) (*ExplainReport, error) {
 	rep, err := p.Explain()
 	if err != nil {

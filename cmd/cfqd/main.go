@@ -82,7 +82,7 @@ func run(args []string, ready chan<- string) error {
 		fsyncInterval  = fs.Duration("fsync-interval", 100*time.Millisecond, "max unsynced window under -fsync interval")
 		compactRecords = fs.Int("compact-records", 1024, "snapshot+truncate a dataset log after this many WAL records (negative disables)")
 		compactBytes   = fs.Int64("compact-bytes", 64<<20, "snapshot+truncate a dataset log after this many WAL bytes (negative disables)")
-		slowQueryMS    = fs.Int64("slow-query-ms", 0, "capture queries slower than this (or budget/error outcomes) in the slow-query log; 0 disables")
+		slowQueryMS    = fs.Int64("slow-query-ms", 0, "mark queries slower than this (or budget/error outcomes) slow in the journal, with query text and analyzed plan, for GET /v1/slowlog; 0 disables")
 		workloadOn     = fs.Bool("workload", false, "journal every completed query (features, strategy, pruning, outcome) for GET /v1/workload")
 		shadowSample   = fs.Float64("shadow-sample", 0, "fraction of completed queries the shadow sampler re-runs under alternate strategies (0 disables, implies -workload)")
 		shadowStrats   = fs.String("shadow-strategies", "", "comma-separated strategies the shadow sampler re-runs (default: optimized,nojmax,cap,apriori,sequential,auto)")
@@ -119,16 +119,6 @@ func run(args []string, ready chan<- string) error {
 		}
 	}
 
-	// The slow-query ring persists beside the WALs when the daemon has a
-	// data directory; without one, records stay in memory (GET /v1/slowlog
-	// still serves them for the process lifetime).
-	var slowLogDir string
-	if *slowQueryMS > 0 && *dataDir != "" {
-		slowLogDir = filepath.Join(*dataDir, "slowlog")
-	}
-
-	// The workload journal likewise persists beside the WALs when both the
-	// journal and a data directory are configured.
 	if *shadowSample < 0 || *shadowSample > 1 {
 		return fmt.Errorf("bad -shadow-sample %v: want a fraction in [0, 1]", *shadowSample)
 	}
@@ -137,9 +127,20 @@ func run(args []string, ready chan<- string) error {
 			return fmt.Errorf("bad -default-strategy: %w", err)
 		}
 	}
-	var workloadDir string
-	if (*workloadOn || *shadowSample > 0) && *dataDir != "" {
-		workloadDir = filepath.Join(*dataDir, "workload")
+	// The journal — every query with -workload or -shadow-sample, only the
+	// slow and failed ones with just -slow-query-ms — persists beside the
+	// WALs when the daemon has a data directory: one ring, whichever of the
+	// two asks for it. Without one, the slow view and the rollups live in
+	// memory for the process lifetime.
+	var workloadDir, slowLogDir string
+	if *dataDir != "" {
+		journalDir := filepath.Join(*dataDir, "workload")
+		if *workloadOn || *shadowSample > 0 {
+			workloadDir = journalDir
+		}
+		if *slowQueryMS > 0 {
+			slowLogDir = journalDir
+		}
 	}
 	var shadowStrategies []string
 	if *shadowStrats != "" {

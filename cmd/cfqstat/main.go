@@ -115,14 +115,15 @@ func run(args []string, out io.Writer) error {
 
 	queries, shadows := 0, 0
 	for _, rec := range recs {
-		if rec.Kind == workload.KindShadow {
+		switch rec.Kind {
+		case workload.KindShadow:
 			shadows++
-		} else {
+		case workload.KindQuery:
 			queries++
 		}
 	}
-	fmt.Fprintf(out, "journal: %d records (%d queries, %d shadow runs) from %s\n",
-		len(recs), queries, shadows, *dir)
+	fmt.Fprintf(out, "journal: %d records (%d queries, %d shadow runs, %d slow requests on other endpoints) from %s\n",
+		len(recs), queries, shadows, len(recs)-queries-shadows, *dir)
 
 	fmt.Fprintf(out, "\ntop clusters (of %d classes):\n", len(rollups))
 	for i, cr := range rollups {
@@ -323,7 +324,7 @@ func verifyRecords(out io.Writer, recs []*workload.Record) error {
 			violations++
 			continue
 		}
-		if rec.Kind != workload.KindQuery || len(rec.PruneSites) == 0 {
+		if rec.Kind == workload.KindShadow || len(rec.PruneSites) == 0 {
 			continue
 		}
 		var sum int64

@@ -26,7 +26,7 @@ func main() {
 		frac   = flag.Float64("supportfrac", 0.01, "support threshold as a fraction of transactions")
 		full   = flag.Bool("full", false, "run at paper scale (equivalent to -scale 1)")
 		format = flag.String("format", "text", "output format: text, markdown, csv")
-		phJSON = flag.String("phases-json", "", "also write the phases profile as JSON to this file (BENCH_PHASES.json format)")
+		phJSON = flag.String("phases-json", "", "also write the phases profile as JSON to this file")
 	)
 	flag.Parse()
 	if *full {

@@ -14,7 +14,7 @@ import (
 // strategy: the same decomposition the paper argues from (Apriori⁺ pays
 // everything in mining levels; CAP moves work into the classify
 // pushdown; the optimized strategy adds the Jmax iterations and dovetailed
-// pair formation). This is the machine-readable seed for BENCH_PHASES.json.
+// pair formation). JSON is its machine-readable form.
 type PhaseProfile struct {
 	// Workload identifies the query (a Figure 8(a) point).
 	Workload string `json:"workload"`
@@ -120,7 +120,7 @@ func flattenPhases(s *obs.SpanReport, depth int, out *[]PhaseCost) {
 	}
 }
 
-// JSON renders the profile as indented JSON (the BENCH_PHASES.json format).
+// JSON renders the profile as indented JSON (cmd/experiments -phases-json).
 func (p *PhaseProfile) JSON() (string, error) {
 	b, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {

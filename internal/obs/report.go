@@ -6,8 +6,8 @@ import "time"
 // span tree with per-span wall time and work-counter deltas, plus the
 // counter totals (the sum of every span delta — by the attribution
 // contract this equals the run's total mine.Stats for engine-driven runs).
-// It marshals to stable JSON for the BENCH_*.json trajectory and the
-// cmd/cfq -report flag.
+// It marshals to stable JSON for the cmd/cfq -report flag and the served
+// "trace": true envelope.
 // ReportSchema is the current RunReport / ExplainReport wire version.
 // Bump it when a field changes meaning or shape; trajectory tooling keys
 // off it to parse old snapshots.
@@ -94,6 +94,37 @@ func buildSpanReport(s *Span, now time.Time, totals Counters) *SpanReport {
 		sr.Children = append(sr.Children, buildSpanReport(c, now, totals))
 	}
 	return sr
+}
+
+// Phases flattens the span tree into span path (relative to the root) →
+// wall milliseconds, repeated paths summed and open spans extended to now —
+// the per-request record's phase breakdown, without building a RunReport.
+// A tracer with no spans (or a nil one) reports nil.
+func (t *Tracer) Phases() map[string]float64 {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.count == 0 {
+		return nil
+	}
+	now := time.Now()
+	out := make(map[string]float64, t.count)
+	var walk func(prefix string, s *Span)
+	walk = func(prefix string, s *Span) {
+		for _, c := range s.children {
+			path := prefix + c.name
+			end := c.end
+			if !c.ended {
+				end = now
+			}
+			out[path] += ms(end.Sub(c.start))
+			walk(path+"/", c)
+		}
+	}
+	walk("", t.root)
+	return out
 }
 
 // Walk visits every span of the report tree depth-first, parents before

@@ -11,8 +11,8 @@ import (
 	"sync"
 )
 
-// SegmentRing is the bounded on-disk JSONL ring shared by the slow-query
-// log and the workload journal: fixed-prefix segment files
+// SegmentRing is the bounded on-disk JSONL ring under the workload journal
+// (the one per-request record sink): fixed-prefix segment files
 // ("<prefix>-%08d.jsonl") rotated once the active one would cross a byte
 // budget, with the oldest segments pruned past a count bound. The disk
 // budget is therefore roughly Segments × SegmentBytes. Opening an existing
@@ -44,8 +44,8 @@ type SegmentRingState struct {
 }
 
 // OpenSegmentRing opens (creating if needed) a segment ring in dir. The
-// prefix names the subsystem ("slow", "journal"); segmentBytes and segments
-// bound the ring.
+// prefix names the subsystem ("journal"); segmentBytes and segments bound
+// the ring.
 func OpenSegmentRing(dir, prefix string, segmentBytes int64, segments int) (*SegmentRing, error) {
 	r := &SegmentRing{dir: dir, prefix: prefix, segmentBytes: segmentBytes, segments: segments}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -122,11 +122,9 @@ func (r *SegmentRing) Append(line []byte) error {
 
 // rotateLocked opens the next segment and prunes the ring to its bound.
 func (r *SegmentRing) rotateLocked() {
-	if err := r.cur.Close(); err != nil {
-		// The handle is being abandoned either way; the close error carries
-		// no durability obligation for a diagnostic ring.
-		_ = err
-	}
+	// The handle is being abandoned either way; the close error carries no
+	// durability obligation for a diagnostic ring.
+	_ = r.cur.Close()
 	r.cur = nil
 	r.curIdx++
 	f, err := os.OpenFile(r.segPath(r.curIdx), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

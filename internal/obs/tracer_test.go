@@ -13,7 +13,7 @@ import (
 // entire disabled-tracing contract.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Report() != nil {
+	if tr.Report() != nil || tr.Phases() != nil {
 		t.Error("nil tracer reported non-nil")
 	}
 	if tr.Logger() != nil {
@@ -69,6 +69,49 @@ func TestSpanNesting(t *testing.T) {
 	if strings.Join(names, ",") != "test,a,b,c" {
 		t.Errorf("walk order = %v", names)
 	}
+}
+
+// TestPhasesMatchReport: Phases is the Report tree flattened to span path →
+// milliseconds — same paths, repeated paths summed, the same durations for
+// closed spans — without building the tree.
+func TestPhasesMatchReport(t *testing.T) {
+	tr := NewTracer(Options{Name: "serve:query"})
+	if tr.Phases() != nil {
+		t.Error("a tracer with no spans has phases")
+	}
+	tr.Start("parse").End(nil)
+	ev := tr.Start("evaluate")
+	for i := 0; i < 2; i++ {
+		lv := tr.Start("level")
+		tr.Start("count").End(nil)
+		lv.End(nil)
+	}
+	ev.End(nil)
+
+	want := map[string]float64{}
+	var walk func(prefix string, s *SpanReport)
+	walk = func(prefix string, s *SpanReport) {
+		for _, c := range s.Children {
+			want[prefix+c.Name] += c.DurationMS
+			walk(prefix+c.Name+"/", c)
+		}
+	}
+	walk("", tr.Report().Root)
+	got := tr.Phases()
+	if len(got) != 4 || len(want) != 4 {
+		t.Fatalf("phases = %v, report flattens to %v; want parse, evaluate, evaluate/level, evaluate/level/count", got, want)
+	}
+	for path, ms := range want {
+		if got[path] != ms {
+			t.Errorf("phase %s = %v ms, report says %v", path, got[path], ms)
+		}
+	}
+
+	open := tr.Start("admission")
+	if ms, ok := tr.Phases()["admission"]; !ok || ms < 0 {
+		t.Errorf("open span missing from phases: %v", tr.Phases())
+	}
+	open.End(nil)
 }
 
 // TestSpanDeltas: WithStats + End computes the counter delta, and Report

@@ -224,22 +224,6 @@ func (hv *HistogramVec) series() []Series {
 	return out
 }
 
-// GaugeFunc is a gauge whose value is computed at snapshot time — for
-// occupancy metrics a subsystem already tracks internally (cache bytes,
-// ring depth) where pushing every change would duplicate state.
-type GaugeFunc struct{ fn func() int64 }
-
-// NewGaugeFunc registers a computed gauge under the given name.
-func NewGaugeFunc(name string, fn func() int64) *GaugeFunc {
-	g := &GaugeFunc{fn: fn}
-	register(name, KindGauge, nil, g)
-	return g
-}
-
-func (g *GaugeFunc) value() any { return g.fn() }
-
-func (g *GaugeFunc) series() []Series { return []Series{{Value: float64(g.fn())}} }
-
 // nameOK reports whether a metric or label name is snake_case
 // ([a-z][a-z0-9_]*).
 func nameOK(name string) bool {

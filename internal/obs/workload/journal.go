@@ -10,53 +10,39 @@ import (
 )
 
 // Journal metrics. The record counter is labeled by kind so user-facing
-// traffic and shadow re-runs stay separable on /metrics.
+// traffic and shadow re-runs stay separable on /metrics; the slow-query
+// counters keep the names they had when the slow log was its own sink.
 var (
 	mJournalRecords = obs.NewCounterVec("workload_journal_records_total", "kind")
 	mJournalDropped = obs.NewCounter("workload_journal_dropped_total")
+	mSlowRecords    = obs.NewCounter("server_slow_queries_total")
+	mSlowDropped    = obs.NewCounter("server_slowlog_dropped_total")
 )
 
-// Options configures OpenJournal. Zero values get serving defaults.
-type Options struct {
-	// Dir is the on-disk ring directory ("" = in-memory only).
-	Dir string
-	// MemRecords bounds the in-memory ring served over the API
-	// (default 256).
-	MemRecords int
-	// SegmentBytes rotates the active JSONL segment past this size
-	// (default 8 MiB).
-	SegmentBytes int64
-	// Segments bounds the on-disk ring (default 4).
-	Segments int
-	// MaxClasses bounds the live rollup cardinality; classes beyond it fold
-	// into telemetry.OverflowKey (default 64).
-	MaxClasses int
-}
+// The sink's bounds are constants: one daemon, one journal, one set of
+// values in use.
+const (
+	// SlowViewRecords bounds the slow view: the newest records marked Slow,
+	// held in memory for GET /v1/slowlog.
+	SlowViewRecords = 128
+	// segmentBytes rotates the active JSONL segment past this size; segments
+	// bounds the on-disk ring, whose disk budget is their product.
+	segmentBytes = 8 << 20
+	segments     = 4
+	// rollupClasses bounds the live rollup cardinality; classes beyond it fold
+	// into telemetry.OverflowKey.
+	rollupClasses = 64
+)
 
-func (o Options) withDefaults() Options {
-	if o.MemRecords <= 0 {
-		o.MemRecords = 256
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
-	if o.Segments <= 0 {
-		o.Segments = 4
-	}
-	if o.MaxClasses <= 0 {
-		o.MaxClasses = 64
-	}
-	return o
-}
-
-// Journal is the workload record sink: an in-memory ring (served by
-// GET /v1/workload), a bounded on-disk SegmentRing, and live per-class
-// rollups. All methods are safe for concurrent use.
+// Journal is the one per-request record sink: a bounded on-disk SegmentRing
+// holding every record, the slow view (pointers to the newest Slow records
+// among them, so a record served by GET /v1/slowlog is the line on disk),
+// and live per-class rollups. All methods are safe for concurrent use.
 type Journal struct {
-	opts Options
+	dir string // "" = no disk ring: the slow view and live rollups only
 
 	mu       sync.Mutex
-	mem      []*Record // ring, oldest first
+	slow     []*Record // the slow view, oldest first
 	ring     *telemetry.SegmentRing
 	classes  map[string]*classAgg
 	appended int64
@@ -77,15 +63,15 @@ type classAgg struct {
 	features   *obs.QueryFeatures // latest seen
 }
 
-// OpenJournal opens (creating if needed) the workload journal. With a Dir
-// it continues the existing segment numbering, so restarts append rather
-// than clobber.
-func OpenJournal(opts Options) (*Journal, error) {
-	j := &Journal{opts: opts.withDefaults(), classes: map[string]*classAgg{}}
-	if j.opts.Dir == "" {
+// OpenJournal opens the journal over the on-disk ring under dir, creating
+// it if needed and continuing the existing segment numbering, so restarts
+// append rather than clobber. An empty dir keeps no ring.
+func OpenJournal(dir string) (*Journal, error) {
+	j := &Journal{dir: dir, classes: map[string]*classAgg{}}
+	if dir == "" {
 		return j, nil
 	}
-	ring, err := telemetry.OpenSegmentRing(j.opts.Dir, "journal", j.opts.SegmentBytes, j.opts.Segments)
+	ring, err := telemetry.OpenSegmentRing(dir, "journal", segmentBytes, segments)
 	if err != nil {
 		return nil, err
 	}
@@ -93,9 +79,11 @@ func OpenJournal(opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// Append records one completed query or shadow run. Disk failures drop the
-// line (counted, never blocking the caller) — the journal is evidence, not
-// a ledger.
+// Append records one finished request or shadow run. A record that cannot
+// be marshalled, arrives after Close, or fails its disk write is dropped
+// (counted, never blocking the caller) — the journal is evidence, not a
+// ledger. The record must not be modified afterwards: the slow view serves
+// the same pointer.
 func (j *Journal) Append(rec *Record) {
 	if j == nil || rec == nil {
 		return
@@ -104,29 +92,41 @@ func (j *Journal) Append(rec *Record) {
 		rec.Schema = RecordSchema
 	}
 	line, err := json.Marshal(rec)
-	if err != nil {
-		mJournalDropped.Inc()
-		return
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		mJournalDropped.Inc()
+	if err != nil || j.closed {
+		j.dropLocked(rec)
 		return
 	}
-	j.mem = append(j.mem, rec)
-	if over := len(j.mem) - j.opts.MemRecords; over > 0 {
-		j.mem = append(j.mem[:0], j.mem[over:]...)
+	j.admitLocked(rec)
+	if err := j.ring.Append(line); err != nil { // a nil ring (memory-only) accepts everything
+		j.dropLocked(rec)
 	}
+}
+
+// dropLocked is the one drop path: State().Dropped and the drop metrics
+// count the same events.
+func (j *Journal) dropLocked(rec *Record) {
+	j.dropped++
+	mJournalDropped.Inc()
+	if rec.Slow {
+		mSlowDropped.Inc()
+	}
+}
+
+// admitLocked takes rec into the in-memory state: the counters, the slow
+// view and the live rollups.
+func (j *Journal) admitLocked(rec *Record) {
 	j.appended++
 	mJournalRecords.WithLabels(rec.Kind).Inc()
-	j.foldLocked(rec)
-	if j.ring != nil {
-		if err := j.ring.Append(line); err != nil {
-			j.dropped++
-			mJournalDropped.Inc()
+	if rec.Slow {
+		mSlowRecords.Inc()
+		j.slow = append(j.slow, rec)
+		if over := len(j.slow) - SlowViewRecords; over > 0 {
+			j.slow = append(j.slow[:0], j.slow[over:]...)
 		}
 	}
+	j.foldLocked(rec)
 }
 
 func (j *Journal) foldLocked(rec *Record) {
@@ -139,7 +139,7 @@ func (j *Journal) foldLocked(rec *Record) {
 	}
 	agg := j.classes[key]
 	if agg == nil {
-		if len(j.classes) >= j.opts.MaxClasses {
+		if len(j.classes) >= rollupClasses {
 			key = telemetry.OverflowKey
 			agg = j.classes[key]
 		}
@@ -168,21 +168,16 @@ func (j *Journal) foldLocked(rec *Record) {
 	}
 }
 
-// Recent returns up to n records, newest first. n <= 0 returns the whole
-// memory ring.
-func (j *Journal) Recent(n int) []*Record {
+// SlowView returns the slow view, newest first.
+func (j *Journal) SlowView() []*Record {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	total := len(j.mem)
-	if n <= 0 || n > total {
-		n = total
-	}
-	out := make([]*Record, 0, n)
-	for i := total - 1; i >= total-n; i-- {
-		out = append(out, j.mem[i])
+	out := make([]*Record, len(j.slow))
+	for i, rec := range j.slow {
+		out[len(j.slow)-1-i] = rec
 	}
 	return out
 }
@@ -238,12 +233,12 @@ func (j *Journal) Rollups() []ClassRollup {
 
 // State is the journal's introspection view (/statz, GET /v1/workload).
 type State struct {
-	Dir        string                      `json:"dir,omitempty"`
-	MemRecords int                         `json:"mem_records"`
-	Appended   int64                       `json:"appended"`
-	Dropped    int64                       `json:"dropped,omitempty"`
-	Classes    int                         `json:"classes"`
-	Ring       *telemetry.SegmentRingState `json:"ring,omitempty"`
+	Dir         string                      `json:"dir,omitempty"`
+	SlowRecords int                         `json:"slow_records"`
+	Appended    int64                       `json:"appended"`
+	Dropped     int64                       `json:"dropped,omitempty"`
+	Classes     int                         `json:"classes"`
+	Ring        *telemetry.SegmentRingState `json:"ring,omitempty"`
 }
 
 // State snapshots journal occupancy.
@@ -254,11 +249,11 @@ func (j *Journal) State() State {
 	j.mu.Lock()
 	ring := j.ring
 	st := State{
-		Dir:        j.opts.Dir,
-		MemRecords: len(j.mem),
-		Appended:   j.appended,
-		Dropped:    j.dropped,
-		Classes:    len(j.classes),
+		Dir:         j.dir,
+		SlowRecords: len(j.slow),
+		Appended:    j.appended,
+		Dropped:     j.dropped,
+		Classes:     len(j.classes),
 	}
 	j.mu.Unlock()
 	if ring != nil {
@@ -276,9 +271,6 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.closed = true
-	if j.ring == nil {
-		return nil
-	}
 	err := j.ring.Close()
 	j.ring = nil
 	return err

@@ -27,20 +27,15 @@ func ReadDir(dir string) ([]*Record, error) {
 	return out, nil
 }
 
-// Replay rebuilds the in-memory rollup state (a Journal with no disk ring)
-// from loaded records — cmd/cfqstat's cluster view.
+// Replay rebuilds the in-memory state (a Journal with no disk ring: live
+// rollups and the slow view) from loaded records — cmd/cfqstat's cluster
+// view.
 func Replay(recs []*Record) *Journal {
-	j, _ := OpenJournal(Options{}) // memory-only open cannot fail
+	j, _ := OpenJournal("") // memory-only open cannot fail
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	for _, rec := range recs {
-		// Re-appending would double the metrics counters; fold directly.
-		j.mu.Lock()
-		j.mem = append(j.mem, rec)
-		if over := len(j.mem) - j.opts.MemRecords; over > 0 {
-			j.mem = append(j.mem[:0], j.mem[over:]...)
-		}
-		j.appended++
-		j.foldLocked(rec)
-		j.mu.Unlock()
+		j.admitLocked(rec)
 	}
 	return j
 }

@@ -1,16 +1,19 @@
 // Package workload is the engine's cost-model ground truth: a durable
-// per-query journal (what ran, what it looked like, what it cost) plus the
-// regret bookkeeping fed by the shadow sampler (what the alternatives would
-// have cost). The cost-based strategy planner trains and validates against
-// exactly this data.
+// per-request journal (what ran, what it looked like, what it cost, why it
+// was slow) plus the regret bookkeeping fed by the shadow sampler (what the
+// alternatives would have cost). The cost-based strategy planner trains and
+// validates against exactly this data.
 //
-// One JSONL record lands per completed /v1/query — canonical query hash,
+// One JSONL Record is the whole per-request fact: canonical query hash,
 // constraint classification and enforcement sites from BuildExplain, the
-// estimate.go selectivity features with dataset L1 stats, the chosen
-// strategy, per-phase span deltas, per-site pruning counts (summing to
-// CandidatesPruned by the attribution contract), budget outcome, and cache
-// hit/miss — persisted through the same SegmentRing machinery as the
-// slow-query log. Shadow re-runs append records with Kind "shadow".
+// estimate.go selectivity features with dataset L1 stats, the executed
+// strategy and the planner's decision, admission outcome (priority class,
+// queue wait, collapse), per-phase span deltas, per-site pruning counts
+// (summing to CandidatesPruned by the attribution contract), budget outcome
+// and cache hit/miss. A record marked Slow additionally carries the query
+// text and the analyzed plan report; the slow-query log is the journal's
+// view of those records, not a second store. Shadow re-runs append records
+// with Kind "shadow".
 package workload
 
 import (
@@ -25,10 +28,11 @@ import (
 // RecordSchema versions the journal record shape.
 const RecordSchema = 1
 
-// Record kinds.
+// Record kinds. Rollups and the regret table read KindQuery records only.
 const (
-	KindQuery  = "query"  // a user-facing /v1/query completion
-	KindShadow = "shadow" // a shadow-sampler re-run under an alternate strategy
+	KindQuery   = "query"   // a user-facing /v1/query completion
+	KindShadow  = "shadow"  // a shadow-sampler re-run under an alternate strategy
+	KindRequest = "request" // a slow or failed request on another query endpoint (explain, explain-analyze, prepare)
 )
 
 // Record is one journal line.
@@ -40,6 +44,10 @@ type Record struct {
 	// (empty for shadow runs, which never touch the HTTP path).
 	TraceID   string `json:"trace_id,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
+	// Endpoint is the API endpoint that served the request (empty on shadow
+	// records and on lines written before the slow log folded in, which are
+	// all /v1/query).
+	Endpoint string `json:"endpoint,omitempty"`
 	// Dataset / Generation pin the snapshot the query ran against.
 	Dataset    string `json:"dataset"`
 	Generation uint64 `json:"generation,omitempty"`
@@ -58,9 +66,23 @@ type Record struct {
 	Code   string `json:"code,omitempty"`
 	Error  string `json:"error,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
-	// DurationMS is the wall time; Phases the per-phase span breakdown.
+	// Priority / QueueWaitMS / Collapsed / DegradationLevel are the
+	// admission side of the request: its priority class, how long it waited
+	// for a worker slot (the cost model's queueing term, outside any plan's
+	// control), whether it was answered by another request's evaluation, and
+	// the brownout level it finished under.
+	Priority         string  `json:"priority,omitempty"`
+	QueueWaitMS      float64 `json:"queue_wait_ms,omitempty"`
+	Collapsed        bool    `json:"collapsed,omitempty"`
+	DegradationLevel int     `json:"degradation_level,omitempty"`
+	// DurationMS is the wall time; Phases maps span paths (under the
+	// request's root) to wall milliseconds — the breakdown of DurationMS.
 	DurationMS float64            `json:"duration_ms"`
 	Phases     map[string]float64 `json:"phases,omitempty"`
+	// Plan is the planner's decision (source, predicted cost, costed
+	// rejected alternatives) — only on requests that executed a planned or
+	// replayed plan, never on cache hits or collapse followers.
+	Plan *obs.PlanChoice `json:"plan,omitempty"`
 	// PruneSites is the attributed pruning; by the attribution contract the
 	// values sum to CandidatesPruned.
 	PruneSites       obs.Counters `json:"prune_sites,omitempty"`
@@ -69,6 +91,14 @@ type Record struct {
 	// strategy-independent cost-model inputs.
 	EnforcedAt []string           `json:"enforced_at,omitempty"`
 	Features   *obs.QueryFeatures `json:"features,omitempty"`
+	// Slow marks a record that crossed ThresholdMS, exhausted its budget or
+	// failed server-side; only such records carry the canonical Query text
+	// and Explain, the report of the plan that ran analyzed with the run's
+	// actual pruning (Explain.SumPruned() == CandidatesPruned).
+	Slow        bool               `json:"slow,omitempty"`
+	ThresholdMS float64            `json:"threshold_ms,omitempty"`
+	Query       string             `json:"query,omitempty"`
+	Explain     *obs.ExplainReport `json:"explain,omitempty"`
 }
 
 // QueryHash derives the stable journal key for a canonical query text.

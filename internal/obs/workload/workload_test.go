@@ -29,18 +29,24 @@ func srec(class, strat string, ms float64) *Record {
 	return &Record{Kind: KindShadow, Dataset: "d", Class: class, Strategy: strat, Chosen: "optimized", DurationMS: ms}
 }
 
+// TestJournalMemRingAndRollups: the journal's only memory ring is the slow
+// view — fast records pass through to the rollups (and the disk ring)
+// without being held — and shadow records fold into neither.
 func TestJournalMemRingAndRollups(t *testing.T) {
-	j, err := OpenJournal(Options{MemRecords: 3})
+	j, err := OpenJournal("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	for i := 0; i < 5; i++ {
-		j.Append(qrec(i, "cls-a", "optimized", float64(i+1)))
+		rec := qrec(i, "cls-a", "optimized", float64(i+1))
+		rec.Slow = i >= 3
+		j.Append(rec)
 	}
 	j.Append(srec("cls-a", "nojmax", 0.5)) // shadow records don't fold into rollups
-	if got := len(j.Recent(0)); got != 3 {
-		t.Fatalf("mem ring = %d records, want 3", got)
+	view := j.SlowView()
+	if len(view) != 2 || view[0].DurationMS != 5 || view[1].DurationMS != 4 {
+		t.Fatalf("slow view = %d records, want the two slow ones newest first", len(view))
 	}
 	rolls := j.Rollups()
 	if len(rolls) != 1 || rolls[0].Class != "cls-a" {
@@ -54,20 +60,51 @@ func TestJournalMemRingAndRollups(t *testing.T) {
 		t.Errorf("strategies = %v", r.Strategies)
 	}
 	st := j.State()
-	if st.Appended != 6 || st.MemRecords != 3 || st.Classes != 1 {
+	if st.Appended != 6 || st.SlowRecords != 2 || st.Classes != 1 {
 		t.Errorf("state = %+v", st)
 	}
 }
 
+// TestJournalDropAccounting: every drop path — a closed journal here, the
+// case the in-memory counter used to miss — moves State().Dropped and the
+// workload_journal_dropped_total / server_slowlog_dropped_total metrics
+// together.
+func TestJournalDropAccounting(t *testing.T) {
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(qrec(0, "c", "optimized", 1))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dropped, slowDropped := mJournalDropped.Value(), mSlowDropped.Value()
+	late := qrec(1, "c", "optimized", 1)
+	late.Slow = true
+	j.Append(late)
+	j.Append(qrec(2, "c", "optimized", 1))
+	st := j.State()
+	if st.Dropped != 2 || st.Appended != 1 || st.SlowRecords != 0 {
+		t.Errorf("state after appends on a closed journal = %+v, want 2 dropped, 1 appended", st)
+	}
+	if got := mJournalDropped.Value() - dropped; got != st.Dropped {
+		t.Errorf("workload_journal_dropped_total moved by %d, State().Dropped = %d", got, st.Dropped)
+	}
+	if got := mSlowDropped.Value() - slowDropped; got != 1 {
+		t.Errorf("server_slowlog_dropped_total moved by %d, want 1 (the slow record)", got)
+	}
+}
+
 func TestJournalClassOverflow(t *testing.T) {
-	j, _ := OpenJournal(Options{MaxClasses: 4})
+	j, _ := OpenJournal("")
 	defer j.Close()
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	for i := 0; i < rollupClasses+extra; i++ {
 		j.Append(qrec(i, fmt.Sprintf("cls-%02d", i), "optimized", 1))
 	}
 	rolls := j.Rollups()
-	if len(rolls) > 5 {
-		t.Fatalf("rollups grew to %d classes, bound is 4+overflow", len(rolls))
+	if len(rolls) > rollupClasses+1 {
+		t.Fatalf("rollups grew to %d classes, bound is %d+overflow", len(rolls), rollupClasses)
 	}
 	var other int64
 	for _, r := range rolls {
@@ -75,14 +112,14 @@ func TestJournalClassOverflow(t *testing.T) {
 			other = r.Count
 		}
 	}
-	if other != 6 {
-		t.Errorf("overflow bucket holds %d, want 6", other)
+	if other != extra {
+		t.Errorf("overflow bucket holds %d, want %d", other, extra)
 	}
 }
 
 func TestJournalDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(Options{Dir: dir, SegmentBytes: 1 << 20, Segments: 2})
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +156,7 @@ func TestJournalDiskRoundTrip(t *testing.T) {
 		t.Errorf("replayed rollups = %+v", rolls)
 	}
 	// Reopen continues the segment rather than clobbering it.
-	j2, err := OpenJournal(Options{Dir: dir, SegmentBytes: 1 << 20, Segments: 2})
+	j2, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +246,7 @@ func TestClassKeyAndSites(t *testing.T) {
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Append(qrec(1, "c", "s", 1))
-	if j.Recent(1) != nil || j.Rollups() != nil || j.Close() != nil {
+	if j.SlowView() != nil || j.Rollups() != nil || j.Close() != nil {
 		t.Error("nil Journal not inert")
 	}
 	var r *Regret

@@ -110,11 +110,12 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestBenchPointChoices grounds the static model against the committed
-// BENCH.json walls: on every committed workload point the chosen strategy's
-// measured wall must be under 2× the best strategy's.
+// TestBenchPointChoices grounds the static model against measured walls: on
+// every workload point the chosen strategy's wall must be under 2× the best
+// strategy's. The walls are frozen constants (single-sample, from the
+// retired cmd/bench snapshot) awaiting ROADMAP 4(d)'s re-measurement.
 func TestBenchPointChoices(t *testing.T) {
-	// Measured walls (ms) from BENCH.json (scale 25, seed 1, schema 1).
+	// Walls in ms at scale 25, seed 1.
 	points := []struct {
 		name  string
 		f     *obs.QueryFeatures

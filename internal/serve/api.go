@@ -18,7 +18,6 @@ import (
 
 	"repro/cfq"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	"repro/internal/obs/workload"
 )
 
@@ -232,15 +231,16 @@ type DatasetsResponse struct {
 }
 
 // SlowlogResponse is the envelope of GET /v1/slowlog: the most recent
-// slow-query records, newest first. Enabled is false (and Records empty)
-// when the server runs without -slow-query-ms.
+// journal records marked slow, newest first — each one the line the journal
+// wrote. Enabled is false (and Records empty) when the server runs without
+// -slow-query-ms.
 type SlowlogResponse struct {
-	Schema      int                          `json:"schema"`
-	RequestID   string                       `json:"request_id"`
-	TraceID     string                       `json:"trace_id,omitempty"`
-	Enabled     bool                         `json:"enabled"`
-	ThresholdMS float64                      `json:"threshold_ms,omitempty"`
-	Records     []*telemetry.SlowQueryRecord `json:"records"`
+	Schema      int                `json:"schema"`
+	RequestID   string             `json:"request_id"`
+	TraceID     string             `json:"trace_id,omitempty"`
+	Enabled     bool               `json:"enabled"`
+	ThresholdMS float64            `json:"threshold_ms,omitempty"`
+	Records     []*workload.Record `json:"records"`
 }
 
 // WorkloadResponse is the envelope of GET /v1/workload: journal and shadow

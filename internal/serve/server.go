@@ -20,6 +20,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
+	"repro/internal/obs/workload"
 	"repro/internal/plan"
 	"repro/internal/store"
 )
@@ -141,21 +142,24 @@ type Config struct {
 	Store *store.Options
 	// SlowQuery, when positive, enables the slow-query log: a query request
 	// whose wall time crosses the threshold — or that ends in a budget or
-	// server error — is captured as a structured record carrying its trace
-	// id, per-phase span deltas, pruning-site attribution, and an
-	// auto-captured ExplainReport, surfaced via GET /v1/slowlog.
+	// server error — leaves a journal record marked slow, carrying the query
+	// text and the analyzed report of the plan that ran beside its trace id,
+	// per-phase span deltas and pruning-site attribution; GET /v1/slowlog
+	// serves the newest of them.
 	SlowQuery time.Duration
-	// SlowLogDir additionally persists slow-query records to a bounded
-	// on-disk JSONL ring under this directory ("" keeps them in memory
-	// only).
+	// SlowLogDir is where the journal persists when only the slow log is
+	// configured (WorkloadDir wins when both are set; "" keeps the slow view
+	// in memory only).
 	SlowLogDir string
 	// Workload enables the workload journal: every completed /v1/query
 	// appends one record (constraint classification, selectivity features,
-	// chosen strategy, phase deltas, per-site pruning, outcome), surfaced
-	// via GET /v1/workload. Also implied by WorkloadDir or ShadowSample.
+	// executed strategy and plan decision, admission outcome, phase deltas,
+	// per-site pruning, outcome), rolled up by GET /v1/workload. Also
+	// implied by WorkloadDir or ShadowSample.
 	Workload bool
-	// WorkloadDir persists journal records to a bounded on-disk JSONL ring
-	// under this directory ("" keeps them in memory only).
+	// WorkloadDir persists the journal to a bounded on-disk JSONL ring under
+	// this directory ("" keeps only the slow view and the live rollups, in
+	// memory).
 	WorkloadDir string
 	// ShadowSample, when in (0, 1], makes the shadow sampler re-run that
 	// fraction of completed queries under the alternate strategies — through
@@ -220,8 +224,7 @@ type Server struct {
 	log      *slog.Logger
 	mux      *http.ServeMux
 	red      *telemetry.RED
-	slow     *telemetry.SlowLog
-	workload *workloadCollector
+	workload *workloadCollector // nil unless the journal or the slow log is configured
 	planner  *plan.Planner
 	plans    *lru.Cache[*planEntry] // by wire handle; nil = prepared handles disabled
 	flights  *collapser
@@ -261,20 +264,7 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		idPrefix: fmt.Sprintf("%08x", time.Now().UnixNano()&0xffffffff),
 	}
-	if cfg.SlowQuery > 0 {
-		slow, err := telemetry.OpenSlowLog(telemetry.SlowLogOptions{Dir: cfg.SlowLogDir})
-		if err != nil {
-			// The slow log is diagnostics, not correctness: fall back to the
-			// in-memory ring rather than refusing to serve.
-			if cfg.Logger != nil {
-				cfg.Logger.Error("slowlog disk ring unavailable; keeping records in memory only",
-					slog.String("dir", cfg.SlowLogDir), slog.Any("err", err))
-			}
-			slow, _ = telemetry.OpenSlowLog(telemetry.SlowLogOptions{})
-		}
-		s.slow = slow
-	}
-	if cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0 {
+	if cfg.SlowQuery > 0 || cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0 {
 		s.workload = newWorkloadCollector(s, cfg)
 	}
 	if cfg.MemSoftLimit > 0 {
@@ -371,7 +361,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"datasets":                   datasets,
 		"server_request_duration_ms": requestDurationBuckets(),
 		"store":                      storeHealth(),
-		"slowlog":                    map[string]any{"enabled": s.slow != nil, "records": s.slow.Len(), "threshold_ms": float64(s.cfg.SlowQuery) / float64(time.Millisecond)},
+		"slowlog":                    map[string]any{"enabled": s.cfg.SlowQuery > 0, "records": len(s.slowView()), "threshold_ms": float64(s.cfg.SlowQuery) / float64(time.Millisecond)},
 		"workload":                   s.workloadStatz(),
 		"planner":                    s.plannerStatz(),
 	}
@@ -430,7 +420,15 @@ func (s *Server) buildMux() *http.ServeMux {
 	return mux
 }
 
-// handleSlowlog serves the in-memory slow-query ring, newest first.
+// slowView is the journal's slow view, newest first (nil with no journal).
+func (s *Server) slowView() []*workload.Record {
+	if s.workload == nil {
+		return nil
+	}
+	return s.workload.journal.SlowView()
+}
+
+// handleSlowlog serves the journal's slow view, newest first.
 // ?n= bounds the count (default 32); ?dataset= keeps only one dataset's
 // records. Malformed values are a structured 422 — the parameter parsed as
 // HTTP but fails this endpoint's semantics.
@@ -454,7 +452,7 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	records := s.slow.Recent(0)
+	records := s.slowView()
 	if dataset != "" {
 		kept := records[:0]
 		for _, rec := range records {
@@ -465,11 +463,11 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 		records = kept
 	}
 	if len(records) > n {
-		records = records[:n] // Recent is newest first; keep the n newest
+		records = records[:n] // newest first; keep the n newest
 	}
 	resp := &SlowlogResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-		Enabled:     s.slow != nil,
+		Enabled:     s.cfg.SlowQuery > 0,
 		ThresholdMS: float64(s.cfg.SlowQuery) / float64(time.Millisecond),
 		Records:     records,
 	}
@@ -529,9 +527,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	if cerr := s.slow.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	// The workload collector closes after the base-context cancel above: the
 	// shadow executor sees the cancel, aborts any in-flight re-run at its
 	// next checkpoint, and exits before the journal is closed.
@@ -551,7 +546,7 @@ func (s *Server) mintID() string {
 // runs under: the request id (client-supplied after CleanRequestID, else
 // minted), the W3C trace context (propagated or minted), and the fields the
 // request accretes on its way through serveQuery that the finish hooks
-// (request log line, RED rollup, slow-query capture) read back.
+// (request log line, RED rollup, the journal record) read back.
 type reqScope struct {
 	reqID string
 	tc    telemetry.TraceContext
@@ -564,11 +559,13 @@ type reqScope struct {
 	code      string // error code of the response, "" on success
 	cached    bool
 	collapsed bool
-	priority  priority
+	priority  string        // admission class, once the request is classified
+	queueWait time.Duration // time spent in admission
 	tracer    *obs.Tracer
 	prune     *cfq.PruneSet
 	query     *cfq.Query
 	strat     cfq.Strategy
+	prepared  *cfq.Prepared // the plan that ran; nil until evaluation starts
 	pruned    int64
 	timeout   time.Duration
 }
@@ -608,7 +605,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // trace/request-id extraction (client headers accepted, validated, clamped;
 // minted otherwise), correlation headers on *every* response — 429s, 503s
 // and 422s included — labeled request metrics, the RED rollup observation,
-// the request log line, and the slow-query capture decision.
+// the request log line, and the journal record.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -637,8 +634,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			ds = dsLabel(sc.dataset)
 		}
 		s.red.Observe(endpoint, ds, status, dur)
-		s.maybeCaptureSlow(sc, endpoint, status, dur)
-		s.observeWorkload(sc, endpoint, status, dur)
+		s.record(sc, endpoint, status, dur)
 		if s.log != nil {
 			s.log.Info("request",
 				slog.String("request_id", sc.reqID),
@@ -649,51 +645,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 				slog.Duration("elapsed", dur))
 		}
 	}
-}
-
-// maybeCaptureSlow records the request in the slow-query log when it
-// crossed the latency threshold, exhausted its budget, or failed
-// server-side. The capture — including the ExplainReport rebuild — happens
-// after the response is written, so the client never waits on it.
-func (s *Server) maybeCaptureSlow(sc *reqScope, endpoint string, status int, dur time.Duration) {
-	if s.slow == nil || sc.query == nil {
-		return
-	}
-	// Brownout level 1+: the capture's ExplainReport rebuild costs a
-	// database scan the server cannot afford while shedding memory.
-	if s.degradeLevel() >= 1 {
-		return
-	}
-	slow := dur >= s.cfg.SlowQuery
-	failed := sc.code == CodeBudgetExhausted || status >= http.StatusInternalServerError
-	if !slow && !failed {
-		return
-	}
-	rec := &telemetry.SlowQueryRecord{
-		Time:             time.Now(),
-		TraceID:          sc.tc.TraceID,
-		RequestID:        sc.reqID,
-		Endpoint:         endpoint,
-		Dataset:          sc.dataset,
-		Generation:       sc.gen,
-		Strategy:         sc.strategy,
-		Query:            sc.canonical,
-		Status:           status,
-		Code:             sc.code,
-		DurationMS:       float64(dur) / float64(time.Millisecond),
-		ThresholdMS:      float64(s.cfg.SlowQuery) / float64(time.Millisecond),
-		CandidatesPruned: sc.pruned,
-	}
-	if sc.tracer != nil {
-		rec.Phases = telemetry.PhasesFromReport(sc.tracer.Report())
-	}
-	if sc.prune != nil {
-		rec.PruneSites = sc.prune.Snapshot()
-	}
-	if rep, err := sc.query.AnalyzeCapture(sc.strat, sc.prune, sc.pruned); err == nil {
-		rec.Explain = rep
-	}
-	s.slow.Record(rec)
 }
 
 // --- query endpoints ---
@@ -739,15 +690,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			prio = p
 		}
 	}
-	sc.priority = prio
+	sc.priority = prio.String()
 
 	// The request tracer: per-phase spans feed the slog stream (always, when
 	// the server has a logger), the response's RunReport (when the client
-	// asked with trace), and the slow-query record's phase breakdown (when
-	// the slow log is enabled). The root span carries the correlation ids so
-	// any rendering of the report joins back to the request.
+	// asked with trace), and the journal record's phase breakdown (when the
+	// journal or the slow log is on). The root span carries the correlation
+	// ids so any rendering of the report joins back to the request.
 	var tracer *obs.Tracer
-	if req.Trace || s.log != nil || s.slow != nil || s.workload != nil {
+	if req.Trace || s.log != nil || s.workload != nil {
 		var spanLog *slog.Logger
 		if s.log != nil {
 			spanLog = s.log.With(
@@ -766,13 +717,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	}
 	sc.tracer = tracer
 	ctx := obs.WithTracer(r.Context(), tracer)
-	// With the slow log or workload journal on, every request carries a
-	// PruneSet: the capture has the run's actual per-site pruning, and the
-	// journal's prune-site counters sum to CandidatesPruned by construction.
-	if s.slow != nil || s.workload != nil {
-		sc.prune = cfq.NewPruneSet()
-		ctx = cfq.WithPruning(ctx, sc.prune)
-	}
 	// A forced server drain must reach requests even when the handler is
 	// driven without Serve (httptest), where request contexts do not descend
 	// from baseCtx.
@@ -854,6 +798,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		}
 	}
 
+	// With the journal or the slow log on, every request that gets this far
+	// — past the result cache and the collapse — carries a PruneSet: the
+	// record has the run's actual per-site pruning, and its prune-site
+	// counters sum to CandidatesPruned by construction.
+	if s.workload != nil {
+		sc.prune = cfq.NewPruneSet()
+		ctx = cfq.WithPruning(ctx, sc.prune)
+	}
+
 	// admission: a worker slot, or a bounded priority-classed queue wait, or
 	// 429. The wait is its own histogram so queueing pressure is visible
 	// separately from evaluation time. The request's soft deadline rides
@@ -861,7 +814,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	asp := tracer.Start("admission")
 	admStart := time.Now()
 	err = s.adm.acquire(ctx, prio, sc.timeout)
-	mQueueWait.WithLabels(kind).Observe(time.Since(admStart))
+	sc.queueWait = time.Since(admStart)
+	mQueueWait.WithLabels(kind).Observe(sc.queueWait)
 	asp.End(nil)
 	if err != nil {
 		var oe *overloadError
@@ -909,6 +863,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		return s.writeEvalError(w, sc, err), false
 	}
 
+	sc.prepared = prepared
 	esp := tracer.Start("evaluate")
 	var res *cfq.Result
 	var rep *cfq.ExplainReport
@@ -1023,9 +978,10 @@ func (s *Server) writeEvalError(w http.ResponseWriter, sc *reqScope, err error) 
 	switch {
 	case errors.As(err, &be):
 		stats := be.Stats
-		// The partial counters are the budget-tripped run's actuals; the
-		// slow-query capture reports pruning up to the abort.
-		sc.pruned = stats.CandidatesPruned
+		// The journal record reports the whole run's pruning up to the abort,
+		// which only the PruneSet — charged by every miner — has seen; the
+		// body's partial_stats are the tripping miner's own counters.
+		sc.pruned = sc.prune.Total()
 		return s.writeError(w, sc, http.StatusUnprocessableEntity, &ErrorBody{
 			Code: CodeBudgetExhausted, Message: err.Error(),
 			Resource: be.Resource, Where: be.Where, Limit: be.Limit, Used: be.Used,
@@ -1272,7 +1228,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) int {
 // writeError writes the error envelope — request id and trace id in the
 // body and (via the middleware) the headers, on every status including
 // 429, 503 and 422 — and records the error code on the scope for the
-// request log line and slow-query capture.
+// request log line and the journal record.
 func (s *Server) writeError(w http.ResponseWriter, sc *reqScope, status int, body *ErrorBody) int {
 	mReqErrors.Inc()
 	sc.code = body.Code

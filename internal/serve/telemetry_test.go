@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
+	"repro/internal/obs/workload"
 )
 
 // postWithHeaders posts v with the given headers and returns the response.
@@ -147,99 +148,115 @@ func TestCorrelationOnErrorStatuses(t *testing.T) {
 }
 
 // TestSlowQueryCapture: with the slow log enabled at a zero-ish threshold,
-// a query leaves a record whose pruning-site attribution sums to the run's
-// CandidatesPruned and whose auto-captured ExplainReport preserves the same
-// total — the attribution contract, end to end through HTTP.
+// a query leaves a slow record whose pruning-site attribution sums to the
+// run's CandidatesPruned and whose ExplainReport is of the plan that ran —
+// the engine strategy for an inline fixed-strategy run, Apriori⁺ over the
+// cached lattice for the default session path — and preserves the same
+// total: the attribution contract, end to end through HTTP.
 func TestSlowQueryCapture(t *testing.T) {
 	_, ts := newTestServer(t, Config{SlowQuery: time.Nanosecond})
 
-	resp := postWithHeaders(t, ts.URL+"/v1/query",
-		&QueryRequest{Dataset: "market", Query: readmeQueryText, MinSupport: 2,
-			NoCache: true, NoSession: true}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	var qr QueryResponse
-	decodeInto(t, resp, &qr)
-	var res struct {
-		Stats struct{ CandidatesPruned int64 }
-	}
-	if err := json.Unmarshal(qr.Result, &res); err != nil {
-		t.Fatal(err)
-	}
-
-	// The capture happens after the response is written; poll briefly.
-	var rec *telemetry.SlowQueryRecord
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		sl := getSlowlog(t, ts.URL, 0)
-		if !sl.Enabled {
-			t.Fatal("slowlog reports disabled")
-		}
-		for _, r := range sl.Records {
-			if r.TraceID == qr.TraceID {
-				rec = r
-				break
+	for _, mode := range []struct {
+		name               string
+		noSession          bool
+		strategy, executed string
+	}{
+		{"fixed strategy", true, "optimized", "optimized"},
+		{"session", false, "session", "apriori+"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			resp := postWithHeaders(t, ts.URL+"/v1/query",
+				&QueryRequest{Dataset: "market", Query: readmeQueryText, MinSupport: 2,
+					NoCache: true, NoSession: mode.noSession}, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query status %d", resp.StatusCode)
 			}
-		}
-		if rec != nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if rec == nil {
-		t.Fatal("no slow-query record for the request's trace id")
-	}
+			var qr QueryResponse
+			decodeInto(t, resp, &qr)
+			var res struct {
+				Stats struct{ CandidatesPruned int64 }
+			}
+			if err := json.Unmarshal(qr.Result, &res); err != nil {
+				t.Fatal(err)
+			}
 
-	if rec.Endpoint != "query" || rec.Dataset != "market" || rec.Status != http.StatusOK {
-		t.Errorf("record = endpoint %q dataset %q status %d", rec.Endpoint, rec.Dataset, rec.Status)
-	}
-	if rec.Query == "" || !strings.Contains(rec.Query, "freq(S)") {
-		t.Errorf("canonical query missing: %q", rec.Query)
-	}
-	if rec.CandidatesPruned != res.Stats.CandidatesPruned {
-		t.Errorf("record pruned %d != response stats %d", rec.CandidatesPruned, res.Stats.CandidatesPruned)
-	}
-	if rec.CandidatesPruned == 0 {
-		t.Fatal("test query pruned nothing; the sum contract below is vacuous")
-	}
-	var siteSum int64
-	for _, v := range rec.PruneSites {
-		siteSum += v
-	}
-	if siteSum != rec.CandidatesPruned {
-		t.Errorf("prune sites sum %d != candidates_pruned %d (%v)", siteSum, rec.CandidatesPruned, rec.PruneSites)
-	}
-	if rec.Explain == nil {
-		t.Fatal("no auto-captured ExplainReport")
-	}
-	if got := rec.Explain.SumPruned(); got != rec.CandidatesPruned {
-		t.Errorf("ExplainReport.SumPruned() = %d != candidates_pruned %d", got, rec.CandidatesPruned)
-	}
-	if len(rec.Phases) == 0 {
-		t.Error("no per-phase span deltas captured")
+			// The record is written after the response; poll briefly.
+			var rec *workload.Record
+			deadline := time.Now().Add(2 * time.Second)
+			for rec == nil && time.Now().Before(deadline) {
+				sl := getSlowlog(t, ts.URL, 0)
+				if !sl.Enabled {
+					t.Fatal("slowlog reports disabled")
+				}
+				for _, r := range sl.Records {
+					if r.TraceID == qr.TraceID {
+						rec = r
+					}
+				}
+				if rec == nil {
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+			if rec == nil {
+				t.Fatal("no slow-query record for the request's trace id")
+			}
+
+			if rec.Endpoint != "query" || rec.Dataset != "market" || rec.Status != http.StatusOK || !rec.Slow {
+				t.Errorf("record = endpoint %q dataset %q status %d slow %v", rec.Endpoint, rec.Dataset, rec.Status, rec.Slow)
+			}
+			if rec.Strategy != mode.strategy {
+				t.Errorf("record strategy = %q, want %q", rec.Strategy, mode.strategy)
+			}
+			if rec.Query == "" || !strings.Contains(rec.Query, "freq(S)") {
+				t.Errorf("canonical query missing: %q", rec.Query)
+			}
+			if rec.CandidatesPruned != res.Stats.CandidatesPruned {
+				t.Errorf("record pruned %d != response stats %d", rec.CandidatesPruned, res.Stats.CandidatesPruned)
+			}
+			if rec.CandidatesPruned == 0 {
+				t.Fatal("test query pruned nothing; the sum contract below is vacuous")
+			}
+			if sum := siteSum(rec); sum != rec.CandidatesPruned {
+				t.Errorf("prune sites sum %d != candidates_pruned %d (%v)", sum, rec.CandidatesPruned, rec.PruneSites)
+			}
+			if rec.Explain == nil {
+				t.Fatal("no auto-captured ExplainReport")
+			}
+			if rec.Explain.Strategy != mode.executed {
+				t.Errorf("ExplainReport.Strategy = %q, want %q (the plan that ran)", rec.Explain.Strategy, mode.executed)
+			}
+			if got := rec.Explain.SumPruned(); got != rec.CandidatesPruned {
+				t.Errorf("ExplainReport.SumPruned() = %d != candidates_pruned %d", got, rec.CandidatesPruned)
+			}
+			if len(rec.Phases) == 0 {
+				t.Error("no per-phase span deltas captured")
+			}
+		})
 	}
 
 	// ?n= bounds and validates.
 	if sl := getSlowlog(t, ts.URL, 1); len(sl.Records) > 1 {
 		t.Errorf("n=1 returned %d records", len(sl.Records))
 	}
-	hr, err := http.Get(ts.URL + "/v1/slowlog?n=bogus")
-	if err != nil {
-		t.Fatal(err)
+	for _, bad := range []string{"n=bogus", "dataset=..bad"} {
+		hr, err := http.Get(ts.URL + "/v1/slowlog?" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("?%s: status %d", bad, hr.StatusCode)
+		}
 	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("bogus n: status %d", hr.StatusCode)
+}
+
+// siteSum adds up a record's per-site pruning counters.
+func siteSum(rec *workload.Record) int64 {
+	var sum int64
+	for _, n := range rec.PruneSites {
+		sum += n
 	}
-	hr, err = http.Get(ts.URL + "/v1/slowlog?dataset=..bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("bad dataset filter: status %d", hr.StatusCode)
-	}
+	return sum
 }
 
 func getSlowlog(t *testing.T, base string, n int) *SlowlogResponse {

@@ -15,8 +15,8 @@ import (
 // into the OOM killer:
 //
 //	level 1 (~75% of soft limit): pause diagnostics — the shadow sampler
-//	        stops accepting and running jobs, the slow-query capture (one
-//	        extra database scan per capture) is skipped.
+//	        stops accepting and running jobs, and slow records are written
+//	        without rebuilding their analyzed plan report.
 //	level 2 (~90%): shrink the byte bounds of the result cache, the
 //	        prepared-plan cache, and every dataset session's lattice cache
 //	        to a quarter of their configured sizes, evicting immediately,
@@ -181,7 +181,7 @@ func (wd *watchdog) setLevel(level int) {
 }
 
 // degradeLevel is the server's current brownout level (0 = none). Checked
-// on the hot paths it gates (shadow offers, slow-query capture) and
+// on the hot paths it gates (shadow offers, slow records' plan reports) and
 // reported in shed bodies so clients can tell overload from brownout.
 func (s *Server) degradeLevel() int {
 	if s.watchdog == nil {

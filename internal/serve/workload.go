@@ -4,37 +4,41 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	"repro/internal/obs/workload"
 )
 
-// The workload collector: every completed /v1/query appends one journal
-// record (features, classification, chosen strategy, phase deltas,
-// attributed pruning, outcome), the regret table counts the live path's
-// choices, and — when shadow sampling is on — a sampled fraction of
-// completed queries is handed to the shadow executor for alternate-strategy
-// re-runs. All of it happens after the response is written; the client
-// never waits on profiling.
+// The workload collector is the per-request record path: instrument calls
+// record once per finished request, which builds at most one
+// workload.Record — features, classification, executed strategy and plan
+// decision, admission outcome, phase deltas, attributed pruning, and for a
+// slow or failed request the query text and analyzed plan — and hands it to
+// the one journal. The regret table counts the live path's choices, and —
+// when shadow sampling is on — a sampled fraction of completed queries is
+// handed to the shadow executor for alternate-strategy re-runs. All of it
+// happens after the response is written; the client never waits on it.
 type workloadCollector struct {
 	journal *workload.Journal
 	regret  *workload.Regret
 	sampler *shadowSampler // nil when ShadowSample <= 0
+
+	// journalAll writes a record for every /v1/query (Config.Workload,
+	// WorkloadDir or ShadowSample); without it only slow or failed requests
+	// leave one (Config.SlowQuery).
+	journalAll bool
 
 	// profiles caches the per-query profile (class key, enforcement sites,
 	// feature vector) by dataset × generation × canonical text: profiling
 	// (cfq.Query.ProfileQuery) compiles and classifies the query, so
 	// repeated queries — the workload a planner cares about — pay it once
 	// per generation.
-	profMu   sync.Mutex
-	profiles map[string]*queryProfile
+	profiles *lru.Cache[*queryProfile]
 }
 
-// maxProfileCache bounds the profile cache; on overflow the cache resets
-// (profiles are cheap to rebuild — simpler than LRU bookkeeping).
+// maxProfileCache bounds the profile cache (entries; profiles are small).
 const maxProfileCache = 512
 
 type queryProfile struct {
@@ -44,21 +48,29 @@ type queryProfile struct {
 }
 
 // newWorkloadCollector wires the journal (disk ring under cfg.WorkloadDir,
-// falling back to memory-only like the slow log), the regret table, and —
+// or cfg.SlowLogDir when only the slow log is configured; memory-only when
+// neither is set or the directory is unusable), the regret table, and —
 // when cfg.ShadowSample > 0 — the shadow sampler.
 func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
-	journal, err := workload.OpenJournal(workload.Options{Dir: cfg.WorkloadDir})
+	dir := cfg.WorkloadDir
+	if dir == "" {
+		dir = cfg.SlowLogDir
+	}
+	journal, err := workload.OpenJournal(dir)
 	if err != nil {
+		// The journal is diagnostics, not correctness: fall back to memory
+		// rather than refusing to serve.
 		if cfg.Logger != nil {
-			cfg.Logger.Error("workload journal disk ring unavailable; keeping records in memory only",
-				slog.String("dir", cfg.WorkloadDir), slog.Any("err", err))
+			cfg.Logger.Error("workload journal disk ring unavailable; keeping the slow view and rollups in memory only",
+				slog.String("dir", dir), slog.Any("err", err))
 		}
-		journal, _ = workload.OpenJournal(workload.Options{})
+		journal, _ = workload.OpenJournal("")
 	}
 	wc := &workloadCollector{
-		journal:  journal,
-		regret:   workload.NewRegret(0),
-		profiles: map[string]*queryProfile{},
+		journal:    journal,
+		regret:     workload.NewRegret(0),
+		journalAll: cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0,
+		profiles:   lru.New[*queryProfile](maxProfileCache, 0, nil),
 	}
 	if cfg.ShadowSample > 0 {
 		wc.sampler = newShadowSampler(s, wc, cfg)
@@ -71,12 +83,9 @@ func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
 // actuals without features, which is still useful ground truth.
 func (wc *workloadCollector) profile(sc *reqScope) *queryProfile {
 	key := sc.dataset + "\xff" + strconv.FormatUint(sc.gen, 10) + "\xff" + sc.canonical
-	wc.profMu.Lock()
-	if p, ok := wc.profiles[key]; ok {
-		wc.profMu.Unlock()
+	if p, ok := wc.profiles.Get(key); ok {
 		return p
 	}
-	wc.profMu.Unlock()
 	rep, feats, err := sc.query.ProfileQuery(sc.strat)
 	if err != nil {
 		return nil
@@ -86,29 +95,39 @@ func (wc *workloadCollector) profile(sc *reqScope) *queryProfile {
 		sites:    workload.EnforcementSites(rep),
 		features: feats,
 	}
-	wc.profMu.Lock()
-	if len(wc.profiles) >= maxProfileCache {
-		wc.profiles = map[string]*queryProfile{}
-	}
-	wc.profiles[key] = p
-	wc.profMu.Unlock()
+	wc.profiles.Put(key, p, 0)
 	return p
 }
 
-// observe journals one finished /v1/query request and, when sampling is on,
-// offers it to the shadow executor. Called from the instrument middleware
-// after the response is written.
-func (s *Server) observeWorkload(sc *reqScope, endpoint string, status int, dur time.Duration) {
+// record is the one finish function of a request that built a query: it
+// decides whether the request was slow (crossed the threshold, exhausted
+// its budget, or failed server-side) and whether it leaves a record (every
+// /v1/query when journaling, any slow request when the slow log is on),
+// builds the record once, and appends it. Called from the instrument
+// middleware after the response is written.
+func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Duration) {
 	wc := s.workload
-	if wc == nil || endpoint != kindQuery || sc.query == nil {
+	if wc == nil || sc.query == nil {
 		return
 	}
-	prof := wc.profile(sc)
+	threshold := s.cfg.SlowQuery
+	slow := threshold > 0 && (dur >= threshold ||
+		sc.code == CodeBudgetExhausted || status >= http.StatusInternalServerError)
+	journaled := wc.journalAll && endpoint == kindQuery
+	if !slow && !journaled {
+		return
+	}
+	kind := workload.KindRequest
+	if endpoint == kindQuery {
+		kind = workload.KindQuery
+	}
+	level := s.degradeLevel()
 	rec := &workload.Record{
-		Kind:             workload.KindQuery,
+		Kind:             kind,
 		Time:             time.Now(),
 		TraceID:          sc.tc.TraceID,
 		RequestID:        sc.reqID,
+		Endpoint:         endpoint,
 		Dataset:          sc.dataset,
 		Generation:       sc.gen,
 		QueryHash:        workload.QueryHash(sc.canonical),
@@ -116,22 +135,41 @@ func (s *Server) observeWorkload(sc *reqScope, endpoint string, status int, dur 
 		Status:           status,
 		Code:             sc.code,
 		Cached:           sc.cached,
+		Priority:         sc.priority,
+		QueueWaitMS:      float64(sc.queueWait) / float64(time.Millisecond),
+		Collapsed:        sc.collapsed,
+		DegradationLevel: level,
 		DurationMS:       float64(dur) / float64(time.Millisecond),
+		Phases:           sc.tracer.Phases(),
 		CandidatesPruned: sc.pruned,
 	}
+	if sc.prune != nil {
+		rec.PruneSites = sc.prune.Snapshot()
+	}
+	if sc.prepared != nil {
+		rec.Plan = sc.prepared.Decision().Choice()
+	}
+	prof := wc.profile(sc)
 	if prof != nil {
 		rec.Class = prof.class
 		rec.EnforcedAt = prof.sites
 		rec.Features = prof.features
 	}
-	if sc.tracer != nil {
-		rec.Phases = telemetry.PhasesFromReport(sc.tracer.Report())
-	}
-	if sc.prune != nil {
-		rec.PruneSites = sc.prune.Snapshot()
+	if slow {
+		rec.Slow = true
+		rec.ThresholdMS = float64(threshold) / float64(time.Millisecond)
+		rec.Query = sc.canonical
+		// The report is of the plan that ran, analyzed with this run's
+		// pruning; a request that never reached evaluation has none, and
+		// brownout level 1+ pauses the rebuild with the other diagnostics.
+		if sc.prepared != nil && level < 1 {
+			if rep, err := sc.prepared.AnalyzeCapture(sc.prune, sc.pruned); err == nil {
+				rec.Explain = rep
+			}
+		}
 	}
 	wc.journal.Append(rec)
-	if status == http.StatusOK {
+	if journaled && status == http.StatusOK {
 		wc.regret.ObserveChosen(rec.Class, sc.strategy)
 		if wc.sampler != nil && prof != nil {
 			wc.sampler.offer(sc, prof)
@@ -155,15 +193,25 @@ func (wc *workloadCollector) Close() error {
 	return wc.journal.Close()
 }
 
+// journaling returns the collector when the workload journal proper is on —
+// nil for a server that only keeps the slow log, whose /v1/workload surfaces
+// read disabled.
+func (s *Server) journaling() *workloadCollector {
+	if wc := s.workload; wc != nil && wc.journalAll {
+		return wc
+	}
+	return nil
+}
+
 // handleWorkload serves GET /v1/workload: journal + sampler state and the
 // live per-class feature/latency rollups.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope(r)
 	resp := &WorkloadResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-		Enabled: s.workload != nil,
+		Enabled: s.journaling() != nil,
 	}
-	if wc := s.workload; wc != nil {
+	if wc := s.journaling(); wc != nil {
 		st := wc.journal.State()
 		resp.Journal = &st
 		resp.Classes = wc.journal.Rollups()
@@ -182,7 +230,7 @@ func (s *Server) handleWorkloadRegret(w http.ResponseWriter, r *http.Request) {
 	resp := &RegretResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
 	}
-	if wc := s.workload; wc != nil {
+	if wc := s.journaling(); wc != nil {
 		resp.Enabled = wc.sampler != nil
 		if wc.sampler != nil {
 			resp.SampleFraction = wc.sampler.sample
@@ -195,7 +243,7 @@ func (s *Server) handleWorkloadRegret(w http.ResponseWriter, r *http.Request) {
 
 // workloadStatz is the /statz section.
 func (s *Server) workloadStatz() map[string]any {
-	wc := s.workload
+	wc := s.journaling()
 	out := map[string]any{"enabled": wc != nil}
 	if wc == nil {
 		return out

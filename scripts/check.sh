@@ -128,6 +128,23 @@ if grep -rnE 'FPGrowth|VerticalFrequent|PartitionFrequent|SampleFrequent|ClosedF
   exit 1
 fi
 
+echo "== one per-request record =="
+# workload.Record is the one per-request fact and workload.Journal the one
+# sink; the slow-query log is the journal's view of its slow records. The
+# second record type, its sink and the second capture path retired at PR 24
+# must not drift back in by name, and serve builds a record in exactly one
+# place (Server.record) plus the shadow runner's re-run records.
+if grep -rnE 'SlowQueryRecord|OpenSlowLog|SlowLogOptions|maybeCaptureSlow' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+  echo "check.sh: a second per-request record type, sink or capture path is back (extend workload.Record and Server.record instead)" >&2
+  exit 1
+fi
+record_sites="$(grep -n 'workload\.Record{' internal/serve/*.go | grep -v '_test.go' | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')"
+if [[ "$record_sites" != " 1 internal/serve/shadow.go; 1 internal/serve/workload.go;" ]]; then
+  echo "check.sh: workload.Record is constructed at [$record_sites], want once in Server.record (workload.go) and once in the shadow runner (shadow.go)" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -164,11 +181,6 @@ go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjecti
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 
-echo "== perf-trajectory smoke (cmd/bench -compare) =="
-# One fast workload/strategy pair, measured twice: the second run diffs
-# itself against the first through the -compare gate, exercising the same
-# code path that guards BENCH.json regressions. The threshold is generous —
-# this checks the harness, not the machine.
 check_tmp="$(mktemp -d)"
 cfqd_pid=""
 replica_pid=""
@@ -178,10 +190,6 @@ cleanup() {
   rm -rf "$check_tmp"
 }
 trap cleanup EXIT
-go run ./cmd/bench -scale 25 -workloads fig8a-overlap-33 -strategies optimized,sequential \
-  -out "$check_tmp/base.json" 2> /dev/null
-go run ./cmd/bench -scale 25 -workloads fig8a-overlap-33 -strategies optimized,sequential \
-  -compare "$check_tmp/base.json" -threshold 25 -out "$check_tmp/fresh.json" 2> /dev/null
 
 echo "== cfqd smoke (durable serve, SIGKILL recovery, SIGTERM drain) =="
 # Boot the real daemon with a durable data dir on an ephemeral port and push
@@ -237,13 +245,13 @@ if ! wait "$cfqd_pid"; then
 fi
 cfqd_pid=""
 
-echo "== telemetry smoke (trace join, /metrics monotonicity, slowlog) =="
+echo "== telemetry smoke (trace join, /metrics monotonicity, slowlog = journal view) =="
 # Boot cfqd with the slow-query log and an ops port, push cfqload traffic
 # (which mints traceparent headers and reports its slow outliers), scrape
 # /metrics before and after a second load round, and require: the telemetry
 # families present, the request counter monotone and growing, a slow-query
 # record reachable over /v1/slowlog, and a client-chosen trace id joining
-# the server-side record.
+# the server-side record — which is the journal's line for the request.
 rm -rf "$check_tmp/data"
 rm -f "$check_tmp/addr"
 "$check_tmp/cfqd" -addr 127.0.0.1:0 -addr-file "$check_tmp/addr" \
@@ -291,6 +299,16 @@ curl -s -o /dev/null -X POST "http://$api_addr/v1/query" \
   -d '{"dataset":"load","query":"{(S,T) | freq(S) & freq(T)}","min_support":20,"budget":{"max_candidates":1},"no_cache":true,"no_session":true}'
 if ! curl -fsS "http://$api_addr/v1/slowlog" | grep -q "$trace_id"; then
   echo "check.sh: slow-query log has no record joining trace $trace_id" >&2
+  exit 1
+fi
+# The slow log is a view of the journal: the same record is the line on disk
+# under <data-dir>/workload, marked slow, and no second directory exists.
+if ! grep -h "$trace_id" "$check_tmp"/data/workload/journal-*.jsonl | grep -q '"slow":true'; then
+  echo "check.sh: no journal line marked slow for trace $trace_id under $check_tmp/data/workload" >&2
+  exit 1
+fi
+if [[ -e "$check_tmp/data/slowlog" ]]; then
+  echo "check.sh: a separate <data-dir>/slowlog directory exists (the journal is the one sink)" >&2
   exit 1
 fi
 
