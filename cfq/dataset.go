@@ -19,6 +19,12 @@ import (
 // adding transactions or attributes invalidates nothing but only affects
 // later queries.
 //
+// Transactions are append-only: no mutator removes, reorders or rewrites
+// one, and compiling hands the database the transaction slice itself, so the
+// leading rows of every compiled snapshot are the previous snapshot's. A
+// Session leans on this to carry a cached lattice across mutations by
+// counting only the appended rows (TestSnapshotsExtend pins it).
+//
 // A Dataset is safe for concurrent use: mutators and query compilation
 // serialize on an internal lock, and each query evaluation captures an
 // immutable compiled snapshot, so a mutation landing mid-evaluation never

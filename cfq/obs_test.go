@@ -112,6 +112,37 @@ func TestSessionReport(t *testing.T) {
 	if got := reportStats(res.Report); got != res.Stats {
 		t.Errorf("warm report totals %+v, stats %+v", got, res.Stats)
 	}
+
+	// After an append the S side carries the lattice over the new row under
+	// an advance span with the usual level spans below it, and the T side
+	// hits what S stored; the level spans' deltas still add up to the stats.
+	if err := ds.AddTransaction(0, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	advances := obs.MCacheAdvances.Value()
+	tracer = NewTracer(TracerOptions{Name: "advanced"})
+	res, err = s.RunContext(WithTracer(context.Background(), tracer), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := res.Report.Find("S:advance")
+	if adv == nil || res.Report.Find("T:cache-hit") == nil || res.Report.Find("S:cache-miss") != nil {
+		t.Fatal("run after an append: want S:advance and T:cache-hit, no S:cache-miss")
+	}
+	if adv.Attrs["delta_rows"] != 1 || len(adv.Children) < 3 || adv.Children[2].Name != "S:level-3" {
+		t.Errorf("S:advance attrs %v with %d children, want delta_rows 1 over level spans", adv.Attrs, len(adv.Children))
+	}
+	for _, attr := range []string{"carried", "recounted", "promoted", "demoted"} {
+		if _, ok := adv.Attrs[attr]; !ok {
+			t.Errorf("S:advance has no %q attribute", attr)
+		}
+	}
+	if got := reportStats(res.Report); got != res.Stats {
+		t.Errorf("advanced report totals %+v, stats %+v", got, res.Stats)
+	}
+	if got := obs.MCacheAdvances.Value(); got != advances+1 {
+		t.Errorf("session_cache_advances_total moved by %d, want 1", got-advances)
+	}
 }
 
 // TestReportJSONOmitsEmpty: Result marshals without a Report field when

@@ -3,12 +3,12 @@ package cfq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/lru"
 	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/txdb"
 )
 
 // Session supports the exploratory loop the two-phase architecture is
@@ -30,15 +30,24 @@ import (
 // Query.Run(Optimized). Sessions pay that once and then make the
 // interactive loop free.
 //
+// Mutating the Dataset does not invalidate the cache. A Dataset's
+// transactions are append-only — every compiled snapshot's leading rows are
+// the previous snapshot's — so a cached lattice stays exact for the rows it
+// was counted over, and the next query carries it to its own snapshot by
+// counting the appended rows, not the database (mine.Advance); a mutation
+// that appends nothing (new attributes) leaves the lattice a plain hit. A
+// lattice is mined from scratch only when there is none, when the query asks
+// for a lower threshold than the cached one, or when the cached one already
+// covers more rows than the run's snapshot.
+//
 // A Session is safe for concurrent use: many goroutines may Run queries
 // against it simultaneously (the pattern a query server relies on — one
 // shared Session per dataset amortizes the lattice cache across all
-// clients). Mutating the underlying Dataset invalidates the cache on the
-// next Prepare. A run that is cancelled or runs out of budget writes nothing
-// to the cache: retrying the same query on the same session mines afresh and
-// returns the same result a new session would. A run that raced a dataset
-// mutation never stores its (pre-mutation) lattice into the post-mutation
-// cache.
+// clients). A run that is cancelled or runs out of budget writes nothing to
+// the cache: the entry it was advancing stays as it was, and retrying the
+// same query on the same session returns the same result a new session
+// would. A run that raced a dataset mutation never replaces a lattice that
+// covers more rows than its own snapshot.
 //
 // Long-lived servers bound the cache with SetCacheLimit: when the estimated
 // cached lattice bytes exceed the limit, least-recently-used domains are
@@ -48,15 +57,20 @@ type Session struct {
 	ds    *Dataset
 	cache *lru.Cache[*lattice] // by domain key
 
-	mu           sync.Mutex
-	db           *txdb.DB // the compiled database the cache was built from
-	hits, misses int      // lookup outcomes under the session's reuse rules
+	mu sync.Mutex
+	// Lookup outcomes under the session's reuse rules; every miss is either
+	// an advance or a re-mine.
+	hits, misses, advances, remines int
 }
 
-// lattice is one domain's cached unconstrained lattice, complete down to
-// minSup.
+// lattice is one domain's cached unconstrained lattice: every set with
+// support at least minSup over the dataset's first rows transactions, in the
+// miner's order. It records a row count, not the snapshot it was counted
+// over, so it pins no compiled database; every later snapshot extends those
+// rows, which is what lets the entry be advanced instead of dropped.
 type lattice struct {
 	minSup int
+	rows   int
 	sets   []mine.Counted
 }
 
@@ -80,8 +94,14 @@ func (s *Session) SetCacheLimit(maxBytes int64) { s.cache.SetMaxBytes(maxBytes) 
 // CacheStats describes the session's lattice cache: lookup counters (one
 // lookup per query side), LRU evictions, and current occupancy.
 type CacheStats struct {
-	// Hits and Misses count cache lookups.
+	// Hits and Misses count cache lookups. A miss is a lookup for which a
+	// lattice had to be produced: Advances of them carried a cached lattice
+	// over appended rows, Remines mined from scratch. (Both are also the
+	// session_cache_{advances,remines}_total metrics; they stay off the
+	// serving API's dataset description.)
 	Hits, Misses int
+	Advances     int `json:"-"`
+	Remines      int `json:"-"`
 	// Evictions counts lattices dropped by the SetCacheLimit bound.
 	Evictions int
 	// Entries and Bytes describe current occupancy (Bytes is the same
@@ -100,6 +120,8 @@ func (s *Session) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:       s.hits,
 		Misses:     s.misses,
+		Advances:   s.advances,
+		Remines:    s.remines,
 		Evictions:  int(st.Evictions),
 		Entries:    st.Entries,
 		Bytes:      st.Bytes,
@@ -130,10 +152,10 @@ func (s *Session) RunContext(ctx context.Context, q *Query) (*Result, error) {
 // decision: results are identical to any engine strategy, only the work
 // differs.
 //
-// The compiled snapshot captured here is the run's generation token: the
-// staleness check below, every cache lookup and every cache store key off
-// this one pointer, so a dataset mutation landing mid-run can neither tear
-// what the run reads nor let it poison the refreshed cache.
+// The compiled snapshot the plan captures fixes the rows the run answers
+// for: every cache lookup and store compares an entry's row count with that
+// snapshot's, so a dataset mutation landing mid-run can neither tear what the
+// run reads nor let it displace a lattice that already covers more.
 func (s *Session) Prepare(q *Query) (*Prepared, error) {
 	if q == nil || q.ds != s.ds {
 		return nil, fmt.Errorf("cfq: session and query use different datasets")
@@ -143,79 +165,84 @@ func (s *Session) Prepare(q *Query) (*Prepared, error) {
 		return nil, err
 	}
 	p.icfq.Lattice = s.lattice
-	s.mu.Lock()
-	if s.db != p.icfq.DB {
-		// The dataset was recompiled (new transactions or attributes):
-		// every cached lattice is stale.
-		s.cache.DeleteFunc(func(string, *lattice) bool { return true })
-		s.db = p.icfq.DB
-	}
-	s.mu.Unlock()
 	return p, nil
 }
 
 // lattice is the engine's lattice source (core.CFQ.Lattice): it returns the
-// cached unconstrained lattice for cfg's domain, mining it if absent or
-// cached at a higher threshold than requested. The lookup (and its hit
-// counter) is one critical section; mining happens outside the lock and
-// accumulates into the run's Stats, and a failed mining run stores nothing —
-// the cache is never poisoned by partial lattices. cfg.DB is the compiled
-// snapshot the run captured; a store is skipped when the cache has moved to
-// a newer snapshot, so a slow run racing a dataset mutation cannot resurrect
-// a stale lattice.
+// unconstrained lattice of cfg's domain over cfg.DB — the run's snapshot —
+// complete down to cfg.MinSupport or lower. An entry covering exactly the
+// snapshot's rows at a threshold no higher is a hit. One covering fewer rows
+// at such a threshold is advanced over the rows behind it. Otherwise — no
+// entry, a lower threshold asked, or an entry already past this snapshot (the
+// run raced a mutation) — the lattice is mined from scratch. The lookup (and
+// its hit counter) is one critical section; advancing and mining happen
+// outside the lock and accumulate into the run's Stats, and a failed run
+// stores nothing — the cache is never poisoned by partial lattices, and the
+// entry an aborted advance started from is untouched.
 func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted, error) {
 	key := "*"
 	if cfg.Domain != nil {
 		key = cfg.Domain.Key()
 	}
+	rows := cfg.DB.Len()
 	tracer := obs.FromContext(ctx)
 	s.mu.Lock()
-	if s.db == cfg.DB {
-		if e, ok := s.cache.Get(key); ok && e.minSup <= cfg.MinSupport {
-			s.hits++
-			s.mu.Unlock()
-			obs.MCacheHits.Inc()
-			if tracer != nil {
-				tracer.Start(cfg.Label+":cache-hit", obs.Int("sets", len(e.sets))).End(nil)
-			}
-			return e.sets, nil
+	old, ok := s.cache.Get(key)
+	reusable := ok && old.rows <= rows && old.minSup <= cfg.MinSupport
+	if reusable && old.rows == rows {
+		s.hits++
+		s.mu.Unlock()
+		obs.MCacheHits.Inc()
+		if tracer != nil {
+			tracer.Start(cfg.Label+":cache-hit", obs.Int("sets", len(old.sets))).End(nil)
 		}
+		return old.sets, nil
 	}
 	s.mu.Unlock()
 	// Published at the decision point (not after mining) so a mid-run
 	// metrics scrape sees the lookup that is being served right now.
 	obs.MCacheMisses.Inc()
 
-	// The cache-miss span is structural: the labeled miner below emits its
-	// own level delta spans as children.
-	msp := tracer.Start(cfg.Label + ":cache-miss")
-	lw, err := mine.New(ctx, cfg)
-	var levels [][]mine.Counted
-	if err == nil {
-		levels, err = lw.RunAll()
+	e := &lattice{minSup: cfg.MinSupport, rows: rows}
+	var err error
+	if reusable {
+		obs.MCacheAdvances.Inc()
+		e.sets, err = mine.Advance(ctx, cfg, old.sets, old.minSup, old.rows)
+	} else {
+		obs.MCacheRemines.Inc()
+		// The cache-miss span is structural: the labeled miner below emits
+		// its own level delta spans as children.
+		msp := tracer.Start(cfg.Label + ":cache-miss")
+		var lw *mine.Levelwise
+		var levels [][]mine.Counted
+		if lw, err = mine.New(ctx, cfg); err == nil {
+			levels, err = lw.RunAll()
+		}
+		msp.End(nil)
+		e.sets = slices.Concat(levels...)
 	}
-	msp.End(nil)
 	if err != nil {
 		return nil, err
 	}
-	e := &lattice{minSup: cfg.MinSupport}
 	// The same per-set model Stats.LatticeBytes uses (rank-space set +
 	// original copy + map overhead), plus a fixed per-entry overhead.
 	cost := int64(64)
-	for _, lv := range levels {
-		e.sets = append(e.sets, lv...)
-		for _, c := range lv {
-			cost += int64(16*c.Set.Len() + 64)
-		}
+	for _, c := range e.sets {
+		cost += int64(16*c.Set.Len() + 64)
 	}
 	s.mu.Lock()
 	s.misses++
-	// Keep the lowest-threshold lattice: it can serve every refinement.
-	// Store only while the cache still describes the snapshot we mined —
-	// a concurrent mutation flips s.db and this (now stale) lattice must
-	// not survive the flip.
-	if s.db == cfg.DB {
-		if old, ok := s.cache.Get(key); (!ok || e.minSup < old.minSup) && s.cache.Put(key, e, cost) {
+	if reusable {
+		s.advances++
+	} else {
+		s.remines++
+	}
+	// Keep the lattice that serves the most: more rows first (an entry
+	// behind the newest snapshot answers nothing until it is advanced), then
+	// the lower threshold (it serves every refinement). A run that raced a
+	// mutation finds an entry past its own snapshot and stores nothing.
+	if cur, ok := s.cache.Get(key); !ok || cur.rows < e.rows || (cur.rows == e.rows && e.minSup < cur.minSup) {
+		if s.cache.Put(key, e, cost) {
 			obs.MCacheBytes.Add(cost)
 		}
 	}

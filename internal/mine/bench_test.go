@@ -119,8 +119,8 @@ type coldFixture struct {
 	prices []float64
 }
 
-func newColdFixture(b *testing.B, name string) coldFixture {
-	b.Helper()
+func newColdFixture(tb testing.TB, name string) coldFixture {
+	tb.Helper()
 	p := gen.Default(1)
 	p.NumItems = 1000
 	switch name {
@@ -131,7 +131,7 @@ func newColdFixture(b *testing.B, name string) coldFixture {
 	}
 	db, err := gen.Quest(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return coldFixture{db, db.Len() / 100, gen.UniformPrices(p.NumItems, 0, 1000, 2)}
 }
@@ -190,5 +190,32 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAdvance is one generation of append-requery on the served
+// benchmark's fixtures: the lattice of all but the last 10 rows carried to
+// the whole database (advance) against mining the whole database (remine).
+func BenchmarkAdvance(b *testing.B) {
+	const delta = 10
+	for _, name := range []string{"dense", "wide"} {
+		f := newColdFixture(b, name)
+		rows := f.db.Len() - delta
+		prior, _ := remine(b, Config{DB: txdb.New(f.db.Transactions()[:rows]), MinSupport: rows / 100})
+		cfg := Config{DB: f.db, MinSupport: f.minSup}
+		b.Run(name+"/advance", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Advance(context.Background(), cfg, prior, rows/100, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/remine", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				remine(b, cfg)
+			}
+		})
 	}
 }

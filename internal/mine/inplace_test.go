@@ -189,7 +189,7 @@ func (l *Levelwise) referenceStep(tids [][]int32) ([]Counted, error) {
 			l.prune.Charge(l.freqSite, 1)
 			continue
 		}
-		out = l.addFrequent(c, sup, out)
+		out = l.addFrequent(c, nil, sup, out)
 	}
 	return out, nil
 }

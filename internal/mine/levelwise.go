@@ -130,6 +130,8 @@ type Levelwise struct {
 	l1Sup   []int   // supports parallel to l1Ranks
 
 	lastFrequent []Counted // all frequent sets of the last completed level
+
+	adv *advance // non-nil when the run carries a prior lattice forward (Advance)
 }
 
 // New validates cfg and prepares a miner. It reads no transaction: level 1
@@ -261,15 +263,17 @@ func (l *Levelwise) toOrig(rs []int32) itemset.Set {
 
 // rankKey builds a canonical key for a rank-space set.
 func rankKey(rs []int32) string {
-	b := make([]byte, 4*len(rs))
-	for i, v := range rs {
+	return string(appendRankKey(make([]byte, 0, 4*len(rs)), rs...))
+}
+
+// appendRankKey appends rankKey's bytes for rs to b, so that a map keyed by
+// rankKey can be probed with string(b) without allocating.
+func appendRankKey(b []byte, rs ...int32) []byte {
+	for _, v := range rs {
 		u := uint32(v)
-		b[4*i] = byte(u)
-		b[4*i+1] = byte(u >> 8)
-		b[4*i+2] = byte(u >> 16)
-		b[4*i+3] = byte(u >> 24)
+		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
-	return string(b)
+	return b
 }
 
 // Step advances one level and returns the valid frequent sets discovered at
@@ -302,7 +306,11 @@ func (l *Levelwise) Step() ([]Counted, bool, error) {
 	case 1:
 		out, err = l.stepTwo()
 	default:
-		out, err = l.stepK()
+		if l.adv != nil {
+			out, err = l.advanceK()
+		} else {
+			out, err = l.stepK()
+		}
 	}
 	if sp != nil {
 		sp.SetAttrs(obs.Int("frequent", len(l.lastFrequent)), obs.Int("valid", len(out)))
@@ -522,7 +530,7 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		for q := p + 1; q < n1; q++ {
 			if n := int(tri[c]); n >= l.cfg.MinSupport {
 				pairs = append(pairs, l.l1Ranks[p], l.l1Ranks[q])
-				out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], n, out)
+				out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], nil, n, out)
 			}
 			c++
 		}
@@ -548,7 +556,7 @@ func (l *Levelwise) countTriangle(off []int, cells int) ([]int32, error) {
 	}
 	per := make([][]int32, max(1, l.cfg.Workers))
 	per[0] = make([]int32, cells)
-	err := l.countPass("level 2: counting", func(ctx context.Context, txs []itemset.Set, acc int) {
+	err := l.countPass("level 2: counting", l.cfg.DB.Transactions(), func(ctx context.Context, txs []itemset.Set, acc int) {
 		if per[acc] == nil {
 			per[acc] = make([]int32, cells)
 		}
@@ -640,14 +648,17 @@ func (l *Levelwise) resetLevel(capacity int) {
 
 // addFrequent records a frequent set of the level under construction — in
 // the next level's join state and in LastFrequent — and appends it to out
-// when it is valid.
-func (l *Levelwise) addFrequent(c []int32, sup int, out []Counted) []Counted {
+// when it is valid. orig is c in original item space when the caller already
+// holds it (a set carried over from a prior lattice), nil otherwise.
+func (l *Levelwise) addFrequent(c []int32, orig itemset.Set, sup int, out []Counted) []Counted {
 	l.stats.FrequentSets++
 	l.stats.LatticeBytes += setBytes(len(c))
 	l.prevKeys[rankKey(c)] = len(l.prevSets)
 	l.prevSets = append(l.prevSets, c)
 	l.prevSup = append(l.prevSup, sup)
-	orig := l.toOrig(c)
+	if orig == nil {
+		orig = l.toOrig(c)
+	}
 	l.lastFrequent = append(l.lastFrequent, Counted{Set: orig, Support: sup})
 	if l.cfg.ReportValid == nil || l.cfg.ReportValid(orig) {
 		l.stats.ValidSets++
@@ -696,7 +707,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	// checkpoints then enforce MaxCandidates at batch granularity instead
 	// of discovering a whole level's overrun only after its DB scan.
 	l.stats.CandidatesCounted += int64(len(cands))
-	counts, err := l.countCandidates(cands, k+1)
+	counts, err := l.countCandidates(cands, k+1, l.cfg.DB.Transactions())
 	if err != nil {
 		return nil, err
 	}
@@ -710,7 +721,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 			l.prune.Charge(l.freqSite, 1)
 			continue
 		}
-		out = l.addFrequent(c, counts[i], out)
+		out = l.addFrequent(c, nil, counts[i], out)
 	}
 	return out, nil
 }
@@ -787,10 +798,10 @@ type trieNode struct {
 }
 
 // countCandidates counts the supports of lexicographically sorted k-level
-// candidates in one pass over the transactions (countPass), by matching each
-// transaction, trimmed to the ranks some candidate holds, against a trie of
-// the candidates.
-func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
+// candidates in one pass over txs (countPass), by matching each transaction,
+// trimmed to the ranks some candidate holds, against a trie of the
+// candidates.
+func (l *Levelwise) countCandidates(cands [][]int32, k int, txs []itemset.Set) ([]int, error) {
 	root := &trieNode{}
 	for idx, c := range cands {
 		n := root
@@ -827,7 +838,7 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 	}
 	per := make([][]int, max(1, l.cfg.Workers))
 	per[0] = make([]int, len(cands))
-	err := l.countPass(fmt.Sprintf("level %d: counting", k), func(ctx context.Context, txs []itemset.Set, acc int) {
+	err := l.countPass(fmt.Sprintf("level %d: counting", k), txs, func(ctx context.Context, txs []itemset.Set, acc int) {
 		if per[acc] == nil {
 			per[acc] = make([]int, len(cands))
 		}
@@ -839,8 +850,9 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 	return sumCounts(per), nil
 }
 
-// countPass runs one counting pass over the transactions, where the database
-// keeps them, under the checkpoint protocol every level from 2 on shares.
+// countPass runs one counting pass over txs — the database's transactions, or
+// a leading run of them, where the database keeps them — under the checkpoint
+// protocol every level from 2 on shares.
 // Serial counting (Workers < 2, or too few transactions to split)
 // checkpoints between transaction batches and counts each batch into
 // accumulator 0. Parallel counting partitions the transactions among Workers
@@ -852,9 +864,8 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int) ([]int, error) {
 // there, before the partial counts can be used. Workers always rejoin
 // through wg.Wait: they return early, never leak. The caller sums the
 // accumulators (sumCounts).
-func (l *Levelwise) countPass(where string, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
+func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
 	l.cfg.DB.RecordScan()
-	txs := l.cfg.DB.Transactions()
 	workers := l.cfg.Workers
 	if workers < 2 || len(txs) < 4*workers {
 		for start := 0; start < len(txs); start += checkBatch {

@@ -57,7 +57,7 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 		return nil, nil
 	}
 	l.stats.CandidatesCounted += int64(len(cands))
-	counts, err := l.countCandidates(cands, 2)
+	counts, err := l.countCandidates(cands, 2, l.cfg.DB.Transactions())
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 			l.prune.Charge(l.freqSite, 1)
 			continue
 		}
-		out = l.addFrequent(c, counts[i], out)
+		out = l.addFrequent(c, nil, counts[i], out)
 	}
 	return out, nil
 }

@@ -255,6 +255,8 @@ var (
 	MDBScans        = NewCounter("db_scans_total")
 	MCacheHits      = NewCounter("session_cache_hits_total")
 	MCacheMisses    = NewCounter("session_cache_misses_total")
+	MCacheAdvances  = NewCounter("session_cache_advances_total")
+	MCacheRemines   = NewCounter("session_cache_remines_total")
 	MCacheEvictions = NewCounter("session_cache_evictions_total")
 	MCacheBytes     = NewGauge("session_cache_bytes")
 	MQueryDur       = NewHistogram("query_duration_ms")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/store"
 )
 
@@ -267,5 +268,86 @@ func TestDropMutateQueryStorm(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCrashLosesLatticeNotAnswers: the session's lattice lives in memory
+// only. A server that has been carrying it across appends is cut off by a
+// power failure in the middle of a further append; the recovered server
+// holds no lattice, so its first query mines from scratch — and answers, at
+// the recovered generation, exactly what the crashed server answered there
+// from its advanced lattice.
+func TestCrashLosesLatticeNotAnswers(t *testing.T) {
+	const query = "{(S,T) | freq(S) >= 2 & freq(T) >= 2 & max(S.Price) <= min(T.Price)}"
+	batches := [][][]int{{{0, 1, 2, 3}, {0, 1, 2}}, {{1, 2, 3, 4}, {0, 1, 2, 3}}, {{2, 3, 4, 5}}}
+
+	// script creates the dataset and appends the batches, querying after
+	// each step; it returns the answers by generation and the storage ops
+	// consumed before the last append.
+	script := func(ffs *faultinject.FaultFS, dir string) (map[uint64][]byte, int64) {
+		s := NewServer(Config{Store: &store.Options{Dir: dir, FS: ffs}})
+		if _, err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if status, body := postJSON(t, ts.URL+"/v1/datasets", marketSpec("market")); status != http.StatusCreated {
+			t.Fatalf("create: %d %s", status, body)
+		}
+		answers := map[uint64][]byte{}
+		var ops int64
+		for i, batch := range batches {
+			status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{Dataset: "market", Query: query, NoCache: true})
+			if status != http.StatusOK {
+				t.Fatalf("query %d: %d %s", i, status, body)
+			}
+			resp := queryResp(t, body)
+			answers[resp.Generation] = canonicalAnswer(t, resp.Result)
+			ops = ffs.Ops()
+			status, body = postJSON(t, ts.URL+"/v1/datasets/market/transactions", &MutateRequest{Transactions: batch})
+			if crashed := ffs.Crashed(); crashed != (status != http.StatusOK) {
+				t.Fatalf("append %d: status %d with crashed=%v: %s", i, status, crashed, body)
+			}
+		}
+		_, sess, _, err := s.reg.Lookup("market")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := sess.CacheStats(); cs.Remines != 1 || cs.Advances != len(batches)-1 {
+			t.Fatalf("session stats %+v: want one re-mine, then an advance per append", cs)
+		}
+		if ffs.Crashed() {
+			// Stops the server's goroutines; the dead store cannot close cleanly.
+			_ = s.Shutdown(context.Background())
+		} else {
+			shutdownServer(t, s)
+		}
+		return answers, ops
+	}
+
+	_, ops := script(faultinject.NewFaultFS(store.OSFS{}, faultinject.FaultPlan{}), t.TempDir())
+	dir := t.TempDir()
+	answers, _ := script(faultinject.NewFaultFS(store.OSFS{}, faultinject.FaultPlan{CrashAt: ops + 1}), dir)
+
+	s, ts := durableServer(t, dir)
+	defer shutdownServer(t, s)
+	status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{Dataset: "market", Query: query, NoCache: true})
+	if status != http.StatusOK {
+		t.Fatalf("post-recovery query: %d %s", status, body)
+	}
+	resp := queryResp(t, body)
+	want, ok := answers[resp.Generation]
+	if !ok || resp.Generation != uint64(len(batches)) {
+		t.Fatalf("recovered at generation %d, want %d (the crashed append lost, the acked ones kept)", resp.Generation, len(batches))
+	}
+	if got := canonicalAnswer(t, resp.Result); !bytes.Equal(got, want) {
+		t.Errorf("re-mined answer differs from the advanced one at generation %d\nre-mined: %s\nadvanced: %s", resp.Generation, got, want)
+	}
+	_, sess, _, err := s.reg.Lookup("market")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := sess.CacheStats(); cs.Remines != 1 || cs.Advances != 0 || cs.Hits != 1 {
+		t.Errorf("recovered session stats %+v: want the first query to mine from scratch", cs)
 	}
 }

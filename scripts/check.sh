@@ -172,11 +172,16 @@ go -C benchmark build -o /dev/null ./...
 echo "== go test -race -short =="
 go test -race -short ./...
 
-echo "== in-place mining properties (-race -count=3) =="
-# No pass before level 2, and counting through the trimming tables equals
-# counting over the full projection — under a real Workers split, repeated
-# so a scheduling-dependent miscount cannot hide behind one lucky run.
-go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection' ./internal/mine
+echo "== in-place mining and advance properties (-race -count=3) =="
+# No pass before level 2, counting through the trimming tables equals
+# counting over the full projection, and a lattice carried across an append
+# (mine.Advance) equals the re-mined one in sets, supports and order — under
+# a real Workers split, repeated so a scheduling-dependent miscount cannot
+# hide behind one lucky run.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine' ./internal/mine
+
+echo "== advance fuzz smoke (10s) =="
+go test -run '^$' -fuzz=FuzzAdvance -fuzztime=10s ./internal/mine
 
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
@@ -282,7 +287,8 @@ fi
 curl -fsS "http://$ops_addr/metrics" > "$check_tmp/scrape1.txt"
 for fam in server_requests_total server_request_duration_ms server_queries_total \
     server_active_requests server_slow_queries_total server_result_cache_hits_total \
-    server_result_cache_bytes session_cache_bytes store_wal_records_total \
+    server_result_cache_bytes session_cache_bytes session_cache_advances_total \
+    session_cache_remines_total store_wal_records_total \
     store_fsyncs_total store_fsync_duration_ms; do
   if ! grep -q "^# TYPE $fam " "$check_tmp/scrape1.txt"; then
     echo "check.sh: family $fam missing from /metrics" >&2
