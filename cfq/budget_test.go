@@ -18,15 +18,18 @@ func budgetQuery(ds *Dataset) *Query {
 		Where2(Join(Max, "Price", LE, Min, "Price"))
 }
 
-// TestRunContextFaultInjection aborts both evaluation strategies at their
-// first, middle, and last checkpoint and checks that a clean re-run still
-// returns the baseline answer.
+// TestRunContextFaultInjection aborts the baseline and both schedules of
+// the optimizer at their first, middle, and last checkpoint and checks that
+// a clean re-run still returns the baseline answer. The checkpoint counts
+// are pinned: sequential steps phase-1 S, phase-1 T, all of T, then all of
+// S, and a refactor of the pipeline must not add or drop a checkpoint.
 func TestRunContextFaultInjection(t *testing.T) {
 	ds := marketDataset(t)
 	for _, st := range []struct {
-		name string
-		s    Strategy
-	}{{"optimized", Optimized}, {"apriori", AprioriPlus}} {
+		name        string
+		s           Strategy
+		checkpoints int64
+	}{{"optimized", Optimized, 36}, {"apriori", AprioriPlus, 34}, {"sequential", Sequential, 36}} {
 		t.Run(st.name, func(t *testing.T) {
 			baseline, err := budgetQuery(ds).Run(st.s)
 			if err != nil {
@@ -37,8 +40,8 @@ func TestRunContextFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := probe.Seen()
-			if n < 3 {
-				t.Fatalf("only %d checkpoints", n)
+			if n != st.checkpoints {
+				t.Fatalf("%d checkpoints, want %d", n, st.checkpoints)
 			}
 			for _, at := range []int64{1, (n + 1) / 2, n} {
 				inj := faultinject.Fail(at, nil)

@@ -117,23 +117,30 @@ const (
 	Auto
 )
 
-// coreStrategyNames are the engine spellings of the public strategies, in
-// enum order; Auto has no engine spelling (it must be resolved by the
-// planner first). Strategies are resolved by name through
-// core.ParseStrategy so that no engine strategy-selection literal lives
-// outside internal/plan (scripts/check.sh enforces this with a grep gate).
-var coreStrategyNames = [...]string{
-	"optimized", "optimized-nojmax", "cap-1var", "apriori+", "fm", "sequential",
+// strategyNames is the one table of the public strategies, in enum order:
+// the CLI / wire spelling (String, ParseStrategy) and the engine spelling.
+// Auto has no engine spelling (it must be resolved by the planner first).
+// Strategies are resolved by name through core.ParseStrategy so that no
+// engine strategy-selection literal lives outside internal/plan
+// (scripts/check.sh enforces this with a grep gate).
+var strategyNames = [...]struct{ wire, core string }{
+	Optimized:       {"optimized", "optimized"},
+	OptimizedNoJmax: {"nojmax", "optimized-nojmax"},
+	CAPOnly:         {"cap", "cap-1var"},
+	AprioriPlus:     {"apriori", "apriori+"},
+	FM:              {"fm", "fm"},
+	Sequential:      {"sequential", "sequential"},
+	Auto:            {"auto", ""},
 }
 
 func (s Strategy) internal() core.Strategy {
 	if s == Auto {
 		panic("cfq: strategy auto must be resolved via Prepare before execution")
 	}
-	if int(s) < 0 || int(s) >= len(coreStrategyNames) {
+	if int(s) < 0 || int(s) >= len(strategyNames) {
 		panic(fmt.Sprintf("cfq: unknown strategy %d", int(s)))
 	}
-	cs, err := core.ParseStrategy(coreStrategyNames[s])
+	cs, err := core.ParseStrategy(strategyNames[s].core)
 	if err != nil {
 		panic(fmt.Sprintf("cfq: %v", err))
 	}
@@ -142,31 +149,23 @@ func (s Strategy) internal() core.Strategy {
 
 // String renders the strategy in the spelling ParseStrategy accepts.
 func (s Strategy) String() string {
-	names := [...]string{"optimized", "nojmax", "cap", "apriori", "fm", "sequential", "auto"}
-	if int(s) < 0 || int(s) >= len(names) {
+	if int(s) < 0 || int(s) >= len(strategyNames) {
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
-	return names[s]
+	return strategyNames[s].wire
 }
 
 // ParseStrategy maps a strategy name (the CLI / wire spelling) to its
-// Strategy value: optimized, nojmax, cap, apriori, fm, sequential, auto.
+// Strategy value: optimized (also the empty name), nojmax, cap, apriori,
+// fm, sequential, auto.
 func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "optimized", "":
+	if s == "" {
 		return Optimized, nil
-	case "nojmax":
-		return OptimizedNoJmax, nil
-	case "cap":
-		return CAPOnly, nil
-	case "apriori":
-		return AprioriPlus, nil
-	case "fm":
-		return FM, nil
-	case "sequential":
-		return Sequential, nil
-	case "auto":
-		return Auto, nil
+	}
+	for i, n := range strategyNames {
+		if n.wire == s {
+			return Strategy(i), nil
+		}
 	}
 	return 0, fmt.Errorf("cfq: unknown strategy %q", s)
 }

@@ -87,6 +87,33 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestStrategyNames: the one name table round-trips every strategy through
+// String and ParseStrategy, resolves every engine strategy, and keeps the
+// accepted spellings ("" is optimized; engine spellings are not wire names).
+func TestStrategyNames(t *testing.T) {
+	want := []string{"optimized", "nojmax", "cap", "apriori", "fm", "sequential", "auto"}
+	for i, name := range want {
+		st := Strategy(i)
+		if got, err := ParseStrategy(name); err != nil || got != st || st.String() != name {
+			t.Errorf("strategy %d: String %q, ParseStrategy(%q) = %v, %v", i, st, name, got, err)
+		}
+		if st != Auto && st.internal().String() != strategyNames[st].core {
+			t.Errorf("%v resolves to engine strategy %v", st, st.internal())
+		}
+	}
+	if st, err := ParseStrategy(""); err != nil || st != Optimized {
+		t.Errorf(`ParseStrategy("") = %v, %v`, st, err)
+	}
+	for _, bad := range []string{"apriori+", "optimized-nojmax", "Optimized", "strategy(7)"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", bad)
+		}
+	}
+	if got := Strategy(len(want)).String(); got != "strategy(7)" {
+		t.Errorf("out-of-range String = %q", got)
+	}
+}
+
 func TestStrategiesAgreeOnPublicAPI(t *testing.T) {
 	ds := marketDataset(t)
 	build := func() *Query {

@@ -43,31 +43,54 @@ func TestRunReportTotalsMatchStats(t *testing.T) {
 	}
 }
 
-// TestRunReportSpanTree: the optimized strategy's report names every Jmax
-// iteration and mining level, the way the ISSUE's Figure-7-style run
-// requires.
+// TestRunReportSpanTree: every 2-var strategy walks the same pipeline — its
+// report shows phase1, reduce, finalize and pairs at the top level in that
+// order, with only the schedule's spans (the Jmax iterations, or mine-T then
+// mine-S) between reduce and finalize — and names every mining level.
 func TestRunReportSpanTree(t *testing.T) {
-	tracer := NewTracer(TracerOptions{Name: "fig7"})
-	ctx := WithTracer(context.Background(), tracer)
-	res, err := NewQuery(marketDataset(t)).MinSupport(2).
-		WhereS(Range("Price", 2, 10)).
-		Where2(Join(Max, "Price", LE, Min, "Price")).
-		RunContext(ctx, Optimized)
-	if err != nil {
-		t.Fatal(err)
+	query := func() *Query {
+		return NewQuery(marketDataset(t)).MinSupport(2).
+			WhereS(Range("Price", 2, 10)).
+			Where2(Join(Max, "Price", LE, Min, "Price"))
 	}
-	for _, name := range []string{"phase1", "reduce", "jmax-iter-1", "finalize", "pairs", "S:level-1", "T:level-1"} {
-		if res.Report.Find(name) == nil {
-			var have []string
-			res.Report.Walk(func(s *SpanReport) { have = append(have, s.Name) })
-			t.Fatalf("span %q missing; have %v", name, have)
+	var res *Result
+	for _, c := range []struct {
+		st       Strategy
+		schedule []string // the top-level spans between reduce and finalize; nil = jmax-iter-1..n
+	}{{Sequential, []string{"mine-T", "mine-S"}}, {OptimizedNoJmax, nil}, {Optimized, nil}} {
+		tracer := NewTracer(TracerOptions{Name: "fig7"})
+		var err error
+		res, err = query().RunContext(WithTracer(context.Background(), tracer), c.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top []string
+		for _, sp := range res.Report.Root.Children {
+			// Dovetail plans both sides before its first round, so their
+			// classify spans sit beside the rounds, not under one.
+			if !strings.HasSuffix(sp.Name, ":classify") {
+				top = append(top, sp.Name)
+			}
+		}
+		n := len(top)
+		if n < 5 || top[0] != "phase1" || top[1] != "reduce" || top[n-2] != "finalize" || top[n-1] != "pairs" {
+			t.Fatalf("%v: top-level spans %v, want phase1 reduce <schedule> finalize pairs", c.st, top)
+		}
+		want := c.schedule
+		for i := 1; c.schedule == nil && i <= n-4; i++ {
+			want = append(want, fmt.Sprintf("jmax-iter-%d", i))
+		}
+		if got := top[2 : n-2]; strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%v: schedule spans %v, want %v", c.st, got, want)
+		}
+		for _, name := range []string{"S:level-1", "T:level-1"} {
+			if res.Report.Find(name) == nil {
+				t.Errorf("%v: span %q missing", c.st, name)
+			}
 		}
 	}
 	// Untraced runs carry no report and agree on the answer.
-	plain, err := NewQuery(marketDataset(t)).MinSupport(2).
-		WhereS(Range("Price", 2, 10)).
-		Where2(Join(Max, "Price", LE, Min, "Price")).
-		Run(Optimized)
+	plain, err := query().Run(Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}

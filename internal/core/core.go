@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/attr"
@@ -50,30 +51,61 @@ const (
 	// afterwards — the ccc counterexample of Section 6.2. Only usable on
 	// tiny item domains.
 	StrategyFM
-	// StrategySequential is the alternative Section 5.2 discusses instead
-	// of dovetailing: mine the T lattice to completion first, then prune S
-	// with the *exact* global bounds (e.g. max{sum(T.B) | freq(T)}). Best
-	// possible pruning, but it forfeits the scan sharing dovetailing
-	// enables — compare its DBScans/pruning trade-off against
-	// StrategyOptimized.
+	// StrategySequential is the optimizer with the other mining order
+	// Section 5.2 discusses (see tThenS): T to completion, then S under the
+	// *exact* global bounds (e.g. max{sum(T.B) | freq(T)}) — compare its
+	// DBScans/pruning trade-off against StrategyOptimized.
 	StrategySequential
 )
 
+// strategyRow is what a strategy is. Run, String and EXPLAIN all read the
+// row, so a strategy is described once and the engine has no per-strategy
+// code beyond the schedule a row names.
+type strategyRow struct {
+	name string
+	// oneVarAt, when non-empty, says the 1-var constraints are tested as
+	// written at that stage (EXPLAIN's rendering); empty means CAP
+	// simplifies them and pushes them into the mining.
+	oneVarAt string
+	// reduce turns on Figure 7's 2-var stages: phase 1, the reduction to
+	// 1-var conditions over L1, and the final dynamic-bound filter.
+	reduce bool
+	// schedule mines the two lattices: side by side with the row's side
+	// miner, or in one of Section 5.2's two orders of the reduced ones.
+	schedule schedule
+	// dynamicAt, when non-empty, keeps the reduction's dynamic bounds and
+	// is EXPLAIN's description of how the schedule resolves them.
+	dynamicAt string
+}
+
+// A schedule mines both lattices and returns their results, indexed by Side.
+type schedule func(context.Context, *mining) ([2]*cap.Result, error)
+
+// strategies is the strategy table, indexed by Strategy.
+var strategies = [...]strategyRow{
+	StrategyOptimized: {name: "optimized", reduce: true, schedule: dovetail,
+		dynamicAt: "iterative Jmax bounds (dovetailed counting)"},
+	StrategyOptimizedNoJmax: {name: "optimized-nojmax", reduce: true, schedule: dovetail},
+	StrategyCAPOnly:         {name: "cap-1var", schedule: sideBySide(cap.Run)},
+	StrategyAprioriPlus: {name: "apriori+", oneVarAt: "post-mining filter",
+		schedule: sideBySide(cap.AprioriPlus)},
+	StrategyFM: {name: "fm", oneVarAt: "materialization (subset enumeration)",
+		schedule: sideBySide(fmSide)},
+	StrategySequential: {name: "sequential", reduce: true, schedule: tThenS,
+		dynamicAt: "exact bounds from the completed opposite lattice"},
+}
+
+func (s Strategy) row() (*strategyRow, error) {
+	if s < 0 || int(s) >= len(strategies) {
+		return nil, fmt.Errorf("core: unknown strategy %d", int(s))
+	}
+	return &strategies[s], nil
+}
+
 // String names the strategy.
 func (s Strategy) String() string {
-	switch s {
-	case StrategyOptimized:
-		return "optimized"
-	case StrategyOptimizedNoJmax:
-		return "optimized-nojmax"
-	case StrategyCAPOnly:
-		return "cap-1var"
-	case StrategyAprioriPlus:
-		return "apriori+"
-	case StrategyFM:
-		return "fm"
-	case StrategySequential:
-		return "sequential"
+	if row, err := s.row(); err == nil {
+		return row.name
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -83,17 +115,18 @@ func (s Strategy) String() string {
 // ParseStrategy so strategy selection stays centralized here and in
 // internal/plan.
 func Strategies() []Strategy {
-	return []Strategy{
-		StrategyOptimized, StrategyOptimizedNoJmax, StrategyCAPOnly,
-		StrategyAprioriPlus, StrategyFM, StrategySequential,
+	out := make([]Strategy, len(strategies))
+	for i := range out {
+		out[i] = Strategy(i)
 	}
+	return out
 }
 
 // ParseStrategy maps a strategy's String() name back to the Strategy.
 func ParseStrategy(name string) (Strategy, error) {
-	for _, s := range Strategies() {
-		if s.String() == name {
-			return s, nil
+	for i := range strategies {
+		if strategies[i].name == name {
+			return Strategy(i), nil
 		}
 	}
 	return StrategyOptimized, fmt.Errorf("core: unknown strategy %q", name)
@@ -153,25 +186,32 @@ func (q *CFQ) traceLevels(cq *cap.Query, side twovar.Side) {
 	if q.Trace == nil {
 		return
 	}
-	prev := cq.OnLevel
 	cq.OnLevel = func(level int, sets []mine.Counted) {
 		q.trace("%v level %d: %d valid frequent sets", side, level, len(sets))
-		if prev != nil {
-			prev(level, sets)
+	}
+}
+
+// domains returns the variables' item domains (nil = all active items).
+// ActiveItems hands out a copy, so it is fetched at most once.
+func (q *CFQ) domains() (domS, domT itemset.Set) {
+	domS, domT = q.DomainS, q.DomainT
+	if domS == nil || domT == nil {
+		active := q.DB.ActiveItems()
+		if domS == nil {
+			domS = active
+		}
+		if domT == nil {
+			domT = active
 		}
 	}
+	return domS, domT
 }
 
 func (q *CFQ) normalize() error {
 	if q.DB == nil {
 		return fmt.Errorf("core: CFQ.DB is nil")
 	}
-	if q.MinSupportS < 1 {
-		q.MinSupportS = 1
-	}
-	if q.MinSupportT < 1 {
-		q.MinSupportT = 1
-	}
+	q.MinSupportS, q.MinSupportT = max(q.MinSupportS, 1), max(q.MinSupportT, 1)
 	return nil
 }
 
@@ -197,18 +237,10 @@ type Result struct {
 }
 
 // ValidS flattens the S-side levels.
-func (r *Result) ValidS() []mine.Counted { return flatten(r.LevelsS) }
+func (r *Result) ValidS() []mine.Counted { return slices.Concat(r.LevelsS...) }
 
 // ValidT flattens the T-side levels.
-func (r *Result) ValidT() []mine.Counted { return flatten(r.LevelsT) }
-
-func flatten(levels [][]mine.Counted) []mine.Counted {
-	var out []mine.Counted
-	for _, lv := range levels {
-		out = append(out, lv...)
-	}
-	return out
-}
+func (r *Result) ValidT() []mine.Counted { return slices.Concat(r.LevelsT...) }
 
 // Plan records the optimizer's decisions for a query (Figure 7's boxes).
 type Plan struct {
@@ -225,25 +257,10 @@ type Plan struct {
 	// ReducedFrom maps each reduced condition's rendering to the 2-var
 	// constraint it was derived from (EXPLAIN ANALYZE provenance).
 	ReducedFrom map[string]string
-	// DynamicBounds lists the iterative (Jmax) pruning hooks, rendered with
-	// twovar.DynamicBound.Label so they match the "<side>:jmax:<label>"
-	// pruning-site keys.
-	DynamicBounds []string
-	// Bounds records each dynamic bound's provenance and (after a run) its
-	// per-iteration trajectory, parallel to DynamicBounds.
-	Bounds []BoundDetail
-}
-
-// BoundDetail is one dynamic bound's EXPLAIN ANALYZE record.
-type BoundDetail struct {
-	// Label is the bound's stable rendering (twovar.DynamicBound.Label).
-	Label string
-	// PruneSide names the variable the bound prunes.
-	PruneSide string
-	// Origin is the 2-var constraint the bound was induced from.
-	Origin string
-	// Trajectory renders the bound's per-iteration tightening.
-	Trajectory []string
+	// Bounds records each dynamic (Jmax) pruning hook as EXPLAIN ANALYZE
+	// reports it: label (matching the "<side>:jmax:<label>" pruning-site
+	// keys), provenance and, after a run, per-level trajectory.
+	Bounds []obs.BoundExplain
 }
 
 // noteReduced records a reduced condition's origin.
@@ -278,8 +295,8 @@ func (p *Plan) Describe() string {
 	for _, s := range p.ReducedT {
 		fmt.Fprintf(&b, "  T-side condition: %s\n", s)
 	}
-	for _, s := range p.DynamicBounds {
-		fmt.Fprintf(&b, "  dynamic bound: %s\n", s)
+	for _, bd := range p.Bounds {
+		fmt.Fprintf(&b, "  dynamic bound: %s\n", bd.Bound)
 	}
 	return b.String()
 }
@@ -310,13 +327,7 @@ func Explain(q CFQ) (*Plan, error) {
 	if err := q.normalize(); err != nil {
 		return nil, err
 	}
-	domS, domT := q.DomainS, q.DomainT
-	if domS == nil {
-		domS = q.DB.ActiveItems()
-	}
-	if domT == nil {
-		domT = q.DB.ActiveItems()
-	}
+	domS, domT := q.domains()
 	p := &Plan{Strategy: StrategyOptimized}
 	for _, c := range q.ConstraintsS {
 		p.OneVarS = append(p.OneVarS, describeClass(c, domS))
@@ -332,34 +343,6 @@ func Explain(q CFQ) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// Run evaluates the CFQ with the selected strategy. All strategies return
-// the same answer set; they differ in the work counted by Stats. ctx
-// cancellation and q.Budget overruns abort the evaluation at the next
-// mining checkpoint with a wrapped ctx.Err() or *mine.BudgetError.
-func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
-	if err := q.normalize(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	switch strat {
-	case StrategyAprioriPlus:
-		return runBaseline(ctx, q, false)
-	case StrategyCAPOnly:
-		return runBaseline(ctx, q, true)
-	case StrategyOptimized:
-		return runOptimized(ctx, q, true)
-	case StrategyOptimizedNoJmax:
-		return runOptimized(ctx, q, false)
-	case StrategyFM:
-		return runFM(ctx, q)
-	case StrategySequential:
-		return runSequential(ctx, q)
-	}
-	return nil, fmt.Errorf("core: unknown strategy %d", int(strat))
 }
 
 func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
@@ -383,218 +366,252 @@ func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
 	return cq
 }
 
-// runBaseline implements Apriori⁺ (pushOneVar = false) and CAP-only
-// (pushOneVar = true): mine each side, then form pairs checking the 2-var
-// constraints there.
-func runBaseline(ctx context.Context, q CFQ, pushOneVar bool) (*Result, error) {
-	runSide := cap.AprioriPlus
-	if pushOneVar {
-		runSide = cap.Run
+// bothSides is the order every S-then-T loop walks the variables in.
+var bothSides = [2]twovar.Side{twovar.SideS, twovar.SideT}
+
+// mining is what a schedule works on: the two side queries, indexed by Side
+// (re-planned by the reduce stage when the strategy has one), and the
+// dynamic bounds that couple them.
+type mining struct {
+	q      *CFQ
+	tracer *obs.Tracer
+	prune  *obs.PruneSet
+	cq     [2]cap.Query
+	dyns   []*dynState
+	// checks counts the dynamic-bound evaluations the candidate filters
+	// made; finalize folds it into Stats.SetConstraintChecks.
+	checks int64
+}
+
+// Run evaluates the CFQ with the selected strategy. All strategies return
+// the same answer set; they differ in the work counted by Stats. ctx
+// cancellation and q.Budget overruns abort the evaluation at the next
+// mining checkpoint with a wrapped ctx.Err() or *mine.BudgetError.
+//
+// It is the one evaluation pipeline (Figure 7): phase 1, reduce, mine,
+// finalize, pairs. Every stage is written once and emits the same span for
+// every strategy; the strategy row decides only whether the 2-var stages
+// run and which schedule the mining follows.
+func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
+	if err := q.normalize(); err != nil {
+		return nil, err
 	}
-	sq := q.sideQuery(twovar.SideS)
-	q.traceLevels(&sq, twovar.SideS)
-	tq := q.sideQuery(twovar.SideT)
-	q.traceLevels(&tq, twovar.SideT)
-	sRes, err := runSide(ctx, sq)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	row, err := strat.row()
 	if err != nil {
 		return nil, err
 	}
-	tRes, err := runSide(ctx, tq)
-	if err != nil {
-		return nil, err
+	res := &Result{}
+	m := &mining{q: &q, tracer: obs.FromContext(ctx), prune: obs.PruningFromContext(ctx)}
+	for _, side := range bothSides {
+		m.cq[side] = q.sideQuery(side)
 	}
-	res := &Result{LevelsS: sRes.Levels, LevelsT: tRes.Levels}
-	res.Stats.Add(sRes.Stats)
-	res.Stats.Add(tRes.Stats)
-	if err := formPairsTraced(ctx, obs.FromContext(ctx), obs.PruningFromContext(ctx), q, res); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// dynState tracks one evolving sum bound: the condition prunes d.PruneSide
-// using the series observed from the opposite lattice.
-type dynState struct {
-	d       *twovar.DynamicBound
-	series  *jmax.Series
-	allowed bool // opposite side counts complete levels (no existential push)
-}
-
-func (ds *dynState) bound() float64 {
-	if !ds.allowed {
-		return math.Inf(1)
-	}
-	if ds.d.Kind == twovar.BoundCount {
-		sb := ds.series.SizeBound()
-		if sb >= jmax.Unbounded {
-			return math.Inf(1)
+	if row.reduce {
+		plan, err := Explain(q)
+		if err != nil {
+			return nil, err
 		}
-		return float64(sb)
+		plan.Strategy = strat
+		res.Plan = plan
+		l1, err := m.phase1(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for _, run := range l1 {
+			res.Stats.Add(run.Stats())
+		}
+		m.reduce(plan, l1, row.dynamicAt != "")
 	}
-	return ds.series.Bound()
+	for _, side := range bothSides {
+		q.traceLevels(&m.cq[side], side)
+	}
+
+	mined, err := row.schedule(ctx, m)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range mined {
+		res.Stats.Add(r.Stats)
+	}
+	res.LevelsS, res.LevelsT = mined[twovar.SideS].Levels, mined[twovar.SideT].Levels
+	if row.reduce {
+		m.finalize(res)
+	}
+
+	// The pairs span opens after every Stats.Add fold into res.Stats, so
+	// its delta is exactly the pair-formation work (PairChecks).
+	var sp *obs.Span
+	if m.tracer != nil {
+		sp = m.tracer.Start("pairs").WithStats(res.Stats.Counters())
+	}
+	err = formPairs(ctx, q, res, m.prune)
+	if sp != nil {
+		sp.SetAttrs(obs.Int64("pair_count", res.PairCount))
+		sp.End(res.Stats.Counters())
+	}
+	return res, err
 }
 
-// runOptimized is the optimizer's strategy: reduce after level 1, re-plan
-// both sides with the reduced constraints, dovetail the lattices tightening
-// Jmax bounds, then form pairs.
-func runOptimized(ctx context.Context, q CFQ, useJmax bool) (*Result, error) {
-	plan, err := Explain(q)
-	if err != nil {
-		return nil, err
+// phase1 is one counting iteration per side with 1-var pushdown only. The
+// phase span is structural (no delta): the runners' classify/level spans
+// nested under it carry the counter deltas.
+func (m *mining) phase1(ctx context.Context) (l1 [2]*cap.Runner, err error) {
+	var sp *obs.Span
+	if m.tracer != nil {
+		sp = m.tracer.Start("phase1")
 	}
-	if !useJmax {
-		plan.Strategy = StrategyOptimizedNoJmax
+	defer sp.End(nil)
+	for side, cq := range m.cq {
+		cq.MaxLevel = 1
+		if l1[side], err = cap.Prepare(ctx, cq); err != nil {
+			return l1, err
+		}
 	}
-	res := &Result{Plan: plan}
-	tracer := obs.FromContext(ctx)
-	prune := obs.PruningFromContext(ctx)
+	for _, run := range l1 {
+		if _, _, err = run.Step(); err != nil {
+			return l1, err
+		}
+	}
+	return l1, nil
+}
 
-	// Phase 1: one counting iteration per side with 1-var pushdown only.
-	// The phase span is structural (no delta): the runners' classify/level
-	// spans nested under it carry the counter deltas.
-	var p1 *obs.Span
-	if tracer != nil {
-		p1 = tracer.Start("phase1")
+// reduce rewrites both side queries with the 1-var conditions each 2-var
+// constraint reduces to over the phase-1 L1s (Figures 2–4), keeps the
+// reduction's dynamic bounds when the strategy resolves them, and presets
+// level 1 from phase 1 so the re-planned runs re-count nothing.
+func (m *mining) reduce(plan *Plan, l1 [2]*cap.Runner, dynamic bool) {
+	var sp *obs.Span
+	if m.tracer != nil {
+		sp = m.tracer.Start("reduce")
 	}
-	sq1 := q.sideQuery(twovar.SideS)
-	sq1.MaxLevel = 1
-	tq1 := q.sideQuery(twovar.SideT)
-	tq1.MaxLevel = 1
-	s1, err := cap.Prepare(ctx, sq1)
-	if err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	t1, err := cap.Prepare(ctx, tq1)
-	if err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	if _, _, err := s1.Step(); err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	if _, _, err := t1.Step(); err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	l1S, l1T := s1.FrequentItems(), t1.FrequentItems()
-	res.Stats.Add(s1.Stats())
-	res.Stats.Add(t1.Stats())
-	p1.End(nil)
-
-	var rsp *obs.Span
-	if tracer != nil {
-		rsp = tracer.Start("reduce")
-	}
-
-	// Reduce every 2-var constraint to 1-var conditions (Figures 2–4).
-	sq := q.sideQuery(twovar.SideS)
-	tq := q.sideQuery(twovar.SideT)
-	// Copy the constraint slices before appending reductions: the caller's
-	// CFQ must stay reusable.
-	sq.Constraints = append([]constraint.Constraint(nil), sq.Constraints...)
-	tq.Constraints = append([]constraint.Constraint(nil), tq.Constraints...)
-	var dyns []*dynState
-	for _, c2 := range q.Constraints2 {
+	l1S, l1T := l1[twovar.SideS].FrequentItems(), l1[twovar.SideT].FrequentItems()
+	for _, c2 := range m.q.Constraints2 {
 		red := c2.Reduce(l1S, l1T)
-		sq.Constraints = append(sq.Constraints, red.C1...)
-		tq.Constraints = append(tq.Constraints, red.C2...)
 		origin := fmt.Sprintf("%v", c2)
-		for _, c := range red.C1 {
-			plan.ReducedS = append(plan.ReducedS, c.String())
-			plan.noteReduced(c.String(), origin)
-		}
-		for _, c := range red.C2 {
-			plan.ReducedT = append(plan.ReducedT, c.String())
-			plan.noteReduced(c.String(), origin)
-		}
-		if useJmax {
-			for _, d := range red.Dynamic {
-				dyns = append(dyns, &dynState{d: d, series: jmax.NewSeries()})
-				plan.DynamicBounds = append(plan.DynamicBounds, d.Label())
-				plan.Bounds = append(plan.Bounds, BoundDetail{
-					Label: d.Label(), PruneSide: d.PruneSide.String(), Origin: origin,
-				})
+		push := func(side twovar.Side, rendered *[]string, conds []constraint.Constraint) {
+			// A full slice expression: the append must copy, not write
+			// into the caller's CFQ, which stays reusable.
+			cons := m.cq[side].Constraints
+			m.cq[side].Constraints = append(cons[:len(cons):len(cons)], conds...)
+			for _, c := range conds {
+				*rendered = append(*rendered, c.String())
+				plan.noteReduced(c.String(), origin)
 			}
 		}
+		push(twovar.SideS, &plan.ReducedS, red.C1)
+		push(twovar.SideT, &plan.ReducedT, red.C2)
+		if !dynamic {
+			continue
+		}
+		for _, d := range red.Dynamic {
+			m.dyns = append(m.dyns, &dynState{d: d, series: jmax.NewSeries(), held: math.Inf(1)})
+			plan.Bounds = append(plan.Bounds, obs.BoundExplain{
+				Bound: d.Label(), PruneSide: d.PruneSide.String(), Origin: origin,
+			})
+		}
 	}
-
-	rsp.SetAttrs(obs.Int("l1_s", l1S.Len()), obs.Int("l1_t", l1T.Len()),
+	sp.SetAttrs(obs.Int("l1_s", l1S.Len()), obs.Int("l1_t", l1T.Len()),
 		obs.Int("conditions_s", len(plan.ReducedS)), obs.Int("conditions_t", len(plan.ReducedT)),
-		obs.Int("dynamic_bounds", len(dyns)))
-	rsp.End(nil)
-
-	// Phase 2: re-plan both sides with the reduced constraints; level 1 is
-	// preset from phase 1, so nothing is re-counted.
-	sq.PresetL1 = s1.FrequentItemCounts()
-	tq.PresetL1 = t1.FrequentItemCounts()
-	q.trace("reduction: |L1(S)| = %d, |L1(T)| = %d; %d S-conditions, %d T-conditions, %d dynamic bounds",
-		l1S.Len(), l1T.Len(), len(plan.ReducedS), len(plan.ReducedT), len(dyns))
-	q.traceLevels(&sq, twovar.SideS)
-	q.traceLevels(&tq, twovar.SideT)
-	var dynChecks int64
-	sq.ExtraFilter = dynFilter(dyns, twovar.SideS, &dynChecks, prune)
-	tq.ExtraFilter = dynFilter(dyns, twovar.SideT, &dynChecks, prune)
-	sRun, err := cap.Prepare(ctx, sq)
-	if err != nil {
-		return nil, err
+		obs.Int("dynamic_bounds", len(m.dyns)))
+	sp.End(nil)
+	for side, run := range l1 {
+		m.cq[side].PresetL1 = run.FrequentItemCounts()
 	}
-	tRun, err := cap.Prepare(ctx, tq)
-	if err != nil {
-		return nil, err
+	m.q.trace("reduction: |L1(S)| = %d, |L1(T)| = %d; %d S-conditions, %d T-conditions, %d dynamic bounds",
+		l1S.Len(), l1T.Len(), len(plan.ReducedS), len(plan.ReducedT), len(m.dyns))
+}
+
+// finalize applies the final (tightest) bounds to the reported sets: sound
+// for answer formation, and the only enforcement of the dynamic conditions
+// that could not prune candidates (avg forms, and bounds on a side mined
+// before their lattice existed). Its span opens after every Stats.Add copy
+// (copies are not work and must not land in any delta) and attributes the
+// filters' dynamic checks folded in here plus the re-filtering.
+func (m *mining) finalize(res *Result) {
+	var sp *obs.Span
+	if m.tracer != nil {
+		sp = m.tracer.Start("finalize").WithStats(res.Stats.Counters())
+	}
+	res.Stats.SetConstraintChecks += m.checks
+	res.LevelsS = applyFinalDynamic(m.dyns, twovar.SideS, res.LevelsS, &res.Stats, m.prune)
+	res.LevelsT = applyFinalDynamic(m.dyns, twovar.SideT, res.LevelsT, &res.Stats, m.prune)
+	if sp != nil {
+		sp.End(res.Stats.Counters())
+	}
+	recordTrajectories(res.Plan, m.dyns)
+}
+
+// prepare plans one side for the schedule, with (dynamic) or without the
+// candidate filter of the dynamic bounds that prune it.
+func (m *mining) prepare(ctx context.Context, side twovar.Side, dynamic bool) (*cap.Runner, error) {
+	cq := m.cq[side]
+	if dynamic {
+		cq.ExtraFilter = dynFilter(m.dyns, side, &m.checks, m.prune)
+	}
+	return cap.Prepare(ctx, cq)
+}
+
+// sideBySide is the schedule of the strategies that do not reduce: S to
+// completion, then T, each by run; nothing couples the two lattices until
+// pair formation.
+func sideBySide(run func(context.Context, cap.Query) (*cap.Result, error)) schedule {
+	return func(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) {
+		for side, cq := range m.cq {
+			if mined[side], err = run(ctx, cq); err != nil {
+				return mined, err
+			}
+		}
+		return mined, nil
+	}
+}
+
+// dovetail is Section 5.2's schedule: one S level, then one T level,
+// tightening the Jmax bounds as each side's levels complete. An abort on
+// either side stops the whole evaluation — the budget is shared, so
+// continuing the other lattice would only dig the overrun deeper.
+func dovetail(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) {
+	var runs [2]*cap.Runner
+	for _, side := range bothSides {
+		if runs[side], err = m.prepare(ctx, side, true); err != nil {
+			return mined, err
+		}
 	}
 	// Jmax summaries are sound only over complete levels: a side whose
 	// counting omits sets (existential pushdown) cannot feed them.
-	for _, ds := range dyns {
-		if ds.d.PruneSide == twovar.SideS {
-			ds.allowed = !tRun.HasExistential()
-		} else {
-			ds.allowed = !sRun.HasExistential()
-		}
+	for _, ds := range m.dyns {
+		ds.allowed = !runs[opposite(ds.d.PruneSide)].HasExistential()
 	}
-
-	// Dovetail: one S level, then one T level, tightening bounds as each
-	// side's levels complete (Section 5.2). An abort on either side stops
-	// the whole evaluation — the budget is shared, so continuing the other
-	// lattice would only dig the overrun deeper.
-	iter := 0
-	for !sRun.Done() || !tRun.Done() {
+	// Past the cutoff the bounds freeze: steps still run (and still benefit
+	// from the frozen bounds via dynFilter), but the per-level summarization
+	// stops. Round k steps level k on either side.
+	observed := func(level int) bool { return m.q.JmaxCutoff <= 0 || level <= m.q.JmaxCutoff }
+	for iter := 1; !runs[twovar.SideS].Done() || !runs[twovar.SideT].Done(); iter++ {
 		// One structural span per dovetail round: its children are the two
 		// sides' level/finalcheck spans, so the report tree names every Jmax
 		// iteration.
-		iter++
 		var isp *obs.Span
-		if tracer != nil {
-			isp = tracer.Start(fmt.Sprintf("jmax-iter-%d", iter))
+		if m.tracer != nil {
+			isp = m.tracer.Start(fmt.Sprintf("jmax-iter-%d", iter))
 		}
-		// Past the cutoff the bounds freeze: steps still run (and still
-		// benefit from the frozen bounds via dynFilter), but the per-level
-		// summarization stops.
-		observe := q.JmaxCutoff <= 0 || iter <= q.JmaxCutoff
-		if !sRun.Done() {
-			if _, _, err := sRun.Step(); err != nil {
+		for _, side := range bothSides {
+			if runs[side].Done() {
+				continue
+			}
+			if _, _, err := runs[side].Step(); err != nil {
 				isp.End(nil)
-				return nil, err
+				return mined, err
 			}
-			if observe {
-				observeLevel(dyns, twovar.SideT, sRun)
-			}
-		}
-		if !tRun.Done() {
-			if _, _, err := tRun.Step(); err != nil {
-				isp.End(nil)
-				return nil, err
-			}
-			if observe {
-				observeLevel(dyns, twovar.SideS, tRun)
+			if observed(iter) {
+				observeLevel(m.dyns, opposite(side), runs[side], false)
 			}
 		}
 		bounded := 0
-		for i, ds := range dyns {
+		for i, ds := range m.dyns {
 			if b := ds.bound(); !math.IsInf(b, 1) {
 				bounded++
-				q.trace("dynamic bound on %v: %v(%s) %v %.4g", ds.d.PruneSide, ds.d.Agg, ds.d.AttrName, ds.d.Op, b)
+				m.q.trace("dynamic bound on %v: %v(%s) %v %.4g", ds.d.PruneSide, ds.d.Agg, ds.d.AttrName, ds.d.Op, b)
 			}
 			if isp != nil && ds.allowed {
 				isp.SetAttrs(ds.series.Attrs(fmt.Sprintf("%s%d_", ds.d.PruneSide, i))...)
@@ -603,80 +620,148 @@ func runOptimized(ctx context.Context, q CFQ, useJmax bool) (*Result, error) {
 		isp.SetAttrs(obs.Int("active_bounds", bounded))
 		isp.End(nil)
 	}
-	for _, ds := range dyns {
-		if ds.allowed {
-			ds.series.Finish()
+	for _, side := range bothSides {
+		// A lattice observed to its last level makes its bounds exact; one
+		// the cutoff froze does not — its deeper levels may hold larger
+		// sums, so those bounds keep their Vᵏ tail.
+		if observed(runs[side].Level()) {
+			finishBounds(m.dyns, opposite(side))
+		}
+		mined[side] = runs[side].Result()
+	}
+	return mined, nil
+}
+
+// tThenS is the order Section 5.2 weighs against dovetailing: T is mined to
+// completion, the bounds pruning S become the exact maxima over it, and
+// only then does S run; bounds pruning T are resolved against the finished
+// S lattice and applied in finalize. Pruning of S is maximal; the cost is
+// that the lattices share no database scans.
+func tThenS(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) {
+	// Exact maxima over a finished lattice bound every set that can pair,
+	// whatever pushdown shaped its levels.
+	for _, ds := range m.dyns {
+		ds.allowed = true
+	}
+	// T gets no dynamic filter: the lattice its bounds read does not exist
+	// yet, and an idle filter would still cost the miner a checkpointed
+	// pass over every level's candidates.
+	if mined[twovar.SideT], err = m.complete(ctx, twovar.SideT, false); err != nil {
+		return mined, err
+	}
+	mined[twovar.SideS], err = m.complete(ctx, twovar.SideS, true)
+	return mined, err
+}
+
+// complete mines one side to completion under a structural mine-<side> span
+// (the runner's own spans carry the deltas), feeding each finished level's
+// exact maximum to the bounds that prune the other side and finishing them.
+func (m *mining) complete(ctx context.Context, side twovar.Side, dynamic bool) (*cap.Result, error) {
+	var sp *obs.Span
+	if m.tracer != nil {
+		sp = m.tracer.Start("mine-" + side.String())
+	}
+	defer sp.End(nil)
+	run, err := m.prepare(ctx, side, dynamic)
+	if err != nil {
+		return nil, err
+	}
+	for !run.Done() {
+		if _, _, err := run.Step(); err != nil {
+			return nil, err
+		}
+		observeLevel(m.dyns, opposite(side), run, true)
+	}
+	finishBounds(m.dyns, opposite(side))
+	return run.Result(), nil
+}
+
+// dynState tracks one evolving bound: the condition prunes d.PruneSide using
+// the series observed from the opposite lattice.
+type dynState struct {
+	d      *twovar.DynamicBound
+	series *jmax.Series
+	// allowed says the series may be read. The schedule decides, for one of
+	// two reasons: Jmax summaries (dovetail) need complete levels from the
+	// feeding side; exact maxima over a finished lattice (tThenS) do not.
+	allowed bool
+	// held is the bound's value when the pruned side's candidate filter was
+	// built (+Inf: none, or nothing known yet). Bounds only tighten, so every
+	// reported set already satisfies it and finalize re-tests a bound only
+	// if it ended below.
+	held float64
+}
+
+// bound is the current value: +Inf while nothing may be concluded, -Inf
+// once the opposite lattice is known to hold no frequent set at all.
+func (ds *dynState) bound() float64 {
+	if !ds.allowed {
+		return math.Inf(1)
+	}
+	if ds.d.Kind == twovar.BoundCount {
+		switch sb := ds.series.SizeBound(); {
+		case sb >= jmax.Unbounded:
+			return math.Inf(1)
+		case sb == 0:
+			return math.Inf(-1)
+		default:
+			return float64(sb)
 		}
 	}
-	recordTrajectories(plan, dyns)
-
-	sResult, tResult := sRun.Result(), tRun.Result()
-	res.Stats.Add(sResult.Stats)
-	res.Stats.Add(tResult.Stats)
-
-	// The finalize span opens after the Stats.Add copies above (copies are
-	// not work and must not land in any delta) and attributes the dynamic
-	// checks folded in here plus the final-bound re-filtering.
-	var fsp *obs.Span
-	if tracer != nil {
-		fsp = tracer.Start("finalize").WithStats(res.Stats.Counters())
-	}
-	res.Stats.SetConstraintChecks += dynChecks
-
-	// Apply the final (tightest) bounds to the reported sets: sound for
-	// answer formation, and it also covers the non-anti-monotone dynamic
-	// conditions (avg series) that could not prune candidates.
-	res.LevelsS = applyFinalDynamic(dyns, twovar.SideS, sResult.Levels, &res.Stats, prune)
-	res.LevelsT = applyFinalDynamic(dyns, twovar.SideT, tResult.Levels, &res.Stats, prune)
-	if fsp != nil {
-		fsp.End(res.Stats.Counters())
-	}
-
-	if err := formPairsTraced(ctx, tracer, prune, q, res); err != nil {
-		return res, err
-	}
-	return res, nil
+	return ds.series.Bound()
 }
 
-// formPairsTraced wraps pair formation in a delta span attributing the
-// PairChecks cost. The span must open after every Stats.Add fold into
-// res.Stats, so its delta is exactly the pair-formation work.
-func formPairsTraced(ctx context.Context, tracer *obs.Tracer, prune *obs.PruneSet, q CFQ, res *Result) error {
-	var sp *obs.Span
-	if tracer != nil {
-		sp = tracer.Start("pairs").WithStats(res.Stats.Counters())
+// condition is the 1-var condition at bound b. At -Inf nothing of the pruned
+// side can pair, whatever the condition's form, and no aggregate is asked
+// to compare against it.
+func (ds *dynState) condition(b float64) constraint.Constraint {
+	if math.IsInf(b, -1) {
+		return constraint.Card(constraint.LE, -1)
 	}
-	err := formPairs(ctx, q, res, prune)
-	if sp != nil {
-		sp.SetAttrs(obs.Int64("pair_count", res.PairCount))
-		sp.End(res.Stats.Counters())
-	}
-	return err
+	return ds.d.Condition(b)
 }
 
-// dynFilter builds the candidate filter enforcing the anti-monotone
-// dynamic bounds that prune the given side. As a charging closure (see
-// mine.Config.RequiredSite) it attributes each rejection to the bound's
-// "<side>:jmax:<bound>" site; the engine counts the rejection itself.
+func opposite(side twovar.Side) twovar.Side { return twovar.SideS + twovar.SideT - side }
+
+// dynFilter builds the candidate filter enforcing the dynamic bounds that
+// prune the given side: the anti-monotone ones, plus — whatever its form —
+// any bound already at -Inf (see condition). As a charging closure (see
+// mine.Config.RequiredSite) it attributes each rejection to the first
+// failing bound in constraint order, at its "<side>:jmax:<bound>" site; the
+// engine counts the rejection itself.
 func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.PruneSet) func(int, itemset.Set) bool {
-	var active []*dynState
+	type entry struct {
+		ds   *dynState
+		site string
+		at   float64               // the bound value cond was built for
+		cond constraint.Constraint // rebuilt only when the bound moves
+	}
+	var active []entry
 	for _, ds := range dyns {
-		if ds.d.PruneSide == side && ds.d.AntiMonotonePrunable() {
-			active = append(active, ds)
+		if ds.d.PruneSide != side {
+			continue
+		}
+		if b := ds.bound(); ds.d.AntiMonotonePrunable() || math.IsInf(b, -1) {
+			ds.held = b
+			active = append(active, entry{ds: ds, site: side.String() + ":jmax:" + ds.d.Label()})
 		}
 	}
 	if len(active) == 0 {
 		return nil
 	}
 	return func(_ int, s itemset.Set) bool {
-		for _, ds := range active {
-			b := ds.bound()
+		for i := range active {
+			e := &active[i]
+			b := e.ds.bound()
 			if math.IsInf(b, 1) {
 				continue
 			}
 			*checks++
-			if !ds.d.Condition(b).Satisfies(s) {
-				prune.Charge(side.String()+":jmax:"+ds.d.Label(), 1)
+			if e.cond == nil || b != e.at {
+				e.at, e.cond = b, e.ds.condition(b)
+			}
+			if !e.cond.Satisfies(s) {
+				prune.Charge(e.site, 1)
 				return false
 			}
 		}
@@ -684,50 +769,31 @@ func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.Pru
 	}
 }
 
-// recordTrajectories fills each plan bound's per-iteration trajectory from
-// its observed Jmax series (EXPLAIN ANALYZE's bound evolution).
-func recordTrajectories(plan *Plan, dyns []*dynState) {
-	for _, ds := range dyns {
-		hist := ds.series.History()
-		if len(hist) == 0 {
-			continue
-		}
-		lines := make([]string, 0, len(hist))
-		for _, st := range hist {
-			switch {
-			case ds.d.Kind == twovar.BoundCount:
-				if st.SizeBound >= jmax.Unbounded {
-					lines = append(lines, fmt.Sprintf("k=%d: size unbounded", st.K))
-				} else {
-					lines = append(lines, fmt.Sprintf("k=%d: size<=%d", st.K, st.SizeBound))
-				}
-			case math.IsInf(st.Bound, 0):
-				lines = append(lines, fmt.Sprintf("k=%d: unbounded", st.K))
-			default:
-				lines = append(lines, fmt.Sprintf("k=%d: <=%.4g", st.K, st.Bound))
-			}
-		}
-		for i := range plan.Bounds {
-			if plan.Bounds[i].Label == ds.d.Label() && plan.Bounds[i].Trajectory == nil {
-				plan.Bounds[i].Trajectory = lines
-				break
-			}
-		}
-	}
-}
-
-// observeLevel feeds a just-completed level of `from` into the series of
-// every dynamic bound pruning `pruneSide` (whose sums are tracked on the
-// *other* side, i.e. the side that just stepped).
-func observeLevel(dyns []*dynState, pruneSide twovar.Side, from *cap.Runner) {
-	level := from.Level()
+// observeLevel feeds the level `from` just completed into the series of
+// every readable bound pruning pruneSide (whose quantities are tracked on
+// the *other* side, i.e. the side that just stepped): a full Jmax summary
+// under dovetail, or, when the schedule reads the bound only after the
+// lattice is finished, the level's exact maximum alone.
+func observeLevel(dyns []*dynState, pruneSide twovar.Side, from *cap.Runner, exact bool) {
+	level, frequent := from.Level(), from.LastFrequent()
 	var sets []itemset.Set
 	for _, ds := range dyns {
 		if ds.d.PruneSide != pruneSide || !ds.allowed {
 			continue
 		}
+		if exact {
+			top := math.Inf(-1)
+			if ds.d.Kind == twovar.BoundSum {
+				for _, c := range frequent {
+					v, _ := ds.d.OtherAttr.Eval(attr.Sum, c.Set)
+					top = math.Max(top, v)
+				}
+			}
+			ds.series.ObserveExact(level, len(frequent), top)
+			continue
+		}
 		if sets == nil {
-			for _, c := range from.LastFrequent() {
+			for _, c := range frequent {
 				sets = append(sets, c.Set)
 			}
 		}
@@ -739,16 +805,27 @@ func observeLevel(dyns []*dynState, pruneSide twovar.Side, from *cap.Runner) {
 	}
 }
 
+// finishBounds records that the lattice feeding the bounds that prune
+// pruneSide is complete: their series turn exact.
+func finishBounds(dyns []*dynState, pruneSide twovar.Side) {
+	for _, ds := range dyns {
+		if ds.d.PruneSide == pruneSide && ds.allowed {
+			ds.series.Finish()
+		}
+	}
+}
+
 // applyFinalDynamic re-filters the reported sets with each dynamic bound's
-// final value.
+// final value, where that is tighter than what the side's candidate filter
+// already held every set to.
 func applyFinalDynamic(dyns []*dynState, side twovar.Side, levels [][]mine.Counted, stats *mine.Stats, prune *obs.PruneSet) [][]mine.Counted {
 	var checks []cap.Check
 	for _, ds := range dyns {
 		if ds.d.PruneSide != side {
 			continue
 		}
-		if b := ds.bound(); !math.IsInf(b, 1) {
-			checks = append(checks, cap.Check{Cond: ds.d.Condition(b), Site: side.String() + ":final-filter:" + ds.d.Label()})
+		if b := ds.bound(); b < ds.held {
+			checks = append(checks, cap.Check{Cond: ds.condition(b), Site: side.String() + ":final-filter:" + ds.d.Label()})
 		}
 	}
 	if len(checks) == 0 {
@@ -761,307 +838,103 @@ func applyFinalDynamic(dyns []*dynState, side twovar.Side, levels [][]mine.Count
 	return cap.TrimLevels(out)
 }
 
-// runSequential is the non-dovetailed alternative of Section 5.2: the T
-// lattice is mined to completion first, each dynamic bound is set to the
-// *exact* maximum over the finished opposite lattice, and only then does
-// the S lattice run (and symmetrically for bounds pruning T, which are
-// resolved against the finished S side afterwards). Pruning is maximal;
-// the cost is that the two lattices cannot share database scans.
-func runSequential(ctx context.Context, q CFQ) (*Result, error) {
-	plan, err := Explain(q)
-	if err != nil {
-		return nil, err
-	}
-	plan.Strategy = StrategySequential
-	res := &Result{Plan: plan}
-	tracer := obs.FromContext(ctx)
-	prune := obs.PruningFromContext(ctx)
-
-	// Phase 1 + reduction, as in runOptimized.
-	var p1 *obs.Span
-	if tracer != nil {
-		p1 = tracer.Start("phase1")
-	}
-	sq1 := q.sideQuery(twovar.SideS)
-	sq1.MaxLevel = 1
-	tq1 := q.sideQuery(twovar.SideT)
-	tq1.MaxLevel = 1
-	s1, err := cap.Prepare(ctx, sq1)
-	if err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	t1, err := cap.Prepare(ctx, tq1)
-	if err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	if _, _, err := s1.Step(); err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	if _, _, err := t1.Step(); err != nil {
-		p1.End(nil)
-		return nil, err
-	}
-	res.Stats.Add(s1.Stats())
-	res.Stats.Add(t1.Stats())
-	p1.End(nil)
-
-	sq := q.sideQuery(twovar.SideS)
-	tq := q.sideQuery(twovar.SideT)
-	sq.Constraints = append([]constraint.Constraint(nil), sq.Constraints...)
-	tq.Constraints = append([]constraint.Constraint(nil), tq.Constraints...)
-	var dyns []*dynState
-	for _, c2 := range q.Constraints2 {
-		red := c2.Reduce(s1.FrequentItems(), t1.FrequentItems())
-		sq.Constraints = append(sq.Constraints, red.C1...)
-		tq.Constraints = append(tq.Constraints, red.C2...)
-		origin := fmt.Sprintf("%v", c2)
-		for _, c := range red.C1 {
-			plan.ReducedS = append(plan.ReducedS, c.String())
-			plan.noteReduced(c.String(), origin)
-		}
-		for _, c := range red.C2 {
-			plan.ReducedT = append(plan.ReducedT, c.String())
-			plan.noteReduced(c.String(), origin)
-		}
-		for _, d := range red.Dynamic {
-			dyns = append(dyns, &dynState{d: d, series: jmax.NewSeries(), allowed: true})
-			plan.DynamicBounds = append(plan.DynamicBounds, d.Label())
-			plan.Bounds = append(plan.Bounds, BoundDetail{
-				Label: d.Label(), PruneSide: d.PruneSide.String(), Origin: origin,
-			})
-		}
-	}
-	sq.PresetL1 = s1.FrequentItemCounts()
-	tq.PresetL1 = t1.FrequentItemCounts()
-
-	// Mine T to completion; the exact maxima over its counted frequent
-	// sets become the bounds for S-pruning dynamics. The mine-T/mine-S
-	// spans are structural: the runners' own spans carry the deltas.
-	var msp *obs.Span
-	if tracer != nil {
-		msp = tracer.Start("mine-T")
-	}
-	tRun, err := cap.Prepare(ctx, tq)
-	if err != nil {
-		msp.End(nil)
-		return nil, err
-	}
-	sBounds := map[*dynState]float64{}
-	for _, ds := range dyns {
-		if ds.d.PruneSide == twovar.SideS {
-			sBounds[ds] = math.Inf(-1)
-		}
-	}
-	for !tRun.Done() {
-		if _, _, err := tRun.Step(); err != nil {
-			msp.End(nil)
-			return nil, err
-		}
-		for _, c := range tRun.LastFrequent() {
-			for ds := range sBounds {
-				v := float64(c.Set.Len())
-				if ds.d.Kind == twovar.BoundSum {
-					v, _ = ds.d.OtherAttr.Eval(attr.Sum, c.Set)
-				}
-				if v > sBounds[ds] {
-					sBounds[ds] = v
-				}
+// recordTrajectories fills each plan bound's per-level trajectory from its
+// observed series (EXPLAIN ANALYZE's bound evolution). plan.Bounds and dyns
+// are parallel: reduce appends to both together.
+func recordTrajectories(plan *Plan, dyns []*dynState) {
+	for i, ds := range dyns {
+		for _, st := range ds.series.History() {
+			line := fmt.Sprintf("k=%d: <=%.4g", st.K, st.Bound)
+			switch {
+			case ds.d.Kind == twovar.BoundCount && st.SizeBound >= jmax.Unbounded:
+				line = fmt.Sprintf("k=%d: size unbounded", st.K)
+			case ds.d.Kind == twovar.BoundCount:
+				line = fmt.Sprintf("k=%d: size<=%d", st.K, st.SizeBound)
+			case math.IsInf(st.Bound, 0):
+				line = fmt.Sprintf("k=%d: unbounded", st.K)
 			}
+			plan.Bounds[i].Trajectory = append(plan.Bounds[i].Trajectory, line)
 		}
 	}
-	msp.End(nil)
-	var dynChecks int64
-	type seqCond struct {
-		cond constraint.Constraint
-		site string
-	}
-	var sConds []seqCond
-	for ds, b := range sBounds {
-		if !math.IsInf(b, -1) {
-			if ds.d.AntiMonotonePrunable() {
-				sConds = append(sConds, seqCond{ds.d.Condition(b), "S:jmax:" + ds.d.Label()})
-			}
-		} else {
-			// No frequent T-set at all: nothing can pair; an unsatisfiable
-			// filter is sound.
-			sConds = append(sConds, seqCond{constraint.Card(constraint.LE, -1), "S:jmax:no-frequent-T"})
-		}
-	}
-	if len(sConds) > 0 {
-		sq.ExtraFilter = func(_ int, s itemset.Set) bool {
-			for _, c := range sConds {
-				dynChecks++
-				if !c.cond.Satisfies(s) {
-					prune.Charge(c.site, 1)
-					return false
-				}
-			}
-			return true
-		}
-	}
-	var ssp *obs.Span
-	if tracer != nil {
-		ssp = tracer.Start("mine-S")
-	}
-	sRun, err := cap.Prepare(ctx, sq)
-	if err != nil {
-		ssp.End(nil)
-		return nil, err
-	}
-	for !sRun.Done() {
-		if _, _, err := sRun.Step(); err != nil {
-			ssp.End(nil)
-			return nil, err
-		}
-		observeLevel(dyns, twovar.SideT, sRun)
-	}
-	ssp.End(nil)
-	for _, ds := range dyns {
-		if ds.d.PruneSide == twovar.SideT {
-			ds.series.Finish()
-		}
-	}
-	sResult, tResult := sRun.Result(), tRun.Result()
-	res.Stats.Add(sResult.Stats)
-	res.Stats.Add(tResult.Stats)
-	var fsp *obs.Span
-	if tracer != nil {
-		fsp = tracer.Start("finalize").WithStats(res.Stats.Counters())
-	}
-	res.Stats.SetConstraintChecks += dynChecks
-	res.LevelsS = sResult.Levels
-	// T-pruning dynamics could not run during T's mining (S was not mined
-	// yet); apply their final bounds now.
-	res.LevelsT = applyFinalDynamic(dyns, twovar.SideT, tResult.Levels, &res.Stats, prune)
-	// And the non-anti-monotone S dynamics (avg forms) as report filters:
-	// seed their series with the exact bound so applyFinalDynamic sees it.
-	for ds, b := range sBounds {
-		if !ds.d.AntiMonotonePrunable() && !math.IsInf(b, -1) {
-			ds.series.Observe(&jmax.Summary{K: int(b), Jmax: 0, V: b, MaxExact: b})
-		}
-	}
-	res.LevelsS = applyFinalDynamic(dyns, twovar.SideS, res.LevelsS, &res.Stats, prune)
-	if fsp != nil {
-		fsp.End(res.Stats.Counters())
-	}
-	recordTrajectories(plan, dyns)
-
-	if err := formPairsTraced(ctx, tracer, prune, q, res); err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
-// runFM is the full-materialization counterexample: constraint-check every
-// subset of each domain up front (2^N checks), then count the valid ones in
-// ascending cardinality. It exists to make the ccc argument measurable and
-// is guarded to tiny domains.
-func runFM(ctx context.Context, q CFQ) (*Result, error) {
+// fmSide is the full-materialization counterexample, one variable at a
+// time: constraint-check every subset of the domain up front (2^N checks),
+// then count the valid ones in ascending cardinality. It exists to make the
+// ccc argument measurable and is guarded to tiny domains.
+func fmSide(ctx context.Context, cq cap.Query) (*cap.Result, error) {
 	const maxFMItems = 16
-	res := &Result{}
-	guard := mine.NewGuard(ctx, q.Budget, &res.Stats)
-	tracer := obs.FromContext(ctx)
+	stats := &mine.Stats{}
+	guard := mine.NewGuard(ctx, cq.Budget, stats)
 	prune := obs.PruningFromContext(ctx)
-	span := func(name string) func() {
-		if tracer == nil {
-			return func() {}
-		}
-		sp := tracer.Start(name).WithStats(res.Stats.Counters())
-		return func() { sp.End(res.Stats.Counters()) }
+	label := "fm-" + cq.Label
+	domain := cq.Domain
+	if domain == nil {
+		domain = cq.DB.ActiveItems()
 	}
-	run := func(label string, domain itemset.Set, minSup int, cons []constraint.Constraint) ([][]mine.Counted, error) {
-		if domain == nil {
-			domain = q.DB.ActiveItems()
-		}
-		if domain.Len() > maxFMItems {
-			return nil, fmt.Errorf("core: FM strategy on %d items (max %d)", domain.Len(), maxFMItems)
-		}
-		// Materialize the valid subsets (checking constraints on all 2^N).
-		var valid []itemset.Set
-		domain.ForEachSubset(func(s itemset.Set) bool {
-			ok := true
-			for _, c := range cons {
-				res.Stats.SetConstraintChecks++
-				if !c.Satisfies(s) {
-					ok = false
-					// Every enumerated subset is a materialized candidate;
-					// a constraint rejection here is FM's pruning.
-					res.Stats.CandidatesPruned++
-					prune.Charge(label+":materialize:"+c.String(), 1)
-					break
-				}
+	if domain.Len() > maxFMItems {
+		return nil, fmt.Errorf("core: FM strategy on %d items (max %d)", domain.Len(), maxFMItems)
+	}
+	if tracer := obs.FromContext(ctx); tracer != nil {
+		sp := tracer.Start(label).WithStats(stats.Counters())
+		defer func() { sp.End(stats.Counters()) }()
+	}
+	// Materialize the valid subsets (checking constraints on all 2^N).
+	// frequent holds every valid subset, true once counted frequent.
+	var valid []itemset.Set
+	frequent := map[string]bool{}
+	domain.ForEachSubset(func(s itemset.Set) bool {
+		ok := true
+		for _, c := range cq.Constraints {
+			stats.SetConstraintChecks++
+			if !c.Satisfies(s) {
+				ok = false
+				// Every enumerated subset is a materialized candidate;
+				// a constraint rejection here is FM's pruning.
+				stats.CandidatesPruned++
+				prune.Charge(label+":materialize:"+c.String(), 1)
+				break
 			}
-			if ok {
-				valid = append(valid, s.Clone())
+		}
+		if ok {
+			valid = append(valid, s.Clone())
+			frequent[s.Key()] = false
+		}
+		return true
+	})
+	// Count in ascending cardinality; a set is counted only when its
+	// valid proper subsets (only those were materialized and counted) are
+	// all known frequent.
+	var levels [][]mine.Counted
+	for _, s := range valid { // ForEachSubset yields ascending sizes
+		countable := true
+		s.ForEachSubset(func(sub itemset.Set) bool {
+			if f, isValid := frequent[sub.Key()]; isValid && !f && sub.Len() < s.Len() {
+				countable = false
 			}
-			return true
+			return countable
 		})
-		// Count in ascending cardinality; a set is counted only when its
-		// valid proper subsets are all known frequent.
-		frequent := map[string]bool{}
-		var levels [][]mine.Counted
-		for _, s := range valid { // ForEachSubset yields ascending sizes
-			countable := true
-			s.ForEachSubset(func(sub itemset.Set) bool {
-				if sub.Len() == s.Len() {
-					return true
-				}
-				// Only valid subsets were materialized and counted.
-				isValid := true
-				for _, c := range cons {
-					if !c.Satisfies(sub) {
-						isValid = false
-						break
-					}
-				}
-				if isValid && !frequent[sub.Key()] {
-					countable = false
-					return false
-				}
-				return true
-			})
-			if !countable {
-				continue
-			}
-			if err := guard.Check("fm: counting"); err != nil {
-				return nil, err
-			}
-			res.Stats.CandidatesCounted++
-			sup := q.DB.Support(s)
-			res.Stats.DBScans++
-			if sup < minSup {
-				res.Stats.CandidatesPruned++
-				prune.Charge(label+":frequency", 1)
-				continue
-			}
-			res.Stats.FrequentSets++
-			res.Stats.ValidSets++
-			frequent[s.Key()] = true
-			for len(levels) < s.Len() {
-				levels = append(levels, nil)
-			}
-			levels[s.Len()-1] = append(levels[s.Len()-1], mine.Counted{Set: s, Support: sup})
+		if !countable {
+			continue
 		}
-		return cap.TrimLevels(levels), nil
+		if err := guard.Check("fm: counting"); err != nil {
+			return nil, err
+		}
+		stats.CandidatesCounted++
+		sup := cq.DB.Support(s)
+		stats.DBScans++
+		if sup < cq.MinSupport {
+			stats.CandidatesPruned++
+			prune.Charge(label+":frequency", 1)
+			continue
+		}
+		stats.FrequentSets++
+		stats.ValidSets++
+		frequent[s.Key()] = true
+		for len(levels) < s.Len() {
+			levels = append(levels, nil)
+		}
+		levels[s.Len()-1] = append(levels[s.Len()-1], mine.Counted{Set: s, Support: sup})
 	}
-	var err error
-	endS := span("fm-S")
-	res.LevelsS, err = run("fm-S", q.DomainS, q.MinSupportS, q.ConstraintsS)
-	endS()
-	if err != nil {
-		return nil, err
-	}
-	endT := span("fm-T")
-	res.LevelsT, err = run("fm-T", q.DomainT, q.MinSupportT, q.ConstraintsT)
-	endT()
-	if err != nil {
-		return nil, err
-	}
-	if err := formPairsTraced(ctx, tracer, prune, q, res); err != nil {
-		return res, err
-	}
-	return res, nil
+	return &cap.Result{Levels: cap.TrimLevels(levels), Stats: *stats}, nil
 }

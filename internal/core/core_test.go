@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/attr"
 	"repro/internal/constraint"
 	"repro/internal/itemset"
+	"repro/internal/obs"
 	"repro/internal/twovar"
 	"repro/internal/txdb"
 )
@@ -199,6 +201,29 @@ func TestStrategyEquivalence(t *testing.T) {
 	}
 }
 
+// TestJmaxCutoffKeepsAnswer: freezing the bounds early may only loosen
+// them. (A frozen series was once finished like a complete one, which turned
+// the maxima of the observed levels into a bound on the deeper, unobserved
+// ones and dropped answer pairs — seeds 140, 166 and 257 among these.)
+func TestJmaxCutoffKeepsAnswer(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w := newWorld(r, 7, 15+r.Intn(25))
+		q := randomCFQ(r, w)
+		want := oraclePairs(w, q)
+		for _, q.JmaxCutoff = range []int{1, 2} {
+			res, err := Run(context.Background(), q, StrategyOptimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqual(resultPairs(res), want) {
+				t.Errorf("seed %d cutoff %d: %d pairs, want %d (2-var: %v)",
+					seed, q.JmaxCutoff, len(res.Pairs), len(want), q.Constraints2)
+			}
+		}
+	}
+}
+
 // TestOptimizedPrunesAgainstBaseline: a selective quasi-succinct constraint
 // must make the optimized strategy count fewer candidates than Apriori⁺.
 func TestOptimizedPrunesAgainstBaseline(t *testing.T) {
@@ -322,16 +347,14 @@ func TestFMDomainGuard(t *testing.T) {
 	}
 }
 
-// TestJmaxTightensCounting: on a workload designed so the sum bound bites,
-// the Jmax strategy must count strictly fewer candidates than the ablation
-// without iterative pruning, with identical answers.
-func TestJmaxTightensCounting(t *testing.T) {
-	// S: 8 items of price 15 that always co-occur, so every S-subset is
-	// frequent. T: 8 items of price 10 that never co-occur, so only
-	// singletons are frequent. The naive static bound is
-	// sum(L1ᵀ.Price) = 80, which admits S-sets up to size 5; the Jmax
-	// series discovers after T's (empty) level 2 that no frequent T-set
-	// sums above 10, killing every S-set beyond level 2 of the dovetail.
+// sumSumQuery is a workload designed so the sum bound bites.
+// S: 8 items of price 15 that always co-occur, so every S-subset is
+// frequent. T: 8 items of price 10 that never co-occur, so only
+// singletons are frequent. The naive static bound is
+// sum(L1ᵀ.Price) = 80, which admits S-sets up to size 5; the Jmax
+// series discovers after T's (empty) level 2 that no frequent T-set
+// sums above 10, killing every S-set beyond level 2 of the dovetail.
+func sumSumQuery() (CFQ, attr.Numeric) {
 	var txs []itemset.Set
 	for i := 0; i < 40; i++ {
 		txs = append(txs, itemset.New(0, 1, 2, 3, 4, 5, 6, 7))
@@ -341,7 +364,6 @@ func TestJmaxTightensCounting(t *testing.T) {
 			txs = append(txs, itemset.New(itemset.Item(it)))
 		}
 	}
-	db := txdb.New(txs)
 	num := make(attr.Numeric, 16)
 	for i := 0; i < 8; i++ {
 		num[i] = 15
@@ -349,14 +371,21 @@ func TestJmaxTightensCounting(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		num[i] = 10
 	}
-	q := CFQ{
-		DB: db, MinSupportS: 5, MinSupportT: 5,
+	return CFQ{
+		DB: txdb.New(txs), MinSupportS: 5, MinSupportT: 5,
 		DomainS: itemset.New(0, 1, 2, 3, 4, 5, 6, 7),
 		DomainT: itemset.New(8, 9, 10, 11, 12, 13, 14, 15),
 		Constraints2: []twovar.Constraint2{
 			twovar.Agg2(attr.Sum, num, "Price", constraint.LE, attr.Sum, num, "Price"),
 		},
-	}
+	}, num
+}
+
+// TestJmaxTightensCounting: on sumSumQuery the Jmax strategy must count
+// strictly fewer candidates than the ablation without iterative pruning,
+// with identical answers.
+func TestJmaxTightensCounting(t *testing.T) {
+	q, _ := sumSumQuery()
 	withJ, err := Run(context.Background(), q, StrategyOptimized)
 	if err != nil {
 		t.Fatal(err)
@@ -372,8 +401,8 @@ func TestJmaxTightensCounting(t *testing.T) {
 		t.Errorf("Jmax counted %d >= ablation %d",
 			withJ.Stats.CandidatesCounted, withoutJ.Stats.CandidatesCounted)
 	}
-	if len(withJ.Plan.DynamicBounds) != 1 {
-		t.Errorf("plan dynamic bounds = %v", withJ.Plan.DynamicBounds)
+	if len(withJ.Plan.Bounds) != 1 {
+		t.Errorf("plan dynamic bounds = %v", withJ.Plan.Bounds)
 	}
 	// The sequential alternative (Section 5.2's discussion) has the exact
 	// bound available before S mining starts, so it prunes at least as
@@ -388,6 +417,39 @@ func TestJmaxTightensCounting(t *testing.T) {
 	if seq.Stats.CandidatesCounted > withJ.Stats.CandidatesCounted {
 		t.Errorf("sequential counted %d > dovetailed %d",
 			seq.Stats.CandidatesCounted, withJ.Stats.CandidatesCounted)
+	}
+}
+
+// TestMultiBoundAttributionDeterministic: a candidate that fails several
+// dynamic bounds is charged to the first in constraint order, under every
+// 2-var strategy — identical runs must agree on every counter and every
+// prune site. (The sequential schedule once built its filter by ranging
+// over a map: a two-entry map iterates reversed about 1 time in 8.)
+func TestMultiBoundAttributionDeterministic(t *testing.T) {
+	q, price := sumSumQuery()
+	weight := make(attr.Numeric, len(price))
+	for i, p := range price {
+		weight[i] = p / 5 // every S-set that breaks the Price bound breaks this one too
+	}
+	q.Constraints2 = append(q.Constraints2,
+		twovar.Agg2(attr.Sum, weight, "Weight", constraint.LE, attr.Sum, weight, "Weight"))
+	for _, st := range []Strategy{StrategyOptimized, StrategyOptimizedNoJmax, StrategySequential} {
+		seen := map[string]bool{}
+		for i := 0; i < 64; i++ {
+			prune := obs.NewPruneSet()
+			res, err := Run(obs.WithPruning(context.Background(), prune), q, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := prune.Snapshot()
+			if n := snap["S:jmax:sum(S.Weight) <= V^k(Weight)"]; n != 0 {
+				t.Fatalf("%v: %d candidates charged to the second bound; the first rejects them all", st, n)
+			}
+			seen[fmt.Sprintf("%+v %v", res.Stats, snap)] = true // fmt prints maps in key order
+		}
+		if len(seen) != 1 {
+			t.Errorf("%v: %d distinct (Stats, prune sites) over 64 identical runs", st, len(seen))
+		}
 	}
 }
 

@@ -95,28 +95,25 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 	if err := q.normalize(); err != nil {
 		return nil, nil, err
 	}
-	active := q.DB.ActiveItems()
-	domS, domT := q.DomainS, q.DomainT
-	if domS == nil {
-		domS = active
-	}
-	if domT == nil {
-		domT = active
+	domS, domT := q.domains()
+	row, err := strat.row()
+	if err != nil {
+		return nil, nil, err
 	}
 	rep := &obs.ExplainReport{
 		Schema:   obs.ReportSchema,
 		Query:    describeQuery(q),
-		Strategy: strat.String(),
+		Strategy: row.name,
 	}
 	sup := q.DB.ItemSupports()
 
 	side := func(v string, cons []constraint.Constraint, dom itemset.Set) {
-		// Apriori⁺ tests the original conjunction as-is; every other
+		// Apriori⁺ and FM test the original conjunction as-is; every other
 		// strategy mines through CAP, which simplifies it first — the plan
 		// must render the constraints the runtime sites will name.
 		list := cons
 		unsat := false
-		if strat != StrategyAprioriPlus && strat != StrategyFM {
+		if row.oneVarAt == "" {
 			list, unsat = constraint.Simplify(cons, dom)
 		}
 		if unsat {
@@ -140,12 +137,9 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 				Class:                classSummary(c, dom),
 				EstimatedSelectivity: estimateSelectivity(c, dom, sup),
 			}
-			switch strat {
-			case StrategyAprioriPlus:
-				ce.EnforcedAt = []string{"post-mining filter"}
-			case StrategyFM:
-				ce.EnforcedAt = []string{"materialization (subset enumeration)"}
-			default:
+			if row.oneVarAt != "" {
+				ce.EnforcedAt = []string{row.oneVarAt}
+			} else {
 				ce.EnforcedAt = capEnforcedAt(c, dom)
 			}
 			rep.Constraints = append(rep.Constraints, ce)
@@ -169,34 +163,27 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 			Class:                class,
 			EstimatedSelectivity: -1,
 		}
-		switch strat {
-		case StrategyOptimized, StrategyOptimizedNoJmax, StrategySequential:
-			if cl.QuasiSuccinct {
-				ce.EnforcedAt = append(ce.EnforcedAt, "reduction to succinct 1-var conditions after level 1")
-			} else {
-				ce.EnforcedAt = append(ce.EnforcedAt, "induced weaker 1-var conditions after level 1")
-				switch strat {
-				case StrategyOptimized:
-					ce.EnforcedAt = append(ce.EnforcedAt, "iterative Jmax bounds (dovetailed counting)")
-				case StrategySequential:
-					ce.EnforcedAt = append(ce.EnforcedAt, "exact bounds from the completed opposite lattice")
-				}
-			}
-			ce.EnforcedAt = append(ce.EnforcedAt, "pair formation")
+		switch {
+		case !row.reduce:
+		case cl.QuasiSuccinct:
+			ce.EnforcedAt = append(ce.EnforcedAt, "reduction to succinct 1-var conditions after level 1")
 		default:
-			ce.EnforcedAt = []string{"pair formation"}
+			ce.EnforcedAt = append(ce.EnforcedAt, "induced weaker 1-var conditions after level 1")
+			if row.dynamicAt != "" {
+				ce.EnforcedAt = append(ce.EnforcedAt, row.dynamicAt)
+			}
 		}
+		ce.EnforcedAt = append(ce.EnforcedAt, "pair formation")
 		rep.Constraints = append(rep.Constraints, ce)
 	}
-	return rep, buildFeatures(q, active.Len(), domS, domT, sup), nil
+	return rep, buildFeatures(q, domS, domT, sup), nil
 }
 
 // buildFeatures assembles the feature vector from the normalized query and
 // the database's item statistics.
-func buildFeatures(q CFQ, items int, domS, domT itemset.Set, sup []int) *obs.QueryFeatures {
+func buildFeatures(q CFQ, domS, domT itemset.Set, sup []int) *obs.QueryFeatures {
 	f := &obs.QueryFeatures{
 		Transactions:  q.DB.Len(),
-		Items:         items,
 		MinSupportS:   q.MinSupportS,
 		MinSupportT:   q.MinSupportT,
 		DomainS:       domS.Len(),
@@ -204,6 +191,11 @@ func buildFeatures(q CFQ, items int, domS, domT itemset.Set, sup []int) *obs.Que
 		Constraints1S: len(q.ConstraintsS),
 		Constraints1T: len(q.ConstraintsT),
 		Constraints2:  len(q.Constraints2),
+	}
+	for _, n := range sup { // the active items: txdb.DB.ActiveItems, uncopied
+		if n > 0 {
+			f.Items++
+		}
 	}
 	l1 := func(dom itemset.Set, minsup int) int {
 		n := 0
@@ -311,13 +303,8 @@ func AnalyzeExplain(rep *obs.ExplainReport, res *Result, prune *obs.PruneSet) {
 		}
 		addReduced("S", plan.ReducedS)
 		addReduced("T", plan.ReducedT)
-		for _, bd := range plan.Bounds {
-			rep.Bounds = append(rep.Bounds, &obs.BoundExplain{
-				Bound:      bd.Label,
-				PruneSide:  bd.PruneSide,
-				Origin:     bd.Origin,
-				Trajectory: bd.Trajectory,
-			})
+		for _, be := range plan.Bounds { // be is a copy: charges must not land in the plan
+			rep.Bounds = append(rep.Bounds, &be)
 		}
 	}
 	distributeCharges(rep, prune)
@@ -389,12 +376,7 @@ func distributeCharges(rep *obs.ExplainReport, prune *obs.PruneSet) {
 	for site, n := range prune.Snapshot() {
 		label, stage, detail := splitSite(site)
 		switch stage {
-		case "jmax":
-			if be := byBound[detail]; be != nil {
-				chargeB(be, site, n)
-				continue
-			}
-		case "final-filter":
+		case "jmax", "final-filter":
 			// A dynamic bound's final re-filter shares the stage name with
 			// CAP's final checks; the bound label disambiguates.
 			if be := byBound[detail]; be != nil {

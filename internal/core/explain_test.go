@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -182,6 +183,54 @@ func TestAnalyzeExplainJoinsPlan(t *testing.T) {
 	}
 }
 
+// TestSequentialBoundTrajectories: under the sequential schedule every
+// dynamic bound's EXPLAIN ANALYZE trajectory names the real levels of the
+// lattice it was read from and ends at the exact bound that was applied —
+// whether the bound pruned S candidates, could only gate S's report (avg),
+// counted sizes, or pruned T from the finished S lattice.
+func TestSequentialBoundTrajectories(t *testing.T) {
+	_, num := sumSumQuery()
+	cases := []struct {
+		c2     twovar.Constraint2
+		levels int    // levels of the feeding lattice, the empty last one included
+		last   string // the applied bound: T's singletons sum to 10, S's clique to 8·15
+	}{
+		{twovar.Agg2(attr.Sum, num, "Price", constraint.LE, attr.Sum, num, "Price"), 2, "k=2: <=10"},
+		{twovar.Agg2(attr.Avg, num, "Price", constraint.LE, attr.Sum, num, "Price"), 2, "k=2: <=10"},
+		{twovar.Agg2(attr.Count, num, "Price", constraint.LE, attr.Count, num, "Price"), 2, "k=2: size<=1"},
+		{twovar.Agg2(attr.Sum, num, "Price", constraint.GE, attr.Sum, num, "Price"), 9, "k=9: <=120"},
+	}
+	for _, c := range cases {
+		q, _ := sumSumQuery()
+		q.Constraints2 = []twovar.Constraint2{c.c2}
+		rep, err := BuildExplain(q, StrategySequential)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prune := obs.NewPruneSet()
+		res, err := Run(obs.WithPruning(context.Background(), prune), q, StrategySequential)
+		if err != nil {
+			t.Fatal(err)
+		}
+		AnalyzeExplain(rep, res, prune)
+		if len(rep.Bounds) != 1 {
+			t.Fatalf("%v: %d bounds, want 1", c.c2, len(rep.Bounds))
+		}
+		traj := rep.Bounds[0].Trajectory
+		if len(traj) != c.levels || traj[len(traj)-1] != c.last {
+			t.Errorf("%v: trajectory %v, want %d levels ending %q", c.c2, traj, c.levels, c.last)
+		}
+		for i, line := range traj {
+			if !strings.HasPrefix(line, fmt.Sprintf("k=%d: ", i+1)) {
+				t.Errorf("%v: trajectory entry %d is %q", c.c2, i, line)
+			}
+		}
+		if rep.SumPruned() != res.Stats.CandidatesPruned {
+			t.Errorf("%v: report buckets sum to %d, engine pruned %d", c.c2, rep.SumPruned(), res.Stats.CandidatesPruned)
+		}
+	}
+}
+
 // TestSplitSite pins the site-key grammar the explain join depends on.
 func TestSplitSite(t *testing.T) {
 	cases := []struct{ site, label, stage, detail string }{
@@ -189,7 +238,7 @@ func TestSplitSite(t *testing.T) {
 		{"frequency", "", "frequency", ""},
 		{"S:domain-filter:sum(S.Price) <= 12", "S", "domain-filter", "sum(S.Price) <= 12"},
 		{"pairs:max(S.A) <= min(T.B)", "", "pairs", "max(S.A) <= min(T.B)"},
-		{"S:jmax:no-frequent-T", "S", "jmax", "no-frequent-T"},
+		{"S:jmax:sum(S.A) <= V^k(B)", "S", "jmax", "sum(S.A) <= V^k(B)"},
 		{"fm-S:materialize:count(S) >= 1", "fm-S", "materialize", "count(S) >= 1"},
 	}
 	for _, c := range cases {

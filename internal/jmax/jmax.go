@@ -163,6 +163,8 @@ type Series struct {
 	exactMax    float64 // max sum among frequent sets of completed levels
 	vTail       float64 // tightest bound on sums of deeper (uncounted) sets
 	sizeBound   int
+	exact       bool // fed by ObserveExact: Finish also learns the exact size
+	exactSize   int  // deepest level ObserveExact saw a set at
 	history     []SeriesStep
 }
 
@@ -172,10 +174,12 @@ type SeriesStep struct {
 	// K is the observed level.
 	K int
 	// Bound is Series.Bound() after folding the level in (+Inf when still
-	// unbounded).
+	// unbounded). After ObserveExact it is the exact maximum over levels
+	// 1..K — the value Bound() takes if the lattice ends here.
 	Bound float64
 	// SizeBound is Series.SizeBound() after folding the level in
-	// (Unbounded when none).
+	// (Unbounded when none); after ObserveExact, the deepest level ≤ K that
+	// holds a set.
 	SizeBound int
 }
 
@@ -199,16 +203,37 @@ func (s *Series) Observe(sum *Summary) {
 	s.history = append(s.history, SeriesStep{K: sum.K, Bound: s.Bound(), SizeBound: s.sizeBound})
 }
 
+// ObserveExact folds in one completed level by its exact quantities alone:
+// the largest attribute sum among the level's n sets (maxSum is ignored when
+// n is 0). It is the observation for a lattice mined to completion before its
+// bound is first read: no Jmaxᵏ or Vᵏ is derived (none of Summarize's
+// co-occurrence bookkeeping), so the series bounds nothing until Finish,
+// which makes both the sum and the size bound exact.
+func (s *Series) ObserveExact(k, n int, maxSum float64) {
+	s.initialized, s.exact = true, true
+	if n > 0 {
+		s.exactSize = k
+		s.exactMax = math.Max(s.exactMax, maxSum)
+	}
+	s.history = append(s.history, SeriesStep{K: k, Bound: s.exactMax, SizeBound: s.exactSize})
+}
+
 // History returns the per-level bound trajectory, in observation order. The
 // slice is owned by the series; callers must not mutate it.
 func (s *Series) History() []SeriesStep { return s.history }
 
 // Finish records that every level of the lattice has been observed: no
 // deeper frequent sets exist, so the exact per-level maxima alone bound all
-// sums and the Vᵏ tail is discarded.
+// sums and the Vᵏ tail is discarded. A series fed by ObserveExact also knows
+// the deepest non-empty level, which is then the exact size bound (0 for an
+// empty lattice).
 func (s *Series) Finish() {
-	if s.initialized {
-		s.vTail = math.Inf(-1)
+	if !s.initialized {
+		return
+	}
+	s.vTail = math.Inf(-1)
+	if s.exact {
+		s.sizeBound = s.exactSize
 	}
 }
 

@@ -283,6 +283,33 @@ func TestSeriesBeforeObservation(t *testing.T) {
 	}
 }
 
+// TestObserveExact: exact-only observations bound nothing until the lattice
+// is finished, then give the exact maximum and the deepest non-empty level;
+// an empty lattice finishes at -Inf and size 0.
+func TestObserveExact(t *testing.T) {
+	s := NewSeries()
+	s.ObserveExact(1, 3, 12)
+	s.ObserveExact(2, 1, 20)
+	s.ObserveExact(3, 0, math.Inf(-1))
+	if !math.IsInf(s.Bound(), 1) || s.SizeBound() != Unbounded {
+		t.Errorf("unfinished: bound %v size %d, want unbounded", s.Bound(), s.SizeBound())
+	}
+	s.Finish()
+	if s.Bound() != 20 || s.SizeBound() != 2 {
+		t.Errorf("finished: bound %v size %d, want 20 and 2", s.Bound(), s.SizeBound())
+	}
+	if h := s.History(); len(h) != 3 || h[0] != (SeriesStep{1, 12, 1}) || h[2] != (SeriesStep{3, 20, 2}) {
+		t.Errorf("history = %+v", h)
+	}
+
+	empty := NewSeries()
+	empty.ObserveExact(1, 0, 0)
+	empty.Finish()
+	if !math.IsInf(empty.Bound(), -1) || empty.SizeBound() != 0 {
+		t.Errorf("empty lattice: bound %v size %d, want -Inf and 0", empty.Bound(), empty.SizeBound())
+	}
+}
+
 // TestAttrs: the span-annotation rendering reports finite bounds only.
 func TestAttrs(t *testing.T) {
 	s := NewSeries()

@@ -72,15 +72,6 @@ var coreNames = map[string]string{
 	Sequential: "sequential",
 }
 
-// CoreName translates a wire strategy name to the core engine's spelling
-// (e.g. "nojmax" → "optimized-nojmax"). Unknown names pass through.
-func CoreName(name string) string {
-	if cn, ok := coreNames[name]; ok {
-		return cn
-	}
-	return name
-}
-
 // WireName translates a core engine spelling back to the wire name
 // (e.g. "apriori+" → "apriori"). Unknown names pass through.
 func WireName(core string) string {

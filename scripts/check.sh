@@ -78,6 +78,17 @@ if [[ "$runs" -ne 1 ]]; then
   echo "check.sh: $runs core.Run( call sites under cfq/ (want exactly 1: Prepared.execute)" >&2
   exit 1
 fi
+# One 2-var pipeline: every strategy walks core.Run's phase1 -> reduce ->
+# mine -> finalize -> pairs, and a strategy row decides only the schedule of
+# the mining stage. A second phase-1 block or reduction loop under
+# internal/core is a second copy of the optimizer drifting back.
+for once in 'c2.Reduce(' 'tracer.Start("phase1")'; do
+  n="$(grep -rnF "$once" internal/core --include='*.go' | grep -v '_test.go' | grep -cvE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+  if [[ "$n" -ne 1 ]]; then
+    echo "check.sh: $n occurrences of $once under internal/core (want exactly 1: the one pipeline in core.Run)" >&2
+    exit 1
+  fi
+done
 if grep -rnE '\.Satisfies\(' cfq --include='*.go' | grep -v '_test.go'; then
   echo "check.sh: constraint evaluation under cfq/ (filtering and pair formation belong to internal/cap and internal/core)" >&2
   exit 1
