@@ -12,14 +12,9 @@ import (
 )
 
 // defaultPlanner serves Prepare and every strategy-auto entry point that
-// does not supply its own planner. Hosting processes with a feedback loop
-// (the server) pass their own planner through PrepareWith instead.
+// does not supply its own planner. Hosting processes with their own
+// fallback strategy (the server) pass their own planner through PrepareWith.
 var defaultPlanner = plan.New(plan.Options{})
-
-// DefaultPlanner returns the process-wide planner Prepare uses when no
-// planner is supplied. Folding workload feedback into it improves every
-// subsequent auto-strategy query in the process.
-func DefaultPlanner() *plan.Planner { return defaultPlanner }
 
 // Prepared is a compiled, planned query — the Prepare half of the
 // Parse → Prepare → Execute split, and the only thing that executes a CFQ:
@@ -47,28 +42,32 @@ func (q *Query) Prepare(strat Strategy) (*Prepared, error) {
 }
 
 // PrepareContext compiles and plans the query using the process-wide
-// DefaultPlanner.
+// default planner.
 func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (*Prepared, error) {
 	return q.PrepareWith(ctx, nil, strat)
 }
 
 // PrepareWith compiles and plans the query with an explicit planner (nil
-// uses DefaultPlanner). With strategy Auto the query is profiled (off the
-// per-generation item supports, no database pass), the planner costs every
-// strategy, and
-// the decision — strategy, Jmax cutoff — is baked into the prepared
-// plan; when ctx carries a Tracer a "plan:decide" span records the choice.
-// Any other strategy skips planning entirely and prepares that strategy
-// as-is, so Prepare never costs more than the caller asked for.
+// uses the default planner). With strategy Auto the query is profiled (off
+// the per-generation item supports, no database pass), the planner costs
+// every strategy, and the decision — strategy, Jmax cutoff — is baked into
+// the prepared plan; when ctx carries a Tracer a "plan:decide" span records
+// the choice. Any other strategy skips planning entirely and prepares that
+// strategy as-is, so Prepare never costs more than the caller asked for.
 func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strategy) (p *Prepared, err error) {
 	defer recoverToError(&err)
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	p = &Prepared{icfq: icfq, budget: q.budget, strat: strat}
+	return prepare(ctx, pl, icfq, q.budget, strat), nil
+}
+
+// prepare plans a compiled query (PrepareWith after compilation).
+func prepare(ctx context.Context, pl *plan.Planner, icfq core.CFQ, budget *Budget, strat Strategy) *Prepared {
+	p := &Prepared{icfq: icfq, budget: budget, strat: strat}
 	if strat != Auto {
-		return p, nil
+		return p
 	}
 	if pl == nil {
 		pl = defaultPlanner
@@ -101,7 +100,7 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 		sp.SetAttrs(obs.String("strategy", d.Strategy), obs.String("source", d.Source))
 		sp.End(nil)
 	}
-	return p, nil
+	return p
 }
 
 // Strategy returns the concrete strategy the plan executes (never Auto;

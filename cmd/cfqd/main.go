@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -84,8 +83,6 @@ func run(args []string, ready chan<- string) error {
 		compactBytes   = fs.Int64("compact-bytes", 64<<20, "snapshot+truncate a dataset log after this many WAL bytes (negative disables)")
 		slowQueryMS    = fs.Int64("slow-query-ms", 0, "mark queries slower than this (or budget/error outcomes) slow in the journal, with query text and analyzed plan, for GET /v1/slowlog; 0 disables")
 		workloadOn     = fs.Bool("workload", false, "journal every completed query (features, strategy, pruning, outcome) for GET /v1/workload")
-		shadowSample   = fs.Float64("shadow-sample", 0, "fraction of completed queries the shadow sampler re-runs under alternate strategies (0 disables, implies -workload)")
-		shadowStrats   = fs.String("shadow-strategies", "", "comma-separated strategies the shadow sampler re-runs (default: optimized,nojmax,cap,apriori,sequential,auto)")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 		logLevel       = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		quiet          = fs.Bool("quiet", false, "disable request logging")
@@ -119,35 +116,24 @@ func run(args []string, ready chan<- string) error {
 		}
 	}
 
-	if *shadowSample < 0 || *shadowSample > 1 {
-		return fmt.Errorf("bad -shadow-sample %v: want a fraction in [0, 1]", *shadowSample)
-	}
 	if *defaultStrat != "" {
 		if _, err := cfq.ParseStrategy(*defaultStrat); err != nil {
 			return fmt.Errorf("bad -default-strategy: %w", err)
 		}
 	}
-	// The journal — every query with -workload or -shadow-sample, only the
-	// slow and failed ones with just -slow-query-ms — persists beside the
-	// WALs when the daemon has a data directory: one ring, whichever of the
-	// two asks for it. Without one, the slow view and the rollups live in
-	// memory for the process lifetime.
+	// The journal — every query with -workload, only the slow and failed
+	// ones with just -slow-query-ms — persists beside the WALs when the
+	// daemon has a data directory: one ring, whichever of the two asks for
+	// it. Without one, the slow view and the rollups live in memory for the
+	// process lifetime.
 	var workloadDir, slowLogDir string
 	if *dataDir != "" {
 		journalDir := filepath.Join(*dataDir, "workload")
-		if *workloadOn || *shadowSample > 0 {
+		if *workloadOn {
 			workloadDir = journalDir
 		}
 		if *slowQueryMS > 0 {
 			slowLogDir = journalDir
-		}
-	}
-	var shadowStrategies []string
-	if *shadowStrats != "" {
-		for _, name := range strings.Split(*shadowStrats, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				shadowStrategies = append(shadowStrategies, name)
-			}
 		}
 	}
 
@@ -179,8 +165,6 @@ func run(args []string, ready chan<- string) error {
 		SlowLogDir:            slowLogDir,
 		Workload:              *workloadOn,
 		WorkloadDir:           workloadDir,
-		ShadowSample:          *shadowSample,
-		ShadowStrategies:      shadowStrategies,
 		Logger:                logger,
 	})
 

@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 		retryCap    = fs.Duration("retry-cap", 2*time.Second, "upper bound on a single backoff sleep")
 		waitReady   = fs.Duration("wait-ready", 0, "poll the server's /readyz for up to this long before loading (0 = don't)")
 		slowMS      = fs.Int64("slow-ms", 0, "report requests slower than this with their trace ids (0 = don't)")
-		workloadRep = fs.Bool("workload", false, "fetch GET /v1/workload and /v1/workload/regret after the run and print the rollups")
+		workloadRep = fs.Bool("workload", false, "fetch GET /v1/workload after the run and print the rollups")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -322,41 +322,21 @@ func prepareHandle(hc *http.Client, pol retryPolicy, base string, req serve.Quer
 	return pr.Handle, pr.Strategy, nil
 }
 
-// reportWorkload prints the server's workload rollups and regret table —
-// the client-side rendering of GET /v1/workload and /v1/workload/regret.
+// reportWorkload prints the server's workload rollups — the client-side
+// rendering of GET /v1/workload.
 func reportWorkload(out io.Writer, hc *http.Client, base string) error {
 	var wl serve.WorkloadResponse
 	if err := getJSON(hc, base+"/v1/workload", &wl); err != nil {
 		return err
 	}
 	if !wl.Enabled {
-		fmt.Fprintln(out, "workload: journal disabled on the server (-workload / -shadow-sample)")
+		fmt.Fprintln(out, "workload: journal disabled on the server (-workload)")
 		return nil
 	}
 	fmt.Fprintln(out, "workload classes:")
 	for _, cr := range wl.Classes {
 		fmt.Fprintf(out, "  %-48s  n=%-5d mean %7.2fms  max %7.2fms  pruned(mean) %.0f\n",
 			cr.Class, cr.Count, cr.MeanMS, cr.MaxMS, cr.MeanPruned)
-	}
-	var rt serve.RegretResponse
-	if err := getJSON(hc, base+"/v1/workload/regret", &rt); err != nil {
-		return err
-	}
-	if !rt.Enabled {
-		fmt.Fprintln(out, "regret: shadow sampler disabled on the server (-shadow-sample)")
-		return nil
-	}
-	fmt.Fprintf(out, "regret (shadow sample %.2f):\n", rt.SampleFraction)
-	for _, cr := range rt.Classes {
-		fmt.Fprintf(out, "  %s (%d shadow runs)\n", cr.Class, cr.ShadowRuns)
-		for _, sr := range cr.Strategies {
-			mark := " "
-			if sr.Best {
-				mark = "*"
-			}
-			fmt.Fprintf(out, "   %s %-12s runs=%-4d mean %8.3fms  regret %.2fx  chosen=%d\n",
-				mark, sr.Strategy, sr.Runs, sr.MeanMS, sr.Regret, sr.Chosen)
-		}
 	}
 	return nil
 }

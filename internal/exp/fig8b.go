@@ -60,6 +60,16 @@ func (w *fig8bWorld) query(sLo, tHi, overlapPct float64) (core.CFQ, error) {
 	}, nil
 }
 
+// Fig8bQuery exposes one workload point of experiment E4 (S.Price >= sLo,
+// T.Price <= tHi, the given Type overlap percentage) for external tests.
+func Fig8bQuery(cfg Config, sLo, tHi, overlapPct float64) (core.CFQ, error) {
+	w, err := newFig8bWorld(cfg)
+	if err != nil {
+		return core.CFQ{}, err
+	}
+	return w.query(sLo, tHi, overlapPct)
+}
+
 // Fig8bResult reproduces Figure 8(b): three curves over Type overlap —
 // Apriori⁺ (flat 1×), CAP on 1-var constraints only, and the full
 // optimized strategy.

@@ -94,7 +94,7 @@ type PlanChoice struct {
 	Strategy   string `json:"strategy"`
 	Jmax       bool   `json:"jmax"`
 	JmaxCutoff int    `json:"jmax_cutoff,omitempty"`
-	// Source is "model", "feedback", or "fallback".
+	// Source is "model" or "fallback".
 	Source string  `json:"source"`
 	Cost   float64 `json:"cost"`
 	// Rejected lists the alternatives, cheapest first.

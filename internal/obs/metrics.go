@@ -171,7 +171,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // ObserveValue records one unitless observation — for *_ratio value
-// histograms (e.g. regret = chosen/best), which reuse the registry's bucket
+// histograms, which reuse the registry's bucket
 // bounds as plain numbers rather than milliseconds. Negative values clamp
 // to zero so the monotone sum stays meaningful.
 func (h *Histogram) ObserveValue(v float64) {

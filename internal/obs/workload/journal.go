@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs/telemetry"
 )
 
-// Journal metrics. The record counter is labeled by kind so user-facing
-// traffic and shadow re-runs stay separable on /metrics; the slow-query
+// Journal metrics. The record counter is labeled by kind so /v1/query
+// records and slow requests on other endpoints stay separable; the slow-query
 // counters keep the names they had when the slow log was its own sink.
 var (
 	mJournalRecords = obs.NewCounterVec("workload_journal_records_total", "kind")
@@ -51,7 +51,7 @@ type Journal struct {
 }
 
 // classAgg accumulates the live rollup for one class key (user-facing
-// records only — shadow runs would skew the latency picture).
+// query records only).
 type classAgg struct {
 	count      int64
 	errors     int64
@@ -79,11 +79,10 @@ func OpenJournal(dir string) (*Journal, error) {
 	return j, nil
 }
 
-// Append records one finished request or shadow run. A record that cannot
-// be marshalled, arrives after Close, or fails its disk write is dropped
-// (counted, never blocking the caller) — the journal is evidence, not a
-// ledger. The record must not be modified afterwards: the slow view serves
-// the same pointer.
+// Append records one finished request. A record that cannot be marshalled,
+// arrives after Close, or fails its disk write is dropped (counted, never
+// blocking the caller) — the journal is evidence, not a ledger. The record
+// must not be modified afterwards: the slow view serves the same pointer.
 func (j *Journal) Append(rec *Record) {
 	if j == nil || rec == nil {
 		return

@@ -1,8 +1,6 @@
-// Package workload is the engine's cost-model ground truth: a durable
-// per-request journal (what ran, what it looked like, what it cost, why it
-// was slow) plus the regret bookkeeping fed by the shadow sampler (what the
-// alternatives would have cost). The cost-based strategy planner trains and
-// validates against exactly this data.
+// Package workload is the engine's per-request ground truth: a durable
+// journal of what ran, what it looked like, what it cost and why it was
+// slow, rolled up per constraint class.
 //
 // One JSONL Record is the whole per-request fact: canonical query hash,
 // constraint classification and enforcement sites from BuildExplain, the
@@ -12,8 +10,9 @@
 // (summing to CandidatesPruned by the attribution contract), budget outcome
 // and cache hit/miss. A record marked Slow additionally carries the query
 // text and the analyzed plan report; the slow-query log is the journal's
-// view of those records, not a second store. Shadow re-runs append records
-// with Kind "shadow".
+// view of those records, not a second store. Lines of Kind "shadow" (the
+// alternate-strategy re-runs older builds appended) still load; nothing
+// writes them any more.
 package workload
 
 import (
@@ -28,10 +27,10 @@ import (
 // RecordSchema versions the journal record shape.
 const RecordSchema = 1
 
-// Record kinds. Rollups and the regret table read KindQuery records only.
+// Record kinds. Rollups read KindQuery records only.
 const (
 	KindQuery   = "query"   // a user-facing /v1/query completion
-	KindShadow  = "shadow"  // a shadow-sampler re-run under an alternate strategy
+	KindShadow  = "shadow"  // an alternate-strategy re-run; read from older journals, never written
 	KindRequest = "request" // a slow or failed request on another query endpoint (explain, explain-analyze, prepare)
 )
 
@@ -52,7 +51,7 @@ type Record struct {
 	Dataset    string `json:"dataset"`
 	Generation uint64 `json:"generation,omitempty"`
 	// QueryHash identifies the canonical query text; Class is the
-	// constraint-classification key (ClassKey) regret aggregates by.
+	// constraint-classification key (ClassKey) rollups aggregate by.
 	QueryHash string `json:"query_hash"`
 	Class     string `json:"class,omitempty"`
 	// Strategy is the executed strategy (the request's mode for KindQuery,
@@ -108,7 +107,7 @@ func QueryHash(canonical string) string {
 }
 
 // ClassKey folds an ExplainReport's constraint classifications into the
-// strategy-independent class key the regret table aggregates by: the sorted
+// strategy-independent class key the rollups aggregate by: the sorted
 // multiset of "<variable>=<class>" tags. Plan-derived entries (reduced
 // conditions, bounds) are excluded — they depend on the strategy that ran.
 func ClassKey(rep *obs.ExplainReport) string {

@@ -173,57 +173,6 @@ func TestJournalDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegretTable(t *testing.T) {
-	r := NewRegret(0)
-	for i := 0; i < 3; i++ {
-		r.ObserveShadow("cls-a", "optimized", 50)
-		r.ObserveShadow("cls-a", "nojmax", 25)
-		r.ObserveChosen("cls-a", "optimized")
-	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Class != "cls-a" || snap[0].ShadowRuns != 6 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	st := snap[0].Strategies
-	if len(st) != 2 || st[0].Strategy != "nojmax" || !st[0].Best || st[0].Regret != 1 {
-		t.Fatalf("strategies = %+v", st)
-	}
-	if st[1].Strategy != "optimized" || st[1].Regret != 2 || st[1].Best || st[1].Chosen != 3 {
-		t.Errorf("chosen strategy row = %+v", st[1])
-	}
-}
-
-func TestRegretChosenOnlyStrategy(t *testing.T) {
-	r := NewRegret(0)
-	r.ObserveShadow("c", "optimized", 10)
-	r.ObserveChosen("c", "session")
-	st := r.Snapshot()[0].Strategies
-	if len(st) != 2 || st[1].Strategy != "session" || st[1].Runs != 0 || st[1].Chosen != 1 {
-		t.Errorf("strategies = %+v", st)
-	}
-}
-
-func TestFromRecords(t *testing.T) {
-	recs := []*Record{
-		qrec(1, "c", "optimized", 40),
-		srec("c", "optimized", 40),
-		srec("c", "nojmax", 20),
-		{Kind: KindShadow, Class: "c", Strategy: "sequential", Error: "budget", DurationMS: 5},
-	}
-	snap := FromRecords(recs).Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	for _, sr := range snap[0].Strategies {
-		if sr.Strategy == "sequential" && sr.Runs != 0 {
-			t.Error("errored shadow run counted into the table")
-		}
-		if sr.Strategy == "nojmax" && !sr.Best {
-			t.Error("nojmax not marked best")
-		}
-	}
-}
-
 func TestClassKeyAndSites(t *testing.T) {
 	rep := &obs.ExplainReport{Constraints: []*obs.ConstraintExplain{
 		{Variable: "T", Class: "succinct, anti-monotone", EnforcedAt: []string{"candidate generation (domain filter)"}},
@@ -248,11 +197,5 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Append(qrec(1, "c", "s", 1))
 	if j.SlowView() != nil || j.Rollups() != nil || j.Close() != nil {
 		t.Error("nil Journal not inert")
-	}
-	var r *Regret
-	r.ObserveShadow("c", "s", 1)
-	r.ObserveChosen("c", "s")
-	if r.Snapshot() != nil {
-		t.Error("nil Regret not inert")
 	}
 }

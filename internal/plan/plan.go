@@ -1,8 +1,8 @@
 // Package plan is the cost-based query planner: given a query's feature
-// vector (internal/core/estimate.go via core.BuildExplainFeatures) it
-// chooses an evaluation strategy, whether to run the Jmax iterative
-// pruning loop (and a cutoff for it), and which complete-mining engine to
-// use — producing an executable decision rather than a description.
+// vector (internal/core/estimate.go via core.BuildExplainFeatures) it picks
+// an evaluation strategy, whether the Jmax iterative pruning loop runs, and
+// the cutoff that freezes its bounds — an executable decision rather than a
+// description.
 //
 // The static model prices each strategy with terms that mirror the paper's
 // pruning arguments:
@@ -21,9 +21,8 @@
 //     paid for at the S×T cross product — the dominant term for the
 //     no-reduction baselines.
 //
-// Costs are unitless; only their order matters. An online feedback loop
-// (Fold) corrects mispredictions per query class from the workload
-// journal's shadow-sampled regret table, and a fallback path guarantees a
+// Costs are unitless; only their order matters. Decisions are a pure
+// function of the feature vector, and a fallback path guarantees a
 // decision — the configured default strategy — whenever features are
 // missing or degenerate.
 package plan
@@ -35,14 +34,13 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 )
 
 // SchemaVersion versions the Decision wire shape.
 const SchemaVersion = 1
 
 // Strategy names, in the public (wire) spelling used by the cfq API, the
-// workload journal and the regret table. internal/plan deliberately speaks
+// workload journal and the benchmark. internal/plan deliberately speaks
 // only these names: mapping to core.Strategy happens at the cfq boundary,
 // so strategy selection literals stay inside this package.
 const (
@@ -86,7 +84,6 @@ func WireName(core string) string {
 // Decision sources.
 const (
 	SourceModel    = "model"    // static cost model
-	SourceFeedback = "feedback" // measured per-class override
 	SourceFallback = "fallback" // missing/degenerate features
 )
 
@@ -104,8 +101,9 @@ type Alternative struct {
 type Decision struct {
 	Schema   int    `json:"schema"`
 	Strategy string `json:"strategy"`
-	// Jmax reports whether the iterative dynamic-bound loop runs (true only
-	// for the dovetailed optimized strategy).
+	// Jmax reports whether the iterative dynamic-bound loop runs: true when
+	// the optimized strategy is chosen for a query with 2-var constraints
+	// (and on the fallback path whenever the default is optimized).
 	Jmax bool `json:"jmax"`
 	// JmaxCutoff, when > 0, freezes the dynamic bounds after that many
 	// dovetail iterations (core.CFQ.JmaxCutoff).
@@ -139,35 +137,20 @@ func (d *Decision) Choice() *obs.PlanChoice {
 	return pc
 }
 
-// classFeedback is the measured per-class table folded from the regret
-// snapshot: mean wall per strategy (wire names), plus the best strategy.
-type classFeedback struct {
-	best   string
-	meanMS map[string]float64
-}
-
 // Options configure a Planner.
 type Options struct {
 	// Default is the strategy the fallback path picks (wire name).
 	// Empty = Optimized.
 	Default string
-	// MaxClasses bounds the per-class feedback table (<= 0: 64).
-	MaxClasses int
 }
 
 // Planner makes strategy decisions. Safe for concurrent use. Decisions are
-// deterministic in (features, class, folded feedback state).
+// deterministic in the feature vector.
 type Planner struct {
 	opts Options
 
-	mu      sync.Mutex
-	classes map[string]*classFeedback
-	// cal holds per-strategy EWMA calibration multipliers: measured
-	// relative cost over predicted relative cost, folded from classes whose
-	// rollups carry feature vectors. 1 = model trusted as-is.
-	cal       map[string]float64
+	mu        sync.Mutex
 	decisions map[string]int64 // by source
-	folds     int64
 }
 
 // New builds a planner.
@@ -178,75 +161,31 @@ func New(opts Options) *Planner {
 	if _, ok := coreNames[opts.Default]; !ok {
 		opts.Default = Optimized
 	}
-	if opts.MaxClasses <= 0 {
-		opts.MaxClasses = 64
-	}
-	return &Planner{
-		opts:      opts,
-		classes:   map[string]*classFeedback{},
-		cal:       map[string]float64{},
-		decisions: map[string]int64{},
-	}
+	return &Planner{opts: opts, decisions: map[string]int64{}}
 }
-
-// minFeedbackRuns is how many shadow runs a strategy needs within a class
-// before its measured mean participates in feedback decisions.
-const minFeedbackRuns = 2
-
-// feedbackMargin is how much slower (measured) the model's pick must be
-// than the class's measured best before feedback overrides the model.
-const feedbackMargin = 1.1
 
 // fmGuardItems mirrors core's maxFMItems guard: FM materializes 2^N
 // subsets and is only usable on tiny domains.
 const fmGuardItems = 16
 
-// Decide picks a strategy for the query described by f. class, when known
-// (the workload journal's ClassKey), routes measured per-class feedback;
-// empty class uses the static model only. A nil or degenerate feature
-// vector falls back to the configured default strategy — never an error.
+// Decide picks a strategy for the query described by f. class (the workload
+// journal's ClassKey, or empty) only labels the decision. A nil or
+// degenerate feature vector falls back to the configured default strategy —
+// never an error.
 func (p *Planner) Decide(f *obs.QueryFeatures, class string) *Decision {
 	if f == nil || f.Transactions <= 0 || (f.DomainS <= 0 && f.DomainT <= 0) {
 		return p.fallback(class)
 	}
 	costs := modelCosts(f)
-
-	p.mu.Lock()
-	for i := range costs {
-		if m, ok := p.cal[costs[i].name]; ok && !math.IsInf(costs[i].cost, 1) {
-			costs[i].cost *= m
-		}
-	}
-	cf := p.classes[class]
-	p.mu.Unlock()
-
-	// Order by adjusted cost; ties resolve by the Names() preference order,
-	// which costs[] is already in.
+	// Order by cost; ties resolve by the Names() preference order, which
+	// costs[] is already in.
 	sort.SliceStable(costs, func(i, j int) bool { return costs[i].cost < costs[j].cost })
 	chosen := costs[0]
-	source := SourceModel
-
-	// Feedback override: when shadow measurements exist for this class and
-	// say the model's pick is more than feedbackMargin slower than the
-	// measured best, trust the measurement.
-	if cf != nil && cf.best != "" && cf.best != chosen.name {
-		bestMS := cf.meanMS[cf.best]
-		if pickMS, measured := cf.meanMS[chosen.name]; measured && bestMS > 0 && pickMS > feedbackMargin*bestMS {
-			for i := range costs {
-				if costs[i].name == cf.best {
-					chosen = costs[i]
-					source = SourceFeedback
-					chosen.reason = fmt.Sprintf("measured %.3gms vs %.3gms for model pick in this class", bestMS, pickMS)
-					break
-				}
-			}
-		}
-	}
 
 	d := &Decision{
 		Schema:   SchemaVersion,
 		Strategy: chosen.name,
-		Source:   source,
+		Source:   SourceModel,
 		Class:    class,
 		Cost:     round3(chosen.cost),
 	}
@@ -296,108 +235,21 @@ func (p *Planner) record(d *Decision) {
 	p.mu.Unlock()
 }
 
-// Fold ingests one snapshot of the workload's measured ground truth: the
-// shadow regret table (per class × strategy mean walls) and the journal's
-// per-class rollups (whose feature vectors let predicted costs be compared
-// against measured ones). Repeated folds replace per-class tables and move
-// the per-strategy calibration by EWMA.
-func (p *Planner) Fold(regret []workload.ClassRegret, rollups []workload.ClassRollup) {
-	feats := map[string]*obs.QueryFeatures{}
-	for _, r := range rollups {
-		if r.Features != nil {
-			feats[r.Class] = r.Features
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.folds++
-	for _, cr := range regret {
-		cf := &classFeedback{meanMS: map[string]float64{}}
-		bestMS := 0.0
-		for _, sr := range cr.Strategies {
-			if sr.Runs < minFeedbackRuns {
-				continue
-			}
-			if _, ok := coreNames[sr.Strategy]; !ok {
-				continue // "session", "auto", … — not a plannable strategy
-			}
-			cf.meanMS[sr.Strategy] = sr.MeanMS
-			if bestMS == 0 || sr.MeanMS < bestMS {
-				bestMS = sr.MeanMS
-				cf.best = sr.Strategy
-			}
-		}
-		if len(cf.meanMS) == 0 {
-			continue
-		}
-		if _, ok := p.classes[cr.Class]; !ok && len(p.classes) >= p.opts.MaxClasses {
-			continue
-		}
-		p.classes[cr.Class] = cf
-
-		// Calibration: compare measured relative cost (vs the class's best)
-		// with predicted relative cost, and nudge each strategy's multiplier
-		// toward the measured ratio.
-		f := feats[cr.Class]
-		if f == nil || bestMS <= 0 {
-			continue
-		}
-		predicted := map[string]float64{}
-		for _, c := range modelCosts(f) {
-			predicted[c.name] = c.cost
-		}
-		predBest := math.Inf(1)
-		for name := range cf.meanMS {
-			if pc, ok := predicted[name]; ok && pc < predBest {
-				predBest = pc
-			}
-		}
-		if math.IsInf(predBest, 1) || predBest <= 0 {
-			continue
-		}
-		for name, ms := range cf.meanMS {
-			pc, ok := predicted[name]
-			if !ok || pc <= 0 || math.IsInf(pc, 1) {
-				continue
-			}
-			measuredRel := ms / bestMS
-			predictedRel := pc / predBest
-			ratio := measuredRel / predictedRel
-			// Clamp single-fold influence; EWMA smooths across folds.
-			ratio = math.Max(0.25, math.Min(4, ratio))
-			if cur, ok := p.cal[name]; ok {
-				p.cal[name] = 0.8*cur + 0.2*ratio
-			} else {
-				p.cal[name] = ratio
-			}
-		}
-	}
-}
-
 // State is the planner's introspection view (/statz).
 type State struct {
-	Default     string             `json:"default"`
-	Folds       int64              `json:"folds"`
-	Classes     int                `json:"classes"`
-	Decisions   map[string]int64   `json:"decisions,omitempty"`
-	Calibration map[string]float64 `json:"calibration,omitempty"`
+	Default   string           `json:"default"`
+	Decisions map[string]int64 `json:"decisions,omitempty"`
 }
 
 // State snapshots the planner.
 func (p *Planner) State() State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := State{Default: p.opts.Default, Folds: p.folds, Classes: len(p.classes)}
+	st := State{Default: p.opts.Default}
 	if len(p.decisions) > 0 {
 		st.Decisions = make(map[string]int64, len(p.decisions))
 		for k, v := range p.decisions {
 			st.Decisions[k] = v
-		}
-	}
-	if len(p.cal) > 0 {
-		st.Calibration = make(map[string]float64, len(p.cal))
-		for k, v := range p.cal {
-			st.Calibration[k] = round3(v)
 		}
 	}
 	return st

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 )
 
 // fig8aFeatures is the measured feature vector of the committed
@@ -185,70 +184,6 @@ func TestFallback(t *testing.T) {
 	}
 	if d := New(Options{Default: "bogus"}).Decide(nil, ""); d.Strategy != Optimized {
 		t.Fatalf("bogus default not sanitized: %q", d.Strategy)
-	}
-}
-
-// TestFeedbackOverride: folding a regret snapshot that shows the model's
-// pick measurably slower than another strategy flips the per-class choice
-// with source "feedback".
-func TestFeedbackOverride(t *testing.T) {
-	p := New(Options{})
-	f := fig8aFeatures()
-	class := "inverted"
-	base := p.Decide(f, class)
-	if base.Source != SourceModel {
-		t.Fatalf("pre-fold source = %q", base.Source)
-	}
-	// Shadow measurements: the model's pick is 10× slower than optimized.
-	p.Fold([]workload.ClassRegret{{
-		Class: class,
-		Strategies: []workload.StrategyRegret{
-			{Strategy: base.Strategy, Runs: 5, MeanMS: 100},
-			{Strategy: Optimized, Runs: 5, MeanMS: 10},
-		},
-	}}, nil)
-	d := p.Decide(f, class)
-	if d.Source != SourceFeedback {
-		t.Fatalf("post-fold source = %q, want feedback (chose %s)", d.Source, d.Strategy)
-	}
-	if d.Strategy != Optimized {
-		t.Fatalf("post-fold strategy = %q, want optimized", d.Strategy)
-	}
-	// Other classes are untouched.
-	if other := p.Decide(f, "other"); other.Source != SourceModel {
-		t.Fatalf("unrelated class got source %q", other.Source)
-	}
-	// Non-plannable labels ("session", "auto") never become feedback picks.
-	p.Fold([]workload.ClassRegret{{
-		Class: "labels",
-		Strategies: []workload.StrategyRegret{
-			{Strategy: "session", Runs: 9, MeanMS: 1},
-			{Strategy: base.Strategy, Runs: 9, MeanMS: 50},
-		},
-	}}, nil)
-	if d := p.Decide(f, "labels"); d.Strategy == "session" {
-		t.Fatal("feedback chose non-plannable label")
-	}
-}
-
-// TestFoldCalibration: rollup feature vectors let the fold move the
-// per-strategy calibration multipliers, visible in State().
-func TestFoldCalibration(t *testing.T) {
-	p := New(Options{})
-	f := fig8aFeatures()
-	p.Fold([]workload.ClassRegret{{
-		Class: "c",
-		Strategies: []workload.StrategyRegret{
-			{Strategy: Sequential, Runs: 3, MeanMS: 20},
-			{Strategy: NoJmax, Runs: 3, MeanMS: 200}, // much worse than predicted
-		},
-	}}, []workload.ClassRollup{{Class: "c", Features: f}})
-	st := p.State()
-	if st.Folds != 1 || st.Classes != 1 {
-		t.Fatalf("state = %+v", st)
-	}
-	if st.Calibration[NoJmax] <= st.Calibration[Sequential] {
-		t.Fatalf("calibration did not penalize the mispredicted strategy: %+v", st.Calibration)
 	}
 }
 

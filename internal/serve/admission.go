@@ -24,21 +24,19 @@ var (
 
 // Admission metrics. server_shed_total stays the aggregate; the vec breaks
 // sheds down by priority class and reason so an overload's ordering
-// (shadow first, interactive last) is visible on one scrape.
+// (batch first, interactive last) is visible on one scrape.
 var (
 	mShedClass = obs.NewCounterVec("server_shed_class_total", "class", "reason")
 	mAdmLimit  = obs.NewGauge("server_admission_limit")
 )
 
 // priority orders admission classes: lower value wins a freed slot first and
-// is shed last. Interactive /v1/query traffic outranks prepared/batch work,
-// which outranks the shadow sampler's re-runs.
+// is shed last. Interactive /v1/query traffic outranks prepared/batch work.
 type priority int
 
 const (
 	prioInteractive priority = iota
 	prioBatch
-	prioShadow
 	numPriorities // sentinel: "shed nothing" floor
 )
 
@@ -48,15 +46,12 @@ func (p priority) String() string {
 		return "interactive"
 	case prioBatch:
 		return "batch"
-	case prioShadow:
-		return "shadow"
 	}
 	return fmt.Sprintf("priority(%d)", int(p))
 }
 
 // parsePriority maps the wire spellings of QueryRequest.Priority. The empty
-// string is "no override" (the endpoint's default class); the shadow class
-// is internal and not accepted from the wire.
+// string is "no override" (the endpoint's default class).
 func parsePriority(s string) (priority, error) {
 	switch s {
 	case "interactive":
@@ -291,25 +286,6 @@ func (a *admission) popWaiterLocked() *waiter {
 		}
 	}
 	return nil
-}
-
-// tryAcquire grabs a slot only if one is free right now with nothing
-// queued, without joining the queue or touching the shed metrics. The
-// shadow sampler polls this — a queued request always wins a freed slot
-// over a poll that has not happened yet — and a degradation floor at or
-// below the shadow class turns the poll off entirely.
-func (a *admission) tryAcquire() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prioShadow >= a.shedFloor {
-		return false
-	}
-	if a.inflight < a.limit && a.queued == 0 {
-		a.inflight++
-		a.admitted[prioShadow]++
-		return true
-	}
-	return false
 }
 
 // release returns a slot, hands it to the best queued waiter if any, and —

@@ -243,32 +243,16 @@ type SlowlogResponse struct {
 	Records     []*workload.Record `json:"records"`
 }
 
-// WorkloadResponse is the envelope of GET /v1/workload: journal and shadow
-// sampler state plus the live per-class rollups (feature vectors, latency,
-// strategy mix). Enabled is false when the server runs without the workload
-// journal.
+// WorkloadResponse is the envelope of GET /v1/workload: journal state plus
+// the live per-class rollups (feature vectors, latency, strategy mix).
+// Enabled is false when the server runs without the workload journal.
 type WorkloadResponse struct {
 	Schema    int                    `json:"schema"`
 	RequestID string                 `json:"request_id"`
 	TraceID   string                 `json:"trace_id,omitempty"`
 	Enabled   bool                   `json:"enabled"`
 	Journal   *workload.State        `json:"journal,omitempty"`
-	Sampler   *ShadowSamplerState    `json:"sampler,omitempty"`
 	Classes   []workload.ClassRollup `json:"classes,omitempty"`
-}
-
-// RegretResponse is the envelope of GET /v1/workload/regret: the measured
-// regret table by query classification × strategy. Enabled is false when the
-// shadow sampler is off (the table still shows live-path strategy choices
-// accumulated by the journal).
-type RegretResponse struct {
-	Schema         int                    `json:"schema"`
-	RequestID      string                 `json:"request_id"`
-	TraceID        string                 `json:"trace_id,omitempty"`
-	Enabled        bool                   `json:"enabled"`
-	SampleFraction float64                `json:"sample_fraction,omitempty"`
-	Strategies     []string               `json:"strategies,omitempty"`
-	Classes        []workload.ClassRegret `json:"classes"`
 }
 
 // Limits are the server's default/maximum evaluation bounds. A request

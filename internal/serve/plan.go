@@ -13,11 +13,10 @@ import (
 )
 
 // The planner surface of the daemon: one cost-based planner shared by every
-// auto-strategy evaluation (its feedback loop folds the shadow sampler's
-// measured regret back into the model), and a byte-bounded prepared-plan
-// cache keyed dataset × generation × canonical query. A plan-cache hit
-// skips classification, profiling, and costing entirely — the prepared
-// handle replays the frozen executable plan.
+// auto-strategy evaluation (its fallback is the server's default strategy),
+// and a byte-bounded prepared-plan cache keyed dataset × generation ×
+// canonical query. A plan-cache hit skips classification, profiling, and
+// costing entirely — the prepared handle replays the frozen executable plan.
 var (
 	mPlanHits      = obs.NewCounter("plan_cache_hits_total")
 	mPlanMisses    = obs.NewCounter("plan_cache_misses_total")
@@ -88,26 +87,13 @@ func (s *Server) lookupPlan(handle string) (*planEntry, bool) {
 	return e, ok
 }
 
-// plannerStatz is the /statz "planner" section: decision counts,
-// calibration state, and plan-cache occupancy.
+// plannerStatz is the /statz "planner" section: decision counts and
+// plan-cache occupancy.
 func (s *Server) plannerStatz() map[string]any {
 	return map[string]any{
 		"state":      s.planner.State(),
 		"plan_cache": cacheStatz(s.plans.Stats()),
 	}
-}
-
-// foldFeedback folds the live regret table and journal rollups into the
-// planner's per-class feedback and calibration state. Called by the shadow
-// sampler after each completed job, so measured inversions (a class where
-// the model's pick is measurably slower) flip the planner within a handful
-// of samples.
-func (s *Server) foldFeedback() {
-	wc := s.workload
-	if wc == nil {
-		return
-	}
-	s.planner.Fold(wc.regret.Snapshot(), wc.journal.Rollups())
 }
 
 // preparePlan resolves the scope's query to a prepared plan through the

@@ -1,19 +1,14 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/cfq"
-	"repro/internal/exp"
-	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 )
 
 func prepareResp(t *testing.T, body []byte) *PrepareResponse {
@@ -338,81 +333,17 @@ func TestStatzPlanner(t *testing.T) {
 
 // TestAutoRegretResolvesInversion replays the TestFig8aRegretInversion
 // scenario with the planner in charge: live traffic runs strategy auto, the
-// shadow sampler measures auto against the fixed strategies, and auto's
-// planner's pick is a strategy that pushes the 2-var constraint, and its
-// measured wall — planning included — beats the pinned CAP baseline's.
-// Walls are each strategy's fastest of five runs and only their order with
-// a margin is asserted: a "regret <= 1.5" bound on a ~10ms query sat inside
-// scheduling noise (1.52 seen under load; 1.53 on the minimum of five with
-// both cores busy), the planner's choice does not.
+// plan it leaves in the plan cache pushes the 2-var constraint, and auto's
+// run counts fewer candidates than the pinned CAP baseline's. Work, not
+// wall: the counters are exact, and the choice is the static model's
+// deterministic one.
 func TestAutoRegretResolvesInversion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig8a workload is seconds-scale; skipped under -short")
-	}
-	cfg := exp.Config{Scale: 25, Seed: 1}
-	db, err := cfg.QuestDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs := make([][]int, db.Len())
-	for i := 0; i < db.Len(); i++ {
-		set := db.Transaction(i)
-		tx := make([]int, 0, set.Len())
-		for _, it := range set {
-			tx = append(tx, int(it))
-		}
-		txs[i] = tx
-	}
-	prices := gen.UniformPrices(1000, 0, 1000, cfg.Seed+101)
-
-	s := NewServer(Config{
-		ShadowSample:     1.0,
-		ShadowStrategies: []string{"cap", "optimized", "auto"},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	spec := &DatasetSpec{Name: "fig8a", Items: 1000, Transactions: txs,
-		Numeric: map[string][]float64{"Price": prices}}
-	if status, body := postJSON(t, ts.URL+"/v1/datasets", spec); status != http.StatusCreated {
+	_, ts := newTestServer(t, Config{})
+	if status, body := postJSON(t, ts.URL+"/v1/datasets", fig8aSpec(t)); status != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", status, body)
 	}
-
-	query := "{(S,T) | freq(S) >= 40 & freq(T) >= 40 & range(S.Price, 400, 1000) & range(T.Price, 0, 600) & max(S.Price) <= min(T.Price)}"
-	const live = 5
-	for i := 0; i < live; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{
-			Dataset: "fig8a", Query: query, Strategy: "auto", NoCache: true,
-		})
-		if status != http.StatusOK {
-			t.Fatalf("query %d: status %d: %s", i, status, body)
-		}
-	}
-
-	rt := awaitShadowRuns(t, ts.URL, live*3, 2*time.Minute)
-	var cls *workload.ClassRegret
-	for i := range rt.Classes {
-		if rt.Classes[i].ShadowRuns >= live*3 {
-			cls = &rt.Classes[i]
-			break
-		}
-	}
-	if cls == nil {
-		t.Fatalf("no shadowed class in %+v", rt.Classes)
-	}
-	byName := map[string]workload.StrategyRegret{}
-	for _, sr := range cls.Strategies {
-		byName[sr.Strategy] = sr
-	}
-	auto, cap1 := byName["auto"], byName["cap"]
-	if auto.Runs != live || cap1.Runs != live {
-		t.Fatalf("runs: auto=%d cap=%d, want %d each", auto.Runs, cap1.Runs, live)
-	}
-	// The planner's pick must resolve the inversion the pinned baseline
-	// carries. The choice itself is deterministic (the live queries left it
-	// in the plan cache); the measured gap it buys is 2-3x (what CAP's extra
-	// candidate counting costs, see TestFig8aRegretInversion), asserted at
-	// 1.3x.
-	status, body := postJSON(t, ts.URL+"/v1/prepare", &QueryRequest{Dataset: "fig8a", Query: query, Strategy: "auto"})
+	autoN := countedOver(t, ts.URL, "auto")
+	status, body := postJSON(t, ts.URL+"/v1/prepare", &QueryRequest{Dataset: "fig8a", Query: fig8aQuery, Strategy: "auto"})
 	if status != http.StatusOK {
 		t.Fatalf("prepare: status %d: %s", status, body)
 	}
@@ -423,16 +354,9 @@ func TestAutoRegretResolvesInversion(t *testing.T) {
 	if !pr.Cached || pr.Strategy == "cap" || pr.Strategy == "apriori" {
 		t.Errorf("planner chose %q (cached=%v), want a cached plan that pushes the 2-var constraint", pr.Strategy, pr.Cached)
 	}
-	if auto.MinMS*1.3 > cap1.MinMS {
-		t.Errorf("auto %.2fms vs cap %.2fms, want auto at least 1.3x faster (the inversion it is supposed to beat)",
-			auto.MinMS, cap1.MinMS)
+	capN := countedOver(t, ts.URL, "cap")
+	if autoN >= capN {
+		t.Errorf("auto counted %d candidates, cap %d: want auto below the inversion it is supposed to beat", autoN, capN)
 	}
-	t.Logf("fig8a-overlap-33 under auto: planner chose %s; fastest of %d: auto %.2fms, optimized %.2fms, cap %.2fms",
-		pr.Strategy, live, auto.MinMS, byName["optimized"].MinMS, cap1.MinMS)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
+	t.Logf("fig8a-overlap-33 under auto: planner chose %s; counted auto %d, cap %d", pr.Strategy, autoN, capN)
 }

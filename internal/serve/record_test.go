@@ -382,8 +382,9 @@ func TestRecordUnderBrownout(t *testing.T) {
 }
 
 // TestParentFormatJournal: a journal written before the slow log folded in
-// (testdata/journal_parent: one auto query and its two shadow re-runs, as
-// the parent commit wrote them) still loads, and folds into the same views.
+// (testdata/journal_parent: one auto query and the two "shadow" re-runs the
+// parent's sampler appended) still loads, and its shadow lines fold into
+// no rollup.
 func TestParentFormatJournal(t *testing.T) {
 	recs, err := workload.ReadDir(filepath.Join("testdata", "journal_parent"))
 	if err != nil || len(recs) != 3 {
@@ -397,11 +398,77 @@ func TestParentFormatJournal(t *testing.T) {
 	if q.Endpoint != "" || q.Slow || q.Plan != nil || q.Priority != "" {
 		t.Errorf("parent-format line grew fields it never had: %+v", q)
 	}
-	snap := workload.FromRecords(recs).Snapshot()
-	if len(snap) != 1 || snap[0].Class != q.Class || snap[0].ShadowRuns != 2 {
-		t.Fatalf("regret from the parent-format journal = %+v", snap)
+	for _, sh := range recs[1:] {
+		if sh.Kind != workload.KindShadow || sh.Chosen != "auto" || sh.Slow || sh.Class != q.Class {
+			t.Errorf("shadow line = %+v", sh)
+		}
 	}
 	if rolls := workload.Replay(recs).Rollups(); len(rolls) != 1 || rolls[0].Count != 1 || rolls[0].Strategies["auto"] != 1 {
 		t.Errorf("rollups from the parent-format journal = %+v", rolls)
+	}
+}
+
+// TestParentJournalUnderServer: a server booted over a workload directory
+// holding the parent's journal serves it — GET /v1/slowlog answers with no
+// record from it (neither its query nor its shadow lines were slow), the
+// next request's line lands beside it in a new segment, and the directory
+// still reads back as one journal whose only slow record is the new one.
+func TestParentJournalUnderServer(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "journal_parent", "journal-00000001.jsonl")
+	b, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Workload: true, WorkloadDir: dir, SlowQuery: time.Nanosecond})
+	h := &recHarness{t: t, s: s}
+	if _, err := s.Registry().Create(marketSpec("market")); err != nil {
+		t.Fatal(err)
+	}
+	slowlog := func() *SlowlogResponse {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/slowlog", nil))
+		var sl SlowlogResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sl); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("GET /v1/slowlog: status %d, err %v: %s", w.Code, err, w.Body)
+		}
+		return &sl
+	}
+	if sl := slowlog(); len(sl.Records) != 0 {
+		t.Errorf("slow log over the parent journal = %+v, want empty", sl.Records)
+	}
+	want := h.query(&QueryRequest{NoCache: true}, ran)
+	if sl := slowlog(); len(sl.Records) != 1 || sl.Records[0].TraceID != want.traceID {
+		t.Errorf("slow log after one request = %+v, want that request", sl.Records)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := workload.ReadDir(dir)
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("ReadDir = %d records, err %v; want the parent's 3 + 1", len(recs), err)
+	}
+	kinds := map[string]int{}
+	slow := 0
+	for _, rec := range recs {
+		kinds[rec.Kind]++
+		if rec.Slow {
+			slow++
+		}
+	}
+	if kinds[workload.KindQuery] != 2 || kinds[workload.KindShadow] != 2 || slow != 1 || recs[3].TraceID != want.traceID {
+		t.Errorf("kinds %v, %d slow, last trace %s; want 2 queries, 2 shadow lines, only %s slow",
+			kinds, slow, recs[3].TraceID, want.traceID)
+	}
+	var queries int64
+	for _, cr := range workload.Replay(recs).Rollups() {
+		queries += cr.Count
+	}
+	if queries != 2 {
+		t.Errorf("rollups count %d queries, want 2 (shadow lines are not queries)", queries)
 	}
 }

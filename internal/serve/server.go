@@ -155,21 +155,12 @@ type Config struct {
 	// appends one record (constraint classification, selectivity features,
 	// executed strategy and plan decision, admission outcome, phase deltas,
 	// per-site pruning, outcome), rolled up by GET /v1/workload. Also
-	// implied by WorkloadDir or ShadowSample.
+	// implied by WorkloadDir.
 	Workload bool
 	// WorkloadDir persists the journal to a bounded on-disk JSONL ring under
 	// this directory ("" keeps only the slow view and the live rollups, in
 	// memory).
 	WorkloadDir string
-	// ShadowSample, when in (0, 1], makes the shadow sampler re-run that
-	// fraction of completed queries under the alternate strategies — through
-	// the normal admission path at lowest priority — and publish measured
-	// regret via GET /v1/workload/regret. 0 disables shadowing.
-	ShadowSample float64
-	// ShadowStrategies overrides the strategy set the sampler re-runs
-	// (wire spellings; default: optimized, nojmax, cap, apriori,
-	// sequential).
-	ShadowStrategies []string
 	// Logger, when set, receives one line per request plus span events.
 	Logger *slog.Logger
 }
@@ -264,8 +255,8 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		idPrefix: fmt.Sprintf("%08x", time.Now().UnixNano()&0xffffffff),
 	}
-	if cfg.SlowQuery > 0 || cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0 {
-		s.workload = newWorkloadCollector(s, cfg)
+	if cfg.SlowQuery > 0 || cfg.Workload || cfg.WorkloadDir != "" {
+		s.workload = newWorkloadCollector(cfg)
 	}
 	if cfg.MemSoftLimit > 0 {
 		s.watchdog = newWatchdog(s, cfg)
@@ -414,7 +405,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/datasets/{name}/transactions", s.instrument("datasets.mutate", s.handleMutate))
 	mux.HandleFunc("GET /v1/slowlog", s.instrument("slowlog", s.handleSlowlog))
 	mux.HandleFunc("GET /v1/workload", s.instrument("workload", s.handleWorkload))
-	mux.HandleFunc("GET /v1/workload/regret", s.instrument("workload.regret", s.handleWorkloadRegret))
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	return mux
@@ -527,9 +517,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	// The workload collector closes after the base-context cancel above: the
-	// shadow executor sees the cancel, aborts any in-flight re-run at its
-	// next checkpoint, and exits before the journal is closed.
+	// The journal closes last; a straggler's record appended after it is
+	// counted as a drop.
 	if cerr := s.workload.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -749,8 +738,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		return s.writeError(w, sc, status, ebody), false
 	}
 	// Inline queries evaluate through the dataset's shared session unless
-	// the request opts out or asks for strategy auto — the planner's choices
-	// are what the feedback loop measures, so auto always runs the engine.
+	// the request opts out or asks for strategy auto: a plan's chosen
+	// strategy must be the one that runs, and the session runs only its own
+	// (Apriori⁺ over the cached lattice), so auto always runs the engine.
 	sc.strategy = sc.strat.String()
 	useSession := prepared == nil && sc.strat != cfq.Auto && kind == kindQuery && !req.NoSession
 	if useSession {

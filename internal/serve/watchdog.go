@@ -14,15 +14,14 @@ import (
 // limit and browns the server out progressively instead of letting it run
 // into the OOM killer:
 //
-//	level 1 (~75% of soft limit): pause diagnostics — the shadow sampler
-//	        stops accepting and running jobs, and slow records are written
-//	        without rebuilding their analyzed plan report.
+//	level 1 (~75% of soft limit): pause diagnostics — slow records are
+//	        written without rebuilding their analyzed plan report.
 //	level 2 (~90%): shrink the byte bounds of the result cache, the
 //	        prepared-plan cache, and every dataset session's lattice cache
 //	        to a quarter of their configured sizes, evicting immediately,
 //	        and force one GC cycle to return the freed space.
-//	level 3 (>= 100%): shed every non-interactive admission (batch and
-//	        shadow classes) until memory recovers.
+//	level 3 (>= 100%): shed every non-interactive (batch) admission
+//	        until memory recovers.
 //
 // Recovery walks back down in reverse order with hysteresis: a level is
 // left only after wdHystSamples consecutive samples below 85% of its entry
@@ -181,8 +180,8 @@ func (wd *watchdog) setLevel(level int) {
 }
 
 // degradeLevel is the server's current brownout level (0 = none). Checked
-// on the hot paths it gates (shadow offers, slow records' plan reports) and
-// reported in shed bodies so clients can tell overload from brownout.
+// on the path it gates (slow records' plan reports) and reported in shed
+// bodies so clients can tell overload from brownout.
 func (s *Server) degradeLevel() int {
 	if s.watchdog == nil {
 		return 0

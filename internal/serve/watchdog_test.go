@@ -161,33 +161,35 @@ func TestWatchdogHysteresis(t *testing.T) {
 	}
 }
 
-// TestWatchdogDegradedShadowPause: at degradation level >= 1 the shadow
-// sampler refuses new jobs outright (dropping and counting them) — shadow
-// re-runs are the first load the brownout sheds, before anything
-// user-visible.
+// TestWatchdogDegradedShadowPause: level 1 pauses the one diagnostic it
+// still gates — a slow record's analyzed plan report (the shadow re-runs it
+// also paused are gone) — and only while it lasts: the same slow request
+// before, during and after the brownout leaves a record each time, with its
+// explain rebuilt at level 0 only.
 func TestWatchdogDegradedShadowPause(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(100)
-	s, _ := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 4, QueueWait: time.Second,
-		MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
-		memProbe:     mem.Load,
-		ShadowSample: 1,
-	})
-	ss := s.workload.sampler
-	if ss == nil {
-		t.Fatal("shadow sampler not configured")
+	h := &recHarness{t: t, s: NewServer(Config{
+		SlowQuery: time.Nanosecond, MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
+		memProbe: mem.Load,
+	})}
+	defer h.s.Shutdown(context.Background())
+	if _, err := h.s.Registry().Create(marketSpec("market")); err != nil {
+		t.Fatal(err)
 	}
+	slowRecord := func(level int) {
+		t.Helper()
+		waitLevel(t, h.s, level)
+		want := h.query(&QueryRequest{NoCache: true}, ran)
+		rec := h.s.slowView()[0]
+		if rec.TraceID != want.traceID || !rec.Slow || rec.DegradationLevel != level || (rec.Explain != nil) != (level == 0) {
+			t.Errorf("slow record at level %d: level %d, explain %v (want one only at level 0)",
+				level, rec.DegradationLevel, rec.Explain != nil)
+		}
+	}
+	slowRecord(0)
 	mem.Store(800)
-	waitLevel(t, s, 1)
-	before := ss.dropped.Load()
-	// The degrade gate is the first check in offer: the job is dropped and
-	// counted before any of its fields are read.
-	ss.offer(nil, nil)
-	if got := ss.dropped.Load(); got != before+1 {
-		t.Errorf("dropped %d after offer at level 1, want %d", got, before+1)
-	}
-	if got := ss.state().QueueDepth; got != 0 {
-		t.Errorf("shadow queue depth %d at level 1, want 0 (job dropped, not queued)", got)
-	}
+	slowRecord(1)
+	mem.Store(100)
+	slowRecord(0)
 }

@@ -16,18 +16,14 @@ import (
 // workload.Record — features, classification, executed strategy and plan
 // decision, admission outcome, phase deltas, attributed pruning, and for a
 // slow or failed request the query text and analyzed plan — and hands it to
-// the one journal. The regret table counts the live path's choices, and —
-// when shadow sampling is on — a sampled fraction of completed queries is
-// handed to the shadow executor for alternate-strategy re-runs. All of it
-// happens after the response is written; the client never waits on it.
+// the one journal. All of it happens after the response is written; the
+// client never waits on it.
 type workloadCollector struct {
 	journal *workload.Journal
-	regret  *workload.Regret
-	sampler *shadowSampler // nil when ShadowSample <= 0
 
-	// journalAll writes a record for every /v1/query (Config.Workload,
-	// WorkloadDir or ShadowSample); without it only slow or failed requests
-	// leave one (Config.SlowQuery).
+	// journalAll writes a record for every /v1/query (Config.Workload or
+	// WorkloadDir); without it only slow or failed requests leave one
+	// (Config.SlowQuery).
 	journalAll bool
 
 	// profiles caches the per-query profile (class key, enforcement sites,
@@ -47,11 +43,10 @@ type queryProfile struct {
 	features *obs.QueryFeatures
 }
 
-// newWorkloadCollector wires the journal (disk ring under cfg.WorkloadDir,
+// newWorkloadCollector wires the journal: a disk ring under cfg.WorkloadDir,
 // or cfg.SlowLogDir when only the slow log is configured; memory-only when
-// neither is set or the directory is unusable), the regret table, and —
-// when cfg.ShadowSample > 0 — the shadow sampler.
-func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
+// neither is set or the directory is unusable.
+func newWorkloadCollector(cfg Config) *workloadCollector {
 	dir := cfg.WorkloadDir
 	if dir == "" {
 		dir = cfg.SlowLogDir
@@ -66,16 +61,11 @@ func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
 		}
 		journal, _ = workload.OpenJournal("")
 	}
-	wc := &workloadCollector{
+	return &workloadCollector{
 		journal:    journal,
-		regret:     workload.NewRegret(0),
-		journalAll: cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0,
+		journalAll: cfg.Workload || cfg.WorkloadDir != "",
 		profiles:   lru.New[*queryProfile](maxProfileCache, 0, nil),
 	}
-	if cfg.ShadowSample > 0 {
-		wc.sampler = newShadowSampler(s, wc, cfg)
-	}
-	return wc
 }
 
 // profile resolves (computing and caching if needed) the query's profile.
@@ -149,8 +139,7 @@ func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Dura
 	if sc.prepared != nil {
 		rec.Plan = sc.prepared.Decision().Choice()
 	}
-	prof := wc.profile(sc)
-	if prof != nil {
+	if prof := wc.profile(sc); prof != nil {
 		rec.Class = prof.class
 		rec.EnforcedAt = prof.sites
 		rec.Features = prof.features
@@ -169,26 +158,12 @@ func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Dura
 		}
 	}
 	wc.journal.Append(rec)
-	if journaled && status == http.StatusOK {
-		wc.regret.ObserveChosen(rec.Class, sc.strategy)
-		if wc.sampler != nil && prof != nil {
-			wc.sampler.offer(sc, prof)
-		}
-	}
 }
 
-// Close stops the sampler (waiting, up to a bounded grace, for an in-flight
-// re-run to abort under the cancelled base context) and closes the journal.
-// Appends from an executor that outlives the grace land on the closed
-// journal and are counted as drops, never lost writes.
+// Close closes the journal; later appends are counted as drops.
 func (wc *workloadCollector) Close() error {
 	if wc == nil {
 		return nil
-	}
-	if wc.sampler != nil && !wc.sampler.wait() {
-		if log := wc.sampler.s.log; log != nil {
-			log.Warn("shadow executor still running at drain deadline; closing journal")
-		}
 	}
 	return wc.journal.Close()
 }
@@ -203,8 +178,8 @@ func (s *Server) journaling() *workloadCollector {
 	return nil
 }
 
-// handleWorkload serves GET /v1/workload: journal + sampler state and the
-// live per-class feature/latency rollups.
+// handleWorkload serves GET /v1/workload: journal state and the live
+// per-class feature/latency rollups.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope(r)
 	resp := &WorkloadResponse{
@@ -215,28 +190,6 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		st := wc.journal.State()
 		resp.Journal = &st
 		resp.Classes = wc.journal.Rollups()
-		if wc.sampler != nil {
-			ss := wc.sampler.state()
-			resp.Sampler = &ss
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWorkloadRegret serves GET /v1/workload/regret: the measured regret
-// table by query classification × strategy.
-func (s *Server) handleWorkloadRegret(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope(r)
-	resp := &RegretResponse{
-		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-	}
-	if wc := s.journaling(); wc != nil {
-		resp.Enabled = wc.sampler != nil
-		if wc.sampler != nil {
-			resp.SampleFraction = wc.sampler.sample
-			resp.Strategies = wc.sampler.strategyNames()
-		}
-		resp.Classes = wc.regret.Snapshot()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -249,8 +202,5 @@ func (s *Server) workloadStatz() map[string]any {
 		return out
 	}
 	out["journal"] = wc.journal.State()
-	if wc.sampler != nil {
-		out["sampler"] = wc.sampler.state()
-	}
 	return out
 }

@@ -144,15 +144,27 @@ echo "== one per-request record =="
 # sink; the slow-query log is the journal's view of its slow records. The
 # second record type, its sink and the second capture path retired at PR 24
 # must not drift back in by name, and serve builds a record in exactly one
-# place (Server.record) plus the shadow runner's re-run records.
+# place (Server.record).
 if grep -rnE 'SlowQueryRecord|OpenSlowLog|SlowLogOptions|maybeCaptureSlow' \
     --include='*.go' --exclude-dir=.bench_build .; then
   echo "check.sh: a second per-request record type, sink or capture path is back (extend workload.Record and Server.record instead)" >&2
   exit 1
 fi
 record_sites="$(grep -n 'workload\.Record{' internal/serve/*.go | grep -v '_test.go' | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')"
-if [[ "$record_sites" != " 1 internal/serve/shadow.go; 1 internal/serve/workload.go;" ]]; then
-  echo "check.sh: workload.Record is constructed at [$record_sites], want once in Server.record (workload.go) and once in the shadow runner (shadow.go)" >&2
+if [[ "$record_sites" != " 1 internal/serve/workload.go;" ]]; then
+  echo "check.sh: workload.Record is constructed at [$record_sites], want once, in Server.record (workload.go)" >&2
+  exit 1
+fi
+
+echo "== one regret measurement =="
+# The planner's regret is measured in process and by work
+# (cfq.TestAutoNeverWorstByWork, the benchmark's plan.regret_work_ratio). The
+# retired online loop — a shadow sampler re-running live queries, a wall-time
+# regret table served over HTTP, and Planner.Fold turning it into per-class
+# overrides — must not drift back in by name.
+if grep -rnE '\bFold\(|ShadowSample|/v1/workload/regret' --include='*.go' \
+    --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
+  echo "check.sh: the online regret loop is back (measure regret in process, by work)" >&2
   exit 1
 fi
 
@@ -343,19 +355,17 @@ kill -TERM "$cfqd_pid"
 wait "$cfqd_pid" || true
 cfqd_pid=""
 
-echo "== workload journal + shadow regret smoke =="
-# Boot cfqd with the shadow sampler at full sampling (implies the workload
-# journal), push cfqload traffic with its workload report on, then require:
-# the report renders, the background sampler's re-runs land in
-# /v1/workload/regret, the workload metric families are exposed, and — after
-# a clean drain — cfqstat -verify upholds the journal's pruning-attribution
-# contract (per-site counters sum to candidates_pruned) on the durable
-# segments.
+echo "== workload journal smoke (rollups, families, cfqstat -verify) =="
+# Boot cfqd with the workload journal, push cfqload traffic with its
+# workload report on, then require: the report renders, the workload metric
+# families are exposed, and — after a clean drain — cfqstat -verify upholds
+# the journal's pruning-attribution contract (per-site counters sum to
+# candidates_pruned) on the durable segments.
 rm -rf "$check_tmp/data"
 rm -f "$check_tmp/addr"
 : > "$check_tmp/cfqd.log"
 "$check_tmp/cfqd" -addr 127.0.0.1:0 -addr-file "$check_tmp/addr" \
-  -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" -shadow-sample 1.0 \
+  -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" -workload \
   2> "$check_tmp/cfqd.log" &
 cfqd_pid=$!
 ops_addr=""
@@ -379,25 +389,8 @@ if ! grep -q 'workload classes:' "$check_tmp/workload.out"; then
   exit 1
 fi
 
-# The sampler re-runs queries in the background at lowest priority; poll
-# until its measurements reach the regret endpoint.
-regret_seen=""
-for _ in $(seq 1 200); do
-  if curl -fsS "http://$api_addr/v1/workload/regret" | grep -qE '"shadow_runs":[1-9]'; then
-    regret_seen=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ -z "$regret_seen" ]]; then
-  echo "check.sh: /v1/workload/regret never reported a shadow run" >&2
-  curl -fsS "http://$api_addr/v1/workload/regret" >&2 || true
-  exit 1
-fi
-
 curl -fsS "http://$ops_addr/metrics" > "$check_tmp/scrape3.txt"
-for fam in workload_journal_records_total workload_shadow_runs_total \
-    workload_regret_ratio server_queue_wait_ms; do
+for fam in workload_journal_records_total server_queue_wait_ms; do
   if ! grep -q "^# TYPE $fam " "$check_tmp/scrape3.txt"; then
     echo "check.sh: family $fam missing from /metrics" >&2
     exit 1
@@ -418,20 +411,23 @@ if ! grep -q 'verify: ok' "$check_tmp/cfqstat.out"; then
   exit 1
 fi
 
-echo "== planner smoke (strategy auto, /v1/prepare, regret gate) =="
-# Boot cfqd with the cost-based planner as the default strategy and the
-# shadow sampler at full sampling, push inline-auto traffic plus a
-# prepared-handle round, then require: a prepare handle is issued and
-# executes, the planner families reach /metrics and /statz exposes the
-# planner block, and — after a clean drain — cfqstat -assert-auto proves
-# on the durable journal that auto is never measurably the worst strategy
-# (worse than the worst fixed one by more than the benchmark's timing bound).
+echo "== planner gate (auto never the worst strategy, by work) =="
+# In process and exact: on the four committed bench points, strategy auto
+# returns every fixed strategy's answer and counts strictly fewer
+# candidates than the worst of them.
+go test -count=1 -run 'TestAutoNeverWorstByWork' ./cfq
+
+echo "== planner smoke (strategy auto, /v1/prepare) =="
+# Boot cfqd with the cost-based planner as the default strategy, push
+# inline-auto traffic plus a prepared-handle round, then require: a prepare
+# handle is issued and executes, the planner families reach /metrics and
+# /statz exposes the planner block, and the daemon drains cleanly.
 rm -rf "$check_tmp/data"
 rm -f "$check_tmp/addr"
 : > "$check_tmp/cfqd.log"
 "$check_tmp/cfqd" -addr 127.0.0.1:0 -addr-file "$check_tmp/addr" \
   -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" \
-  -default-strategy auto -shadow-sample 1.0 \
+  -default-strategy auto \
   2> "$check_tmp/cfqd.log" &
 cfqd_pid=$!
 ops_addr=""
@@ -465,22 +461,6 @@ if ! grep -q 'prepared: handle p' "$check_tmp/prepare.out" \
   exit 1
 fi
 
-# The shadow sampler measures "auto" itself among the alternates; wait for
-# its measurements so the offline assert below has both sides.
-auto_seen=""
-for _ in $(seq 1 200); do
-  if curl -fsS "http://$api_addr/v1/workload/regret" | grep -q '"strategy":"auto"'; then
-    auto_seen=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ -z "$auto_seen" ]]; then
-  echo "check.sh: /v1/workload/regret never measured an auto shadow run" >&2
-  curl -fsS "http://$api_addr/v1/workload/regret" >&2 || true
-  exit 1
-fi
-
 curl -fsS "http://$ops_addr/metrics" > "$check_tmp/scrape4.txt"
 for fam in plan_decisions_total plan_cache_hits_total plan_cache_misses_total; do
   if ! grep -q "^# TYPE $fam " "$check_tmp/scrape4.txt"; then
@@ -500,13 +480,6 @@ if ! wait "$cfqd_pid"; then
   exit 1
 fi
 cfqd_pid=""
-
-go run ./cmd/cfqstat -dir "$check_tmp/data/workload" -assert-auto > "$check_tmp/assert.out"
-if ! grep -q 'assert-auto: ok' "$check_tmp/assert.out"; then
-  echo "check.sh: cfqstat -assert-auto failed (planner worst measured choice beyond the noise band, or no auto runs)" >&2
-  cat "$check_tmp/assert.out" >&2
-  exit 1
-fi
 
 echo "== overload & degradation smoke (4x-slot storm, priorities, replica equality) =="
 # Boot cfqd with 2 workers + 2 queue slots and the memory watchdog armed,
