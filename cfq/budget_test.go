@@ -86,6 +86,36 @@ func TestRunContextBudgetError(t *testing.T) {
 	}
 }
 
+// TestBudgetTripStatsAreRunTotals: a trip's partial Stats are the whole
+// run's counters up to the abort, not the tripping miner's alone, so its
+// CandidatesPruned equals the sites the PruneSet was charged at. Under
+// optimized, MaxCandidates 15 trips in T's level 2 after S pruned 4, which
+// the tripping miner's own counters do not hold; the sweep covers every
+// schedule (dovetail, T-then-S, side by side) at every limit that trips.
+func TestBudgetTripStatsAreRunTotals(t *testing.T) {
+	ds := marketDataset(t)
+	for _, st := range []Strategy{Optimized, Sequential, AprioriPlus} {
+		sawPruning := false
+		for limit := int64(1); limit <= 40; limit++ {
+			prune := NewPruneSet()
+			_, err := budgetQuery(ds).Budget(Budget{MaxCandidates: limit}).
+				RunContext(WithPruning(context.Background(), prune), st)
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				continue
+			}
+			if got, want := be.Stats.CandidatesPruned, prune.Total(); got != want {
+				t.Errorf("%v MaxCandidates %d (%s): CandidatesPruned %d, sites sum %d",
+					st, limit, be.Where, got, want)
+			}
+			sawPruning = sawPruning || prune.Total() > 0
+		}
+		if !sawPruning {
+			t.Errorf("%v: no trip after any pruning; the sweep tests nothing", st)
+		}
+	}
+}
+
 // TestRunContextTimeout: the soft Timeout reports a deadline BudgetError;
 // a real context deadline reports context.DeadlineExceeded.
 func TestRunContextTimeout(t *testing.T) {

@@ -58,7 +58,6 @@ func run(args []string, ready chan<- string) error {
 		workers        = fs.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
 		queueDepth     = fs.Int("queue-depth", 0, "admission queue depth beyond the workers (0 = 2x workers)")
 		queueWait      = fs.Duration("queue-wait", time.Second, "max time a queued request waits for a worker before 429")
-		targetLatency  = fs.Duration("target-latency", 500*time.Millisecond, "p95 service-time SLO the adaptive admission limit tracks (negative disables adaptation)")
 		memSoftLimit   = fs.Int64("mem-soft-limit", 0, "heap soft limit in bytes; the memory watchdog browns out the server as it is approached (0 disables)")
 		memCheckEvery  = fs.Duration("mem-check-interval", 250*time.Millisecond, "memory watchdog sampling interval")
 		breakerCooloff = fs.Duration("breaker-cooloff", 5*time.Second, "wait before a wedged dataset log's first repair probe (negative disables the breaker)")
@@ -142,7 +141,6 @@ func run(args []string, ready chan<- string) error {
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,
 		QueueWait:        *queueWait,
-		TargetLatency:    *targetLatency,
 		MemSoftLimit:     *memSoftLimit,
 		MemCheckInterval: *memCheckEvery,
 		Limits: serve.Limits{

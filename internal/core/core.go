@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -381,12 +382,18 @@ type mining struct {
 	// checks counts the dynamic-bound evaluations the candidate filters
 	// made; finalize folds it into Stats.SetConstraintChecks.
 	checks int64
+	// runners are the step-wise miners the run started (phase 1's and the
+	// reduced schedules'), finished the counters of the side-by-side miners
+	// that completed; a budget trip totals both (see tripped).
+	runners  []*cap.Runner
+	finished mine.Stats
 }
 
 // Run evaluates the CFQ with the selected strategy. All strategies return
 // the same answer set; they differ in the work counted by Stats. ctx
 // cancellation and q.Budget overruns abort the evaluation at the next
-// mining checkpoint with a wrapped ctx.Err() or *mine.BudgetError.
+// mining checkpoint with a wrapped ctx.Err() or *mine.BudgetError, whose
+// Stats are the whole run's counters up to the abort.
 //
 // It is the one evaluation pipeline (Figure 7): phase 1, reduce, mine,
 // finalize, pairs. Every stage is written once and emits the same span for
@@ -417,7 +424,7 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 		res.Plan = plan
 		l1, err := m.phase1(ctx)
 		if err != nil {
-			return nil, err
+			return nil, m.tripped(err)
 		}
 		for _, run := range l1 {
 			res.Stats.Add(run.Stats())
@@ -430,7 +437,7 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 
 	mined, err := row.schedule(ctx, m)
 	if err != nil {
-		return nil, err
+		return nil, m.tripped(err)
 	}
 	for _, r := range mined {
 		res.Stats.Add(r.Stats)
@@ -468,6 +475,7 @@ func (m *mining) phase1(ctx context.Context) (l1 [2]*cap.Runner, err error) {
 		if l1[side], err = cap.Prepare(ctx, cq); err != nil {
 			return l1, err
 		}
+		m.runners = append(m.runners, l1[side])
 	}
 	for _, run := range l1 {
 		if _, _, err = run.Step(); err != nil {
@@ -550,7 +558,33 @@ func (m *mining) prepare(ctx context.Context, side twovar.Side, dynamic bool) (*
 	if dynamic {
 		cq.ExtraFilter = dynFilter(m.dyns, side, &m.checks, m.prune)
 	}
-	return cap.Prepare(ctx, cq)
+	run, err := cap.Prepare(ctx, cq)
+	if err == nil {
+		m.runners = append(m.runners, run)
+	}
+	return run, err
+}
+
+// tripped widens a budget trip's Stats from the tripping miner's counters
+// to the whole run's up to the abort: every other miner, finished or still
+// live, and the candidate filters' dynamic checks. Its CandidatesPruned is
+// then the sum of the sites the PruneSet was charged at. Other errors pass
+// through.
+func (m *mining) tripped(err error) error {
+	var be *mine.BudgetError
+	if !errors.As(err, &be) {
+		return err
+	}
+	total := m.finished
+	for _, run := range m.runners {
+		if run.Err() == nil { // the tripping runner's counters are be.Stats
+			total.Add(run.Stats())
+		}
+	}
+	total.Add(be.Stats)
+	total.SetConstraintChecks += m.checks
+	be.Stats = total
+	return err
 }
 
 // sideBySide is the schedule of the strategies that do not reduce: S to
@@ -562,6 +596,7 @@ func sideBySide(run func(context.Context, cap.Query) (*cap.Result, error)) sched
 			if mined[side], err = run(ctx, cq); err != nil {
 				return mined, err
 			}
+			m.finished.Add(mined[side].Stats)
 		}
 		return mined, nil
 	}

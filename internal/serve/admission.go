@@ -5,30 +5,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Admission errors.
-var (
-	// ErrOverloaded is returned when the wait queue is full, a queued
-	// request's queue-wait deadline expires, the projected queue wait would
-	// consume the request's own deadline, or the server is degraded enough to
-	// shed the request's priority class; the handler maps it to 429 with a
-	// Retry-After hint.
-	ErrOverloaded = errors.New("serve: server overloaded")
-)
+// ErrOverloaded is returned when the wait queue is full (or a higher class
+// displaced the request from it), a queued request's queue-wait deadline
+// expires, or the server is degraded enough to shed the request's priority
+// class; the handler maps it to 429 with a Retry-After hint.
+var ErrOverloaded = errors.New("serve: server overloaded")
 
-// Admission metrics. server_shed_total stays the aggregate; the vec breaks
-// sheds down by priority class and reason so an overload's ordering
-// (batch first, interactive last) is visible on one scrape.
-var (
-	mShedClass = obs.NewCounterVec("server_shed_class_total", "class", "reason")
-	mAdmLimit  = obs.NewGauge("server_admission_limit")
-)
+// mShedClass breaks server_shed_total down by priority class and reason, so
+// an overload's ordering (batch first, interactive last) is visible on one
+// scrape.
+var mShedClass = obs.NewCounterVec("server_shed_class_total", "class", "reason")
 
 // priority orders admission classes: lower value wins a freed slot first and
 // is shed last. Interactive /v1/query traffic outranks prepared/batch work.
@@ -62,8 +54,7 @@ func parsePriority(s string) (priority, error) {
 	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
 }
 
-// overloadError is one shed decision: why, at what degradation level, and
-// the load-derived retry hint computed at shed time.
+// overloadError is one shed decision: why, and the retry hint.
 type overloadError struct {
 	reason string
 	retry  time.Duration
@@ -83,8 +74,6 @@ func (e *overloadError) Message() string {
 		return "all workers busy and queue full"
 	case shedQueueWait:
 		return "queued past the queue-wait deadline"
-	case shedDeadline:
-		return "projected queue wait exceeds the request deadline; shed early"
 	case shedDegraded:
 		return "server is shedding low-priority work under memory pressure"
 	}
@@ -95,131 +84,94 @@ func (e *overloadError) Message() string {
 const (
 	shedQueueFull = "queue_full"
 	shedQueueWait = "queue_wait"
-	shedDeadline  = "deadline"
 	shedDegraded  = "degraded"
 )
 
-// Service-time window and AIMD cadence. The ring keeps the most recent
-// observed service times with their timestamps; the p95 over the last
-// admSampleTTL drives both the concurrency limit and the retry hints, so a
-// storm's slow samples age out once traffic recovers.
-const (
-	admWindow      = 128
-	admSampleTTL   = 10 * time.Second
-	admAdjustEvery = 250 * time.Millisecond
-)
-
-// admSample is one completed evaluation's service time.
-type admSample struct {
-	ms   float64
-	when time.Time
-}
-
 // waiter is one request parked in the admission queue. ch is buffered so a
-// grant or a degradation flush never blocks on a waiter that is busy timing
-// out; el is the waiter's queue position (nil once granted/abandoned).
+// grant, a displacement or a degradation flush never blocks on a waiter
+// that is busy timing out; el is the waiter's queue position (nil once
+// granted or removed).
 type waiter struct {
 	ch   chan error
 	prio priority
 	el   *list.Element
 }
 
-// admission is the server's load regulator: an adaptive concurrency limit
-// (AIMD: the limit decays multiplicatively while measured p95 service time
-// exceeds the target latency SLO, and recovers additively toward the
-// configured worker count once it is back under), priority-classed FIFO
-// wait queues in front of it, and deadline-aware rejection — a request
-// whose projected queue wait would consume its own deadline is shed
-// immediately with an honest Retry-After instead of being admitted to do
-// doomed work. Shedding early (429) instead of queueing without bound keeps
-// tail latency flat under overload; the closed-loop load generator
-// demonstrates the flat knee.
+// admission is the server's load gate: a fixed number of worker slots and
+// one bounded wait queue in front of them, ordered by class (FIFO within a
+// class). A freed slot goes to the oldest waiter of the highest class; a
+// full queue sheds the newest waiter of the lowest class below an arrival
+// to make room for it, or else the arrival. A waiter is granted or shed
+// within queueWait, which is why every shed's Retry-After is queueWait.
+// The watchdog's shed floor sheds whole classes outright. Shedding (429)
+// instead of queueing without bound keeps tail latency flat under
+// overload.
 type admission struct {
-	queueWait time.Duration
+	slots     int
 	depth     int
-	target    time.Duration // latency SLO; <= 0 disables adaptation
+	queueWait time.Duration
 
 	mu        sync.Mutex
-	base      int // configured Workers: the limit's ceiling
-	min       int // AIMD floor: max(1, base/4)
-	limit     int
 	inflight  int
 	queues    [numPriorities]*list.List
 	queued    int
 	shedFloor priority // classes >= shedFloor are shed outright (degradation)
 
-	samples    [admWindow]admSample
-	sampleN    int // total samples ever recorded (ring write cursor)
-	lastAdjust time.Time
-
 	admitted [numPriorities]int64
 	sheds    [numPriorities]map[string]int64
 }
 
-func newAdmission(workers, queueDepth int, queueWait, target time.Duration) *admission {
-	if workers <= 0 {
-		workers = 1
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
+func newAdmission(workers, queueDepth int, queueWait time.Duration) *admission {
 	if queueWait <= 0 {
 		queueWait = time.Second
 	}
 	a := &admission{
+		slots:     max(workers, 1),
+		depth:     max(queueDepth, 0),
 		queueWait: queueWait,
-		depth:     queueDepth,
-		target:    target,
-		base:      workers,
-		min:       max(workers/4, 1),
-		limit:     workers,
 		shedFloor: numPriorities,
 	}
 	for i := range a.queues {
 		a.queues[i] = list.New()
 		a.sheds[i] = map[string]int64{}
 	}
-	mAdmLimit.Set(int64(workers))
 	return a
 }
 
-// shedLocked counts one shed and builds its error with the current retry
-// hint. Callers hold a.mu.
+// shedLocked counts one shed and builds its error. Callers hold a.mu.
 func (a *admission) shedLocked(prio priority, reason string) *overloadError {
 	mShed.Inc()
 	mShedClass.WithLabels(prio.String(), reason).Inc()
 	a.sheds[prio][reason]++
-	return &overloadError{reason: reason, retry: a.retryAfterLocked(prio)}
+	return &overloadError{reason: reason, retry: a.queueWait}
 }
 
-// acquire admits the request, queues it (FIFO within its class, higher
-// classes granted first), or sheds it. budget is the request's soft
-// deadline (0 = none): when the projected queue wait already exceeds it,
-// the request is shed immediately rather than admitted to time out.
-func (a *admission) acquire(ctx context.Context, prio priority, budget time.Duration) error {
+// removeLocked takes a still-queued waiter off its queue. Callers hold a.mu.
+func (a *admission) removeLocked(w *waiter) {
+	a.queues[w.prio].Remove(w.el)
+	w.el = nil
+	a.queued--
+	mQueued.Add(-1)
+}
+
+// acquire admits the request, queues it, or sheds it.
+func (a *admission) acquire(ctx context.Context, prio priority) error {
 	a.mu.Lock()
 	if prio >= a.shedFloor {
 		err := a.shedLocked(prio, shedDegraded)
 		a.mu.Unlock()
 		return err
 	}
-	if a.inflight < a.limit && a.queued == 0 {
+	if a.inflight < a.slots && a.queued == 0 {
 		a.inflight++
 		a.admitted[prio]++
 		a.mu.Unlock()
 		return nil
 	}
-	if a.queued >= a.depth {
+	if a.queued >= a.depth && !a.displaceLocked(prio) {
 		err := a.shedLocked(prio, shedQueueFull)
 		a.mu.Unlock()
 		return err
-	}
-	if budget > 0 {
-		if wait := a.projectedWaitLocked(prio); wait > budget {
-			err := a.shedLocked(prio, shedDeadline)
-			a.mu.Unlock()
-			return err
-		}
 	}
 	w := &waiter{ch: make(chan error, 1), prio: prio}
 	w.el = a.queues[prio].PushBack(w)
@@ -234,12 +186,9 @@ func (a *admission) acquire(ctx context.Context, prio priority, budget time.Dura
 		return err
 	case <-timer.C:
 		if !a.abandon(w) {
-			// Raced a grant or a degradation flush: the outcome is already
-			// in the channel. A grant just as the timer fired still wins.
-			if err := <-w.ch; err != nil {
-				return err
-			}
-			return nil
+			// Raced a grant or a shed: the outcome is already in the
+			// channel. A grant just as the timer fired still wins.
+			return <-w.ch
 		}
 		a.mu.Lock()
 		err := a.shedLocked(prio, shedQueueWait)
@@ -250,175 +199,56 @@ func (a *admission) acquire(ctx context.Context, prio priority, budget time.Dura
 			if err := <-w.ch; err == nil {
 				// Granted concurrently with the cancellation: hand the slot
 				// back so it is not leaked.
-				a.release(0)
+				a.release()
 			}
 		}
 		return ctx.Err()
 	}
 }
 
+// displaceLocked makes room in a full queue for an arrival of class prio by
+// shedding the newest waiter of the lowest class below it. It reports false
+// when every waiter is of prio's class or above. Callers hold a.mu.
+func (a *admission) displaceLocked(prio priority) bool {
+	for p := numPriorities - 1; p > prio; p-- {
+		if el := a.queues[p].Back(); el != nil {
+			w := el.Value.(*waiter)
+			a.removeLocked(w)
+			w.ch <- a.shedLocked(p, shedQueueFull)
+			return true
+		}
+	}
+	return false
+}
+
 // abandon removes a still-queued waiter. Returns false when the waiter was
-// already granted or flushed (its channel holds the outcome).
+// already granted or shed (its channel holds the outcome).
 func (a *admission) abandon(w *waiter) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if w.el == nil {
 		return false
 	}
-	a.queues[w.prio].Remove(w.el)
-	w.el = nil
-	a.queued--
-	mQueued.Add(-1)
+	a.removeLocked(w)
 	return true
 }
 
-// popWaiterLocked dequeues the highest-priority waiter (FIFO within a
-// class). Callers hold a.mu.
-func (a *admission) popWaiterLocked() *waiter {
-	for prio := range a.queues {
-		if el := a.queues[prio].Front(); el != nil {
-			w := el.Value.(*waiter)
-			a.queues[prio].Remove(el)
-			w.el = nil
-			a.queued--
-			mQueued.Add(-1)
-			return w
-		}
-	}
-	return nil
-}
-
-// release returns a slot, hands it to the best queued waiter if any, and —
-// when served is positive — records the service time and runs the AIMD
-// adjustment at its rate limit. The controller is event-driven (no
-// goroutine): under load there are releases to drive it, and with no load
-// there is nothing to adapt.
-func (a *admission) release(served time.Duration) {
-	a.mu.Lock()
-	if served > 0 {
-		a.samples[a.sampleN%admWindow] = admSample{ms: float64(served) / float64(time.Millisecond), when: time.Now()}
-		a.sampleN++
-		a.maybeAdjustLocked()
-	}
-	if w := a.popWaiterLocked(); w != nil {
-		// Slot handover: inflight is unchanged, the waiter now owns it.
-		a.admitted[w.prio]++
-		w.ch <- nil
-	} else {
-		a.inflight--
-	}
-	a.mu.Unlock()
-}
-
-// maybeAdjustLocked is the AIMD step, rate-limited to once per
-// admAdjustEvery: while the fresh-sample p95 exceeds the target the limit
-// decays by a quarter (floored at min); once p95 is comfortably under
-// (80% of target) it recovers one slot at a time toward the configured
-// worker count. The limit only ever moves below the configured Workers —
-// the fixed cap remains the ceiling, so a server provisioned for N slots
-// never runs more than N evaluations. Callers hold a.mu.
-func (a *admission) maybeAdjustLocked() {
-	if a.target <= 0 {
-		return
-	}
-	now := time.Now()
-	if now.Sub(a.lastAdjust) < admAdjustEvery {
-		return
-	}
-	a.lastAdjust = now
-	p95 := a.p95Locked(now)
-	if p95 <= 0 {
-		return
-	}
-	targetMS := float64(a.target) / float64(time.Millisecond)
-	switch {
-	case p95 > targetMS && a.limit > a.min:
-		a.limit -= max(a.limit/4, 1)
-		if a.limit < a.min {
-			a.limit = a.min
-		}
-	case p95 < 0.8*targetMS && a.limit < a.base:
-		a.limit++
-		// A raised limit may open room for queued work right now.
-		for a.inflight < a.limit {
-			w := a.popWaiterLocked()
-			if w == nil {
-				break
-			}
-			a.inflight++
-			a.admitted[w.prio]++
-			w.ch <- nil
-		}
-	}
-	mAdmLimit.Set(int64(a.limit))
-}
-
-// p95Locked interpolates the 95th percentile over samples younger than
-// admSampleTTL, in milliseconds (0 with no fresh samples). Callers hold
-// a.mu.
-func (a *admission) p95Locked(now time.Time) float64 {
-	n := a.sampleN
-	if n > admWindow {
-		n = admWindow
-	}
-	fresh := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if s := a.samples[i]; now.Sub(s.when) <= admSampleTTL {
-			fresh = append(fresh, s.ms)
-		}
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	sort.Float64s(fresh)
-	idx := int(float64(len(fresh)-1) * 0.95)
-	return fresh[idx]
-}
-
-// projectedWaitLocked estimates how long a new arrival of class prio would
-// queue: the waiters it must let pass (higher and equal classes) plus its
-// own turn, served at p95 pace across the current limit. Callers hold a.mu.
-func (a *admission) projectedWaitLocked(prio priority) time.Duration {
-	p95 := a.p95Locked(time.Now())
-	if p95 <= 0 {
-		return 0
-	}
-	ahead := 0
-	for p := prioInteractive; p <= prio && p < numPriorities; p++ {
-		ahead += a.queues[p].Len()
-	}
-	return time.Duration(p95 * float64(ahead+1) / float64(max(a.limit, 1)) * float64(time.Millisecond))
-}
-
-// retryAfterLocked is the load-derived Retry-After hint: the measured p95
-// service time × the work ahead of a retry (everything queued plus
-// everything in flight), spread across the current limit. It grows with
-// queue depth and with service time under sustained overload. With no
-// fresh samples (cold server) it falls back to half the queue-wait.
-// Clamped to [100ms, 30s]. Callers hold a.mu.
-func (a *admission) retryAfterLocked(prio priority) time.Duration {
-	p95 := a.p95Locked(time.Now())
-	var d time.Duration
-	if p95 <= 0 {
-		d = a.queueWait / 2
-	} else {
-		d = time.Duration(p95 * float64(a.queued+a.inflight+1) / float64(max(a.limit, 1)) * float64(time.Millisecond))
-	}
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
-}
-
-// retryAfter is the hint for sheds decided outside acquire (none today,
-// but the statz surface and tests read it).
-func (a *admission) retryAfter(prio priority) time.Duration {
+// release returns a slot, handing it to the oldest waiter of the highest
+// class if any.
+func (a *admission) release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.retryAfterLocked(prio)
+	for prio := range a.queues {
+		if el := a.queues[prio].Front(); el != nil {
+			// Slot handover: inflight is unchanged, the waiter now owns it.
+			w := el.Value.(*waiter)
+			a.removeLocked(w)
+			a.admitted[prio]++
+			w.ch <- nil
+			return
+		}
+	}
+	a.inflight--
 }
 
 // setShedFloor sets the degradation floor: classes at or above floor are
@@ -430,16 +260,9 @@ func (a *admission) setShedFloor(floor priority) {
 	defer a.mu.Unlock()
 	a.shedFloor = floor
 	for prio := floor; prio < numPriorities; prio++ {
-		for {
-			el := a.queues[prio].Front()
-			if el == nil {
-				break
-			}
+		for el := a.queues[prio].Front(); el != nil; el = a.queues[prio].Front() {
 			w := el.Value.(*waiter)
-			a.queues[prio].Remove(el)
-			w.el = nil
-			a.queued--
-			mQueued.Add(-1)
+			a.removeLocked(w)
 			w.ch <- a.shedLocked(prio, shedDegraded)
 		}
 	}
@@ -447,34 +270,26 @@ func (a *admission) setShedFloor(floor priority) {
 
 // AdmissionState is the /statz "admission" block.
 type AdmissionState struct {
-	Limit      int              `json:"limit"`
 	Workers    int              `json:"workers"`
-	Floor      int              `json:"floor"`
 	Inflight   int              `json:"inflight"`
 	Queued     int              `json:"queued"`
-	TargetMS   float64          `json:"target_ms,omitempty"`
-	P95MS      float64          `json:"p95_ms,omitempty"`
 	ShedFloor  string           `json:"shed_floor,omitempty"` // lowest class currently shed; absent when none
 	Admitted   map[string]int64 `json:"admitted"`
 	Sheds      map[string]int64 `json:"sheds,omitempty"`
 	RetryAfter float64          `json:"retry_after_ms"`
 }
 
-// state snapshots the controller for /statz and the soak assertions.
+// state snapshots the gate for /statz and the soak assertions.
 func (a *admission) state() AdmissionState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := AdmissionState{
-		Limit:      a.limit,
-		Workers:    a.base,
-		Floor:      a.min,
+		Workers:    a.slots,
 		Inflight:   a.inflight,
 		Queued:     a.queued,
-		TargetMS:   float64(a.target) / float64(time.Millisecond),
-		P95MS:      a.p95Locked(time.Now()),
 		Admitted:   map[string]int64{},
 		Sheds:      map[string]int64{},
-		RetryAfter: float64(a.retryAfterLocked(prioInteractive)) / float64(time.Millisecond),
+		RetryAfter: float64(a.queueWait) / float64(time.Millisecond),
 	}
 	if a.shedFloor < numPriorities {
 		st.ShedFloor = a.shedFloor.String()
@@ -488,15 +303,4 @@ func (a *admission) state() AdmissionState {
 		}
 	}
 	return st
-}
-
-// shedCount returns the total sheds of one class (soak assertions).
-func (a *admission) shedCount(prio priority) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, v := range a.sheds[prio] {
-		n += v
-	}
-	return n
 }

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,7 +16,7 @@ import (
 // without a deadline at the given class, failing the test on shed.
 func mustAcquire(t *testing.T, a *admission, prio priority) {
 	t.Helper()
-	if err := a.acquire(context.Background(), prio, 0); err != nil {
+	if err := a.acquire(context.Background(), prio); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,34 +25,34 @@ func mustAcquire(t *testing.T, a *admission, prio priority) {
 // highest-priority waiter regardless of arrival order — the batch waiter
 // that queued first still yields to the interactive waiter.
 func TestAdmissionPriorityOrdering(t *testing.T) {
-	a := newAdmission(1, 4, time.Second, 0)
+	a := newAdmission(1, 4, time.Second)
 	mustAcquire(t, a, prioInteractive) // hold the only slot
 
 	order := make(chan priority, 2)
 	// Batch queues first...
 	go func() {
-		if err := a.acquire(context.Background(), prioBatch, 0); err == nil {
+		if err := a.acquire(context.Background(), prioBatch); err == nil {
 			order <- prioBatch
 		}
 	}()
 	waitQueued(t, a, 1)
 	// ...then interactive.
 	go func() {
-		if err := a.acquire(context.Background(), prioInteractive, 0); err == nil {
+		if err := a.acquire(context.Background(), prioInteractive); err == nil {
 			order <- prioInteractive
 		}
 	}()
 	waitQueued(t, a, 2)
 
-	a.release(0) // slot handover: must pick interactive
+	a.release() // slot handover: must pick interactive
 	if got := <-order; got != prioInteractive {
 		t.Fatalf("first grant went to %v, want interactive", got)
 	}
-	a.release(0)
+	a.release()
 	if got := <-order; got != prioBatch {
 		t.Fatalf("second grant went to %v, want batch", got)
 	}
-	a.release(0)
+	a.release()
 }
 
 func waitQueued(t *testing.T, a *admission, n int) {
@@ -61,113 +66,93 @@ func waitQueued(t *testing.T, a *admission, n int) {
 	}
 }
 
-// TestAdmissionAIMD: sustained p95 above the target decays the concurrency
-// limit multiplicatively down to the floor; once service times recover, the
-// limit climbs back one slot at a time to the configured worker count.
-func TestAdmissionAIMD(t *testing.T) {
-	const workers = 8
-	a := newAdmission(workers, 8, time.Second, 100*time.Millisecond)
-	if got := a.state().Limit; got != workers {
-		t.Fatalf("initial limit %d, want %d", got, workers)
-	}
+// TestAdmissionDisplacesLowerClass: a full queue makes room for an arrival
+// that outranks a waiter by shedding the newest waiter of the lowest class
+// below it, so sheds hit batch before interactive.
+func TestAdmissionDisplacesLowerClass(t *testing.T) {
+	a := newAdmission(1, 1, time.Second)
+	mustAcquire(t, a, prioInteractive) // hold the only slot
 
-	// Feed slow samples (5× the target) until the limit hits the AIMD floor.
-	cycle := func(served time.Duration) {
-		mustAcquire(t, a, prioInteractive)
-		a.release(served)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for a.state().Limit > a.min {
-		if time.Now().After(deadline) {
-			t.Fatalf("limit stuck at %d, want decay to %d", a.state().Limit, a.min)
-		}
-		cycle(500 * time.Millisecond)
-		time.Sleep(10 * time.Millisecond)
-	}
+	batch := make(chan error, 1)
+	go func() { batch <- a.acquire(context.Background(), prioBatch) }()
+	waitQueued(t, a, 1) // the queue is now full
 
-	// Overwrite the whole sample window with fast samples, then keep cycling:
-	// the limit recovers additively to the ceiling and never beyond.
-	for i := 0; i < admWindow; i++ {
-		cycle(time.Millisecond)
+	interactive := make(chan error, 1)
+	go func() { interactive <- a.acquire(context.Background(), prioInteractive) }()
+	if err := <-batch; !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("displaced batch waiter: %v, want ErrOverloaded", err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for a.state().Limit < workers {
-		if time.Now().After(deadline) {
-			t.Fatalf("limit stuck at %d, want recovery to %d", a.state().Limit, workers)
-		}
-		cycle(time.Millisecond)
-		time.Sleep(10 * time.Millisecond)
-	}
-	cycle(time.Millisecond)
-	if got := a.state().Limit; got != workers {
-		t.Fatalf("limit %d overshot the configured worker ceiling %d", got, workers)
-	}
-}
-
-// TestAdmissionDeadlineShed: a request whose projected queue wait already
-// exceeds its own deadline is shed immediately (reason "deadline") instead
-// of being admitted to do doomed work.
-func TestAdmissionDeadlineShed(t *testing.T) {
-	a := newAdmission(1, 4, time.Second, 0)
-	// Seed the service-time estimate: one 500ms completion.
-	mustAcquire(t, a, prioInteractive)
-	a.release(500 * time.Millisecond)
-
-	mustAcquire(t, a, prioInteractive) // saturate
-	err := a.acquire(context.Background(), prioInteractive, time.Millisecond)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("tight-deadline acquire: %v, want ErrOverloaded", err)
-	}
-	var oe *overloadError
-	if !errors.As(err, &oe) || oe.reason != shedDeadline {
-		t.Fatalf("shed reason %+v, want %q", err, shedDeadline)
-	}
-	// A generous deadline queues instead (and is granted on release).
-	got := make(chan error, 1)
-	go func() { got <- a.acquire(context.Background(), prioInteractive, 10*time.Second) }()
 	waitQueued(t, a, 1)
-	a.release(0)
-	if err := <-got; err != nil {
-		t.Fatalf("generous-deadline acquire: %v", err)
+	a.release() // slot handover: the interactive arrival
+	if err := <-interactive; err != nil {
+		t.Fatalf("interactive arrival: %v, want granted", err)
 	}
-	a.release(0)
+	a.release()
+
+	sheds := a.state().Sheds
+	if sheds["batch:"+shedQueueFull] != 1 || sheds["interactive:"+shedQueueFull] != 0 {
+		t.Errorf("sheds %v, want batch:queue_full 1 and interactive:queue_full 0", sheds)
+	}
 }
 
-// TestRetryAfterGrowsUnderOverload: the Retry-After hint is load-derived —
-// measured p95 × work ahead — so it grows with in-flight work and queue
-// depth instead of sitting at a constant.
-func TestRetryAfterGrowsUnderOverload(t *testing.T) {
-	a := newAdmission(1, 8, time.Second, 0)
-
-	// Cold server, no samples: the fallback is half the queue wait.
-	if got, want := a.retryAfter(prioInteractive), 500*time.Millisecond; got != want {
-		t.Fatalf("cold retry hint %v, want %v", got, want)
+// TestShedRetryAfterIsQueueWait: every 429 — queue full, queue wait,
+// degraded — carries the queue wait as its retry_after_ms and a Retry-After
+// header of at least one second: a queued request is granted or shed within
+// that time.
+func TestShedRetryAfterIsQueueWait(t *testing.T) {
+	const queueWait = 200 * time.Millisecond
+	var mem atomic.Int64
+	mem.Store(100)
+	s, ts := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 1, QueueWait: queueWait,
+		MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
+		memProbe: mem.Load,
+	})
+	mustAcquire(t, s.adm, prioInteractive) // hold the only slot
+	shed := func(prio, reason string) {
+		t.Helper()
+		before := s.adm.state().Sheds[prio+":"+reason]
+		b, _ := json.Marshal(&QueryRequest{Dataset: "market", Query: "freq(S) >= 2 & freq(T) >= 2",
+			NoCache: true, Priority: prio})
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == nil {
+			t.Fatalf("%s: undecodable error body (%v)", reason, err)
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || er.Error.Code != CodeOverloaded {
+			t.Fatalf("%s: status %d code %q, want 429 %s", reason, resp.StatusCode, er.Error.Code, CodeOverloaded)
+		}
+		if got := s.adm.state().Sheds[prio+":"+reason]; got != before+1 {
+			t.Errorf("%s: %s:%s sheds %d -> %d, want one more", reason, prio, reason, before, got)
+		}
+		if got := er.Error.RetryAfterMS; got != queueWait.Milliseconds() {
+			t.Errorf("%s: retry_after_ms %d, want the queue wait %d", reason, got, queueWait.Milliseconds())
+		}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+			t.Errorf("%s: Retry-After %q, want >= 1", reason, resp.Header.Get("Retry-After"))
+		}
 	}
 
-	// One 200ms completion seeds the estimate.
-	mustAcquire(t, a, prioInteractive)
-	a.release(200 * time.Millisecond)
-	idle := a.retryAfter(prioInteractive)
+	// An interactive waiter fills the depth-1 queue; an interactive arrival
+	// cannot displace it.
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() { waiter <- s.adm.acquire(ctx, prioInteractive) }()
+	waitQueued(t, s.adm, 1)
+	shed("interactive", shedQueueFull)
+	cancel()
+	<-waiter
 
-	mustAcquire(t, a, prioInteractive) // one in flight
-	busy := a.retryAfter(prioInteractive)
+	shed("interactive", shedQueueWait)
 
-	// Three queued waiters behind the in-flight one.
-	for i := 0; i < 3; i++ {
-		go func() {
-			if a.acquire(context.Background(), prioInteractive, 0) == nil {
-				a.release(0)
-			}
-		}()
-	}
-	waitQueued(t, a, 3)
-	queued := a.retryAfter(prioInteractive)
-
-	if !(idle < busy && busy < queued) {
-		t.Fatalf("retry hint not monotone under load: idle %v, busy %v, queued %v", idle, busy, queued)
-	}
-
-	// Unwind: release the held slot, then the three granted waiters release
-	// themselves.
-	a.release(0)
+	mem.Store(1100) // over the soft limit: level 3 sheds batch outright
+	waitLevel(t, s, 3)
+	shed("batch", shedDegraded)
+	mem.Store(100)
+	waitLevel(t, s, 0)
+	s.adm.release()
 }

@@ -22,7 +22,7 @@ func TestRequestCollapsing(t *testing.T) {
 
 	// Hold the only worker slot so the leader parks in admission while the
 	// followers pile onto the flight.
-	if err := s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+	if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +65,7 @@ func TestRequestCollapsing(t *testing.T) {
 
 	scansBefore := obs.MDBScans.Value()
 	collapsedBefore := mCollapsed.Value()
-	s.adm.release(0)
+	s.adm.release()
 	wg.Wait()
 	close(replies)
 	stormScans := obs.MDBScans.Value() - scansBefore
@@ -151,7 +151,7 @@ func directAnswer(t *testing.T, query string, minSup int, extra [][]int) *cfq.Re
 func TestCollapseGenerationIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, QueueWait: 5 * time.Second})
 
-	if err := s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+	if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +196,7 @@ func TestCollapseGenerationIsolation(t *testing.T) {
 	after := fire()
 	time.Sleep(50 * time.Millisecond)
 
-	s.adm.release(0)
+	s.adm.release()
 	r1, r2, r3 := <-lead, <-follow, <-after
 	for i, r := range []reply{r1, r2, r3} {
 		if r.status != http.StatusOK {

@@ -297,7 +297,7 @@ func TestShedWhenSaturated(t *testing.T) {
 		NoCache: true,
 	}
 
-	if err := s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+	if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
 		t.Fatal(err)
 	}
 	status, body = postJSON(t, base+"/v1/query", req)
@@ -310,7 +310,7 @@ func TestShedWhenSaturated(t *testing.T) {
 		t.Fatalf("429 without code/retry hint: %s", body)
 	}
 
-	s.adm.release(0)
+	s.adm.release()
 	status, body = postJSON(t, base+"/v1/query", req)
 	if status != http.StatusOK {
 		t.Fatalf("after release: status %d, want 200: %s", status, body)

@@ -71,7 +71,7 @@ func canonicalAnswer(t *testing.T, raw json.RawMessage) []byte {
 // watchdog. Asserts the full resilience contract:
 //
 //   - every storm response is structured: 200, or 429/503 carrying an error
-//     code, with every 429 carrying a positive load-derived retry hint;
+//     code, with every 429 carrying a positive retry hint;
 //   - priority shedding is ordered: under brownout, batch is shed with
 //     reason "degraded" while interactive is never degraded-shed;
 //   - the storage breaker recovers the transient fault without restart: the

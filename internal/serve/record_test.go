@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,10 +85,10 @@ func (h *recHarness) query(req *QueryRequest, want sent) *sent {
 // holdSlot takes the server's only worker slot; the returned func frees it.
 func (h *recHarness) holdSlot() func() {
 	h.t.Helper()
-	if err := h.s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+	if err := h.s.adm.acquire(context.Background(), prioInteractive); err != nil {
 		h.t.Fatal(err)
 	}
-	return func() { h.s.adm.release(0) }
+	return func() { h.s.adm.release() }
 }
 
 // ran is a request that was admitted and evaluated.
@@ -470,5 +471,69 @@ func TestParentJournalUnderServer(t *testing.T) {
 	}
 	if queries != 2 {
 		t.Errorf("rollups count %d queries, want 2 (shadow lines are not queries)", queries)
+	}
+}
+
+// TestBudgetTripPartialStatsMatchRecord: a budget-tripped query's 422
+// partial_stats and its journal record report one pruned count, the sum of
+// the record's prune sites, for every candidate budget that trips the
+// optimizer, including trips in one side's mining after the other side
+// pruned.
+func TestBudgetTripPartialStatsMatchRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := NewServer(Config{WorkloadDir: dir})
+	if _, err := s.Registry().Create(marketSpec("market")); err != nil {
+		t.Fatal(err)
+	}
+	partial := map[string]int64{} // trace id -> partial_stats.CandidatesPruned
+	for limit := int64(1); limit <= 40; limit++ {
+		b, err := json.Marshal(&QueryRequest{Dataset: "market", Query: readmeQueryText, MinSupport: 2,
+			Strategy: "optimized", NoCache: true, NoSession: true, Budget: &BudgetSpec{MaxCandidates: limit}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(b)))
+		if w.Code != http.StatusUnprocessableEntity {
+			continue
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == nil || er.Error.PartialStats == nil {
+			t.Fatalf("MaxCandidates %d: 422 without partial_stats: %s", limit, w.Body)
+		}
+		partial[er.TraceID] = er.Error.PartialStats.CandidatesPruned
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bothSides := 0
+	for _, rec := range recs {
+		want, ok := partial[rec.TraceID]
+		if !ok {
+			continue
+		}
+		delete(partial, rec.TraceID)
+		if rec.CandidatesPruned != want || siteSum(rec) != want {
+			t.Errorf("trace %s: partial_stats pruned %d, record %d, sites sum %d (%v)",
+				rec.TraceID, want, rec.CandidatesPruned, siteSum(rec), rec.PruneSites)
+		}
+		var onS, onT bool
+		for site := range rec.PruneSites {
+			onS = onS || strings.HasPrefix(site, "S:")
+			onT = onT || strings.HasPrefix(site, "T:")
+		}
+		if onS && onT {
+			bothSides++
+		}
+	}
+	if len(partial) != 0 {
+		t.Errorf("%d budget trips left no journal record", len(partial))
+	}
+	if bothSides == 0 {
+		t.Error("no trip came after both sides pruned; the sweep tests nothing")
 	}
 }

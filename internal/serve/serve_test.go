@@ -495,36 +495,36 @@ func TestLimitsResolve(t *testing.T) {
 // TestAdmission: slots bound concurrency, the queue bounds waiters, and the
 // queue-wait deadline sheds.
 func TestAdmission(t *testing.T) {
-	a := newAdmission(1, 1, 50*time.Millisecond, 0)
+	a := newAdmission(1, 1, 50*time.Millisecond)
 	ctx := context.Background()
-	if err := a.acquire(ctx, prioInteractive, 0); err != nil {
+	if err := a.acquire(ctx, prioInteractive); err != nil {
 		t.Fatal(err)
 	}
 	// One waiter fits the queue.
 	got := make(chan error, 1)
-	go func() { got <- a.acquire(ctx, prioInteractive, 0) }()
+	go func() { got <- a.acquire(ctx, prioInteractive) }()
 	// Give the waiter time to join, then a second waiter overflows the
 	// depth-1 queue and is shed immediately.
 	deadline := time.Now().Add(time.Second)
 	for a.state().Queued == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if err := a.acquire(ctx, prioInteractive, 0); !errors.Is(err, ErrOverloaded) {
+	if err := a.acquire(ctx, prioInteractive); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow acquire: %v, want ErrOverloaded", err)
 	}
-	a.release(0)
+	a.release()
 	if err := <-got; err != nil {
 		t.Fatalf("queued acquire: %v", err)
 	}
 	// Slot still held by the queued acquirer: a fresh waiter times out.
 	start := time.Now()
-	if err := a.acquire(ctx, prioInteractive, 0); !errors.Is(err, ErrOverloaded) {
+	if err := a.acquire(ctx, prioInteractive); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue-wait acquire: %v, want ErrOverloaded", err)
 	}
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
 		t.Errorf("shed after %v, want ~50ms queue wait", elapsed)
 	}
-	a.release(0)
+	a.release()
 }
 
 // TestGenSpecSeed: the wire seed drives the generated transactions, not just

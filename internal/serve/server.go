@@ -94,11 +94,6 @@ type Config struct {
 	// QueueWait bounds how long an admitted-to-queue request waits for a
 	// worker before being shed with 429 + Retry-After (default: 1s).
 	QueueWait time.Duration
-	// TargetLatency is the service-time SLO driving the adaptive admission
-	// limit: while the measured p95 service time exceeds it, the concurrency
-	// limit decays (AIMD) below Workers; once back under, it recovers.
-	// Default: 500ms. Negative disables adaptation (fixed Workers slots).
-	TargetLatency time.Duration
 	// MemSoftLimit, when positive, starts the memory back-pressure watchdog:
 	// as live heap use approaches the limit the server browns out
 	// progressively (pause diagnostics → shrink caches → shed non-interactive
@@ -175,9 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = time.Second
 	}
-	if c.TargetLatency == 0 {
-		c.TargetLatency = 500 * time.Millisecond
-	}
 	if c.MemCheckInterval <= 0 {
 		c.MemCheckInterval = defaultMemTick
 	}
@@ -241,7 +233,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		reg:   NewRegistry(max(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
-		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TargetLatency),
+		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		cache: newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
 		log:   cfg.Logger,
 		red:   telemetry.NewRED(),
@@ -797,13 +789,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		ctx = cfq.WithPruning(ctx, sc.prune)
 	}
 
-	// admission: a worker slot, or a bounded priority-classed queue wait, or
+	// admission: a worker slot, or a bounded class-ordered queue wait, or
 	// 429. The wait is its own histogram so queueing pressure is visible
-	// separately from evaluation time. The request's soft deadline rides
-	// along so a projected queue wait that would consume it sheds instantly.
+	// separately from evaluation time.
 	asp := tracer.Start("admission")
 	admStart := time.Now()
-	err = s.adm.acquire(ctx, prio, sc.timeout)
+	err = s.adm.acquire(ctx, prio)
 	sc.queueWait = time.Since(admStart)
 	mQueueWait.WithLabels(kind).Observe(sc.queueWait)
 	asp.End(nil)
@@ -818,8 +809,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		}
 		return s.writeEvalError(w, sc, err), false
 	}
-	admitted := time.Now()
-	defer func() { s.adm.release(time.Since(admitted)) }()
+	defer s.adm.release()
 
 	// The soft budget deadline (timeout, partial stats) is the primary
 	// bound; a hard context deadline at 2× backstops evaluations stuck
@@ -967,11 +957,10 @@ func (s *Server) writeEvalError(w http.ResponseWriter, sc *reqScope, err error) 
 	var be *cfq.BudgetError
 	switch {
 	case errors.As(err, &be):
+		// The partial stats are the whole run's counters up to the abort, so
+		// the journal record and the 422 body report one pruned count.
 		stats := be.Stats
-		// The journal record reports the whole run's pruning up to the abort,
-		// which only the PruneSet — charged by every miner — has seen; the
-		// body's partial_stats are the tripping miner's own counters.
-		sc.pruned = sc.prune.Total()
+		sc.pruned = stats.CandidatesPruned
 		return s.writeError(w, sc, http.StatusUnprocessableEntity, &ErrorBody{
 			Code: CodeBudgetExhausted, Message: err.Error(),
 			Resource: be.Resource, Where: be.Where, Limit: be.Limit, Used: be.Used,
@@ -1227,7 +1216,7 @@ func (s *Server) writeError(w http.ResponseWriter, sc *reqScope, status int, bod
 		w.Header().Set("X-Request-ID", sc.reqID)
 	}
 	// Every shed or unavailable response carries a retry hint: specific
-	// paths (admission, not-ready) set a load-derived one above; anything
+	// paths (admission, not-ready) set their own above; anything
 	// else that reaches the wire as 429/503 gets an honest floor here, so
 	// clients never see a shed without backoff guidance.
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {

@@ -120,10 +120,10 @@ func TestCorrelationOnErrorStatuses(t *testing.T) {
 	t.Run("429 overloaded", func(t *testing.T) {
 		// Hold the only worker slot; with queue depth 0 the next request is
 		// shed immediately.
-		if err := s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+		if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
 			t.Fatal(err)
 		}
-		defer s.adm.release(0)
+		defer s.adm.release()
 		resp := postWithHeaders(t, ts.URL+"/v1/query", q, hdr)
 		check(t, resp, http.StatusTooManyRequests, CodeOverloaded)
 		if resp.Header.Get("Retry-After") == "" {

@@ -62,15 +62,15 @@ func TestWatchdogBrownoutLadder(t *testing.T) {
 	if got := s.adm.state().ShedFloor; got != "batch" {
 		t.Errorf("level 3 shed floor %q, want \"batch\"", got)
 	}
-	err := s.adm.acquire(context.Background(), prioBatch, 0)
+	err := s.adm.acquire(context.Background(), prioBatch)
 	var oe *overloadError
 	if !errors.As(err, &oe) || oe.reason != shedDegraded {
 		t.Errorf("batch acquire at level 3: %v, want shed reason %q", err, shedDegraded)
 	}
-	if err := s.adm.acquire(context.Background(), prioInteractive, 0); err != nil {
+	if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
 		t.Errorf("interactive acquire at level 3: %v, want admitted", err)
 	} else {
-		s.adm.release(0)
+		s.adm.release()
 	}
 
 	// Pressure lifts: recovery walks the ladder back down (hysteresis takes
@@ -83,10 +83,10 @@ func TestWatchdogBrownoutLadder(t *testing.T) {
 	if got := s.adm.state().ShedFloor; got != "" {
 		t.Errorf("post-recovery shed floor %q, want none", got)
 	}
-	if err := s.adm.acquire(context.Background(), prioBatch, 0); err != nil {
+	if err := s.adm.acquire(context.Background(), prioBatch); err != nil {
 		t.Errorf("batch acquire after recovery: %v, want admitted", err)
 	} else {
-		s.adm.release(0)
+		s.adm.release()
 	}
 
 	// Shutdown stops the sampling goroutine and resets the level so the

@@ -168,6 +168,18 @@ if grep -rnE '\bFold\(|ShadowSample|/v1/workload/regret' --include='*.go' \
   exit 1
 fi
 
+echo "== one admission gate =="
+# Admission is fixed worker slots and one class-ordered queue with a
+# queue-wait timeout; every 429's retry hint is that queue wait. The retired
+# run-time controller — an AIMD limit on a p95 sample ring, deadline-projected
+# early shedding and its gauge — cost goodput on a measured storm and must
+# not drift back in by name.
+if grep -rnE 'TargetLatency|maybeAdjustLocked|p95Locked|projectedWait|server_admission_limit' \
+    --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
+  echo "check.sh: the adaptive admission controller is back (fixed slots, one class-ordered queue)" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
