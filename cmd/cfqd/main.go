@@ -58,8 +58,7 @@ func run(args []string, ready chan<- string) error {
 		workers        = fs.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
 		queueDepth     = fs.Int("queue-depth", 0, "admission queue depth beyond the workers (0 = 2x workers)")
 		queueWait      = fs.Duration("queue-wait", time.Second, "max time a queued request waits for a worker before 429")
-		memSoftLimit   = fs.Int64("mem-soft-limit", 0, "heap soft limit in bytes; the memory watchdog browns out the server as it is approached (0 disables)")
-		memCheckEvery  = fs.Duration("mem-check-interval", 250*time.Millisecond, "memory watchdog sampling interval")
+		memSoftLimit   = fs.Int64("mem-soft-limit", 0, "heap soft limit in bytes; at the limit the memory watchdog shrinks the caches and sheds batch queries until heap use falls below 85% of it (0 disables)")
 		breakerCooloff = fs.Duration("breaker-cooloff", 5*time.Second, "wait before a wedged dataset log's first repair probe (negative disables the breaker)")
 		defaultTimeout = fs.Duration("default-timeout", 30*time.Second, "soft evaluation deadline when the request sets none")
 		maxTimeout     = fs.Duration("max-timeout", 0, "hard cap on request-supplied deadlines (0 = uncapped)")
@@ -137,12 +136,11 @@ func run(args []string, ready chan<- string) error {
 	}
 
 	srv := serve.NewServer(serve.Config{
-		Store:            storeOpts,
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		QueueWait:        *queueWait,
-		MemSoftLimit:     *memSoftLimit,
-		MemCheckInterval: *memCheckEvery,
+		Store:        storeOpts,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		QueueWait:    *queueWait,
+		MemSoftLimit: *memSoftLimit,
 		Limits: serve.Limits{
 			DefaultTimeout: *defaultTimeout,
 			MaxTimeout:     *maxTimeout,

@@ -528,7 +528,7 @@ func report(out io.Writer, results [][]outcome, elapsed time.Duration, slow time
 
 // reportClasses breaks the run down by admission class: how many requests
 // each class offered, how many the server admitted (200) vs shed (429, split
-// out when the shed happened under memory-pressure brownout), and the
+// out when the shed happened under memory pressure), and the
 // latency percentiles of the class's admitted requests — the client-side
 // view of priority ordering under overload. A shed returns in about a
 // millisecond, so mixing 429s in would report a shed-heavy class as fast.

@@ -30,8 +30,11 @@ const (
 	segmentBytes = 8 << 20
 	segments     = 4
 	// rollupClasses bounds the live rollup cardinality; classes beyond it fold
-	// into telemetry.OverflowKey.
+	// into OverflowKey.
 	rollupClasses = 64
+	// OverflowKey absorbs the keys past a cardinality bound (here the rollup
+	// classes; in serve the dataset metric label).
+	OverflowKey = "_other"
 )
 
 // Journal is the one per-request record sink: a bounded on-disk SegmentRing
@@ -139,7 +142,7 @@ func (j *Journal) foldLocked(rec *Record) {
 	agg := j.classes[key]
 	if agg == nil {
 		if len(j.classes) >= rollupClasses {
-			key = telemetry.OverflowKey
+			key = OverflowKey
 			agg = j.classes[key]
 		}
 		if agg == nil {

@@ -69,7 +69,9 @@ type Record struct {
 	// admission side of the request: its priority class, how long it waited
 	// for a worker slot (the cost model's queueing term, outside any plan's
 	// control), whether it was answered by another request's evaluation, and
-	// the brownout level it finished under.
+	// the degradation level it finished under (1 while the memory watchdog
+	// held the server degraded; journals written before it was one state
+	// carry levels 1–3).
 	Priority         string  `json:"priority,omitempty"`
 	QueueWaitMS      float64 `json:"queue_wait_ms,omitempty"`
 	Collapsed        bool    `json:"collapsed,omitempty"`

@@ -13,8 +13,8 @@ import (
 
 // ErrOverloaded is returned when the wait queue is full (or a higher class
 // displaced the request from it), a queued request's queue-wait deadline
-// expires, or the server is degraded enough to shed the request's priority
-// class; the handler maps it to 429 with a Retry-After hint.
+// expires, or the memory watchdog is shedding batch work; the handler maps
+// it to 429 with a Retry-After hint.
 var ErrOverloaded = errors.New("serve: server overloaded")
 
 // mShedClass breaks server_shed_total down by priority class and reason, so
@@ -29,7 +29,7 @@ type priority int
 const (
 	prioInteractive priority = iota
 	prioBatch
-	numPriorities // sentinel: "shed nothing" floor
+	numPriorities
 )
 
 func (p priority) String() string {
@@ -103,19 +103,19 @@ type waiter struct {
 // full queue sheds the newest waiter of the lowest class below an arrival
 // to make room for it, or else the arrival. A waiter is granted or shed
 // within queueWait, which is why every shed's Retry-After is queueWait.
-// The watchdog's shed floor sheds whole classes outright. Shedding (429)
-// instead of queueing without bound keeps tail latency flat under
+// While the memory watchdog is degraded, batch is shed outright. Shedding
+// (429) instead of queueing without bound keeps tail latency flat under
 // overload.
 type admission struct {
 	slots     int
 	depth     int
 	queueWait time.Duration
 
-	mu        sync.Mutex
-	inflight  int
-	queues    [numPriorities]*list.List
-	queued    int
-	shedFloor priority // classes >= shedFloor are shed outright (degradation)
+	mu       sync.Mutex
+	inflight int
+	queues   [numPriorities]*list.List
+	queued   int
+	degraded bool // memory watchdog degraded: batch is shed outright
 
 	admitted [numPriorities]int64
 	sheds    [numPriorities]map[string]int64
@@ -129,7 +129,6 @@ func newAdmission(workers, queueDepth int, queueWait time.Duration) *admission {
 		slots:     max(workers, 1),
 		depth:     max(queueDepth, 0),
 		queueWait: queueWait,
-		shedFloor: numPriorities,
 	}
 	for i := range a.queues {
 		a.queues[i] = list.New()
@@ -157,7 +156,7 @@ func (a *admission) removeLocked(w *waiter) {
 // acquire admits the request, queues it, or sheds it.
 func (a *admission) acquire(ctx context.Context, prio priority) error {
 	a.mu.Lock()
-	if prio >= a.shedFloor {
+	if prio == prioBatch && a.degraded {
 		err := a.shedLocked(prio, shedDegraded)
 		a.mu.Unlock()
 		return err
@@ -251,20 +250,20 @@ func (a *admission) release() {
 	a.inflight--
 }
 
-// setShedFloor sets the degradation floor: classes at or above floor are
-// shed on arrival, and waiters already queued in those classes are flushed
-// with an overload error immediately (they must not ride out queue-wait
-// while the watchdog is trying to free memory).
-func (a *admission) setShedFloor(floor priority) {
+// shedBatch turns the memory watchdog's batch shed on or off. Turning it on
+// also flushes the batch waiters already queued with an overload error (they
+// must not ride out queue-wait while the watchdog is trying to free memory).
+func (a *admission) shedBatch(on bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.shedFloor = floor
-	for prio := floor; prio < numPriorities; prio++ {
-		for el := a.queues[prio].Front(); el != nil; el = a.queues[prio].Front() {
-			w := el.Value.(*waiter)
-			a.removeLocked(w)
-			w.ch <- a.shedLocked(prio, shedDegraded)
-		}
+	a.degraded = on
+	if !on {
+		return
+	}
+	for el := a.queues[prioBatch].Front(); el != nil; el = a.queues[prioBatch].Front() {
+		w := el.Value.(*waiter)
+		a.removeLocked(w)
+		w.ch <- a.shedLocked(prioBatch, shedDegraded)
 	}
 }
 
@@ -273,7 +272,6 @@ type AdmissionState struct {
 	Workers    int              `json:"workers"`
 	Inflight   int              `json:"inflight"`
 	Queued     int              `json:"queued"`
-	ShedFloor  string           `json:"shed_floor,omitempty"` // lowest class currently shed; absent when none
 	Admitted   map[string]int64 `json:"admitted"`
 	Sheds      map[string]int64 `json:"sheds,omitempty"`
 	RetryAfter float64          `json:"retry_after_ms"`
@@ -290,9 +288,6 @@ func (a *admission) state() AdmissionState {
 		Admitted:   map[string]int64{},
 		Sheds:      map[string]int64{},
 		RetryAfter: float64(a.queueWait) / float64(time.Millisecond),
-	}
-	if a.shedFloor < numPriorities {
-		st.ShedFloor = a.shedFloor.String()
 	}
 	for prio := prioInteractive; prio < numPriorities; prio++ {
 		if a.admitted[prio] > 0 {

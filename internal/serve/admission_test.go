@@ -105,7 +105,7 @@ func TestShedRetryAfterIsQueueWait(t *testing.T) {
 	mem.Store(100)
 	s, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, QueueWait: queueWait,
-		MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
+		MemSoftLimit: 1000, memTick: 2 * time.Millisecond,
 		memProbe: mem.Load,
 	})
 	mustAcquire(t, s.adm, prioInteractive) // hold the only slot
@@ -149,8 +149,8 @@ func TestShedRetryAfterIsQueueWait(t *testing.T) {
 
 	shed("interactive", shedQueueWait)
 
-	mem.Store(1100) // over the soft limit: level 3 sheds batch outright
-	waitLevel(t, s, 3)
+	mem.Store(1100) // over the soft limit: the degraded state sheds batch outright
+	waitLevel(t, s, 1)
 	shed("batch", shedDegraded)
 	mem.Store(100)
 	waitLevel(t, s, 0)

@@ -165,9 +165,9 @@ type ErrorBody struct {
 	// RetryAfterMS accompanies overloaded responses (also sent as the
 	// Retry-After header, in whole seconds).
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-	// DegradationLevel accompanies sheds issued while the memory watchdog
-	// has the server browned out (0 = normal overload shedding), so clients
-	// can tell queue pressure from memory pressure.
+	// DegradationLevel is 1 on sheds issued while the memory watchdog holds
+	// the server degraded (0 = normal overload shedding), so clients can tell
+	// queue pressure from memory pressure.
 	DegradationLevel int `json:"degradation_level,omitempty"`
 }
 

@@ -93,13 +93,13 @@ func TestOverloadChaosSoak(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(100)
 	s := NewServer(Config{
-		Workers:          2,
-		QueueDepth:       2,
-		QueueWait:        100 * time.Millisecond,
-		MemSoftLimit:     1000,
-		MemCheckInterval: 2 * time.Millisecond,
-		memProbe:         mem.Load,
-		Store:            &store.Options{Dir: t.TempDir(), FS: ffs, BreakerCooloff: cooloff},
+		Workers:      2,
+		QueueDepth:   2,
+		QueueWait:    100 * time.Millisecond,
+		MemSoftLimit: 1000,
+		memTick:      2 * time.Millisecond,
+		memProbe:     mem.Load,
+		Store:        &store.Options{Dir: t.TempDir(), FS: ffs, BreakerCooloff: cooloff},
 	})
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)
@@ -237,13 +237,13 @@ func TestOverloadChaosSoak(t *testing.T) {
 		t.Fatalf("wedged mutate: %d %s %v, want fast-fail 503", status, body, err)
 	}
 
-	// Phase 3 — memory pressure: push the watchdog to level 3 and hold it
-	// there long enough for the storm's batch half to be degraded-shed.
+	// Phase 3 — memory pressure: push the watchdog into the degraded state and
+	// hold it there long enough for the storm's batch half to be degraded-shed.
 	mem.Store(1100)
-	waitLevel(t, s, 3)
+	waitLevel(t, s, 1)
 	time.Sleep(150 * time.Millisecond)
 
-	// Phase 4 — pressure lifts; brownout must unwind fully.
+	// Phase 4 — pressure lifts; the degraded state must unwind fully.
 	mem.Store(100)
 	waitLevel(t, s, 0)
 

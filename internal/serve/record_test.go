@@ -360,12 +360,13 @@ func journalLines(t *testing.T, dir string) [][]byte {
 	return lines
 }
 
-// TestRecordUnderBrownout: at brownout level 1 a slow request still leaves
-// its record — level and all — only the analyzed plan report is skipped.
+// TestRecordUnderBrownout: in the degraded state (level 1) a slow request
+// still leaves its record — level and all — only the analyzed plan report is
+// skipped.
 func TestRecordUnderBrownout(t *testing.T) {
 	h := &recHarness{t: t, s: NewServer(Config{
-		SlowQuery: time.Nanosecond, MemSoftLimit: 1000, MemCheckInterval: time.Millisecond,
-		memProbe: func() int64 { return 760 },
+		SlowQuery: time.Nanosecond, MemSoftLimit: 1000, memTick: time.Millisecond,
+		memProbe: func() int64 { return 1000 },
 	})}
 	defer h.s.Shutdown(context.Background())
 	if _, err := h.s.Registry().Create(marketSpec("market")); err != nil {

@@ -93,17 +93,27 @@ func (r *Registry) Adopt(name string, meta store.Meta, db *txdb.DB, generation u
 	if err := ds.Compile(); err != nil {
 		return err
 	}
+	_, err := r.insert(name, ds, generation)
+	return err
+}
+
+// insert registers ds under name with a fresh session. The session's cache
+// bound is read and applied under r.mu, the lock SetSessionCacheLimit writes
+// it under, so a session created while the watchdog retunes the bound ends
+// at the last bound set.
+func (r *Registry) insert(name string, ds *cfq.Dataset, generation uint64) (*regEntry, error) {
 	sess := cfq.NewSession(ds)
-	if r.sessionCacheBytes > 0 {
-		sess.SetCacheLimit(r.sessionCacheBytes)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.entries[name]; dup {
-		return fmt.Errorf("%w: %q", ErrExists, name)
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	r.entries[name] = &regEntry{ds: ds, sess: sess, gen: generation}
-	return nil
+	if r.sessionCacheBytes > 0 {
+		sess.SetCacheLimit(r.sessionCacheBytes)
+	}
+	e := &regEntry{ds: ds, sess: sess, gen: generation}
+	r.entries[name] = e
+	return e, nil
 }
 
 // SetSessionCacheLimit retunes every live session's lattice-cache bound
@@ -185,17 +195,10 @@ func (r *Registry) Create(spec *DatasetSpec) (DatasetInfo, error) {
 			return DatasetInfo{}, err
 		}
 	}
-	sess := cfq.NewSession(ds)
-	if r.sessionCacheBytes > 0 {
-		sess.SetCacheLimit(r.sessionCacheBytes)
+	e, err := r.insert(spec.Name, ds, 1)
+	if err != nil {
+		return DatasetInfo{}, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.entries[spec.Name]; dup {
-		return DatasetInfo{}, fmt.Errorf("%w: %q", ErrExists, spec.Name)
-	}
-	e := &regEntry{ds: ds, sess: sess, gen: 1}
-	r.entries[spec.Name] = e
 	return infoOf(spec.Name, e), nil
 }
 

@@ -47,7 +47,7 @@ var (
 )
 
 // dsLabel caps the dataset label's cardinality: the first maxDatasetLabels
-// distinct names keep their own series, the rest share "_other" (dataset
+// distinct names keep their own series, the rest share workload.OverflowKey (dataset
 // names are client input; an adversarial client must not be able to grow
 // the registry without bound).
 const maxDatasetLabels = 64
@@ -64,7 +64,7 @@ func dsLabel(name string) string {
 		return name
 	}
 	if len(dsLabelSeen) >= maxDatasetLabels {
-		return telemetry.OverflowKey
+		return workload.OverflowKey
 	}
 	dsLabelSeen[name] = true
 	return name
@@ -95,15 +95,15 @@ type Config struct {
 	// worker before being shed with 429 + Retry-After (default: 1s).
 	QueueWait time.Duration
 	// MemSoftLimit, when positive, starts the memory back-pressure watchdog:
-	// as live heap use approaches the limit the server browns out
-	// progressively (pause diagnostics → shrink caches → shed non-interactive
-	// admissions) and recovers with hysteresis. 0 disables the watchdog.
+	// once live heap use reaches the limit the server degrades (shrinks its
+	// caches, sheds batch admissions, writes slow records without their plan
+	// report) until heap use stays below 85% of it. 0 disables the watchdog.
 	MemSoftLimit int64
-	// MemCheckInterval is the watchdog's sampling period (default: 250ms).
-	MemCheckInterval time.Duration
-	// memProbe overrides the watchdog's memory reading (tests drive the
-	// brownout ladder deterministically with a synthetic heap).
+	// memProbe and memTick override the watchdog's memory reading and its
+	// 250ms sampling period (tests drive the degraded state
+	// deterministically with a synthetic heap).
 	memProbe func() int64
+	memTick  time.Duration
 	// Limits are the evaluation budget/deadline/pairs defaults and maxima.
 	Limits Limits
 	// DefaultMinSupportFrac is the support threshold applied when a request
@@ -170,9 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = time.Second
 	}
-	if c.MemCheckInterval <= 0 {
-		c.MemCheckInterval = defaultMemTick
-	}
 	if c.Limits.DefaultTimeout <= 0 {
 		c.Limits.DefaultTimeout = 30 * time.Second
 	}
@@ -206,7 +203,6 @@ type Server struct {
 	cache    *lru.Cache[cachedResult] // nil = result caching disabled
 	log      *slog.Logger
 	mux      *http.ServeMux
-	red      *telemetry.RED
 	workload *workloadCollector // nil unless the journal or the slow log is configured
 	planner  *plan.Planner
 	plans    *lru.Cache[*planEntry] // by wire handle; nil = prepared handles disabled
@@ -236,7 +232,6 @@ func NewServer(cfg Config) *Server {
 		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		cache: newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
 		log:   cfg.Logger,
-		red:   telemetry.NewRED(),
 		// The planner's fallback must be a concrete strategy: "auto" (or
 		// empty) as the server default leaves the planner's own default at
 		// optimized (plan.Options sanitizes unknown names).
@@ -316,7 +311,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // OpsHandler returns the operations surface: /metrics (Prometheus text),
 // /debug/vars, /debug/pprof (all confined to internal/obs),
-// /healthz, /readyz, and /statz — the RED/SLO rollup document. Serve it on
+// /healthz, /readyz, and /statz — the operator rollup document. Serve it on
 // a separate, non-public port.
 func (s *Server) OpsHandler() http.Handler {
 	mux := obs.NewProfilingMux()
@@ -326,22 +321,19 @@ func (s *Server) OpsHandler() http.Handler {
 	return mux
 }
 
-// handleStatz renders the operator rollup: rolling p50/p95/p99, error and
-// shed rates per endpoint and per dataset; explicit request-duration bucket
-// boundaries and counts (the transparent form of the Prometheus
-// histograms, under the same "schema": 1 contract as the API envelopes);
-// cache and store health. Everything here is derived from the same
-// registry /metrics scrapes, so the two surfaces cannot disagree.
+// handleStatz renders the operator rollup: admission, degradation and
+// collapse state; explicit request-duration bucket boundaries and counts per
+// endpoint (the transparent form of the Prometheus histogram, under the same
+// "schema": 1 contract as the API envelopes); cache and store health. The
+// request durations are derived from the same registry /metrics scrapes, so
+// the two surfaces cannot disagree.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	endpoints, datasets := s.red.Snapshot()
 	doc := map[string]any{
 		"schema":                     SchemaVersion,
 		"admission":                  s.adm.state(),
 		"degradation":                s.degradationStatz(),
 		"collapse":                   map[string]any{"inflight": s.flights.inflight()},
 		"result_cache":               cacheStatz(s.cache.Stats()),
-		"endpoints":                  endpoints,
-		"datasets":                   datasets,
 		"server_request_duration_ms": requestDurationBuckets(),
 		"store":                      storeHealth(),
 		"slowlog":                    map[string]any{"enabled": s.cfg.SlowQuery > 0, "records": len(s.slowView()), "threshold_ms": float64(s.cfg.SlowQuery) / float64(time.Millisecond)},
@@ -527,7 +519,7 @@ func (s *Server) mintID() string {
 // runs under: the request id (client-supplied after CleanRequestID, else
 // minted), the W3C trace context (propagated or minted), and the fields the
 // request accretes on its way through serveQuery that the finish hooks
-// (request log line, RED rollup, the journal record) read back.
+// (request log line, the journal record) read back.
 type reqScope struct {
 	reqID string
 	tc    telemetry.TraceContext
@@ -585,8 +577,8 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // instrument wraps a handler with the per-request telemetry envelope:
 // trace/request-id extraction (client headers accepted, validated, clamped;
 // minted otherwise), correlation headers on *every* response — 429s, 503s
-// and 422s included — labeled request metrics, the RED rollup observation,
-// the request log line, and the journal record.
+// and 422s included — labeled request metrics, the request log line, and the
+// journal record.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -610,11 +602,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		dur := time.Since(start)
 		mReqs.WithLabels(endpoint, strconv.Itoa(status)).Inc()
 		mReqDur.WithLabels(endpoint).Observe(dur)
-		ds := ""
-		if sc.dataset != "" {
-			ds = dsLabel(sc.dataset)
-		}
-		s.red.Observe(endpoint, ds, status, dur)
 		s.record(sc, endpoint, status, dur)
 		if s.log != nil {
 			s.log.Info("request",

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,78 +21,92 @@ func waitLevel(t *testing.T, s *Server, want int) {
 	}
 }
 
-func resultCacheMax(s *Server) int64 { return s.cache.Stats().MaxBytes }
+// cacheBounds are the three byte bounds the degraded state shrinks.
+type cacheBounds struct{ result, plan, session int64 }
+
+func boundsOf(t *testing.T, s *Server) cacheBounds {
+	t.Helper()
+	_, sess, _, err := s.reg.Lookup("market")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cacheBounds{s.cache.Stats().MaxBytes, s.plans.Stats().MaxBytes, sess.CacheStats().LimitBytes}
+}
 
 // TestWatchdogBrownoutLadder drives the memory watchdog with a synthetic
-// probe through the full brownout ladder and back: pause diagnostics at
-// level 1, shrink caches at level 2, shed non-interactive admissions at
-// level 3, then recover in reverse order with hysteresis once the pressure
-// lifts — ending exactly where it started.
+// probe into its one degraded state and back. Below the soft limit nothing
+// changes; at it, every effect applies at once — the result, plan and
+// session cache bounds drop to a quarter, batch admissions are shed with
+// reason "degraded" while interactive ones are admitted, and slow records
+// lose their explain. Recovery restores every effect, and Shutdown leaves
+// level 0.
 func TestWatchdogBrownoutLadder(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(100)
 	s, _ := newTestServer(t, Config{
-		Workers: 2, QueueDepth: 8, QueueWait: time.Second,
-		MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
+		Workers: 2, QueueDepth: 8, QueueWait: time.Second, SlowQuery: time.Nanosecond,
+		MemSoftLimit: 1000, memTick: 2 * time.Millisecond,
 		memProbe: mem.Load,
 	})
-	fullBytes := resultCacheMax(s)
-	if fullBytes <= 0 {
-		t.Fatalf("result cache byte bound %d, want positive", fullBytes)
+	h := &recHarness{t: t, s: s}
+	full := boundsOf(t, s)
+	if full.result <= 0 || full.plan <= 0 || full.session <= 0 {
+		t.Fatalf("cache bounds %+v, want all positive", full)
+	}
+	slowRecord := func(level int) {
+		t.Helper()
+		want := h.query(&QueryRequest{NoCache: true}, ran)
+		rec := s.slowView()[0]
+		if rec.TraceID != want.traceID || rec.DegradationLevel != level || (rec.Explain != nil) != (level == 0) {
+			t.Errorf("slow record at level %d: level %d, explain %v (want one only at level 0)",
+				level, rec.DegradationLevel, rec.Explain != nil)
+		}
 	}
 	waitLevel(t, s, 0)
 
-	// 76% of the soft limit: level 1. Diagnostics pause; admission and the
-	// caches are untouched.
-	mem.Store(760)
-	waitLevel(t, s, 1)
-	if got := resultCacheMax(s); got != fullBytes {
-		t.Errorf("level 1 shrank the result cache to %d bytes", got)
-	}
-
-	// 95%: level 2 shrinks the cache byte bounds to a quarter.
+	// 95% of the soft limit is still normal.
 	mem.Store(950)
-	waitLevel(t, s, 2)
-	if got := resultCacheMax(s); got != fullBytes/wdShrinkDiv {
-		t.Errorf("level 2 result cache bound %d, want %d", got, fullBytes/wdShrinkDiv)
+	time.Sleep(20 * time.Millisecond)
+	if got := s.degradeLevel(); got != 0 {
+		t.Fatalf("level %d below the soft limit, want 0", got)
 	}
 
-	// Over the limit: level 3 sheds batch outright while interactive still
-	// gets through.
-	mem.Store(1100)
-	waitLevel(t, s, 3)
-	if got := s.adm.state().ShedFloor; got != "batch" {
-		t.Errorf("level 3 shed floor %q, want \"batch\"", got)
+	// At the limit: one state, every effect.
+	mem.Store(1000)
+	waitLevel(t, s, 1)
+	quarter := cacheBounds{full.result / wdShrinkDiv, full.plan / wdShrinkDiv, full.session / wdShrinkDiv}
+	if got := boundsOf(t, s); got != quarter {
+		t.Errorf("degraded cache bounds %+v, want %+v", got, quarter)
 	}
 	err := s.adm.acquire(context.Background(), prioBatch)
 	var oe *overloadError
 	if !errors.As(err, &oe) || oe.reason != shedDegraded {
-		t.Errorf("batch acquire at level 3: %v, want shed reason %q", err, shedDegraded)
+		t.Errorf("batch acquire while degraded: %v, want shed reason %q", err, shedDegraded)
 	}
 	if err := s.adm.acquire(context.Background(), prioInteractive); err != nil {
-		t.Errorf("interactive acquire at level 3: %v, want admitted", err)
+		t.Errorf("interactive acquire while degraded: %v, want admitted", err)
 	} else {
 		s.adm.release()
 	}
+	slowRecord(1)
 
-	// Pressure lifts: recovery walks the ladder back down (hysteresis takes
-	// a few consecutive low samples per level) and reverses every effect.
+	// Pressure lifts: after the hysteresis run every effect is reversed.
 	mem.Store(100)
 	waitLevel(t, s, 0)
-	if got := resultCacheMax(s); got != fullBytes {
-		t.Errorf("post-recovery result cache bound %d, want %d restored", got, fullBytes)
-	}
-	if got := s.adm.state().ShedFloor; got != "" {
-		t.Errorf("post-recovery shed floor %q, want none", got)
+	if got := boundsOf(t, s); got != full {
+		t.Errorf("post-recovery cache bounds %+v, want %+v restored", got, full)
 	}
 	if err := s.adm.acquire(context.Background(), prioBatch); err != nil {
 		t.Errorf("batch acquire after recovery: %v, want admitted", err)
 	} else {
 		s.adm.release()
 	}
+	slowRecord(0)
 
-	// Shutdown stops the sampling goroutine and resets the level so the
-	// post-drain introspection surfaces report a clean server.
+	// Shutdown stops the sampling goroutine and leaves the degraded state so
+	// the post-drain introspection surfaces report a clean server.
+	mem.Store(1000)
+	waitLevel(t, s, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -103,16 +119,16 @@ func TestWatchdogBrownoutLadder(t *testing.T) {
 
 // TestWatchdogHysteresis drives sample() by hand (the ticker is parked at
 // an hour, so the loop goroutine never samples concurrently) to pin the
-// exact hysteresis contract: the level rises on ONE sample over a
-// threshold, but falls only after wdHystSamples consecutive samples below
+// exact hysteresis contract: ONE sample at the limit enters the degraded
+// state, but it is left only after wdHystSamples consecutive samples below
 // the exit threshold — a brief dip, or an interrupted run of low samples,
-// holds the level.
+// holds it.
 func TestWatchdogHysteresis(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(100)
 	s, _ := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4, QueueWait: time.Second,
-		MemSoftLimit: 1000, MemCheckInterval: time.Hour,
+		MemSoftLimit: 1000, memTick: time.Hour,
 		memProbe: mem.Load,
 	})
 	wd := s.watchdog
@@ -121,56 +137,46 @@ func TestWatchdogHysteresis(t *testing.T) {
 		wd.sample()
 	}
 
-	// One sample at 76% enters level 1 immediately.
-	sampleAt(760)
+	// One sample at the limit enters the degraded state immediately.
+	sampleAt(1000)
 	if got := s.degradeLevel(); got != 1 {
-		t.Fatalf("level after one high sample: %d, want 1", got)
+		t.Fatalf("level after one sample at the limit: %d, want 1", got)
 	}
-	// Exit threshold for level 1 is 750×0.85 = 637.5. Two low samples are
-	// not enough...
-	sampleAt(600)
-	sampleAt(600)
+	// The exit threshold is 1000×0.85 = 850. A sample between it and the
+	// limit holds the state; two low samples are not enough...
+	sampleAt(900)
+	sampleAt(800)
+	sampleAt(800)
 	if got := s.degradeLevel(); got != 1 {
 		t.Fatalf("level after %d low samples: %d, want 1 held", wdHystSamples-1, got)
 	}
 	// ...and a sample back above the exit threshold resets the count.
-	sampleAt(700)
-	sampleAt(600)
-	sampleAt(600)
+	sampleAt(860)
+	sampleAt(800)
+	sampleAt(800)
 	if got := s.degradeLevel(); got != 1 {
 		t.Fatalf("level after interrupted low run: %d, want 1 held", got)
 	}
-	// Three consecutive low samples finally step down.
-	sampleAt(600)
+	// Three consecutive low samples finally leave it.
+	sampleAt(800)
 	if got := s.degradeLevel(); got != 0 {
 		t.Fatalf("level after %d consecutive low samples: %d, want 0", wdHystSamples, got)
 	}
-
-	// A straight jump over the top threshold skips intermediate levels.
-	sampleAt(1200)
-	if got := s.degradeLevel(); got != 3 {
-		t.Fatalf("level after jump over soft limit: %d, want 3", got)
-	}
-	// Descent is one level at a time: wdHystSamples low samples drop 3→2,
-	// not 3→0 (sample at 100 is below every exit threshold).
-	for i := 0; i < wdHystSamples; i++ {
-		sampleAt(100)
-	}
-	if got := s.degradeLevel(); got != 2 {
-		t.Fatalf("level after first hysteresis window: %d, want 2 (stepwise descent)", got)
+	if got := wd.transitions.Load(); got != 2 {
+		t.Errorf("%d transitions, want 2 (one entry, one exit)", got)
 	}
 }
 
-// TestWatchdogDegradedShadowPause: level 1 pauses the one diagnostic it
-// still gates — a slow record's analyzed plan report (the shadow re-runs it
-// also paused are gone) — and only while it lasts: the same slow request
-// before, during and after the brownout leaves a record each time, with its
-// explain rebuilt at level 0 only.
+// TestWatchdogDegradedShadowPause: the degraded state pauses the one
+// diagnostic it gates — a slow record's analyzed plan report — and only
+// while it lasts: the same slow request before, during and after the
+// pressure leaves a record each time, with its explain rebuilt at level 0
+// only.
 func TestWatchdogDegradedShadowPause(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(100)
 	h := &recHarness{t: t, s: NewServer(Config{
-		SlowQuery: time.Nanosecond, MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
+		SlowQuery: time.Nanosecond, MemSoftLimit: 1000, memTick: 2 * time.Millisecond,
 		memProbe: mem.Load,
 	})}
 	defer h.s.Shutdown(context.Background())
@@ -188,8 +194,42 @@ func TestWatchdogDegradedShadowPause(t *testing.T) {
 		}
 	}
 	slowRecord(0)
-	mem.Store(800)
+	mem.Store(1000)
 	slowRecord(1)
 	mem.Store(100)
 	slowRecord(0)
+}
+
+// TestSessionLimitUnderConcurrentCreate: a dataset created while the
+// watchdog retunes the session lattice-cache bound ends at the last bound
+// set, not at one read before the retune. Run under -race: the bound must be
+// read under the lock it is written under.
+func TestSessionLimitUnderConcurrentCreate(t *testing.T) {
+	r := NewRegistry(1<<20, false)
+	const datasets, retunes = 16, 200
+	var wg sync.WaitGroup
+	for i := 0; i < datasets; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := r.Create(marketSpec(fmt.Sprintf("d%d", i))); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	var last int64
+	for i := 1; i <= retunes; i++ {
+		last = int64(1000 + i)
+		r.SetSessionCacheLimit(last)
+	}
+	wg.Wait()
+	for i := 0; i < datasets; i++ {
+		_, sess, _, err := r.Lookup(fmt.Sprintf("d%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.CacheStats().LimitBytes; got != last {
+			t.Errorf("d%d: session cache bound %d, want the last one set, %d", i, got, last)
+		}
+	}
 }

@@ -150,8 +150,8 @@ func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Dura
 		rec.Query = sc.canonical
 		// The report is of the plan that ran, analyzed with this run's
 		// pruning; a request that never reached evaluation has none, and
-		// brownout level 1+ pauses the rebuild with the other diagnostics.
-		if sc.prepared != nil && level < 1 {
+		// the memory watchdog's degraded state skips the rebuild.
+		if sc.prepared != nil && level == 0 {
 			if rep, err := sc.prepared.AnalyzeCapture(sc.prune, sc.pruned); err == nil {
 				rec.Explain = rep
 			}
