@@ -110,10 +110,12 @@ const (
 	// exact sum bounds instead of the dovetailed Vᵏ series (Section 5.2's
 	// non-dovetailed alternative).
 	Sequential
-	// Auto defers the choice to the cost-based planner (internal/plan): the
-	// query is profiled, its strategies costed, and the cheapest predicted
-	// plan executed. Every entry point accepting a Strategy resolves Auto
-	// through Prepare, so `auto` works wherever a strategy name does.
+	// Auto defers the choice to the planner (internal/plan), whose rule
+	// reads the compiled constraint shapes: CAPOnly with no 2-var
+	// constraint, Optimized when a 2-var constraint registers a dynamic bound
+	// that prunes T, Sequential otherwise. Every entry point accepting a
+	// Strategy resolves Auto through Prepare, so `auto` works wherever a
+	// strategy name does.
 	Auto
 )
 

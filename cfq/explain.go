@@ -59,8 +59,8 @@ func (q *Query) ExplainQuery(strat Strategy) (*ExplainReport, error) {
 	return p.Explain()
 }
 
-// QueryFeatures is the strategy-independent feature vector of a query —
-// the workload journal's cost-model input (see obs.QueryFeatures).
+// QueryFeatures is the strategy-independent feature vector of a query that
+// the workload journal records (see obs.QueryFeatures).
 type QueryFeatures = obs.QueryFeatures
 
 // ProfileQuery renders the plan together with the query's feature vector

@@ -6,14 +6,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
 	"repro/internal/plan"
 	"repro/internal/rules"
 )
 
 // defaultPlanner serves Prepare and every strategy-auto entry point that
-// does not supply its own planner. Hosting processes with their own
-// fallback strategy (the server) pass their own planner through PrepareWith.
+// does not supply its own planner. Hosting processes that report their own
+// decision counts (the server's /statz) pass their own planner through
+// PrepareWith.
 var defaultPlanner = plan.New(plan.Options{})
 
 // Prepared is a compiled, planned query — the Prepare half of the
@@ -21,7 +21,7 @@ var defaultPlanner = plan.New(plan.Options{})
 // every Query.Run*/Explain* entry point and Session.Run prepare first and
 // run through here. It captures the dataset snapshot and the planner's
 // decision once; each Run replays the executable plan without
-// re-classifying constraints or re-costing strategies, which is what makes
+// re-classifying constraints or re-planning, which is what makes
 // prepared handles (and the server's plan cache) cheap to re-execute.
 //
 // A Prepared always answers over the snapshot captured at Prepare time: a
@@ -48,12 +48,12 @@ func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (*Prepared, 
 }
 
 // PrepareWith compiles and plans the query with an explicit planner (nil
-// uses the default planner). With strategy Auto the query is profiled (off
-// the per-generation item supports, no database pass), the planner costs
-// every strategy, and the decision — strategy, Jmax cutoff — is baked into
-// the prepared plan; when ctx carries a Tracer a "plan:decide" span records
-// the choice. Any other strategy skips planning entirely and prepares that
-// strategy as-is, so Prepare never costs more than the caller asked for.
+// uses the default planner). With strategy Auto the planner's rule reads the
+// compiled constraint shapes — whether there is a 2-var constraint, and
+// whether one registers a dynamic bound that prunes T — with no pass over
+// the data, and the chosen strategy is baked into the prepared plan; when ctx
+// carries a Tracer a "plan:decide" span records the choice. Any other
+// strategy skips planning entirely and prepares that strategy as-is.
 func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strategy) (p *Prepared, err error) {
 	defer recoverToError(&err)
 	icfq, err := q.compile()
@@ -77,27 +77,12 @@ func prepare(ctx context.Context, pl *plan.Planner, icfq core.CFQ, budget *Budge
 	if tracer != nil {
 		sp = tracer.Start("plan:decide")
 	}
-	// Profile off the database's item supports: the report yields the
-	// workload class, the feature vector feeds the cost model. A profiling
-	// failure is not fatal — Decide degrades to the fallback strategy, never
-	// an error.
-	var class string
-	rep, feats, ferr := core.BuildExplainFeatures(icfq, Optimized.internal())
-	if ferr != nil {
-		feats = nil
-	} else {
-		class = workload.ClassKey(rep)
-	}
-	d := pl.Decide(feats, class)
-	resolved, perr := ParseStrategy(d.Strategy)
-	if perr != nil || resolved == Auto {
-		resolved = Optimized
-	}
-	p.strat = resolved
+	d := pl.Decide(plan.Shape{TwoVar: len(icfq.Constraints2) > 0, BoundsT: core.BoundsT(icfq)})
+	// The rule picks among wire names ParseStrategy knows: no error to handle.
+	p.strat, _ = ParseStrategy(d.Strategy)
 	p.decision = d
-	p.icfq.JmaxCutoff = d.JmaxCutoff
 	if sp != nil {
-		sp.SetAttrs(obs.String("strategy", d.Strategy), obs.String("source", d.Source))
+		sp.SetAttrs(obs.String("strategy", d.Strategy), obs.String("reason", d.Reason))
 		sp.End(nil)
 	}
 	return p
@@ -182,7 +167,7 @@ func (p *Prepared) RunRulesContext(ctx context.Context, params RuleParams) (out 
 // Explain renders the prepared plan's EXPLAIN report without running it
 // (and without a database pass: the selectivity estimates read
 // per-generation statistics); plans chosen by the planner carry the decision
-// (chosen strategy, costed alternatives) in the report's planner node.
+// (chosen strategy, the rule that fired) in the report's planner node.
 func (p *Prepared) Explain() (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
 	rep, err = core.BuildExplain(p.icfq, p.strat.internal())

@@ -2,6 +2,7 @@ package cfq
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -121,7 +122,7 @@ func TestPreparedSnapshotStable(t *testing.T) {
 }
 
 // TestAutoExplainCarriesPlanner: EXPLAIN under auto renders the decision —
-// chosen strategy, source, and the costed rejected alternatives.
+// chosen strategy and the rule that fired.
 func TestAutoExplainCarriesPlanner(t *testing.T) {
 	ds := marketDataset(t)
 	rep, err := autoQuery(ds).ExplainQuery(Auto)
@@ -131,14 +132,11 @@ func TestAutoExplainCarriesPlanner(t *testing.T) {
 	if rep.Planner == nil {
 		t.Fatal("auto EXPLAIN has no planner node")
 	}
-	if rep.Planner.Source == "" || rep.Planner.Strategy == "" {
+	if rep.Planner.Reason == "" || rep.Planner.Strategy == "" {
 		t.Fatalf("planner node incomplete: %+v", rep.Planner)
 	}
-	if len(rep.Planner.Rejected) == 0 {
-		t.Fatal("planner node lists no rejected alternatives")
-	}
 	tree := rep.Tree()
-	if !strings.Contains(tree, "planner: chose "+rep.Planner.Strategy) {
+	if !strings.Contains(tree, "planner: chose "+rep.Planner.Strategy+" ("+rep.Planner.Reason+")") {
 		t.Fatalf("Tree() does not render the planner node:\n%s", tree)
 	}
 	// Fixed-strategy EXPLAIN stays planner-free.
@@ -292,5 +290,50 @@ func TestProfileFollowsGeneration(t *testing.T) {
 	after := profile()
 	if after.Transactions != 7 || after.Items != 6 || after.FrequentItemsS != 5 || after.SelectivityS != 8.0/14.0 {
 		t.Errorf("second generation: %+v, want 7 transactions, 6 items, 5 frequent, selectivity 8/14", *after)
+	}
+}
+
+// TestAutoSmallDomainNotFM: FM runs on domains of at most 16 items, where it
+// counts the most candidates of any strategy. Strategy auto must not resolve
+// to it there, and must count no more candidates than sequential.
+func TestAutoSmallDomainNotFM(t *testing.T) {
+	for _, items := range []int{8, 12} {
+		ds := NewDataset(items)
+		r := rand.New(rand.NewSource(1))
+		prices := make([]float64, items)
+		for i := range prices {
+			prices[i] = float64(1 + r.Intn(20))
+		}
+		if err := ds.SetNumeric("Price", prices); err != nil {
+			t.Fatal(err)
+		}
+		txs := make([][]int, 200)
+		for i := range txs {
+			for j := 0; j < 2+r.Intn(4); j++ {
+				txs[i] = append(txs[i], r.Intn(items))
+			}
+		}
+		if err := ds.AddTransactions(txs); err != nil {
+			t.Fatal(err)
+		}
+		q := NewQuery(ds).MinSupport(4).Where2(Join(Sum, "Price", LE, Sum, "Price"))
+		p, err := q.Prepare(Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Strategy() == FM {
+			t.Errorf("%d items: auto resolved to fm", items)
+		}
+		auto, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := q.Run(Sequential)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, s := auto.Stats.CandidatesCounted, seq.Stats.CandidatesCounted; a > s {
+			t.Errorf("%d items: auto (%v) counted %d candidates, sequential %d", items, p.Strategy(), a, s)
+		}
 	}
 }

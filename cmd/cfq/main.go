@@ -65,7 +65,7 @@ func realMain() error {
 		typeFile               = flag.String("types", "", "categorical 'Type' attribute file (one label per line); 'uniform:N' generates N types")
 		minSup                 = flag.Int("minsup", 0, "absolute minimum support")
 		minSupFrac             = flag.Float64("minsupfrac", 0.01, "minimum support as a fraction of transactions (ignored when -minsup > 0)")
-		strategy               = flag.String("strategy", "optimized", "optimized, nojmax, cap, apriori, fm, sequential, auto (cost-based planner)")
+		strategy               = flag.String("strategy", "optimized", "optimized, nojmax, cap, apriori, fm, sequential, auto (planner rule)")
 		maxPairs               = flag.Int("maxpairs", 20, "answer pairs to print (0 = all)")
 		explain                = flag.Bool("explain", false, "print the plan (ExplainReport JSON on stdout, tree on stderr) without running")
 		explainAnalyze         = flag.Bool("explain-analyze", false, "run the query and print the plan annotated with actual per-constraint pruning")

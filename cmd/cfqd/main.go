@@ -1,7 +1,7 @@
 // Command cfqd serves constrained frequent set queries over HTTP/JSON: a
 // dataset registry, three query endpoints (/v1/query, /v1/explain,
 // /v1/explain-analyze) carrying the textual CFQ language, a Prepare→Execute
-// split (/v1/prepare plans once — strategy "auto" through the cost-based
+// split (/v1/prepare plans once — strategy "auto" through the
 // planner — and issues a handle /v1/query replays), admission control
 // with bounded queueing, per-request budgets clamped by server maxima, and
 // a normalized-query result cache above each dataset's shared session.
@@ -69,7 +69,7 @@ func run(args []string, ready chan<- string) error {
 		minSupFrac     = fs.Float64("minsupfrac", 0.01, "default minimum support fraction when a request sets no threshold")
 		resultEntries  = fs.Int("result-cache-entries", 256, "result cache entry bound (negative disables the cache)")
 		resultBytes    = fs.Int64("result-cache-bytes", 64<<20, "result cache byte bound")
-		defaultStrat   = fs.String("default-strategy", "", "strategy for requests that set none (optimized, nojmax, cap, apriori, fm, sequential, auto); empty = optimized, auto = cost-based planner")
+		defaultStrat   = fs.String("default-strategy", "", "strategy for requests that set none (optimized, nojmax, cap, apriori, fm, sequential, auto); empty = optimized, auto = planner rule: cap without a 2-var constraint, optimized when a dynamic bound prunes T, else sequential")
 		planEntries    = fs.Int("plan-cache-entries", 256, "prepared-plan cache entry bound (negative disables /v1/prepare)")
 		planBytes      = fs.Int64("plan-cache-bytes", 8<<20, "prepared-plan cache byte bound")
 		sessionBytes   = fs.Int64("session-cache-bytes", 256<<20, "per-dataset session lattice cache byte bound (negative = unbounded)")
@@ -164,6 +164,13 @@ func run(args []string, ready chan<- string) error {
 		Logger:                logger,
 	})
 
+	// Catch shutdown signals before anyone can learn the address: a SIGTERM
+	// that arrives between "listening" and the drain select must drain, not
+	// take the default terminate disposition.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -220,10 +227,6 @@ func run(args []string, ready chan<- string) error {
 		logger.Info("recovery complete", slog.Int("datasets", len(recovered)),
 			slog.Duration("elapsed", time.Since(recoverStart)))
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-errc:

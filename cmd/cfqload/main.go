@@ -12,7 +12,7 @@
 // its durable store at boot is waited for, not counted as errors.
 //
 // -strategy forwards a strategy on every request ("auto" exercises the
-// server's cost-based planner); -prepare instead plans once via /v1/prepare
+// server's planner); -prepare instead plans once via /v1/prepare
 // and drives /v1/query by handle, re-preparing when a mid-run dataset
 // mutation invalidates the handle with 409 stale_generation.
 //
@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		genItems    = fs.Int("gen-items", 50, "item domain size for -create")
 		genSeed     = fs.Int64("gen-seed", 1, "generator seed for -create")
 		query       = fs.String("query", "{(S,T) | freq(S) & freq(T)}", "CFQ text to issue")
-		strategy    = fs.String("strategy", "", "strategy each request carries (e.g. auto for the cost-based planner); empty = server default")
+		strategy    = fs.String("strategy", "", "strategy each request carries (e.g. auto for the planner); empty = server default")
 		prepareMode = fs.Bool("prepare", false, "plan once via /v1/prepare and execute by handle, re-preparing on 409 stale_generation")
 		minSup      = fs.Int("minsup", 0, "absolute minimum support (0 = server default)")
 		clients     = fs.Int("clients", 8, "concurrent closed-loop clients")

@@ -160,12 +160,6 @@ type CFQ struct {
 	// overrun aborts the run with a *mine.BudgetError carrying partial
 	// stats.
 	Budget *mine.Budget
-	// JmaxCutoff, when > 0, freezes the Jmax dynamic bounds after that many
-	// dovetail iterations under StrategyOptimized: later levels stop feeding
-	// the series, so bounds established early keep pruning but no further
-	// summarization cost is paid. Bounds only ever stay looser than the full
-	// iteration would make them, so the answer is unchanged. 0 = no cutoff.
-	JmaxCutoff int
 	// Lattice, when non-nil, supplies StrategyAprioriPlus's unconstrained
 	// lattices in place of mining (see cap.Query.Lattice); a session plugs
 	// its cache in here. Constraint-pushing strategies ignore it.
@@ -344,6 +338,19 @@ func Explain(q CFQ) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// BoundsT reports whether some 2-var constraint of q registers a dynamic
+// bound that prunes T (twovar.BoundsT) — what the planner's rule reads
+// besides whether q has a 2-var constraint at all.
+func BoundsT(q CFQ) bool {
+	domS := func() itemset.Set { s, _ := q.domains(); return s }
+	for _, c2 := range q.Constraints2 {
+		if twovar.BoundsT(c2, domS) {
+			return true
+		}
+	}
+	return false
 }
 
 func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
@@ -618,10 +625,6 @@ func dovetail(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) 
 	for _, ds := range m.dyns {
 		ds.allowed = !runs[opposite(ds.d.PruneSide)].HasExistential()
 	}
-	// Past the cutoff the bounds freeze: steps still run (and still benefit
-	// from the frozen bounds via dynFilter), but the per-level summarization
-	// stops. Round k steps level k on either side.
-	observed := func(level int) bool { return m.q.JmaxCutoff <= 0 || level <= m.q.JmaxCutoff }
 	for iter := 1; !runs[twovar.SideS].Done() || !runs[twovar.SideT].Done(); iter++ {
 		// One structural span per dovetail round: its children are the two
 		// sides' level/finalcheck spans, so the report tree names every Jmax
@@ -638,9 +641,7 @@ func dovetail(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) 
 				isp.End(nil)
 				return mined, err
 			}
-			if observed(iter) {
-				observeLevel(m.dyns, opposite(side), runs[side], false)
-			}
+			observeLevel(m.dyns, opposite(side), runs[side], false)
 		}
 		bounded := 0
 		for i, ds := range m.dyns {
@@ -655,13 +656,10 @@ func dovetail(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) 
 		isp.SetAttrs(obs.Int("active_bounds", bounded))
 		isp.End(nil)
 	}
+	// Every lattice is observed to its last level, which makes its bounds
+	// exact.
 	for _, side := range bothSides {
-		// A lattice observed to its last level makes its bounds exact; one
-		// the cutoff froze does not — its deeper levels may hold larger
-		// sums, so those bounds keep their Vᵏ tail.
-		if observed(runs[side].Level()) {
-			finishBounds(m.dyns, opposite(side))
-		}
+		finishBounds(m.dyns, opposite(side))
 		mined[side] = runs[side].Result()
 	}
 	return mined, nil

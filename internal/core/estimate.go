@@ -1,5 +1,5 @@
 // Selectivity estimation for EXPLAIN: a deliberately crude item-frequency
-// model. The planner has no histogram machinery; what it does have for free
+// model. EXPLAIN has no histogram machinery; what it does have for free
 // is the support of every item (txdb computes it once per database, i.e.
 // once per dataset generation, so an estimate costs no pass). A 1-var
 // constraint's estimated selectivity is the support-weighted fraction of

@@ -89,7 +89,7 @@ func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 }
 
 // BuildExplainFeatures renders the plan and the query's strategy-independent
-// feature vector (workload journal / cost-model input) off the same
+// feature vector (what the workload journal records) off the same
 // per-generation item supports BuildExplain reads.
 func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.QueryFeatures, error) {
 	if err := q.normalize(); err != nil {

@@ -23,9 +23,8 @@ type ExplainReport struct {
 	Strategy string `json:"strategy"`
 	// Analyzed is true when the report carries actuals from a run.
 	Analyzed bool `json:"analyzed"`
-	// Planner, when the strategy was chosen by the cost-based planner
-	// (strategy "auto"), records the decision: chosen strategy, source, and
-	// the costed alternatives it rejected.
+	// Planner, when the strategy was chosen by the planner (strategy
+	// "auto"), records the decision: chosen strategy and the rule that fired.
 	Planner *PlanChoice `json:"planner,omitempty"`
 	// Constraints lists every pushed constraint with its plan annotations
 	// (1-var constraints, 2-var constraints, and — after an analyzed
@@ -87,25 +86,11 @@ type BoundExplain struct {
 	PrunedBySite Counters `json:"pruned_by_site,omitempty"`
 }
 
-// PlanChoice is the cost-based planner's decision as EXPLAIN renders it:
-// what was chosen, why, and the costed alternatives that lost. Costs are
-// the planner's unitless model values, comparable only within one choice.
+// PlanChoice is the planner's decision as EXPLAIN renders it: the chosen
+// strategy and the rule that chose it.
 type PlanChoice struct {
-	Strategy   string `json:"strategy"`
-	Jmax       bool   `json:"jmax"`
-	JmaxCutoff int    `json:"jmax_cutoff,omitempty"`
-	// Source is "model" or "fallback".
-	Source string  `json:"source"`
-	Cost   float64 `json:"cost"`
-	// Rejected lists the alternatives, cheapest first.
-	Rejected []PlanAlternative `json:"rejected,omitempty"`
-}
-
-// PlanAlternative is one strategy the planner costed and did not choose.
-type PlanAlternative struct {
-	Strategy string  `json:"strategy"`
-	Cost     float64 `json:"cost"`
-	Reason   string  `json:"reason,omitempty"`
+	Strategy string `json:"strategy"`
+	Reason   string `json:"reason"`
 }
 
 // selText renders an estimated selectivity.
@@ -144,22 +129,7 @@ func (r *ExplainReport) Tree() string {
 	}
 	var nodes []node
 	if p := r.Planner; p != nil {
-		n := node{head: fmt.Sprintf("planner: chose %s (source: %s, cost %.3g)", p.Strategy, p.Source, p.Cost)}
-		if p.Jmax {
-			if p.JmaxCutoff > 0 {
-				n.body = append(n.body, fmt.Sprintf("jmax: on (cutoff after %d iterations)", p.JmaxCutoff))
-			} else {
-				n.body = append(n.body, "jmax: on")
-			}
-		}
-		for _, alt := range p.Rejected {
-			line := fmt.Sprintf("rejected %s: cost %.3g", alt.Strategy, alt.Cost)
-			if alt.Reason != "" {
-				line += " (" + alt.Reason + ")"
-			}
-			n.body = append(n.body, line)
-		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, node{head: fmt.Sprintf("planner: chose %s (%s)", p.Strategy, p.Reason)})
 	}
 	for _, c := range r.Constraints {
 		n := node{head: fmt.Sprintf("%s: %s", c.Variable, c.Constraint)}

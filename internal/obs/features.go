@@ -1,12 +1,13 @@
 package obs
 
-// QueryFeatures is the planner-facing feature vector of one constrained
-// frequent set query — the inputs a cost model would consult before picking
-// a strategy: database shape, per-side support thresholds and domain sizes,
-// the estimated level-1 frequent item counts (L1 stats), the product of the
-// per-constraint selectivity estimates (internal/core/estimate.go), and the
-// constraint-mix counts. It is strategy-independent: two runs of the same
-// query under different strategies share one feature vector.
+// QueryFeatures is the feature vector the workload journal records for one
+// constrained frequent set query: database shape, per-side support
+// thresholds and domain sizes, the estimated level-1 frequent item counts
+// (L1 stats), the product of the per-constraint selectivity estimates
+// (internal/core/estimate.go), and the constraint-mix counts. It describes
+// the query for offline rollups; the planner does not read it. It is
+// strategy-independent: two runs of the same query under different
+// strategies share one feature vector.
 type QueryFeatures struct {
 	// Transactions / Items describe the database snapshot (active items).
 	Transactions int `json:"transactions"`

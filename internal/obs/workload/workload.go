@@ -80,16 +80,18 @@ type Record struct {
 	// request's root) to wall milliseconds — the breakdown of DurationMS.
 	DurationMS float64            `json:"duration_ms"`
 	Phases     map[string]float64 `json:"phases,omitempty"`
-	// Plan is the planner's decision (source, predicted cost, costed
-	// rejected alternatives) — only on requests that executed a planned or
-	// replayed plan, never on cache hits or collapse followers.
+	// Plan is the planner's decision (chosen strategy, the rule that fired)
+	// — only on requests that executed a planned or replayed plan, never on
+	// cache hits or collapse followers. Journals written while the planner
+	// was a cost model carry source/cost/rejected keys, which load and are
+	// ignored.
 	Plan *obs.PlanChoice `json:"plan,omitempty"`
 	// PruneSites is the attributed pruning; by the attribution contract the
 	// values sum to CandidatesPruned.
 	PruneSites       obs.Counters `json:"prune_sites,omitempty"`
 	CandidatesPruned int64        `json:"candidates_pruned"`
 	// EnforcedAt is the union of the plan's enforcement sites; Features the
-	// strategy-independent cost-model inputs.
+	// strategy-independent query profile (obs.QueryFeatures).
 	EnforcedAt []string           `json:"enforced_at,omitempty"`
 	Features   *obs.QueryFeatures `json:"features,omitempty"`
 	// Slow marks a record that crossed ThresholdMS, exhausted its budget or

@@ -39,7 +39,7 @@ type QueryRequest struct {
 	// Strategy selects the computation strategy for engine-driven
 	// evaluations (explain, explain-analyze, and no_session queries):
 	// optimized, nojmax, cap, apriori, fm, sequential, or auto (the
-	// cost-based planner picks). Empty uses the server's default strategy.
+	// planner picks). Empty uses the server's default strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// Prepared executes a plan prepared via POST /v1/prepare by its handle
 	// (query endpoints only; Query/Strategy must be empty). A handle whose
@@ -107,7 +107,7 @@ type QueryResponse struct {
 // PrepareResponse is the success envelope of POST /v1/prepare: the plan
 // handle to pass back as "prepared" on /v1/query, the concrete strategy
 // the planner resolved (never "auto"), and — for planner-chosen plans —
-// the decision with its costed rejected alternatives. Cached is true when
+// the decision with the rule that fired. Cached is true when
 // the handle came from the plan cache (no planning work was done).
 type PrepareResponse struct {
 	Schema     int             `json:"schema"`

@@ -12,11 +12,11 @@ import (
 	"repro/internal/obs"
 )
 
-// The planner surface of the daemon: one cost-based planner shared by every
-// auto-strategy evaluation (its fallback is the server's default strategy),
-// and a byte-bounded prepared-plan cache keyed dataset × generation ×
-// canonical query. A plan-cache hit skips classification, profiling, and
-// costing entirely — the prepared handle replays the frozen executable plan.
+// The planner surface of the daemon: one planner shared by every
+// auto-strategy evaluation, and a byte-bounded prepared-plan cache keyed
+// dataset × generation × canonical query. A plan-cache hit skips compilation,
+// classification and planning entirely — the prepared handle replays the
+// frozen executable plan.
 var (
 	mPlanHits      = obs.NewCounter("plan_cache_hits_total")
 	mPlanMisses    = obs.NewCounter("plan_cache_misses_total")
@@ -99,7 +99,7 @@ func (s *Server) plannerStatz() map[string]any {
 // preparePlan resolves the scope's query to a prepared plan through the
 // plan cache: a hit replays the cached plan with no planning work at all (no
 // plan:* spans); a miss prepares through the server's planner — with
-// strategy auto that is profile + cost + decide, traced when ctx carries a
+// strategy auto that is compile + decide, traced when ctx carries a
 // tracer — and stores the result keyed to the dataset generation. The store
 // is skipped when the generation moved mid-prepare, exactly like the result
 // cache's gen-unchanged check.

@@ -60,7 +60,7 @@ func TestPrepareRoundTrip(t *testing.T) {
 	if prep.Plan == nil {
 		t.Fatal("auto prepare has no plan decision")
 	}
-	if prep.Plan.Source == "" || len(prep.Plan.Rejected) == 0 {
+	if prep.Plan.Reason == "" || prep.Plan.Strategy != prep.Strategy {
 		t.Errorf("decision incomplete: %+v", prep.Plan)
 	}
 
@@ -335,7 +335,7 @@ func TestStatzPlanner(t *testing.T) {
 // scenario with the planner in charge: live traffic runs strategy auto, the
 // plan it leaves in the plan cache pushes the 2-var constraint, and auto's
 // run counts fewer candidates than the pinned CAP baseline's. Work, not
-// wall: the counters are exact, and the choice is the static model's
+// wall: the counters are exact, and the choice is the planner rule's
 // deterministic one.
 func TestAutoRegretResolvesInversion(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

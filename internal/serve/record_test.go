@@ -307,8 +307,8 @@ func checkRecord(t *testing.T, rec *workload.Record, want *sent, slow bool) {
 	}
 	if (rec.Plan != nil) != want.plan {
 		t.Errorf("plan = %+v, want present=%v", rec.Plan, want.plan)
-	} else if want.plan && (rec.Plan.Source == "" || len(rec.Plan.Rejected) == 0) {
-		t.Errorf("plan block has no source or no costed alternatives: %+v", rec.Plan)
+	} else if want.plan && (rec.Plan.Strategy == "" || rec.Plan.Reason == "") {
+		t.Errorf("plan block has no strategy or no reason: %+v", rec.Plan)
 	}
 	if rec.Cached != want.cached || rec.Collapsed != want.collapsed || rec.Priority != want.priority {
 		t.Errorf("cached/collapsed/priority = %v/%v/%q, want %v/%v/%q",

@@ -199,6 +199,10 @@ func (r *Registry) Create(spec *DatasetSpec) (DatasetInfo, error) {
 	if err != nil {
 		return DatasetInfo{}, err
 	}
+	// The entry is visible now: a concurrent Mutate may bump e.gen, which it
+	// writes under r.mu.
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return infoOf(spec.Name, e), nil
 }
 

@@ -119,8 +119,8 @@ type Config struct {
 	// (default: 256 MiB; negative = unbounded).
 	SessionCacheBytes int64
 	// DefaultStrategy is applied when a request sets no strategy
-	// (default: "optimized"; "auto" makes the cost-based planner the
-	// default for every engine-driven evaluation).
+	// (default: "optimized"; "auto" makes the planner the default for every
+	// engine-driven evaluation).
 	DefaultStrategy string
 	// PlanCacheEntries / PlanCacheBytes bound the prepared-plan cache
 	// behind POST /v1/prepare and strategy "auto" (defaults: 256 entries,
@@ -227,15 +227,12 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:   cfg,
-		reg:   NewRegistry(max(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
-		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
-		cache: newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
-		log:   cfg.Logger,
-		// The planner's fallback must be a concrete strategy: "auto" (or
-		// empty) as the server default leaves the planner's own default at
-		// optimized (plan.Options sanitizes unknown names).
-		planner:  plan.New(plan.Options{Default: cfg.DefaultStrategy}),
+		cfg:      cfg,
+		reg:      NewRegistry(max(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
+		adm:      newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
+		cache:    newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
+		log:      cfg.Logger,
+		planner:  plan.New(plan.Options{}),
 		plans:    newPlanCache(cfg.PlanCacheEntries, cfg.PlanCacheBytes),
 		flights:  newCollapser(),
 		baseCtx:  baseCtx,

@@ -29,8 +29,7 @@ type workloadCollector struct {
 	// profiles caches the per-query profile (class key, enforcement sites,
 	// feature vector) by dataset × generation × canonical text: profiling
 	// (cfq.Query.ProfileQuery) compiles and classifies the query, so
-	// repeated queries — the workload a planner cares about — pay it once
-	// per generation.
+	// repeated queries pay it once per generation.
 	profiles *lru.Cache[*queryProfile]
 }
 

@@ -356,6 +356,19 @@ func (a *agg2) Classify(domS, domT itemset.Set) Class2 {
 	return Class2{AntiMonotone: am, QuasiSuccinct: qs}
 }
 
+// BoundsT reports whether Reduce registers a dynamic bound that prunes T for
+// c: c is agg1(S.A) op agg2(T.B) with op ≥ or >, and agg1 is count, or sum
+// over an attribute non-negative on the S domain. Reduce reads
+// non-negativity over L1ˢ, which needs a support pass; domS is the whole
+// domain it is drawn from, and is called only for a sum form.
+func BoundsT(c Constraint2, domS func() itemset.Set) bool {
+	a, ok := c.(*agg2)
+	if !ok || (a.op != constraint.GE && a.op != constraint.GT) {
+		return false
+	}
+	return a.agg1 == attr.Count || a.agg1 == attr.Sum && a.numS.NonNegativeOver(domS())
+}
+
 // values of the side's frequent-item attribute projections.
 type proj struct {
 	min, max, sum float64

@@ -431,3 +431,32 @@ func TestNegativeAttributesDisableSumBounds(t *testing.T) {
 		t.Error("sum<=min over negative domain claimed anti-monotone")
 	}
 }
+
+// TestBoundsTMatchesReduce: over every agg(S) op agg(T) form and a
+// non-negative and a signed attribute, BoundsT says yes exactly when Reduce
+// registers a dynamic bound pruning T (L1ˢ being the whole S domain here).
+func TestBoundsTMatchesReduce(t *testing.T) {
+	aggs := []attr.Aggregate{attr.Min, attr.Max, attr.Sum, attr.Avg, attr.Count}
+	ops := []constraint.Op{constraint.LE, constraint.LT, constraint.GE, constraint.GT, constraint.EQ, constraint.NE}
+	l1 := itemset.New(0, 1, 2, 3)
+	dom := func() itemset.Set { return l1 }
+	for _, num := range []attr.Numeric{{2, 5, 8, 11}, {-5, 3, 7, 2}} {
+		for _, a1 := range aggs {
+			for _, op := range ops {
+				for _, a2 := range aggs {
+					c := Agg2(a1, num, "A", op, a2, num, "B")
+					registered := false
+					for _, d := range c.Reduce(l1, l1).Dynamic {
+						registered = registered || d.PruneSide == SideT
+					}
+					if got := BoundsT(c, dom); got != registered {
+						t.Errorf("%v over %v: BoundsT = %v, Reduce registers a T bound: %v", c, num, got, registered)
+					}
+				}
+			}
+		}
+	}
+	if BoundsT(Dom2(constraint.Intersects, nil, "A", nil, "B"), dom) {
+		t.Error("a domain constraint registers no dynamic bound")
+	}
+}

@@ -43,7 +43,7 @@ if grep -rn '# TYPE' --include='*.go' . | grep -v '^./internal/obs/' | grep -v '
 fi
 
 echo "== strategy-selection hygiene =="
-# Strategy choice belongs to the cost-based planner: qualified
+# Strategy choice belongs to the planner: qualified
 # core.Strategy literals outside the engine (internal/core), the decision
 # layer's boundary (internal/plan), and the experiment harness
 # (internal/exp pins strategies by design) would fork strategy selection
@@ -189,6 +189,18 @@ echo "== one degraded state =="
 if grep -rnE 'wdEnterFrac|wdMaxLevel|NewRED|telemetry\.RED\b|MemCheckInterval|mem-check-interval' \
     --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
   echo "check.sh: the brownout ladder or the RED windows are back (one degraded state; /statz reads the registry)" >&2
+  exit 1
+fi
+
+echo "== one planner rule =="
+# Strategy auto is the paper's rule over constraint shapes (internal/plan):
+# cap without a 2-var constraint, optimized when one registers a dynamic
+# bound that prunes T, sequential otherwise. The retired static cost model,
+# its Jmax cutoff, FM domain guard and fallback path priced an engine that no
+# longer exists and must not drift back in by name.
+if grep -rnE 'modelCosts|JmaxCutoff|jmax_cutoff|fmGuardItems|SourceFallback' --include='*.go' \
+    --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
+  echo "check.sh: the planner's cost model or Jmax cutoff is back (auto is the constraint-shape rule)" >&2
   exit 1
 fi
 
@@ -435,14 +447,14 @@ if ! grep -q 'verify: ok' "$check_tmp/cfqstat.out"; then
   exit 1
 fi
 
-echo "== planner gate (auto never the worst strategy, by work) =="
-# In process and exact: on the four committed bench points, strategy auto
-# returns every fixed strategy's answer and counts strictly fewer
-# candidates than the worst of them.
+echo "== planner gate (auto counts what the best strategy counts) =="
+# In process and exact: on four Figure 8 points, strategy auto returns every
+# fixed strategy's answer and counts exactly as many candidates as the best
+# of them.
 go test -count=1 -run 'TestAutoNeverWorstByWork' ./cfq
 
 echo "== planner smoke (strategy auto, /v1/prepare) =="
-# Boot cfqd with the cost-based planner as the default strategy, push
+# Boot cfqd with the planner as the default strategy, push
 # inline-auto traffic plus a prepared-handle round, then require: a prepare
 # handle is issued and executes, the planner families reach /metrics and
 # /statz exposes the planner block, and the daemon drains cleanly.
