@@ -69,9 +69,10 @@ func TestAutoNeverWorstByWork(t *testing.T) {
 
 // answer is a result's pairs as sorted "S|T" keys.
 func answer(res *core.Result) []string {
+	validS, validT := res.ValidS(), res.ValidT()
 	keys := make([]string, len(res.Pairs))
 	for i, p := range res.Pairs {
-		keys[i] = fmt.Sprintf("%v|%v", p.S.Set, p.T.Set)
+		keys[i] = fmt.Sprintf("%v|%v", validS[p.SI].Set, validT[p.TI].Set)
 	}
 	slices.Sort(keys)
 	return keys

@@ -140,7 +140,7 @@ func (p *Prepared) RunRulesContext(ctx context.Context, params RuleParams) (out 
 	if err != nil {
 		return nil, err
 	}
-	irules, err := rules.FromPairs(p.icfq.DB, ires.Pairs, rules.Params{
+	irules, err := rules.FromPairs(p.icfq.DB, ires.ValidS(), ires.ValidT(), ires.Pairs, rules.Params{
 		MinConfidence:   params.MinConfidence,
 		MinLift:         params.MinLift,
 		MinJointSupport: params.MinJointSupport,

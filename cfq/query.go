@@ -125,7 +125,8 @@ type FrequentSet struct {
 }
 
 // Pair is one CFQ answer: a valid (S, T) pair of frequent sets. In a
-// Result its sets share their Items with the ValidS/ValidT entries they are.
+// Result each side is a copy of the ValidS/ValidT entry it names and shares
+// that entry's Items slice, so a pair's Items must not be modified in place.
 type Pair struct {
 	S, T FrequentSet
 }
@@ -164,7 +165,8 @@ type Stats struct {
 	Checkpoints int64
 }
 
-// Result is a CFQ answer.
+// Result is a CFQ answer. Its JSON form is AppendJSON's (MarshalJSON
+// delegates to it).
 type Result struct {
 	// Pairs is the answer (possibly truncated to MaxPairs); PairCount is
 	// the true total.
@@ -172,7 +174,8 @@ type Result struct {
 	PairCount int64
 	// ValidS/ValidT are the frequent valid sets per side.
 	ValidS, ValidT []FrequentSet
-	// LevelsS/LevelsT are the same, grouped by cardinality.
+	// LevelsS/LevelsT are the same, grouped by cardinality: each level is a
+	// window of ValidS/ValidT (capacity capped at its length), not a copy.
 	LevelsS, LevelsT [][]FrequentSet
 	// Stats reports the strategy's work counters.
 	Stats Stats
@@ -371,23 +374,42 @@ func itemsOf(s itemset.Set) []int {
 	return out
 }
 
-func convertSet(c mine.Counted) FrequentSet {
-	items := make([]int, c.Set.Len())
-	for i, it := range c.Set {
-		items[i] = int(it)
-	}
-	return FrequentSet{Items: items, Support: c.Support}
-}
-
+// convertLevels renders one side's lattice levels. The flat list is one
+// exact-size slice, every set's Items is a window of one item arena, and
+// each level is a full-slice-expression window of the flat list, so
+// byLevel[k] aliases flat. An empty level is nil, as is flat when there are
+// no sets; an empty set's Items is non-nil.
 func convertLevels(levels [][]mine.Counted) (flat []FrequentSet, byLevel [][]FrequentSet) {
+	if len(levels) == 0 {
+		return nil, nil
+	}
+	nSets, nItems := 0, 0
 	for _, lv := range levels {
-		var conv []FrequentSet
+		nSets += len(lv)
 		for _, c := range lv {
-			fs := convertSet(c)
-			conv = append(conv, fs)
-			flat = append(flat, fs)
+			nItems += c.Set.Len()
 		}
-		byLevel = append(byLevel, conv)
+	}
+	byLevel = make([][]FrequentSet, len(levels))
+	if nSets == 0 {
+		return nil, byLevel
+	}
+	flat = make([]FrequentSet, 0, nSets)
+	arena := make([]int, nItems)
+	for k, lv := range levels {
+		lo := len(flat)
+		for _, c := range lv {
+			n := c.Set.Len()
+			items := arena[:n:n]
+			arena = arena[n:]
+			for i, it := range c.Set {
+				items[i] = int(it)
+			}
+			flat = append(flat, FrequentSet{Items: items, Support: c.Support})
+		}
+		if hi := len(flat); hi > lo {
+			byLevel[k] = flat[lo:hi:hi]
+		}
 	}
 	return flat, byLevel
 }

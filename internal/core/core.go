@@ -210,10 +210,10 @@ func (q *CFQ) normalize() error {
 	return nil
 }
 
-// Pair is one element of a CFQ answer: a frequent valid (S, T) pair.
+// Pair is one element of a CFQ answer: a frequent valid (S, T) pair, held
+// as the positions of S and T in Result.ValidS() / ValidT(). The sets are
+// not copied into the pair; every consumer reads them from those lists.
 type Pair struct {
-	S, T mine.Counted
-	// SI/TI are the positions of S and T in Result.ValidS() / ValidT().
 	SI, TI int32
 }
 

@@ -111,9 +111,10 @@ func oraclePairs(w *world, q CFQ) map[string]bool {
 }
 
 func resultPairs(res *Result) map[string]bool {
+	validS, validT := res.ValidS(), res.ValidT()
 	out := map[string]bool{}
 	for _, p := range res.Pairs {
-		out[p.S.Set.Key()+"|"+p.T.Set.Key()] = true
+		out[validS[p.SI].Set.Key()+"|"+validT[p.TI].Set.Key()] = true
 	}
 	return out
 }

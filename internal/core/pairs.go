@@ -49,7 +49,7 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 				}
 			}
 			si, ti := i/nT, i%nT
-			res.Pairs = append(res.Pairs, Pair{S: validS[si], T: validT[ti], SI: int32(si), TI: int32(ti)})
+			res.Pairs = append(res.Pairs, Pair{SI: int32(si), TI: int32(ti)})
 		}
 		return nil
 	}
@@ -80,7 +80,7 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 		return nil
 	}
 	res.Pairs = make([]Pair, 0, limit)
-	for i, s := range validS {
+	for i := range validS {
 		left := rowCount[i]
 		if left == 0 {
 			continue
@@ -94,7 +94,7 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 			if j.firstFailing(0, i, ti) >= 0 {
 				continue
 			}
-			res.Pairs = append(res.Pairs, Pair{S: s, T: validT[ti], SI: int32(i), TI: int32(ti)})
+			res.Pairs = append(res.Pairs, Pair{SI: int32(i), TI: int32(ti)})
 			if int64(len(res.Pairs)) == limit {
 				return nil
 			}

@@ -37,7 +37,7 @@ func referencePairs(q CFQ, validS, validT []mine.Counted) (pairs []Pair, count, 
 			}
 			count++
 			if q.MaxPairs == 0 || len(pairs) < q.MaxPairs {
-				pairs = append(pairs, Pair{S: s, T: t, SI: int32(si), TI: int32(ti)})
+				pairs = append(pairs, Pair{SI: int32(si), TI: int32(ti)})
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/itemset"
+	"repro/internal/mine"
 	"repro/internal/txdb"
 )
 
@@ -51,10 +52,11 @@ type Params struct {
 	SkipOverlapping bool
 }
 
-// FromPairs derives the rules of a CFQ result. The supports of all distinct
-// unions are counted in a single pass over the database. Rules are returned
-// sorted by descending confidence, then lift.
-func FromPairs(db *txdb.DB, pairs []core.Pair, p Params) ([]Rule, error) {
+// FromPairs derives the rules of a CFQ result: pairs index validS and validT
+// (core.Result's ValidS() and ValidT()). The supports of all distinct unions
+// are counted in a single pass over the database. Rules are returned sorted
+// by descending confidence, then lift.
+func FromPairs(db *txdb.DB, validS, validT []mine.Counted, pairs []core.Pair, p Params) ([]Rule, error) {
 	if db == nil {
 		return nil, fmt.Errorf("rules: nil database")
 	}
@@ -68,10 +70,11 @@ func FromPairs(db *txdb.DB, pairs []core.Pair, p Params) ([]Rule, error) {
 	}
 	needs := map[string]*need{}
 	for _, pr := range pairs {
-		if p.SkipOverlapping && pr.S.Set.Intersects(pr.T.Set) {
+		s, t := validS[pr.SI], validT[pr.TI]
+		if p.SkipOverlapping && s.Set.Intersects(t.Set) {
 			continue
 		}
-		u := pr.S.Set.Union(pr.T.Set)
+		u := s.Set.Union(t.Set)
 		key := u.Key()
 		if _, ok := needs[key]; !ok {
 			needs[key] = &need{union: u}
@@ -89,30 +92,31 @@ func FromPairs(db *txdb.DB, pairs []core.Pair, p Params) ([]Rule, error) {
 	n := float64(db.Len())
 	var out []Rule
 	for _, pr := range pairs {
-		if p.SkipOverlapping && pr.S.Set.Intersects(pr.T.Set) {
+		s, t := validS[pr.SI], validT[pr.TI]
+		if p.SkipOverlapping && s.Set.Intersects(t.Set) {
 			continue
 		}
-		u := needs[pr.S.Set.Union(pr.T.Set).Key()]
+		u := needs[s.Set.Union(t.Set).Key()]
 		if p.MinJointSupport > 0 && u.count < p.MinJointSupport {
 			continue
 		}
 		conf := 0.0
-		if pr.S.Support > 0 {
-			conf = float64(u.count) / float64(pr.S.Support)
+		if s.Support > 0 {
+			conf = float64(u.count) / float64(s.Support)
 		}
 		if conf < p.MinConfidence {
 			continue
 		}
 		lift := 0.0
-		if pr.T.Support > 0 {
-			lift = conf / (float64(pr.T.Support) / n)
+		if t.Support > 0 {
+			lift = conf / (float64(t.Support) / n)
 		}
 		if p.MinLift > 0 && lift < p.MinLift {
 			continue
 		}
 		out = append(out, Rule{
-			S: pr.S.Set, T: pr.T.Set,
-			SupportS: pr.S.Support, SupportT: pr.T.Support,
+			S: s.Set, T: t.Set,
+			SupportS: s.Support, SupportT: t.Support,
 			SupportUnion: u.count,
 			Confidence:   conf,
 			Lift:         lift,

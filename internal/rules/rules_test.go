@@ -13,11 +13,23 @@ import (
 	"repro/internal/txdb"
 )
 
-func mkPair(s []itemset.Item, supS int, t []itemset.Item, supT int) core.Pair {
-	return core.Pair{
-		S: mine.Counted{Set: itemset.New(s...), Support: supS},
-		T: mine.Counted{Set: itemset.New(t...), Support: supT},
-	}
+// answer is a hand-built CFQ answer: the valid sets of each side and the
+// pairs indexing them, as core.Result holds them.
+type answer struct {
+	validS, validT []mine.Counted
+	pairs          []core.Pair
+}
+
+// mkPair appends the pair (S, T) to the answer, each side as a new valid set.
+func (a *answer) mkPair(s []itemset.Item, supS int, t []itemset.Item, supT int) {
+	a.pairs = append(a.pairs, core.Pair{SI: int32(len(a.validS)), TI: int32(len(a.validT))})
+	a.validS = append(a.validS, mine.Counted{Set: itemset.New(s...), Support: supS})
+	a.validT = append(a.validT, mine.Counted{Set: itemset.New(t...), Support: supT})
+}
+
+// rules runs FromPairs over the answer.
+func (a *answer) rules(db *txdb.DB, p Params) ([]Rule, error) {
+	return FromPairs(db, a.validS, a.validT, a.pairs, p)
 }
 
 func TestFromPairsMetrics(t *testing.T) {
@@ -29,8 +41,9 @@ func TestFromPairsMetrics(t *testing.T) {
 	txs = append(txs, itemset.New(1), itemset.New(1), itemset.New(2), itemset.New(2))
 	db := txdb.New(txs)
 
-	pairs := []core.Pair{mkPair([]itemset.Item{1}, 8, []itemset.Item{2}, 8)}
-	rules, err := FromPairs(db, pairs, Params{})
+	var a answer
+	a.mkPair([]itemset.Item{1}, 8, []itemset.Item{2}, 8)
+	rules, err := a.rules(db, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +74,12 @@ func TestFromPairsFilters(t *testing.T) {
 		txs = append(txs, itemset.New(1))
 	}
 	db := txdb.New(txs)
-	pairs := []core.Pair{
-		mkPair([]itemset.Item{1}, 10, []itemset.Item{2}, 4),   // conf 0.4
-		mkPair([]itemset.Item{2}, 4, []itemset.Item{3}, 4),    // conf 1.0
-		mkPair([]itemset.Item{1, 2}, 4, []itemset.Item{2}, 4), // overlapping
-	}
+	var a answer
+	a.mkPair([]itemset.Item{1}, 10, []itemset.Item{2}, 4)   // conf 0.4
+	a.mkPair([]itemset.Item{2}, 4, []itemset.Item{3}, 4)    // conf 1.0
+	a.mkPair([]itemset.Item{1, 2}, 4, []itemset.Item{2}, 4) // overlapping
 
-	rules, err := FromPairs(db, pairs, Params{MinConfidence: 0.5, SkipOverlapping: true})
+	rules, err := a.rules(db, Params{MinConfidence: 0.5, SkipOverlapping: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +87,23 @@ func TestFromPairsFilters(t *testing.T) {
 		t.Fatalf("rules = %v", rules)
 	}
 	// MinJointSupport filter.
-	rules, _ = FromPairs(db, pairs, Params{MinJointSupport: 5})
+	rules, _ = a.rules(db, Params{MinJointSupport: 5})
 	if len(rules) != 0 {
 		t.Fatalf("joint-support filter leaked: %v", rules)
 	}
 	// MinLift filter: rule 2 has lift 1/(4/10) = 2.5.
-	rules, _ = FromPairs(db, pairs, Params{MinLift: 2, SkipOverlapping: true})
+	rules, _ = a.rules(db, Params{MinLift: 2, SkipOverlapping: true})
 	if len(rules) != 1 {
 		t.Fatalf("lift filter: %v", rules)
 	}
 }
 
 func TestFromPairsSortingAndEdges(t *testing.T) {
-	if _, err := FromPairs(nil, nil, Params{}); err == nil {
+	if _, err := FromPairs(nil, nil, nil, nil, Params{}); err == nil {
 		t.Error("nil db accepted")
 	}
 	empty := txdb.New(nil)
-	rules, err := FromPairs(empty, nil, Params{})
+	rules, err := FromPairs(empty, nil, nil, nil, Params{})
 	if err != nil || rules != nil {
 		t.Errorf("empty db: %v, %v", rules, err)
 	}
@@ -112,16 +124,13 @@ func TestQuickRuleMetrics(t *testing.T) {
 			txs = append(txs, itemset.New(items...))
 		}
 		db := txdb.New(txs)
-		var pairs []core.Pair
+		var a answer
 		for i := 0; i < 5; i++ {
 			s := itemset.New(itemset.Item(r.Intn(6)))
 			tt := itemset.New(itemset.Item(r.Intn(6)), itemset.Item(r.Intn(6)))
-			pairs = append(pairs, core.Pair{
-				S: mine.Counted{Set: s, Support: db.Support(s)},
-				T: mine.Counted{Set: tt, Support: db.Support(tt)},
-			})
+			a.mkPair(s, db.Support(s), tt, db.Support(tt))
 		}
-		rules, err := FromPairs(db, pairs, Params{})
+		rules, err := a.rules(db, Params{})
 		if err != nil {
 			return false
 		}

@@ -11,8 +11,8 @@ import (
 // The result cache is the daemon's second cache layer, above the
 // per-dataset session lattice cache: it maps a *normalized* query —
 // canonical query text × dataset generation × evaluation mode — to the
-// marshaled result bytes, so a repeated query is answered without touching
-// the session (and without re-marshaling). The canonical form is
+// encoded result bytes, so a repeated query is answered without touching
+// the session, its stored bytes written as stored. The canonical form is
 // conjunct-order- and whitespace-independent (cfq.Query.Canonical), so
 // syntactically different spellings of the same query share one entry.
 //
@@ -22,7 +22,9 @@ import (
 // for LRU churn.
 
 // cachedResult is the cacheable portion of a QueryResponse: everything
-// except the per-request fields (request id, cached flag).
+// except the per-request fields (request id, cached flag). Result is the
+// exact-size encoding of the cfq.Result (encodeResult), shared read-only by
+// the cache, collapse followers and every response that carries it.
 type cachedResult struct {
 	Generation uint64
 	Strategy   string

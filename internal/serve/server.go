@@ -845,7 +845,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		// not embedded in the result document too.
 		res.Report = nil
 		sc.pruned = res.Stats.CandidatesPruned
-		out.Result, err = json.Marshal(res)
+		out.Result, err = encodeResult(res)
 	}
 	if err == nil && rep != nil {
 		out.Explain, err = json.Marshal(rep)
@@ -882,15 +882,28 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 
 // writeResult writes the query endpoints' success envelope: the request's
 // correlation ids and cache/collapse outcome around the (possibly shared)
-// raw result.
+// result bytes, which go on the wire as stored. Like the json.Encoder it
+// replaces, it writes no body when the envelope fails to encode.
 func (s *Server) writeResult(w http.ResponseWriter, sc *reqScope, r cachedResult, report *obs.RunReport) int {
-	return s.writeJSON(w, http.StatusOK, &QueryResponse{
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := appendQueryResponse(*bp, &QueryResponse{
 		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
 		Dataset:    sc.dataset,
 		Generation: r.Generation, Strategy: r.Strategy,
 		Cached: sc.cached, Collapsed: sc.collapsed,
 		Result: r.Result, Explain: r.Explain, Report: report,
 	})
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	if w.Header().Get("X-Request-ID") == "" {
+		w.Header().Set("X-Request-ID", sc.reqID)
+	}
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		_, _ = w.Write(b)
+	}
+	return http.StatusOK
 }
 
 // resolveInline fills the scope from an inline request: registry lookup,
@@ -1175,14 +1188,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, sc *reqScope
 	return true
 }
 
-// writeJSON writes a success envelope. The correlation headers are set by
-// the instrument middleware; handlers driven without it (direct tests) get
-// them here as a fallback.
+// writeJSON writes a success envelope other than the query endpoints' (see
+// writeResult). The correlation headers are set by the instrument middleware.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
-	if resp, ok := v.(*QueryResponse); ok && w.Header().Get("X-Request-ID") == "" {
-		w.Header().Set("X-Request-ID", resp.RequestID)
-	}
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 	return status

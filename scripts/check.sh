@@ -204,6 +204,19 @@ if grep -rnE 'modelCosts|JmaxCutoff|jmax_cutoff|fmGuardItems|SourceFallback' --i
   exit 1
 fi
 
+echo "== one result encoder =="
+# The answer is encoded once: cfq.Result.AppendJSON renders a miss into a
+# pooled buffer, and every delivery (miss, result-cache hit, collapsed
+# follower, prepared handle) writes the envelope around those stored bytes
+# (appendQueryResponse). A json.Marshal of the result or a json.Encoder over
+# the query envelope in serve would encode the answer a second time and
+# re-compact it on every cache hit.
+if grep -rnE 'json\.Marshal\(res\)|(Encode|writeJSON)\(.*&QueryResponse' internal/serve --include='*.go' \
+    | grep -v '_test.go' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "check.sh: the result is re-encoded in internal/serve (encodeResult once, writeResult writes it as stored)" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
