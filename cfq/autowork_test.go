@@ -30,7 +30,7 @@ func TestAutoNeverWorstByWork(t *testing.T) {
 	ctx := context.Background()
 	run := func(t *testing.T, q core.CFQ, strat Strategy) (*Prepared, *core.Result) {
 		t.Helper()
-		p := prepare(ctx, nil, q, nil, strat)
+		p := prepare(ctx, defaultPlanner.Decide, q, nil, strat)
 		res, err := p.execute(ctx)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)

@@ -1,6 +1,7 @@
 package cfq
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -81,9 +82,6 @@ func TestQuickstartFlow(t *testing.T) {
 		if p.S.Support < 2 || p.T.Support < 2 {
 			t.Errorf("pair (%v, %v) below support", p.S.Items, p.T.Items)
 		}
-	}
-	if res.Plan == "" {
-		t.Error("optimized run has no plan description")
 	}
 }
 
@@ -250,17 +248,25 @@ func TestErrorPaths(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	ds := marketDataset(t)
-	desc, err := NewQuery(ds).
+	rep, err := NewQuery(ds).
 		MinSupport(2).
 		Where2(
 			Join(Max, "Price", LE, Min, "Price"),
 			Join(Sum, "Price", LE, Sum, "Price"),
-		).Explain()
+		).ExplainQuery(Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(desc, "quasi-succinct") || !strings.Contains(desc, "non-quasi-succinct") {
-		t.Errorf("Explain output incomplete:\n%s", desc)
+	var classes []string
+	for _, ce := range rep.Constraints {
+		classes = append(classes, ce.Class)
+	}
+	if len(classes) != 2 || !strings.HasPrefix(classes[0], "quasi-succinct") ||
+		!strings.HasPrefix(classes[1], "non-quasi-succinct") {
+		t.Errorf("2-var classes %q", classes)
+	}
+	if tree := rep.Tree(); !strings.Contains(tree, "iterative Jmax bounds") {
+		t.Errorf("plan tree does not enforce the sum join by Jmax:\n%s", tree)
 	}
 }
 
@@ -339,33 +345,70 @@ func TestRunRules(t *testing.T) {
 	}
 }
 
-func TestVerboseTracing(t *testing.T) {
+// TestSpanReportCoversLevels: a traced run reports every mined level of
+// both sides — level spans with frequent/valid counts for the engine, filter
+// spans with kept counts for a session over its cached lattice — and the
+// engine's reduce span carries the reduction's numbers.
+func TestSpanReportCoversLevels(t *testing.T) {
 	ds := marketDataset(t)
-	var buf strings.Builder
-	_, err := NewQuery(ds).
-		MinSupport(2).
-		Where2(Join(Max, "Price", LE, Min, "Price")).
-		Verbose(&buf).
-		Run(Optimized)
+	query := func() *Query {
+		return NewQuery(ds).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price"))
+	}
+	engine, err := query().RunContext(WithTracer(context.Background(), NewTracer(TracerOptions{Name: "engine"})), Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"reduction:", "S level 1", "T level 1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-	// A session run is the same executor, so it traces its levels too.
-	buf.Reset()
-	q := NewQuery(ds).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price")).Verbose(&buf)
-	if _, err := NewSession(ds).Run(q); err != nil {
+	session, err := NewSession(ds).RunContext(WithTracer(context.Background(), NewTracer(TracerOptions{Name: "session"})), query())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out := buf.String(); !strings.Contains(out, "S level 1") || !strings.Contains(out, "T level 1") {
-		t.Errorf("session trace missing level lines:\n%s", out)
+	for _, tc := range []struct {
+		label string
+		res   *Result
+		want  map[string][]string // span name → attributes it must carry
+	}{
+		{"engine", engine, map[string][]string{
+			"S:level-1": {"frequent", "valid"}, "T:level-1": {"frequent", "valid"},
+			"S:level-2": {"frequent", "valid"}, "T:level-2": {"frequent", "valid"},
+		}},
+		{"session", session, map[string][]string{"S:filter": {"kept"}, "T:filter": {"kept"}}},
+	} {
+		for name, attrs := range tc.want {
+			sp := tc.res.Report.Find(name)
+			if sp == nil {
+				t.Errorf("%s: no %q span", tc.label, name)
+				continue
+			}
+			for _, a := range attrs {
+				if _, ok := sp.Attrs[a]; !ok {
+					t.Errorf("%s: span %q has no %q attribute: %v", tc.label, name, a, sp.Attrs)
+				}
+			}
+		}
 	}
-	// Workers plumb-through smoke test: identical answer with parallelism.
+	// A session keeps every set its filter pass kept.
+	for name, sets := range map[string][]FrequentSet{"S:filter": session.ValidS, "T:filter": session.ValidT} {
+		if sp := session.Report.Find(name); sp != nil && sp.Attrs["kept"] != len(sets) {
+			t.Errorf("session %s kept = %v, want %d", name, sp.Attrs["kept"], len(sets))
+		}
+	}
+	// The reduction of max(S.Price) <= min(T.Price) over this dataset: six
+	// frequent items per side, one succinct condition per side, no dynamic
+	// bound.
+	red := engine.Report.Find("reduce")
+	if red == nil {
+		t.Fatal("engine: no reduce span")
+	}
+	for attr, want := range map[string]int{"l1_s": 6, "l1_t": 6, "conditions_s": 1, "conditions_t": 1, "dynamic_bounds": 0} {
+		if got := red.Attrs[attr]; got != want {
+			t.Errorf("reduce %s = %v, want %d", attr, got, want)
+		}
+	}
+}
+
+// TestWorkersSameAnswer: parallel support counting returns the serial answer.
+func TestWorkersSameAnswer(t *testing.T) {
+	ds := marketDataset(t)
 	par, err := NewQuery(ds).MinSupport(2).
 		Where2(Join(Max, "Price", LE, Min, "Price")).
 		Workers(4).

@@ -75,24 +75,31 @@ func ExampleParseQuery() {
 	// pairs: 12
 }
 
-// Explain shows how the optimizer decomposes the 2-var constraints without
-// running the query.
-func ExampleQuery_Explain() {
+// ExplainQuery shows how the optimizer decomposes the 2-var constraints
+// without running the query.
+func ExampleQuery_ExplainQuery() {
 	ds := exampleDataset()
 	plan, err := cfq.NewQuery(ds).
 		MinSupport(3).
 		Where2(
 			cfq.Join(cfq.Max, "Price", cfq.LE, cfq.Min, "Price"),
 			cfq.Join(cfq.Sum, "Price", cfq.LE, cfq.Sum, "Price"),
-		).Explain()
+		).ExplainQuery(cfq.Optimized)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(plan)
+	fmt.Print(plan.Tree())
 	// Output:
-	// strategy: optimized
-	// quasi-succinct: max(S.Price) <= min(T.Price)
-	// non-quasi-succinct (induced + iterative): sum(S.Price) <= sum(T.Price)
+	// EXPLAIN (strategy: optimized)
+	// query: {(S, T)} over 10 transactions, minsup(S)=3, minsup(T)=3; 0 1-var on S, 0 on T, 2 2-var
+	// ├─ S,T: max(S.Price) <= min(T.Price)
+	// │     class: quasi-succinct, anti-monotone
+	// │     enforced at: reduction to succinct 1-var conditions after level 1, pair formation
+	// │     est. selectivity: n/a
+	// └─ S,T: sum(S.Price) <= sum(T.Price)
+	//       class: non-quasi-succinct
+	//       enforced at: induced weaker 1-var conditions after level 1, iterative Jmax bounds (dovetailed counting), pair formation
+	//       est. selectivity: n/a
 }
 
 // RunRules derives association rules (phase two of the architecture) from

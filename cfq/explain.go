@@ -3,8 +3,8 @@ package cfq
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // EXPLAIN / EXPLAIN ANALYZE for the optimizer. ExplainQuery renders the
@@ -50,38 +50,16 @@ func PruningFromContext(ctx context.Context) *PruneSet {
 }
 
 // ExplainQuery renders the optimizer's plan for the query under the given
-// strategy without running it.
-func (q *Query) ExplainQuery(strat Strategy) (*ExplainReport, error) {
-	p, err := q.Prepare(strat)
+// strategy without running it. Under Auto the plan is the one the planner's
+// rule picks; an EXPLAIN is not an execution, so no planner counts the
+// decision.
+func (q *Query) ExplainQuery(strat Strategy) (rep *ExplainReport, err error) {
+	defer recoverToError(&err)
+	icfq, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	return p.Explain()
-}
-
-// QueryFeatures is the strategy-independent feature vector of a query that
-// the workload journal records (see obs.QueryFeatures).
-type QueryFeatures = obs.QueryFeatures
-
-// ProfileQuery renders the plan together with the query's feature vector
-// (database shape, L1 stats, selectivity products, constraint mix) off the
-// same per-generation item supports ExplainQuery reads. It is the workload
-// journal's profiling seam: one call per distinct canonical query per
-// dataset generation yields everything the journal records besides run
-// actuals.
-func (q *Query) ProfileQuery(strat Strategy) (rep *ExplainReport, feats *QueryFeatures, err error) {
-	defer recoverToError(&err)
-	// The profile is strategy-independent (class and features come from the
-	// constraint classification and the item supports), so auto profiles on
-	// the default strategy's plan without invoking the planner.
-	if strat == Auto {
-		strat = Optimized
-	}
-	icfq, err := q.compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.BuildExplainFeatures(icfq, strat.internal())
+	return prepare(context.Background(), plan.Rule, icfq, q.budget, strat).Explain()
 }
 
 // ExplainAnalyze is ExplainAnalyzeContext(context.Background(), strat).

@@ -60,24 +60,25 @@ func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strateg
 	if err != nil {
 		return nil, err
 	}
-	return prepare(ctx, pl, icfq, q.budget, strat), nil
+	if pl == nil {
+		pl = defaultPlanner
+	}
+	return prepare(ctx, pl.Decide, icfq, q.budget, strat), nil
 }
 
-// prepare plans a compiled query (PrepareWith after compilation).
-func prepare(ctx context.Context, pl *plan.Planner, icfq core.CFQ, budget *Budget, strat Strategy) *Prepared {
+// prepare plans a compiled query (PrepareWith after compilation), resolving
+// Auto with decide.
+func prepare(ctx context.Context, decide func(plan.Shape) *plan.Decision, icfq core.CFQ, budget *Budget, strat Strategy) *Prepared {
 	p := &Prepared{icfq: icfq, budget: budget, strat: strat}
 	if strat != Auto {
 		return p
-	}
-	if pl == nil {
-		pl = defaultPlanner
 	}
 	tracer := obs.FromContext(ctx)
 	var sp *obs.Span
 	if tracer != nil {
 		sp = tracer.Start("plan:decide")
 	}
-	d := pl.Decide(plan.Shape{TwoVar: len(icfq.Constraints2) > 0, BoundsT: core.BoundsT(icfq)})
+	d := decide(plan.Shape{TwoVar: len(icfq.Constraints2) > 0, BoundsT: core.BoundsT(icfq)})
 	// The rule picks among wire names ParseStrategy knows: no error to handle.
 	p.strat, _ = ParseStrategy(d.Strategy)
 	p.decision = d

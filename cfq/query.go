@@ -3,7 +3,6 @@ package cfq
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -27,7 +26,6 @@ type Query struct {
 	maxLevel     int
 	workers      int
 	budget       *Budget
-	traceW       io.Writer
 	// explicitSupS/T record whether a parsed query set its own freq()
 	// thresholds (see ApplyDefaultSupports).
 	explicitSupS, explicitSupT bool
@@ -114,10 +112,6 @@ func (q *Query) Workers(n int) *Query { q.workers = n; return q }
 // stats. Each Run/RunContext call starts a fresh consumption pool.
 func (q *Query) Budget(b Budget) *Query { q.budget = &b; return q }
 
-// Verbose streams one progress line per completed mining level (and per
-// optimizer phase) to w while the query runs.
-func (q *Query) Verbose(w io.Writer) *Query { q.traceW = w; return q }
-
 // FrequentSet is a frequent itemset with its support.
 type FrequentSet struct {
 	Items   []int
@@ -179,8 +173,6 @@ type Result struct {
 	LevelsS, LevelsT [][]FrequentSet
 	// Stats reports the strategy's work counters.
 	Stats Stats
-	// Plan describes the optimizer's decisions (empty for baselines).
-	Plan string
 	// Report is the per-phase trace of the evaluation, present when the
 	// run's context carried a Tracer (see WithTracer). Its Totals equal
 	// Stats.
@@ -193,7 +185,7 @@ type Result struct {
 // same dataset snapshot, which is what makes it usable as a result-cache
 // key (whitespace and conjunct order in the source text do not matter —
 // the form is derived from the parsed structure, not the input string).
-// Budget, Workers and Verbose do not affect the answer and are excluded.
+// Budget and Workers do not affect the answer and are excluded.
 func (q *Query) Canonical() string {
 	parts := []string{
 		fmt.Sprintf("freq(S) >= %d", q.minSupS),
@@ -249,10 +241,6 @@ func (q *Query) compile() (core.CFQ, error) {
 		MaxPairs:    q.maxPairs,
 		MaxLevel:    q.maxLevel,
 		Workers:     q.workers,
-	}
-	if q.traceW != nil {
-		w := q.traceW
-		icfq.Trace = func(msg string) { fmt.Fprintln(w, msg) }
 	}
 	conv := func(items []int) (itemset.Set, error) {
 		if items == nil {
@@ -312,19 +300,6 @@ func (q *Query) RunContext(ctx context.Context, strat Strategy) (*Result, error)
 		return nil, err
 	}
 	return p.RunContext(ctx)
-}
-
-// Explain returns a description of the optimizer's plan for the query.
-func (q *Query) Explain() (string, error) {
-	icfq, err := q.compile()
-	if err != nil {
-		return "", err
-	}
-	plan, err := core.Explain(icfq)
-	if err != nil {
-		return "", err
-	}
-	return plan.Describe(), nil
 }
 
 // Rule is an association rule S ⇒ T derived from a valid CFQ pair — the
@@ -443,8 +418,5 @@ func convertResult(ctx context.Context, ires *core.Result) *Result {
 		}
 	}
 	res.Stats = convertStats(ires.Stats)
-	if ires.Plan != nil {
-		res.Plan = ires.Plan.Describe()
-	}
 	return res
 }

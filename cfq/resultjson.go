@@ -3,8 +3,6 @@ package cfq
 import (
 	"encoding/json"
 	"strconv"
-
-	"repro/internal/jsonenc"
 )
 
 // AppendJSON appends the result's JSON document to dst: exactly the bytes
@@ -42,8 +40,6 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	dst = appendLevels(dst, r.LevelsT)
 	dst = append(dst, `,"Stats":`...)
 	dst = r.Stats.appendJSON(dst)
-	dst = append(dst, `,"Plan":`...)
-	dst = jsonenc.AppendString(dst, r.Plan)
 	if r.Report != nil {
 		rep, err := json.Marshal(r.Report)
 		if err != nil {

@@ -170,8 +170,7 @@ func corpusQuery(r *rand.Rand, ds *Dataset, n int) *Query {
 // through MarshalJSON, write exactly the reflection encoder's bytes, and the
 // converted sets are the reference conversion's — over the random corpus
 // under every strategy and a Session (cold and warm), and on the edges: no
-// pairs, a MaxPairs truncation, an empty domain, a traced run's Report and
-// a Plan that needs HTML escaping.
+// pairs, a MaxPairs truncation, an empty domain and a traced run's Report.
 func TestResultJSONMatchesReflection(t *testing.T) {
 	seeds := int64(120)
 	if testing.Short() {
@@ -234,9 +233,7 @@ func TestResultJSONMatchesReflection(t *testing.T) {
 	if len(res.Pairs) != 1 || res.PairCount < 2 {
 		t.Fatalf("MaxPairs 1: %d of %d pairs", len(res.Pairs), res.PairCount)
 	}
-	if plan := run("truncated", q); !strings.Contains(string(plan), "\\"+"u003c=") {
-		t.Errorf("truncated: Plan has no escaped <=: %s", plan)
-	}
+	run("truncated", q)
 
 	empty := run("empty domain", NewQuery(ds).MinSupport(2).DomainS([]int{}...).Where2(minmax))
 	if !bytes.Contains(empty, []byte(`"Pairs":null,"PairCount":0,"ValidS":null,`)) {

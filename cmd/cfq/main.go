@@ -70,13 +70,12 @@ func realMain() error {
 		explain                = flag.Bool("explain", false, "print the plan (ExplainReport JSON on stdout, tree on stderr) without running")
 		explainAnalyze         = flag.Bool("explain-analyze", false, "run the query and print the plan annotated with actual per-constraint pruning")
 		stats                  = flag.Bool("stats", false, "print work counters")
-		verbose                = flag.Bool("v", false, "print per-level mining progress to stderr")
 		workers                = flag.Int("workers", 0, "support-counting goroutines (0 = serial)")
 		jsonOut                = flag.Bool("json", false, "emit the result as JSON")
 		timeout                = flag.Duration("timeout", 0, "soft evaluation deadline (e.g. 30s); exceeded runs exit 2 with partial stats")
 		budgetN                = flag.Int64("budget", 0, "max candidate sets counted before aborting with partial stats (0 = unlimited)")
 		queryStr               = flag.String("query", "", "full CFQ, e.g. '{(S,T) | freq(S) >= 100 & max(S.Price) <= min(T.Price)}' (overrides -wheres/-wheret/-where2)")
-		traceFlag              = flag.Bool("trace", false, "log one structured event per evaluation phase to stderr")
+		traceFlag              = flag.Bool("trace", false, "log one structured event per evaluation phase (mining levels, reduction, Jmax iterations) to stderr")
 		logLevel               = flag.String("log-level", "info", "minimum level for -trace events: debug, info, warn, error")
 		reportFile             = flag.String("report", "", "write the run's phase report (RunReport JSON) to this file")
 		metricsAddr            = flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address (e.g. localhost:8080)")
@@ -260,9 +259,6 @@ func realMain() error {
 		}
 		q.MaxPairs(*maxPairs).Workers(*workers)
 		applyBudget(q, *timeout, *budgetN)
-		if *verbose {
-			q.Verbose(os.Stderr)
-		}
 		return execute(ctx, q, opts)
 	}
 	q = cfq.NewQuery(ds).MaxPairs(*maxPairs).Workers(*workers)
@@ -294,9 +290,6 @@ func realMain() error {
 		q.Where2(c)
 	}
 
-	if *verbose {
-		q.Verbose(os.Stderr)
-	}
 	return execute(ctx, q, opts)
 }
 
@@ -411,9 +404,6 @@ func execute(ctx context.Context, q *cfq.Query, opt runOptions) error {
 		return err
 	}
 	if opt.stats {
-		if res.Plan != "" {
-			fmt.Fprintln(opt.stderr, res.Plan)
-		}
 		printStats(opt.stderr, "", res.Stats)
 	}
 	if rep != nil {

@@ -80,7 +80,7 @@ func run(args []string, ready chan<- string) error {
 		compactRecords = fs.Int("compact-records", 1024, "snapshot+truncate a dataset log after this many WAL records (negative disables)")
 		compactBytes   = fs.Int64("compact-bytes", 64<<20, "snapshot+truncate a dataset log after this many WAL bytes (negative disables)")
 		slowQueryMS    = fs.Int64("slow-query-ms", 0, "mark queries slower than this (or budget/error outcomes) slow in the journal, with query text and analyzed plan, for GET /v1/slowlog; 0 disables")
-		workloadOn     = fs.Bool("workload", false, "journal every completed query (features, strategy, pruning, outcome) for GET /v1/workload")
+		workloadOn     = fs.Bool("workload", false, "journal every completed query (class, strategy, pruning, outcome) for GET /v1/workload")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 		logLevel       = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		quiet          = fs.Bool("quiet", false, "disable request logging")

@@ -288,7 +288,6 @@ func compareAnswers(hc *http.Client, pol retryPolicy, baseA, baseB string, req s
 			return nil, fmt.Errorf("%s: %w", base, err)
 		}
 		res.Stats = cfq.Stats{}
-		res.Plan = ""
 		return json.Marshal(&res)
 	}
 	a, err := fetch(baseA)

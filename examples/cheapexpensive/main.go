@@ -52,11 +52,11 @@ func main() {
 			Where2(cfq.Join(cfq.Sum, "Price", cfq.LE, cfq.Avg, "Price")).
 			MaxPairs(5)
 	}
-	plan, err := q2().Explain()
+	plan, err := q2().ExplainQuery(cfq.Optimized)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nQ2  sum(S.Price) <= avg(T.Price) — optimizer plan:\n%s", plan)
+	fmt.Printf("\nQ2  sum(S.Price) <= avg(T.Price) — optimizer plan:\n%s", plan.Tree())
 
 	res2, err := q2().Run(cfq.Optimized)
 	if err != nil {

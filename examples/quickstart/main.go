@@ -35,10 +35,12 @@ func main() {
 
 	// The CFQ {(S, T) | freq(S) & freq(T) & max(S.Price) <= min(T.Price)}:
 	// cheap frequent sets on the left, expensive ones on the right.
-	res, err := cfq.NewQuery(ds).
+	// EXPLAIN ANALYZE runs it and reports the optimizer's plan with what
+	// each constraint actually pruned.
+	res, plan, err := cfq.NewQuery(ds).
 		MinSupport(2).
 		Where2(cfq.Join(cfq.Max, "Price", cfq.LE, cfq.Min, "Price")).
-		Run(cfq.Optimized)
+		ExplainAnalyze(cfq.Optimized)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	}
 
 	fmt.Println("\noptimizer plan:")
-	fmt.Print(res.Plan)
+	fmt.Print(plan.Tree())
 	fmt.Printf("\nwork: %d candidates counted, %d item-level checks, %d set-level checks\n",
 		res.Stats.CandidatesCounted, res.Stats.ItemConstraintChecks, res.Stats.SetConstraintChecks)
 }

@@ -32,12 +32,12 @@ func main() {
 			MaxPairs(8)
 	}
 
-	plan, err := query().Explain()
+	plan, err := query().ExplainQuery(cfq.Optimized)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("optimizer plan:")
-	fmt.Print(plan)
+	fmt.Print(plan.Tree())
 
 	opt, err := query().Run(cfq.Optimized)
 	if err != nil {

@@ -33,12 +33,12 @@ func main() {
 			MaxPairs(5)
 	}
 
-	plan, err := query().Explain()
+	plan, err := query().ExplainQuery(cfq.Optimized)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("optimizer plan:")
-	fmt.Print(plan)
+	fmt.Print(plan.Tree())
 	fmt.Println()
 
 	type row struct {

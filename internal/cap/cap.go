@@ -46,9 +46,6 @@ type Query struct {
 	// invoked outside the constraint-check accounting; callers that model
 	// it as constraint checking account for it themselves.
 	ExtraFilter func(level int, s itemset.Set) bool
-	// OnLevel, when non-nil, is invoked after each level with the valid
-	// frequent sets found there (dovetailing hook).
-	OnLevel func(level int, sets []mine.Counted)
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
 	// Workers sets the support-counting parallelism (see mine.Config).
@@ -209,9 +206,6 @@ func (r *Runner) Step() ([]mine.Counted, bool, error) {
 	}
 	if r.lw.Level() > len(r.levels) {
 		r.levels = append(r.levels, sets)
-	}
-	if r.q.OnLevel != nil {
-		r.q.OnLevel(r.lw.Level(), sets)
 	}
 	return sets, r.lw.Done(), nil
 }
@@ -526,9 +520,6 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 			fsp.SetAttrs(obs.Int("kept", len(kept)))
 			fsp.End(stats.Counters())
 		}
-		if q.OnLevel != nil {
-			q.OnLevel(level, kept)
-		}
 		return kept
 	}
 
@@ -548,6 +539,7 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 		if tracer != nil {
 			fsp = tracer.Start(site, obs.Int("cached", len(sets))).WithStats(stats.Counters())
 		}
+		kept := 0
 		for _, c := range sets {
 			k := c.Set.Len()
 			if q.MaxLevel > 0 && k > q.MaxLevel {
@@ -565,14 +557,11 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 				levels = append(levels, nil)
 			}
 			levels[k-1] = append(levels[k-1], c)
+			kept++
 		}
 		if fsp != nil {
+			fsp.SetAttrs(obs.Int("kept", kept))
 			fsp.End(stats.Counters())
-		}
-		if q.OnLevel != nil {
-			for i, kept := range levels {
-				q.OnLevel(i+1, kept)
-			}
 		}
 	} else {
 		cfg.MaxLevel = q.MaxLevel

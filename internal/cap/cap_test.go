@@ -10,7 +10,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/constraint"
 	"repro/internal/itemset"
-	"repro/internal/mine"
 	"repro/internal/txdb"
 )
 
@@ -297,10 +296,9 @@ func TestNilDB(t *testing.T) {
 	}
 }
 
-func TestExtraFilterAndOnLevel(t *testing.T) {
+func TestExtraFilterAndLevels(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	w := newWorld(r, 7, 40)
-	var levelsSeen []int
 	sumOK := func(s itemset.Set) bool {
 		v, _ := w.num.Eval(attr.Sum, s)
 		return v <= 12
@@ -308,7 +306,6 @@ func TestExtraFilterAndOnLevel(t *testing.T) {
 	res, err := Run(context.Background(), Query{
 		DB: w.db, MinSupport: 2,
 		ExtraFilter: func(_ int, s itemset.Set) bool { return sumOK(s) },
-		OnLevel:     func(level int, _ []mine.Counted) { levelsSeen = append(levelsSeen, level) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +315,16 @@ func TestExtraFilterAndOnLevel(t *testing.T) {
 			t.Errorf("ExtraFilter leaked %v", c.Set)
 		}
 	}
-	if len(levelsSeen) == 0 || levelsSeen[0] != 1 {
-		t.Errorf("OnLevel calls = %v", levelsSeen)
+	// Levels groups the filtered sets by cardinality, level 1 first.
+	if len(res.Levels) == 0 || len(res.Levels[0]) == 0 {
+		t.Fatalf("no level 1: %v", res.Levels)
+	}
+	for i, lv := range res.Levels {
+		for _, c := range lv {
+			if c.Set.Len() != i+1 {
+				t.Errorf("level %d holds %v", i+1, c.Set)
+			}
+		}
 	}
 	// Equivalence with pushing the same bound as a constraint.
 	res2, _ := Run(context.Background(), Query{

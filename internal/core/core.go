@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/attr"
 	"repro/internal/cap"
@@ -164,26 +163,6 @@ type CFQ struct {
 	// lattices in place of mining (see cap.Query.Lattice); a session plugs
 	// its cache in here. Constraint-pushing strategies ignore it.
 	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
-	// Trace, when non-nil, receives one progress line per completed level
-	// per variable and per optimizer phase (for -v style logging).
-	Trace func(msg string)
-}
-
-// trace emits a progress line when tracing is enabled.
-func (q *CFQ) trace(format string, args ...interface{}) {
-	if q.Trace != nil {
-		q.Trace(fmt.Sprintf(format, args...))
-	}
-}
-
-// traceLevels attaches per-level progress logging to a side query.
-func (q *CFQ) traceLevels(cq *cap.Query, side twovar.Side) {
-	if q.Trace == nil {
-		return
-	}
-	cq.OnLevel = func(level int, sets []mine.Counted) {
-		q.trace("%v level %d: %d valid frequent sets", side, level, len(sets))
-	}
 }
 
 // domains returns the variables' item domains (nil = all active items).
@@ -227,7 +206,8 @@ type Result struct {
 	PairCount int64
 	// Stats accumulates the ccc cost counters across all phases.
 	Stats mine.Stats
-	// Plan describes what the optimizer decided (nil for baselines).
+	// Plan is what the reduce stage derived (nil for strategies without
+	// one).
 	Plan *Plan
 }
 
@@ -237,15 +217,9 @@ func (r *Result) ValidS() []mine.Counted { return slices.Concat(r.LevelsS...) }
 // ValidT flattens the T-side levels.
 func (r *Result) ValidT() []mine.Counted { return slices.Concat(r.LevelsT...) }
 
-// Plan records the optimizer's decisions for a query (Figure 7's boxes).
+// Plan records what the reduce stage derived for a run — the facts EXPLAIN
+// ANALYZE joins onto the plan report (see AnalyzeExplain).
 type Plan struct {
-	Strategy Strategy
-	// OneVarS/OneVarT describe each 1-var constraint's classification and
-	// how it will be pushed.
-	OneVarS, OneVarT []string
-	// QuasiSuccinct and NonQuasiSuccinct partition the 2-var constraints.
-	QuasiSuccinct    []twovar.Constraint2
-	NonQuasiSuccinct []twovar.Constraint2
 	// ReducedS/ReducedT are the 1-var conditions obtained by reduction
 	// (including induced weaker constraints), rendered for explanation.
 	ReducedS, ReducedT []string
@@ -266,78 +240,6 @@ func (p *Plan) noteReduced(cond string, origin string) {
 	if _, ok := p.ReducedFrom[cond]; !ok {
 		p.ReducedFrom[cond] = origin
 	}
-}
-
-// Describe renders the plan as a human-readable explanation.
-func (p *Plan) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "strategy: %v\n", p.Strategy)
-	for _, s := range p.OneVarS {
-		fmt.Fprintf(&b, "1-var on S: %s\n", s)
-	}
-	for _, s := range p.OneVarT {
-		fmt.Fprintf(&b, "1-var on T: %s\n", s)
-	}
-	for _, c := range p.QuasiSuccinct {
-		fmt.Fprintf(&b, "quasi-succinct: %v\n", c)
-	}
-	for _, c := range p.NonQuasiSuccinct {
-		fmt.Fprintf(&b, "non-quasi-succinct (induced + iterative): %v\n", c)
-	}
-	for _, s := range p.ReducedS {
-		fmt.Fprintf(&b, "  S-side condition: %s\n", s)
-	}
-	for _, s := range p.ReducedT {
-		fmt.Fprintf(&b, "  T-side condition: %s\n", s)
-	}
-	for _, bd := range p.Bounds {
-		fmt.Fprintf(&b, "  dynamic bound: %s\n", bd.Bound)
-	}
-	return b.String()
-}
-
-// describeClass renders a 1-var constraint's classification and pushdown.
-func describeClass(c constraint.Constraint, dom itemset.Set) string {
-	cl := c.Classify(dom)
-	var tags []string
-	if cl.Succinct != nil {
-		tags = append(tags, "succinct: generate-only")
-	} else if cl.Induced != nil {
-		tags = append(tags, "induced succinct weakening + final check")
-	}
-	if cl.AntiMonotone {
-		tags = append(tags, "anti-monotone: levelwise filter")
-	}
-	if cl.Monotone {
-		tags = append(tags, "monotone")
-	}
-	if len(tags) == 0 {
-		tags = append(tags, "unclassified: final check only")
-	}
-	return fmt.Sprintf("%v  [%s]", c, strings.Join(tags, ", "))
-}
-
-// Explain classifies the query's constraints without running it.
-func Explain(q CFQ) (*Plan, error) {
-	if err := q.normalize(); err != nil {
-		return nil, err
-	}
-	domS, domT := q.domains()
-	p := &Plan{Strategy: StrategyOptimized}
-	for _, c := range q.ConstraintsS {
-		p.OneVarS = append(p.OneVarS, describeClass(c, domS))
-	}
-	for _, c := range q.ConstraintsT {
-		p.OneVarT = append(p.OneVarT, describeClass(c, domT))
-	}
-	for _, c2 := range q.Constraints2 {
-		if c2.Classify(domS, domT).QuasiSuccinct {
-			p.QuasiSuccinct = append(p.QuasiSuccinct, c2)
-		} else {
-			p.NonQuasiSuccinct = append(p.NonQuasiSuccinct, c2)
-		}
-	}
-	return p, nil
 }
 
 // BoundsT reports whether some 2-var constraint of q registers a dynamic
@@ -423,12 +325,7 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 		m.cq[side] = q.sideQuery(side)
 	}
 	if row.reduce {
-		plan, err := Explain(q)
-		if err != nil {
-			return nil, err
-		}
-		plan.Strategy = strat
-		res.Plan = plan
+		res.Plan = &Plan{}
 		l1, err := m.phase1(ctx)
 		if err != nil {
 			return nil, m.tripped(err)
@@ -436,10 +333,7 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 		for _, run := range l1 {
 			res.Stats.Add(run.Stats())
 		}
-		m.reduce(plan, l1, row.dynamicAt != "")
-	}
-	for _, side := range bothSides {
-		q.traceLevels(&m.cq[side], side)
+		m.reduce(res.Plan, l1, row.dynamicAt != "")
 	}
 
 	mined, err := row.schedule(ctx, m)
@@ -534,8 +428,6 @@ func (m *mining) reduce(plan *Plan, l1 [2]*cap.Runner, dynamic bool) {
 	for side, run := range l1 {
 		m.cq[side].PresetL1 = run.FrequentItemCounts()
 	}
-	m.q.trace("reduction: |L1(S)| = %d, |L1(T)| = %d; %d S-conditions, %d T-conditions, %d dynamic bounds",
-		l1S.Len(), l1T.Len(), len(plan.ReducedS), len(plan.ReducedT), len(m.dyns))
 }
 
 // finalize applies the final (tightest) bounds to the reported sets: sound
@@ -645,9 +537,8 @@ func dovetail(ctx context.Context, m *mining) (mined [2]*cap.Result, err error) 
 		}
 		bounded := 0
 		for i, ds := range m.dyns {
-			if b := ds.bound(); !math.IsInf(b, 1) {
+			if !math.IsInf(ds.bound(), 1) {
 				bounded++
-				m.q.trace("dynamic bound on %v: %v(%s) %v %.4g", ds.d.PruneSide, ds.d.Agg, ds.d.AttrName, ds.d.Op, b)
 			}
 			if isp != nil && ds.allowed {
 				isp.SetAttrs(ds.series.Attrs(fmt.Sprintf("%s%d_", ds.d.PruneSide, i))...)

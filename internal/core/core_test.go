@@ -524,26 +524,43 @@ func TestExplainAndDescribe(t *testing.T) {
 			twovar.Agg2(attr.Sum, w.num, "A", constraint.LE, attr.Sum, w.num, "B"),
 		},
 	}
-	plan, err := Explain(q)
+	rep, err := BuildExplain(q, StrategyOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.QuasiSuccinct) != 1 || len(plan.NonQuasiSuccinct) != 1 {
-		t.Errorf("plan partition: qs=%d nqs=%d", len(plan.QuasiSuccinct), len(plan.NonQuasiSuccinct))
+	var oneVarS, twoVar []string
+	for _, ce := range rep.Constraints {
+		switch ce.Variable {
+		case "S":
+			oneVarS = append(oneVarS, ce.Class)
+		case "S,T":
+			twoVar = append(twoVar, ce.Class)
+		}
 	}
-	if len(plan.OneVarS) != 2 ||
-		!strings.Contains(plan.OneVarS[0], "succinct") ||
-		!strings.Contains(plan.OneVarS[1], "induced") {
-		t.Errorf("1-var plan lines: %v", plan.OneVarS)
+	if len(twoVar) != 2 || !strings.HasPrefix(twoVar[0], "quasi-succinct") ||
+		!strings.HasPrefix(twoVar[1], "non-quasi-succinct") {
+		t.Errorf("2-var classes: %q", twoVar)
+	}
+	if len(oneVarS) != 2 ||
+		!strings.Contains(oneVarS[0], "succinct") ||
+		!strings.Contains(oneVarS[1], "induced") {
+		t.Errorf("1-var S classes: %q", oneVarS)
 	}
 	res, err := Run(context.Background(), q, StrategyOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := res.Plan.Describe()
-	for _, want := range []string{"strategy:", "quasi-succinct", "dynamic bound"} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("Describe missing %q:\n%s", want, desc)
+	if len(res.Plan.Bounds) == 0 {
+		t.Fatal("the non-quasi-succinct constraint registered no dynamic bound")
+	}
+	AnalyzeExplain(rep, res, obs.NewPruneSet())
+	if len(rep.Bounds) != len(res.Plan.Bounds) || rep.Bounds[0].Bound != res.Plan.Bounds[0].Bound {
+		t.Errorf("report bounds %+v, plan bounds %+v", rep.Bounds, res.Plan.Bounds)
+	}
+	tree := rep.Tree()
+	for _, want := range []string{"strategy: optimized", "quasi-succinct", "dynamic bound"} {
+		if !strings.Contains(tree, want) {
+			t.Errorf("Tree missing %q:\n%s", want, tree)
 		}
 	}
 }
@@ -552,8 +569,8 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(context.Background(), CFQ{}, StrategyOptimized); err == nil {
 		t.Error("nil DB accepted")
 	}
-	if _, err := Explain(CFQ{}); err == nil {
-		t.Error("Explain nil DB accepted")
+	if _, err := BuildExplain(CFQ{}, StrategyOptimized); err == nil {
+		t.Error("BuildExplain nil DB accepted")
 	}
 	db := txdb.New([]itemset.Set{itemset.New(1)})
 	if _, err := Run(context.Background(), CFQ{DB: db}, Strategy(99)); err == nil {

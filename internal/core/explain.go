@@ -84,21 +84,13 @@ func describeQuery(q CFQ) string {
 // strategy as an ExplainReport, without running the query. The estimated
 // selectivities read the database's per-generation item supports: no scan.
 func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
-	rep, _, err := BuildExplainFeatures(q, strat)
-	return rep, err
-}
-
-// BuildExplainFeatures renders the plan and the query's strategy-independent
-// feature vector (what the workload journal records) off the same
-// per-generation item supports BuildExplain reads.
-func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.QueryFeatures, error) {
 	if err := q.normalize(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	domS, domT := q.domains()
 	row, err := strat.row()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep := &obs.ExplainReport{
 		Schema:   obs.ReportSchema,
@@ -176,59 +168,7 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 		ce.EnforcedAt = append(ce.EnforcedAt, "pair formation")
 		rep.Constraints = append(rep.Constraints, ce)
 	}
-	return rep, buildFeatures(q, domS, domT, sup), nil
-}
-
-// buildFeatures assembles the feature vector from the normalized query and
-// the database's item statistics.
-func buildFeatures(q CFQ, domS, domT itemset.Set, sup []int) *obs.QueryFeatures {
-	f := &obs.QueryFeatures{
-		Transactions:  q.DB.Len(),
-		MinSupportS:   q.MinSupportS,
-		MinSupportT:   q.MinSupportT,
-		DomainS:       domS.Len(),
-		DomainT:       domT.Len(),
-		Constraints1S: len(q.ConstraintsS),
-		Constraints1T: len(q.ConstraintsT),
-		Constraints2:  len(q.Constraints2),
-	}
-	for _, n := range sup { // the active items: txdb.DB.ActiveItems, uncopied
-		if n > 0 {
-			f.Items++
-		}
-	}
-	l1 := func(dom itemset.Set, minsup int) int {
-		n := 0
-		for _, it := range dom {
-			if itemSupport(sup, it) >= int64(minsup) {
-				n++
-			}
-		}
-		return n
-	}
-	f.FrequentItemsS = l1(domS, q.MinSupportS)
-	f.FrequentItemsT = l1(domT, q.MinSupportT)
-	selProduct := func(cons []constraint.Constraint, dom itemset.Set) float64 {
-		prod, any := 1.0, false
-		for _, c := range cons {
-			if s := estimateSelectivity(c, dom, sup); s >= 0 {
-				prod *= s
-				any = true
-			}
-		}
-		if !any && len(cons) > 0 {
-			return -1
-		}
-		return prod
-	}
-	f.SelectivityS = selProduct(q.ConstraintsS, domS)
-	f.SelectivityT = selProduct(q.ConstraintsT, domT)
-	for _, c2 := range q.Constraints2 {
-		if c2.Classify(domS, domT).QuasiSuccinct {
-			f.QuasiSuccinct2++
-		}
-	}
-	return f
+	return rep, nil
 }
 
 // stageWords are the site-key stage tokens (obs.PruneSet's key grammar).

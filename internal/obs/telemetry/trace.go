@@ -1,9 +1,8 @@
 // Package telemetry is the request-level observability layer above the
-// internal/obs engine substrate: W3C trace-context propagation, a bounded
-// on-disk slow-query log, and rolling RED (rate / errors / duration)
-// rollups. cfqd wires it around every request; cfqload speaks the same
-// trace headers, so operator-side records and client-side reports join on
-// one id.
+// internal/obs engine substrate: W3C trace-context propagation and the
+// bounded on-disk segment ring the workload journal writes. cfqd wires it
+// around every request; cfqload speaks the same trace headers, so
+// operator-side records and client-side reports join on one id.
 package telemetry
 
 import (

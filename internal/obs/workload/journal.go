@@ -63,7 +63,6 @@ type classAgg struct {
 	maxMS      float64
 	sumPruned  int64
 	strategies map[string]int64
-	features   *obs.QueryFeatures // latest seen
 }
 
 // OpenJournal opens the journal over the on-disk ring under dir, creating
@@ -165,9 +164,6 @@ func (j *Journal) foldLocked(rec *Record) {
 	if rec.Strategy != "" {
 		agg.strategies[rec.Strategy]++
 	}
-	if rec.Features != nil {
-		agg.features = rec.Features
-	}
 }
 
 // SlowView returns the slow view, newest first.
@@ -186,15 +182,14 @@ func (j *Journal) SlowView() []*Record {
 
 // ClassRollup is the folded per-class view served by GET /v1/workload.
 type ClassRollup struct {
-	Class      string             `json:"class"`
-	Count      int64              `json:"count"`
-	Errors     int64              `json:"errors,omitempty"`
-	Cached     int64              `json:"cached,omitempty"`
-	MeanMS     float64            `json:"mean_ms"`
-	MaxMS      float64            `json:"max_ms"`
-	MeanPruned float64            `json:"mean_pruned"`
-	Strategies map[string]int64   `json:"strategies,omitempty"`
-	Features   *obs.QueryFeatures `json:"features,omitempty"`
+	Class      string           `json:"class"`
+	Count      int64            `json:"count"`
+	Errors     int64            `json:"errors,omitempty"`
+	Cached     int64            `json:"cached,omitempty"`
+	MeanMS     float64          `json:"mean_ms"`
+	MaxMS      float64          `json:"max_ms"`
+	MeanPruned float64          `json:"mean_pruned"`
+	Strategies map[string]int64 `json:"strategies,omitempty"`
 }
 
 // Rollups snapshots the live per-class rollups, busiest class first.
@@ -214,7 +209,6 @@ func (j *Journal) Rollups() []ClassRollup {
 			MaxMS:      agg.maxMS,
 			MeanMS:     agg.sumMS / float64(agg.count),
 			MeanPruned: float64(agg.sumPruned) / float64(agg.count),
-			Features:   agg.features,
 		}
 		if len(agg.strategies) > 0 {
 			cr.Strategies = make(map[string]int64, len(agg.strategies))

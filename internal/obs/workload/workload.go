@@ -3,16 +3,16 @@
 // slow, rolled up per constraint class.
 //
 // One JSONL Record is the whole per-request fact: canonical query hash,
-// constraint classification and enforcement sites from BuildExplain, the
-// estimate.go selectivity features with dataset L1 stats, the executed
-// strategy and the planner's decision, admission outcome (priority class,
-// queue wait, collapse), per-phase span deltas, per-site pruning counts
-// (summing to CandidatesPruned by the attribution contract), budget outcome
-// and cache hit/miss. A record marked Slow additionally carries the query
-// text and the analyzed plan report; the slow-query log is the journal's
-// view of those records, not a second store. Lines of Kind "shadow" (the
-// alternate-strategy re-runs older builds appended) still load; nothing
-// writes them any more.
+// the constraint classification and enforcement sites of the plan that
+// ran (from its ExplainReport), the executed strategy and the planner's
+// decision, admission outcome (priority class, queue wait, collapse),
+// per-phase span deltas, per-site pruning counts (summing to
+// CandidatesPruned by the attribution contract), budget outcome and cache
+// hit/miss. A record marked Slow additionally carries the query text and
+// the analyzed plan report; the slow-query log is the journal's view of
+// those records, not a second store. Lines older builds wrote — other kinds,
+// and keys this Record no longer has — still load; rollups fold only
+// KindQuery lines and ignore the unknown keys.
 package workload
 
 import (
@@ -30,7 +30,6 @@ const RecordSchema = 1
 // Record kinds. Rollups read KindQuery records only.
 const (
 	KindQuery   = "query"   // a user-facing /v1/query completion
-	KindShadow  = "shadow"  // an alternate-strategy re-run; read from older journals, never written
 	KindRequest = "request" // a slow or failed request on another query endpoint (explain, explain-analyze, prepare)
 )
 
@@ -39,13 +38,11 @@ type Record struct {
 	Schema int       `json:"schema"`
 	Kind   string    `json:"kind"`
 	Time   time.Time `json:"time"`
-	// TraceID / RequestID join the record to the request's telemetry
-	// (empty for shadow runs, which never touch the HTTP path).
+	// TraceID / RequestID join the record to the request's telemetry.
 	TraceID   string `json:"trace_id,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
-	// Endpoint is the API endpoint that served the request (empty on shadow
-	// records and on lines written before the slow log folded in, which are
-	// all /v1/query).
+	// Endpoint is the API endpoint that served the request (empty on lines
+	// written before the slow log folded in, which are all /v1/query).
 	Endpoint string `json:"endpoint,omitempty"`
 	// Dataset / Generation pin the snapshot the query ran against.
 	Dataset    string `json:"dataset"`
@@ -54,16 +51,12 @@ type Record struct {
 	// constraint-classification key (ClassKey) rollups aggregate by.
 	QueryHash string `json:"query_hash"`
 	Class     string `json:"class,omitempty"`
-	// Strategy is the executed strategy (the request's mode for KindQuery,
-	// the shadowed alternative for KindShadow); Chosen names the strategy
-	// the live request used, on shadow records only.
+	// Strategy is the request's mode: "session", "auto", or the fixed
+	// strategy it named (a prepared handle's strategy).
 	Strategy string `json:"strategy,omitempty"`
-	Chosen   string `json:"chosen,omitempty"`
-	// Status / Code / Error describe the outcome (Code for HTTP error
-	// outcomes, Error for shadow-run failures).
+	// Status / Code describe the outcome (Code for HTTP error outcomes).
 	Status int    `json:"status,omitempty"`
 	Code   string `json:"code,omitempty"`
-	Error  string `json:"error,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
 	// Priority / QueueWaitMS / Collapsed / DegradationLevel are the
 	// admission side of the request: its priority class, how long it waited
@@ -90,10 +83,9 @@ type Record struct {
 	// values sum to CandidatesPruned.
 	PruneSites       obs.Counters `json:"prune_sites,omitempty"`
 	CandidatesPruned int64        `json:"candidates_pruned"`
-	// EnforcedAt is the union of the plan's enforcement sites; Features the
-	// strategy-independent query profile (obs.QueryFeatures).
-	EnforcedAt []string           `json:"enforced_at,omitempty"`
-	Features   *obs.QueryFeatures `json:"features,omitempty"`
+	// EnforcedAt is the union of the enforcement sites of the plan that ran
+	// (EnforcementSites of its report).
+	EnforcedAt []string `json:"enforced_at,omitempty"`
 	// Slow marks a record that crossed ThresholdMS, exhausted its budget or
 	// failed server-side; only such records carry the canonical Query text
 	// and Explain, the report of the plan that ran analyzed with the run's
@@ -111,9 +103,10 @@ func QueryHash(canonical string) string {
 }
 
 // ClassKey folds an ExplainReport's constraint classifications into the
-// strategy-independent class key the rollups aggregate by: the sorted
-// multiset of "<variable>=<class>" tags. Plan-derived entries (reduced
-// conditions, bounds) are excluded — they depend on the strategy that ran.
+// class key the rollups aggregate by: the sorted multiset of
+// "<variable>=<class>" tags. Entries only an analyzed run adds (reduced
+// conditions, bounds) are excluded, so a plan report and its analyzed form
+// share one key.
 func ClassKey(rep *obs.ExplainReport) string {
 	if rep == nil {
 		return "unconstrained"

@@ -25,13 +25,14 @@ func qrec(i int, class, strat string, ms float64) *Record {
 	}
 }
 
+// srec is a line of the "shadow" kind older builds' re-runs wrote.
 func srec(class, strat string, ms float64) *Record {
-	return &Record{Kind: KindShadow, Dataset: "d", Class: class, Strategy: strat, Chosen: "optimized", DurationMS: ms}
+	return &Record{Kind: "shadow", Dataset: "d", Class: class, Strategy: strat, DurationMS: ms}
 }
 
 // TestJournalMemRingAndRollups: the journal's only memory ring is the slow
 // view — fast records pass through to the rollups (and the disk ring)
-// without being held — and shadow records fold into neither.
+// without being held — and shadow lines fold into neither.
 func TestJournalMemRingAndRollups(t *testing.T) {
 	j, err := OpenJournal("")
 	if err != nil {

@@ -103,8 +103,8 @@ func New(Options) *Planner {
 	return &Planner{decisions: map[string]int64{}}
 }
 
-// Decide applies the rule to the query's shape.
-func (p *Planner) Decide(s Shape) *Decision {
+// Rule applies the rule to the query's shape, counting nothing.
+func Rule(s Shape) *Decision {
 	d := &Decision{Schema: SchemaVersion}
 	switch {
 	case !s.TwoVar:
@@ -114,6 +114,12 @@ func (p *Planner) Decide(s Shape) *Decision {
 	default:
 		d.Strategy, d.Reason = Sequential, "no dynamic bound prunes T"
 	}
+	return d
+}
+
+// Decide applies the rule to the query's shape and counts the decision.
+func (p *Planner) Decide(s Shape) *Decision {
+	d := Rule(s)
 	mDecisions.WithLabels(d.Strategy).Inc()
 	p.mu.Lock()
 	p.decisions[d.Strategy]++

@@ -56,7 +56,6 @@ func canonicalAnswer(t *testing.T, raw json.RawMessage) []byte {
 		t.Fatal(err)
 	}
 	res.Stats = cfq.Stats{}
-	res.Plan = ""
 	out, err := json.Marshal(&res)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -296,8 +297,8 @@ func checkRecord(t *testing.T, rec *workload.Record, want *sent, slow bool) {
 	if rec.RequestID != want.requestID || rec.Status != want.status || rec.Dataset != "market" {
 		t.Errorf("request id %q status %d dataset %q, want %q %d market", rec.RequestID, rec.Status, rec.Dataset, want.requestID, want.status)
 	}
-	if rec.QueryHash == "" || rec.Class == "" || rec.Features == nil || (len(rec.Phases) == 0) == (kind == workload.KindQuery) {
-		t.Errorf("hash %q class %q features %v phases %v", rec.QueryHash, rec.Class, rec.Features, rec.Phases)
+	if rec.QueryHash == "" || rec.Class == "" || (len(rec.Phases) == 0) == (kind == workload.KindQuery) {
+		t.Errorf("hash %q class %q phases %v", rec.QueryHash, rec.Class, rec.Phases)
 	}
 	if sum := siteSum(rec); sum != rec.CandidatesPruned {
 		t.Errorf("prune sites sum %d != candidates_pruned %d (%v)", sum, rec.CandidatesPruned, rec.PruneSites)
@@ -334,6 +335,56 @@ func checkRecord(t *testing.T, rec *workload.Record, want *sent, slow bool) {
 		if got := rec.Explain.SumPruned(); got != rec.CandidatesPruned {
 			t.Errorf("explain.SumPruned() = %d != candidates_pruned %d", got, rec.CandidatesPruned)
 		}
+		checkDescribesExplain(t, rec)
+	}
+}
+
+// checkDescribesExplain holds a record's class and enforcement sites to its
+// explain: both describe the plan that ran.
+func checkDescribesExplain(t *testing.T, rec *workload.Record) {
+	t.Helper()
+	if got := workload.ClassKey(rec.Explain); rec.Class != got {
+		t.Errorf("%s record: class %q, its explain's %q", rec.Strategy, rec.Class, got)
+	}
+	if got := workload.EnforcementSites(rec.Explain); !slices.Equal(rec.EnforcedAt, got) {
+		t.Errorf("%s record: enforced_at %q, its explain's %q", rec.Strategy, rec.EnforcedAt, got)
+	}
+}
+
+// TestRecordDescribesPlanThatRan: one canonical query sent in session mode,
+// as cap and as apriori outside the session, and as auto leaves four slow
+// records whose class and enforcement sites are those of the plan each one
+// ran — not of whichever mode profiled the query first.
+func TestRecordDescribesPlanThatRan(t *testing.T) {
+	h := &recHarness{t: t, s: NewServer(Config{SlowQuery: time.Nanosecond})}
+	defer h.s.Shutdown(context.Background())
+	if _, err := h.s.Registry().Create(marketSpec("market")); err != nil {
+		t.Fatal(err)
+	}
+	modes := []*QueryRequest{
+		{},
+		{Strategy: "cap", NoSession: true},
+		{Strategy: "apriori", NoSession: true},
+		{Strategy: "auto"},
+	}
+	for _, req := range modes {
+		h.query(req, ran)
+	}
+	view := h.s.slowView()
+	if len(view) != len(modes) {
+		t.Fatalf("slow view holds %d records, want %d", len(view), len(modes))
+	}
+	explained := map[string]string{}
+	for _, rec := range view {
+		if rec.Explain == nil {
+			t.Fatalf("%s record has no explain", rec.Strategy)
+		}
+		checkDescribesExplain(t, rec)
+		explained[rec.Strategy] = rec.Explain.Strategy
+	}
+	want := map[string]string{"session": "apriori+", "cap": "cap-1var", "apriori": "apriori+", "auto": "sequential"}
+	if !maps.Equal(explained, want) {
+		t.Errorf("explained strategies by mode = %v, want %v", explained, want)
 	}
 }
 
@@ -393,7 +444,7 @@ func TestParentFormatJournal(t *testing.T) {
 		t.Fatalf("ReadDir = %d records, err %v; want 3", len(recs), err)
 	}
 	q := recs[0]
-	if q.Kind != workload.KindQuery || q.Strategy != "auto" || q.Features == nil || len(q.Phases) == 0 ||
+	if q.Kind != workload.KindQuery || q.Strategy != "auto" || len(q.Phases) == 0 ||
 		siteSum(q) != q.CandidatesPruned || q.CandidatesPruned != 115 {
 		t.Errorf("query record = %+v", q)
 	}
@@ -401,7 +452,7 @@ func TestParentFormatJournal(t *testing.T) {
 		t.Errorf("parent-format line grew fields it never had: %+v", q)
 	}
 	for _, sh := range recs[1:] {
-		if sh.Kind != workload.KindShadow || sh.Chosen != "auto" || sh.Slow || sh.Class != q.Class {
+		if sh.Kind != "shadow" || sh.Slow || sh.Class != q.Class {
 			t.Errorf("shadow line = %+v", sh)
 		}
 	}
@@ -462,7 +513,7 @@ func TestParentJournalUnderServer(t *testing.T) {
 			slow++
 		}
 	}
-	if kinds[workload.KindQuery] != 2 || kinds[workload.KindShadow] != 2 || slow != 1 || recs[3].TraceID != want.traceID {
+	if kinds[workload.KindQuery] != 2 || kinds["shadow"] != 2 || slow != 1 || recs[3].TraceID != want.traceID {
 		t.Errorf("kinds %v, %d slow, last trace %s; want 2 queries, 2 shadow lines, only %s slow",
 			kinds, slow, recs[3].TraceID, want.traceID)
 	}

@@ -147,10 +147,10 @@ type Config struct {
 	// in memory only).
 	SlowLogDir string
 	// Workload enables the workload journal: every completed /v1/query
-	// appends one record (constraint classification, selectivity features,
-	// executed strategy and plan decision, admission outcome, phase deltas,
-	// per-site pruning, outcome), rolled up by GET /v1/workload. Also
-	// implied by WorkloadDir.
+	// appends one record (constraint classification and enforcement sites
+	// of the plan that ran, executed strategy and plan decision, admission
+	// outcome, phase deltas, per-site pruning, outcome), rolled up by GET
+	// /v1/workload. Also implied by WorkloadDir.
 	Workload bool
 	// WorkloadDir persists the journal to a bounded on-disk JSONL ring under
 	// this directory ("" keeps only the slow view and the live rollups, in
@@ -540,6 +540,10 @@ type reqScope struct {
 	timeout   time.Duration
 }
 
+// modeSession is the mode (reqScope.strategy: the result-cache key's and the
+// wire's strategy) of an inline query the dataset's shared session serves.
+const modeSession = "session"
+
 type scopeKey struct{}
 
 // scope returns the request's reqScope, minting a detached one for handlers
@@ -720,7 +724,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	sc.strategy = sc.strat.String()
 	useSession := prepared == nil && sc.strat != cfq.Auto && kind == kindQuery && !req.NoSession
 	if useSession {
-		sc.strategy = "session"
+		sc.strategy = modeSession
 	}
 	mQueries.WithLabels(dsLabel(sc.dataset), sc.strategy).Inc()
 	psp.SetAttrs(obs.String("dataset", sc.dataset), obs.String("mode", sc.strategy))

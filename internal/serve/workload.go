@@ -6,17 +6,17 @@ import (
 	"strconv"
 	"time"
 
+	"repro/cfq"
 	"repro/internal/lru"
-	"repro/internal/obs"
 	"repro/internal/obs/workload"
 )
 
 // The workload collector is the per-request record path: instrument calls
 // record once per finished request, which builds at most one
-// workload.Record — features, classification, executed strategy and plan
-// decision, admission outcome, phase deltas, attributed pruning, and for a
-// slow or failed request the query text and analyzed plan — and hands it to
-// the one journal. All of it happens after the response is written; the
+// workload.Record — classification and enforcement sites, executed strategy
+// and plan decision, admission outcome, phase deltas, attributed pruning,
+// and for a slow or failed request the query text and analyzed plan — and
+// hands it to the one journal. All of it happens after the response is written; the
 // client never waits on it.
 type workloadCollector struct {
 	journal *workload.Journal
@@ -26,10 +26,9 @@ type workloadCollector struct {
 	// (Config.SlowQuery).
 	journalAll bool
 
-	// profiles caches the per-query profile (class key, enforcement sites,
-	// feature vector) by dataset × generation × canonical text: profiling
-	// (cfq.Query.ProfileQuery) compiles and classifies the query, so
-	// repeated queries pay it once per generation.
+	// profiles caches the per-query profile (class key, enforcement sites)
+	// by dataset × generation × mode × canonical text: profiling renders the
+	// plan's ExplainReport, so repeated queries pay it once per generation.
 	profiles *lru.Cache[*queryProfile]
 }
 
@@ -37,9 +36,8 @@ type workloadCollector struct {
 const maxProfileCache = 512
 
 type queryProfile struct {
-	class    string
-	sites    []string
-	features *obs.QueryFeatures
+	class string
+	sites []string
 }
 
 // newWorkloadCollector wires the journal: a disk ring under cfg.WorkloadDir,
@@ -67,23 +65,33 @@ func newWorkloadCollector(cfg Config) *workloadCollector {
 	}
 }
 
-// profile resolves (computing and caching if needed) the query's profile.
-// Returns nil when profiling fails — the journal record then carries run
-// actuals without features, which is still useful ground truth.
+// profile resolves (computing and caching if needed) the query's profile:
+// the class key and enforcement sites of the plan that ran — the request's
+// prepared plan, or, for a request that evaluated nothing (a cache hit, a
+// collapse follower, a shed), the plan its mode runs: Apriori⁺ over the
+// lattice for session mode, the rule's pick for auto, a fixed strategy
+// itself. The mode determines that plan for a dataset generation and
+// canonical query, so it is part of the key. Returns nil when rendering
+// fails — the record then carries run actuals without a class.
 func (wc *workloadCollector) profile(sc *reqScope) *queryProfile {
-	key := sc.dataset + "\xff" + strconv.FormatUint(sc.gen, 10) + "\xff" + sc.canonical
+	key := sc.dataset + "\xff" + strconv.FormatUint(sc.gen, 10) + "\xff" + sc.strategy + "\xff" + sc.canonical
 	if p, ok := wc.profiles.Get(key); ok {
 		return p
 	}
-	rep, feats, err := sc.query.ProfileQuery(sc.strat)
+	var rep *cfq.ExplainReport
+	var err error
+	switch {
+	case sc.prepared != nil:
+		rep, err = sc.prepared.Explain()
+	case sc.strategy == modeSession:
+		rep, err = sc.query.ExplainQuery(cfq.AprioriPlus)
+	default:
+		rep, err = sc.query.ExplainQuery(sc.strat)
+	}
 	if err != nil {
 		return nil
 	}
-	p := &queryProfile{
-		class:    workload.ClassKey(rep),
-		sites:    workload.EnforcementSites(rep),
-		features: feats,
-	}
+	p := &queryProfile{class: workload.ClassKey(rep), sites: workload.EnforcementSites(rep)}
 	wc.profiles.Put(key, p, 0)
 	return p
 }
@@ -141,7 +149,6 @@ func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Dura
 	if prof := wc.profile(sc); prof != nil {
 		rec.Class = prof.class
 		rec.EnforcedAt = prof.sites
-		rec.Features = prof.features
 	}
 	if slow {
 		rec.Slow = true
@@ -178,7 +185,7 @@ func (s *Server) journaling() *workloadCollector {
 }
 
 // handleWorkload serves GET /v1/workload: journal state and the live
-// per-class feature/latency rollups.
+// per-class latency/pruning rollups.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope(r)
 	resp := &WorkloadResponse{

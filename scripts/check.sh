@@ -217,6 +217,19 @@ if grep -rnE 'json\.Marshal\(res\)|(Encode|writeJSON)\(.*&QueryResponse' interna
   exit 1
 fi
 
+echo "== one plan description =="
+# A run is described by its span tree (levels, reduce, Jmax iterations) and
+# by obs.ExplainReport (EXPLAIN, EXPLAIN ANALYZE, the journal's class and
+# enforcement sites). The retired side channels — a progress writer with its
+# per-level hook, a second classifier rendering Result.Plan, and a feature
+# vector for a cost model that no longer exists — must not drift back in by
+# name.
+if grep -rnE '\bVerbose\(|OnLevel|QueryFeatures|ProfileQuery|BuildExplainFeatures|describeClass|\.Describe\(\)|traceLevels' \
+    --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
+  echo "check.sh: a second run description is back (spans and the ExplainReport describe a run)" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
