@@ -46,8 +46,9 @@ type advance struct {
 // Workers split — under one structural "<label>:advance" span. Level 1 reads
 // the item supports and level 2 is the triangle pass, as in any run; from
 // level 3 on only what the appended rows touch is counted (see advance), so
-// Stats.CandidatesCounted charges those sets and Stats.DBScans one pass per
-// level that had to count newcomers over the old rows.
+// Stats.CandidatesCounted charges those sets, and Stats.DBScans has one more
+// pass when some level had newcomers to count over the old rows: the first
+// such level builds columns over those rows that every later level reuses.
 //
 // cfg must describe the whole lattice: Required, ReportValid,
 // CandidateFilter, PresetL1 and MaxLevel are rejected.
@@ -137,7 +138,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 	// (k-1)-sets the row contains — every subset of a set the row contains is
 	// in the row, so the global subset prune decides. touched[i] lists row
 	// i's candidates, the seed of the next level's rowSets.
-	var cands [][]int32
+	var flat []int32 // the candidates, k ranks each
 	var inDelta []int
 	seen := map[string]int32{} // rank key → candidate, -1 when subset-pruned
 	touched := make([][]int32, len(delta))
@@ -164,8 +165,8 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 				if !ok {
 					id = -1
 					if l.subsetPrune(c) {
-						id = int32(len(cands))
-						cands = append(cands, slices.Clone(c))
+						id = int32(len(inDelta))
+						flat = append(flat, c...)
 						inDelta = append(inDelta, 0)
 					}
 					seen[string(key)] = id
@@ -177,6 +178,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 			}
 		}
 	}
+	cands := split(flat, k)
 	// Charged before the pass over the old rows, like every level (see stepK).
 	l.stats.CandidatesCounted += int64(len(cands))
 
@@ -236,11 +238,13 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 
 	l.level = k
 	if len(fresh) > 0 {
-		counts, err := l.countCandidates(fresh, k, txs[:a.rows])
+		// Columns for the ranks of every candidate a Δ row contains: a later
+		// level's newcomer occurs in a Δ row too, so each of its k-subsets is
+		// one of them, and the run builds its columns once.
+		counts, err := l.countCandidates(fresh, k, txs[:a.rows], cands)
 		if err != nil {
 			return nil, err
 		}
-		l.stats.DBScans++
 		a.recounted += len(fresh)
 		for x, at := range freshAt {
 			merged[at].sup += counts[x]

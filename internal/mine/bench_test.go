@@ -46,7 +46,7 @@ func BenchmarkLevelwiseEndToEnd(b *testing.B) {
 	}
 }
 
-func BenchmarkTrieCounting(b *testing.B) {
+func BenchmarkDeepLevels(b *testing.B) {
 	db := benchDB(5000)
 	minSup := db.Len() / 50
 	// Mine once to reach level 2 state, then measure repeated level steps
@@ -193,20 +193,28 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 	}
 }
 
+// servedSupport is the threshold cfqd serves at its default 1 % support:
+// ⌈rows/100⌉, at least 1 (cfq.Query.MinSupportFraction rounds up).
+func servedSupport(rows int) int { return max((rows+99)/100, 1) }
+
 // BenchmarkAdvance is one generation of append-requery on the served
 // benchmark's fixtures: the lattice of all but the last 10 rows carried to
 // the whole database (advance) against mining the whole database (remine).
+// Both thresholds are the ones cfqd serves, so the prior's rounds up to the
+// new one and a set outside it needs one occurrence in the appended rows to
+// be counted over the old ones, as in 99 of every 100 served generations.
 func BenchmarkAdvance(b *testing.B) {
 	const delta = 10
 	for _, name := range []string{"dense", "wide"} {
 		f := newColdFixture(b, name)
 		rows := f.db.Len() - delta
-		prior, _ := remine(b, Config{DB: txdb.New(f.db.Transactions()[:rows]), MinSupport: rows / 100})
-		cfg := Config{DB: f.db, MinSupport: f.minSup}
+		priorMinSup := servedSupport(rows)
+		prior, _ := remine(b, Config{DB: txdb.New(f.db.Transactions()[:rows]), MinSupport: priorMinSup})
+		cfg := Config{DB: f.db, MinSupport: servedSupport(f.db.Len())}
 		b.Run(name+"/advance", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Advance(context.Background(), cfg, prior, rows/100, rows); err != nil {
+				if _, err := Advance(context.Background(), cfg, prior, priorMinSup, rows); err != nil {
 					b.Fatal(err)
 				}
 			}

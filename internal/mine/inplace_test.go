@@ -3,6 +3,7 @@ package mine
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -194,6 +195,63 @@ func (l *Levelwise) referenceStep(tids [][]int32) ([]Counted, error) {
 	return out, nil
 }
 
+// checkColumns holds the bit columns the miner counts on to the full
+// projection: they were built over every transaction, they kept exactly the
+// rows that hold at least k of their ranks — one of them required under a
+// Required class — in database order across their pages, and each column has
+// the bits of the kept rows that hold its rank and no other, in no page a bit
+// past the rows it holds.
+func checkColumns(t *testing.T, l *Levelwise, tids [][]int32, k int) {
+	t.Helper()
+	c := l.cols
+	if c.rows != l.cfg.DB.Len() {
+		t.Fatalf("columns built over %d rows, the database has %d", c.rows, l.cfg.DB.Len())
+	}
+	held := make([]int, l.cfg.DB.Len())
+	required := make([]bool, l.cfg.DB.Len())
+	for r, col := range c.colOf {
+		if col < 0 {
+			continue
+		}
+		for _, tid := range tids[r] {
+			held[tid]++
+			required[tid] = required[tid] || r < l.nRequired
+		}
+	}
+	at := make([]int, len(held)) // bit of a kept row, -1 for a dropped one
+	kept := 0
+	for tid, n := range held {
+		at[tid] = -1
+		if n >= k && (l.nRequired == 0 || required[tid]) {
+			at[tid] = kept
+			kept++
+		}
+	}
+	for r, col := range c.colOf {
+		if col < 0 {
+			continue
+		}
+		var want, got []int // the kept rows that hold the rank, by position
+		for _, tid := range tids[r] {
+			if b := at[tid]; b >= 0 {
+				want = append(want, b)
+			}
+		}
+		base := 0
+		for _, pg := range c.pages {
+			for b, w := range pg.bits[int(col)*c.stride : int(col+1)*c.stride] {
+				for ; w != 0; w &= w - 1 {
+					got = append(got, base+64*b+bits.TrailingZeros64(w))
+				}
+			}
+			base += pg.rows
+		}
+		if base != kept || !slices.Equal(got, want) {
+			t.Fatalf("column of rank %d holds rows %v of %d kept, want %v of %d", r, got, base, want, kept)
+		}
+	}
+}
+
 // latticeRun is what a whole run exposes, level by level.
 type latticeRun struct {
 	levels   [][]Counted // valid sets per level, from level 1
@@ -256,7 +314,9 @@ func runLattice(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 // candidate over the untrimmed full-domain projection: on every level's
 // valid and frequent sets with supports and order, on the join state, on the
 // filter and report call sequence, on Stats (less DBScans and Checkpoints,
-// which the reference does not have) and on the prune-site snapshot.
+// which the reference does not have) and on the prune-site snapshot. The bit
+// columns levels >= 3 count on are held to the full projection too, after
+// level 3 builds them and after every later level that reuses them.
 func TestTrimmedRowsMatchFullProjection(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	deepest := 0
@@ -268,6 +328,16 @@ func TestTrimmedRowsMatchFullProjection(t *testing.T) {
 			}
 			return l.referenceStep(tids)
 		}
+		inPlace := func(l *Levelwise) ([]Counted, error) {
+			out, _, err := l.Step()
+			if err == nil && l.cols != nil { // a run that is done has released them
+				if tids == nil {
+					tids = l.tidLists()
+				}
+				checkColumns(t, l, tids, 3)
+			}
+			return out, err
+		}
 		for _, required := range []string{"none", "class", "disjoint"} {
 			tids = nil // ranks follow the class
 			for _, filter := range []string{"none", "sum", "reject-all"} {
@@ -275,10 +345,7 @@ func TestTrimmedRowsMatchFullProjection(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						for _, maxLevel := range []int{0, 2, 3} {
 							c := triangleCase{required, filter, r.Intn(2) == 0, preset, workers, maxLevel}
-							got := runLattice(t, f.db, f.minSup, c, func(l *Levelwise) ([]Counted, error) {
-								out, _, err := l.Step()
-								return out, err
-							})
+							got := runLattice(t, f.db, f.minSup, c, inPlace)
 							want := runLattice(t, f.db, f.minSup, c, reference)
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s/%v: in-place counting and the full projection differ\nin place:  %+v\nreference: %+v",
@@ -368,23 +435,35 @@ func deepDB() *txdb.DB {
 }
 
 // TestInPlacePassCancelUnwinds: a cancellation delivered from the checkpoint
-// hook at the first, middle and last checkpoint of the level-3 and of the
-// level-4 counting pass — each a pass over the database's own rows — serial
-// and with a Workers split, surfaces as a wrapped context.Canceled naming
-// the checkpoint, latches the miner, and strands no counting goroutine.
+// hook at the first, middle and last checkpoint of the level-3 counting pass
+// — a pass over the database's own rows that builds the bit columns — and of
+// level 4's counting on those columns, which makes no pass, serial and with a
+// Workers split, surfaces as a wrapped context.Canceled naming the
+// checkpoint, latches the miner, and strands no counting goroutine.
 func TestInPlacePassCancelUnwinds(t *testing.T) {
 	db := deepDB()
 	before := runtime.NumGoroutine()
+	serialCols := 0
 	for _, workers := range []int{1, 4} {
-		for _, label := range []string{"level 3: counting", "level 4: counting"} {
-			cfg := Config{DB: db, MinSupport: 60, Workers: workers}
-			// A serial pass checkpoints per batch; a parallel one exactly
-			// twice, the coordinator's check before the workers start and
-			// after they join.
-			at := passCheckpoints(t, cfg, label)
-			if serial := workers < 2; serial && len(at) < 3 || !serial && len(at) != 2 {
-				t.Fatalf("%d %q checkpoints with Workers = %d", len(at), label, workers)
-			}
+		cfg := Config{DB: db, MinSupport: 60, Workers: workers}
+		// A serial pass checkpoints per batch; a parallel one exactly twice,
+		// the coordinator's check before the workers start and after they
+		// join.
+		pass := passCheckpoints(t, cfg, "level 3: counting")
+		if serial := workers < 2; serial && len(pass) < 3 || !serial && len(pass) != 2 {
+			t.Fatalf("%d level-3 pass checkpoints with Workers = %d", len(pass), workers)
+		}
+		if n := len(passCheckpoints(t, cfg, "level 4: counting")); n != 0 {
+			t.Fatalf("%d level-4 pass checkpoints with Workers = %d, want none: level 4 counts on level 3's columns", n, workers)
+		}
+		// Column counting checkpoints on entry and per batch of words, the
+		// same for every Workers value.
+		cols := passCheckpoints(t, cfg, "level 4: column counting")
+		if len(cols) < 3 || workers > 1 && len(cols) != serialCols {
+			t.Fatalf("%d level-4 column counting checkpoints with Workers = %d (%d serially)", len(cols), workers, serialCols)
+		}
+		serialCols = len(cols)
+		for label, at := range map[string][]int64{"level 3: counting": pass, "level 4: column counting": cols} {
 			for _, n := range []int64{at[0], at[len(at)/2], at[len(at)-1]} {
 				cancelUnwinds(t, cfg, n, label)
 			}

@@ -18,9 +18,10 @@
 // The engine works internally in a dense "rank" space ordered
 // required-items-first and converts back to original item space at the API
 // boundary. It keeps no copy of the database: level 1 reads the per-item
-// supports the database holds, and every later level counts off the
-// transactions where they are, each read through a table that trims it to
-// the items that can still matter at that level.
+// supports the database holds, level 2 counts off the transactions where
+// they are, each read through a table that trims it to the items that can
+// still matter, and levels ≥ 3 count on bit columns that one such pass
+// builds (columns.go).
 package mine
 
 import (
@@ -125,18 +126,21 @@ type Levelwise struct {
 	prevSets [][]int32
 	prevSup  []int
 	prevKeys map[string]int // rank-set key → index in prevSets
+	key      []byte         // scratch for probing prevKeys without allocating
 
 	l1Ranks []int32 // frequent item ranks after level 1 (all, incl. non-required)
 	l1Sup   []int   // supports parallel to l1Ranks
 
 	lastFrequent []Counted // all frequent sets of the last completed level
 
+	cols *columns // the bit columns levels ≥ 3 count on; nil before the first pass
+
 	adv *advance // non-nil when the run carries a prior lattice forward (Advance)
 }
 
 // New validates cfg and prepares a miner. It reads no transaction: level 1
-// comes from the database's item statistics, and every later level counts
-// off the transactions where they are (countPass). ctx governs the whole
+// comes from the database's item statistics, and the passes of later levels
+// read the transactions where they are (countPass). ctx governs the whole
 // run: every Step observes its cancellation at checkpoint boundaries.
 func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 	if cfg.DB == nil {
@@ -319,9 +323,16 @@ func (l *Levelwise) Step() ([]Counted, bool, error) {
 	if err != nil {
 		l.err = err
 		l.done = true
+	} else {
+		l.finishLevelCheck()
+	}
+	if l.done && l.cols != nil {
+		columnsPool.Put(l.cols)
+		l.cols = nil
+	}
+	if err != nil {
 		return nil, true, err
 	}
-	l.finishLevelCheck()
 	return out, l.done, nil
 }
 
@@ -707,11 +718,10 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	// checkpoints then enforce MaxCandidates at batch granularity instead
 	// of discovering a whole level's overrun only after its DB scan.
 	l.stats.CandidatesCounted += int64(len(cands))
-	counts, err := l.countCandidates(cands, k+1, l.cfg.DB.Transactions())
+	counts, err := l.countCandidates(cands, k+1, l.cfg.DB.Transactions(), cands)
 	if err != nil {
 		return nil, err
 	}
-	l.stats.DBScans++
 
 	var out []Counted
 	l.resetLevel(len(cands))
@@ -733,47 +743,60 @@ const genCheckBatch = 8192
 
 // genPrefixJoin joins frequent valid k-sets sharing their first k-1 ranks
 // and applies the validity-aware subset prune. Checkpoints fall on prefix
-// boundaries, batched by generated candidates.
+// boundaries, batched by generated candidates. The candidates share one
+// backing array.
 func (l *Levelwise) genPrefixJoin(k int) ([][]int32, error) {
-	var cands [][]int32
+	var flat []int32 // the kept candidates, k+1 ranks each
+	c := make([]int32, k+1)
 	nextCheck := 0
 	sets := l.prevSets
 	for i := 0; i < len(sets); i++ {
-		if len(cands) >= nextCheck {
+		if n := len(flat) / (k + 1); n >= nextCheck {
 			if err := l.guard.Check(fmt.Sprintf("level %d: prefix join", k+1)); err != nil {
 				return nil, err
 			}
-			nextCheck = len(cands) + genCheckBatch
+			nextCheck = n + genCheckBatch
 		}
 		for j := i + 1; j < len(sets); j++ {
 			if !samePrefix(sets[i], sets[j], k-1) {
 				break // lex order: once the prefix changes it stays changed
 			}
-			c := make([]int32, k+1)
 			copy(c, sets[i])
 			c[k] = sets[j][k-1] // lex order ⇒ sets[j] has the larger tail
 			if l.subsetPrune(c) {
-				cands = append(cands, c)
+				flat = append(flat, c...)
 			}
 		}
 	}
-	return cands, nil
+	return split(flat, k+1), nil
+}
+
+// split cuts flat into consecutive sets of k ranks, each capped so that an
+// append to one cannot write into the next.
+func split(flat []int32, k int) [][]int32 {
+	sets := make([][]int32, len(flat)/k)
+	for i := range sets {
+		sets[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return sets
 }
 
 // subsetPrune reports whether every *valid* k-subset of the (k+1)-candidate
 // is frequent. Subsets without a required item were never counted and are
 // exempt — this is the validity-aware pruning of constrained levelwise
-// mining.
+// mining. Each subset's key is written into l.key, and the map lookup of
+// string(l.key) does not allocate.
 func (l *Levelwise) subsetPrune(c []int32) bool {
-	k := len(c) - 1
-	sub := make([]int32, k)
-	for drop := 0; drop <= k; drop++ {
-		copy(sub, c[:drop])
-		copy(sub[drop:], c[drop+1:])
-		if l.nRequired > 0 && int(sub[0]) >= l.nRequired {
+	for drop := range c {
+		first := c[0]
+		if drop == 0 {
+			first = c[1]
+		}
+		if l.nRequired > 0 && int(first) >= l.nRequired {
 			continue // subset lost its only required item: never counted
 		}
-		if _, ok := l.prevKeys[rankKey(sub)]; !ok {
+		l.key = appendRankKey(appendRankKey(l.key[:0], c[:drop]...), c[drop+1:]...)
+		if _, ok := l.prevKeys[string(l.key)]; !ok {
 			return false
 		}
 	}
@@ -789,70 +812,10 @@ func samePrefix(a, b []int32, n int) bool {
 	return true
 }
 
-// trieNode is a node of the candidate hash-trie used for support counting.
-// Children labels are sorted so a transaction can be matched by merging.
-type trieNode struct {
-	items []int32
-	child []*trieNode // nil slots at the leaf level
-	leaf  []int32     // candidate index at the leaf level, -1 otherwise
-}
-
-// countCandidates counts the supports of lexicographically sorted k-level
-// candidates in one pass over txs (countPass), by matching each transaction,
-// trimmed to the ranks some candidate holds, against a trie of the
-// candidates.
-func (l *Levelwise) countCandidates(cands [][]int32, k int, txs []itemset.Set) ([]int, error) {
-	root := &trieNode{}
-	for idx, c := range cands {
-		n := root
-		for depth := 0; depth < k; depth++ {
-			v := c[depth]
-			last := len(n.items) - 1
-			if last >= 0 && n.items[last] == v {
-				if depth == k-1 {
-					// Duplicate candidate; generation prevents this.
-					panic("mine: duplicate candidate in trie build")
-				}
-				n = n.child[last]
-				continue
-			}
-			n.items = append(n.items, v)
-			if depth == k-1 {
-				n.child = append(n.child, nil)
-				n.leaf = append(n.leaf, int32(idx))
-			} else {
-				nn := &trieNode{}
-				n.child = append(n.child, nn)
-				n.leaf = append(n.leaf, -1)
-				n = nn
-			}
-		}
-	}
-
-	// Only the ranks of some candidate can still matter at this level.
-	tab := l.itemTable()
-	for _, c := range cands {
-		for _, r := range c {
-			tab[l.rankToItem[r]] = r
-		}
-	}
-	per := make([][]int, max(1, l.cfg.Workers))
-	per[0] = make([]int, len(cands))
-	err := l.countPass(fmt.Sprintf("level %d: counting", k), txs, func(ctx context.Context, txs []itemset.Set, acc int) {
-		if per[acc] == nil {
-			per[acc] = make([]int, len(cands))
-		}
-		countTrie(ctx, root, k, txs, tab, int32(l.nRequired), per[acc])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sumCounts(per), nil
-}
-
 // countPass runs one counting pass over txs — the database's transactions, or
 // a leading run of them, where the database keeps them — under the checkpoint
-// protocol every level from 2 on shares.
+// protocol every pass shares (level 2's, and the one that builds the bit
+// columns of levels ≥ 3).
 // Serial counting (Workers < 2, or too few transactions to split)
 // checkpoints between transaction batches and counts each batch into
 // accumulator 0. Parallel counting partitions the transactions among Workers
@@ -862,8 +825,8 @@ func (l *Levelwise) countCandidates(cands [][]int32, k int, txs []itemset.Set) (
 // and again after they join, which keeps checkpoint numbering deterministic
 // regardless of Workers, and a cancellation that stopped them early surfaces
 // there, before the partial counts can be used. Workers always rejoin
-// through wg.Wait: they return early, never leak. The caller sums the
-// accumulators (sumCounts).
+// through wg.Wait: they return early, never leak. The caller combines the
+// accumulators in order (sumCounts, buildColumns).
 func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
 	l.cfg.DB.RecordScan()
 	workers := l.cfg.Workers
@@ -895,56 +858,13 @@ func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx co
 
 // sumCounts adds every later accumulator of a counting pass into the first
 // and returns it; accumulators no worker touched are nil.
-func sumCounts[T int | int32](per [][]T) []T {
+func sumCounts(per [][]int32) []int32 {
 	for _, p := range per[1:] {
 		for i, n := range p {
 			per[0][i] += n
 		}
 	}
 	return per[0]
-}
-
-// countTrie counts the trie's candidates over a run of transactions, each
-// read through tab (item → rank when some candidate holds the rank), into
-// counts. The trie is read-only during counting. A non-nil ctx is polled
-// between transaction batches; on cancellation the partial counts are
-// abandoned by the caller.
-func countTrie(ctx context.Context, root *trieNode, k int, txs []itemset.Set, tab []int32, nRequired int32, counts []int) {
-	var walk func(n *trieNode, depth int, t []int32)
-	walk = func(n *trieNode, depth int, t []int32) {
-		i, j := 0, 0
-		for i < len(n.items) && j < len(t) {
-			// Not enough transaction items left to complete any candidate.
-			if len(t)-j < k-depth {
-				return
-			}
-			switch {
-			case n.items[i] < t[j]:
-				i++
-			case n.items[i] > t[j]:
-				j++
-			default:
-				if depth == k-1 {
-					counts[n.leaf[i]]++
-				} else {
-					walk(n.child[i], depth+1, t[j+1:])
-				}
-				i++
-				j++
-			}
-		}
-	}
-	var buf []int32 // the transaction's ranks that can still matter, ascending
-	for i, t := range txs {
-		if ctx != nil && i%checkBatch == 0 && ctx.Err() != nil {
-			return
-		}
-		buf = through(buf, t, tab, nRequired)
-		// Under a Required class every candidate leads with a required rank.
-		if len(buf) >= k && (nRequired == 0 || buf[0] < nRequired) {
-			walk(root, 0, buf)
-		}
-	}
 }
 
 // RunAll steps the miner to completion and returns the valid frequent sets

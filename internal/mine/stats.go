@@ -39,8 +39,9 @@ type Stats struct {
 	// subset of them that are valid.
 	FrequentSets int64
 	ValidSets    int64
-	// DBScans is the number of full passes over the transactions: one per
-	// counted level from level 2 on. Level 1 is not a pass — it reads the
+	// DBScans is the number of full passes over the transactions: the
+	// level-2 pass and the one that builds the bit columns every level ≥ 3
+	// counts on, once per run. Level 1 is not a pass — it reads the
 	// database's per-item supports.
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -16,9 +17,12 @@ import (
 
 // referenceStepTwo is level 2 the way the generic level step does every
 // later level, spelled out for k = 2: enumerate the pairs as candidate
-// slices, filter them, count them with countCandidates (the k >= 3 trie)
-// and threshold one by one. It is the oracle stepTwo's triangle must match
-// in answers, join state, filter calls, every Stats field and every charge.
+// slices, filter them, count each as the popcount of the AND of its two bit
+// columns (the columns levels >= 3 count on, built by their pass) and
+// threshold one by one. It is the oracle stepTwo's triangle must match in
+// answers, join state, filter calls, every Stats field and every charge. The
+// columns are dropped after the level, so level 3 makes its own pass as it
+// does after the triangle.
 func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 	if err := l.guard.Check("level 2: candidate generation"); err != nil {
 		return nil, err
@@ -57,11 +61,19 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 		return nil, nil
 	}
 	l.stats.CandidatesCounted += int64(len(cands))
-	counts, err := l.countCandidates(cands, 2, l.cfg.DB.Transactions())
-	if err != nil {
+	if err := l.buildColumns(cands, 2, l.cfg.DB.Transactions()); err != nil {
 		return nil, err
 	}
-	l.stats.DBScans++
+	counts := make([]int, len(cands))
+	for _, pg := range l.cols.pages {
+		for i, c := range cands {
+			a, b := int(l.cols.colOf[c[0]])*l.cols.stride, int(l.cols.colOf[c[1]])*l.cols.stride
+			for x := 0; x < l.cols.stride; x++ {
+				counts[i] += bits.OnesCount64(pg.bits[a+x] & pg.bits[b+x])
+			}
+		}
+	}
+	l.cols = nil
 	var out []Counted
 	l.resetLevel(len(cands))
 	for i, c := range cands {
@@ -233,14 +245,14 @@ func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 	return run
 }
 
-// TestTriangleMatchesTrieLevel2 is the property: over random databases and
+// TestTriangleMatchesColumnsLevel2 is the property: over random databases and
 // the whole level-2 configuration space, the triangle and the reference
-// (pairs counted by the k >= 3 trie) agree on frequent sets, supports and
-// order, on the join state level 3 reads, on the filter's call sequence and
-// where the checkpoints fall in it, on every Stats field including
-// Checkpoints, and on the prune-site snapshot — and so do the levels mined
-// on top of either.
-func TestTriangleMatchesTrieLevel2(t *testing.T) {
+// (pairs counted on the bit columns levels >= 3 use) agree on frequent sets,
+// supports and order, on the join state level 3 reads, on the filter's call
+// sequence and where the checkpoints fall in it, on every Stats field
+// including Checkpoints, and on the prune-site snapshot — and so do the
+// levels mined on top of either.
+func TestTriangleMatchesColumnsLevel2(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for _, f := range triangleFixtures(r) {
 		for _, required := range []string{"none", "class", "disjoint"} {

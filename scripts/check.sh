@@ -139,6 +139,17 @@ if grep -rnE 'FPGrowth|VerticalFrequent|PartitionFrequent|SampleFrequent|ClosedF
   exit 1
 fi
 
+echo "== one counter for levels >= 3 =="
+# Levels k >= 3 count on per-run bit columns (internal/mine/columns.go): one
+# pass builds a column per rank some candidate holds, a support is the
+# popcount of an AND, and later levels and an append's newcomer recount
+# reuse the columns. The candidate trie and its recursive walk, which the
+# columns replaced, must not come back as a second counter.
+if grep -rnE 'trieNode|countTrie' internal/mine --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: the candidate trie is back in internal/mine (count levels >= 3 on the bit columns)" >&2
+  exit 1
+fi
+
 echo "== one per-request record =="
 # workload.Record is the one per-request fact and workload.Journal the one
 # sink; the slow-query log is the journal's view of its slow records. The
@@ -259,11 +270,13 @@ go test -race -short ./...
 
 echo "== in-place mining and advance properties (-race -count=3) =="
 # No pass before level 2, counting through the trimming tables equals
-# counting over the full projection, and a lattice carried across an append
-# (mine.Advance) equals the re-mined one in sets, supports and order — under
-# a real Workers split, repeated so a scheduling-dependent miscount cannot
-# hide behind one lucky run.
-go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine' ./internal/mine
+# counting over the full projection (and the bit columns equal the
+# projection's), a lattice carried across an append (mine.Advance) equals
+# the re-mined one in sets, supports and order, and a cancelled pass or
+# column count unwinds — under a real Workers split, whose per-worker
+# column pages are written concurrently, repeated so a scheduling-dependent
+# miscount cannot hide behind one lucky run.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine|TestInPlacePassCancelUnwinds' ./internal/mine
 
 echo "== advance fuzz smoke (10s) =="
 go test -run '^$' -fuzz=FuzzAdvance -fuzztime=10s ./internal/mine
