@@ -20,7 +20,9 @@ type Budget struct {
 	// MaxFrequentSets caps the number of frequent sets discovered.
 	MaxFrequentSets int64
 	// MaxLatticeBytes caps the estimated memory allocated for lattice
-	// state, cumulatively over the run.
+	// state, cumulatively over the run. A run also trips on it, before
+	// level 2, when the dataset's shared pair-support table at the run's
+	// threshold would alone exceed it.
 	MaxLatticeBytes int64
 	// Timeout, when positive, is a soft deadline measured from the start
 	// of the evaluation. Unlike a context deadline it aborts only at

@@ -1,6 +1,7 @@
 package cfq
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"sort"
@@ -407,7 +408,30 @@ func TestSpanReportCoversLevels(t *testing.T) {
 }
 
 // TestWorkersSameAnswer: parallel support counting returns the serial answer.
+// And under every strategy, a run that finds the dataset generation's
+// pair-support table returns the exact result bytes — answer and Stats — of
+// the run that built it.
 func TestWorkersSameAnswer(t *testing.T) {
+	for _, st := range []Strategy{Optimized, OptimizedNoJmax, CAPOnly, AprioriPlus, Sequential, Auto} {
+		ds := marketDataset(t) // a new generation: the first run builds
+		var runs [2][]byte
+		for i := range runs {
+			res, err := NewQuery(ds).MinSupport(2).
+				WhereT(Aggregate(Min, "Price", GE, 8)).
+				Where2(Join(Max, "Price", LE, Min, "Price")).
+				Run(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs[i], err = res.AppendJSON(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Errorf("%v: the run that built the pair table and the one that found it differ:\n%s\n%s", st, runs[0], runs[1])
+		}
+	}
+
 	ds := marketDataset(t)
 	par, err := NewQuery(ds).MinSupport(2).
 		Where2(Join(Max, "Price", LE, Min, "Price")).

@@ -147,12 +147,15 @@ type Stats struct {
 	// FrequentSets / ValidSets count discovered sets.
 	FrequentSets int64
 	ValidSets    int64
-	// DBScans counts full passes over the transaction data: one per level
-	// a miner counted from level 2 on (level 1 reads the dataset's per-item
-	// supports and is not a pass).
+	// DBScans counts full passes over the transaction data the run made: at
+	// most one per lattice, the pass that builds the bit columns levels ≥ 3
+	// count on. Level 1 reads the dataset's per-item supports and level 2
+	// its generation's pair supports; the one pass that builds those is the
+	// generation's, counted in no run.
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state,
-	// cumulatively over the run (what Budget.MaxLatticeBytes bounds).
+	// cumulatively over the run (what Budget.MaxLatticeBytes bounds). The
+	// generation's shared pair supports are charged to no run.
 	LatticeBytes int64
 	// Checkpoints counts the cancellation/budget checkpoints passed — the
 	// granularity at which the evaluation could have been interrupted.

@@ -72,6 +72,9 @@ func Phases(cfg Config) (*PhaseProfile, error) {
 		Transactions: cfg.numTx(),
 		MinSupport:   w.minSup,
 	}
+	if err := buildPairs(q); err != nil {
+		return nil, err
+	}
 	var pairs int64 = -1
 	for _, st := range PhaseStrategies {
 		tracer := obs.NewTracer(obs.Options{Name: st.String()})

@@ -44,11 +44,13 @@ type advance struct {
 //
 // The run is a Levelwise run — the same checkpoints, Stats, level spans and
 // Workers split — under one structural "<label>:advance" span. Level 1 reads
-// the item supports and level 2 is the triangle pass, as in any run; from
-// level 3 on only what the appended rows touch is counted (see advance), so
-// Stats.CandidatesCounted charges those sets, and Stats.DBScans has one more
-// pass when some level had newcomers to count over the old rows: the first
-// such level builds columns over those rows that every later level reuses.
+// the item supports and level 2 the pair supports of cfg.DB, as in any run
+// (a new generation builds its pair table once, in one pass); from level 3
+// on only what the appended rows touch is counted (see advance), so
+// Stats.CandidatesCounted charges those sets, and Stats.DBScans is one pass
+// when some level had newcomers to count over the old rows, none otherwise:
+// the first such level builds columns over those rows that every later level
+// reuses.
 //
 // cfg must describe the whole lattice: Required, ReportValid,
 // CandidateFilter, PresetL1 and MaxLevel are rejected.
@@ -97,7 +99,7 @@ func Advance(ctx context.Context, cfg Config, prior []Counted, priorMinSup, rows
 // deltaPairs returns, for every Δ row, the positions in prevSets of the
 // frequent pairs it contains — the rowSets level 3 starts from.
 func (l *Levelwise) deltaPairs(delta []itemset.Set) [][]int32 {
-	tab := l.itemTable()
+	tab := filled(nil, len(l.itemToRank), -1)
 	for _, r := range l.l1Ranks {
 		tab[l.rankToItem[r]] = r
 	}

@@ -25,7 +25,10 @@ type Budget struct {
 	// MaxLatticeBytes caps the estimated memory allocated for lattice
 	// state (Stats.LatticeBytes) — candidate sets and per-level frequent
 	// sets. The estimate is cumulative over the run, so it bounds
-	// allocation pressure rather than live heap.
+	// allocation pressure rather than live heap. It also refuses the
+	// database's pair-support table when a table at the run's threshold
+	// would alone exceed it (txdb.DB.PairSupportsBytes), though the table
+	// is charged to no run.
 	MaxLatticeBytes int64
 	// SoftDeadline, when non-zero, aborts mining at the first checkpoint
 	// past this instant with a *BudgetError (reason "deadline"). Unlike a

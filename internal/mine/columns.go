@@ -93,7 +93,10 @@ func (c *columns) hold(sets [][]int32, rows int) bool {
 // under a Required class, by a required rank, as every candidate is — as one
 // bit in the column of each. Each accumulator fills pages of its own rows;
 // their pages, in accumulator order, hold the kept rows in database order. A
-// completed pass counts in Stats.DBScans.
+// completed pass counts in Stats.DBScans. Stats.LatticeBytes is charged,
+// before the pass, ⌈rows/64⌉ words per column, rows being those the pass
+// reads: a formula, so it does not depend on Workers or on what storage the
+// pool held.
 func (l *Levelwise) buildColumns(cover [][]int32, k int, txs []itemset.Set) error {
 	c := l.cols
 	if c == nil {
@@ -138,6 +141,7 @@ func (l *Levelwise) buildColumns(cover [][]int32, k int, txs []itemset.Set) erro
 		p.pages = p.pages[:0]
 	}
 	size := int(nCols) * c.stride
+	l.stats.LatticeBytes += int64(nCols) * int64((len(txs)+63)/64) * 8
 	err := l.countPass(fmt.Sprintf("level %d: counting", k), txs, func(ctx context.Context, txs []itemset.Set, a int) {
 		c.acc[a].keep(ctx, txs, c.tab, firstOther, k, size, c.stride)
 	})

@@ -18,10 +18,10 @@
 // The engine works internally in a dense "rank" space ordered
 // required-items-first and converts back to original item space at the API
 // boundary. It keeps no copy of the database: level 1 reads the per-item
-// supports the database holds, level 2 counts off the transactions where
-// they are, each read through a table that trims it to the items that can
-// still matter, and levels ≥ 3 count on bit columns that one such pass
-// builds (columns.go).
+// supports the database holds, level 2 reads the pair supports the database
+// generation holds, and levels ≥ 3 count on bit columns that one pass over
+// the transactions, where they are, builds (columns.go) — each row read
+// through a table that trims it to the items that can still matter.
 package mine
 
 import (
@@ -139,9 +139,10 @@ type Levelwise struct {
 }
 
 // New validates cfg and prepares a miner. It reads no transaction: level 1
-// comes from the database's item statistics, and the passes of later levels
-// read the transactions where they are (countPass). ctx governs the whole
-// run: every Step observes its cancellation at checkpoint boundaries.
+// comes from the database's item statistics, level 2 from its pair supports,
+// and the pass of later levels reads the transactions where they are
+// (countPass). ctx governs the whole run: every Step observes its
+// cancellation at checkpoint boundaries.
 func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("mine: Config.DB is nil")
@@ -453,15 +454,15 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 	return out, nil
 }
 
-// stepTwo counts level 2 without materialising it. The candidates are the
-// pairs of L1 positions (p, q), p < q, whose first element may lead a valid
-// set — every position, or with a Required class only those holding a
-// required rank, which are a prefix because required items hold the lowest
-// ranks. They are laid out row by row in one triangle of int32 cells, in the
-// lexicographic order level 3's prefix join expects; off[p]+q is the cell of
-// (p, q). At 4 bytes a candidate the triangle is smaller than any
-// alternative representation of the same pairs, so there is no size
-// fallback.
+// stepTwo takes level 2 without materialising it or counting it. The
+// candidates are the pairs of L1 positions (p, q), p < q, whose first element
+// may lead a valid set — every position, or with a Required class only those
+// holding a required rank, which are a prefix because required items hold
+// the lowest ranks — walked row by row in the lexicographic order level 3's
+// prefix join expects. Their supports are read from the database
+// generation's pair-support table (txdb.DB.PairSupports), which one pass
+// built for every run at this threshold or above; a run's own work is the
+// walk, which thresholds each cell as it reads it.
 func (l *Levelwise) stepTwo() ([]Counted, error) {
 	const genWhere = "level 2: candidate generation"
 	if err := l.guard.Check(genWhere); err != nil {
@@ -472,13 +473,11 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 	if l.nRequired > 0 {
 		rows = sort.Search(n1, func(p int) bool { return int(l.l1Ranks[p]) >= l.nRequired })
 	}
-	off := make([]int, rows)
 	cells := 0
-	for p := range off {
+	for p := 0; p < rows; p++ {
 		if err := l.guard.Check(genWhere); err != nil {
 			return nil, err
 		}
-		off[p] = cells - (p + 1)
 		cells += n1 - 1 - p
 	}
 
@@ -512,81 +511,86 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		return nil, nil
 	}
 
-	// Charged before counting, like every level (see stepK).
+	// Charged before they are read, like every level's candidates (see
+	// stepK), and at the 4 bytes a cell of a run's own triangle would take.
 	l.stats.CandidatesCounted += int64(kept)
-	tri, err := l.countTriangle(off, cells)
-	if err != nil {
+	l.stats.LatticeBytes += 4 * int64(kept)
+	const countWhere = "level 2: counting"
+	if err := l.guard.Check(countWhere); err != nil {
 		return nil, err
 	}
-	l.stats.DBScans++
+	// The table is the generation's and charged to no run, but a run under a
+	// lattice-bytes budget does not have one built that alone exceeds it. It
+	// is sized at the run's threshold, so a run that would build the table
+	// and one that finds it trip alike.
+	if b := l.cfg.Budget; b != nil && b.MaxLatticeBytes > 0 {
+		if size := l.cfg.DB.PairSupportsBytes(l.cfg.MinSupport); size > b.MaxLatticeBytes {
+			return nil, l.guard.overrun(countWhere, ResourceLatticeBytes, b.MaxLatticeBytes, size)
+		}
+	}
+	tab, err := l.cfg.DB.PairSupports(l.guard.Ctx(), l.cfg.MinSupport, l.cfg.Workers)
+	if err != nil {
+		// Only the context stops a build; the checkpoint says where.
+		if err := l.guard.Check(countWhere); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("mine: %s: %w", countWhere, err)
+	}
+	// at[p] is the table position of L1 position p. The table covers every
+	// item at the run's threshold; only a PresetL1 entry the database does
+	// not support can be missing (-1), and its pairs are infrequent.
+	at := make([]int32, n1)
+	for p, r := range l.l1Ranks {
+		at[p] = tab.Position(l.rankToItem[r])
+	}
 
-	// Rejected cells were counted along with the rest; zeroed, they can
-	// never reach the threshold (MinSupport >= 1).
-	frequent := 0
-	for c, n := range tri {
-		if masked != nil && masked[c] {
-			tri[c] = 0
-		} else if int(n) >= l.cfg.MinSupport {
+	// A table built at the run's threshold knows how many of its cells reach
+	// it; one built lower counts cells this run does not keep, so the
+	// level's state then grows as the frequent cells are read.
+	capacity := 0
+	if tab.MinSupport() == l.cfg.MinSupport {
+		capacity = min(tab.Frequent(), kept)
+	}
+	var out []Counted
+	l.resetLevel(capacity)
+	pairs := make([]int32, 0, 2*capacity) // backs the level's rank-space sets
+	frequent, c := 0, 0
+	for p := 0; p < rows; p++ {
+		a := at[p]
+		var row []int32
+		if a >= 0 {
+			row = tab.Row(a)
+		}
+		for q := p + 1; q < n1; q, c = q+1, c+1 {
+			if c > 0 && c%genCheckBatch == 0 {
+				if err := l.guard.Check(countWhere); err != nil {
+					return nil, err
+				}
+			}
+			if masked != nil && masked[c] {
+				continue
+			}
+			// Positions ascend with items, and so do L1 positions within a
+			// class: a later L1 position sits earlier in the table only
+			// when a Required class put it after a lower item.
+			n := int32(0)
+			switch b := at[q]; {
+			case b > a && a >= 0:
+				n = row[b-a-1]
+			case b >= 0 && b < a:
+				n = tab.Row(b)[a-b-1]
+			}
+			if int(n) < l.cfg.MinSupport {
+				continue
+			}
 			frequent++
+			pairs = append(pairs, l.l1Ranks[p], l.l1Ranks[q])
+			out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], nil, int(n), out)
 		}
 	}
 	l.stats.CandidatesPruned += int64(kept - frequent)
 	l.prune.Charge(l.freqSite, int64(kept-frequent))
-
-	var out []Counted
-	l.resetLevel(frequent)
-	pairs := make([]int32, 0, 2*frequent)
-	c := 0
-	for p := 0; p < rows; p++ {
-		for q := p + 1; q < n1; q++ {
-			if n := int(tri[c]); n >= l.cfg.MinSupport {
-				pairs = append(pairs, l.l1Ranks[p], l.l1Ranks[q])
-				out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], nil, n, out)
-			}
-			c++
-		}
-	}
 	return out, nil
-}
-
-// countTriangle counts, in one pass over the transactions, every pair of L1
-// positions a transaction contains whose first position is a triangle row,
-// into the cell off[p]+q.
-func (l *Levelwise) countTriangle(off []int, cells int) ([]int32, error) {
-	// pos maps an item to its L1 position, -1 when it is infrequent or
-	// outside the domain.
-	pos := l.itemTable()
-	for p, r := range l.l1Ranks {
-		pos[l.rankToItem[r]] = int32(p)
-	}
-	// With a Required class the triangle rows are exactly the positions of
-	// the required ranks, which a transaction's positions must lead with.
-	firstOther := int32(0)
-	if l.nRequired > 0 {
-		firstOther = int32(len(off))
-	}
-	per := make([][]int32, max(1, l.cfg.Workers))
-	per[0] = make([]int32, cells)
-	err := l.countPass("level 2: counting", l.cfg.DB.Transactions(), func(ctx context.Context, txs []itemset.Set, acc int) {
-		if per[acc] == nil {
-			per[acc] = make([]int32, cells)
-		}
-		countPairs(ctx, txs, pos, firstOther, off, per[acc])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sumCounts(per), nil
-}
-
-// itemTable returns a table with a slot for every item of the database and
-// the domain, all -1.
-func (l *Levelwise) itemTable() []int32 {
-	tab := make([]int32, len(l.itemToRank))
-	for it := range tab {
-		tab[it] = -1
-	}
-	return tab
 }
 
 // through reads a transaction through a table: it returns what tab holds for
@@ -622,29 +626,6 @@ func through(buf []int32, t itemset.Set, tab []int32, firstOther int32) []int32 
 		}
 	}
 	return buf[:n]
-}
-
-// countPairs is countTriangle's inner loop over a run of transactions. A
-// non-nil ctx is polled between transaction batches; on cancellation the
-// partial counts are abandoned by the caller.
-func countPairs(ctx context.Context, txs []itemset.Set, pos []int32, firstOther int32, off []int, tri []int32) {
-	rows := int32(len(off))
-	var buf []int32 // the transaction's L1 positions, ascending
-	for i, t := range txs {
-		if ctx != nil && i%checkBatch == 0 && ctx.Err() != nil {
-			return
-		}
-		buf = through(buf, t, pos, firstOther)
-		for a, p := range buf {
-			if p >= rows {
-				break // no later position is a row either
-			}
-			row := off[p]
-			for _, q := range buf[a+1:] {
-				tri[row+int(q)]++
-			}
-		}
-	}
 }
 
 // resetLevel empties the per-level state before a level's frequent sets are
@@ -814,8 +795,8 @@ func samePrefix(a, b []int32, n int) bool {
 
 // countPass runs one counting pass over txs — the database's transactions, or
 // a leading run of them, where the database keeps them — under the checkpoint
-// protocol every pass shares (level 2's, and the one that builds the bit
-// columns of levels ≥ 3).
+// protocol every pass shares (the one that builds the bit columns of levels
+// ≥ 3 is the miner's only pass).
 // Serial counting (Workers < 2, or too few transactions to split)
 // checkpoints between transaction batches and counts each batch into
 // accumulator 0. Parallel counting partitions the transactions among Workers
@@ -826,7 +807,7 @@ func samePrefix(a, b []int32, n int) bool {
 // regardless of Workers, and a cancellation that stopped them early surfaces
 // there, before the partial counts can be used. Workers always rejoin
 // through wg.Wait: they return early, never leak. The caller combines the
-// accumulators in order (sumCounts, buildColumns).
+// accumulators in order.
 func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
 	l.cfg.DB.RecordScan()
 	workers := l.cfg.Workers
@@ -854,17 +835,6 @@ func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx co
 	}
 	wg.Wait()
 	return l.guard.Check(where)
-}
-
-// sumCounts adds every later accumulator of a counting pass into the first
-// and returns it; accumulators no worker touched are nil.
-func sumCounts(per [][]int32) []int32 {
-	for _, p := range per[1:] {
-		for i, n := range p {
-			per[0][i] += n
-		}
-	}
-	return per[0]
 }
 
 // RunAll steps the miner to completion and returns the valid frequent sets

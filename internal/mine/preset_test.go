@@ -68,18 +68,23 @@ func TestPresetL1SkipsCounting(t *testing.T) {
 }
 
 // TestPresetL1Filtering: preset entries outside the domain are ignored and
-// entries failing the candidate filter are dropped.
+// entries failing the candidate filter are dropped. An entry that claims more
+// support than the database gives its item is taken as given at level 1; the
+// pair supports do not cover the item, and level 2 reads its pairs as
+// infrequent, which they are.
 func TestPresetL1Filtering(t *testing.T) {
-	db := txdb.New([]itemset.Set{itemset.New(1, 2, 3), itemset.New(1, 2, 3)})
+	db := txdb.New([]itemset.Set{itemset.New(0, 1, 2, 3, 4), itemset.New(1, 2, 3)})
 	preset := []Counted{
+		{Set: itemset.New(0), Support: 2}, // the database gives it 1
 		{Set: itemset.New(1), Support: 2},
 		{Set: itemset.New(2), Support: 2},
+		{Set: itemset.New(4), Support: 2},    // the database gives it 1
 		{Set: itemset.New(9), Support: 2},    // outside domain
 		{Set: itemset.New(1, 2), Support: 2}, // not a singleton: ignored
 	}
 	lw, err := New(context.Background(), Config{
 		DB: db, MinSupport: 2,
-		Domain:   itemset.New(1, 2, 3),
+		Domain:   itemset.New(0, 1, 2, 3, 4),
 		PresetL1: preset,
 		CandidateFilter: func(_ int, s itemset.Set) bool {
 			return !s.Contains(2) // drop item 2
@@ -89,7 +94,10 @@ func TestPresetL1Filtering(t *testing.T) {
 		t.Fatal(err)
 	}
 	sets, _, _ := lw.Step()
-	if len(sets) != 1 || !sets[0].Set.Equal(itemset.New(1)) {
+	if len(sets) != 3 || !sets[0].Set.Equal(itemset.New(0)) || !sets[1].Set.Equal(itemset.New(1)) || !sets[2].Set.Equal(itemset.New(4)) {
 		t.Errorf("level 1 = %v", sets)
+	}
+	if sets, done, err := lw.Step(); err != nil || len(sets) != 0 || !done {
+		t.Errorf("level 2 = (%v, %v, %v), want no sets", sets, done, err)
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/itemset"
@@ -17,12 +21,12 @@ import (
 
 // referenceStepTwo is level 2 the way the generic level step does every
 // later level, spelled out for k = 2: enumerate the pairs as candidate
-// slices, filter them, count each as the popcount of the AND of its two bit
-// columns (the columns levels >= 3 count on, built by their pass) and
-// threshold one by one. It is the oracle stepTwo's triangle must match in
-// answers, join state, filter calls, every Stats field and every charge. The
-// columns are dropped after the level, so level 3 makes its own pass as it
-// does after the triangle.
+// slices, filter them, count each as the popcount of the AND of two bit
+// columns built here over every transaction, and threshold one by one,
+// passing the checkpoints stepTwo passes where it passes them. It is the
+// oracle stepTwo's reads of the pair-support table must match in answers,
+// join state, filter and report calls, every Stats field and every charge,
+// and it shares no code with the table.
 func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 	if err := l.guard.Check("level 2: candidate generation"); err != nil {
 		return nil, err
@@ -39,50 +43,63 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 			cands = append(cands, []int32{a, b})
 		}
 	}
-	if l.cfg.CandidateFilter != nil {
-		kept := cands[:0]
-		for i, c := range cands {
+	kept := make([]bool, len(cands))
+	nKept := 0
+	for i, c := range cands {
+		if l.cfg.CandidateFilter != nil {
 			if i%genCheckBatch == 0 {
 				if err := l.guard.Check("level 2: candidate filtering"); err != nil {
 					return nil, err
 				}
 			}
-			if l.cfg.CandidateFilter(2, l.toOrig(c)) {
-				kept = append(kept, c)
-			} else {
+			if !l.cfg.CandidateFilter(2, l.toOrig(c)) {
 				l.stats.CandidatesPruned++
+				continue
 			}
 		}
-		cands = kept
+		kept[i] = true
+		nKept++
 	}
 	l.level = 2
-	if len(cands) == 0 {
+	if nKept == 0 {
 		l.resetLevel(0)
 		return nil, nil
 	}
-	l.stats.CandidatesCounted += int64(len(cands))
-	if err := l.buildColumns(cands, 2, l.cfg.DB.Transactions()); err != nil {
-		return nil, err
+	l.stats.CandidatesCounted += int64(nKept)
+	l.stats.LatticeBytes += 4 * int64(nKept)
+	txs := l.cfg.DB.Transactions()
+	cols := map[int32][]uint64{}
+	for _, r := range l.l1Ranks {
+		cols[r] = make([]uint64, (len(txs)+63)/64)
 	}
-	counts := make([]int, len(cands))
-	for _, pg := range l.cols.pages {
-		for i, c := range cands {
-			a, b := int(l.cols.colOf[c[0]])*l.cols.stride, int(l.cols.colOf[c[1]])*l.cols.stride
-			for x := 0; x < l.cols.stride; x++ {
-				counts[i] += bits.OnesCount64(pg.bits[a+x] & pg.bits[b+x])
+	for tid, t := range txs {
+		for _, it := range t {
+			if col, ok := cols[l.itemToRank[it]]; ok {
+				col[tid/64] |= 1 << (tid % 64)
 			}
 		}
 	}
-	l.cols = nil
 	var out []Counted
-	l.resetLevel(len(cands))
+	l.resetLevel(nKept)
 	for i, c := range cands {
-		if counts[i] < l.cfg.MinSupport {
+		if i%genCheckBatch == 0 {
+			if err := l.guard.Check("level 2: counting"); err != nil {
+				return nil, err
+			}
+		}
+		if !kept[i] {
+			continue
+		}
+		sup := 0
+		for x, w := range cols[c[0]] {
+			sup += bits.OnesCount64(w & cols[c[1]][x])
+		}
+		if sup < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
 			l.prune.Charge(l.freqSite, 1)
 			continue
 		}
-		out = l.addFrequent(c, nil, counts[i], out)
+		out = l.addFrequent(c, nil, sup, out)
 	}
 	return out, nil
 }
@@ -246,34 +263,58 @@ func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 }
 
 // TestTriangleMatchesColumnsLevel2 is the property: over random databases and
-// the whole level-2 configuration space, the triangle and the reference
-// (pairs counted on the bit columns levels >= 3 use) agree on frequent sets,
-// supports and order, on the join state level 3 reads, on the filter's call
-// sequence and where the checkpoints fall in it, on every Stats field
-// including Checkpoints, and on the prune-site snapshot — and so do the
-// levels mined on top of either.
+// the whole level-2 configuration space, level 2 read from the pair-support
+// table and the reference (pairs counted on bit columns) agree on frequent
+// sets, supports and order, on the join state level 3 reads, on the filter
+// and report call sequence and where the checkpoints fall in it, on every
+// Stats field including Checkpoints, and on the prune-site snapshot — and so
+// do the levels mined on top of either. The table side runs four times: on a
+// fresh copy of the database (the run builds the table), on the shared
+// database (after the first case the table is found), on a copy holding a
+// table at a lower threshold (which serves), and on a copy holding one at a
+// higher threshold (which must not serve: the run builds its own). A run
+// that replaces a table leaves what its readers see unchanged.
 func TestTriangleMatchesColumnsLevel2(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
+	ctx := context.Background()
 	for _, f := range triangleFixtures(r) {
+		lower := txdb.New(f.db.Transactions())
+		if _, err := lower.PairSupports(ctx, f.minSup-1, 1); err != nil {
+			t.Fatal(err)
+		}
 		for _, required := range []string{"none", "class", "disjoint"} {
 			for _, filter := range []string{"none", "sum", "reject-all"} {
 				for _, preset := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
 						for _, maxLevel := range []int{0, 2} {
 							c := triangleCase{required, filter, r.Intn(2) == 0, preset, workers, maxLevel}
-							got := runTriangleCase(t, f.db, f.minSup, c, (*Levelwise).stepTwo)
 							want := runTriangleCase(t, f.db, f.minSup, c, (*Levelwise).referenceStepTwo)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s/%v: triangle and reference differ\ntriangle:  %+v\nreference: %+v",
-									f.name, c, got, want)
+							higher := txdb.New(f.db.Transactions())
+							old, err := higher.PairSupports(ctx, f.minSup+1, 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							oldCells := tableCells(old, higher.NumItems())
+							for _, db := range []struct {
+								name string
+								db   *txdb.DB
+							}{{"built", txdb.New(f.db.Transactions())}, {"found", f.db}, {"lower", lower}, {"higher", higher}} {
+								got := runTriangleCase(t, db.db, f.minSup, c, (*Levelwise).stepTwo)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s/%v/%s: table and reference differ\ntable:     %+v\nreference: %+v",
+										f.name, c, db.name, got, want)
+								}
+							}
+							if old.MinSupport() != f.minSup+1 || !reflect.DeepEqual(tableCells(old, higher.NumItems()), oldCells) {
+								t.Fatalf("%s/%v: replacing a table changed what its readers see", f.name, c)
 							}
 							if f.name == "wide" && required == "none" && filter != "none" {
-								if n := countEvent(got.events, "checkpoint level 2: candidate filtering"); n < 2 {
+								if n := countEvent(want.events, "checkpoint level 2: candidate filtering"); n < 2 {
 									t.Errorf("%s/%v: %d filtering checkpoints; the fixture no longer spans two batches", f.name, c, n)
 								}
 							}
-							if f.name == "long" && required == "none" && filter == "none" {
-								if n := countEvent(got.events, "checkpoint level 2: counting"); n < 2 {
+							if f.name == "wide" && required == "none" && filter == "none" {
+								if n := countEvent(want.events, "checkpoint level 2: counting"); n < 2 {
 									t.Errorf("%s/%v: %d counting checkpoints; the fixture no longer spans two batches", f.name, c, n)
 								}
 							}
@@ -283,6 +324,17 @@ func TestTriangleMatchesColumnsLevel2(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tableCells copies every row of a pair-support table.
+func tableCells(p *txdb.PairSupports, numItems int) [][]int32 {
+	var rows [][]int32
+	for it := 0; it < numItems; it++ {
+		if a := p.Position(itemset.Item(it)); a >= 0 {
+			rows = append(rows, slices.Clone(p.Row(a)))
+		}
+	}
+	return rows
 }
 
 // triangleFixture is one database of the configuration-space properties.
@@ -328,9 +380,14 @@ func countEvent(events []string, event string) int {
 	return n
 }
 
-// TestLevel2BudgetTrip: a candidate budget just below the level-2 cell count
-// trips inside level 2 — the cells are charged before they are counted — and
-// the error carries the charged count.
+// TestLevel2BudgetTrip: a candidate budget just below the level-2 cell count,
+// or a lattice-bytes budget just below their 4-byte charge, trips inside
+// level 2 — the cells are charged before they are read — and the error
+// carries the charged count and partial Stats that do not depend on Workers:
+// level 2 makes no pass of its own. On a fresh database the trip comes before
+// the pair-support table is built, so the database records no pass; so does
+// a lattice-bytes budget below the size of the table at the run's threshold,
+// whether or not the table exists.
 func TestLevel2BudgetTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(181))
 	db := randomDB(r, 3*checkBatch, 16, 8)
@@ -348,39 +405,130 @@ func TestLevel2BudgetTrip(t *testing.T) {
 	if items := int64(db.ActiveItems().Len()); full.CandidatesCounted != items+cells {
 		t.Fatalf("CandidatesCounted = %d, want %d items + %d cells", full.CandidatesCounted, items, cells)
 	}
-	for _, workers := range []int{1, 4} {
-		stats := &Stats{}
-		lw, err := New(context.Background(), Config{
-			DB: db, MinSupport: minSup, Workers: workers, Stats: stats,
-			Budget: &Budget{MaxCandidates: full.CandidatesCounted - 1},
-		})
+	if full.DBScans != 0 {
+		t.Fatalf("DBScans = %d for levels 1 and 2, want 0", full.DBScans)
+	}
+	// The level-2 charge precedes the level's frequent sets.
+	charged := full.LatticeBytes - setBytes(2)*(full.FrequentSets-n1)
+	for _, tc := range []struct {
+		resource string
+		budget   func() *Budget
+	}{
+		{ResourceCandidates, func() *Budget { return &Budget{MaxCandidates: full.CandidatesCounted - 1} }},
+		{ResourceLatticeBytes, func() *Budget { return &Budget{MaxLatticeBytes: charged - 1} }},
+	} {
+		var serial Stats
+		for _, workers := range []int{1, 4} {
+			for _, fresh := range []bool{false, true} {
+				run := db
+				if fresh {
+					run = txdb.New(db.Transactions())
+				}
+				lw, err := New(context.Background(), Config{DB: run, MinSupport: minSup, Workers: workers, Budget: tc.budget()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = lw.RunAll()
+				var be *BudgetError
+				if !errors.As(err, &be) {
+					t.Fatalf("workers=%d fresh=%v: err = %v, want *BudgetError", workers, fresh, err)
+				}
+				if be.Resource != tc.resource || be.Where != "level 2: counting" {
+					t.Errorf("workers=%d fresh=%v: tripped on %s at %q, want %s at \"level 2: counting\"",
+						workers, fresh, be.Resource, be.Where, tc.resource)
+				}
+				if be.Stats.CandidatesCounted != full.CandidatesCounted || be.Stats.LatticeBytes != charged {
+					t.Errorf("workers=%d fresh=%v: partial CandidatesCounted = %d, LatticeBytes = %d, want the charged %d and %d",
+						workers, fresh, be.Stats.CandidatesCounted, be.Stats.LatticeBytes, full.CandidatesCounted, charged)
+				}
+				if want := map[string]int64{ResourceCandidates: full.CandidatesCounted, ResourceLatticeBytes: charged}[tc.resource]; be.Used != want {
+					t.Errorf("workers=%d fresh=%v: Used = %d, want the charged %d", workers, fresh, be.Used, want)
+				}
+				if workers == 1 && !fresh {
+					serial = be.Stats
+				} else if be.Stats != serial {
+					t.Errorf("workers=%d fresh=%v: partial Stats %+v, serially %+v", workers, fresh, be.Stats, serial)
+				}
+				if fresh && run.Scans() != 0 {
+					t.Errorf("workers=%d: the tripped run left %d passes on a fresh database, want 0", workers, run.Scans())
+				}
+			}
+		}
+	}
+
+	// The table at minSup covers the n1 frequent items; a budget below its
+	// size refuses it before anything is charged at level 2 that the other
+	// trips do not charge.
+	table := 4 * cells
+	if got := db.PairSupportsBytes(minSup); got != table {
+		t.Fatalf("PairSupportsBytes = %d, want 4 bytes for each of the %d cells", got, cells)
+	}
+	for _, fresh := range []bool{false, true} {
+		run := db
+		if fresh {
+			run = txdb.New(db.Transactions())
+		}
+		lw, err := New(context.Background(), Config{DB: run, MinSupport: minSup, Domain: itemset.New(0, 1, 2),
+			Budget: &Budget{MaxLatticeBytes: table - 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = lw.RunAll()
 		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("workers=%d: err = %v, want *BudgetError", workers, err)
+		if !errors.As(err, &be) || be.Resource != ResourceLatticeBytes || be.Where != "level 2: counting" ||
+			be.Used != table || be.Limit != table-1 {
+			t.Fatalf("fresh=%v: a domain of 3 items under a budget below the %d-byte table: err = %v", fresh, table, err)
 		}
-		if be.Resource != ResourceCandidates || be.Where != "level 2: counting" {
-			t.Errorf("workers=%d: tripped on %s at %q, want candidates at \"level 2: counting\"",
-				workers, be.Resource, be.Where)
+		if fresh && run.Scans() != 0 {
+			t.Errorf("the refused run left %d passes on a fresh database, want 0", run.Scans())
 		}
-		if be.Stats.CandidatesCounted != full.CandidatesCounted || be.Used != full.CandidatesCounted {
-			t.Errorf("workers=%d: partial CandidatesCounted = %d, Used = %d, want the charged %d",
-				workers, be.Stats.CandidatesCounted, be.Used, full.CandidatesCounted)
+	}
+}
+
+// TestLevel2StateSizedByRun: a table at a lower threshold than the run's
+// holds more frequent pairs than the run has; the level's join state is
+// sized by the run's own frequent pairs, not by the table's.
+func TestLevel2StateSizedByRun(t *testing.T) {
+	r := rand.New(rand.NewSource(184))
+	const minSup = 5
+	db := randomDB(r, 300, 150, 24)
+	tab, err := db.PairSupports(context.Background(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := New(context.Background(), Config{DB: db, MinSupport: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, _, err := lw.Step(); err != nil {
+			t.Fatal(err)
 		}
-		if be.Stats.DBScans != full.DBScans-1 {
-			t.Errorf("workers=%d: DBScans = %d at the trip, want %d (level-2 pass not completed)",
-				workers, be.Stats.DBScans, full.DBScans-1)
+	}
+	atTable := 0
+	for _, row := range tableCells(tab, db.NumItems()) {
+		for _, n := range row {
+			if n >= 1 {
+				atTable++
+			}
 		}
+	}
+	n := len(lw.prevSets)
+	if atTable < 4*n {
+		t.Fatalf("%d pairs reach the table's threshold, %d the run's: the fixture no longer tells them apart", atTable, n)
+	}
+	if cap(lw.prevSets) > 2*n+16 || cap(lw.prevSup) > 2*n+16 {
+		t.Errorf("level 2 holds %d frequent pairs in state sized %d and %d", n, cap(lw.prevSets), cap(lw.prevSup))
 	}
 }
 
 // TestLevel2CancelUnwinds: a cancellation delivered from the checkpoint hook
 // at the first, middle and last level-2 checkpoint — serial and with a
 // Workers split — surfaces as a wrapped context.Canceled, latches the miner,
-// and strands no counting goroutine.
+// and strands no counting goroutine. So does one that lands in the middle of
+// the pair-support build, which passes no checkpoint: the run returns the
+// error at its next level-2 checkpoint, the database publishes no table, and
+// the next run builds one and answers as on a fresh database.
 func TestLevel2CancelUnwinds(t *testing.T) {
 	r := rand.New(rand.NewSource(182))
 	db := randomDB(r, 3*checkBatch, 16, 8)
@@ -395,6 +543,101 @@ func TestLevel2CancelUnwinds(t *testing.T) {
 		for _, n := range []int64{at[0], at[len(at)/2], at[len(at)-1]} {
 			cancelUnwinds(t, cfg, n, "level 2:")
 		}
+
+		// Every checkpoint polls the context once, the first "level 2:
+		// counting" one comes just before the build, and a serial build polls
+		// it per checkBatch rows from its first: the build's second poll is
+		// the checkpoints up to that one, plus two. A split build polls from
+		// every worker, so the cancellation lands in one of them.
+		counting := passCheckpoints(t, cfg, "level 2: counting")[0]
+		ctx := &cancelAtPoll{Context: context.Background(), at: counting + 2}
+		cfg.DB = txdb.New(db.Transactions())
+		lw, err := New(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lw.RunAll(); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "level 2: counting") {
+			t.Fatalf("workers=%d: cancelled build: err = %v, want context.Canceled at \"level 2: counting\"", workers, err)
+		}
+		if n := ctx.polls.Load(); workers == 1 && n != counting+3 || n < counting+3 {
+			t.Fatalf("workers=%d: %d polls, want the build's second one and the checkpoint after it (%d)", workers, n, counting+3)
+		}
+		want, wantStats := remine(t, Config{DB: txdb.New(db.Transactions()), MinSupport: 30, Workers: workers, CandidateFilter: filter})
+		got, gotStats := remine(t, cfg)
+		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Fatalf("workers=%d: the run after a cancelled build differs from one on a fresh database", workers)
+		}
+		if n := cfg.DB.Scans(); n != 2+wantStats.DBScans {
+			t.Errorf("workers=%d: %d passes, want the cancelled build, the next run's build and its %d", workers, n, wantStats.DBScans)
+		}
 	}
 	settleGoroutines(t, before)
+}
+
+// cancelAtPoll is a context that reports cancellation from the at-th call of
+// Err on — a cancellation that lands between two polls of a pass that
+// passes no checkpoint.
+type cancelAtPoll struct {
+	context.Context
+	at    int64
+	polls atomic.Int64
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls.Add(1) >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestConcurrentFirstRuns: runs at two thresholds that start together on a
+// fresh database may each build a table; they answer as they do alone on
+// their own database, and the database keeps the lower threshold's table.
+func TestConcurrentFirstRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(183))
+	base := randomDB(r, 3*checkBatch, 16, 8)
+	sups := []int{30, 45, 30, 45}
+	type result struct {
+		sets  []Counted
+		stats Stats
+	}
+	want := make([]result, len(sups))
+	for i, minSup := range sups {
+		want[i].sets, want[i].stats = remine(t, Config{DB: txdb.New(base.Transactions()), MinSupport: minSup, Workers: 1 + i%2})
+	}
+	for round := 0; round < 4; round++ {
+		db := txdb.New(base.Transactions())
+		got := make([]result, len(sups))
+		errs := make([]error, len(sups))
+		var wg sync.WaitGroup
+		for i, minSup := range sups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lw, err := New(context.Background(), Config{DB: db, MinSupport: minSup, Workers: 1 + i%2, Stats: &got[i].stats})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				levels, err := lw.RunAll()
+				got[i].sets, errs[i] = slices.Concat(levels...), err
+			}()
+		}
+		wg.Wait()
+		for i := range sups {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("round %d, run %d at support %d: concurrent first runs answer differently from a lone run", round, i, sups[i])
+			}
+		}
+		tab, err := db.PairSupports(context.Background(), 45, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.MinSupport() != 30 {
+			t.Errorf("round %d: the database holds a table at %d, want the lower threshold 30", round, tab.MinSupport())
+		}
+	}
 }

@@ -2,10 +2,15 @@
 // mining: an in-memory trans(TID, Itemset) relation with scan accounting,
 // item-domain restriction, naive support counting (used as the oracle in
 // tests), and text and binary on-disk codecs.
+//
+// A DB is immutable, so what is counted over all of it belongs to the
+// database generation rather than to a query: the per-item supports, and the
+// pair supports every mining run reads its level 2 from (PairSupports).
 package txdb
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +39,10 @@ type DB struct {
 	statsOnce sync.Once
 	supports  []int       // supports[it] = transactions containing it
 	active    itemset.Set // items with support > 0
+
+	// The pair supports at the lowest threshold asked for so far, nil before
+	// the first PairSupports call completes.
+	pairs atomic.Pointer[PairSupports]
 }
 
 // New builds a database from the given transactions. Each transaction must
@@ -71,9 +80,9 @@ func (db *DB) Transactions() []itemset.Set { return db.tx }
 
 // RecordScan records one full database scan for I/O accounting (both on the
 // DB and, live, in the global metrics registry — so a mid-run scrape sees
-// scan progress). Scan calls it; a reader that walks Transactions() itself
-// under its own checkpoints, as the miner's level-2 pass does, calls it once
-// per pass.
+// scan progress). Scan and the pair-support build call it; a reader that
+// walks Transactions() itself under its own checkpoints, as the miner's
+// column pass does, calls it once per pass.
 func (db *DB) RecordScan() {
 	atomic.AddInt64(&db.scans, 1)
 	obs.MDBScans.Inc()
@@ -94,7 +103,10 @@ func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
 // statistics pass behind ItemSupports and ActiveItems is not a scan in this
 // sense: like New's validation pass it belongs to building the database, and
 // charging it to whichever reader happened to come first would make every
-// miner's pass count depend on its callers.
+// miner's pass count depend on its callers. The pass that builds a
+// PairSupports table is one: it reads every row for pair counts, as a
+// miner's pass does, and it is recorded once per build — so on the database,
+// though in no run's own counters.
 func (db *DB) Scans() int64 { return atomic.LoadInt64(&db.scans) }
 
 // ResetScans zeroes the scan counter (used between experiment runs).
@@ -156,6 +168,187 @@ func (db *DB) ItemSupports() []int {
 func (db *DB) ActiveItems() itemset.Set {
 	db.itemStats()
 	return db.active.Clone()
+}
+
+// PairSupports is the support of every pair of the items whose own support
+// reaches its threshold — the level-2 counts of an unconstrained mine at that
+// threshold, kept as one triangle. Any pair of other items has a support
+// below the threshold, so a table answers every pair at a threshold at or
+// above its own exactly: one table serves every run of a database generation
+// at those thresholds, whatever items it mines. A table is immutable.
+type PairSupports struct {
+	minSup   int
+	frequent int     // cells at or above minSup
+	pos      []int32 // item → position among the covered items, -1 for the others
+	off      []int   // cells[off[a]+b] is the pair (a, b) of positions a < b
+	cells    []int32
+}
+
+// MinSupport is the threshold the table was built at.
+func (p *PairSupports) MinSupport() int { return p.minSup }
+
+// Frequent is the number of pairs whose support reaches the table's
+// threshold — the frequent pairs of a run at that threshold that mines every
+// item; a run at a higher one has fewer, possibly far fewer.
+func (p *PairSupports) Frequent() int { return p.frequent }
+
+// Position returns the position of it among the covered items, which ascend
+// with the items, or -1 when the table does not cover it.
+func (p *PairSupports) Position(it itemset.Item) int32 {
+	if int(it) >= len(p.pos) || it < 0 {
+		return -1
+	}
+	return p.pos[it]
+}
+
+// Row returns the supports of the pairs (a, b), b > a, of covered positions,
+// the one of (a, b) at b-a-1. The slice is shared and must not be mutated.
+func (p *PairSupports) Row(a int32) []int32 {
+	start := p.off[a] + int(a) + 1
+	return p.cells[start : start+len(p.off)-int(a)-1]
+}
+
+// PairSupportsBytes is the size of the cells of a PairSupports table at
+// minSup: 4 bytes for every pair of the items whose support reaches it. It
+// reads only the item supports, so it is the same whether or not a table has
+// been built.
+func (db *DB) PairSupportsBytes(minSup int) int64 {
+	minSup = max(minSup, 1)
+	n := int64(0)
+	for _, s := range db.ItemSupports() {
+		if s >= minSup {
+			n++
+		}
+	}
+	return 4 * (n * (n - 1) / 2)
+}
+
+// buildBatch is how many rows the pair-support build reads between polls of
+// its context, as a miner's pass does between checkpoints.
+const buildBatch = 2048
+
+// PairSupports returns a table that covers every item whose support reaches
+// minSup (values below 1 are treated as 1). The table the database holds
+// serves when its threshold is at most minSup; otherwise one pass over the
+// rows builds a table at minSup, records a scan and publishes it, unless the
+// database has meanwhile published one at a threshold no higher, which is
+// returned instead. Readers of a replaced table keep reading it. Concurrent
+// callers may each build; no lock is held across the pass. workers ≥ 2 splits
+// the pass's rows among that many goroutines, which count into tables of
+// their own that are summed; the result does not depend on it. ctx is polled
+// every buildBatch rows (by each goroutine, and once more after they join): a
+// cancelled build publishes nothing and returns ctx.Err().
+func (db *DB) PairSupports(ctx context.Context, minSup, workers int) (*PairSupports, error) {
+	minSup = max(minSup, 1)
+	if p := db.pairs.Load(); p != nil && p.minSup <= minSup {
+		return p, nil
+	}
+	p, err := db.countPairs(ctx, minSup, workers)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		cur := db.pairs.Load()
+		if cur != nil && cur.minSup <= minSup {
+			return cur, nil
+		}
+		if db.pairs.CompareAndSwap(cur, p) {
+			return p, nil
+		}
+	}
+}
+
+// countPairs builds a PairSupports table at minSup in one pass.
+func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupports, error) {
+	sup := db.ItemSupports()
+	p := &PairSupports{minSup: minSup, pos: make([]int32, len(sup))}
+	n := 0
+	for it, s := range sup {
+		p.pos[it] = -1
+		if s >= minSup {
+			p.pos[it] = int32(n)
+			n++
+		}
+	}
+	p.off = make([]int, n)
+	cells := 0
+	for a := range p.off {
+		p.off[a] = cells - (a + 1)
+		cells += n - 1 - a
+	}
+	p.cells = make([]int32, cells)
+	db.RecordScan()
+	if workers < 2 || len(db.tx) < 4*workers {
+		workers = 1
+	}
+	per := make([][]int32, workers)
+	per[0] = p.cells
+	chunk := (len(db.tx) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		per[w] = make([]int32, cells)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.count(ctx, db.tx[min(w*chunk, len(db.tx)):min((w+1)*chunk, len(db.tx))], per[w])
+		}()
+	}
+	err := p.count(ctx, db.tx[:min(chunk, len(db.tx))], per[0])
+	wg.Wait()
+	if err == nil && workers > 1 {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, tri := range per[1:] {
+		for c, k := range tri {
+			p.cells[c] += k
+		}
+	}
+	for _, k := range p.cells {
+		if int(k) >= minSup {
+			p.frequent++
+		}
+	}
+	return p, nil
+}
+
+// count adds the pairs of covered items each of txs holds into tri, a
+// triangle laid out as p.cells. It polls ctx every buildBatch rows and stops
+// at the first cancellation it sees, returning it.
+func (p *PairSupports) count(ctx context.Context, txs []itemset.Set, tri []int32) error {
+	pos, off := p.pos, p.off
+	var buf []int32 // the row's positions, ascending
+	for i, t := range txs {
+		if i%buildBatch == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		// Every position is stored and the length moves on only behind a
+		// covered one: a conditional move, where a guarded append is a branch
+		// the item data makes unpredictable.
+		if cap(buf) <= len(t) {
+			buf = make([]int32, 2*len(t)+1)
+		}
+		buf = buf[:len(t)+1]
+		k := 0
+		for _, it := range t {
+			v := pos[it]
+			buf[k] = v
+			if v >= 0 {
+				k++
+			}
+		}
+		for x, a := range buf[:k] {
+			row := off[a]
+			for _, b := range buf[x+1 : k] {
+				tri[row+int(b)]++
+			}
+		}
+	}
+	return nil
 }
 
 // WriteText writes the database in the one-transaction-per-line text format

@@ -2,9 +2,11 @@ package txdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -356,5 +358,152 @@ func TestActiveItemsIsCallersCopy(t *testing.T) {
 	var empty DB
 	if got := empty.ActiveItems(); !got.Empty() || len(empty.ItemSupports()) != 0 {
 		t.Errorf("zero DB: ActiveItems = %v, ItemSupports = %v", got, empty.ItemSupports())
+	}
+}
+
+// pairDB is a database long enough for several build batches, with a last
+// batch shorter than the others.
+func pairDB(seed int64) *DB {
+	r := rand.New(rand.NewSource(seed))
+	txs := make([]itemset.Set, 2*buildBatch+37)
+	for i := range txs {
+		items := make([]itemset.Item, r.Intn(7))
+		for j := range items {
+			items[j] = itemset.Item(r.Intn(30))
+		}
+		txs[i] = itemset.New(items...)
+	}
+	return New(txs)
+}
+
+// checkPairs holds a table to the naive count: it covers exactly the items
+// whose support reaches its threshold, at ascending positions, and holds
+// every pair of them at its support. It counts on a copy of db, whose scans
+// it leaves alone.
+func checkPairs(t *testing.T, db *DB, p *PairSupports) {
+	t.Helper()
+	oracle := New(db.Transactions())
+	var covered []itemset.Item
+	for it, n := range db.ItemSupports() {
+		want := int32(-1)
+		if n >= p.MinSupport() {
+			want = int32(len(covered))
+			covered = append(covered, itemset.Item(it))
+		}
+		if got := p.Position(itemset.Item(it)); got != want {
+			t.Fatalf("σ=%d: Position(%d) = %d, want %d", p.MinSupport(), it, got, want)
+		}
+	}
+	if got := p.Position(itemset.Item(db.NumItems() + 5)); got != -1 {
+		t.Errorf("Position of an item outside the database = %d, want -1", got)
+	}
+	n := int64(len(covered))
+	if got, want := db.PairSupportsBytes(p.MinSupport()), 4*n*(n-1)/2; got != want {
+		t.Errorf("σ=%d: PairSupportsBytes = %d, want 4 bytes for each of the %d cells", p.MinSupport(), got, want/4)
+	}
+	frequent := 0
+	defer func() {
+		if p.Frequent() != frequent && !t.Failed() {
+			t.Errorf("σ=%d: Frequent() = %d, %d pairs reach the threshold", p.MinSupport(), p.Frequent(), frequent)
+		}
+	}()
+	for a, x := range covered {
+		row := p.Row(int32(a))
+		if len(row) != len(covered)-a-1 {
+			t.Fatalf("σ=%d: row %d has %d cells, want %d", p.MinSupport(), a, len(row), len(covered)-a-1)
+		}
+		for b, y := range covered[a+1:] {
+			want := oracle.Support(itemset.New(x, y))
+			if got := int(row[b]); got != want {
+				t.Fatalf("σ=%d: support of {%d,%d} = %d, want %d", p.MinSupport(), x, y, got, want)
+			}
+			if want >= p.MinSupport() {
+				frequent++
+			}
+		}
+	}
+}
+
+// TestPairSupports: a table is the naive pair count over its covered items,
+// whether one goroutine or several counted it; it serves every threshold at
+// or above its own without a pass; a lower
+// threshold builds a new table in one recorded pass and replaces it, while a
+// reader of the old one keeps reading what it read; and a cancelled build
+// publishes nothing.
+func TestPairSupports(t *testing.T) {
+	db := pairDB(41)
+	ctx := context.Background()
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if p, err := db.PairSupports(cancelled, 40, workers); p != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled build = (%v, %v), want context.Canceled", workers, p, err)
+		}
+		if db.pairs.Load() != nil || db.Scans() != 1 {
+			t.Fatalf("workers=%d: cancelled build: table %v published, %d scans recorded; want none and 1", workers, db.pairs.Load(), db.Scans())
+		}
+		db.ResetScans()
+	}
+
+	high, err := db.PairSupports(ctx, 400, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairs(t, db, high)
+	if p, _ := db.PairSupports(ctx, 500, 1); p != high || db.Scans() != 1 {
+		t.Fatalf("σ′ = 500 over a table at 400: got a table at %d after %d scans, want the table at 400 after 1", p.MinSupport(), db.Scans())
+	}
+	before := make([][]int32, 0)
+	for a := range high.off {
+		before = append(before, slices.Clone(high.Row(int32(a))))
+	}
+	low, err := db.PairSupports(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if low.MinSupport() != 1 || db.Scans() != 2 {
+		t.Fatalf("σ = 0: a table at %d after %d scans, want one at 1 after 2", low.MinSupport(), db.Scans())
+	}
+	checkPairs(t, db, low)
+	if p, _ := db.PairSupports(ctx, 400, 1); p != low {
+		t.Error("the lower threshold's table does not serve σ′ = 400")
+	}
+	for a, row := range before {
+		if !slices.Equal(high.Row(int32(a)), row) || high.MinSupport() != 400 {
+			t.Fatal("replacing a table changed what its readers see")
+		}
+	}
+	var empty DB
+	if p, err := empty.PairSupports(ctx, 1, 4); err != nil || p.Position(0) != -1 {
+		t.Errorf("zero DB: (%v, %v)", p, err)
+	}
+}
+
+// TestPairSupportsConcurrentBuilds: first callers at several thresholds, with
+// and without a split of the rows, may each build; every one gets a table
+// that serves it, and the database keeps the lowest threshold's. Run with
+// -race.
+func TestPairSupportsConcurrentBuilds(t *testing.T) {
+	db := pairDB(42)
+	sups := []int{300, 150, 450, 150, 300, 600}
+	tabs := make([]*PairSupports, len(sups))
+	var wg sync.WaitGroup
+	for g, minSup := range sups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[g], _ = db.PairSupports(context.Background(), minSup, 1+g%3)
+		}()
+	}
+	wg.Wait()
+	for g, p := range tabs {
+		if p == nil || p.MinSupport() > sups[g] {
+			t.Fatalf("caller %d at %d got %v", g, sups[g], p)
+		}
+		checkPairs(t, db, p)
+	}
+	if p := db.pairs.Load(); p.MinSupport() != 150 {
+		t.Errorf("the database holds a table at %d, want the lowest threshold 150", p.MinSupport())
 	}
 }

@@ -150,6 +150,17 @@ if grep -rnE 'trieNode|countTrie' internal/mine --include='*.go' | grep -v '_tes
   exit 1
 fi
 
+echo "== one level-2 counter =="
+# Level 2 reads the database generation's pair supports (txdb.PairSupports):
+# one pass per generation counts every pair of the items at the lowest
+# threshold served, and every run — stepTwo's and an append's Advance alike —
+# looks its cells up. The run-local triangle pass it replaced must not come
+# back as a second level-2 counter.
+if grep -rn 'countTriangle' internal/mine --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: the run-local level-2 triangle pass is back in internal/mine (read level 2 from txdb.DB.PairSupports)" >&2
+  exit 1
+fi
+
 echo "== one per-request record =="
 # workload.Record is the one per-request fact and workload.Journal the one
 # sink; the slow-query log is the journal's view of its slow records. The
@@ -269,14 +280,17 @@ echo "== go test -race -short =="
 go test -race -short ./...
 
 echo "== in-place mining and advance properties (-race -count=3) =="
-# No pass before level 2, counting through the trimming tables equals
-# counting over the full projection (and the bit columns equal the
-# projection's), a lattice carried across an append (mine.Advance) equals
-# the re-mined one in sets, supports and order, and a cancelled pass or
-# column count unwinds — under a real Workers split, whose per-worker
-# column pages are written concurrently, repeated so a scheduling-dependent
-# miscount cannot hide behind one lucky run.
-go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine|TestInPlacePassCancelUnwinds' ./internal/mine
+# No pass of a run's own before level 3, counting through the trimming
+# tables equals counting over the full projection (and the bit columns equal
+# the projection's), a lattice carried across an append (mine.Advance) equals
+# the re-mined one in sets, supports and order, a cancelled pass or column
+# count unwinds, level 2 read from the generation's pair table equals the
+# column reference whether the run built the table or found it, and first
+# runs that build the table concurrently agree with lone runs — under a real
+# Workers split, whose per-worker column pages and pair triangles are written
+# concurrently, repeated so a scheduling-dependent miscount cannot hide
+# behind one lucky run.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine|TestInPlacePassCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
 
 echo "== advance fuzz smoke (10s) =="
 go test -run '^$' -fuzz=FuzzAdvance -fuzztime=10s ./internal/mine
