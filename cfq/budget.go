@@ -22,7 +22,7 @@ type Budget struct {
 	// MaxLatticeBytes caps the estimated memory allocated for lattice
 	// state, cumulatively over the run. A run also trips on it, before
 	// level 2, when the dataset's shared pair-support table at the run's
-	// threshold would alone exceed it.
+	// threshold, item columns included, would alone exceed it.
 	MaxLatticeBytes int64
 	// Timeout, when positive, is a soft deadline measured from the start
 	// of the evaluation. Unlike a context deadline it aborts only at

@@ -29,7 +29,7 @@ func TestRunContextFaultInjection(t *testing.T) {
 		name        string
 		s           Strategy
 		checkpoints int64
-	}{{"optimized", Optimized, 38}, {"apriori", AprioriPlus, 36}, {"sequential", Sequential, 38}} {
+	}{{"optimized", Optimized, 36}, {"apriori", AprioriPlus, 34}, {"sequential", Sequential, 36}} {
 		t.Run(st.name, func(t *testing.T) {
 			baseline, err := budgetQuery(ds).Run(st.s)
 			if err != nil {

@@ -147,15 +147,16 @@ type Stats struct {
 	// FrequentSets / ValidSets count discovered sets.
 	FrequentSets int64
 	ValidSets    int64
-	// DBScans counts full passes over the transaction data the run made: at
-	// most one per lattice, the pass that builds the bit columns levels ≥ 3
-	// count on. Level 1 reads the dataset's per-item supports and level 2
-	// its generation's pair supports; the one pass that builds those is the
-	// generation's, counted in no run.
+	// DBScans counts full passes over the transaction data the run made:
+	// none, except the fm strategy's one scan per counted set. Level 1 reads
+	// the dataset's per-item supports, level 2 its generation's pair supports
+	// and levels ≥ 3 the generation's item bit columns; the one pass that
+	// builds those is the generation's, counted in no run.
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state,
 	// cumulatively over the run (what Budget.MaxLatticeBytes bounds). The
-	// generation's shared pair supports are charged to no run.
+	// generation's shared pair supports and item columns are charged to no
+	// run.
 	LatticeBytes int64
 	// Checkpoints counts the cancellation/budget checkpoints passed — the
 	// granularity at which the evaluation could have been interrupted.

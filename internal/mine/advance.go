@@ -20,8 +20,8 @@ import (
 // every newly frequent set occurs in Δ. Levels ≥ 3 are therefore driven by Δ
 // — the sets a Δ row contains are counted over Δ as they are enumerated, and
 // only those outside the prior with enough occurrences there are counted over
-// the old rows — while sets no Δ row contains keep their support and are
-// re-thresholded.
+// the whole database, on the generation's item columns — while sets no Δ row
+// contains keep their support and are re-thresholded.
 type advance struct {
 	prior [][]Counted // the prior lattice by level (index 0 is level 1)
 	rows  int         // leading transactions the prior covers
@@ -45,12 +45,10 @@ type advance struct {
 // The run is a Levelwise run — the same checkpoints, Stats, level spans and
 // Workers split — under one structural "<label>:advance" span. Level 1 reads
 // the item supports and level 2 the pair supports of cfg.DB, as in any run
-// (a new generation builds its pair table once, in one pass); from level 3
-// on only what the appended rows touch is counted (see advance), so
-// Stats.CandidatesCounted charges those sets, and Stats.DBScans is one pass
-// when some level had newcomers to count over the old rows, none otherwise:
-// the first such level builds columns over those rows that every later level
-// reuses.
+// (a new generation builds its pair table and item columns once, in one
+// pass); from level 3 on only what the appended rows touch is counted (see
+// advance), so Stats.CandidatesCounted charges those sets. The run reads no
+// row but the appended ones, and Stats.DBScans stays 0.
 //
 // cfg must describe the whole lattice: Required, ReportValid,
 // CandidateFilter, PresetL1 and MaxLevel are rejected.
@@ -99,15 +97,20 @@ func Advance(ctx context.Context, cfg Config, prior []Counted, priorMinSup, rows
 // deltaPairs returns, for every Δ row, the positions in prevSets of the
 // frequent pairs it contains — the rowSets level 3 starts from.
 func (l *Levelwise) deltaPairs(delta []itemset.Set) [][]int32 {
-	tab := filled(nil, len(l.itemToRank), -1)
+	isL1 := make([]bool, len(l.itemToRank))
 	for _, r := range l.l1Ranks {
-		tab[l.rankToItem[r]] = r
+		isL1[l.rankToItem[r]] = true
 	}
 	out := make([][]int32, len(delta))
-	var buf []int32
+	var buf []int32 // the row's L1 ranks, ascending: without a class ranks follow items
 	var key []byte
 	for i, t := range delta {
-		buf = through(buf, t, tab, 0)
+		buf = buf[:0]
+		for _, it := range t {
+			if isL1[it] {
+				buf = append(buf, l.itemToRank[it])
+			}
+		}
 		for x, p := range buf {
 			for _, q := range buf[x+1:] {
 				key = appendRankKey(key[:0], p, q)
@@ -129,8 +132,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 	if err := l.guard.Check(fmt.Sprintf("level %d: candidate generation", k)); err != nil {
 		return nil, err
 	}
-	txs := l.cfg.DB.Transactions()
-	delta := txs[a.rows:]
+	delta := l.cfg.DB.Transactions()[a.rows:]
 	if a.rowSets == nil {
 		a.rowSets = l.deltaPairs(delta)
 	}
@@ -181,13 +183,13 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 		}
 	}
 	cands := split(flat, k)
-	// Charged before the pass over the old rows, like every level (see stepK).
+	// Charged before any is counted, like every level (see stepK).
 	l.stats.CandidatesCounted += int64(len(cands))
 
 	// Merge the prior's level (lex order, rank space) with the touched
 	// candidates (sorted into it): a set of the prior adds its Δ occurrences
 	// to the support on record, one outside it survives only with enough of
-	// them, and is then counted over the old rows.
+	// them, and is then counted over the whole database.
 	var prior []Counted
 	if k <= len(a.prior) {
 		prior = a.prior[k-1]
@@ -211,7 +213,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 		cand  int32 // position in cands, -1 for a set no Δ row contains
 	}
 	merged := make([]entry, 0, len(prior)+len(cands))
-	var fresh [][]int32 // newcomers to count over the old rows, lex order
+	var fresh [][]int32 // newcomers to count, lex order
 	var freshAt []int   // their positions in merged
 	priorEntry := func(j int) entry {
 		return entry{priorRanks[j*k : (j+1)*k : (j+1)*k], prior[j].Set, prior[j].Support, -1}
@@ -240,16 +242,13 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 
 	l.level = k
 	if len(fresh) > 0 {
-		// Columns for the ranks of every candidate a Δ row contains: a later
-		// level's newcomer occurs in a Δ row too, so each of its k-subsets is
-		// one of them, and the run builds its columns once.
-		counts, err := l.countCandidates(fresh, k, txs[:a.rows], cands)
+		counts, err := l.countCandidates(fresh, k)
 		if err != nil {
 			return nil, err
 		}
 		a.recounted += len(fresh)
 		for x, at := range freshAt {
-			merged[at].sup += counts[x]
+			merged[at].sup = counts[x]
 		}
 	}
 

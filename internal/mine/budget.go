@@ -23,12 +23,12 @@ type Budget struct {
 	// (Stats.FrequentSets).
 	MaxFrequentSets int64
 	// MaxLatticeBytes caps the estimated memory allocated for lattice
-	// state (Stats.LatticeBytes) — candidate sets and per-level frequent
-	// sets. The estimate is cumulative over the run, so it bounds
-	// allocation pressure rather than live heap. It also refuses the
-	// database's pair-support table when a table at the run's threshold
-	// would alone exceed it (txdb.DB.PairSupportsBytes), though the table
-	// is charged to no run.
+	// state (Stats.LatticeBytes) — candidate sets, per-level frequent sets
+	// and the prefix ANDs of levels ≥ 3. The estimate is cumulative over the
+	// run, so it bounds allocation pressure rather than live heap. It also
+	// refuses the database's pair-support table when a table at the run's
+	// threshold, item columns included, would alone exceed it
+	// (txdb.DB.PairSupportsBytes), though the table is charged to no run.
 	MaxLatticeBytes int64
 	// SoftDeadline, when non-zero, aborts mining at the first checkpoint
 	// past this instant with a *BudgetError (reason "deadline"). Unlike a
@@ -88,16 +88,11 @@ func (e *BudgetError) Error() string {
 		e.Resource, e.Where, e.Used, e.Limit)
 }
 
-// checkBatch is how many transactions a counting loop processes between
-// checkpoints: large enough that checkpoint overhead is unmeasurable, small
-// enough that cancellation latency stays within one batch.
-const checkBatch = 2048
-
 // Guard bundles the runtime controls threaded through one miner: the
 // cancellation context, the (optional, shared) resource budget, and the
 // stats the budget is charged from. Each miner owns one Guard and calls
-// Check at its checkpoints; a Guard is not safe for concurrent use (worker
-// goroutines poll the context directly instead).
+// Check at its checkpoints; a Guard is not safe for concurrent use (the
+// goroutines of a pair-support build poll the context directly instead).
 type Guard struct {
 	ctx    context.Context
 	budget *Budget
@@ -129,7 +124,7 @@ func NewGuard(ctx context.Context, budget *Budget, stats *Stats) *Guard {
 	}
 }
 
-// Ctx returns the guard's context, for worker goroutines that poll
+// Ctx returns the guard's context, for the pair-support build, which polls
 // cancellation directly.
 func (g *Guard) Ctx() context.Context { return g.ctx }
 

@@ -17,11 +17,10 @@
 //
 // The engine works internally in a dense "rank" space ordered
 // required-items-first and converts back to original item space at the API
-// boundary. It keeps no copy of the database: level 1 reads the per-item
-// supports the database holds, level 2 reads the pair supports the database
-// generation holds, and levels ≥ 3 count on bit columns that one pass over
-// the transactions, where they are, builds (columns.go) — each row read
-// through a table that trims it to the items that can still matter.
+// boundary. It keeps no copy of the database and makes no pass over it:
+// level 1 reads the per-item supports the database holds, level 2 the pair
+// supports the database generation holds, and levels ≥ 3 count on the item
+// bit columns the same pass built for the generation (columns.go).
 package mine
 
 import (
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/itemset"
 	"repro/internal/obs"
@@ -61,10 +59,11 @@ type Config struct {
 	CandidateFilter func(level int, s itemset.Set) bool
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
-	// Workers sets the number of goroutines used for support counting.
-	// Values below 2 keep counting serial; parallel counting partitions
-	// the transactions and sums per-worker counts, so results are
-	// identical either way.
+	// Workers sets the number of goroutines that build the database
+	// generation's pair supports and item columns, when the run is the first
+	// to need them at its threshold. Values below 2 keep the build serial;
+	// a parallel one partitions the transactions and sums per-worker counts,
+	// so results are identical either way.
 	Workers int
 	// PresetL1, when non-nil, supplies already-counted level-1 results
 	// (original item space). The first Step then charges no candidates and
@@ -133,16 +132,17 @@ type Levelwise struct {
 
 	lastFrequent []Counted // all frequent sets of the last completed level
 
-	cols *columns // the bit columns levels ≥ 3 count on; nil before the first pass
+	pairs *txdb.PairSupports // the generation's table level 2 read; levels ≥ 3 count on its columns
+	pre   []uint64           // prefix ANDs while counting a level ≥ 3
 
 	adv *advance // non-nil when the run carries a prior lattice forward (Advance)
 }
 
-// New validates cfg and prepares a miner. It reads no transaction: level 1
-// comes from the database's item statistics, level 2 from its pair supports,
-// and the pass of later levels reads the transactions where they are
-// (countPass). ctx governs the whole run: every Step observes its
-// cancellation at checkpoint boundaries.
+// New validates cfg and prepares a miner. It reads no transaction, and no
+// level does: level 1 comes from the database's item statistics, level 2 from
+// its pair supports, and later levels from the item columns of the same
+// table. ctx governs the whole run: every Step observes its cancellation at
+// checkpoint boundaries.
 func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("mine: Config.DB is nil")
@@ -181,9 +181,8 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 			maxItem = it
 		}
 	}
-	// Sized to cover every database item too, and so are the tables the
-	// counting passes derive from it: reading a transaction through one
-	// needs no bounds check.
+	// Sized to cover every database item too, so that any item of an
+	// appended row indexes it (deltaPairs).
 	itemToRank := make([]int32, max(int(maxItem)+1, cfg.DB.NumItems()))
 	for i := range itemToRank {
 		itemToRank[i] = -1
@@ -326,10 +325,6 @@ func (l *Levelwise) Step() ([]Counted, bool, error) {
 		l.done = true
 	} else {
 		l.finishLevelCheck()
-	}
-	if l.done && l.cols != nil {
-		columnsPool.Put(l.cols)
-		l.cols = nil
 	}
 	if err != nil {
 		return nil, true, err
@@ -529,6 +524,7 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		}
 	}
 	tab, err := l.cfg.DB.PairSupports(l.guard.Ctx(), l.cfg.MinSupport, l.cfg.Workers)
+	l.pairs = tab
 	if err != nil {
 		// Only the context stops a build; the checkpoint says where.
 		if err := l.guard.Check(countWhere); err != nil {
@@ -591,41 +587,6 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 	l.stats.CandidatesPruned += int64(kept - frequent)
 	l.prune.Charge(l.freqSite, int64(kept-frequent))
 	return out, nil
-}
-
-// through reads a transaction through a table: it returns what tab holds for
-// the items of t, skipping the negative slots — the transaction trimmed to
-// the items that can still matter — in buf's storage when that is large
-// enough. Items ascend, so the values of each class of a table that is
-// monotone per class — below firstOther for required items, at or above it
-// for the others — do too: writing the required class first leaves the
-// result sorted without a sort. firstOther is 0 without a class.
-func through(buf []int32, t itemset.Set, tab []int32, firstOther int32) []int32 {
-	// Every value is stored and the length moves on only behind a wanted
-	// one: that compiles to a conditional move, where a guarded append is a
-	// branch the item data makes unpredictable. The second loop may store
-	// one slot past the values both loops keep.
-	if cap(buf) <= len(t) {
-		buf = make([]int32, 2*len(t)+1)
-	}
-	buf, n := buf[:len(t)+1], 0
-	if firstOther > 0 {
-		for _, it := range t {
-			v := tab[it]
-			buf[n] = v
-			if uint32(v) < uint32(firstOther) { // 0 <= v < firstOther
-				n++
-			}
-		}
-	}
-	for _, it := range t {
-		v := tab[it]
-		buf[n] = v
-		if v >= firstOther {
-			n++
-		}
-	}
-	return buf[:n]
 }
 
 // resetLevel empties the per-level state before a level's frequent sets are
@@ -697,9 +658,9 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 
 	// Charge the candidates before counting them: the in-counting
 	// checkpoints then enforce MaxCandidates at batch granularity instead
-	// of discovering a whole level's overrun only after its DB scan.
+	// of discovering a whole level's overrun only after it is counted.
 	l.stats.CandidatesCounted += int64(len(cands))
-	counts, err := l.countCandidates(cands, k+1, l.cfg.DB.Transactions(), cands)
+	counts, err := l.countCandidates(cands, k+1)
 	if err != nil {
 		return nil, err
 	}
@@ -791,50 +752,6 @@ func samePrefix(a, b []int32, n int) bool {
 		}
 	}
 	return true
-}
-
-// countPass runs one counting pass over txs — the database's transactions, or
-// a leading run of them, where the database keeps them — under the checkpoint
-// protocol every pass shares (the one that builds the bit columns of levels
-// ≥ 3 is the miner's only pass).
-// Serial counting (Workers < 2, or too few transactions to split)
-// checkpoints between transaction batches and counts each batch into
-// accumulator 0. Parallel counting partitions the transactions among Workers
-// goroutines, worker w counting its share into accumulator w against shared
-// read-only state and polling the context between batches, so cancellation
-// stops it promptly; the coordinator checkpoints before the workers start
-// and again after they join, which keeps checkpoint numbering deterministic
-// regardless of Workers, and a cancellation that stopped them early surfaces
-// there, before the partial counts can be used. Workers always rejoin
-// through wg.Wait: they return early, never leak. The caller combines the
-// accumulators in order.
-func (l *Levelwise) countPass(where string, txs []itemset.Set, count func(ctx context.Context, txs []itemset.Set, acc int)) error {
-	l.cfg.DB.RecordScan()
-	workers := l.cfg.Workers
-	if workers < 2 || len(txs) < 4*workers {
-		for start := 0; start < len(txs); start += checkBatch {
-			if err := l.guard.Check(where); err != nil {
-				return err
-			}
-			count(nil, txs[start:min(start+checkBatch, len(txs))], 0)
-		}
-		return nil
-	}
-	if err := l.guard.Check(where); err != nil {
-		return err
-	}
-	ctx := l.guard.Ctx()
-	var wg sync.WaitGroup
-	chunk := (len(txs) + workers - 1) / workers
-	for w := 0; w*chunk < len(txs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			count(ctx, txs[w*chunk:min((w+1)*chunk, len(txs))], w)
-		}()
-	}
-	wg.Wait()
-	return l.guard.Check(where)
 }
 
 // RunAll steps the miner to completion and returns the valid frequent sets

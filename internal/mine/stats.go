@@ -40,17 +40,19 @@ type Stats struct {
 	FrequentSets int64
 	ValidSets    int64
 	// DBScans is the number of full passes over the transactions the run
-	// made: at most one, the pass that builds the bit columns every level ≥ 3
-	// counts on. Level 1 is not a pass — it reads the database's per-item
-	// supports — and neither is level 2, which reads the database
-	// generation's pair supports; the pass that builds those is made once per
-	// generation, recorded in DB.Scans() and in no run's Stats.
+	// made: none for a levelwise run. Level 1 reads the database's per-item
+	// supports, level 2 the database generation's pair supports and levels
+	// ≥ 3 its item bit columns; the pass that builds those is made once per
+	// generation and threshold, recorded in DB.Scans() and in no run's Stats.
+	// (The fm strategy, which counts each set with its own scan, adds its
+	// scans here.)
 	DBScans int64
 	// LatticeBytes estimates the memory allocated for lattice state,
 	// cumulatively over the run: per-level frequent sets, 4 bytes per level-2
-	// cell read, and ⌈rows/64⌉·8 bytes per bit column built. Budgets bound it
-	// via Budget.MaxLatticeBytes. The pair-support table the run reads
-	// belongs to the database generation and is charged to no run.
+	// cell read, and at each level k ≥ 3 counted the (k−2)·⌈rows/64⌉·8 bytes
+	// of prefix ANDs. Budgets bound it via Budget.MaxLatticeBytes. The
+	// pair-support table the run reads, columns included, belongs to the
+	// database generation and is charged to no run.
 	LatticeBytes int64
 	// Checkpoints counts cancellation/budget checkpoints passed — the
 	// granularity at which a run can be interrupted (and at which

@@ -101,7 +101,11 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 		}
 		out = l.addFrequent(c, nil, sup, out)
 	}
-	return out, nil
+	// Later levels count on the generation's item columns, which stepTwo
+	// hands them; reading the table here passes no checkpoint.
+	tab, err := l.cfg.DB.PairSupports(context.Background(), l.cfg.MinSupport, 1)
+	l.pairs = tab
+	return out, err
 }
 
 // triangleCase is one point of the level-2 configuration space.
@@ -217,6 +221,11 @@ func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangl
 			t.Fatal(err)
 		}
 		cfg.PresetL1 = first.FrequentItemCounts()
+		// An entry the database does not support at the threshold: the
+		// pair table does not cover the item, so its pairs read 0.
+		if !rare.Empty() {
+			cfg.PresetL1 = append(cfg.PresetL1, Counted{Set: itemset.New(rare[0]), Support: minSup})
+		}
 	}
 	return cfg
 }
@@ -337,6 +346,10 @@ func tableCells(p *txdb.PairSupports, numItems int) [][]int32 {
 	return rows
 }
 
+// buildBatch is txdb's: how many rows the pair-support build reads between
+// polls of its context. Fixtures a few of them long span several polls.
+const buildBatch = 2048
+
 // triangleFixture is one database of the configuration-space properties.
 type triangleFixture struct {
 	name   string
@@ -351,7 +364,7 @@ func triangleFixtures(r *rand.Rand) []triangleFixture {
 		{"wide", randomDB(r, 300, 150, 24), 5},
 		// … and long enough for several counting checkpoints and a real
 		// Workers split.
-		{"long", randomDB(r, 2*checkBatch+77, 14, 7), 40},
+		{"long", randomDB(r, 2*buildBatch+77, 14, 7), 40},
 		{"empty", txdb.New(nil), 1},
 		{"tiny", randomDB(r, 3, 5, 4), 1}, // fewer than 4*Workers rows: serial fallback
 	}
@@ -390,7 +403,7 @@ func countEvent(events []string, event string) int {
 // whether or not the table exists.
 func TestLevel2BudgetTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(181))
-	db := randomDB(r, 3*checkBatch, 16, 8)
+	db := randomDB(r, 3*buildBatch, 16, 8)
 	const minSup = 30
 	full := &Stats{}
 	lw, err := New(context.Background(), Config{DB: db, MinSupport: minSup, MaxLevel: 2, Stats: full})
@@ -456,12 +469,13 @@ func TestLevel2BudgetTrip(t *testing.T) {
 		}
 	}
 
-	// The table at minSup covers the n1 frequent items; a budget below its
-	// size refuses it before anything is charged at level 2 that the other
-	// trips do not charge.
-	table := 4 * cells
+	// The table at minSup covers the n1 frequent items, with a pair cell for
+	// each two and a column of ⌈rows/64⌉ words for each one; a budget below
+	// its size refuses it before anything is charged at level 2 that the
+	// other trips do not charge.
+	table := 4*cells + 8*n1*int64((db.Len()+63)/64)
 	if got := db.PairSupportsBytes(minSup); got != table {
-		t.Fatalf("PairSupportsBytes = %d, want 4 bytes for each of the %d cells", got, cells)
+		t.Fatalf("PairSupportsBytes = %d, want 4 bytes for each of the %d cells and 8 per column word", got, cells)
 	}
 	for _, fresh := range []bool{false, true} {
 		run := db
@@ -531,7 +545,7 @@ func TestLevel2StateSizedByRun(t *testing.T) {
 // the next run builds one and answers as on a fresh database.
 func TestLevel2CancelUnwinds(t *testing.T) {
 	r := rand.New(rand.NewSource(182))
-	db := randomDB(r, 3*checkBatch, 16, 8)
+	db := randomDB(r, 3*buildBatch, 16, 8)
 	filter := func(int, itemset.Set) bool { return true } // adds the filtering checkpoints
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
@@ -546,7 +560,7 @@ func TestLevel2CancelUnwinds(t *testing.T) {
 
 		// Every checkpoint polls the context once, the first "level 2:
 		// counting" one comes just before the build, and a serial build polls
-		// it per checkBatch rows from its first: the build's second poll is
+		// it per buildBatch rows from its first: the build's second poll is
 		// the checkpoints up to that one, plus two. A split build polls from
 		// every worker, so the cancellation lands in one of them.
 		counting := passCheckpoints(t, cfg, "level 2: counting")[0]
@@ -595,7 +609,7 @@ func (c *cancelAtPoll) Err() error {
 // their own database, and the database keeps the lower threshold's table.
 func TestConcurrentFirstRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(183))
-	base := randomDB(r, 3*checkBatch, 16, 8)
+	base := randomDB(r, 3*buildBatch, 16, 8)
 	sups := []int{30, 45, 30, 45}
 	type result struct {
 		sets  []Counted

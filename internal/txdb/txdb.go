@@ -5,7 +5,8 @@
 //
 // A DB is immutable, so what is counted over all of it belongs to the
 // database generation rather than to a query: the per-item supports, and the
-// pair supports every mining run reads its level 2 from (PairSupports).
+// pair supports and item bit columns (PairSupports) every mining run reads its
+// level 2 from and counts its levels ≥ 3 on.
 package txdb
 
 import (
@@ -78,12 +79,10 @@ func (db *DB) Transaction(i int) itemset.Set { return db.tx[i] }
 // encode snapshots without copying the dataset).
 func (db *DB) Transactions() []itemset.Set { return db.tx }
 
-// RecordScan records one full database scan for I/O accounting (both on the
+// recordScan records one full database scan for I/O accounting (both on the
 // DB and, live, in the global metrics registry — so a mid-run scrape sees
-// scan progress). Scan and the pair-support build call it; a reader that
-// walks Transactions() itself under its own checkpoints, as the miner's
-// column pass does, calls it once per pass.
-func (db *DB) RecordScan() {
+// scan progress). Scan and the pair-support build call it.
+func (db *DB) recordScan() {
 	atomic.AddInt64(&db.scans, 1)
 	obs.MDBScans.Inc()
 }
@@ -91,7 +90,7 @@ func (db *DB) RecordScan() {
 // Scan invokes fn once per transaction, in TID order, and records one full
 // database scan.
 func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
-	db.RecordScan()
+	db.recordScan()
 	for i, t := range db.tx {
 		fn(i, t)
 	}
@@ -104,9 +103,9 @@ func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
 // sense: like New's validation pass it belongs to building the database, and
 // charging it to whichever reader happened to come first would make every
 // miner's pass count depend on its callers. The pass that builds a
-// PairSupports table is one: it reads every row for pair counts, as a
-// miner's pass does, and it is recorded once per build — so on the database,
-// though in no run's own counters.
+// PairSupports table is one: it reads every row, for the pair counts and the
+// item columns, and it is recorded once per build — so on the database,
+// though in no run's own counters. No mining run makes a pass of its own.
 func (db *DB) Scans() int64 { return atomic.LoadInt64(&db.scans) }
 
 // ResetScans zeroes the scan counter (used between experiment runs).
@@ -172,16 +171,21 @@ func (db *DB) ActiveItems() itemset.Set {
 
 // PairSupports is the support of every pair of the items whose own support
 // reaches its threshold — the level-2 counts of an unconstrained mine at that
-// threshold, kept as one triangle. Any pair of other items has a support
-// below the threshold, so a table answers every pair at a threshold at or
-// above its own exactly: one table serves every run of a database generation
-// at those thresholds, whatever items it mines. A table is immutable.
+// threshold, kept as one triangle — and a bit column over every row for each
+// of those items, which a set of them is counted on. Any pair of other items
+// has a support below the threshold, so a table answers every pair at a
+// threshold at or above its own exactly, and every set of a larger size is
+// made of covered items or is infrequent there too: one table serves every
+// run of a database generation at those thresholds, whatever items it mines.
+// A table is immutable.
 type PairSupports struct {
 	minSup   int
 	frequent int     // cells at or above minSup
 	pos      []int32 // item → position among the covered items, -1 for the others
 	off      []int   // cells[off[a]+b] is the pair (a, b) of positions a < b
 	cells    []int32
+	words    int      // words per column: ⌈rows/64⌉
+	cols     []uint64 // the column of position a is cols[a*words : (a+1)*words]
 }
 
 // MinSupport is the threshold the table was built at.
@@ -208,10 +212,18 @@ func (p *PairSupports) Row(a int32) []int32 {
 	return p.cells[start : start+len(p.off)-int(a)-1]
 }
 
-// PairSupportsBytes is the size of the cells of a PairSupports table at
-// minSup: 4 bytes for every pair of the items whose support reaches it. It
-// reads only the item supports, so it is the same whether or not a table has
-// been built.
+// Column returns the bit column of covered position a: bit j%64 of word j/64
+// is set when row j holds the position's item, and the bits past the last
+// row are zero. The slice is shared and must not be mutated.
+func (p *PairSupports) Column(a int32) []uint64 {
+	at := int(a) * p.words
+	return p.cols[at : at+p.words : at+p.words]
+}
+
+// PairSupportsBytes is the size of the cells and columns of a PairSupports
+// table at minSup: 4 bytes for every pair of the items whose support reaches
+// it, and ⌈rows/64⌉ words for each of those items. It reads only the item
+// supports, so it is the same whether or not a table has been built.
 func (db *DB) PairSupportsBytes(minSup int) int64 {
 	minSup = max(minSup, 1)
 	n := int64(0)
@@ -220,7 +232,7 @@ func (db *DB) PairSupportsBytes(minSup int) int64 {
 			n++
 		}
 	}
-	return 4 * (n * (n - 1) / 2)
+	return 4*(n*(n-1)/2) + 8*n*int64((len(db.tx)+63)/64)
 }
 
 // buildBatch is how many rows the pair-support build reads between polls of
@@ -234,8 +246,10 @@ const buildBatch = 2048
 // database has meanwhile published one at a threshold no higher, which is
 // returned instead. Readers of a replaced table keep reading it. Concurrent
 // callers may each build; no lock is held across the pass. workers ≥ 2 splits
-// the pass's rows among that many goroutines, which count into tables of
-// their own that are summed; the result does not depend on it. ctx is polled
+// the pass's rows among up to that many goroutines, on boundaries of 512
+// rows, so that no two write the same column word; they count pairs into
+// triangles of their own that are summed, and the result does not depend on
+// the split. ctx is polled
 // every buildBatch rows (by each goroutine, and once more after they join): a
 // cancelled build publishes nothing and returns ctx.Err().
 func (db *DB) PairSupports(ctx context.Context, minSup, workers int) (*PairSupports, error) {
@@ -277,25 +291,28 @@ func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupport
 		cells += n - 1 - a
 	}
 	p.cells = make([]int32, cells)
-	db.RecordScan()
-	if workers < 2 || len(db.tx) < 4*workers {
-		workers = 1
+	p.words = (len(db.tx) + 63) / 64
+	p.cols = make([]uint64, n*p.words)
+	db.recordScan()
+	chunk := len(db.tx)
+	if workers >= 2 && len(db.tx) >= 4*workers {
+		tiles := (p.words + tileWords - 1) / tileWords
+		chunk = 64 * tileWords * ((tiles + workers - 1) / workers)
 	}
-	per := make([][]int32, workers)
-	per[0] = p.cells
-	chunk := (len(db.tx) + workers - 1) / workers
+	per := [][]int32{p.cells}
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		per[w] = make([]int32, cells)
+	for first := chunk; first < len(db.tx); first += chunk {
+		tri := make([]int32, cells)
+		per = append(per, tri)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.count(ctx, db.tx[min(w*chunk, len(db.tx)):min((w+1)*chunk, len(db.tx))], per[w])
+			p.count(ctx, db.tx[first:min(first+chunk, len(db.tx))], first, tri)
 		}()
 	}
-	err := p.count(ctx, db.tx[:min(chunk, len(db.tx))], per[0])
+	err := p.count(ctx, db.tx[:min(chunk, len(db.tx))], 0, per[0])
 	wg.Wait()
-	if err == nil && workers > 1 {
+	if err == nil && len(per) > 1 {
 		err = ctx.Err()
 	}
 	if err != nil {
@@ -314,12 +331,23 @@ func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupport
 	return p, nil
 }
 
+// tileWords is how many words of every column the build fills in a tile of
+// its own before it copies them out: the bits of a block of 512 rows, one
+// cache line of each column.
+const tileWords = 8
+
 // count adds the pairs of covered items each of txs holds into tri, a
-// triangle laid out as p.cells. It polls ctx every buildBatch rows and stops
-// at the first cancellation it sees, returning it.
-func (p *PairSupports) count(ctx context.Context, txs []itemset.Set, tri []int32) error {
-	pos, off := p.pos, p.off
-	var buf []int32 // the row's positions, ascending
+// triangle laid out as p.cells, and sets each row's bit in the columns of its
+// covered items; txs[0] is row first, a multiple of 64·tileWords, so the
+// column words it writes are its own. The bits go into a tile laid out word
+// by word — a row's bits land in the 8·n bytes of its word, which the cache
+// keeps — and a full tile goes out to the columns a cache line per column. It
+// polls ctx every buildBatch rows and stops at the first cancellation it
+// sees, returning it.
+func (p *PairSupports) count(ctx context.Context, txs []itemset.Set, first int, tri []int32) error {
+	pos, off, n := p.pos, p.off, len(p.off)
+	tile := make([]uint64, tileWords*n) // word w of position a at w*n+a
+	var buf []int32                     // the row's positions, ascending
 	for i, t := range txs {
 		if i%buildBatch == 0 {
 			if err := ctx.Err(); err != nil {
@@ -341,14 +369,33 @@ func (p *PairSupports) count(ctx context.Context, txs []itemset.Set, tri []int32
 				k++
 			}
 		}
+		r := first + i
+		word, bit := tile[r/64%tileWords*n:][:n], uint64(1)<<(r%64)
 		for x, a := range buf[:k] {
+			word[a] |= bit
 			row := off[a]
 			for _, b := range buf[x+1 : k] {
 				tri[row+int(b)]++
 			}
 		}
+		if (r+1)%(64*tileWords) == 0 || i == len(txs)-1 {
+			p.flush(tile, r/64/tileWords*tileWords)
+		}
 	}
 	return nil
+}
+
+// flush copies a tile into the columns from word w on, as far as they reach,
+// and clears it.
+func (p *PairSupports) flush(tile []uint64, w int) {
+	n, end := len(p.off), min(w+tileWords, p.words)
+	for a := range n {
+		col := p.cols[a*p.words+w : a*p.words+end]
+		for j := range col {
+			col[j] = tile[j*n+a]
+		}
+	}
+	clear(tile)
 }
 
 // WriteText writes the database in the one-transaction-per-line text format

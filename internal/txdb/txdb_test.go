@@ -397,10 +397,12 @@ func checkPairs(t *testing.T, db *DB, p *PairSupports) {
 	if got := p.Position(itemset.Item(db.NumItems() + 5)); got != -1 {
 		t.Errorf("Position of an item outside the database = %d, want -1", got)
 	}
-	n := int64(len(covered))
-	if got, want := db.PairSupportsBytes(p.MinSupport()), 4*n*(n-1)/2; got != want {
-		t.Errorf("σ=%d: PairSupportsBytes = %d, want 4 bytes for each of the %d cells", p.MinSupport(), got, want/4)
+	n, words := int64(len(covered)), int64((db.Len()+63)/64)
+	if got, want := db.PairSupportsBytes(p.MinSupport()), 4*n*(n-1)/2+8*n*words; got != want {
+		t.Errorf("σ=%d: PairSupportsBytes = %d, want 4 bytes for each of the %d cells and %d words for each of the %d columns",
+			p.MinSupport(), got, n*(n-1)/2, words, n)
 	}
+	checkColumns(t, db, p, covered)
 	frequent := 0
 	defer func() {
 		if p.Frequent() != frequent && !t.Failed() {
@@ -422,6 +424,84 @@ func checkPairs(t *testing.T, db *DB, p *PairSupports) {
 			}
 		}
 	}
+}
+
+// checkColumns holds the table's column of each covered item to naive row
+// membership: ⌈rows/64⌉ words, bit j set exactly when row j holds the item,
+// and no bit past the last row.
+func checkColumns(t *testing.T, db *DB, p *PairSupports, covered []itemset.Item) {
+	t.Helper()
+	words := (db.Len() + 63) / 64
+	for a, it := range covered {
+		col := p.Column(int32(a))
+		if len(col) != words {
+			t.Fatalf("σ=%d: column of %d has %d words, want %d", p.MinSupport(), it, len(col), words)
+		}
+		for j := 0; j < 64*words; j++ {
+			want := j < db.Len() && db.Transaction(j).Contains(it)
+			if got := col[j/64]&(1<<(j%64)) != 0; got != want {
+				t.Fatalf("σ=%d: bit %d of the column of %d is %v, row %d holds it: %v", p.MinSupport(), j, it, got, j, want)
+			}
+		}
+	}
+}
+
+// TestItemColumns: the build that counts the pairs also sets the covered
+// items' bit columns, which match naive row membership at every threshold —
+// on row counts that are and are not a multiple of 64, with fewer rows than
+// a split needs, and whether one goroutine or several wrote them — and a
+// build cancelled part-way publishes nothing, so the next one starts from
+// clean columns.
+func TestItemColumns(t *testing.T) {
+	ctx := context.Background()
+	base := pairDB(43).Transactions() // 4 133 rows: the last word is partial
+	for _, rows := range []int{len(base), 64 * 40, 10} {
+		for _, workers := range []int{1, 4} {
+			for _, minSup := range []int{1, rows / 20, rows / 8, rows + 1} {
+				db := New(base[:rows])
+				p, err := db.PairSupports(ctx, minSup, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPairs(t, db, p)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		db := New(base)
+		// The first poll passes and a later one reports the cancellation: the
+		// build has set some bits by then.
+		cancelled := &cancelAfter{Context: ctx, polls: 1}
+		if p, err := db.PairSupports(cancelled, 1, workers); p != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled build = (%v, %v), want context.Canceled", workers, p, err)
+		}
+		if db.pairs.Load() != nil {
+			t.Fatalf("workers=%d: a cancelled build published a table", workers)
+		}
+		p, err := db.PairSupports(ctx, 1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPairs(t, db, p)
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation after its first
+// polls calls.
+type cancelAfter struct {
+	context.Context
+	mu    sync.Mutex
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.polls == 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
 }
 
 // TestPairSupports: a table is the naive pair count over its covered items,

@@ -104,13 +104,13 @@ if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru
   echo "check.sh: LRU recency bookkeeping outside internal/lru (use lru.Cache)" >&2
   exit 1
 fi
-# Database passes belong to the miners: the engine reads per-item
-# statistics from txdb (computed once per database, i.e. per generation)
-# and never scans. The miner itself makes no callback scan either: it has no
-# copy of the database, level 1 comes from the item statistics, and every
-# later level walks DB.Transactions() in place under its own checkpoints
-# (countPass, which records the pass with DB.RecordScan). And the levelwise
-# hot path sorts with package slices — reflection-based sort.Slice on a
+# No query makes a database pass: the engine reads per-item statistics from
+# txdb (computed once per database, i.e. per generation) and never scans.
+# The miner makes no scan either: it has no copy of the database, level 1
+# comes from the item statistics, level 2 from the generation's pair
+# supports and levels >= 3 from the generation's item columns, which one
+# txdb pass builds per generation and threshold. And the levelwise hot path
+# sorts with package slices — reflection-based sort.Slice on a
 # per-transaction or per-candidate path was most of a cold query's
 # projection cost.
 if grep -rnE '\.(Scan|ScanErr)\(' internal/core --include='*.go' | grep -v '_test.go'; then
@@ -118,7 +118,7 @@ if grep -rnE '\.(Scan|ScanErr)\(' internal/core --include='*.go' | grep -v '_tes
   exit 1
 fi
 if grep -nE 'ScanErr\(|\.Scan\(' internal/mine/levelwise.go; then
-  echo "check.sh: callback scan in internal/mine/levelwise.go (miners read DB.Transactions() in place through countPass; a scan in New or level 1 brings the per-miner projection back)" >&2
+  echo "check.sh: callback scan in internal/mine/levelwise.go (a run reads no row: levels come from the generation's item supports, pair supports and item columns; a scan in New or a level brings a per-run pass back)" >&2
   exit 1
 fi
 if grep -n 'sort\.Slice(' internal/mine/levelwise.go; then
@@ -140,13 +140,19 @@ if grep -rnE 'FPGrowth|VerticalFrequent|PartitionFrequent|SampleFrequent|ClosedF
 fi
 
 echo "== one counter for levels >= 3 =="
-# Levels k >= 3 count on per-run bit columns (internal/mine/columns.go): one
-# pass builds a column per rank some candidate holds, a support is the
-# popcount of an AND, and later levels and an append's newcomer recount
-# reuse the columns. The candidate trie and its recursive walk, which the
-# columns replaced, must not come back as a second counter.
+# Levels k >= 3 count on the database generation's item bit columns
+# (txdb.PairSupports.Column, built in the pass that counts the pair
+# supports; internal/mine/columns.go ANDs them): a support is the popcount
+# of an AND, for a cold run and an append's newcomers alike. The candidate
+# trie and its recursive walk, and the per-run column pass with its trimming
+# reader, page pool and scan recording, which the generation's columns
+# replaced, must not come back as a second counter.
 if grep -rnE 'trieNode|countTrie' internal/mine --include='*.go' | grep -v '_test.go'; then
-  echo "check.sh: the candidate trie is back in internal/mine (count levels >= 3 on the bit columns)" >&2
+  echo "check.sh: the candidate trie is back in internal/mine (count levels >= 3 on the item columns)" >&2
+  exit 1
+fi
+if grep -rnE 'buildColumns|countPass|keeper|columnsPool|RecordScan' internal/mine --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: a per-run pass over the rows is back in internal/mine (count levels >= 3 on the generation's item columns)" >&2
   exit 1
 fi
 
@@ -279,18 +285,19 @@ go -C benchmark build -o /dev/null ./...
 echo "== go test -race -short =="
 go test -race -short ./...
 
-echo "== in-place mining and advance properties (-race -count=3) =="
-# No pass of a run's own before level 3, counting through the trimming
-# tables equals counting over the full projection (and the bit columns equal
-# the projection's), a lattice carried across an append (mine.Advance) equals
-# the re-mined one in sets, supports and order, a cancelled pass or column
+echo "== generation tables, mining and advance properties (-race -count=3) =="
+# No pass of a run's own, the column count of every level-3+ candidate
+# equals DB.Support, a lattice carried across an append (mine.Advance)
+# equals the re-mined one in sets, supports and order, a cancelled column
 # count unwinds, level 2 read from the generation's pair table equals the
-# column reference whether the run built the table or found it, and first
-# runs that build the table concurrently agree with lone runs — under a real
-# Workers split, whose per-worker column pages and pair triangles are written
-# concurrently, repeated so a scheduling-dependent miscount cannot hide
-# behind one lucky run.
-go test -race -count=3 -run 'TestNewMakesNoPass|TestTrimmedRowsMatchFullProjection|TestAdvanceMatchesRemine|TestInPlacePassCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
+# column reference whether the run built the table or found it, first runs
+# that build the table concurrently agree with lone runs, and the item
+# columns equal naive row membership — under a real Workers split, whose
+# per-worker pair triangles and column tiles are written concurrently,
+# repeated so a scheduling-dependent miscount cannot hide behind one lucky
+# run.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestColumnCountsMatchSupport|TestAdvanceMatchesRemine|TestColumnCountCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
+go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds' ./internal/txdb
 
 echo "== advance fuzz smoke (10s) =="
 go test -run '^$' -fuzz=FuzzAdvance -fuzztime=10s ./internal/mine
