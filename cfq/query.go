@@ -181,6 +181,11 @@ type Result struct {
 	// run's context carried a Tracer (see WithTracer). Its Totals equal
 	// Stats.
 	Report *RunReport `json:",omitempty"`
+
+	// pairIdx is the engine's answer, parallel to Pairs: the ValidS/ValidT
+	// positions each pair's sets were copied from. AppendJSON encodes each
+	// indexed set once through it.
+	pairIdx []core.Pair
 }
 
 // Canonical renders the query in a normalized textual form: effective
@@ -420,6 +425,7 @@ func convertResult(ctx context.Context, ires *core.Result) *Result {
 		for i, p := range ires.Pairs {
 			res.Pairs[i] = Pair{S: res.ValidS[p.SI], T: res.ValidT[p.TI]}
 		}
+		res.pairIdx = ires.Pairs
 	}
 	res.Stats = convertStats(ires.Stats)
 	return res

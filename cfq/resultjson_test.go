@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,4 +240,29 @@ func TestResultJSONMatchesReflection(t *testing.T) {
 	if !bytes.Contains(empty, []byte(`"Pairs":null,"PairCount":0,"ValidS":null,`)) {
 		t.Errorf("empty domain: %s", empty)
 	}
+
+	// A caller's edits: pairs whose S or T is no longer the entry the engine
+	// copied it from, an entry's items changed in place, a level that is no
+	// longer a window of ValidS, and ValidT cut short under pairs that name
+	// its tail. AppendJSON encodes what it cannot copy, byte for byte.
+	res, err = NewQuery(ds).MinSupport(2).Where2(minmax).Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pairs) < 3 || len(res.LevelsS) == 0 {
+		t.Fatalf("edits: %d pairs, %d S levels", len(res.Pairs), len(res.LevelsS))
+	}
+	checkResultJSON(t, "before edits", res)
+	res.Pairs[0].S = res.ValidS[len(res.ValidS)-1]
+	res.Pairs[1].S = FrequentSet{Items: slices.Clone(res.Pairs[1].S.Items), Support: res.Pairs[1].S.Support}
+	res.Pairs[2].T.Support++
+	res.ValidS[0].Items[0] += 100
+	checkResultJSON(t, "pairs replaced", res)
+	res.LevelsS[0] = slices.Clone(res.LevelsS[0])
+	res.LevelsS[0][0].Support += 7
+	checkResultJSON(t, "level replaced", res)
+	res.ValidT = res.ValidT[:len(res.ValidT)/2]
+	checkResultJSON(t, "ValidT truncated", res)
+	res.Pairs = res.Pairs[1:]
+	checkResultJSON(t, "pairs resliced", res)
 }

@@ -88,17 +88,33 @@ type Check struct {
 	Site string
 }
 
+// pass is one generate-and-test pass over a list of checks, with each
+// check's site resolved once for the whole pass.
+type pass struct {
+	checks []Check
+	sites  []*obs.PruneSite // parallel to checks
+	stats  *mine.Stats
+}
+
+func newPass(checks []Check, stats *mine.Stats, prune *obs.PruneSet) pass {
+	sites := make([]*obs.PruneSite, len(checks))
+	for i, ch := range checks {
+		sites[i] = prune.Site(ch.Site)
+	}
+	return pass{checks, sites, stats}
+}
+
 // passes is the generate-and-test step every post-mining filter shares
 // (Apriori⁺ over mined or cached lattices, CAP's final verification, the
 // engine's final dynamic bounds): s is kept when it satisfies every check.
 // Each evaluation is one set-level constraint check; a rejected set is one
 // pruned candidate, charged to the failing check's site.
-func passes(s itemset.Set, checks []Check, stats *mine.Stats, prune *obs.PruneSet) bool {
-	for _, ch := range checks {
-		stats.SetConstraintChecks++
+func (p pass) passes(s itemset.Set) bool {
+	for i, ch := range p.checks {
+		p.stats.SetConstraintChecks++
 		if !ch.Cond.Satisfies(s) {
-			stats.CandidatesPruned++
-			prune.Charge(ch.Site, 1)
+			p.stats.CandidatesPruned++
+			p.sites[i].Add(1)
 			return false
 		}
 	}
@@ -108,9 +124,10 @@ func passes(s itemset.Set, checks []Check, stats *mine.Stats, prune *obs.PruneSe
 // Filter runs the generate-and-test step over sets, in place: the result
 // reuses sets' backing array, so callers pass slices they own.
 func Filter(sets []mine.Counted, checks []Check, stats *mine.Stats, prune *obs.PruneSet) []mine.Counted {
+	p := newPass(checks, stats, prune)
 	kept := sets[:0]
 	for _, c := range sets {
-		if passes(c.Set, checks, stats, prune) {
+		if p.passes(c.Set) {
 			kept = append(kept, c)
 		}
 	}
@@ -313,11 +330,11 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	type itemPred struct {
 		pred constraint.ItemPredicate
 		src  constraint.Constraint
-		site string // charged when a universal predicate excludes an item
+		site *obs.PruneSite // charged when a universal predicate excludes an item
 	}
 	type siteFilter struct {
 		c    constraint.Constraint
-		site string
+		site *obs.PruneSite
 	}
 	var universals []itemPred
 	var existentials []itemPred
@@ -331,14 +348,14 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		if snf != nil {
 			if snf.Universal != nil {
 				universals = append(universals, itemPred{snf.Universal, a.c,
-					spanName(q.Label, "domain-filter:"+a.c.String())})
+					prune.Site(spanName(q.Label, "domain-filter:"+a.c.String()))})
 			}
 			for _, ex := range snf.Existential {
 				existentials = append(existentials, itemPred{pred: ex, src: a.c})
 			}
 		}
 		if a.cl.AntiMonotone && a.cl.Succinct == nil {
-			amFilters = append(amFilters, siteFilter{a.c, spanName(q.Label, "candidate-filter:"+a.c.String())})
+			amFilters = append(amFilters, siteFilter{a.c, prune.Site(spanName(q.Label, "candidate-filter:"+a.c.String()))})
 		}
 		if !a.cl.FullyEnforced() {
 			finalChecks = append(finalChecks, Check{a.c, spanName(q.Label, "final-filter:"+a.c.String())})
@@ -355,7 +372,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 				// One excluded item is one pruned singleton candidate: the
 				// MGF's selection step enforced at candidate generation.
 				stats.CandidatesPruned++
-				prune.Charge(u.site, 1)
+				u.site.Add(1)
 				break
 			}
 		}
@@ -370,7 +387,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 	type itemClass struct {
 		set  itemset.Set
 		src  constraint.Constraint
-		site string // charged when a reporting class rejects a set
+		site *obs.PruneSite // charged when a reporting class rejects a set
 	}
 	classes := make([]itemClass, 0, len(existentials))
 	for _, ex := range existentials {
@@ -395,7 +412,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		if i == 0 {
 			required = cl
 		} else {
-			cl.site = spanName(q.Label, "report-filter:"+cl.src.String())
+			cl.site = prune.Site(spanName(q.Label, "report-filter:"+cl.src.String()))
 			reportClasses = append(reportClasses, cl)
 		}
 	}
@@ -422,7 +439,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			for _, cl := range reportClasses {
 				stats.SetConstraintChecks++
 				if !s.Intersects(cl.set) {
-					prune.Charge(cl.site, 1)
+					cl.site.Add(1)
 					return false
 				}
 			}
@@ -434,7 +451,7 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			for _, f := range amFilters {
 				stats.SetConstraintChecks++
 				if !f.c.Satisfies(s) {
-					prune.Charge(f.site, 1)
+					f.site.Add(1)
 					return false
 				}
 			}
@@ -451,9 +468,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		// L1 (one level, reporting nothing) so reduction constants exist.
 		cfg.Required = nil
 		cfg.RequiredSite = ""
-		site := spanName(q.Label, "report-filter:unsatisfiable")
+		site := prune.Site(spanName(q.Label, "report-filter:unsatisfiable"))
 		cfg.ReportValid = func(itemset.Set) bool {
-			prune.Charge(site, 1)
+			site.Add(1)
 			return false
 		}
 		cfg.MaxLevel = 1
@@ -534,11 +551,12 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 		// whole cached lattice. The cache may hold a lower threshold's
 		// lattice, so the support test is part of the pass and its rejections
 		// are charged to the span's site; MaxLevel truncates after the fact.
-		site := spanName(q.Label, "filter")
+		name := spanName(q.Label, "filter")
 		var fsp *obs.Span
 		if tracer != nil {
-			fsp = tracer.Start(site, obs.Int("cached", len(sets))).WithStats(stats.Counters())
+			fsp = tracer.Start(name, obs.Int("cached", len(sets))).WithStats(stats.Counters())
 		}
+		site, p := prune.Site(name), newPass(checks, stats, prune)
 		kept := 0
 		for _, c := range sets {
 			k := c.Set.Len()
@@ -547,10 +565,10 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 			}
 			if c.Support < q.MinSupport {
 				stats.CandidatesPruned++
-				prune.Charge(site, 1)
+				site.Add(1)
 				continue
 			}
-			if !passes(c.Set, checks, stats, prune) {
+			if !p.passes(c.Set) {
 				continue
 			}
 			for len(levels) < k {

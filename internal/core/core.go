@@ -656,7 +656,7 @@ func opposite(side twovar.Side) twovar.Side { return twovar.SideS + twovar.SideT
 func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.PruneSet) func(int, itemset.Set) bool {
 	type entry struct {
 		ds   *dynState
-		site string
+		site *obs.PruneSite
 		at   float64               // the bound value cond was built for
 		cond constraint.Constraint // rebuilt only when the bound moves
 	}
@@ -667,7 +667,7 @@ func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.Pru
 		}
 		if b := ds.bound(); ds.d.AntiMonotonePrunable() || math.IsInf(b, -1) {
 			ds.held = b
-			active = append(active, entry{ds: ds, site: side.String() + ":jmax:" + ds.d.Label()})
+			active = append(active, entry{ds: ds, site: prune.Site(side.String() + ":jmax:" + ds.d.Label())})
 		}
 	}
 	if len(active) == 0 {
@@ -685,7 +685,7 @@ func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.Pru
 				e.at, e.cond = b, e.ds.condition(b)
 			}
 			if !e.cond.Satisfies(s) {
-				prune.Charge(e.site, 1)
+				e.site.Add(1)
 				return false
 			}
 		}
@@ -807,16 +807,20 @@ func fmSide(ctx context.Context, cq cap.Query) (*cap.Result, error) {
 	// frequent holds every valid subset, true once counted frequent.
 	var valid []itemset.Set
 	frequent := map[string]bool{}
+	materialize := make([]*obs.PruneSite, len(cq.Constraints))
+	for i, c := range cq.Constraints {
+		materialize[i] = prune.Site(label + ":materialize:" + c.String())
+	}
 	domain.ForEachSubset(func(s itemset.Set) bool {
 		ok := true
-		for _, c := range cq.Constraints {
+		for i, c := range cq.Constraints {
 			stats.SetConstraintChecks++
 			if !c.Satisfies(s) {
 				ok = false
 				// Every enumerated subset is a materialized candidate;
 				// a constraint rejection here is FM's pruning.
 				stats.CandidatesPruned++
-				prune.Charge(label+":materialize:"+c.String(), 1)
+				materialize[i].Add(1)
 				break
 			}
 		}
@@ -830,6 +834,7 @@ func fmSide(ctx context.Context, cq cap.Query) (*cap.Result, error) {
 	// valid proper subsets (only those were materialized and counted) are
 	// all known frequent.
 	var levels [][]mine.Counted
+	freqSite := prune.Site(label + ":frequency")
 	for _, s := range valid { // ForEachSubset yields ascending sizes
 		countable := true
 		s.ForEachSubset(func(sub itemset.Set) bool {
@@ -849,7 +854,7 @@ func fmSide(ctx context.Context, cq cap.Query) (*cap.Result, error) {
 		stats.DBScans++
 		if sup < cq.MinSupport {
 			stats.CandidatesPruned++
-			prune.Charge(label+":frequency", 1)
+			freqSite.Add(1)
 			continue
 		}
 		stats.FrequentSets++

@@ -66,7 +66,7 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 		// A rejected pair is one pruned answer candidate: the cost a plan
 		// pays for 2-var constraints it could not push into the lattices.
 		res.Stats.CandidatesPruned += t.rejected
-		prune.Charge(t.site, t.rejected)
+		prune.Site(t.site).Add(t.rejected)
 	}
 	for _, n := range rowCount {
 		res.PairCount += int64(n)

@@ -103,6 +103,7 @@ func (l *Levelwise) deltaPairs(delta []itemset.Set) [][]int32 {
 	}
 	out := make([][]int32, len(delta))
 	var buf []int32 // the row's L1 ranks, ascending: without a class ranks follow items
+	keys := l.keys()
 	var key []byte
 	for i, t := range delta {
 		buf = buf[:0]
@@ -114,7 +115,7 @@ func (l *Levelwise) deltaPairs(delta []itemset.Set) [][]int32 {
 		for x, p := range buf {
 			for _, q := range buf[x+1:] {
 				key = appendRankKey(key[:0], p, q)
-				if at, ok := l.prevKeys[string(key)]; ok {
+				if at, ok := keys[string(key)]; ok {
 					out[i] = append(out[i], int32(at))
 				}
 			}
@@ -233,7 +234,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 			merged = append(merged, entry{cands[id], nil, inDelta[id], id})
 		default:
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.freqSite, 1)
+			l.freqSite.Add(1)
 		}
 	}
 	for ; j < len(prior); j++ {
@@ -263,7 +264,7 @@ func (l *Levelwise) advanceK() ([]Counted, error) {
 	for _, e := range merged {
 		if e.sup < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.freqSite, 1)
+			l.freqSite.Add(1)
 			if e.orig != nil {
 				a.demoted++
 			}

@@ -201,7 +201,7 @@ func (l *Levelwise) referenceStep(support func(itemset.Set) int) ([]Counted, err
 	for i, c := range cands {
 		if sup[i] < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.freqSite, 1)
+			l.freqSite.Add(1)
 			continue
 		}
 		out = l.addFrequent(c, nil, sup[i], out)
@@ -247,7 +247,7 @@ func runLattice(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 		run.frequent = append(run.frequent, lw.LastFrequent())
 		run.sets = append(run.sets, lw.prevSets)
 		run.sup = append(run.sup, lw.prevSup)
-		run.keys = append(run.keys, lw.prevKeys)
+		run.keys = append(run.keys, lw.keys())
 	}
 	for _, e := range events.events {
 		if !strings.HasPrefix(e, "checkpoint ") {

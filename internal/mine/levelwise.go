@@ -55,7 +55,10 @@ type Config struct {
 	ReportValid func(itemset.Set) bool
 	// CandidateFilter, when non-nil, is consulted before counting a
 	// candidate; rejected candidates are discarded and never extended, so
-	// the predicate must be anti-monotone. Called in original item space.
+	// the predicate must be anti-monotone. Called in original item space
+	// with a borrowed set: from level 2 on the miner reuses one buffer for
+	// every call, so s is valid only during the call and must be neither
+	// modified nor retained (copy it to keep it).
 	CandidateFilter func(level int, s itemset.Set) bool
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
@@ -111,9 +114,8 @@ type Levelwise struct {
 	stats      *Stats
 	guard      *Guard
 	tracer     *obs.Tracer
-	prune      *obs.PruneSet
-	freqSite   string // pruning site for infrequent candidates
-	reqSite    string // pruning site for Required-excluded singletons
+	freqSite   *obs.PruneSite // pruning site for infrequent candidates
+	reqSite    *obs.PruneSite // pruning site for Required-excluded singletons
 	rankToItem []itemset.Item
 	itemToRank []int32 // -1 outside the domain; covers every database item
 	nRequired  int     // ranks < nRequired are Required items
@@ -124,8 +126,10 @@ type Levelwise struct {
 	// State of the previous level (rank space, lex order).
 	prevSets [][]int32
 	prevSup  []int
-	prevKeys map[string]int // rank-set key → index in prevSets
+	prevKeys map[string]int // rank-set key → index in prevSets; built by keys() on first use
 	key      []byte         // scratch for probing prevKeys without allocating
+
+	filterSet itemset.Set // the set CandidateFilter borrows at levels ≥ 2
 
 	l1Ranks []int32 // frequent item ranks after level 1 (all, incl. non-required)
 	l1Sup   []int   // supports parallel to l1Ranks
@@ -191,17 +195,22 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 		itemToRank[it] = int32(r)
 	}
 
-	reqSite := cfg.RequiredSite
-	if reqSite == "" {
-		reqSite = spanName(cfg.Label, "generate")
+	// Every site the engine charges is resolved here, once per run.
+	prune := obs.PruningFromContext(ctx)
+	var reqSite *obs.PruneSite
+	if cfg.Required != nil {
+		name := cfg.RequiredSite
+		if name == "" {
+			name = spanName(cfg.Label, "generate")
+		}
+		reqSite = prune.Site(name)
 	}
 	return &Levelwise{
 		cfg:        cfg,
 		stats:      stats,
 		guard:      NewGuard(ctx, cfg.Budget, stats),
 		tracer:     obs.FromContext(ctx),
-		prune:      obs.PruningFromContext(ctx),
-		freqSite:   spanName(cfg.Label, "frequency"),
+		freqSite:   prune.Site(spanName(cfg.Label, "frequency")),
 		reqSite:    reqSite,
 		rankToItem: rankToItem,
 		itemToRank: itemToRank,
@@ -265,13 +274,25 @@ func (l *Levelwise) toOrig(rs []int32) itemset.Set {
 	return items
 }
 
-// rankKey builds a canonical key for a rank-space set.
-func rankKey(rs []int32) string {
-	return string(appendRankKey(make([]byte, 0, 4*len(rs)), rs...))
+// borrow writes rs in original item space, sorted, into the miner's
+// filterSet and returns it: the set CandidateFilter borrows, overwritten by
+// the next call.
+func (l *Levelwise) borrow(rs ...int32) itemset.Set {
+	s := l.filterSet[:0]
+	for _, r := range rs {
+		s = append(s, l.rankToItem[r])
+	}
+	// Without a Required class rank order is item order.
+	if l.nRequired > 0 {
+		slices.Sort(s)
+	}
+	l.filterSet = s
+	return s
 }
 
-// appendRankKey appends rankKey's bytes for rs to b, so that a map keyed by
-// rankKey can be probed with string(b) without allocating.
+// appendRankKey appends the canonical key of the rank-space set rs — 4
+// bytes per rank — to b, so that the key index can be probed with string(b)
+// without allocating.
 func appendRankKey(b []byte, rs ...int32) []byte {
 	for _, v := range rs {
 		u := uint32(v)
@@ -418,7 +439,7 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 		if counts[r] < l.cfg.MinSupport {
 			if counted[r] {
 				l.stats.CandidatesPruned++
-				l.prune.Charge(l.freqSite, 1)
+				l.freqSite.Add(1)
 			}
 			continue
 		}
@@ -430,9 +451,7 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 		l.lastFrequent = append(l.lastFrequent, Counted{Set: orig, Support: counts[r]})
 		if isValid(r) {
 			ranks = append(ranks, int32(r))
-			rs := ranks[len(ranks)-1 : len(ranks) : len(ranks)]
-			l.prevKeys[rankKey(rs)] = len(l.prevSets)
-			l.prevSets = append(l.prevSets, rs)
+			l.prevSets = append(l.prevSets, ranks[len(ranks)-1:len(ranks):len(ranks)])
 			l.prevSup = append(l.prevSup, counts[r])
 			if l.cfg.ReportValid == nil || l.cfg.ReportValid(orig) {
 				l.stats.ValidSets++
@@ -442,7 +461,7 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 			}
 		} else {
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.reqSite, 1)
+			l.reqSite.Add(1)
 		}
 	}
 	l.level = 1
@@ -490,7 +509,7 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 						return nil, err
 					}
 				}
-				if !l.cfg.CandidateFilter(2, l.toOrig([]int32{l.l1Ranks[p], l.l1Ranks[q]})) {
+				if !l.cfg.CandidateFilter(2, l.borrow(l.l1Ranks[p], l.l1Ranks[q])) {
 					masked[c] = true
 					kept--
 					l.stats.CandidatesPruned++ // site charged by the filter closure
@@ -585,7 +604,7 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		}
 	}
 	l.stats.CandidatesPruned += int64(kept - frequent)
-	l.prune.Charge(l.freqSite, int64(kept-frequent))
+	l.freqSite.Add(int64(kept - frequent))
 	return out, nil
 }
 
@@ -595,8 +614,31 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 func (l *Levelwise) resetLevel(capacity int) {
 	l.prevSets = make([][]int32, 0, capacity)
 	l.prevSup = make([]int, 0, capacity)
-	l.prevKeys = make(map[string]int, capacity)
+	l.prevKeys = nil
 	l.lastFrequent = nil
+}
+
+// keys returns the rank-key index of the previous level's sets, building it
+// on first use: only a level that joins (subsetPrune) or an advance's Δ rows
+// (deltaPairs) read it, so level 1 and a run's last level never build one.
+// Every set of a level has the same length, so the keys are cut from one
+// string.
+func (l *Levelwise) keys() map[string]int {
+	if l.prevKeys == nil {
+		l.prevKeys = make(map[string]int, len(l.prevSets))
+		if len(l.prevSets) > 0 {
+			w := 4 * len(l.prevSets[0])
+			buf := make([]byte, 0, w*len(l.prevSets))
+			for _, s := range l.prevSets {
+				buf = appendRankKey(buf, s...)
+			}
+			all := string(buf)
+			for i := range l.prevSets {
+				l.prevKeys[all[i*w:(i+1)*w]] = i
+			}
+		}
+	}
+	return l.prevKeys
 }
 
 // addFrequent records a frequent set of the level under construction — in
@@ -606,7 +648,6 @@ func (l *Levelwise) resetLevel(capacity int) {
 func (l *Levelwise) addFrequent(c []int32, orig itemset.Set, sup int, out []Counted) []Counted {
 	l.stats.FrequentSets++
 	l.stats.LatticeBytes += setBytes(len(c))
-	l.prevKeys[rankKey(c)] = len(l.prevSets)
 	l.prevSets = append(l.prevSets, c)
 	l.prevSup = append(l.prevSup, sup)
 	if orig == nil {
@@ -641,7 +682,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 					return nil, err
 				}
 			}
-			if l.cfg.CandidateFilter(k+1, l.toOrig(c)) {
+			if l.cfg.CandidateFilter(k+1, l.borrow(c...)) {
 				kept = append(kept, c)
 			} else {
 				l.stats.CandidatesPruned++ // site charged by the filter closure
@@ -670,7 +711,7 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 	for i, c := range cands {
 		if counts[i] < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.freqSite, 1)
+			l.freqSite.Add(1)
 			continue
 		}
 		out = l.addFrequent(c, nil, counts[i], out)
@@ -729,6 +770,7 @@ func split(flat []int32, k int) [][]int32 {
 // mining. Each subset's key is written into l.key, and the map lookup of
 // string(l.key) does not allocate.
 func (l *Levelwise) subsetPrune(c []int32) bool {
+	keys := l.keys()
 	for drop := range c {
 		first := c[0]
 		if drop == 0 {
@@ -738,7 +780,7 @@ func (l *Levelwise) subsetPrune(c []int32) bool {
 			continue // subset lost its only required item: never counted
 		}
 		l.key = appendRankKey(appendRankKey(l.key[:0], c[:drop]...), c[drop+1:]...)
-		if _, ok := l.prevKeys[string(l.key)]; !ok {
+		if _, ok := keys[string(l.key)]; !ok {
 			return false
 		}
 	}

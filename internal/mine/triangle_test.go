@@ -96,7 +96,7 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 		}
 		if sup < l.cfg.MinSupport {
 			l.stats.CandidatesPruned++
-			l.prune.Charge(l.freqSite, 1)
+			l.freqSite.Add(1)
 			continue
 		}
 		out = l.addFrequent(c, nil, sup, out)
@@ -187,7 +187,7 @@ func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangl
 				sum += int(it)
 			}
 			if sum > bound {
-				prune.Charge("test:candidate-filter", 1)
+				prune.Site("test:candidate-filter").Add(1)
 				return false
 			}
 			return true
@@ -196,7 +196,7 @@ func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangl
 		cfg.CandidateFilter = func(level int, s itemset.Set) bool {
 			run.events = append(run.events, fmt.Sprintf("filter %d %s", level, s.Key()))
 			if level >= 2 {
-				prune.Charge("test:candidate-filter", 1)
+				prune.Site("test:candidate-filter").Add(1)
 				return false
 			}
 			return true
@@ -206,7 +206,7 @@ func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangl
 		cfg.ReportValid = func(s itemset.Set) bool {
 			run.events = append(run.events, "report "+s.Key())
 			if s[0]%2 == 1 {
-				prune.Charge("test:report-filter", 1)
+				prune.Site("test:report-filter").Add(1)
 				return false
 			}
 			return true
@@ -253,7 +253,7 @@ func runTriangleCase(t *testing.T, db *txdb.DB, minSup int, c triangleCase,
 		lw.finishLevelCheck()
 		run.levels = append(run.levels, out)
 		run.frequent = append(run.frequent, lw.LastFrequent())
-		run.sets, run.sup, run.keys = lw.prevSets, lw.prevSup, lw.prevKeys
+		run.sets, run.sup, run.keys = lw.prevSets, lw.prevSup, lw.keys()
 	}
 	for !lw.Done() {
 		out, _, err := lw.Step()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // PruneSet accumulates per-site pruning attribution for one evaluation: a
@@ -12,36 +13,63 @@ import (
 // "<label>:<stage>[:<constraint>]" — e.g. "S:frequency",
 // "S:candidate-filter:sum(S.Price) <= 30", "pairs:max(S.A) <= min(T.B)".
 //
+// A site is charged through its handle: Site resolves a name to a
+// *PruneSite once — when a miner, filter or pass is built — and the hot loop
+// holds the handle and Adds to it, an atomic add with no lookup. A site
+// resolved but never charged is not a site of the evaluation: Snapshot,
+// Sites and Total leave it out, so resolving up front changes no report.
+//
 // Attribution contract (the pruning analogue of the span-delta contract):
 // every candidate an engine drops increments mine.Stats.CandidatesPruned
 // exactly once AND is charged to exactly one PruneSet site, so the sum of
 // every site's count reproduces the run's total pruned candidates. Tests
 // assert the equality across all miners and strategies.
 //
-// Like the Tracer, a nil *PruneSet ignores every call, so instrumented code
+// Like the Tracer, a nil *PruneSet ignores every call — it resolves every
+// name to a nil *PruneSite, whose Add does nothing — so instrumented code
 // pays one pointer comparison when pruning attribution is disabled.
 type PruneSet struct {
 	mu    sync.Mutex
-	sites map[string]int64
+	sites map[string]*PruneSite
+}
+
+// PruneSite is one site's counter in a PruneSet. A nil site ignores Add.
+type PruneSite struct {
+	n atomic.Int64
 }
 
 // NewPruneSet creates an empty pruning-attribution set.
 func NewPruneSet() *PruneSet {
-	return &PruneSet{sites: map[string]int64{}}
+	return &PruneSet{sites: map[string]*PruneSite{}}
 }
 
-// Charge attributes n pruned candidates to site. Nil-safe; n <= 0 is a
-// no-op so callers can charge computed deltas unconditionally.
-func (p *PruneSet) Charge(site string, n int64) {
-	if p == nil || n <= 0 {
-		return
+// Site returns the handle of the named site, creating it on first use; every
+// call with the same name returns the same handle. A nil set returns nil.
+func (p *PruneSet) Site(name string) *PruneSite {
+	if p == nil {
+		return nil
 	}
 	p.mu.Lock()
-	p.sites[site] += n
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	s := p.sites[name]
+	if s == nil {
+		s = &PruneSite{}
+		p.sites[name] = s
+	}
+	return s
 }
 
-// Snapshot returns a copy of the per-site counts. A nil set snapshots nil.
+// Add attributes n pruned candidates to the site. Nil-safe; n <= 0 is a
+// no-op so callers can charge computed deltas unconditionally.
+func (s *PruneSite) Add(n int64) {
+	if s == nil || n <= 0 {
+		return
+	}
+	s.n.Add(n)
+}
+
+// Snapshot returns a copy of the per-site counts of every charged site. A nil
+// set snapshots nil.
 func (p *PruneSet) Snapshot() Counters {
 	if p == nil {
 		return nil
@@ -49,8 +77,10 @@ func (p *PruneSet) Snapshot() Counters {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(Counters, len(p.sites))
-	for k, v := range p.sites {
-		out[k] = v
+	for k, s := range p.sites {
+		if v := s.n.Load(); v > 0 {
+			out[k] = v
+		}
 	}
 	return out
 }
@@ -63,13 +93,14 @@ func (p *PruneSet) Total() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var t int64
-	for _, v := range p.sites {
-		t += v
+	for _, s := range p.sites {
+		t += s.n.Load()
 	}
 	return t
 }
 
-// Sites returns the site keys in sorted order (deterministic rendering).
+// Sites returns the charged site keys in sorted order (deterministic
+// rendering).
 func (p *PruneSet) Sites() []string {
 	if p == nil {
 		return nil
@@ -77,8 +108,10 @@ func (p *PruneSet) Sites() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]string, 0, len(p.sites))
-	for k := range p.sites {
-		out = append(out, k)
+	for k, s := range p.sites {
+		if s.n.Load() > 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out

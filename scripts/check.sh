@@ -167,6 +167,21 @@ if grep -rn 'countTriangle' internal/mine --include='*.go' | grep -v '_test.go';
   exit 1
 fi
 
+echo "== prune sites resolved once =="
+# A prune site is charged through the *obs.PruneSite handle its miner, filter
+# or pass resolved when it was built (PruneSet.Site): a per-rejection lookup
+# by name took a mutex and a string-keyed map assign for every pruned
+# candidate. And the set a CandidateFilter sees from level 2 on is the
+# miner's borrowed scratch set, not a fresh toOrig conversion per candidate.
+if grep -rnE '\.Charge\(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test.go'; then
+  echo "check.sh: a charge by site name is back (resolve the site once with PruneSet.Site and Add to the handle)" >&2
+  exit 1
+fi
+if grep -rnE 'CandidateFilter\([^)]*toOrig' internal/mine --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: CandidateFilter is handed a fresh toOrig set in internal/mine (lend it the miner's scratch set with borrow)" >&2
+  exit 1
+fi
+
 echo "== one per-request record =="
 # workload.Record is the one per-request fact and workload.Journal the one
 # sink; the slow-query log is the journal's view of its slow records. The
@@ -298,6 +313,7 @@ echo "== generation tables, mining and advance properties (-race -count=3) =="
 # run.
 go test -race -count=3 -run 'TestNewMakesNoPass|TestColumnCountsMatchSupport|TestAdvanceMatchesRemine|TestColumnCountCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
 go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds' ./internal/txdb
+go test -race -count=10 -run 'TestPruneSiteHandles' ./internal/obs
 
 echo "== advance fuzz smoke (10s) =="
 go test -run '^$' -fuzz=FuzzAdvance -fuzztime=10s ./internal/mine
