@@ -137,8 +137,10 @@ type Stats struct {
 	SetConstraintChecks  int64
 	// PairChecks counts the key comparisons final pair formation made:
 	// binary-search probes for the leading 2-var constraint's partner
-	// ranges plus one per constraint tested on a pair. Each set's aggregate
-	// is evaluated once, so this is far below |S|·|T| per constraint.
+	// ranges plus one per constraint tested on a pair. A materialized row
+	// costs one more range probe and no test of the leading constraint.
+	// Each set's aggregate is evaluated once, so this is far below |S|·|T|
+	// per constraint.
 	PairChecks int64
 	// CandidatesPruned counts candidates generated or materialized and then
 	// discarded — by a constraint, a frequency test, or pair rejection.

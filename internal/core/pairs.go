@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -30,38 +31,39 @@ const pairCancelStride = 8192
 // (by binary search where the leading constraint is ordered), each
 // rejection is attributed to the first constraint in query order that
 // fails and charged to its "pairs:<constraint>" site once per constraint,
-// and only then are the first MaxPairs pairs materialized. A cancelled ctx
-// aborts the join, leaving res partial.
+// and only then are the first MaxPairs pairs materialized (see
+// pairJoin.materialize). A cancelled ctx aborts the join, leaving res
+// partial.
 func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) error {
-	validS, validT := res.ValidS(), res.ValidT()
+	nS, nT := numSets(res.LevelsS), numSets(res.LevelsT)
 	if len(q.Constraints2) == 0 {
-		res.PairCount = int64(len(validS)) * int64(len(validT))
+		res.PairCount = int64(nS) * int64(nT)
 		limit := pairLimit(q.MaxPairs, res.PairCount)
 		if limit == 0 {
 			return nil
 		}
 		res.Pairs = make([]Pair, 0, limit)
-		nT := int64(len(validT))
 		for i := int64(0); i < limit; i++ {
 			if i%pairCancelStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: forming pairs: %w", err)
 				}
 			}
-			si, ti := i/nT, i%nT
+			si, ti := i/int64(nT), i%int64(nT)
 			res.Pairs = append(res.Pairs, Pair{SI: int32(si), TI: int32(ti)})
 		}
 		return nil
 	}
 
-	j := pairJoin{ctx: ctx, nT: len(validT), checks: &res.Stats.PairChecks}
+	j := pairJoin{ctx: ctx, nT: nT, checks: &res.Stats.PairChecks}
 	for _, c2 := range q.Constraints2 {
-		j.terms = append(j.terms, newPairTerm(c2, validS, validT))
+		j.terms = append(j.terms, newPairTerm(c2, res.LevelsS, res.LevelsT))
 	}
 	if lead := j.terms[0]; lead.ordered() {
 		j.index = newKeyIndex(lead.keyT, lead.okT)
+		j.from = 1
 	}
-	rowCount, err := j.count(len(validS))
+	rowCount, err := j.count(nS)
 	for _, t := range j.terms {
 		// A rejected pair is one pruned answer candidate: the cost a plan
 		// pays for 2-var constraints it could not push into the lattices.
@@ -80,28 +82,17 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 		return nil
 	}
 	res.Pairs = make([]Pair, 0, limit)
-	for i := range validS {
-		left := rowCount[i]
-		if left == 0 {
-			continue
-		}
-		if err := j.tick(j.nT); err != nil {
-			return err
-		}
-		// The row's partners in lattice order; it holds `left` of them, so
-		// the scan ends at the last one.
-		for ti := 0; left > 0; ti++ {
-			if j.firstFailing(0, i, ti) >= 0 {
-				continue
-			}
-			res.Pairs = append(res.Pairs, Pair{SI: int32(i), TI: int32(ti)})
-			if int64(len(res.Pairs)) == limit {
-				return nil
-			}
-			left--
-		}
+	return j.materialize(rowCount, &res.Pairs)
+}
+
+// numSets is how many sets levels hold: the length of the list Result.ValidS
+// or ValidT flattens them into.
+func numSets(levels [][]mine.Counted) int {
+	n := 0
+	for _, level := range levels {
+		n += len(level)
 	}
-	return nil
+	return n
 }
 
 // pairLimit is how many of count pairs are materialized under maxPairs
@@ -127,30 +118,40 @@ type pairTerm struct {
 	rejected int64
 }
 
-func newPairTerm(c2 twovar.Constraint2, validS, validT []mine.Counted) *pairTerm {
+func newPairTerm(c2 twovar.Constraint2, levelsS, levelsT [][]mine.Counted) *pairTerm {
 	t := &pairTerm{sides: c2.Sides(), site: "pairs:" + c2.String()}
 	if t.sides.AggS == nil {
-		t.setS = projections(t.sides.ProjS, validS)
-		t.setT = projections(t.sides.ProjT, validT)
+		t.setS = projections(t.sides.ProjS, levelsS)
+		t.setT = projections(t.sides.ProjT, levelsT)
 		return t
 	}
-	t.keyS, t.okS = aggKeys(t.sides.AggS, validS)
-	t.keyT, t.okT = aggKeys(t.sides.AggT, validT)
+	t.keyS, t.okS = aggKeys(t.sides.AggS, levelsS)
+	t.keyT, t.okT = aggKeys(t.sides.AggT, levelsT)
 	return t
 }
 
-func aggKeys(agg func(itemset.Set) (float64, bool), sets []mine.Counted) ([]float64, []bool) {
-	keys, ok := make([]float64, len(sets)), make([]bool, len(sets))
-	for i, c := range sets {
-		keys[i], ok[i] = agg(c.Set)
+// aggKeys evaluates agg on every set of levels, in the order of their
+// flattened list; it reads the levels in place.
+func aggKeys(agg func(itemset.Set) (float64, bool), levels [][]mine.Counted) ([]float64, []bool) {
+	n := numSets(levels)
+	keys, ok := make([]float64, n), make([]bool, n)
+	i := 0
+	for _, level := range levels {
+		for _, c := range level {
+			keys[i], ok[i] = agg(c.Set)
+			i++
+		}
 	}
 	return keys, ok
 }
 
-func projections(proj func(itemset.Set) attr.ValueSet, sets []mine.Counted) []attr.ValueSet {
-	out := make([]attr.ValueSet, len(sets))
-	for i, c := range sets {
-		out[i] = proj(c.Set)
+// projections is aggKeys for a domain term: every set's projected values.
+func projections(proj func(itemset.Set) attr.ValueSet, levels [][]mine.Counted) []attr.ValueSet {
+	out := make([]attr.ValueSet, 0, numSets(levels))
+	for _, level := range levels {
+		for _, c := range level {
+			out = append(out, proj(c.Set))
+		}
 	}
 	return out
 }
@@ -225,7 +226,10 @@ type pairJoin struct {
 	terms []*pairTerm
 	// index is the sorted T side of terms[0] when that term is ordered.
 	index *keyIndex
-	nT    int
+	// from is the first term met pair by pair: 1 past an indexed lead,
+	// whose range already holds only pairs that satisfy it.
+	from int
+	nT   int
 	// checks is Stats.PairChecks: one per key comparison the join makes.
 	checks          *int64
 	work, nextCheck int64
@@ -246,10 +250,10 @@ func (j *pairJoin) tick(n int) error {
 	return nil
 }
 
-// firstFailing returns the first of terms[from:] the pair fails, in query
-// order, or -1 when it satisfies them all.
-func (j *pairJoin) firstFailing(from, si, ti int) int {
-	for k := from; k < len(j.terms); k++ {
+// firstFailing returns the first of terms[j.from:] the pair fails, in
+// query order, or -1 when it satisfies them all.
+func (j *pairJoin) firstFailing(si, ti int) int {
+	for k := j.from; k < len(j.terms); k++ {
 		*j.checks++
 		if !j.terms[k].holds(si, ti) {
 			return k
@@ -265,17 +269,10 @@ func (j *pairJoin) firstFailing(from, si, ti int) int {
 // without one every pair meets every term.
 func (j *pairJoin) count(nS int) ([]int32, error) {
 	rowCount := make([]int32, nS)
-	from := 0 // the first term met pair by pair
-	if j.index != nil {
-		from = 1
-	}
 	for si := range rowCount {
-		lo, hi := 0, j.nT
-		if j.index != nil {
-			lo, hi = j.leadRange(si)
-			j.terms[0].rejected += int64(j.nT - (hi - lo))
-		}
-		if from == len(j.terms) {
+		lo, hi := j.rowRange(si)
+		j.terms[0].rejected += int64(j.nT - (hi - lo))
+		if j.from == len(j.terms) {
 			// The range is the row's answer; no pair is visited.
 			if err := j.tick(1); err != nil {
 				return rowCount, err
@@ -287,11 +284,7 @@ func (j *pairJoin) count(nS int) ([]int32, error) {
 			return rowCount, err
 		}
 		for p := lo; p < hi; p++ {
-			ti := p
-			if j.index != nil {
-				ti = int(j.index.order[p])
-			}
-			if k := j.firstFailing(from, si, ti); k >= 0 {
+			if k := j.firstFailing(si, j.at(p)); k >= 0 {
 				j.terms[k].rejected++
 			} else {
 				rowCount[si]++
@@ -301,12 +294,65 @@ func (j *pairJoin) count(nS int) ([]int32, error) {
 	return rowCount, nil
 }
 
-// leadRange returns the positions in j.index of S-set si's partners under
-// the leading term: none when its key is undefined or NaN.
-func (j *pairJoin) leadRange(si int) (lo, hi int) {
+// materialize appends the pairs of every row with partners to *pairs, S in
+// lattice order, then T in lattice order, until cap(*pairs) are there. A
+// row's range is marked in a bitmap over T (one bit per T-set, in lattice
+// order) and the bitmap is walked upward: each candidate meets only the
+// terms the counting pass met pair by pair — never an indexed lead, whose
+// range is the answer to it — and the row's tests end at its last partner.
+// Each word is cleared as the walk passes it, so the next row starts from
+// an empty bitmap.
+func (j *pairJoin) materialize(rowCount []int32, pairs *[]Pair) error {
+	row := make([]uint64, (j.nT+63)/64)
+	for si, left := range rowCount {
+		if left == 0 {
+			continue
+		}
+		lo, hi := j.rowRange(si)
+		if err := j.tick(hi - lo + len(row)); err != nil {
+			return err
+		}
+		for p := lo; p < hi; p++ {
+			ti := j.at(p)
+			row[ti/64] |= 1 << (ti % 64)
+		}
+		for w, word := range row {
+			row[w] = 0
+			for ; word != 0 && left > 0; word &= word - 1 {
+				ti := w*64 + bits.TrailingZeros64(word)
+				if j.firstFailing(si, ti) >= 0 {
+					continue
+				}
+				*pairs = append(*pairs, Pair{SI: int32(si), TI: int32(ti)})
+				if len(*pairs) == cap(*pairs) {
+					return nil
+				}
+				left--
+			}
+		}
+	}
+	return nil
+}
+
+// rowRange returns the positions (see at) of S-set si's candidates: its
+// partners under an indexed lead — none when its key is undefined or NaN —
+// and every T-set without an index.
+func (j *pairJoin) rowRange(si int) (lo, hi int) {
+	if j.index == nil {
+		return 0, j.nT
+	}
 	lead := j.terms[0]
 	if v := lead.keyS[si]; lead.okS[si] && !math.IsNaN(v) {
 		return j.index.partners(lead.sides.Op, v, j.checks)
 	}
 	return 0, 0
+}
+
+// at returns the T-set at position p of a rowRange: index.order[p] with an
+// index, p itself without one.
+func (j *pairJoin) at(p int) int {
+	if j.index == nil {
+		return p
+	}
+	return int(j.index.order[p])
 }

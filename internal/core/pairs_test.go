@@ -22,23 +22,26 @@ import (
 // referencePairs is the per-pair generate-and-test loop formPairs replaced,
 // kept as the oracle for the join: every (S, T) pair in lattice order meets
 // the constraints in query order through Satisfies, and the first one that
-// fails is charged the rejection.
-func referencePairs(q CFQ, validS, validT []mine.Counted) (pairs []Pair, count, pruned int64, sites obs.Counters) {
+// fails is charged the rejection. It returns every pair; MaxPairs keeps a
+// prefix of them.
+func referencePairs(cons []twovar.Constraint2, validS, validT []mine.Counted) (pairs []Pair, count, pruned int64, sites obs.Counters) {
 	sites = obs.Counters{}
+	names := make([]string, len(cons))
+	for k, c2 := range cons {
+		names[k] = "pairs:" + c2.String()
+	}
 	for si, s := range validS {
 	nextT:
 		for ti, t := range validT {
-			for _, c2 := range q.Constraints2 {
+			for k, c2 := range cons {
 				if !c2.Satisfies(s.Set, t.Set) {
 					pruned++
-					sites["pairs:"+c2.String()]++
+					sites[names[k]]++
 					continue nextT
 				}
 			}
 			count++
-			if q.MaxPairs == 0 || len(pairs) < q.MaxPairs {
-				pairs = append(pairs, Pair{SI: int32(si), TI: int32(ti)})
-			}
+			pairs = append(pairs, Pair{SI: int32(si), TI: int32(ti)})
 		}
 	}
 	return pairs, count, pruned, sites
@@ -70,11 +73,16 @@ func newJoinWorld(r *rand.Rand) *joinWorld {
 	return w
 }
 
-// sets draws n random itemsets (one of them empty now and then, so an
-// undefined min/max/avg shows up) split over two lattice levels.
+// sets draws n random itemsets split over two lattice levels.
 func (w *joinWorld) sets(r *rand.Rand, n int) [][]mine.Counted {
-	levels := make([][]mine.Counted, 2)
-	for i := 0; i < n; i++ {
+	return halves(w.draw(r, n))
+}
+
+// draw draws n random itemsets, one of them empty now and then, so an
+// undefined min/max/avg shows up.
+func (w *joinWorld) draw(r *rand.Rand, n int) []mine.Counted {
+	out := make([]mine.Counted, n)
+	for i := range out {
 		items := make([]itemset.Item, r.Intn(4))
 		if len(items) == 0 && r.Intn(4) != 0 {
 			items = make([]itemset.Item, 1)
@@ -82,10 +90,43 @@ func (w *joinWorld) sets(r *rand.Rand, n int) [][]mine.Counted {
 		for k := range items {
 			items[k] = itemset.Item(r.Intn(joinItems))
 		}
-		c := mine.Counted{Set: itemset.New(items...), Support: 1 + r.Intn(9)}
-		levels[i*2/n] = append(levels[i*2/n], c)
+		out[i] = mine.Counted{Set: itemset.New(items...), Support: 1 + r.Intn(9)}
 	}
-	return levels
+	return out
+}
+
+// halves splits a valid-set list over two lattice levels.
+func halves(sets []mine.Counted) [][]mine.Counted {
+	mid := (len(sets) + 1) / 2
+	return [][]mine.Counted{sets[:mid], sets[mid:]}
+}
+
+// wordEdges are the T positions on either side of the first two bitmap
+// word boundaries.
+var wordEdges = []int{63, 64, 127, 128}
+
+// wideSides draws nS S-sets and nT > 128 T-sets, so a row's bitmap spans
+// three words or more, and plants rows whose leading range is known: one
+// S-set per word edge whose only "=" partner is the T-set there, one S-set
+// priced below every set (all of the index under "<=") and one above (none
+// under "<="). Planted sets are singletons of items added to the world, so
+// it must be asked for its constraints afterwards.
+func (w *joinWorld) wideSides(r *rand.Rand, nS, nT int) (levelsS, levelsT [][]mine.Counted) {
+	flatS, flatT := w.draw(r, nS), w.draw(r, nT)
+	plant := func(v float64) mine.Counted {
+		w.price, w.weight = append(w.price, v), append(w.weight, v)
+		w.kind.Values = append(w.kind.Values, int32(r.Intn(3)))
+		w.brand.Values = append(w.brand.Values, int32(r.Intn(3)))
+		return mine.Counted{Set: itemset.New(itemset.Item(len(w.price) - 1)), Support: 1}
+	}
+	at := r.Perm(nS)
+	for k, ti := range wordEdges {
+		v := float64(100 + k)
+		flatT[ti], flatS[at[k]] = plant(v), plant(v)
+	}
+	flatS[at[len(wordEdges)]] = plant(-100)
+	flatS[at[len(wordEdges)+1]] = plant(1000)
+	return halves(flatS), halves(flatT)
 }
 
 // constraints2 lists every Constraint2 form: all aggregate pairs under the
@@ -120,10 +161,13 @@ func (w *joinWorld) constraints2() []twovar.Constraint2 {
 func checkJoin(t *testing.T, label string, q CFQ, levelsS, levelsT [][]mine.Counted) {
 	t.Helper()
 	ref := &Result{LevelsS: levelsS, LevelsT: levelsT}
-	full, _, _, _ := referencePairs(CFQ{Constraints2: q.Constraints2}, ref.ValidS(), ref.ValidT())
+	full, wantCount, wantPruned, wantSites := referencePairs(q.Constraints2, ref.ValidS(), ref.ValidT())
 	for _, maxPairs := range []int{0, 1, len(full)/2 + 1} {
 		q.MaxPairs = maxPairs
-		wantPairs, wantCount, wantPruned, wantSites := referencePairs(q, ref.ValidS(), ref.ValidT())
+		wantPairs := full
+		if maxPairs > 0 && maxPairs < len(full) {
+			wantPairs = full[:maxPairs]
+		}
 		res := &Result{LevelsS: levelsS, LevelsT: levelsT}
 		prune := obs.NewPruneSet()
 		if err := formPairs(context.Background(), q, res, prune); err != nil {
@@ -174,46 +218,102 @@ func TestFormPairsMatchesReference(t *testing.T) {
 	}
 }
 
-// denseSides builds n S-sets and n T-sets over 2n items priced so that
-// every S-set is cheaper than every T-set: max(S.Price) <= min(T.Price)
-// accepts all n² pairs.
-func denseSides(n int) (price attr.Numeric, levelsS, levelsT [][]mine.Counted) {
+// TestFormPairsMatchesReferenceWide is the oracle where a row's bitmap over
+// T spans several words: 60–140 S-sets against 129–320 T-sets, with the
+// planted rows of wideSides (a range of one T-set at each word edge, of the
+// whole index, and empty), over every form alone and in a two-term
+// conjunction with another form, in both orders.
+func TestFormPairsMatchesReferenceWide(t *testing.T) {
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w := newJoinWorld(r)
+		levelsS, levelsT := w.wideSides(r, 60+r.Intn(81), 129+r.Intn(192))
+		forms := w.constraints2()
+		for _, a := range forms {
+			b := forms[r.Intn(len(forms))]
+			for _, conj := range [][]twovar.Constraint2{{a}, {a, b}, {b, a}} {
+				checkJoin(t, fmt.Sprintf("seed %d: %v", seed, conj), CFQ{Constraints2: conj}, levelsS, levelsT)
+			}
+		}
+	}
+}
+
+// pricedSides builds n S-sets and n T-sets, singletons over 2n items: S-set
+// i is priced i and T-set k is priced tPrice(k).
+func pricedSides(n int, tPrice func(k int) float64) (price attr.Numeric, levelsS, levelsT [][]mine.Counted) {
 	price = make(attr.Numeric, 2*n)
 	s, t := make([]mine.Counted, n), make([]mine.Counted, n)
 	for i := 0; i < n; i++ {
-		price[i], price[n+i] = float64(i), float64(n+i)
+		price[i], price[n+i] = float64(i), tPrice(i)
 		s[i] = mine.Counted{Set: itemset.New(itemset.Item(i)), Support: 1}
 		t[i] = mine.Counted{Set: itemset.New(itemset.Item(n + i)), Support: 1}
 	}
 	return price, [][]mine.Counted{s}, [][]mine.Counted{t}
 }
 
-// TestMaxPairsStopsWork: once MaxPairs pairs are materialized the rest of
-// the answer is only counted, so a dense answer costs range lookups, not
-// |S|·|T| checks.
+// denseSides prices every S-set below every T-set: max(S.Price) <=
+// min(T.Price) accepts all n² pairs.
+func denseSides(n int) (price attr.Numeric, levelsS, levelsT [][]mine.Counted) {
+	return pricedSides(n, func(k int) float64 { return float64(n + k) })
+}
+
+// scatteredSides interleaves the T prices high and low: under max(S.Price)
+// <= min(T.Price) S-set i's partners are every even T-set and the odd ones
+// from i on, scattered through T's lattice order.
+func scatteredSides(n int) (price attr.Numeric, levelsS, levelsT [][]mine.Counted) {
+	return pricedSides(n, func(k int) float64 {
+		if k%2 == 0 {
+			return float64(2*n + k)
+		}
+		return float64(k)
+	})
+}
+
+// TestMaxPairsStopsWork: a dense answer costs range lookups, not |S|·|T|
+// checks. Once MaxPairs pairs are materialized the rest of the answer is
+// only counted, and materializing a row costs one more range lookup and no
+// test of the leading term, however scattered its partners are in T's
+// lattice order.
 func TestMaxPairsStopsWork(t *testing.T) {
 	const n = 512
-	price, levelsS, levelsT := denseSides(n)
-	q := CFQ{MaxPairs: 1, Constraints2: []twovar.Constraint2{
-		twovar.Agg2(attr.Max, price, "Price", constraint.LE, attr.Min, price, "Price")}}
-	res := &Result{LevelsS: levelsS, LevelsT: levelsT}
-	if err := formPairs(context.Background(), q, res, nil); err != nil {
-		t.Fatal(err)
-	}
-	if res.PairCount != n*n || len(res.Pairs) != 1 {
-		t.Fatalf("PairCount %d with %d pairs, want %d with 1", res.PairCount, len(res.Pairs), n*n)
-	}
-	// One binary search over the T keys per S-set, plus the one test that
-	// finds the materialized pair.
-	if bound := int64(2*n) * int64(bits.Len(n)); res.Stats.PairChecks > bound {
-		t.Errorf("PairChecks = %d, want <= (|S|+|T|)·log|T| = %d", res.Stats.PairChecks, bound)
-	}
-	again := &Result{LevelsS: levelsS, LevelsT: levelsT}
-	if err := formPairs(context.Background(), q, again, nil); err != nil {
-		t.Fatal(err)
-	}
-	if again.Stats.PairChecks != res.Stats.PairChecks {
-		t.Errorf("PairChecks %d then %d: not deterministic", res.Stats.PairChecks, again.Stats.PairChecks)
+	for _, tc := range []struct {
+		name     string
+		sides    func(int) (attr.Numeric, [][]mine.Counted, [][]mine.Counted)
+		maxPairs int
+	}{
+		{"dense, MaxPairs 1", denseSides, 1},
+		{"scattered, MaxPairs 0", scatteredSides, 0},
+	} {
+		price, levelsS, levelsT := tc.sides(n)
+		q := CFQ{MaxPairs: tc.maxPairs, Constraints2: []twovar.Constraint2{
+			twovar.Agg2(attr.Max, price, "Price", constraint.LE, attr.Min, price, "Price")}}
+		res := &Result{LevelsS: levelsS, LevelsT: levelsT}
+		if err := formPairs(context.Background(), q, res, nil); err != nil {
+			t.Fatal(err)
+		}
+		want, wantCount, _, _ := referencePairs(q.Constraints2, res.ValidS(), res.ValidT())
+		if tc.maxPairs > 0 {
+			want = want[:tc.maxPairs]
+		}
+		if res.PairCount != wantCount || !reflect.DeepEqual(res.Pairs, want) {
+			t.Fatalf("%s: PairCount %d with %d pairs, want %d with %d", tc.name, res.PairCount, len(res.Pairs), wantCount, len(want))
+		}
+		// Per S-set one binary search over the T keys counts its partners
+		// and, for a materialized row, one more marks them; no pair is tested.
+		if bound := 2 * int64(n) * int64(bits.Len(n)); res.Stats.PairChecks > bound {
+			t.Errorf("%s: PairChecks = %d, want <= 2·|S|·log|T| = %d", tc.name, res.Stats.PairChecks, bound)
+		}
+		again := &Result{LevelsS: levelsS, LevelsT: levelsT}
+		if err := formPairs(context.Background(), q, again, nil); err != nil {
+			t.Fatal(err)
+		}
+		if again.Stats.PairChecks != res.Stats.PairChecks {
+			t.Errorf("%s: PairChecks %d then %d: not deterministic", tc.name, res.Stats.PairChecks, again.Stats.PairChecks)
+		}
 	}
 }
 
@@ -311,6 +411,8 @@ func BenchmarkFormPairs(b *testing.B) {
 	}{
 		{"minmax/maxpairs=5000", []twovar.Constraint2{minmax}, 5000},
 		{"minmax/maxpairs=0", []twovar.Constraint2{minmax}, 0},
+		// cfqd's -default-maxpairs: what explore-cold and append-requery keep.
+		{"minmax/maxpairs=20", []twovar.Constraint2{minmax}, 20},
 		{"dom2-disjoint/maxpairs=5000", []twovar.Constraint2{twovar.Dom2(constraint.DisjointFrom, kind, "Type", kind, "Type")}, 5000},
 		{"minmax+sum/maxpairs=5000", []twovar.Constraint2{minmax,
 			twovar.Agg2(attr.Sum, price, "Price", constraint.LE, attr.Sum, price, "Price")}, 5000},

@@ -32,7 +32,9 @@ type Stats struct {
 	// PairChecks counts the key comparisons final pair formation made
 	// (core.formPairs: binary-search probes for the leading 2-var
 	// constraint's partner ranges plus one per constraint tested on a
-	// pair; each set's aggregate is evaluated once and is not counted).
+	// pair; a materialized row costs one more range probe and no test of
+	// the leading constraint; each set's aggregate is evaluated once and
+	// is not counted).
 	// Outside the scope of ccc-optimality, reported for completeness.
 	PairChecks int64
 	// FrequentSets and ValidSets count discovered frequent sets and the

@@ -100,6 +100,14 @@ if grep -rnE '\.Satisfies\([^(),]+,[^()]*\)' internal/core internal/cap --includ
   echo "check.sh: per-pair 2-var Satisfies(s, t) under internal/core or internal/cap (evaluate twovar.Sides once per set)" >&2
   exit 1
 fi
+# And the join reads the valid sets where the levels hold them: its per-set
+# keys and projections walk LevelsS/LevelsT into exact-size slices.
+# Result.ValidS()/ValidT() concatenate the levels into a fresh list, which
+# is for the answer's readers, not for pair formation.
+if grep -nE 'Valid[ST]\(\)' internal/core/pairs.go; then
+  echo "check.sh: pair formation flattens the levels in internal/core/pairs.go (walk LevelsS/LevelsT in place)" >&2
+  exit 1
+fi
 if grep -rnE 'MoveToFront|lastUse' --include='*.go' . | grep -v '^./internal/lru/' | grep -v '_test.go'; then
   echo "check.sh: LRU recency bookkeeping outside internal/lru (use lru.Cache)" >&2
   exit 1
