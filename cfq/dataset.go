@@ -23,7 +23,10 @@ import (
 // one, and compiling hands the database the transaction slice itself, so the
 // leading rows of every compiled snapshot are the previous snapshot's. A
 // Session leans on this to carry a cached lattice across mutations by
-// counting only the appended rows (TestSnapshotsExtend pins it).
+// counting only the appended rows, and compiling leans on it to derive each
+// snapshot from the previous one (txdb.DB.Extend): the item supports, pair
+// supports and item columns grow by the appended rows instead of being
+// counted over every row again (TestSnapshotsExtend pins it).
 //
 // A Dataset is safe for concurrent use: mutators and query compilation
 // serialize on an internal lock, and each query evaluation captures an
@@ -247,7 +250,12 @@ func (d *Dataset) compileLocked() (err error) {
 	if !d.dirty && d.db != nil {
 		return nil
 	}
-	db := txdb.New(d.txs)
+	var db *txdb.DB
+	if d.db != nil {
+		db = d.db.Extend(d.txs)
+	} else {
+		db = txdb.New(d.txs)
+	}
 	attrs := attr.NewTable(d.numItems)
 	for name, vals := range d.numeric {
 		if err := attrs.SetNumeric(name, vals); err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/mine"
+	"repro/internal/txdb"
 )
 
 // growingDataset is a Quest dataset dense enough for lattices five levels
@@ -281,21 +282,60 @@ func TestSessionAttributeMutationKeepsLattice(t *testing.T) {
 // TestSnapshotsExtend pins the invariant carrying a lattice across
 // generations leans on: transactions are append-only, so the leading rows of
 // every compiled snapshot are the previous snapshot's, whichever mutator
-// grew the dataset and however it was created.
+// grew the dataset and however it was created. Each snapshot is derived from
+// the previous one (txdb.DB.Extend), so a session's query on it must answer
+// what a fresh session answers over a dataset compiled from scratch.
 func TestSnapshotsExtend(t *testing.T) {
-	base, _ := gen.Quest(gen.QuestParams{NumTransactions: 50, NumItems: 12, AvgTxSize: 4,
+	base, _ := gen.Quest(gen.QuestParams{NumTransactions: 60, NumItems: 12, AvgTxSize: 4,
 		NumPatterns: 5, AvgPatternSize: 3, Correlation: 0.5, CorruptionMean: 0.5, Seed: 3})
 	for name, ds := range map[string]*Dataset{"NewDataset": NewDataset(12), "WrapDB": WrapDB(base, 12)} {
 		t.Run(name, func(t *testing.T) {
+			prices := gen.UniformPrices(12, 0, 100, 5)
+			if err := ds.SetNumeric("Price", prices); err != nil {
+				t.Fatal(err)
+			}
 			prev, _, err := ds.snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess := NewSession(ds)
+			extended := 0
+			// query answers on the current snapshot in sess, which carries its
+			// lattice, in a fresh session, which mines the snapshot from its
+			// pair supports and item columns, and in a fresh session over a
+			// dataset New compiles from the same rows and prices.
+			query := func(db *txdb.DB) {
+				t.Helper()
+				fresh := WrapDB(txdb.New(db.Transactions()), 12)
+				if err := fresh.SetNumeric("Price", prices); err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewSession(fresh).Run(priceJoin(NewQuery(fresh).MinSupport(2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []*Session{sess, NewSession(ds)} {
+					got, err := s.Run(priceJoin(NewQuery(ds).MinSupport(2)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := answerJSON(t, got), answerJSON(t, want); a != b {
+						t.Fatalf("%d rows: session answer differs from a fresh dataset's:\n%s\n%s", db.Len(), a, b)
+					}
+				}
+				if db.Scans() == 0 {
+					extended++
+				}
+			}
+			query(prev)
 			mutations := []func() error{
 				func() error { return ds.AddTransaction(0, 3, 5) },
 				func() error { return ds.AddTransactions([][]int{{1, 2}, {}, {4, 11}}) },
 				func() error { return ds.ReadTransactions(strings.NewReader("0 1 2\n7 9\n")) },
-				func() error { return ds.SetNumeric("Price", make([]float64, 12)) }, // appends nothing
+				func() error { // appends nothing
+					prices = gen.UniformPrices(12, 0, 100, 6)
+					return ds.SetNumeric("Price", prices)
+				},
 				func() error { return ds.AddTransactions([][]int{{2, 3}}) },
 			}
 			grew := []int{1, 3, 2, 0, 1}
@@ -318,7 +358,11 @@ func TestSnapshotsExtend(t *testing.T) {
 						t.Fatalf("mutation %d rewrote row %d: %v, was %v", i, r, next.Transaction(r), tx)
 					}
 				}
+				query(next)
 				prev = next
+			}
+			if extended == 0 {
+				t.Error("no snapshot extended its parent's pair supports: the comparison is vacuous")
 			}
 		})
 	}

@@ -45,8 +45,9 @@ type advance struct {
 // The run is a Levelwise run — the same checkpoints, Stats, level spans and
 // Workers split — under one structural "<label>:advance" span. Level 1 reads
 // the item supports and level 2 the pair supports of cfg.DB, as in any run
-// (a new generation builds its pair table and item columns once, in one
-// pass); from level 3 on only what the appended rows touch is counted (see
+// (a generation made by txdb.DB.Extend extends its parent's pair table and
+// item columns by the appended rows; one New made builds them in one pass);
+// from level 3 on only what the appended rows touch is counted (see
 // advance), so Stats.CandidatesCounted charges those sets. The run reads no
 // row but the appended ones, and Stats.DBScans stays 0.
 //

@@ -215,21 +215,34 @@ func servedSupport(rows int) int { return max((rows+99)/100, 1) }
 // Both thresholds are the ones cfqd serves, so the prior's rounds up to the
 // new one and a set outside it needs one occurrence in the appended rows to
 // be counted over the old ones, as in 99 of every 100 served generations.
-// Every iteration is a new database generation (txdb.New over the same rows,
-// which copies none), as every served append is, so it builds its own item
-// and pair supports.
+// Every iteration is a new database generation, as every served append is.
+// In advance and remine it is txdb.New over the same rows (which copies
+// none), so it builds its own item and pair supports in one pass; in
+// advance-extend it is the parent generation's Extend, the parent holding its
+// table at the prior threshold, so it counts only the appended rows into a
+// copy of the parent's — the path a served append takes.
 func BenchmarkAdvance(b *testing.B) {
 	const delta = 10
 	for _, name := range []string{"dense", "wide"} {
 		f := newColdFixture(b, name)
 		rows := f.db.Len() - delta
 		priorMinSup := servedSupport(rows)
-		prior, _ := remine(b, Config{DB: txdb.New(f.db.Transactions()[:rows]), MinSupport: priorMinSup})
+		parent := txdb.New(f.db.Transactions()[:rows])
+		prior, _ := remine(b, Config{DB: parent, MinSupport: priorMinSup})
 		cfg := Config{MinSupport: servedSupport(f.db.Len())}
 		b.Run(name+"/advance", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg.DB = txdb.New(f.db.Transactions())
+				if _, err := Advance(context.Background(), cfg, prior, priorMinSup, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/advance-extend", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.DB = parent.Extend(f.db.Transactions())
 				if _, err := Advance(context.Background(), cfg, prior, priorMinSup, rows); err != nil {
 					b.Fatal(err)
 				}

@@ -474,9 +474,10 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 // holding a required rank, which are a prefix because required items hold
 // the lowest ranks — walked row by row in the lexicographic order level 3's
 // prefix join expects. Their supports are read from the database
-// generation's pair-support table (txdb.DB.PairSupports), which one pass
-// built for every run at this threshold or above; a run's own work is the
-// walk, which thresholds each cell as it reads it.
+// generation's pair-support table (txdb.DB.PairSupports), which serves every
+// run at this threshold or above — built in one pass, or extended from the
+// parent generation's table by the appended rows (txdb.DB.Extend); a run's
+// own work is the walk, which thresholds each cell as it reads it.
 func (l *Levelwise) stepTwo() ([]Counted, error) {
 	const genWhere = "level 2: candidate generation"
 	if err := l.guard.Check(genWhere); err != nil {

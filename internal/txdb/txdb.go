@@ -6,7 +6,9 @@
 // A DB is immutable, so what is counted over all of it belongs to the
 // database generation rather than to a query: the per-item supports, and the
 // pair supports and item bit columns (PairSupports) every mining run reads its
-// level 2 from and counts its levels ≥ 3 on.
+// level 2 from and counts its levels ≥ 3 on. A generation made by appending
+// rows to another (Extend) derives both from its parent's by counting the
+// appended rows only: such an extension reads no old row and records no pass.
 package txdb
 
 import (
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +47,11 @@ type DB struct {
 	// The pair supports at the lowest threshold asked for so far, nil before
 	// the first PairSupports call completes.
 	pairs atomic.Pointer[PairSupports]
+
+	// base is an earlier generation's table, whose rows are this database's
+	// leading rows (Extend); PairSupports extends it while it covers what is
+	// asked. It is released once the database publishes a table of its own.
+	base atomic.Pointer[PairSupports]
 }
 
 // New builds a database from the given transactions. Each transaction must
@@ -51,16 +59,55 @@ type DB struct {
 // malformed transaction indicates a programming error upstream. Transactions
 // are not copied; callers must not mutate them afterwards.
 func New(transactions []itemset.Set) *DB {
-	numItems := 0
+	return &DB{tx: transactions, numItems: domainOf(transactions, 0, 0)}
+}
+
+// domainOf validates transactions, which start at row first, and returns the
+// size of the item domain they and numItems items span together.
+func domainOf(transactions []itemset.Set, first, numItems int) int {
 	for i, t := range transactions {
 		if !t.Valid() {
-			panic(fmt.Sprintf("txdb.New: transaction %d is not a valid itemset: %v", i, t))
+			panic(fmt.Sprintf("txdb: transaction %d is not a valid itemset: %v", first+i, t))
 		}
 		if n := t.Len(); n > 0 && int(t[n-1])+1 > numItems {
 			numItems = int(t[n-1]) + 1
 		}
 	}
-	return &DB{tx: transactions, numItems: numItems}
+	return numItems
+}
+
+// Extend builds the database of all, whose first db.Len() transactions must
+// be db's own — the next generation of an append-only dataset. Only the
+// appended rows are validated (it panics on an invalid one, as New does) and
+// counted: the item supports are db's plus theirs, and the pair supports db
+// built, or failing those the table db itself extends from, become the new
+// database's base, which PairSupports extends by the appended rows instead of
+// making a pass. Neither database is changed; the transactions are not copied.
+func (db *DB) Extend(all []itemset.Set) *DB {
+	old := db.Len()
+	if len(all) < old {
+		panic(fmt.Sprintf("txdb.Extend: %d transactions do not extend a database of %d", len(all), old))
+	}
+	d := &DB{tx: all, numItems: domainOf(all[old:], old, db.numItems)}
+	sup := make([]int, d.numItems)
+	copy(sup, db.ItemSupports())
+	for _, t := range all[old:] {
+		for _, it := range t {
+			sup[it]++
+		}
+	}
+	d.statsOnce.Do(func() { d.supports, d.active = sup, activeItems(sup) })
+	// A table db publishes between the first two loads releases its base, so
+	// the third finds the table.
+	base := db.pairs.Load()
+	if base == nil {
+		base = db.base.Load()
+	}
+	if base == nil {
+		base = db.pairs.Load()
+	}
+	d.base.Store(base)
+	return d
 }
 
 // Len returns the number of transactions.
@@ -105,7 +152,9 @@ func (db *DB) Scan(fn func(tid int, t itemset.Set)) {
 // miner's pass count depend on its callers. The pass that builds a
 // PairSupports table is one: it reads every row, for the pair counts and the
 // item columns, and it is recorded once per build — so on the database,
-// though in no run's own counters. No mining run makes a pass of its own.
+// though in no run's own counters. A table extended from an earlier
+// generation's (Extend) reads only the appended rows and records no pass. No
+// mining run makes a pass of its own.
 func (db *DB) Scans() int64 { return atomic.LoadInt64(&db.scans) }
 
 // ResetScans zeroes the scan counter (used between experiment runs).
@@ -145,14 +194,19 @@ func (db *DB) itemStats() {
 				sup[it]++
 			}
 		}
-		var active itemset.Set
-		for it, c := range sup {
-			if c > 0 {
-				active = append(active, itemset.Item(it))
-			}
-		}
-		db.supports, db.active = sup, active
+		db.supports, db.active = sup, activeItems(sup)
 	})
+}
+
+// activeItems is the set of items whose support is positive.
+func activeItems(sup []int) itemset.Set {
+	var active itemset.Set
+	for it, c := range sup {
+		if c > 0 {
+			active = append(active, itemset.Item(it))
+		}
+	}
+	return active
 }
 
 // ItemSupports returns the support of every item, indexed by item id (length
@@ -177,9 +231,12 @@ func (db *DB) ActiveItems() itemset.Set {
 // threshold at or above its own exactly, and every set of a larger size is
 // made of covered items or is infrequent there too: one table serves every
 // run of a database generation at those thresholds, whatever items it mines.
-// A table is immutable.
+// A table extended from an earlier generation's covers that table's items,
+// which may include a few whose support has since fallen below its own
+// threshold. A table is immutable.
 type PairSupports struct {
 	minSup   int
+	rows     int     // the rows counted: the database's leading rows
 	frequent int     // cells at or above minSup
 	pos      []int32 // item → position among the covered items, -1 for the others
 	off      []int   // cells[off[a]+b] is the pair (a, b) of positions a < b
@@ -221,9 +278,11 @@ func (p *PairSupports) Column(a int32) []uint64 {
 }
 
 // PairSupportsBytes is the size of the cells and columns of a PairSupports
-// table at minSup: 4 bytes for every pair of the items whose support reaches
-// it, and ⌈rows/64⌉ words for each of those items. It reads only the item
-// supports, so it is the same whether or not a table has been built.
+// table built by a pass at minSup: 4 bytes for every pair of the items whose
+// support reaches it, and ⌈rows/64⌉ words for each of those items. It reads
+// only the item supports, so it is the same whether or not a table has been
+// built; a table extended from an earlier generation's can cover a few more
+// items than that (see PairSupports).
 func (db *DB) PairSupportsBytes(minSup int) int64 {
 	minSup = max(minSup, 1)
 	n := int64(0)
@@ -241,23 +300,33 @@ const buildBatch = 2048
 
 // PairSupports returns a table that covers every item whose support reaches
 // minSup (values below 1 are treated as 1). The table the database holds
-// serves when its threshold is at most minSup; otherwise one pass over the
-// rows builds a table at minSup, records a scan and publishes it, unless the
-// database has meanwhile published one at a threshold no higher, which is
-// returned instead. Readers of a replaced table keep reading it. Concurrent
-// callers may each build; no lock is held across the pass. workers ≥ 2 splits
-// the pass's rows among up to that many goroutines, on boundaries of 512
-// rows, so that no two write the same column word; they count pairs into
-// triangles of their own that are summed, and the result does not depend on
-// the split. ctx is polled
-// every buildBatch rows (by each goroutine, and once more after they join): a
-// cancelled build publishes nothing and returns ctx.Err().
+// serves when its threshold is at most minSup. Otherwise, when the database
+// has a base (Extend) that covers every such item, the base's cells and
+// columns are copied and the appended rows added to them, with no pass
+// recorded: any pair the base leaves out holds an item below minSup. Failing
+// that, one pass over the rows builds a table and records a scan. Either way
+// the new table is labelled minSup and published, unless the database has
+// meanwhile published one at a threshold no higher, which is returned
+// instead; publishing releases the base. Readers of a replaced table keep
+// reading it. Concurrent callers may each build; no lock is held across the
+// build. workers ≥ 2 splits a pass's rows among up to that many goroutines,
+// on boundaries of 512 rows, so that no two write the same column word; they
+// count pairs into triangles of their own that are summed, and the result
+// does not depend on the split. ctx is polled every buildBatch rows (by each
+// goroutine, and once more after they join): a cancelled build publishes
+// nothing and returns ctx.Err().
 func (db *DB) PairSupports(ctx context.Context, minSup, workers int) (*PairSupports, error) {
 	minSup = max(minSup, 1)
 	if p := db.pairs.Load(); p != nil && p.minSup <= minSup {
 		return p, nil
 	}
-	p, err := db.countPairs(ctx, minSup, workers)
+	var p *PairSupports
+	var err error
+	if base := db.base.Load(); base != nil && base.covers(db.ItemSupports(), minSup) {
+		p, err = base.extend(ctx, db.tx, minSup)
+	} else {
+		p, err = db.countPairs(ctx, minSup, workers)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -267,15 +336,73 @@ func (db *DB) PairSupports(ctx context.Context, minSup, workers int) (*PairSuppo
 			return cur, nil
 		}
 		if db.pairs.CompareAndSwap(cur, p) {
+			db.base.Store(nil)
 			return p, nil
 		}
 	}
 }
 
+// covers reports whether the table covers every item whose support, in sup,
+// reaches minSup.
+func (p *PairSupports) covers(sup []int, minSup int) bool {
+	for it, s := range sup {
+		if s >= minSup && p.Position(itemset.Item(it)) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// extend returns a table at minSup over all, whose leading rows are the ones
+// p counted: p's cells and columns, the columns widened to all's rows, with
+// the pairs and bits of the rows after them added. p is not changed. It polls
+// ctx before it starts and every buildBatch rows it adds.
+func (p *PairSupports) extend(ctx context.Context, all []itemset.Set, minSup int) (*PairSupports, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := len(p.off)
+	e := &PairSupports{minSup: minSup, rows: len(all), pos: p.pos, off: p.off,
+		cells: slices.Clone(p.cells), words: (len(all) + 63) / 64}
+	e.cols = make([]uint64, n*e.words)
+	for a := range n {
+		copy(e.cols[a*e.words:], p.Column(int32(a)))
+	}
+	var buf []int32 // the row's positions, ascending
+	for i, t := range all[p.rows:] {
+		if i > 0 && i%buildBatch == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		buf = buf[:0]
+		for _, it := range t {
+			if a := e.Position(it); a >= 0 {
+				buf = append(buf, a)
+			}
+		}
+		r := p.rows + i
+		word, bit := r/64, uint64(1)<<(r%64)
+		for x, a := range buf {
+			e.cols[int(a)*e.words+word] |= bit
+			row := e.off[a]
+			for _, b := range buf[x+1:] {
+				e.cells[row+int(b)]++
+			}
+		}
+	}
+	for _, k := range e.cells {
+		if int(k) >= minSup {
+			e.frequent++
+		}
+	}
+	return e, nil
+}
+
 // countPairs builds a PairSupports table at minSup in one pass.
 func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupports, error) {
 	sup := db.ItemSupports()
-	p := &PairSupports{minSup: minSup, pos: make([]int32, len(sup))}
+	p := &PairSupports{minSup: minSup, rows: len(db.tx), pos: make([]int32, len(sup))}
 	n := 0
 	for it, s := range sup {
 		p.pos[it] = -1

@@ -3,6 +3,7 @@ package txdb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -585,5 +586,297 @@ func TestPairSupportsConcurrentBuilds(t *testing.T) {
 	}
 	if p := db.pairs.Load(); p.MinSupport() != 150 {
 		t.Errorf("the database holds a table at %d, want the lowest threshold 150", p.MinSupport())
+	}
+}
+
+// skewedRows draws n rows over items ids, the low ids far more often than the
+// high ones, so that thresholds split the items into covered and uncovered.
+func skewedRows(r *rand.Rand, n, items int) []itemset.Set {
+	rows := make([]itemset.Set, n)
+	for i := range rows {
+		row := make([]itemset.Item, r.Intn(7))
+		for j := range row {
+			row[j] = itemset.Item(r.Intn(r.Intn(items) + 1))
+		}
+		rows[i] = itemset.New(row...)
+	}
+	return rows
+}
+
+// tableCell is the support of {x, y}, x < y, in a table that covers every
+// item of positive support, and 0 for a pair it leaves out.
+func tableCell(p *PairSupports, x, y itemset.Item) int32 {
+	a, b := p.Position(x), p.Position(y)
+	if a < 0 || b < 0 {
+		return 0
+	}
+	return p.Row(a)[b-a-1]
+}
+
+// checkExtended holds p, a table of db at minSup however it was made, to the
+// one-pass table of a database New builds over the same rows: db's item
+// statistics are that database's; p covers every item whose support reaches
+// minSup at ascending positions; every pair of covered items holds its
+// support, every covered item its column over db's rows (no bit past the
+// last), and Frequent counts the cells that reach minSup.
+func checkExtended(t *testing.T, db *DB, p *PairSupports, minSup int) {
+	t.Helper()
+	fresh := New(db.Transactions())
+	if db.NumItems() != fresh.NumItems() || !reflect.DeepEqual(db.ItemSupports(), fresh.ItemSupports()) ||
+		!db.ActiveItems().Equal(fresh.ActiveItems()) {
+		t.Fatalf("item statistics: %d items, supports %v, active %v; New: %d, %v, %v", db.NumItems(),
+			db.ItemSupports(), db.ActiveItems(), fresh.NumItems(), fresh.ItemSupports(), fresh.ActiveItems())
+	}
+	ref, err := fresh.PairSupports(context.Background(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.MinSupport() != minSup {
+		t.Fatalf("a table labelled %d, asked at %d", p.MinSupport(), minSup)
+	}
+	var covered []itemset.Item
+	for it, s := range db.ItemSupports() {
+		switch a := p.Position(itemset.Item(it)); {
+		case a >= 0:
+			if int(a) != len(covered) {
+				t.Fatalf("σ=%d: Position(%d) = %d, want %d", minSup, it, a, len(covered))
+			}
+			covered = append(covered, itemset.Item(it))
+		case s >= minSup:
+			t.Fatalf("σ=%d: item %d of support %d is not covered", minSup, it, s)
+		}
+	}
+	if got := p.Position(itemset.Item(db.NumItems() + 5)); got != -1 {
+		t.Errorf("Position of an item outside the database = %d, want -1", got)
+	}
+	words := (db.Len() + 63) / 64
+	frequent := 0
+	for a, x := range covered {
+		col := p.Column(int32(a))
+		want := make([]uint64, words)
+		if b := ref.Position(x); b >= 0 {
+			want = ref.Column(b)
+		}
+		if !slices.Equal(col, want) {
+			t.Fatalf("σ=%d: the column of %d is %x, want %x", minSup, x, col, want)
+		}
+		for _, y := range covered[a+1:] {
+			got, want := tableCell(p, x, y), tableCell(ref, x, y)
+			if got != want {
+				t.Fatalf("σ=%d: support of {%d,%d} = %d, want %d", minSup, x, y, got, want)
+			}
+			if int(want) >= minSup {
+				frequent++
+			}
+		}
+	}
+	if p.Frequent() != frequent {
+		t.Errorf("σ=%d: Frequent() = %d, %d pairs reach the threshold", minSup, p.Frequent(), frequent)
+	}
+}
+
+// tableBytes is a copy of a table's cells and columns.
+func tableBytes(p *PairSupports) [2][]byte {
+	var out [2][]byte
+	for _, c := range p.cells {
+		out[0] = binary.LittleEndian.AppendUint32(out[0], uint32(c))
+	}
+	for _, w := range p.cols {
+		out[1] = binary.LittleEndian.AppendUint64(out[1], w)
+	}
+	return out
+}
+
+// TestExtendMatchesNew: a chain of generations, each Extend of the last by
+// 0–70 rows, is asked at random thresholds; whether a generation extends its
+// base or makes a pass, what it returns equals what New over the same rows
+// gives (checkExtended). The appends include an empty one (an attribute-only
+// recompile), rows holding items above the parent's domain, and rows that lift
+// an item the base does not cover past the threshold, which must cost one
+// recorded pass, as any threshold the base does not cover must; one it covers
+// costs none. Some generations are asked under a cancelled context only and
+// publish nothing, so their children extend the table they kept as base.
+// Every table stays as it was published while its children extend it.
+func TestExtendMatchesNew(t *testing.T) {
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	chains := 12
+	if testing.Short() {
+		chains = 4
+	}
+	var extended, passes, lifted, grown, empty int
+	for seed := range chains {
+		r := rand.New(rand.NewSource(int64(seed)))
+		items := 10 + r.Intn(20)
+		all := skewedRows(r, 30+r.Intn(200), items)
+		db := New(all)
+		var base *PairSupports // the table db holds as its base, as the chain tracks it
+		type published struct {
+			p     *PairSupports
+			bytes [2][]byte
+		}
+		var tables []published
+		for g := range 20 + r.Intn(21) {
+			minSup := 1 + r.Intn(max(1, db.Len()/4))
+			if g > 0 {
+				parent := db
+				var delta []itemset.Set
+				switch k := r.Intn(8); {
+				case k == 0:
+					empty++
+				case k == 1: // items above the parent's domain
+					grown++
+					items += 1 + r.Intn(3)
+					delta = skewedRows(r, 1+r.Intn(70), items)
+					delta = append(delta, itemset.New(itemset.Item(items-1)))
+				case k == 2 && base != nil: // lift an uncovered item past the threshold
+					for it, s := range parent.ItemSupports() {
+						if base.Position(itemset.Item(it)) >= 0 {
+							continue
+						}
+						need := 1 + r.Intn(min(40, minSup))
+						minSup = s + need
+						for range need {
+							delta = append(delta, itemset.New(itemset.Item(it), itemset.Item(r.Intn(items))))
+						}
+						lifted++
+						break
+					}
+				default:
+					delta = skewedRows(r, r.Intn(71), items)
+				}
+				all = append(all, delta...)
+				db = parent.Extend(all)
+				if p := parent.pairs.Load(); p != nil {
+					base = p
+				}
+				if db.base.Load() != base {
+					t.Fatalf("chain %d, generation %d: the base is not the table the parent last published", seed, g)
+				}
+			}
+			covers := base != nil
+			for it, s := range db.ItemSupports() {
+				covers = covers && (s < minSup || base.Position(itemset.Item(it)) >= 0)
+			}
+			wantScans := int64(1)
+			if covers {
+				wantScans = 0
+			}
+			workers := 1 + 3*r.Intn(2)
+			if r.Intn(6) == 0 {
+				if p, err := db.PairSupports(cancelled, minSup, workers); p != nil || !errors.Is(err, context.Canceled) {
+					t.Fatalf("chain %d, generation %d: cancelled = (%v, %v), want context.Canceled", seed, g, p, err)
+				}
+				if db.pairs.Load() != nil || db.base.Load() != base || db.Scans() != wantScans {
+					t.Fatalf("chain %d, generation %d: a cancelled build published a table, dropped the base or made %d passes", seed, g, db.Scans())
+				}
+				continue
+			}
+			p, err := db.PairSupports(ctx, minSup, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.Scans() != wantScans {
+				t.Fatalf("chain %d, generation %d at %d: %d passes, want %d (base covers: %v)", seed, g, minSup, db.Scans(), wantScans, covers)
+			}
+			if db.base.Load() != nil {
+				t.Fatalf("chain %d, generation %d: the base outlived the generation's own table", seed, g)
+			}
+			checkExtended(t, db, p, minSup)
+			if covers {
+				extended++
+			} else {
+				passes++
+			}
+			tables = append(tables, published{p, tableBytes(p)})
+		}
+		for i, tab := range tables {
+			if got := tableBytes(tab.p); !reflect.DeepEqual(got, tab.bytes) {
+				t.Fatalf("chain %d: published table %d changed after its children extended it", seed, i)
+			}
+		}
+	}
+	t.Logf("%d generations extended, %d made a pass; appends: %d empty, %d grew the domain, %d lifted an uncovered item",
+		extended, passes, empty, grown, lifted)
+	if extended == 0 || passes == 0 || lifted == 0 || grown == 0 || empty == 0 {
+		t.Fatal("a chain shape did not occur: the comparison is vacuous")
+	}
+}
+
+// TestExtendLeavesParent: two children of one parent extend the same base at
+// two thresholds it covers, each asked by two goroutines at once, while other
+// goroutines read the parent's rows and its table; every caller gets a table
+// at its threshold that equals what New would give, no child makes a pass,
+// and the parent's table is byte for byte what it was. Run with -race.
+func TestExtendLeavesParent(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(45))
+	rows := skewedRows(r, 3000, 40)
+	parent := New(rows)
+	tab, err := parent.PairSupports(ctx, 60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tableBytes(tab)
+	sups := []int{60, 90}
+	children := make([]*DB, 2)
+	for c := range children {
+		children[c] = parent.Extend(append(slices.Clip(rows), skewedRows(r, 50+c*30, 40)...))
+	}
+	stop := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var sum uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range parent.Len() {
+					sum += uint64(parent.Transaction(i).Len())
+				}
+				for a := range int32(len(tab.off)) {
+					for _, w := range tab.Column(a) {
+						sum += w
+					}
+					for _, c := range tab.Row(a) {
+						sum += uint64(c)
+					}
+				}
+			}
+		}()
+	}
+	tabs := make([][]*PairSupports, len(children))
+	for c, child := range children {
+		tabs[c] = make([]*PairSupports, 2)
+		for k := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tabs[c][k], _ = child.PairSupports(ctx, sups[c], 1)
+			}()
+		}
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for c, child := range children {
+		if child.Scans() != 0 {
+			t.Fatalf("child %d made %d passes, want none", c, child.Scans())
+		}
+		for _, p := range tabs[c] {
+			if p == nil {
+				t.Fatalf("child %d: a caller got no table", c)
+			}
+			checkExtended(t, child, p, sups[c])
+		}
+	}
+	if !reflect.DeepEqual(tableBytes(tab), before) || parent.Scans() != 1 {
+		t.Fatal("extending the parent's table changed it")
 	}
 }

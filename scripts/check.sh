@@ -318,9 +318,10 @@ echo "== generation tables, mining and advance properties (-race -count=3) =="
 # columns equal naive row membership — under a real Workers split, whose
 # per-worker pair triangles and column tiles are written concurrently,
 # repeated so a scheduling-dependent miscount cannot hide behind one lucky
-# run.
+# run; a generation extended from its parent's table equals one New builds,
+# and children extending one base leave its readers' table untouched.
 go test -race -count=3 -run 'TestNewMakesNoPass|TestColumnCountsMatchSupport|TestAdvanceMatchesRemine|TestColumnCountCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
-go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds' ./internal/txdb
+go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds|TestExtendMatchesNew|TestExtendLeavesParent' ./internal/txdb
 go test -race -count=10 -run 'TestPruneSiteHandles' ./internal/obs
 
 echo "== advance fuzz smoke (10s) =="
