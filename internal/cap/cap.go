@@ -40,12 +40,12 @@ type Query struct {
 	Domain itemset.Set
 	// Constraints is the conjunction of 1-var constraints on the variable.
 	Constraints []constraint.Constraint
-	// ExtraFilter, when non-nil, is an additional anti-monotone candidate
-	// predicate supplied by the caller (the CFQ engine uses it to inject
-	// the Jmax-derived sum bounds, which tighten between levels). It is
-	// invoked outside the constraint-check accounting; callers that model
-	// it as constraint checking account for it themselves.
-	ExtraFilter func(level int, s itemset.Set) bool
+	// ExtraChecks, when non-nil, supplies additional anti-monotone checks
+	// for each level, tested after the query's own (the CFQ engine uses it
+	// to inject the Jmax-derived bounds, which tighten between levels). It
+	// is asked once per level (see mine.Config.Checks); each check names the
+	// counter its tests are added to and the site its rejections charge.
+	ExtraChecks func(level int) []mine.Check
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
 	// Workers sets the support-counting parallelism (see mine.Config).
@@ -332,13 +332,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 		src  constraint.Constraint
 		site *obs.PruneSite // charged when a universal predicate excludes an item
 	}
-	type siteFilter struct {
-		c    constraint.Constraint
-		site *obs.PruneSite
-	}
 	var universals []itemPred
 	var existentials []itemPred
-	var amFilters []siteFilter // anti-monotone, non-succinct
+	var amChecks []mine.Check // anti-monotone, non-succinct
 	var finalChecks []Check
 	for _, a := range an {
 		snf := a.cl.Succinct
@@ -355,7 +351,8 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			}
 		}
 		if a.cl.AntiMonotone && a.cl.Succinct == nil {
-			amFilters = append(amFilters, siteFilter{a.c, prune.Site(spanName(q.Label, "candidate-filter:"+a.c.String()))})
+			amChecks = append(amChecks, mine.Check{Cond: a.c, Counter: &stats.SetConstraintChecks,
+				Site: prune.Site(spanName(q.Label, "candidate-filter:"+a.c.String()))})
 		}
 		if !a.cl.FullyEnforced() {
 			finalChecks = append(finalChecks, Check{a.c, spanName(q.Label, "final-filter:"+a.c.String())})
@@ -446,21 +443,15 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 			return true
 		}
 	}
-	if len(amFilters) > 0 || q.ExtraFilter != nil {
-		cfg.CandidateFilter = func(level int, s itemset.Set) bool {
-			for _, f := range amFilters {
-				stats.SetConstraintChecks++
-				if !f.c.Satisfies(s) {
-					f.site.Add(1)
-					return false
-				}
-			}
-			// ExtraFilter (the Jmax dynamic bounds) charges its own site.
-			if q.ExtraFilter != nil && !q.ExtraFilter(level, s) {
-				return false
-			}
-			return true
+	switch {
+	case q.ExtraChecks != nil:
+		var level []mine.Check
+		cfg.Checks = func(k int) []mine.Check {
+			level = append(append(level[:0], amChecks...), q.ExtraChecks(k)...)
+			return level
 		}
+	case len(amChecks) > 0:
+		cfg.Checks = func(int) []mine.Check { return amChecks }
 	}
 
 	if unsatisfiable {

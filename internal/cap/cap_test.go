@@ -10,6 +10,7 @@ import (
 	"repro/internal/attr"
 	"repro/internal/constraint"
 	"repro/internal/itemset"
+	"repro/internal/mine"
 	"repro/internal/txdb"
 )
 
@@ -305,14 +306,16 @@ func TestExtraFilterAndLevels(t *testing.T) {
 	}
 	res, err := Run(context.Background(), Query{
 		DB: w.db, MinSupport: 2,
-		ExtraFilter: func(_ int, s itemset.Set) bool { return sumOK(s) },
+		ExtraChecks: func(int) []mine.Check {
+			return []mine.Check{{Cond: constraint.Agg(attr.Sum, w.num, "A", constraint.LE, 12)}}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range res.Sets() {
 		if !sumOK(c.Set) {
-			t.Errorf("ExtraFilter leaked %v", c.Set)
+			t.Errorf("ExtraChecks leaked %v", c.Set)
 		}
 	}
 	// Levels groups the filtered sets by cardinality, level 1 first.
@@ -334,7 +337,7 @@ func TestExtraFilterAndLevels(t *testing.T) {
 		},
 	})
 	if !mapsEqual(resultMap(res), resultMap(res2)) {
-		t.Error("ExtraFilter and sum constraint disagree")
+		t.Error("ExtraChecks and sum constraint disagree")
 	}
 }
 

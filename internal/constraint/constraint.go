@@ -164,6 +164,35 @@ type Constraint interface {
 	String() string
 }
 
+// PairForm is a constraint as it reads on a set of two items x and y:
+// Agg(x.A, y.A) Op C, where Agg is Sum (x.A + y.A), Max, Min or Count (the
+// constant 2, with no attribute). A test of the form gives what Satisfies
+// gives on {x, y}.
+type PairForm struct {
+	Agg  attr.Aggregate
+	Attr attr.Numeric // nil for Count
+	Op   Op
+	C    float64
+}
+
+// PairFormOf reports the pair form of c: an aggregation constraint on sum,
+// max or min of a numeric attribute, or a count or cardinality constraint,
+// has one; every other constraint has none.
+func PairFormOf(c Constraint) (PairForm, bool) {
+	switch k := c.(type) {
+	case *aggConstraint:
+		switch k.agg {
+		case attr.Sum, attr.Max, attr.Min:
+			return PairForm{Agg: k.agg, Attr: k.a, Op: k.op, C: k.c}, true
+		case attr.Count:
+			return PairForm{Agg: attr.Count, Op: k.op, C: k.c}, true
+		}
+	case *cardConstraint:
+		return PairForm{Agg: attr.Count, Op: k.op, C: float64(k.c)}, true
+	}
+	return PairForm{}, false
+}
+
 // ---------------------------------------------------------------------------
 // Aggregation constraints: agg(S.A) op c
 // ---------------------------------------------------------------------------

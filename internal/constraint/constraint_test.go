@@ -333,3 +333,65 @@ func TestFullyEnforced(t *testing.T) {
 		t.Error("monotone-only class fully enforced")
 	}
 }
+
+// TestPairFormMatchesSatisfies: on every pair of a small world, with
+// fractional and negative values and constants that land exactly on a pair's
+// aggregate, a pair form read as Agg(x.A, y.A) Op C gives what Satisfies
+// gives; sum, max, min and count constraints have one, the others none.
+func TestPairFormMatchesSatisfies(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	ops := []Op{LE, LT, GE, GT, EQ, NE}
+	aggs := []attr.Aggregate{attr.Min, attr.Max, attr.Sum, attr.Avg, attr.Count}
+	eval := func(f PairForm, x, y itemset.Item) float64 {
+		switch f.Agg {
+		case attr.Sum:
+			return f.Attr[x] + f.Attr[y]
+		case attr.Max:
+			return math.Max(f.Attr[x], f.Attr[y])
+		case attr.Min:
+			return math.Min(f.Attr[x], f.Attr[y])
+		}
+		return 2
+	}
+	forms := 0
+	for trial := 0; trial < 400; trial++ {
+		w := newWorld(r, 6)
+		for i := range w.num {
+			w.num[i] = float64(r.Intn(9)-3) / 4
+		}
+		var c Constraint
+		wantForm := true
+		switch r.Intn(4) {
+		case 0, 1:
+			agg := aggs[r.Intn(len(aggs))]
+			// A constant some pair's sum reaches exactly.
+			x, y := r.Intn(6), r.Intn(6)
+			c = Agg(agg, w.num, "A", ops[r.Intn(len(ops))], w.num[x]+w.num[y])
+			wantForm = agg != attr.Avg
+		case 2:
+			c = Card(ops[r.Intn(len(ops))], r.Intn(4))
+		case 3:
+			c = NumRange(w.num, "A", -0.5, 0.5)
+			wantForm = false
+		}
+		f, ok := PairFormOf(c)
+		if ok != wantForm {
+			t.Fatalf("%v: PairFormOf ok = %v, want %v", c, ok, wantForm)
+		}
+		if !ok {
+			continue
+		}
+		forms++
+		for x := range w.domain {
+			for y := x + 1; y < len(w.domain); y++ {
+				a, b := w.domain[x], w.domain[y]
+				if got, want := f.Op.Cmp(eval(f, a, b), f.C), c.Satisfies(itemset.New(a, b)); got != want {
+					t.Fatalf("%v on {%d, %d}: pair form %v, Satisfies %v", c, a, b, got, want)
+				}
+			}
+		}
+	}
+	if forms < 100 {
+		t.Fatalf("only %d constraints had a pair form", forms)
+	}
+}

@@ -288,8 +288,8 @@ type mining struct {
 	prune  *obs.PruneSet
 	cq     [2]cap.Query
 	dyns   []*dynState
-	// checks counts the dynamic-bound evaluations the candidate filters
-	// made; finalize folds it into Stats.SetConstraintChecks.
+	// checks counts the dynamic-bound tests the miners made; finalize folds
+	// it into Stats.SetConstraintChecks.
 	checks int64
 	// runners are the step-wise miners the run started (phase 1's and the
 	// reduced schedules'), finished the counters of the side-by-side miners
@@ -451,11 +451,11 @@ func (m *mining) finalize(res *Result) {
 }
 
 // prepare plans one side for the schedule, with (dynamic) or without the
-// candidate filter of the dynamic bounds that prune it.
+// checks of the dynamic bounds that prune it.
 func (m *mining) prepare(ctx context.Context, side twovar.Side, dynamic bool) (*cap.Runner, error) {
 	cq := m.cq[side]
 	if dynamic {
-		cq.ExtraFilter = dynFilter(m.dyns, side, &m.checks, m.prune)
+		cq.ExtraChecks = dynChecks(m.dyns, side, &m.checks, m.prune)
 	}
 	run, err := cap.Prepare(ctx, cq)
 	if err == nil {
@@ -647,13 +647,14 @@ func (ds *dynState) condition(b float64) constraint.Constraint {
 
 func opposite(side twovar.Side) twovar.Side { return twovar.SideS + twovar.SideT - side }
 
-// dynFilter builds the candidate filter enforcing the dynamic bounds that
-// prune the given side: the anti-monotone ones, plus — whatever its form —
-// any bound already at -Inf (see condition). As a charging closure (see
-// mine.Config.RequiredSite) it attributes each rejection to the first
-// failing bound in constraint order, at its "<side>:jmax:<bound>" site; the
-// engine counts the rejection itself.
-func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.PruneSet) func(int, itemset.Set) bool {
+// dynChecks is the check provider enforcing the dynamic bounds that prune the
+// given side: the anti-monotone ones, plus — whatever its form — any bound
+// already at -Inf (see condition). Each level gets a check for every such
+// bound that is no longer +Inf, in constraint order, built at the bound's
+// value for that level (a bound moves only between levels): a candidate
+// failing one is charged at its "<side>:jmax:<bound>" site, and every test
+// counts in checks. Nil when no bound qualifies.
+func dynChecks(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.PruneSet) func(int) []mine.Check {
 	type entry struct {
 		ds   *dynState
 		site *obs.PruneSite
@@ -673,23 +674,21 @@ func dynFilter(dyns []*dynState, side twovar.Side, checks *int64, prune *obs.Pru
 	if len(active) == 0 {
 		return nil
 	}
-	return func(_ int, s itemset.Set) bool {
+	var level []mine.Check
+	return func(int) []mine.Check {
+		level = level[:0]
 		for i := range active {
 			e := &active[i]
 			b := e.ds.bound()
 			if math.IsInf(b, 1) {
 				continue
 			}
-			*checks++
 			if e.cond == nil || b != e.at {
 				e.at, e.cond = b, e.ds.condition(b)
 			}
-			if !e.cond.Satisfies(s) {
-				e.site.Add(1)
-				return false
-			}
+			level = append(level, mine.Check{Cond: e.cond, Site: e.site, Counter: checks})
 		}
-		return true
+		return level
 	}
 }
 

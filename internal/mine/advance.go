@@ -51,10 +51,10 @@ type advance struct {
 // advance), so Stats.CandidatesCounted charges those sets. The run reads no
 // row but the appended ones, and Stats.DBScans stays 0.
 //
-// cfg must describe the whole lattice: Required, ReportValid,
-// CandidateFilter, PresetL1 and MaxLevel are rejected.
+// cfg must describe the whole lattice: Required, ReportValid, Checks,
+// PresetL1 and MaxLevel are rejected.
 func Advance(ctx context.Context, cfg Config, prior []Counted, priorMinSup, rows int) ([]Counted, error) {
-	if cfg.Required != nil || cfg.ReportValid != nil || cfg.CandidateFilter != nil || cfg.PresetL1 != nil || cfg.MaxLevel != 0 {
+	if cfg.Required != nil || cfg.ReportValid != nil || cfg.Checks != nil || cfg.PresetL1 != nil || cfg.MaxLevel != 0 {
 		return nil, fmt.Errorf("mine: Advance carries unconstrained lattices only")
 	}
 	l, err := New(ctx, cfg)

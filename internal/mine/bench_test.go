@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attr"
+	"repro/internal/constraint"
 	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/obs"
@@ -143,8 +145,8 @@ func newColdFixture(tb testing.TB, name string) coldFixture {
 // (Apriori⁺), the same stopped after level 1 (phase 1 of optimized and
 // sequential, twice per query), a price-range half of it with a Required
 // class (CAP with succinct constraints pushed), and that with an
-// anti-monotone CandidateFilter (CAP with a sum bound, or a Jmax bound,
-// pushed too). Every shape runs on one database, so after the first
+// anti-monotone sum check (CAP with a sum bound, or a Jmax bound, pushed
+// too), which level 2 tests on its pair form. Every shape runs on one database, so after the first
 // iteration it finds the generation's pair-support table, as every query of
 // a served generation but its first does. The fresh variants of the full
 // shapes mine a new database generation per iteration (txdb.New over the
@@ -161,12 +163,9 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 			required = append(required, itemset.Item(it))
 		}
 	}
-	sumAtMost := func(_ int, s itemset.Set) bool {
-		sum := 0.0
-		for _, it := range s {
-			sum += wide.prices[it]
-		}
-		return sum <= 2200
+	var checked int64
+	sumAtMost := func(int) []Check {
+		return []Check{{Cond: constraint.Agg(attr.Sum, wide.prices, "Price", constraint.LE, 2200), Counter: &checked}}
 	}
 	dense := newColdFixture(b, "dense")
 	shapes := []struct {
@@ -176,7 +175,7 @@ func BenchmarkLevelwiseCold(b *testing.B) {
 		{"wide/full", Config{DB: wide.db, MinSupport: wide.minSup}},
 		{"wide/phase1", Config{DB: wide.db, MinSupport: wide.minSup, MaxLevel: 1}},
 		{"wide/half-required", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required}},
-		{"wide/half-required-filter", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required, CandidateFilter: sumAtMost}},
+		{"wide/half-required-filter", Config{DB: wide.db, MinSupport: wide.minSup, Domain: half, Required: required, Checks: sumAtMost}},
 		{"dense/full", Config{DB: dense.db, MinSupport: dense.minSup}},
 		{"wide/full-fresh", Config{DB: wide.db, MinSupport: wide.minSup}},
 		{"dense/full-fresh", Config{DB: dense.db, MinSupport: dense.minSup}},

@@ -12,22 +12,22 @@ import (
 )
 
 // filterCalls mines db under cfg — level 1 by Step, every later level by
-// step — with a CandidateFilter that rejects sets whose item ids sum past
-// bound, and returns every call it received as "level:items", copied during
+// step — with a check that rejects sets whose item ids sum past bound, and
+// returns every set its condition was handed as "level:items", copied during
 // the call.
 func filterCalls(t *testing.T, db *txdb.DB, cfg Config, bound int,
 	step func(*Levelwise) ([]Counted, error)) []string {
 	t.Helper()
 	var calls []string
 	cfg.DB = db
-	cfg.CandidateFilter = func(level int, s itemset.Set) bool {
+	cfg.Checks = filterChecks(func(level int, s itemset.Set) bool {
 		calls = append(calls, fmt.Sprintf("%d:%v", level, []itemset.Item(s)))
 		sum := 0
 		for _, it := range s {
 			sum += int(it)
 		}
 		return sum <= bound
-	}
+	}, nil)
 	lw, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +45,10 @@ func filterCalls(t *testing.T, db *txdb.DB, cfg Config, bound int,
 	return calls
 }
 
-// TestCandidateFilterSeesCandidate: from level 2 on CandidateFilter borrows
-// the miner's one scratch set, and every call still sees exactly
+// TestCandidateFilterSeesCandidate: from level 2 on a check's condition
+// borrows the miner's one scratch set, and every call still sees exactly
 // toOrig(candidate) — the set, in original item space and sorted, that the
-// reference step hands the filter — at levels 1 to 4, with and without a
+// reference step hands the condition — at levels 1 to 4, with and without a
 // Required class. The class holds the higher items, so its ranks are not item
 // order and the scratch set must be sorted.
 func TestCandidateFilterSeesCandidate(t *testing.T) {
@@ -78,7 +78,7 @@ func TestCandidateFilterSeesCandidate(t *testing.T) {
 }
 
 // TestFilteredLevelTwoAllocs: a filtered level-2 step allocates the same
-// whether it walks C(100, 2) or C(300, 2) cells — the filter's set is
+// whether it walks C(100, 2) or C(300, 2) cells — the condition's set is
 // borrowed, not allocated per cell. Every item is frequent and no pair is,
 // so the level keeps no set of its own.
 func TestFilteredLevelTwoAllocs(t *testing.T) {
@@ -91,9 +91,9 @@ func TestFilteredLevelTwoAllocs(t *testing.T) {
 			}
 		}
 		db := txdb.New(txs)
-		cfg := Config{DB: db, MinSupport: minSup, CandidateFilter: func(level int, s itemset.Set) bool {
+		cfg := Config{DB: db, MinSupport: minSup, Checks: filterChecks(func(level int, s itemset.Set) bool {
 			return level < 2 || int(s[0]+s[1])%3 != 0
-		}}
+		}, nil)}
 		miners := make([]*Levelwise, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range miners {
 			lw, err := New(context.Background(), cfg)

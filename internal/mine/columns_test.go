@@ -19,7 +19,7 @@ import (
 
 // TestNewMakesNoPass: constructing a miner and mining level 1 read no
 // transaction — no pass on the database, none in Stats, no checkpoint in New
-// — with and without PresetL1 and a CandidateFilter, and the supports level 1
+// — with and without PresetL1 and a check, and the supports level 1
 // reports are the database's, preset entries outside the domain (or outside
 // every table) ignored. A level-2 run is the control: the database makes one
 // pass, once, for its pair table, and the run none.
@@ -69,8 +69,11 @@ func TestNewMakesNoPass(t *testing.T) {
 		want := tc.want
 		db.ResetScans()
 		stats := &Stats{}
-		lw, err := New(context.Background(), Config{DB: db, MinSupport: minSup, MaxLevel: 1, Domain: tc.domain,
-			PresetL1: tc.preset, CandidateFilter: tc.filter, Stats: stats})
+		cfg := Config{DB: db, MinSupport: minSup, MaxLevel: 1, Domain: tc.domain, PresetL1: tc.preset, Stats: stats}
+		if tc.filter != nil {
+			cfg.Checks = filterChecks(tc.filter, nil)
+		}
+		lw, err := New(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +155,10 @@ func (l *Levelwise) referenceStep(support func(itemset.Set) int) ([]Counted, err
 			return nil, err
 		}
 	}
-	if l.cfg.CandidateFilter != nil {
+	if filter := l.referenceFilter(k); filter != nil {
 		kept := cands[:0]
 		for _, c := range cands {
-			if l.cfg.CandidateFilter(k, l.toOrig(c)) {
+			if filter(l.toOrig(c)) {
 				kept = append(kept, c)
 			} else {
 				l.stats.CandidatesPruned++
@@ -216,7 +219,7 @@ type latticeRun struct {
 	sets     [][][]int32 // join state after each level
 	sup      [][]int
 	keys     []map[string]int
-	calls    []string // CandidateFilter / ReportValid calls, in order
+	calls    []string // check condition / ReportValid calls, in order
 	stats    Stats    // Checkpoints zeroed
 	sites    obs.Counters
 }

@@ -10,17 +10,22 @@
 //     only sets containing at least one required item are candidates, and
 //     the internal item order places required items first so the prefix
 //     join remains complete (the generate-only property of succinctness);
-//   - an anti-monotone CandidateFilter consulted before a candidate is
-//     counted (frequency-style pushing of anti-monotone constraints,
-//     including the Jmax-derived sum bounds of Section 5.2);
+//   - a per-level list of anti-monotone Checks a candidate must pass before
+//     it is counted (frequency-style pushing of anti-monotone constraints,
+//     including the Jmax-derived sum bounds of Section 5.2). The checks are
+//     data the miner evaluates: a constraint is handed the miner's borrowed
+//     scratch set, and at level 2 a sum, max, min or count constraint is
+//     tested on its pair form — an add (or max, min, constant) and a compare
+//     over the attribute read once per L1 item — without building the set;
 //   - step-at-a-time execution (Step) so two lattices can be dovetailed.
 //
 // The engine works internally in a dense "rank" space ordered
 // required-items-first and converts back to original item space at the API
 // boundary. It keeps no copy of the database and makes no pass over it:
-// level 1 reads the per-item supports the database holds, level 2 the pair
-// supports the database generation holds, and levels ≥ 3 count on the item
-// bit columns the same pass built for the generation (columns.go).
+// level 1 reads the per-item supports the database holds, level 2 the
+// frequent cells of the pair supports the database generation holds (each
+// item's partner list), and levels ≥ 3 count on the item bit columns the
+// same pass built for the generation (columns.go).
 package mine
 
 import (
@@ -53,13 +58,20 @@ type Config struct {
 	// generation (it encodes additional existential classes, which are not
 	// anti-monotone). Called in original item space.
 	ReportValid func(itemset.Set) bool
-	// CandidateFilter, when non-nil, is consulted before counting a
-	// candidate; rejected candidates are discarded and never extended, so
-	// the predicate must be anti-monotone. Called in original item space
-	// with a borrowed set: from level 2 on the miner reuses one buffer for
-	// every call, so s is valid only during the call and must be neither
-	// modified nor retained (copy it to keep it).
-	CandidateFilter func(level int, s itemset.Set) bool
+	// Checks, when non-nil, gives the conditions a candidate of the level
+	// must pass before it is counted. It is asked once per level, before the
+	// level's candidates are filtered, and the list it returns is read only
+	// during that level. Each candidate is tested against the checks in
+	// order, each test adding one to the check's Counter, and the first that
+	// fails charges its Site and discards the candidate, which is never
+	// extended — so every condition must be anti-monotone. A condition is
+	// evaluated in original item space on a borrowed set: from level 2 on the
+	// miner reuses one buffer, so Satisfies must neither modify nor retain it.
+	// At level 2 a condition with a pair form (constraint.PairFormOf) is not
+	// handed a set at all: it is tested on the two items' attribute values.
+	// With Checks non-nil a level passes its "candidate filtering"
+	// checkpoints even when the list is empty.
+	Checks func(level int) []Check
 	// MaxLevel stops mining after this level; 0 means unlimited.
 	MaxLevel int
 	// Workers sets the number of goroutines that build the database
@@ -73,7 +85,7 @@ type Config struct {
 	// prunes none for frequency: this is how the CFQ optimizer applies the
 	// quasi-succinct reduction "immediately after the first iteration of
 	// counting" without charging level 1 twice. Entries outside Domain
-	// are ignored; entries failing CandidateFilter are dropped.
+	// are ignored; entries failing a level-1 check are dropped.
 	PresetL1 []Counted
 	// Budget, when non-nil, caps the resources the run may consume; an
 	// overrun aborts mining with a *BudgetError. Budgets shared across
@@ -91,8 +103,8 @@ type Config struct {
 	//
 	// Pruning attribution contract: the engine increments
 	// Stats.CandidatesPruned for every discarded candidate and charges the
-	// sites it owns (frequency, Required exclusion) itself; a rejection by
-	// CandidateFilter or ReportValid is the *closure's* site to charge —
+	// sites it owns (frequency, Required exclusion, each Check's Site)
+	// itself; a rejection by ReportValid is the *closure's* site to charge —
 	// a charging closure must charge the context's PruneSet exactly once
 	// per false return, so per-site sums keep matching the total.
 	RequiredSite string
@@ -129,7 +141,8 @@ type Levelwise struct {
 	prevKeys map[string]int // rank-set key → index in prevSets; built by keys() on first use
 	key      []byte         // scratch for probing prevKeys without allocating
 
-	filterSet itemset.Set // the set CandidateFilter borrows at levels ≥ 2
+	filterSet itemset.Set  // the set a check borrows at levels ≥ 2
+	checks    []levelCheck // the checks of the level being filtered, with their tallies
 
 	l1Ranks []int32 // frequent item ranks after level 1 (all, incl. non-required)
 	l1Sup   []int   // supports parallel to l1Ranks
@@ -275,8 +288,8 @@ func (l *Levelwise) toOrig(rs []int32) itemset.Set {
 }
 
 // borrow writes rs in original item space, sorted, into the miner's
-// filterSet and returns it: the set CandidateFilter borrows, overwritten by
-// the next call.
+// filterSet and returns it: the set a check's condition borrows, overwritten
+// by the next call.
 func (l *Levelwise) borrow(rs ...int32) itemset.Set {
 	s := l.filterSet[:0]
 	for _, r := range rs {
@@ -366,7 +379,7 @@ func (l *Levelwise) finishLevelCheck() {
 }
 
 // stepOne establishes level 1 without reading a transaction: every domain
-// item (optionally pre-filtered by the anti-monotone CandidateFilter) takes
+// item (optionally pre-filtered by the level's anti-monotone checks) takes
 // its support from the database's per-generation item statistics, unless
 // PresetL1 supplies the counts.
 func (l *Levelwise) stepOne() ([]Counted, error) {
@@ -382,6 +395,7 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 	// be frequency-pruned below. Preset ranks were counted by an earlier
 	// run, which already charged their frequency pruning.
 	counted := make([]bool, n)
+	filter := l.levelChecks(1)
 	if l.cfg.PresetL1 != nil {
 		for _, c := range l.cfg.PresetL1 {
 			if c.Set.Len() != 1 || int(c.Set[0]) >= len(l.itemToRank) {
@@ -391,8 +405,8 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 			if r < 0 {
 				continue // outside the domain
 			}
-			if l.cfg.CandidateFilter != nil && !l.cfg.CandidateFilter(1, c.Set) {
-				l.stats.CandidatesPruned++ // site charged by the filter closure
+			if filter && !l.passes(c.Set) {
+				l.stats.CandidatesPruned++
 				continue
 			}
 			counts[r] = c.Support
@@ -400,8 +414,8 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 	} else {
 		sup := l.cfg.DB.ItemSupports()
 		for r, it := range l.rankToItem {
-			if l.cfg.CandidateFilter != nil && !l.cfg.CandidateFilter(1, single(r)) {
-				l.stats.CandidatesPruned++ // site charged by the filter closure
+			if filter && !l.passes(single(r)) {
+				l.stats.CandidatesPruned++
 				continue
 			}
 			counted[r] = true
@@ -411,6 +425,7 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 			}
 		}
 	}
+	l.flushChecks()
 
 	// A singleton is valid iff it is required (when a Required class exists
 	// — one with no member in the domain validates nothing); invalid
@@ -472,12 +487,21 @@ func (l *Levelwise) stepOne() ([]Counted, error) {
 // candidates are the pairs of L1 positions (p, q), p < q, whose first element
 // may lead a valid set — every position, or with a Required class only those
 // holding a required rank, which are a prefix because required items hold
-// the lowest ranks — walked row by row in the lexicographic order level 3's
+// the lowest ranks — numbered row by row in the lexicographic order level 3's
 // prefix join expects. Their supports are read from the database
 // generation's pair-support table (txdb.DB.PairSupports), which serves every
 // run at this threshold or above — built in one pass, or extended from the
-// parent generation's table by the appended rows (txdb.DB.Extend); a run's
-// own work is the walk, which thresholds each cell as it reads it.
+// parent generation's table by the appended rows (txdb.DB.Extend). A run
+// reads only the table's frequent cells: row p visits the partners of its
+// item, so the walk costs the rows and the frequent pairs, not the cells.
+// The level's checks are the one per-cell cost left, an arithmetic test where
+// they have a pair form; the cells they reject are masked.
+//
+// The level's checkpoints fall where a walk over every cell would pass them:
+// one per genCheckBatch cells filtered, and one per genCheckBatch cells read,
+// each taken before the first frequent cell at or past its index, or at the
+// end. A checkpoint between two frequent cells sees the state the cells in
+// between leave, which is none.
 func (l *Levelwise) stepTwo() ([]Counted, error) {
 	const genWhere = "level 2: candidate generation"
 	if err := l.guard.Check(genWhere); err != nil {
@@ -496,27 +520,40 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		cells += n1 - 1 - p
 	}
 
-	// Anti-monotone candidate filter: consulted once per cell in lex order
-	// (the closure charges its own prune site); rejected cells are masked.
+	// Anti-monotone checks: each cell is tested in lex order, and the
+	// tallies are flushed before every checkpoint.
 	kept := cells
-	var masked []bool
-	if l.cfg.CandidateFilter != nil {
-		masked = make([]bool, cells)
-		c := 0
-		for p := 0; p < rows; p++ {
-			for q := p + 1; q < n1; q++ {
-				if c%genCheckBatch == 0 {
-					if err := l.guard.Check("level 2: candidate filtering"); err != nil {
-						return nil, err
-					}
+	var mask []uint64
+	if l.levelChecks(2) {
+		const filterWhere = "level 2: candidate filtering"
+		if len(l.checks) == 0 {
+			for c := 0; c < cells; c += genCheckBatch {
+				if err := l.guard.Check(filterWhere); err != nil {
+					return nil, err
 				}
-				if !l.cfg.CandidateFilter(2, l.borrow(l.l1Ranks[p], l.l1Ranks[q])) {
-					masked[c] = true
-					kept--
-					l.stats.CandidatesPruned++ // site charged by the filter closure
-				}
-				c++
 			}
+		} else {
+			l.pairForms()
+			mask = make([]uint64, (cells+63)/64)
+			// A row is tested in pieces that end where a checkpoint falls.
+			c := 0
+			for p := 0; p < rows; p++ {
+				for q := p + 1; q < n1; {
+					if c%genCheckBatch == 0 {
+						l.flushChecks()
+						if err := l.guard.Check(filterWhere); err != nil {
+							return nil, err
+						}
+					}
+					end := min(n1, q+genCheckBatch-c%genCheckBatch)
+					rejected := l.filterCells(mask, p, q, end, c)
+					kept -= rejected
+					l.stats.CandidatesPruned += int64(rejected)
+					c += end - q
+					q = end
+				}
+			}
+			l.flushChecks()
 		}
 	}
 
@@ -552,14 +589,6 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 		}
 		return nil, fmt.Errorf("mine: %s: %w", countWhere, err)
 	}
-	// at[p] is the table position of L1 position p. The table covers every
-	// item at the run's threshold; only a PresetL1 entry the database does
-	// not support can be missing (-1), and its pairs are infrequent.
-	at := make([]int32, n1)
-	for p, r := range l.l1Ranks {
-		at[p] = tab.Position(l.rankToItem[r])
-	}
-
 	// A table built at the run's threshold knows how many of its cells reach
 	// it; one built lower counts cells this run does not keep, so the
 	// level's state then grows as the frequent cells are read.
@@ -570,32 +599,41 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 	var out []Counted
 	l.resetLevel(capacity)
 	pairs := make([]int32, 0, 2*capacity) // backs the level's rank-space sets
-	frequent, c := 0, 0
-	for p := 0; p < rows; p++ {
-		a := at[p]
-		var row []int32
-		if a >= 0 {
-			row = tab.Row(a)
+	frequent := 0
+	next := genCheckBatch // the index of the next counting checkpoint
+	first := 0            // the index of the cell (p, p+1)
+	var qs []int          // the row's frequent partners, as L1 positions
+	for p := 0; p < rows; p, first = p+1, first+n1-1-p {
+		// The table covers every item at the run's threshold; only a
+		// PresetL1 entry the database does not support can be missing, and
+		// its pairs are infrequent.
+		a := tab.Position(l.rankToItem[l.l1Ranks[p]])
+		if a < 0 {
+			continue
 		}
-		for q := p + 1; q < n1; q, c = q+1, c+1 {
-			if c > 0 && c%genCheckBatch == 0 {
+		// The partners ascend with their items, and so do L1 positions
+		// within a class: the row's cells come out of order only when a
+		// Required class put a later L1 position before a lower item.
+		qs = qs[:0]
+		for _, b := range tab.Partners(a) {
+			if q := l.l1Position(tab.Item(b)); q > p {
+				qs = append(qs, q)
+			}
+		}
+		if l.nRequired > 0 {
+			slices.Sort(qs)
+		}
+		for _, q := range qs {
+			c := first + q - p - 1
+			for ; next <= c; next += genCheckBatch {
 				if err := l.guard.Check(countWhere); err != nil {
 					return nil, err
 				}
 			}
-			if masked != nil && masked[c] {
+			if mask != nil && mask[c>>6]&(1<<(c&63)) != 0 {
 				continue
 			}
-			// Positions ascend with items, and so do L1 positions within a
-			// class: a later L1 position sits earlier in the table only
-			// when a Required class put it after a lower item.
-			n := int32(0)
-			switch b := at[q]; {
-			case b > a && a >= 0:
-				n = row[b-a-1]
-			case b >= 0 && b < a:
-				n = tab.Row(b)[a-b-1]
-			}
+			n := tab.Cell(a, tab.Position(l.rankToItem[l.l1Ranks[q]]))
 			if int(n) < l.cfg.MinSupport {
 				continue
 			}
@@ -604,9 +642,27 @@ func (l *Levelwise) stepTwo() ([]Counted, error) {
 			out = l.addFrequent(pairs[len(pairs)-2:len(pairs):len(pairs)], nil, int(n), out)
 		}
 	}
+	for ; next < cells; next += genCheckBatch {
+		if err := l.guard.Check(countWhere); err != nil {
+			return nil, err
+		}
+	}
 	l.stats.CandidatesPruned += int64(kept - frequent)
 	l.freqSite.Add(int64(kept - frequent))
 	return out, nil
+}
+
+// l1Position returns the L1 position of item it, or -1 when it is not a
+// frequent item of the run's domain.
+func (l *Levelwise) l1Position(it itemset.Item) int {
+	r := l.itemToRank[it]
+	if r < 0 {
+		return -1
+	}
+	if q, ok := slices.BinarySearch(l.l1Ranks, r); ok {
+		return q
+	}
+	return -1
 }
 
 // resetLevel empties the per-level state before a level's frequent sets are
@@ -674,21 +730,23 @@ func (l *Levelwise) stepK() ([]Counted, error) {
 		return nil, err
 	}
 
-	// Anti-monotone candidate filter.
-	if l.cfg.CandidateFilter != nil {
+	// Anti-monotone checks, tallied and flushed before every checkpoint.
+	if l.levelChecks(k + 1) {
 		kept := cands[:0]
 		for i, c := range cands {
 			if i%genCheckBatch == 0 {
+				l.flushChecks()
 				if err := l.guard.Check(fmt.Sprintf("level %d: candidate filtering", k+1)); err != nil {
 					return nil, err
 				}
 			}
-			if l.cfg.CandidateFilter(k+1, l.borrow(c...)) {
+			if len(l.checks) == 0 || l.passes(l.borrow(c...)) {
 				kept = append(kept, c)
 			} else {
-				l.stats.CandidatesPruned++ // site charged by the filter closure
+				l.stats.CandidatesPruned++
 			}
 		}
+		l.flushChecks()
 		cands = kept
 	}
 

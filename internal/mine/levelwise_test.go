@@ -217,7 +217,7 @@ func TestCandidateFilter(t *testing.T) {
 		}
 		lw, err := New(context.Background(), Config{
 			DB: db, MinSupport: minSup,
-			CandidateFilter: func(_ int, s itemset.Set) bool { return sumOK(s) },
+			Checks: filterChecks(func(_ int, s itemset.Set) bool { return sumOK(s) }, nil),
 		})
 		if err != nil {
 			return false
@@ -336,14 +336,14 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Instrument: wrap CandidateFilter to observe candidates (always true).
+	// Instrument: a check that observes candidates (always true).
 	sawInvalid := false
-	lw.cfg.CandidateFilter = func(level int, s itemset.Set) bool {
+	lw.cfg.Checks = filterChecks(func(level int, s itemset.Set) bool {
 		if level >= 2 && !s.Intersects(itemset.New(0, 1)) {
 			sawInvalid = true
 		}
 		return true
-	}
+	}, nil)
 	lw.RunAll()
 	if sawInvalid {
 		t.Error("counted an invalid candidate beyond level 1")

@@ -86,9 +86,9 @@ func TestPresetL1Filtering(t *testing.T) {
 		DB: db, MinSupport: 2,
 		Domain:   itemset.New(0, 1, 2, 3, 4),
 		PresetL1: preset,
-		CandidateFilter: func(_ int, s itemset.Set) bool {
+		Checks: filterChecks(func(_ int, s itemset.Set) bool {
 			return !s.Contains(2) // drop item 2
-		},
+		}, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

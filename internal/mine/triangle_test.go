@@ -45,14 +45,15 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 	}
 	kept := make([]bool, len(cands))
 	nKept := 0
+	filter := l.referenceFilter(2)
 	for i, c := range cands {
-		if l.cfg.CandidateFilter != nil {
+		if filter != nil {
 			if i%genCheckBatch == 0 {
 				if err := l.guard.Check("level 2: candidate filtering"); err != nil {
 					return nil, err
 				}
 			}
-			if !l.cfg.CandidateFilter(2, l.toOrig(c)) {
+			if !filter(l.toOrig(c)) {
 				l.stats.CandidatesPruned++
 				continue
 			}
@@ -81,6 +82,7 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 	}
 	var out []Counted
 	l.resetLevel(nKept)
+	infrequent := 0
 	for i, c := range cands {
 		if i%genCheckBatch == 0 {
 			if err := l.guard.Check("level 2: counting"); err != nil {
@@ -95,12 +97,15 @@ func (l *Levelwise) referenceStepTwo() ([]Counted, error) {
 			sup += bits.OnesCount64(w & cols[c[1]][x])
 		}
 		if sup < l.cfg.MinSupport {
-			l.stats.CandidatesPruned++
-			l.freqSite.Add(1)
+			infrequent++
 			continue
 		}
 		out = l.addFrequent(c, nil, sup, out)
 	}
+	// The infrequent cells are charged once the walk is over, so a run
+	// stopped inside it has charged none.
+	l.stats.CandidatesPruned += int64(infrequent)
+	l.freqSite.Add(int64(infrequent))
 	// Later levels count on the generation's item columns, which stepTwo
 	// hands them; reading the table here passes no checkpoint.
 	tab, err := l.cfg.DB.PairSupports(context.Background(), l.cfg.MinSupport, 1)
@@ -131,7 +136,7 @@ type triangleRun struct {
 	sup      []int
 	keys     map[string]int
 	// events is the interleaved sequence of checkpoints (by label) and
-	// CandidateFilter / ReportValid calls (by argument).
+	// check condition / ReportValid calls (by argument).
 	events []string
 	stats  Stats
 	sites  obs.Counters
@@ -180,27 +185,19 @@ func (c triangleCase) config(t *testing.T, db *txdb.DB, minSup int, run *triangl
 		// Anti-monotone: item ids are non-negative, so a superset's sum is
 		// no smaller.
 		bound := len(sup) + len(sup)/2
-		cfg.CandidateFilter = func(level int, s itemset.Set) bool {
+		cfg.Checks = filterChecks(func(level int, s itemset.Set) bool {
 			run.events = append(run.events, fmt.Sprintf("filter %d %s", level, s.Key()))
 			sum := 0
 			for _, it := range s {
 				sum += int(it)
 			}
-			if sum > bound {
-				prune.Site("test:candidate-filter").Add(1)
-				return false
-			}
-			return true
-		}
+			return sum <= bound
+		}, prune.Site("test:candidate-filter"))
 	case "reject-all":
-		cfg.CandidateFilter = func(level int, s itemset.Set) bool {
+		cfg.Checks = filterChecks(func(level int, s itemset.Set) bool {
 			run.events = append(run.events, fmt.Sprintf("filter %d %s", level, s.Key()))
-			if level >= 2 {
-				prune.Site("test:candidate-filter").Add(1)
-				return false
-			}
-			return true
-		}
+			return level < 2
+		}, prune.Site("test:candidate-filter"))
 	}
 	if c.report {
 		cfg.ReportValid = func(s itemset.Set) bool {
@@ -546,10 +543,10 @@ func TestLevel2StateSizedByRun(t *testing.T) {
 func TestLevel2CancelUnwinds(t *testing.T) {
 	r := rand.New(rand.NewSource(182))
 	db := randomDB(r, 3*buildBatch, 16, 8)
-	filter := func(int, itemset.Set) bool { return true } // adds the filtering checkpoints
+	filter := filterChecks(func(int, itemset.Set) bool { return true }, nil) // adds the filtering checkpoints
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
-		cfg := Config{DB: db, MinSupport: 30, Workers: workers, CandidateFilter: filter}
+		cfg := Config{DB: db, MinSupport: 30, Workers: workers, Checks: filter}
 		at := passCheckpoints(t, cfg, "level 2:")
 		if len(at) < 3 {
 			t.Fatalf("only %d level-2 checkpoints; first/middle/last are not distinct", len(at))
@@ -576,7 +573,7 @@ func TestLevel2CancelUnwinds(t *testing.T) {
 		if n := ctx.polls.Load(); workers == 1 && n != counting+3 || n < counting+3 {
 			t.Fatalf("workers=%d: %d polls, want the build's second one and the checkpoint after it (%d)", workers, n, counting+3)
 		}
-		want, wantStats := remine(t, Config{DB: txdb.New(db.Transactions()), MinSupport: 30, Workers: workers, CandidateFilter: filter})
+		want, wantStats := remine(t, Config{DB: txdb.New(db.Transactions()), MinSupport: 30, Workers: workers, Checks: filter})
 		got, gotStats := remine(t, cfg)
 		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 			t.Fatalf("workers=%d: the run after a cancelled build differs from one on a fresh database", workers)

@@ -233,16 +233,23 @@ func (db *DB) ActiveItems() itemset.Set {
 // run of a database generation at those thresholds, whatever items it mines.
 // A table extended from an earlier generation's covers that table's items,
 // which may include a few whose support has since fallen below its own
-// threshold. A table is immutable.
+// threshold. Each covered position also lists its partners, the positions it
+// forms a pair reaching the threshold with (Partners), so a run reads the
+// frequent cells without visiting the others. A table is immutable.
 type PairSupports struct {
 	minSup   int
-	rows     int     // the rows counted: the database's leading rows
-	frequent int     // cells at or above minSup
-	pos      []int32 // item → position among the covered items, -1 for the others
-	off      []int   // cells[off[a]+b] is the pair (a, b) of positions a < b
+	rows     int            // the rows counted: the database's leading rows
+	frequent int            // cells at or above minSup
+	pos      []int32        // item → position among the covered items, -1 for the others
+	items    []itemset.Item // position → item
+	off      []int          // cells[off[a]+b] is the pair (a, b) of positions a < b
 	cells    []int32
 	words    int      // words per column: ⌈rows/64⌉
 	cols     []uint64 // the column of position a is cols[a*words : (a+1)*words]
+	// The partners of position a are partners[partOff[a]:partOff[a+1]],
+	// ascending: 4 bytes in each of the two lists a frequent pair is in.
+	partOff  []int
+	partners []int32
 }
 
 // MinSupport is the threshold the table was built at.
@@ -262,11 +269,28 @@ func (p *PairSupports) Position(it itemset.Item) int32 {
 	return p.pos[it]
 }
 
+// Item returns the item at covered position a.
+func (p *PairSupports) Item(a int32) itemset.Item { return p.items[a] }
+
 // Row returns the supports of the pairs (a, b), b > a, of covered positions,
 // the one of (a, b) at b-a-1. The slice is shared and must not be mutated.
 func (p *PairSupports) Row(a int32) []int32 {
 	start := p.off[a] + int(a) + 1
 	return p.cells[start : start+len(p.off)-int(a)-1]
+}
+
+// Cell returns the support of the pair of covered positions a ≠ b.
+func (p *PairSupports) Cell(a, b int32) int32 {
+	if b < a {
+		a, b = b, a
+	}
+	return p.cells[p.off[a]+int(b)]
+}
+
+// Partners returns the covered positions b ≠ a whose pair with a reaches the
+// table's threshold, ascending. The slice is shared and must not be mutated.
+func (p *PairSupports) Partners(a int32) []int32 {
+	return p.partners[p.partOff[a]:p.partOff[a+1]:p.partOff[a+1]]
 }
 
 // Column returns the bit column of covered position a: bit j%64 of word j/64
@@ -282,7 +306,9 @@ func (p *PairSupports) Column(a int32) []uint64 {
 // support reaches it, and ⌈rows/64⌉ words for each of those items. It reads
 // only the item supports, so it is the same whether or not a table has been
 // built; a table extended from an earlier generation's can cover a few more
-// items than that (see PairSupports).
+// items than that (see PairSupports). The partner lists, 8 bytes for each
+// frequent pair, are not included: their size is known only once the pairs
+// are counted.
 func (db *DB) PairSupportsBytes(minSup int) int64 {
 	minSup = max(minSup, 1)
 	n := int64(0)
@@ -362,7 +388,7 @@ func (p *PairSupports) extend(ctx context.Context, all []itemset.Set, minSup int
 		return nil, err
 	}
 	n := len(p.off)
-	e := &PairSupports{minSup: minSup, rows: len(all), pos: p.pos, off: p.off,
+	e := &PairSupports{minSup: minSup, rows: len(all), pos: p.pos, items: p.items, off: p.off,
 		cells: slices.Clone(p.cells), words: (len(all) + 63) / 64}
 	e.cols = make([]uint64, n*e.words)
 	for a := range n {
@@ -391,11 +417,7 @@ func (p *PairSupports) extend(ctx context.Context, all []itemset.Set, minSup int
 			}
 		}
 	}
-	for _, k := range e.cells {
-		if int(k) >= minSup {
-			e.frequent++
-		}
-	}
+	e.index()
 	return e, nil
 }
 
@@ -408,6 +430,7 @@ func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupport
 		p.pos[it] = -1
 		if s >= minSup {
 			p.pos[it] = int32(n)
+			p.items = append(p.items, itemset.Item(it))
 			n++
 		}
 	}
@@ -450,12 +473,46 @@ func (db *DB) countPairs(ctx context.Context, minSup, workers int) (*PairSupport
 			p.cells[c] += k
 		}
 	}
-	for _, k := range p.cells {
-		if int(k) >= minSup {
-			p.frequent++
+	p.index()
+	return p, nil
+}
+
+// index counts the cells at or above the table's threshold and lists each
+// position's partners. A pass in row order lists the lower partners of every
+// position before its higher ones, each part ascending.
+func (p *PairSupports) index() {
+	n := len(p.off)
+	// start[a+1] counts a's partners, then start[a] is where its list begins.
+	start := make([]int, n+1)
+	for a := range n {
+		for x, k := range p.Row(int32(a)) {
+			if int(k) >= p.minSup {
+				start[a+1]++
+				start[a+2+x]++
+			}
 		}
 	}
-	return p, nil
+	for a := range n {
+		start[a+1] += start[a]
+	}
+	p.frequent = start[n] / 2
+	p.partners = make([]int32, start[n])
+	// Filling moves start[a] to the end of a's list, which is where a+1's
+	// begins; shifting by one restores the starts.
+	for a := range n {
+		for x, k := range p.Row(int32(a)) {
+			if int(k) >= p.minSup {
+				b := a + 1 + x
+				p.partners[start[a]] = int32(b)
+				start[a]++
+				p.partners[start[b]] = int32(a)
+				start[b]++
+			}
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	p.partOff = start
 }
 
 // tileWords is how many words of every column the build fills in a tile of

@@ -618,7 +618,8 @@ func tableCell(p *PairSupports, x, y itemset.Item) int32 {
 // statistics are that database's; p covers every item whose support reaches
 // minSup at ascending positions; every pair of covered items holds its
 // support, every covered item its column over db's rows (no bit past the
-// last), and Frequent counts the cells that reach minSup.
+// last), Frequent counts the cells that reach minSup, and the partner lists
+// match the cells (checkPartnerLists).
 func checkExtended(t *testing.T, db *DB, p *PairSupports, minSup int) {
 	t.Helper()
 	fresh := New(db.Transactions())
@@ -673,6 +674,7 @@ func checkExtended(t *testing.T, db *DB, p *PairSupports, minSup int) {
 	if p.Frequent() != frequent {
 		t.Errorf("σ=%d: Frequent() = %d, %d pairs reach the threshold", minSup, p.Frequent(), frequent)
 	}
+	checkPartnerLists(t, p)
 }
 
 // tableBytes is a copy of a table's cells and columns.
@@ -878,5 +880,113 @@ func TestExtendLeavesParent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tableBytes(tab), before) || parent.Scans() != 1 {
 		t.Fatal("extending the parent's table changed it")
+	}
+}
+
+// checkPartnerLists holds a table's partner lists to its cells, read row by
+// row: the partners of every position a are exactly the b ≠ a whose cell
+// reaches the table's threshold, ascending, Cell reads the cell from either
+// side, Frequent is half the lists' total, and Item is Position's inverse.
+func checkPartnerLists(t *testing.T, p *PairSupports) {
+	t.Helper()
+	n := int32(len(p.off))
+	total := 0
+	for a := range n {
+		if got := p.Position(p.Item(a)); got != a {
+			t.Fatalf("σ=%d: Position(Item(%d)) = %d", p.MinSupport(), a, got)
+		}
+		var want []int32
+		for b := range n {
+			if b == a {
+				continue
+			}
+			lo, hi := min(a, b), max(a, b)
+			k := p.Row(lo)[hi-lo-1]
+			if got := p.Cell(a, b); got != k {
+				t.Fatalf("σ=%d: Cell(%d, %d) = %d, want %d", p.MinSupport(), a, b, got, k)
+			}
+			if int(k) >= p.MinSupport() {
+				want = append(want, b)
+			}
+		}
+		if got := p.Partners(a); !slices.Equal(got, want) {
+			t.Fatalf("σ=%d: Partners(%d) = %v, want %v", p.MinSupport(), a, got, want)
+		}
+		total += len(want)
+	}
+	if 2*p.Frequent() != total {
+		t.Fatalf("σ=%d: Frequent() = %d, the partner lists hold %d", p.MinSupport(), p.Frequent(), total)
+	}
+}
+
+// TestPartnersMatchCells: every table lists each position's partners as its
+// cells say — tables New builds at several thresholds, serially and with a
+// split, and the tables of Extend chains, whether a generation extends its
+// base or makes a pass.
+func TestPartnersMatchCells(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{41, 42} {
+		db := pairDB(seed)
+		for _, minSup := range []int{400, 60, 25, 5, 1} {
+			for _, workers := range []int{1, 4} {
+				p, err := New(db.Transactions()).PairSupports(ctx, minSup, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Frequent() == 0 && minSup <= 25 {
+					t.Fatalf("σ=%d: no frequent pair; the fixture tells nothing", minSup)
+				}
+				checkPartnerLists(t, p)
+			}
+		}
+	}
+	var empty DB
+	p, err := empty.PairSupports(ctx, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPartnerLists(t, p)
+
+	chains := 12
+	if testing.Short() {
+		chains = 4
+	}
+	var extended, passes int
+	for seed := range chains {
+		r := rand.New(rand.NewSource(int64(100 + seed)))
+		items := 10 + r.Intn(20)
+		all := skewedRows(r, 30+r.Intn(200), items)
+		db := New(all)
+		minSup := 1 + r.Intn(max(1, db.Len()/8))
+		for g := range 20 + r.Intn(21) {
+			if g > 0 {
+				if r.Intn(5) == 0 {
+					items += 1 + r.Intn(3)
+				}
+				all = append(all, skewedRows(r, r.Intn(71), items)...)
+				db = db.Extend(all)
+				// Mostly the threshold stays, so the base serves; sometimes it
+				// drops below what the base covers, which takes a pass.
+				if r.Intn(4) == 0 {
+					minSup = max(1, minSup-1-r.Intn(3))
+				} else {
+					minSup += r.Intn(3)
+				}
+			}
+			before := db.Scans()
+			p, err := db.PairSupports(ctx, minSup, 1+3*r.Intn(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.Scans() == before {
+				extended++
+			} else {
+				passes++
+			}
+			checkPartnerLists(t, p)
+		}
+	}
+	if extended == 0 || passes == 0 {
+		t.Fatalf("%d extended tables, %d passes: a chain shape did not occur", extended, passes)
 	}
 }

@@ -179,14 +179,26 @@ echo "== prune sites resolved once =="
 # A prune site is charged through the *obs.PruneSite handle its miner, filter
 # or pass resolved when it was built (PruneSet.Site): a per-rejection lookup
 # by name took a mutex and a string-keyed map assign for every pruned
-# candidate. And the set a CandidateFilter sees from level 2 on is the
+# candidate. And the set a check's condition sees from level 2 on is the
 # miner's borrowed scratch set, not a fresh toOrig conversion per candidate.
 if grep -rnE '\.Charge\(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test.go'; then
   echo "check.sh: a charge by site name is back (resolve the site once with PruneSet.Site and Add to the handle)" >&2
   exit 1
 fi
-if grep -rnE 'CandidateFilter\([^)]*toOrig' internal/mine --include='*.go' | grep -v '_test.go'; then
-  echo "check.sh: CandidateFilter is handed a fresh toOrig set in internal/mine (lend it the miner's scratch set with borrow)" >&2
+if grep -rnE 'Satisfies\([^)]*toOrig' internal/mine --include='*.go' | grep -v '_test.go'; then
+  echo "check.sh: a check's condition is handed a fresh toOrig set in internal/mine (lend it the miner's scratch set with borrow)" >&2
+  exit 1
+fi
+
+echo "== candidate checks are data =="
+# An anti-monotone condition reaches the miner as a mine.Check (condition,
+# prune site, counter) in the per-level list Config.Checks returns, which the
+# miner tests itself — at level 2 on the pair form of a sum, max, min or
+# count constraint. The opaque per-candidate closure it replaced, which the
+# miner could only call once per cell through the borrowed set, must not
+# come back.
+if grep -rn 'CandidateFilter' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test.go'; then
+  echo "check.sh: a CandidateFilter closure is back (hand the miner mine.Check values through Config.Checks)" >&2
   exit 1
 fi
 
@@ -319,9 +331,12 @@ echo "== generation tables, mining and advance properties (-race -count=3) =="
 # per-worker pair triangles and column tiles are written concurrently,
 # repeated so a scheduling-dependent miscount cannot hide behind one lucky
 # run; a generation extended from its parent's table equals one New builds,
-# and children extending one base leave its readers' table untouched.
-go test -race -count=3 -run 'TestNewMakesNoPass|TestColumnCountsMatchSupport|TestAdvanceMatchesRemine|TestColumnCountCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns' ./internal/mine
-go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds|TestExtendMatchesNew|TestExtendLeavesParent' ./internal/txdb
+# and children extending one base leave its readers' table untouched; level 2
+# walked over the table's frequent partners, with its checks tested on their
+# pair forms, equals the walk over every cell, stopped at any checkpoint too;
+# and every table's partner lists equal its cells.
+go test -race -count=3 -run 'TestNewMakesNoPass|TestColumnCountsMatchSupport|TestAdvanceMatchesRemine|TestColumnCountCancelUnwinds|TestTriangleMatchesColumnsLevel2|TestConcurrentFirstRuns|TestLevel2WalkMatchesCellWalk' ./internal/mine
+go test -race -count=3 -run 'TestItemColumns|TestPairSupportsConcurrentBuilds|TestExtendMatchesNew|TestExtendLeavesParent|TestPartnersMatchCells' ./internal/txdb
 go test -race -count=10 -run 'TestPruneSiteHandles' ./internal/obs
 
 echo "== advance fuzz smoke (10s) =="
