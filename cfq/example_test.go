@@ -95,11 +95,9 @@ func ExampleQuery_ExplainQuery() {
 	// ├─ S,T: max(S.Price) <= min(T.Price)
 	// │     class: quasi-succinct, anti-monotone
 	// │     enforced at: reduction to succinct 1-var conditions after level 1, pair formation
-	// │     est. selectivity: n/a
 	// └─ S,T: sum(S.Price) <= sum(T.Price)
 	//       class: non-quasi-succinct
 	//       enforced at: induced weaker 1-var conditions after level 1, iterative Jmax bounds (dovetailed counting), pair formation
-	//       est. selectivity: n/a
 }
 
 // RunRules derives association rules (phase two of the architecture) from

@@ -8,10 +8,8 @@ import (
 )
 
 // EXPLAIN / EXPLAIN ANALYZE for the optimizer. ExplainQuery renders the
-// plan — each pushed constraint's classification, where it will be
-// enforced, and an item-frequency estimate of its selectivity — without
-// mining anything (the item supports are the compiled database's own
-// statistics, computed once per generation: no scan).
+// plan — each pushed constraint's classification and where it will be
+// enforced — without mining or reading the data.
 // ExplainAnalyze runs the query and joins the attributed pruning counters
 // onto the plan: per constraint, the candidates actually discarded at each
 // of its pruning sites. The report's pruning buckets partition the run's

@@ -165,10 +165,9 @@ func (p *Prepared) RunRulesContext(ctx context.Context, params RuleParams) (out 
 	return out, nil
 }
 
-// Explain renders the prepared plan's EXPLAIN report without running it
-// (and without a database pass: the selectivity estimates read
-// per-generation statistics); plans chosen by the planner carry the decision
-// (chosen strategy, the rule that fired) in the report's planner node.
+// Explain renders the prepared plan's EXPLAIN report without running it or
+// reading the data; plans chosen by the planner carry the decision (chosen
+// strategy, the rule that fired) in the report's planner node.
 func (p *Prepared) Explain() (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
 	rep, err = core.BuildExplain(p.icfq, p.strat.internal())

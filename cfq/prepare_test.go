@@ -251,47 +251,6 @@ func TestParseStrategyAuto(t *testing.T) {
 	}
 }
 
-// TestProfileFollowsGeneration: EXPLAIN's selectivity estimates are read
-// from statistics the compiled database computes once — and an append
-// compiles a new database, so the next report sees the appended
-// transactions. Nothing is carried across generations.
-func TestProfileFollowsGeneration(t *testing.T) {
-	ds := NewDataset(6)
-	if err := ds.SetNumeric("Price", []float64{2, 3, 4, 8, 12, 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.AddTransactions([][]int{{0, 1}, {0, 1, 2}, {0, 2}, {1}}); err != nil {
-		t.Fatal(err)
-	}
-	selectivity := func() float64 {
-		t.Helper()
-		rep, err := NewQuery(ds).MinSupport(2).
-			WhereS(Aggregate(Max, "Price", LE, 4)).ExplainQuery(Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Constraints) != 1 {
-			t.Fatalf("report constraints: %+v", rep.Constraints)
-		}
-		return rep.Constraints[0].EstimatedSelectivity
-	}
-	// Supports 0:3 1:3 2:2, every item priced <= 4.
-	before := selectivity()
-	if before != 1 {
-		t.Fatalf("first generation: selectivity %v, want 1", before)
-	}
-	if again := selectivity(); again != before {
-		t.Errorf("same generation explained twice: %v then %v", before, again)
-	}
-	// Adds 3:3 4:2 5:1 — 6 of the 14 item occurrences now fail the constraint.
-	if err := ds.AddTransactions([][]int{{3, 4}, {3, 4}, {3, 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if after := selectivity(); after != 8.0/14.0 {
-		t.Errorf("second generation: selectivity %v, want 8/14", after)
-	}
-}
-
 // TestAutoSmallDomainNotFM: FM runs on domains of at most 16 items, where it
 // counts the most candidates of any strategy. Strategy auto must not resolve
 // to it there, and must count no more candidates than sequential.

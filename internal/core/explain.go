@@ -28,8 +28,7 @@ import (
 // pruned candidates.
 
 // classSummary renders a 1-var constraint's classification.
-func classSummary(c constraint.Constraint, dom itemset.Set) string {
-	cl := c.Classify(dom)
+func classSummary(cl constraint.Class) string {
 	var tags []string
 	if cl.Succinct != nil {
 		tags = append(tags, "succinct")
@@ -48,9 +47,9 @@ func classSummary(c constraint.Constraint, dom itemset.Set) string {
 	return strings.Join(tags, ", ")
 }
 
-// capEnforcedAt lists where CAP enforces a 1-var constraint.
-func capEnforcedAt(c constraint.Constraint, dom itemset.Set) []string {
-	cl := c.Classify(dom)
+// capEnforcedAt lists where CAP enforces a 1-var constraint of the given
+// classification.
+func capEnforcedAt(cl constraint.Class) []string {
 	snf := cl.Succinct
 	if snf == nil {
 		snf = cl.Induced
@@ -81,8 +80,9 @@ func describeQuery(q CFQ) string {
 }
 
 // BuildExplain renders the optimizer's plan for the query under the given
-// strategy as an ExplainReport, without running the query. The estimated
-// selectivities read the database's per-generation item supports: no scan.
+// strategy as an ExplainReport, without running the query: each constraint's
+// classification (one Classify per constraint) and where the strategy
+// enforces it. It reads no data.
 func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 	if err := q.normalize(); err != nil {
 		return nil, err
@@ -97,7 +97,6 @@ func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 		Query:    describeQuery(q),
 		Strategy: row.name,
 	}
-	sup := q.DB.ItemSupports()
 
 	side := func(v string, cons []constraint.Constraint, dom itemset.Set) {
 		// Apriori⁺ and FM test the original conjunction as-is; every other
@@ -113,26 +112,25 @@ func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 				v+"-side conjunction is unsatisfiable: no "+v+"-set can be valid")
 			for _, c := range cons {
 				rep.Constraints = append(rep.Constraints, &obs.ConstraintExplain{
-					Constraint:           c.String(),
-					Variable:             v,
-					Class:                classSummary(c, dom),
-					EnforcedAt:           []string{"report filter (unsatisfiable conjunction)"},
-					EstimatedSelectivity: estimateSelectivity(c, dom, sup),
+					Constraint: c.String(),
+					Variable:   v,
+					Class:      classSummary(c.Classify(dom)),
+					EnforcedAt: []string{"report filter (unsatisfiable conjunction)"},
 				})
 			}
 			return
 		}
 		for _, c := range list {
+			cl := c.Classify(dom)
 			ce := &obs.ConstraintExplain{
-				Constraint:           c.String(),
-				Variable:             v,
-				Class:                classSummary(c, dom),
-				EstimatedSelectivity: estimateSelectivity(c, dom, sup),
+				Constraint: c.String(),
+				Variable:   v,
+				Class:      classSummary(cl),
 			}
 			if row.oneVarAt != "" {
 				ce.EnforcedAt = []string{row.oneVarAt}
 			} else {
-				ce.EnforcedAt = capEnforcedAt(c, dom)
+				ce.EnforcedAt = capEnforcedAt(cl)
 			}
 			rep.Constraints = append(rep.Constraints, ce)
 		}
@@ -150,10 +148,9 @@ func BuildExplain(q CFQ, strat Strategy) (*obs.ExplainReport, error) {
 			class += ", anti-monotone"
 		}
 		ce := &obs.ConstraintExplain{
-			Constraint:           fmt.Sprintf("%v", c2),
-			Variable:             "S,T",
-			Class:                class,
-			EstimatedSelectivity: -1,
+			Constraint: fmt.Sprintf("%v", c2),
+			Variable:   "S,T",
+			Class:      class,
 		}
 		switch {
 		case !row.reduce:
@@ -209,8 +206,8 @@ func varForLabel(label string) string {
 
 // AnalyzeExplain completes a plan-mode report with a finished run's
 // actuals: reduced-condition and dynamic-bound entries from the run's plan
-// (their selectivity is never estimated — they exist only after level 1),
-// per-site pruning attribution from the run's PruneSet, and the total.
+// (they exist only after level 1), per-site pruning attribution from the
+// run's PruneSet, and the total.
 func AnalyzeExplain(rep *obs.ExplainReport, res *Result, prune *obs.PruneSet) {
 	rep.Analyzed = true
 	if res == nil {
@@ -230,12 +227,11 @@ func AnalyzeExplain(rep *obs.ExplainReport, res *Result, prune *obs.PruneSet) {
 					continue
 				}
 				ce := &obs.ConstraintExplain{
-					Constraint:           cond,
-					Variable:             v,
-					Class:                "reduced 1-var condition",
-					Origin:               plan.ReducedFrom[cond],
-					EnforcedAt:           []string{"pushed into phase-2 counting"},
-					EstimatedSelectivity: -1,
+					Constraint: cond,
+					Variable:   v,
+					Class:      "reduced 1-var condition",
+					Origin:     plan.ReducedFrom[cond],
+					EnforcedAt: []string{"pushed into phase-2 counting"},
 				}
 				rep.Constraints = append(rep.Constraints, ce)
 				byCons[consKey(v, cond)] = ce

@@ -92,9 +92,9 @@ func explainWorld() CFQ {
 	}
 }
 
-// TestBuildExplainAnnotations: plan-mode reports carry the classification,
-// enforcement sites, and a selectivity estimate for every pushed constraint
-// — and nothing that requires a run (no actuals, no bounds).
+// TestBuildExplainAnnotations: plan-mode reports carry the classification
+// and enforcement sites of every pushed constraint — and nothing that
+// requires a run (no actuals, no bounds).
 func TestBuildExplainAnnotations(t *testing.T) {
 	q := explainWorld()
 	rep, err := BuildExplain(q, StrategyOptimized)
@@ -115,17 +115,11 @@ func TestBuildExplainAnnotations(t *testing.T) {
 		t.Fatalf("constraints = %d, want 2 (1-var + 2-var)", len(rep.Constraints))
 	}
 	oneVar, twoVar := rep.Constraints[0], rep.Constraints[1]
-	if oneVar.Variable != "S" || len(oneVar.EnforcedAt) == 0 {
+	if oneVar.Variable != "S" || oneVar.Class == "" || len(oneVar.EnforcedAt) == 0 {
 		t.Errorf("1-var entry: %+v", oneVar)
 	}
-	if oneVar.EstimatedSelectivity < 0 || oneVar.EstimatedSelectivity > 1 {
-		t.Errorf("1-var selectivity = %v, want [0,1]", oneVar.EstimatedSelectivity)
-	}
-	if twoVar.Variable != "S,T" || twoVar.Class == "" {
+	if twoVar.Variable != "S,T" || twoVar.Class == "" || len(twoVar.EnforcedAt) == 0 {
 		t.Errorf("2-var entry: %+v", twoVar)
-	}
-	if twoVar.EstimatedSelectivity != -1 {
-		t.Errorf("2-var selectivity = %v, want -1 (no estimate)", twoVar.EstimatedSelectivity)
 	}
 }
 

@@ -30,10 +30,12 @@ type Budget struct {
 	// threshold, item columns included, would alone exceed it
 	// (txdb.DB.PairSupportsBytes), though the table is charged to no run.
 	MaxLatticeBytes int64
-	// SoftDeadline, when non-zero, aborts mining at the first checkpoint
-	// past this instant with a *BudgetError (reason "deadline"). Unlike a
-	// context deadline it never interrupts a counting batch midway and it
-	// reports partial progress through the error's Stats.
+	// SoftDeadline, when non-zero, aborts mining with a *BudgetError
+	// (reason "deadline") at a checkpoint past this instant. A miner reads
+	// the clock at its first checkpoint and at every deadlineEvery-th after
+	// that, so it stops within deadlineEvery checkpoints of the deadline
+	// passing. Unlike a context deadline it never interrupts a counting batch
+	// midway and it reports partial progress through the error's Stats.
 	SoftDeadline time.Time
 	// Checkpoint, when non-nil, is invoked at every cancellation
 	// checkpoint with a label describing where mining currently is. A
@@ -102,7 +104,15 @@ type Guard struct {
 	// miners that also share a Stats (one Config.Stats reused) is charged
 	// each increment exactly once.
 	lastCand, lastFreq, lastBytes int64
+
+	// checks counts this guard's checkpoints; the soft deadline is read on
+	// every deadlineEvery-th, starting with the first.
+	checks int64
 }
+
+// deadlineEvery is how many checkpoints a guard passes per read of the
+// clock for the soft deadline.
+const deadlineEvery = 64
 
 // NewGuard creates a Guard. A nil ctx means context.Background(); a nil
 // budget disables resource limits; a nil stats gets a private scratch
@@ -130,11 +140,14 @@ func (g *Guard) Ctx() context.Context { return g.ctx }
 
 // Check is a cancellation/budget checkpoint. It consults, in order: the
 // fault-injection hook, context cancellation, and the budget's limits
-// (charging this guard's stats increments to the shared totals first). The
+// (charging this guard's stats increments to the shared totals first), the
+// soft deadline last and only on every deadlineEvery-th checkpoint. The
 // returned error wraps where mining stopped; ctx.Err() is reachable through
 // errors.Is, and budget overruns are a *BudgetError carrying partial Stats.
 func (g *Guard) Check(where string) error {
 	g.stats.Checkpoints++
+	readClock := g.checks%deadlineEvery == 0
+	g.checks++
 	b := g.budget
 	if b != nil && b.Checkpoint != nil {
 		if err := b.Checkpoint(where); err != nil {
@@ -174,7 +187,7 @@ func (g *Guard) Check(where string) error {
 	case b.MaxLatticeBytes > 0 && bytes > b.MaxLatticeBytes:
 		return g.overrun(where, ResourceLatticeBytes, b.MaxLatticeBytes, bytes)
 	}
-	if !b.SoftDeadline.IsZero() && time.Now().After(b.SoftDeadline) {
+	if readClock && !b.SoftDeadline.IsZero() && time.Now().After(b.SoftDeadline) {
 		return g.overrun(where, ResourceDeadline, 0, 0)
 	}
 	return nil

@@ -139,6 +139,41 @@ func TestBudgetExhaustionTyped(t *testing.T) {
 	}
 }
 
+// TestSoftDeadlineTripsWithinClockStride: a soft deadline that passes while
+// a guard is running trips within deadlineEvery checkpoints — at the first
+// checkpoint whose index is a multiple of deadlineEvery — and every
+// checkpoint before the trip is still counted and still calls the hook.
+func TestSoftDeadlineTripsWithinClockStride(t *testing.T) {
+	for _, passAt := range []int64{0, 1, 5, deadlineEvery - 1, deadlineEvery, 3*deadlineEvery + 7} {
+		b := &Budget{}
+		var hooked int64
+		b.Checkpoint = func(string) error {
+			if hooked == passAt {
+				b.SoftDeadline = time.Now().Add(-time.Second)
+			}
+			hooked++
+			return nil
+		}
+		stats := &Stats{}
+		g := NewGuard(context.Background(), b, stats)
+		var err error
+		for i := int64(0); err == nil && i < passAt+2*deadlineEvery; i++ {
+			err = g.Check("level 2: counting")
+		}
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Resource != ResourceDeadline || be.Where != "level 2: counting" {
+			t.Fatalf("deadline passed at checkpoint %d: err = %v, want a deadline *BudgetError", passAt, err)
+		}
+		tripAt := stats.Checkpoints - 1
+		if tripAt < passAt || tripAt-passAt >= deadlineEvery || tripAt%deadlineEvery != 0 {
+			t.Errorf("deadline passed at checkpoint %d tripped at %d, want the next multiple of %d", passAt, tripAt, deadlineEvery)
+		}
+		if hooked != stats.Checkpoints || be.Stats.Checkpoints != stats.Checkpoints {
+			t.Errorf("hook called %d times, %d checkpoints counted, error carries %d", hooked, stats.Checkpoints, be.Stats.Checkpoints)
+		}
+	}
+}
+
 // TestBudgetAbortsWithinOneCheckpoint: with MaxCandidates = 1, levelwise
 // counting must stop before finishing level 1 wholesale — consumption when
 // the error surfaces may overshoot by at most one checkpoint batch.

@@ -7,10 +7,9 @@ import (
 
 // ExplainReport is the machine-readable form of EXPLAIN / EXPLAIN ANALYZE:
 // the optimizer's plan as an annotated constraint list — per constraint its
-// classification, the sites where it is enforced, the planner's estimated
-// selectivity, and (after an analyzed run) the actual candidates pruned,
-// attributed per site. The obs package owns only the shape and rendering;
-// the core optimizer builds it.
+// classification, the sites where it is enforced, and (after an analyzed
+// run) the actual candidates pruned, attributed per site. The obs package
+// owns only the shape and rendering; the core optimizer builds it.
 //
 // The report deliberately carries no wall times, so its JSON is
 // deterministic for a given query and dataset (golden-testable).
@@ -58,10 +57,6 @@ type ConstraintExplain struct {
 	Origin string `json:"origin,omitempty"`
 	// EnforcedAt lists the plan stages where the constraint does work.
 	EnforcedAt []string `json:"enforced_at,omitempty"`
-	// EstimatedSelectivity is the planner's item-frequency estimate of the
-	// fraction of candidate mass the constraint keeps (-1 when the planner
-	// has no estimate).
-	EstimatedSelectivity float64 `json:"estimated_selectivity"`
 	// ActualPruned is the analyzed candidates-pruned total for this
 	// constraint (sum of PrunedBySite).
 	ActualPruned int64 `json:"actual_pruned"`
@@ -91,14 +86,6 @@ type BoundExplain struct {
 type PlanChoice struct {
 	Strategy string `json:"strategy"`
 	Reason   string `json:"reason"`
-}
-
-// selText renders an estimated selectivity.
-func selText(sel float64) string {
-	if sel < 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.3f", sel)
 }
 
 // siteText renders a per-site counter breakdown on one line, sites sorted.
@@ -140,7 +127,6 @@ func (r *ExplainReport) Tree() string {
 		if len(c.EnforcedAt) > 0 {
 			n.body = append(n.body, "enforced at: "+strings.Join(c.EnforcedAt, ", "))
 		}
-		n.body = append(n.body, "est. selectivity: "+selText(c.EstimatedSelectivity))
 		if r.Analyzed {
 			line := fmt.Sprintf("pruned: %d", c.ActualPruned)
 			if len(c.PrunedBySite) > 0 {

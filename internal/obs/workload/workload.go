@@ -84,7 +84,10 @@ type Record struct {
 	PruneSites       obs.Counters `json:"prune_sites,omitempty"`
 	CandidatesPruned int64        `json:"candidates_pruned"`
 	// EnforcedAt is the union of the enforcement sites of the plan that ran
-	// (EnforcementSites of its report).
+	// (EnforcementSites of its report). Class and EnforcedAt are rendered
+	// once per evaluation: a cache hit or collapse follower carries those
+	// of the evaluation that produced its answer, a request that reached no
+	// evaluation those of the plan its mode runs on its generation.
 	EnforcedAt []string `json:"enforced_at,omitempty"`
 	// Slow marks a record that crossed ThresholdMS, exhausted its budget or
 	// failed server-side; only such records carry the canonical Query text

@@ -24,12 +24,14 @@ import (
 // cachedResult is the cacheable portion of a QueryResponse: everything
 // except the per-request fields (request id, cached flag). Result is the
 // exact-size encoding of the cfq.Result (encodeResult), shared read-only by
-// the cache, collapse followers and every response that carries it.
+// the cache, collapse followers and every response that carries it; profile
+// is the journal's description of its plan (planProfile).
 type cachedResult struct {
 	Generation uint64
 	Strategy   string
 	Result     json.RawMessage
 	Explain    json.RawMessage
+	profile    *planProfile
 }
 
 // newResultCache bounds the cache by entries and bytes (either 0 disables

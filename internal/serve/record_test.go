@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/cfq"
 	"repro/internal/obs/telemetry"
 	"repro/internal/obs/workload"
 )
@@ -385,6 +386,168 @@ func TestRecordDescribesPlanThatRan(t *testing.T) {
 	want := map[string]string{"session": "apriori+", "cap": "cap-1var", "apriori": "apriori+", "auto": "sequential"}
 	if !maps.Equal(explained, want) {
 		t.Errorf("explained strategies by mode = %v, want %v", explained, want)
+	}
+}
+
+// ledgerQuery's sum(S.Gain) <= 6 is anti-monotone while every item in the
+// database has a non-negative Gain, and is not once an append brings in
+// item 5 (Gain -1): the class a record carries depends on its generation.
+const ledgerQuery = "{(S,T) | freq(S) >= 2 & freq(T) >= 2 & sum(S.Gain) <= 6 & max(S.Price) <= min(T.Price)}"
+
+// TestRecordProfileMatchesFreshExplain: whichever way a request is served —
+// executed in session mode, by auto or by a fixed strategy, from the result
+// cache, as a collapse follower, by a prepared handle, shed with a 429, before
+// and after an append — its journal record's class and enforced_at are those
+// of a fresh ExplainQuery of its mode's plan on the record's generation.
+func TestRecordProfileMatchesFreshExplain(t *testing.T) {
+	dir := t.TempDir()
+	h := &recHarness{t: t, s: NewServer(Config{Workers: 1, QueueDepth: 1, QueueWait: 5 * time.Second,
+		Workload: true, WorkloadDir: dir})}
+	spec := marketSpec("ledger")
+	spec.Transactions = [][]int{{0, 1, 3}, {0, 2, 4}, {1, 2}, {0, 1, 4}, {2, 3}, {0, 1, 2, 3}, {1, 3, 4}, {0, 2, 3}}
+	spec.Numeric["Gain"] = []float64{1, 2, 3, 4, 5, -1}
+	if _, err := h.s.Registry().Create(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	type profile struct {
+		class string
+		sites []string
+	}
+	// fresh[gen][mode] is the profile of a fresh EXPLAIN of the mode's plan,
+	// rendered while gen is the dataset's current generation.
+	fresh := map[uint64]map[string]profile{}
+	explainNow := func() {
+		t.Helper()
+		ds, _, gen, err := h.s.Registry().Lookup("ledger")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := cfq.ParseQuery(ds, ledgerQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[gen] = map[string]profile{}
+		for mode, strat := range map[string]cfq.Strategy{modeSession: cfq.AprioriPlus, "auto": cfq.Auto, "optimized": cfq.Optimized} {
+			rep, err := q.ExplainQuery(strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[gen][mode] = profile{workload.ClassKey(rep), workload.EnforcementSites(rep)}
+		}
+	}
+
+	// mode is the plan a request's record must describe; want says how the
+	// request was served.
+	type probe struct {
+		mode string
+		want *sent
+	}
+	var probes []probe
+	var mu sync.Mutex
+	send := func(mode string, req QueryRequest, want sent) {
+		req.Dataset = "ledger"
+		if req.Prepared == "" {
+			req.Query = ledgerQuery
+		}
+		if want.status == 0 {
+			want.status = http.StatusOK
+		}
+		got, _ := h.post("/v1/query", &req, want)
+		mu.Lock()
+		probes = append(probes, probe{mode, got})
+		mu.Unlock()
+	}
+	prepare := func() string {
+		_, body := h.post("/v1/prepare", &QueryRequest{Dataset: "ledger", Query: ledgerQuery, Strategy: "auto"},
+			sent{endpoint: "prepare", status: http.StatusOK})
+		var pr PrepareResponse
+		if err := json.Unmarshal(body, &pr); err != nil || pr.Handle == "" {
+			t.Fatalf("prepare: %v: %s", err, body)
+		}
+		return pr.Handle
+	}
+	executedModes := func() {
+		send(modeSession, QueryRequest{Strategy: "optimized"}, sent{})
+		send(modeSession, QueryRequest{Strategy: "optimized"}, sent{cached: true})
+		send("auto", QueryRequest{Strategy: "auto", NoCache: true}, sent{})
+		send("optimized", QueryRequest{Strategy: "optimized", NoSession: true, NoCache: true}, sent{})
+		send("auto", QueryRequest{Prepared: prepare(), NoCache: true}, sent{})
+	}
+
+	executedModes()
+	// The leader of an auto flight parks in the full admission queue behind
+	// a held slot; a follower joins its flight, and one request per mode that
+	// cannot join it is shed.
+	release := h.holdSlot()
+	done := make(chan struct{}, 2)
+	go func() { send("auto", QueryRequest{Strategy: "auto"}, sent{}); done <- struct{}{} }()
+	for deadline := time.Now().Add(5 * time.Second); h.s.adm.state().Queued < 1 || h.s.flights.inflight() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	collapsed := mCollapsed.Value()
+	go func() { send("auto", QueryRequest{Strategy: "auto"}, sent{collapsed: true}); done <- struct{}{} }()
+	shed := sent{status: http.StatusTooManyRequests}
+	send(modeSession, QueryRequest{Strategy: "optimized", NoCache: true}, shed)
+	send("auto", QueryRequest{Strategy: "auto", NoCache: true}, shed)
+	send("optimized", QueryRequest{Strategy: "optimized", NoSession: true, NoCache: true}, shed)
+	time.Sleep(100 * time.Millisecond) // let the follower park on the flight
+	release()
+	<-done
+	<-done
+	if mCollapsed.Value() != collapsed+1 {
+		t.Fatal("the follower did not collapse onto the leader")
+	}
+	explainNow()
+
+	w := httptest.NewRecorder()
+	h.s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/datasets/ledger/transactions",
+		strings.NewReader(`{"transactions": [[1, 5], [2, 5], [3, 5]]}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", w.Code, w.Body)
+	}
+	executedModes()
+	explainNow()
+	if old, cur := fresh[1][modeSession], fresh[2][modeSession]; old.class == cur.class {
+		t.Fatalf("the append left the class at %q: the test cannot tell generations apart", cur.class)
+	}
+
+	if err := h.s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTrace := map[string]*workload.Record{}
+	for _, rec := range recs {
+		byTrace[rec.TraceID] = rec
+	}
+	if len(recs) != len(probes) {
+		t.Errorf("journal holds %d records for %d queries", len(recs), len(probes))
+	}
+	for _, p := range probes {
+		rec := byTrace[p.want.traceID]
+		if rec == nil {
+			t.Errorf("no record for the %s request (trace %s)", p.mode, p.want.traceID)
+			continue
+		}
+		if rec.Status != p.want.status || rec.Cached != p.want.cached || rec.Collapsed != p.want.collapsed {
+			t.Errorf("%s record: status/cached/collapsed = %d/%v/%v, want %d/%v/%v", p.mode,
+				rec.Status, rec.Cached, rec.Collapsed, p.want.status, p.want.cached, p.want.collapsed)
+		}
+		want, ok := fresh[rec.Generation][p.mode]
+		if !ok {
+			t.Errorf("%s record at generation %d: no fresh explain of that generation", p.mode, rec.Generation)
+			continue
+		}
+		if rec.Class != want.class || !slices.Equal(rec.EnforcedAt, want.sites) {
+			t.Errorf("%s record at generation %d (status %d, cached %v, collapsed %v): class %q enforced_at %q, fresh explain %q %q",
+				p.mode, rec.Generation, rec.Status, rec.Cached, rec.Collapsed, rec.Class, rec.EnforcedAt, want.class, want.sites)
+		}
 	}
 }
 

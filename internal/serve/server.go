@@ -536,6 +536,7 @@ type reqScope struct {
 	query     *cfq.Query
 	strat     cfq.Strategy
 	prepared  *cfq.Prepared // the plan that ran; nil until evaluation starts
+	profile   *planProfile  // the record's profile of the plan that produced the answer
 	pruned    int64
 	timeout   time.Duration
 }
@@ -737,7 +738,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	if cacheable {
 		if hit, ok := s.cache.Get(key); ok {
 			mResultHits.Inc()
-			sc.cached = true
+			sc.cached, sc.profile = true, hit.profile
 			return s.writeResult(w, sc, hit, nil), true
 		}
 		mResultMisses.Inc()
@@ -758,7 +759,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			select {
 			case <-g.done:
 				if g.ok {
-					sc.collapsed = true
+					sc.collapsed, sc.profile = true, g.res.profile
 					mCollapsed.Inc()
 					return s.writeResult(w, sc, g.res, nil), false
 				}
@@ -832,6 +833,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	}
 
 	sc.prepared = prepared
+	if kind == kindQuery && s.journaling() != nil {
+		sc.profile = &planProfile{render: prepared.Explain}
+	}
 	esp := tracer.Start("evaluate")
 	var res *cfq.Result
 	var rep *cfq.ExplainReport
@@ -843,7 +847,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	case kindAnalyze:
 		res, rep, err = prepared.ExplainAnalyzeContext(ctx)
 	}
-	out := cachedResult{Generation: sc.gen, Strategy: sc.strategy}
+	out := cachedResult{Generation: sc.gen, Strategy: sc.strategy, profile: sc.profile}
 	if err == nil && res != nil {
 		// The span tree is delivered once, in the envelope's report field,
 		// not embedded in the result document too.

@@ -3,11 +3,10 @@ package serve
 import (
 	"log/slog"
 	"net/http"
-	"strconv"
+	"sync"
 	"time"
 
 	"repro/cfq"
-	"repro/internal/lru"
 	"repro/internal/obs/workload"
 )
 
@@ -25,19 +24,6 @@ type workloadCollector struct {
 	// WorkloadDir); without it only slow or failed requests leave one
 	// (Config.SlowQuery).
 	journalAll bool
-
-	// profiles caches the per-query profile (class key, enforcement sites)
-	// by dataset × generation × mode × canonical text: profiling renders the
-	// plan's ExplainReport, so repeated queries pay it once per generation.
-	profiles *lru.Cache[*queryProfile]
-}
-
-// maxProfileCache bounds the profile cache (entries; profiles are small).
-const maxProfileCache = 512
-
-type queryProfile struct {
-	class string
-	sites []string
 }
 
 // newWorkloadCollector wires the journal: a disk ring under cfg.WorkloadDir,
@@ -61,39 +47,44 @@ func newWorkloadCollector(cfg Config) *workloadCollector {
 	return &workloadCollector{
 		journal:    journal,
 		journalAll: cfg.Workload || cfg.WorkloadDir != "",
-		profiles:   lru.New[*queryProfile](maxProfileCache, 0, nil),
 	}
 }
 
-// profile resolves (computing and caching if needed) the query's profile:
-// the class key and enforcement sites of the plan that ran — the request's
-// prepared plan, or, for a request that evaluated nothing (a cache hit, a
-// collapse follower, a shed), the plan its mode runs: Apriori⁺ over the
-// lattice for session mode, the rule's pick for auto, a fixed strategy
-// itself. The mode determines that plan for a dataset generation and
-// canonical query, so it is part of the key. Returns nil when rendering
-// fails — the record then carries run actuals without a class.
-func (wc *workloadCollector) profile(sc *reqScope) *queryProfile {
-	key := sc.dataset + "\xff" + strconv.FormatUint(sc.gen, 10) + "\xff" + sc.strategy + "\xff" + sc.canonical
-	if p, ok := wc.profiles.Get(key); ok {
-		return p
-	}
-	var rep *cfq.ExplainReport
-	var err error
+// planProfile is what a record says about the plan that ran: the class key
+// and enforcement sites (workload.ClassKey, workload.EnforcementSites) of
+// its ExplainReport. A journaled /v1/query evaluation keeps one on the
+// cachedResult it stores and hands its collapse flight, so hits and followers
+// read it with no lookup. The evaluation's own record renders it after the
+// response (or a hit first), so no stored result keeps a plan alive.
+type planProfile struct {
+	once   sync.Once
+	render func() (*cfq.ExplainReport, error) // dropped once rendered
+	class  string
+	sites  []string
+}
+
+// read renders the profile on first use. A render that fails leaves it
+// empty: the record then carries run actuals without a class.
+func (p *planProfile) read() (class string, sites []string) {
+	p.once.Do(func() {
+		if rep, err := p.render(); err == nil {
+			p.class, p.sites = workload.ClassKey(rep), workload.EnforcementSites(rep)
+		}
+		p.render = nil
+	})
+	return p.class, p.sites
+}
+
+// explainPlan renders the plan a request without a profile ran, or else (a
+// shed, a failed prepare) its mode's: Apriori⁺ in session mode, else sc.strat.
+func (sc *reqScope) explainPlan() (*cfq.ExplainReport, error) {
 	switch {
 	case sc.prepared != nil:
-		rep, err = sc.prepared.Explain()
+		return sc.prepared.Explain()
 	case sc.strategy == modeSession:
-		rep, err = sc.query.ExplainQuery(cfq.AprioriPlus)
-	default:
-		rep, err = sc.query.ExplainQuery(sc.strat)
+		return sc.query.ExplainQuery(cfq.AprioriPlus)
 	}
-	if err != nil {
-		return nil
-	}
-	p := &queryProfile{class: workload.ClassKey(rep), sites: workload.EnforcementSites(rep)}
-	wc.profiles.Put(key, p, 0)
-	return p
+	return sc.query.ExplainQuery(sc.strat)
 }
 
 // record is the one finish function of a request that built a query: it
@@ -146,10 +137,11 @@ func (s *Server) record(sc *reqScope, endpoint string, status int, dur time.Dura
 	if sc.prepared != nil {
 		rec.Plan = sc.prepared.Decision().Choice()
 	}
-	if prof := wc.profile(sc); prof != nil {
-		rec.Class = prof.class
-		rec.EnforcedAt = prof.sites
+	prof := sc.profile
+	if prof == nil {
+		prof = &planProfile{render: sc.explainPlan}
 	}
+	rec.Class, rec.EnforcedAt = prof.read()
 	if slow {
 		rec.Slow = true
 		rec.ThresholdMS = float64(threshold) / float64(time.Millisecond)

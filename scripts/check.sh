@@ -219,6 +219,23 @@ if [[ "$record_sites" != " 1 internal/serve/workload.go;" ]]; then
   exit 1
 fi
 
+echo "== one description of the plan, one cache =="
+# A record's class and enforcement sites are read off the ExplainReport of
+# the plan that ran, rendered once per evaluation and kept on the stored
+# result that cache hits and collapse followers are served from. The
+# item-frequency selectivity estimate, which no decision read, and the
+# second per-query LRU that repeated the result cache's key must not come
+# back.
+if grep -rnE 'estimateSelectivity|EstimatedSelectivity' --include='*.go' \
+    --exclude-dir=.bench_build --exclude-dir=benchmark . | grep -v '_test.go'; then
+  echo "check.sh: the EXPLAIN selectivity estimate is back (EXPLAIN ANALYZE reports what a constraint actually pruned)" >&2
+  exit 1
+fi
+if grep -nE 'lru\.|sync\.Map|maxProfileCache|map\[string\]\*?[A-Za-z]*[Pp]rofile' internal/serve/workload.go; then
+  echo "check.sh: a per-query cache is back in internal/serve/workload.go (keep the profile on the cachedResult the evaluation stores)" >&2
+  exit 1
+fi
+
 echo "== one regret measurement =="
 # The planner's regret is measured in process and by work
 # (cfq.TestAutoNeverWorstByWork, the benchmark's plan.regret_work_ratio). The
