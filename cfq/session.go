@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/cap"
 	"repro/internal/lru"
 	"repro/internal/mine"
 	"repro/internal/obs"
@@ -21,8 +22,14 @@ import (
 // A Session evaluates nothing itself. It is the lattice source of the
 // engine's Apriori⁺ path: Prepare binds a query to that strategy with the
 // session's cache in place of the miner, and the one executor (Prepared)
-// runs it — the same generate-and-test filter and pair formation every
-// strategy uses.
+// runs it. Each side is then filtered from its cached lattice
+// (cap.FilterLattice) and the pairs are formed as for every strategy. The
+// cached lattice is searched, not scanned: on first use per numeric
+// attribute an entry builds each set's min, max and sum and the sets'
+// orders by them, once, and keeps them for every later query on it, so a
+// leading range or min/max/sum bound costs a binary search and pair
+// formation takes its T key order without sorting. Their bytes count in
+// the entry's cache cost.
 //
 // The trade-off is deliberate: the first query on a domain costs about as
 // much as Apriori⁺ (the cache must hold the *unconstrained* lattice to
@@ -50,7 +57,8 @@ import (
 // covers more rows than its own snapshot.
 //
 // Long-lived servers bound the cache with SetCacheLimit: when the estimated
-// cached lattice bytes exceed the limit, least-recently-used domains are
+// cached lattice bytes (the sets and the orders built on them) exceed the
+// limit, least-recently-used domains are
 // evicted (surfaced in CacheStats), so a many-dataset daemon cannot grow
 // without limit.
 type Session struct {
@@ -61,18 +69,28 @@ type Session struct {
 	// Lookup outcomes under the session's reuse rules; every miss is either
 	// an advance or a re-mine.
 	hits, misses, advances, remines int
+	// orders counts the column and order builds on the session's lattices.
+	orders int
 }
 
 // lattice is one domain's cached unconstrained lattice: every set with
 // support at least minSup over the dataset's first rows transactions, in the
-// miner's order. It records a row count, not the snapshot it was counted
+// miner's order, with the attribute columns and orders queries build on it
+// (cap.Lattice). It records a row count, not the snapshot it was counted
 // over, so it pins no compiled database; every later snapshot extends those
 // rows, which is what lets the entry be advanced instead of dropped.
 type lattice struct {
 	minSup int
 	rows   int
-	sets   []mine.Counted
+	lat    *cap.Lattice
+	// setBytes is the sets' share of the entry's cache cost; the columns
+	// and orders built so far (lat.Bytes) are the rest.
+	setBytes int64
 }
+
+// cost is the entry's byte cost in the cache: its sets and what has been
+// built on them.
+func (e *lattice) cost() int64 { return e.setBytes + e.lat.Bytes() }
 
 // NewSession starts an exploratory session over the dataset.
 func NewSession(ds *Dataset) *Session {
@@ -102,10 +120,16 @@ type CacheStats struct {
 	Hits, Misses int
 	Advances     int `json:"-"`
 	Remines      int `json:"-"`
+	// Orders counts the builds of attribute columns and orders on cached
+	// lattices: one per lattice and numeric attribute a query searches or
+	// keys pairs on, one more for a sum order. Their bytes are part of
+	// Bytes.
+	Orders int `json:"-"`
 	// Evictions counts lattices dropped by the SetCacheLimit bound.
 	Evictions int
-	// Entries and Bytes describe current occupancy (Bytes is the same
-	// estimate Stats.LatticeBytes uses).
+	// Entries and Bytes describe current occupancy (Bytes is the sets'
+	// estimate Stats.LatticeBytes uses, plus the columns and orders built
+	// on them).
 	Entries int
 	Bytes   int64
 	// LimitBytes is the configured bound (0 = unbounded).
@@ -122,6 +146,7 @@ func (s *Session) CacheStats() CacheStats {
 		Misses:     s.misses,
 		Advances:   s.advances,
 		Remines:    s.remines,
+		Orders:     s.orders,
 		Evictions:  int(st.Evictions),
 		Entries:    st.Entries,
 		Bytes:      st.Bytes,
@@ -138,7 +163,8 @@ func (s *Session) Run(q *Query) (*Result, error) {
 // RunContext evaluates the query against the session cache under ctx, with
 // the query's Budget (if any) spanning both sides' mining. Results are
 // identical to q.Run with any strategy; only the work differs. An aborted
-// run (cancellation or budget) leaves the cache exactly as it was.
+// run (cancellation or budget) stores no lattice and changes none (the
+// attribute orders it may have built stay with their entry).
 func (s *Session) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	p, err := s.Prepare(q)
 	if err != nil {
@@ -178,8 +204,10 @@ func (s *Session) Prepare(q *Query) (*Prepared, error) {
 // its hit counter) is one critical section; advancing and mining happen
 // outside the lock and accumulate into the run's Stats, and a failed run
 // stores nothing — the cache is never poisoned by partial lattices, and the
-// entry an aborted advance started from is untouched.
-func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted, error) {
+// entry an aborted advance started from is untouched. An advanced or
+// re-mined lattice is a new entry with no columns or orders: queries build
+// them again on it, as they need them.
+func (s *Session) lattice(ctx context.Context, cfg mine.Config) (*cap.Lattice, error) {
 	key := "*"
 	if cfg.Domain != nil {
 		key = cfg.Domain.Key()
@@ -194,20 +222,20 @@ func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted,
 		s.mu.Unlock()
 		obs.MCacheHits.Inc()
 		if tracer != nil {
-			tracer.Start(cfg.Label+":cache-hit", obs.Int("sets", len(old.sets))).End(nil)
+			tracer.Start(cfg.Label+":cache-hit", obs.Int("sets", len(old.lat.Sets()))).End(nil)
 		}
-		return old.sets, nil
+		return old.lat, nil
 	}
 	s.mu.Unlock()
 	// Published at the decision point (not after mining) so a mid-run
 	// metrics scrape sees the lookup that is being served right now.
 	obs.MCacheMisses.Inc()
 
-	e := &lattice{minSup: cfg.MinSupport, rows: rows}
+	var sets []mine.Counted
 	var err error
 	if reusable {
 		obs.MCacheAdvances.Inc()
-		e.sets, err = mine.Advance(ctx, cfg, old.sets, old.minSup, old.rows)
+		sets, err = mine.Advance(ctx, cfg, old.lat.Sets(), old.minSup, old.rows)
 	} else {
 		obs.MCacheRemines.Inc()
 		// The cache-miss span is structural: the labeled miner below emits
@@ -219,17 +247,18 @@ func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted,
 			levels, err = lw.RunAll()
 		}
 		msp.End(nil)
-		e.sets = slices.Concat(levels...)
+		sets = slices.Concat(levels...)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// The same per-set model Stats.LatticeBytes uses (rank-space set +
 	// original copy + map overhead), plus a fixed per-entry overhead.
-	cost := int64(64)
-	for _, c := range e.sets {
-		cost += int64(16*c.Set.Len() + 64)
+	e := &lattice{minSup: cfg.MinSupport, rows: rows, setBytes: 64}
+	for _, c := range sets {
+		e.setBytes += int64(16*c.Set.Len() + 64)
 	}
+	e.lat = cap.NewLattice(sets, func() { s.recost(key, e) })
 	s.mu.Lock()
 	s.misses++
 	if reusable {
@@ -242,10 +271,33 @@ func (s *Session) lattice(ctx context.Context, cfg mine.Config) ([]mine.Counted,
 	// the lower threshold (it serves every refinement). A run that raced a
 	// mutation finds an entry past its own snapshot and stores nothing.
 	if cur, ok := s.cache.Get(key); !ok || cur.rows < e.rows || (cur.rows == e.rows && e.minSup < cur.minSup) {
-		if s.cache.Put(key, e, cost) {
-			obs.MCacheBytes.Add(cost)
-		}
+		s.put(key, e)
 	}
 	s.mu.Unlock()
-	return e.sets, nil
+	return e.lat, nil
+}
+
+// recost re-charges a cached entry after columns or orders were built on
+// it: the cache stored it at the cost it had then, so it is stored again at
+// its cost now (the bound may evict others to fit it, or drop it if it no
+// longer fits alone). An entry the cache no longer holds is left alone.
+func (s *Session) recost(key string, e *lattice) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.orders++
+	if cur, ok := s.cache.Get(key); ok && cur == e {
+		s.put(key, e)
+	}
+}
+
+// put stores e under key at its current cost; an entry too large for the
+// whole bound is not cached (and one already stored under key is dropped).
+// Callers hold s.mu.
+func (s *Session) put(key string, e *lattice) {
+	cost := e.cost()
+	if s.cache.Put(key, e, cost) {
+		obs.MCacheBytes.Add(cost)
+	} else if cur, ok := s.cache.Get(key); ok && cur == e {
+		s.cache.Delete(key)
+	}
 }

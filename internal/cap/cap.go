@@ -12,8 +12,9 @@
 //     weakening pushed and is re-checked on the final frequent sets.
 //
 // The package also provides the Apriori⁺ baseline (mine everything, then
-// test every frequent set against every constraint), and both report the
-// ccc cost counters of Section 6.2.
+// test every frequent set against every constraint) and its form over a
+// cached lattice (FilterLattice), and all of them report the ccc cost
+// counters of Section 6.2.
 package cap
 
 import (
@@ -59,14 +60,6 @@ type Query struct {
 	// mine.Budget). Shared by pointer so one budget can span several
 	// runners.
 	Budget *mine.Budget
-	// Lattice, when non-nil, supplies AprioriPlus's unconstrained frequent
-	// lattice in place of mining — a session's cache. It is handed the
-	// configuration a miss must mine with (complete: no MaxLevel) and may
-	// return a lattice mined at a lower threshold than cfg.MinSupport;
-	// AprioriPlus tests the threshold along with the constraints. Prepare/Run
-	// ignore it: constraint pushdown (Required classes, candidate filters,
-	// preset L1) needs the stepped miner.
-	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
 	// Label, when non-empty, prefixes trace span names (the CFQ engine
 	// labels its two runners "S" and "T" so a dovetailed run's spans stay
 	// distinguishable).
@@ -149,10 +142,15 @@ type Result struct {
 	// FrequentItems is L1: every frequent item of the (universally
 	// filtered) domain, whether or not the singleton is valid. Its
 	// attribute projections provide the quasi-succinct reduction constants.
-	// AprioriPlus over a Query.Lattice source leaves it nil.
+	// FilterLattice leaves it nil.
 	FrequentItems itemset.Set
 	// Stats carries the ccc cost counters.
 	Stats mine.Stats
+	// Lattice is the cached lattice FilterLattice filtered (nil for a mined
+	// run), and Positions the lattice position of each valid set, in the
+	// order Sets flattens the levels.
+	Lattice   *Lattice
+	Positions []int32
 }
 
 // Sets flattens the per-level results.
@@ -490,10 +488,9 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 }
 
 // AprioriPlus is the naive baseline: mine every frequent set over the
-// domain, then test each against every constraint (generate-and-test).
-// The lattice is mined level-wise, or — because every constraint is enforced
-// after mining — taken from q.Lattice, a cached one. ctx cancellation and
-// budget overruns abort the run with the mining layer's wrapped error.
+// domain level-wise, then test each against every constraint
+// (generate-and-test). ctx cancellation and budget overruns abort the run
+// with the mining layer's wrapped error.
 func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	if q.DB == nil {
 		return nil, fmt.Errorf("cap: Query.DB is nil")
@@ -501,26 +498,35 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	stats := &mine.Stats{}
 	tracer := obs.FromContext(ctx)
 	prune := obs.PruningFromContext(ctx)
-	checks := make([]Check, len(q.Constraints))
-	for i, con := range q.Constraints {
-		checks[i] = Check{con, spanName(q.Label, "filter:"+con.String())}
-	}
-	cfg := mine.Config{
+	checks := filterChecks(q)
+	lw, err := mine.New(ctx, mine.Config{
 		DB:         q.DB,
 		MinSupport: q.MinSupport,
 		Domain:     q.Domain,
+		MaxLevel:   q.MaxLevel,
 		Workers:    q.Workers,
 		Budget:     q.Budget,
 		Stats:      stats,
 		Label:      q.Label,
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// filterLevel is the generate-and-test pass Apriori⁺ burns set-level
-	// checks on; its per-level span makes that cost visible next to CAP's.
-	filterLevel := func(level int, sets []mine.Counted) []mine.Counted {
+	var levels [][]mine.Counted
+	var l1 itemset.Set
+	for !lw.Done() {
+		sets, _, err := lw.Step()
+		if err != nil {
+			return nil, err
+		}
+		if lw.Level() == 1 {
+			l1 = lw.FrequentItems()
+		}
+		// The generate-and-test pass Apriori⁺ burns set-level checks on;
+		// its per-level span makes that cost visible next to CAP's.
 		var fsp *obs.Span
 		if tracer != nil && len(checks) > 0 {
-			fsp = tracer.Start(spanName(q.Label, fmt.Sprintf("filter-%d", level))).
+			fsp = tracer.Start(spanName(q.Label, fmt.Sprintf("filter-%d", lw.Level()))).
 				WithStats(stats.Counters())
 		}
 		kept := Filter(sets, checks, stats, prune)
@@ -528,69 +534,19 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 			fsp.SetAttrs(obs.Int("kept", len(kept)))
 			fsp.End(stats.Counters())
 		}
-		return kept
-	}
-
-	var levels [][]mine.Counted
-	var l1 itemset.Set
-	if q.Lattice != nil {
-		sets, err := q.Lattice(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// One pass (and one span, in place of the per-level ones) tests the
-		// whole cached lattice. The cache may hold a lower threshold's
-		// lattice, so the support test is part of the pass and its rejections
-		// are charged to the span's site; MaxLevel truncates after the fact.
-		name := spanName(q.Label, "filter")
-		var fsp *obs.Span
-		if tracer != nil {
-			fsp = tracer.Start(name, obs.Int("cached", len(sets))).WithStats(stats.Counters())
-		}
-		site, p := prune.Site(name), newPass(checks, stats, prune)
-		kept := 0
-		for _, c := range sets {
-			k := c.Set.Len()
-			if q.MaxLevel > 0 && k > q.MaxLevel {
-				continue
-			}
-			if c.Support < q.MinSupport {
-				stats.CandidatesPruned++
-				site.Add(1)
-				continue
-			}
-			if !p.passes(c.Set) {
-				continue
-			}
-			for len(levels) < k {
-				levels = append(levels, nil)
-			}
-			levels[k-1] = append(levels[k-1], c)
-			kept++
-		}
-		if fsp != nil {
-			fsp.SetAttrs(obs.Int("kept", kept))
-			fsp.End(stats.Counters())
-		}
-	} else {
-		cfg.MaxLevel = q.MaxLevel
-		lw, err := mine.New(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for !lw.Done() {
-			sets, _, err := lw.Step()
-			if err != nil {
-				return nil, err
-			}
-			if lw.Level() == 1 {
-				l1 = lw.FrequentItems()
-			}
-			kept := filterLevel(lw.Level(), sets)
-			if lw.Level() > len(levels) {
-				levels = append(levels, kept)
-			}
+		if lw.Level() > len(levels) {
+			levels = append(levels, kept)
 		}
 	}
 	return &Result{Levels: TrimLevels(levels), FrequentItems: l1, Stats: *stats}, nil
+}
+
+// filterChecks is Apriori⁺'s check list: every constraint in query order,
+// charged at "<label>:filter:<constraint>".
+func filterChecks(q Query) []Check {
+	checks := make([]Check, len(q.Constraints))
+	for i, con := range q.Constraints {
+		checks[i] = Check{con, spanName(q.Label, "filter:"+con.String())}
+	}
+	return checks
 }

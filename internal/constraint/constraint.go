@@ -193,6 +193,36 @@ func PairFormOf(c Constraint) (PairForm, bool) {
 	return PairForm{}, false
 }
 
+// AggBound is the test Agg(S.Attr) Op C on one aggregate of a numeric
+// attribute, with Agg one of Min, Max and Sum and Op one of <=, <, >=, >
+// and =: the values passing it form one interval, so in a list of sets
+// sorted by the aggregate they are one run.
+type AggBound struct {
+	Agg  attr.Aggregate
+	Attr attr.Numeric
+	Op   Op
+	C    float64
+}
+
+// AggBoundsOf reports c as a conjunction of aggregate bounds on one
+// attribute, when it is one: a numeric range S.A ⊆ [lo, hi] is
+// min(S.A) >= lo and max(S.A) <= hi, and an aggregation constraint on min,
+// max or sum under an ordered operator is its own bound. A non-empty set
+// satisfies c exactly when Op.Cmp holds on every bound's aggregate as
+// attr.Numeric.Eval computes it (a NaN member makes min, max and sum NaN,
+// which pass no bound and fail c). Every other constraint has none.
+func AggBoundsOf(c Constraint) ([]AggBound, bool) {
+	switch k := c.(type) {
+	case *rangeConstraint:
+		return []AggBound{{attr.Min, k.a, GE, k.lo}, {attr.Max, k.a, LE, k.hi}}, true
+	case *aggConstraint:
+		if (k.agg == attr.Min || k.agg == attr.Max || k.agg == attr.Sum) && k.op != NE {
+			return []AggBound{{k.agg, k.a, k.op, k.c}}, true
+		}
+	}
+	return nil, false
+}
+
 // ---------------------------------------------------------------------------
 // Aggregation constraints: agg(S.A) op c
 // ---------------------------------------------------------------------------

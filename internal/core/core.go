@@ -160,9 +160,11 @@ type CFQ struct {
 	// stats.
 	Budget *mine.Budget
 	// Lattice, when non-nil, supplies StrategyAprioriPlus's unconstrained
-	// lattices in place of mining (see cap.Query.Lattice); a session plugs
-	// its cache in here. Constraint-pushing strategies ignore it.
-	Lattice func(ctx context.Context, cfg mine.Config) ([]mine.Counted, error)
+	// lattices in place of mining: each side is cap.FilterLattice over the
+	// one it returns, and pair formation reads the lattices' key orders (a
+	// session plugs its cache in here). Constraint-pushing strategies
+	// ignore it.
+	Lattice cap.LatticeSource
 }
 
 // domains returns the variables' item domains (nil = all active items).
@@ -209,6 +211,27 @@ type Result struct {
 	// Plan is what the reduce stage derived (nil for strategies without
 	// one).
 	Plan *Plan
+
+	// lattices holds, by Side, the cached lattice a side was filtered from
+	// (CFQ.Lattice) and where its valid sets sit in it; zero for a mined
+	// side.
+	lattices [2]latticeSide
+}
+
+// latticeSide is a side's valid sets as positions in the cached lattice it
+// was filtered from, in the order the levels flatten them.
+type latticeSide struct {
+	lat *cap.Lattice
+	pos []int32
+}
+
+// columns returns the lattice's columns of attribute a when they hold its
+// aggregate agg (cap.Indexable), nil otherwise or for a mined side.
+func (ls latticeSide) columns(agg attr.Aggregate, a attr.Numeric) *cap.Columns {
+	if ls.lat == nil || !cap.Indexable(agg, a) {
+		return nil
+	}
+	return ls.lat.Columns(a)
 }
 
 // ValidS flattens the S-side levels.
@@ -261,7 +284,6 @@ func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
 		MaxLevel: q.MaxLevel,
 		Workers:  q.Workers,
 		Budget:   q.Budget,
-		Lattice:  q.Lattice,
 		Label:    side.String(),
 	}
 	if side == twovar.SideS {
@@ -336,12 +358,19 @@ func Run(ctx context.Context, q CFQ, strat Strategy) (*Result, error) {
 		m.reduce(res.Plan, l1, row.dynamicAt != "")
 	}
 
-	mined, err := row.schedule(ctx, m)
+	schedule := row.schedule
+	if q.Lattice != nil && strat == StrategyAprioriPlus {
+		schedule = sideBySide(func(ctx context.Context, cq cap.Query) (*cap.Result, error) {
+			return cap.FilterLattice(ctx, cq, q.Lattice)
+		})
+	}
+	mined, err := schedule(ctx, m)
 	if err != nil {
 		return nil, m.tripped(err)
 	}
-	for _, r := range mined {
+	for side, r := range mined {
 		res.Stats.Add(r.Stats)
+		res.lattices[side] = latticeSide{r.Lattice, r.Positions}
 	}
 	res.LevelsS, res.LevelsT = mined[twovar.SideS].Levels, mined[twovar.SideT].Levels
 	if row.reduce {

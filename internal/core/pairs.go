@@ -56,10 +56,13 @@ func formPairs(ctx context.Context, q CFQ, res *Result, prune *obs.PruneSet) err
 	}
 
 	j := pairJoin{ctx: ctx, nT: nT, checks: &res.Stats.PairChecks}
-	for _, c2 := range q.Constraints2 {
+	if lead, index := latticeLead(q.Constraints2[0], res.lattices); lead != nil {
+		j.terms, j.index, j.from = append(j.terms, lead), index, 1
+	}
+	for _, c2 := range q.Constraints2[len(j.terms):] {
 		j.terms = append(j.terms, newPairTerm(c2, res.LevelsS, res.LevelsT))
 	}
-	if lead := j.terms[0]; lead.ordered() {
+	if lead := j.terms[0]; j.index == nil && lead.ordered() {
 		j.index = newKeyIndex(lead.keyT, lead.okT)
 		j.from = 1
 	}
@@ -154,6 +157,58 @@ func projections(proj func(itemset.Set) attr.ValueSet, levels [][]mine.Counted) 
 		}
 	}
 	return out
+}
+
+// latticeLead prepares an ordered leading 2-var constraint from the cached
+// lattices both sides were filtered from, when their columns hold its two
+// aggregates: each valid set's key is read from its lattice's column instead
+// of evaluated, and the T side's index is the lattice's order of that column
+// with the positions that hold no valid T-set left out — a filter, not a
+// sort. Nil otherwise.
+func latticeLead(c2 twovar.Constraint2, lattices [2]latticeSide) (*pairTerm, *keyIndex) {
+	sides := c2.Sides()
+	if sides.AggS == nil || sides.Op == constraint.NE {
+		return nil, nil
+	}
+	lt := lattices[twovar.SideT]
+	colsT := lt.columns(sides.KindT, sides.AttrT)
+	if colsT == nil {
+		return nil, nil
+	}
+	ls := lattices[twovar.SideS]
+	colsS := ls.columns(sides.KindS, sides.AttrS)
+	if colsS == nil {
+		return nil, nil
+	}
+	valuesT := colsT.Values(sides.KindT)
+	t := &pairTerm{sides: sides, site: "pairs:" + c2.String()}
+	t.keyS, t.okS = gather(colsS.Values(sides.KindS), ls.pos)
+	t.keyT, t.okT = gather(valuesT, lt.pos)
+
+	// rank[p] is 1 + the valid T index of lattice position p, 0 if none.
+	rank := make([]int32, len(valuesT))
+	for ti, p := range lt.pos {
+		rank[p] = int32(ti) + 1
+	}
+	x := &keyIndex{order: make([]int32, 0, len(lt.pos)), keys: make([]float64, 0, len(lt.pos))}
+	for _, p := range colsT.Order(sides.KindT) {
+		if r := rank[p]; r > 0 {
+			x.order = append(x.order, r-1)
+			x.keys = append(x.keys, valuesT[p])
+		}
+	}
+	return t, x
+}
+
+// gather is aggKeys read from a lattice column: the values at the valid
+// sets' positions, every one defined (min, max and sum of a non-empty set
+// are).
+func gather(column []float64, pos []int32) ([]float64, []bool) {
+	keys, ok := make([]float64, len(pos)), make([]bool, len(pos))
+	for i, p := range pos {
+		keys[i], ok[i] = column[p], true
+	}
+	return keys, ok
 }
 
 // holds is Satisfies(validS[si], validT[ti]) on the precomputed terms.

@@ -157,6 +157,10 @@ type Sides struct {
 	// aggregate undefined on its set (ok = false) satisfies nothing.
 	Op         constraint.Op
 	AggS, AggT func(itemset.Set) (v float64, ok bool)
+	// What the aggregate terms compute: AggS(s) is AttrS.Eval(KindS, s),
+	// AggT(t) is AttrT.Eval(KindT, t).
+	KindS, KindT attr.Aggregate
+	AttrS, AttrT attr.Numeric
 	// Domain form Rel.Holds(ProjS(s), ProjT(t)).
 	Rel          constraint.DomainRel
 	ProjS, ProjT func(itemset.Set) attr.ValueSet
@@ -314,9 +318,11 @@ func (a *agg2) Satisfies(s, t itemset.Set) bool {
 
 func (a *agg2) Sides() Sides {
 	return Sides{
-		Op:   a.op,
-		AggS: func(s itemset.Set) (float64, bool) { return a.numS.Eval(a.agg1, s) },
-		AggT: func(t itemset.Set) (float64, bool) { return a.numT.Eval(a.agg2, t) },
+		Op:    a.op,
+		AggS:  func(s itemset.Set) (float64, bool) { return a.numS.Eval(a.agg1, s) },
+		AggT:  func(t itemset.Set) (float64, bool) { return a.numT.Eval(a.agg2, t) },
+		KindS: a.agg1, KindT: a.agg2,
+		AttrS: a.numS, AttrT: a.numT,
 	}
 }
 

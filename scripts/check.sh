@@ -236,6 +236,21 @@ if grep -nE 'lru\.|sync\.Map|maxProfileCache|map\[string\]\*?[A-Za-z]*[Pp]rofile
   exit 1
 fi
 
+echo "== the baseline mines; only the session filter reads a cached lattice =="
+# cap.AprioriPlus is the paper's Apriori+ (its set-level checks are E9's ccc
+# table) and always mines. A session's query goes through cap.FilterLattice,
+# which searches the cached lattice's attribute orders. A lattice hook on
+# cap.Query, or a lattice source read inside AprioriPlus, would put the
+# generate-and-test pass back on the session's path.
+if awk '/^type Query struct \{/,/^\}/' internal/cap/cap.go | grep -nE '^[[:space:]]+Lattice[[:space:]]'; then
+  echo "check.sh: cap.Query has a Lattice field again (a session's lattice goes to cap.FilterLattice)" >&2
+  exit 1
+fi
+if awk '/^func AprioriPlus\(/,/^\}/' internal/cap/*.go | grep -nE 'Lattice|lattice'; then
+  echo "check.sh: cap.AprioriPlus reads a lattice source (the baseline mines; cap.FilterLattice filters a cached lattice)" >&2
+  exit 1
+fi
+
 echo "== one regret measurement =="
 # The planner's regret is measured in process and by work
 # (cfq.TestAutoNeverWorstByWork, the benchmark's plan.regret_work_ratio). The
